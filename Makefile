@@ -11,13 +11,15 @@
 # smoke pass over the salvage decoders and the streaming ingest
 # endpoint. `make profile` runs the
 # engine benchmark under the CPU and heap profilers and prints the
-# top-10 hot spots from each.
+# top-10 hot spots from each. `make loc` prints the non-test and test
+# Go line counts outside the benchmark module (bench/), the size
+# ROADMAP.md tracks.
 
 GO ?= go
 PROFILE_DIR ?= profiles
 FUZZTIME ?= 30s
 
-.PHONY: build test check race chaos vet bench profile
+.PHONY: build test check race chaos vet bench profile loc
 
 build:
 	$(GO) build ./...
@@ -54,6 +56,12 @@ chaos:
 
 vet:
 	$(GO) vet ./...
+
+GO_SOURCES = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
+
+loc:
+	@printf 'non-test Go lines: %s\n' "$$($(GO_SOURCES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'test Go lines:     %s\n' "$$($(GO_SOURCES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 bench:
 	./scripts/bench.sh

@@ -23,6 +23,7 @@ import (
 
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/obs/selftrace"
@@ -73,7 +74,7 @@ func BenchmarkTableIII_Overview(b *testing.B) {
 	suite := benchSuite()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := analysis.OverviewOf(suite, trace.DefaultPerceptibleThreshold)
+		o := OverviewOf(suite, trace.DefaultPerceptibleThreshold)
 		if o.Traced == 0 {
 			b.Fatal("empty overview")
 		}
@@ -147,7 +148,7 @@ func BenchmarkFigure5_Triggers(b *testing.B) {
 	sessions := benchSuite().Sessions
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts := analysis.TriggerAnalysis(sessions, trace.DefaultPerceptibleThreshold, true, analysis.TriggerOptions{})
+		ts := Triggers(sessions, trace.DefaultPerceptibleThreshold, true)
 		if ts.Total == 0 {
 			b.Fatal("no perceptible episodes")
 		}
@@ -159,7 +160,7 @@ func BenchmarkFigure6_Location(b *testing.B) {
 	sessions := benchSuite().Sessions
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		loc := analysis.LocationAnalysis(sessions, trace.DefaultPerceptibleThreshold, true, nil)
+		loc := Location(sessions, trace.DefaultPerceptibleThreshold, true)
 		if loc.EpisodeTime == 0 {
 			b.Fatal("no episode time")
 		}
@@ -171,7 +172,7 @@ func BenchmarkFigure7_Concurrency(b *testing.B) {
 	sessions := benchSuite().Sessions
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, n := analysis.Concurrency(sessions, trace.DefaultPerceptibleThreshold, false); n == 0 {
+		if _, n := Concurrency(sessions, trace.DefaultPerceptibleThreshold, false); n == 0 {
 			b.Fatal("no samples")
 		}
 	}
@@ -182,7 +183,7 @@ func BenchmarkFigure8_Causes(b *testing.B) {
 	sessions := benchSuite().Sessions
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c := analysis.CauseAnalysis(sessions, trace.DefaultPerceptibleThreshold, true); c.Samples == 0 {
+		if c := Causes(sessions, trace.DefaultPerceptibleThreshold, true); c.Samples == 0 {
 			b.Fatal("no samples")
 		}
 	}
@@ -579,12 +580,12 @@ func BenchmarkAblation_AsyncReclassify(b *testing.B) {
 	if !ok {
 		b.Fatal("no Jmol in study")
 	}
-	sessions := jmol.Suite.Sessions
+	ablated := engine.Options{Trigger: analysis.TriggerOptions{NoAsyncReclassify: true}}
 	b.ResetTimer()
 	var with, without analysis.TriggerShares
 	for i := 0; i < b.N; i++ {
-		with = analysis.TriggerAnalysis(sessions, trace.DefaultPerceptibleThreshold, true, analysis.TriggerOptions{})
-		without = analysis.TriggerAnalysis(sessions, trace.DefaultPerceptibleThreshold, true, analysis.TriggerOptions{NoAsyncReclassify: true})
+		with = engine.Analyze(jmol.Suite, trace.DefaultPerceptibleThreshold, engine.Options{}).TriggerLong
+		without = engine.Analyze(jmol.Suite, trace.DefaultPerceptibleThreshold, ablated).TriggerLong
 	}
 	b.ReportMetric(with.Frac(analysis.TriggerOutput)*100, "output%(paper)")
 	b.ReportMetric(without.Frac(analysis.TriggerAsync)*100, "async%(ablated)")
@@ -633,10 +634,10 @@ func BenchmarkAblation_Perturbation(b *testing.B) {
 func BenchmarkThresholdSweep(b *testing.B) {
 	b.ReportAllocs()
 	sessions := benchSuite().Sessions
-	var points []analysis.ThresholdPoint
+	var points []ThresholdPoint
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points = analysis.ThresholdSweep(sessions, nil)
+		points = ThresholdSweep(sessions, nil)
 	}
 	b.ReportMetric(float64(points[0].Episodes), "episodes@100ms")
 	b.ReportMetric(float64(points[len(points)-1].Episodes), "episodes@225ms")
@@ -661,7 +662,7 @@ func BenchmarkStreamingAnalysis(b *testing.B) {
 }
 
 // BenchmarkFullRebuild is the baseline for BenchmarkStreamingAnalysis:
-// treebuild plus the equivalent full analyses.
+// treebuild plus the batch engine.
 func BenchmarkFullRebuild(b *testing.B) {
 	b.ReportAllocs()
 	recs, h := benchRecords(b)
@@ -671,10 +672,7 @@ func BenchmarkFullRebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sessions := []*trace.Session{s}
-		analysis.TriggerAnalysis(sessions, trace.DefaultPerceptibleThreshold, false, analysis.TriggerOptions{})
-		analysis.LocationAnalysis(sessions, trace.DefaultPerceptibleThreshold, false, nil)
-		analysis.CauseAnalysis(sessions, trace.DefaultPerceptibleThreshold, false)
+		engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold, engine.Options{})
 	}
 }
 

@@ -50,6 +50,7 @@ import (
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/browser"
 	"lagalyzer/internal/diff"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/obs/selftrace"
@@ -371,9 +372,11 @@ func runStats(args []string) error {
 			len(s.Episodes), th, long, len(s.GCs), len(s.Ticks))
 	}
 
-	opts := analysis.TriggerOptions{}
-	trigAll := analysis.TriggerAnalysis(sessions, th, false, opts)
-	trigLong := analysis.TriggerAnalysis(sessions, th, true, opts)
+	r, err := engine.AnalyzeContextErr(runCtx, &trace.Suite{Sessions: sessions}, th, engine.Options{Workers: loadJobs})
+	if err != nil {
+		return err
+	}
+	trigAll, trigLong := r.TriggerAll, r.TriggerLong
 	fmt.Printf("\ntriggers (all):          input %.1f%%  output %.1f%%  async %.1f%%  unspecified %.1f%%\n",
 		trigAll.Frac(analysis.TriggerInput)*100, trigAll.Frac(analysis.TriggerOutput)*100,
 		trigAll.Frac(analysis.TriggerAsync)*100, trigAll.Frac(analysis.TriggerUnspecified)*100)
@@ -381,19 +384,15 @@ func runStats(args []string) error {
 		trigLong.Frac(analysis.TriggerInput)*100, trigLong.Frac(analysis.TriggerOutput)*100,
 		trigLong.Frac(analysis.TriggerAsync)*100, trigLong.Frac(analysis.TriggerUnspecified)*100)
 
-	locAll := analysis.LocationAnalysis(sessions, th, false, nil)
-	locLong := analysis.LocationAnalysis(sessions, th, true, nil)
+	locAll, locLong := r.LocationAll, r.LocationLong
 	fmt.Printf("location (all):          library %.1f%%  app %.1f%%  |  gc %.1f%%  native %.1f%%\n",
 		locAll.Library*100, locAll.App*100, locAll.GC*100, locAll.Native*100)
 	fmt.Printf("location (perceptible):  library %.1f%%  app %.1f%%  |  gc %.1f%%  native %.1f%%\n",
 		locLong.Library*100, locLong.App*100, locLong.GC*100, locLong.Native*100)
 
-	concAll, _ := analysis.Concurrency(sessions, th, false)
-	concLong, _ := analysis.Concurrency(sessions, th, true)
-	fmt.Printf("concurrency:             all %.2f  perceptible %.2f runnable threads\n", concAll, concLong)
+	fmt.Printf("concurrency:             all %.2f  perceptible %.2f runnable threads\n", r.ConcurrencyAll, r.ConcurrencyLong)
 
-	cAll := analysis.CauseAnalysis(sessions, th, false)
-	cLong := analysis.CauseAnalysis(sessions, th, true)
+	cAll, cLong := r.CausesAll, r.CausesLong
 	fmt.Printf("causes (all):            blocked %.1f%%  wait %.1f%%  sleep %.1f%%  runnable %.1f%%\n",
 		cAll.Blocked*100, cAll.Waiting*100, cAll.Sleeping*100, cAll.Runnable*100)
 	fmt.Printf("causes (perceptible):    blocked %.1f%%  wait %.1f%%  sleep %.1f%%  runnable %.1f%%\n",
@@ -516,10 +515,12 @@ func printStreamStats(st *stream.Stats) {
 	fmt.Printf("%s/%d: E2E %v, %d episodes (+%d short), %d perceptible, mean %.1fms max %.1fms\n",
 		st.App, st.SessionID, st.E2E, st.Episodes, st.ShortCount, st.Perceptible,
 		st.Durations.Mean(), st.Durations.Max)
+	trig, loc := st.All.Trigger, st.All.Location()
+	conc, _ := st.All.Concurrency()
 	fmt.Printf("  triggers: input %.0f%% output %.0f%% async %.0f%% unspecified %.0f%%  |  gc %.1f%% native %.1f%%  |  %.2f runnable threads\n",
-		st.Triggers.Frac(analysis.TriggerInput)*100, st.Triggers.Frac(analysis.TriggerOutput)*100,
-		st.Triggers.Frac(analysis.TriggerAsync)*100, st.Triggers.Frac(analysis.TriggerUnspecified)*100,
-		st.GCFrac()*100, st.NativeFrac()*100, st.Concurrency())
+		trig.Frac(analysis.TriggerInput)*100, trig.Frac(analysis.TriggerOutput)*100,
+		trig.Frac(analysis.TriggerAsync)*100, trig.Frac(analysis.TriggerUnspecified)*100,
+		loc.GC*100, loc.Native*100, conc)
 	fmt.Printf("  decoded %d records (%.2f MB) in %v — %.0f records/s, %.1f MB/s\n",
 		st.Records, float64(st.Bytes)/1e6, st.Elapsed.Round(time.Millisecond),
 		st.RecordsPerSec(), st.BytesPerSec()/1e6)

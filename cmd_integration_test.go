@@ -142,6 +142,54 @@ func TestCLIWorkflow(t *testing.T) {
 	}
 }
 
+// TestCLIStatsStreamGolden pins `lagalyzer stats` (sequential and at
+// the default -jobs) and `lagalyzer stream` stdout byte for byte on a
+// seeded v2 trace. The stream's decode-throughput line carries wall
+// clock and is masked.
+func TestCLIStatsStreamGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	lagBin := tool(t, "lagalyzer")
+	traceFile := filepath.Join(t.TempDir(), "cs.lila")
+	run(t, tool(t, "lilasim"), "",
+		"-app", "CrosswordSage", "-seconds", "60", "-seed", "3", "-format", "v2", "-o", traceFile)
+
+	stdout := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(lagBin, args...).Output()
+		if err != nil {
+			t.Fatalf("lagalyzer %v: %v", args, err)
+		}
+		return string(out)
+	}
+	golden := func(name string) string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	stats := golden("stats_crosswordsage.golden")
+	for _, args := range [][]string{{"-jobs", "1", "stats", traceFile}, {"stats", traceFile}} {
+		if got := stdout(args...); got != stats {
+			t.Errorf("lagalyzer %v:\n%s\nwant:\n%s", args, got, stats)
+		}
+	}
+
+	lines := strings.Split(stdout("stream", traceFile), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, "  decoded ") {
+			lines[i] = "  decoded (timing masked)"
+		}
+	}
+	if got, want := strings.Join(lines, "\n"), golden("stream_crosswordsage.golden"); got != want {
+		t.Errorf("lagalyzer stream:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestCLILagreport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

@@ -1,11 +1,22 @@
-package analysis
+package analysis_test
+
+// The paper's Section IV rules on hand-built episodes. The rules are
+// defined once, in internal/engine; these tests pin them through the
+// engine's API, next to the vocabulary they produce.
 
 import (
 	"math"
 	"testing"
 
+	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/trace"
 )
+
+// analyze runs the engine over the sessions as one suite.
+func analyze(sessions []*trace.Session) *engine.Result {
+	return engine.Analyze(&trace.Suite{App: "t", Sessions: sessions}, th, engine.Options{})
+}
 
 func ms(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
 
@@ -44,31 +55,31 @@ func TestTriggerOf(t *testing.T) {
 	cases := []struct {
 		name string
 		e    *trace.Episode
-		want Trigger
+		want analysis.Trigger
 	}{
-		{"input", ep(0, trace.Ms(100), listener.Clone(), paint.Clone()), TriggerInput},
+		{"input", ep(0, trace.Ms(100), listener.Clone(), paint.Clone()), analysis.TriggerInput},
 		{"output", ep(0, trace.Ms(100),
-			trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(0), trace.Ms(30))), TriggerOutput},
+			trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(0), trace.Ms(30))), analysis.TriggerOutput},
 		{"async", ep(0, trace.Ms(100),
 			trace.NewInterval(trace.KindAsync, "q.E", "dispatch", ms(0), trace.Ms(30),
-				trace.NewInterval(trace.KindNative, "n.N", "call", ms(5), trace.Ms(10)))), TriggerAsync},
-		{"unspecified empty", ep(0, trace.Ms(100)), TriggerUnspecified},
-		{"unspecified gc-only", ep(0, trace.Ms(500), trace.NewGC(ms(10), trace.Ms(300), true)), TriggerUnspecified},
+				trace.NewInterval(trace.KindNative, "n.N", "call", ms(5), trace.Ms(10)))), analysis.TriggerAsync},
+		{"unspecified empty", ep(0, trace.Ms(100)), analysis.TriggerUnspecified},
+		{"unspecified gc-only", ep(0, trace.Ms(500), trace.NewGC(ms(10), trace.Ms(300), true)), analysis.TriggerUnspecified},
 		{"unspecified native-only", ep(0, trace.Ms(100),
-			trace.NewInterval(trace.KindNative, "n.N", "call", ms(0), trace.Ms(50))), TriggerUnspecified},
+			trace.NewInterval(trace.KindNative, "n.N", "call", ms(0), trace.Ms(50))), analysis.TriggerUnspecified},
 		// The Swing repaint-manager case: async containing paint is
 		// really output.
 		{"repaint manager", ep(0, trace.Ms(100),
 			trace.NewInterval(trace.KindAsync, "q.E", "dispatch", ms(0), trace.Ms(90),
-				trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(5), trace.Ms(80)))), TriggerOutput},
+				trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(5), trace.Ms(80)))), analysis.TriggerOutput},
 		// Nested deciding interval below a native call.
 		{"nested listener", ep(0, trace.Ms(100),
 			trace.NewInterval(trace.KindNative, "n.N", "call", ms(0), trace.Ms(90),
-				trace.NewInterval(trace.KindListener, "a.B", "on", ms(10), trace.Ms(50)))), TriggerInput},
+				trace.NewInterval(trace.KindListener, "a.B", "on", ms(10), trace.Ms(50)))), analysis.TriggerInput},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := TriggerOf(tc.e, TriggerOptions{}); got != tc.want {
+			if got := engine.TriggerOf(tc.e, analysis.TriggerOptions{}); got != tc.want {
 				t.Errorf("TriggerOf = %v, want %v", got, tc.want)
 			}
 		})
@@ -79,10 +90,10 @@ func TestTriggerAsyncReclassifyAblation(t *testing.T) {
 	e := ep(0, trace.Ms(100),
 		trace.NewInterval(trace.KindAsync, "q.E", "dispatch", ms(0), trace.Ms(90),
 			trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(5), trace.Ms(80))))
-	if got := TriggerOf(e, TriggerOptions{}); got != TriggerOutput {
+	if got := engine.TriggerOf(e, analysis.TriggerOptions{}); got != analysis.TriggerOutput {
 		t.Errorf("default = %v, want output", got)
 	}
-	if got := TriggerOf(e, TriggerOptions{NoAsyncReclassify: true}); got != TriggerAsync {
+	if got := engine.TriggerOf(e, analysis.TriggerOptions{NoAsyncReclassify: true}); got != analysis.TriggerAsync {
 		t.Errorf("ablation = %v, want async", got)
 	}
 }
@@ -94,22 +105,23 @@ func TestTriggerAnalysisCountsAndFilters(t *testing.T) {
 		ep(ms(2000), trace.Ms(300), trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(2000), trace.Ms(100))),
 		ep(ms(3000), trace.Ms(400)),
 	)
-	all := TriggerAnalysis([]*trace.Session{s}, th, false, TriggerOptions{})
+	r := analyze([]*trace.Session{s})
+	all := r.TriggerAll
 	if all.Total != 4 {
 		t.Fatalf("all total = %d", all.Total)
 	}
-	if all.Frac(TriggerInput) != 0.5 || all.Frac(TriggerOutput) != 0.25 || all.Frac(TriggerUnspecified) != 0.25 {
-		t.Errorf("all fracs: input=%v output=%v unspec=%v", all.Frac(TriggerInput), all.Frac(TriggerOutput), all.Frac(TriggerUnspecified))
+	if all.Frac(analysis.TriggerInput) != 0.5 || all.Frac(analysis.TriggerOutput) != 0.25 || all.Frac(analysis.TriggerUnspecified) != 0.25 {
+		t.Errorf("all fracs: input=%v output=%v unspec=%v", all.Frac(analysis.TriggerInput), all.Frac(analysis.TriggerOutput), all.Frac(analysis.TriggerUnspecified))
 	}
-	long := TriggerAnalysis([]*trace.Session{s}, th, true, TriggerOptions{})
+	long := r.TriggerLong
 	if long.Total != 3 {
 		t.Fatalf("perceptible total = %d", long.Total)
 	}
-	if got := long.Frac(TriggerInput); math.Abs(got-1.0/3) > 1e-12 {
+	if got := long.Frac(analysis.TriggerInput); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("perceptible input frac = %v", got)
 	}
-	var empty TriggerShares
-	if empty.Frac(TriggerInput) != 0 {
+	var empty analysis.TriggerShares
+	if empty.Frac(analysis.TriggerInput) != 0 {
 		t.Error("empty shares should report 0")
 	}
 }
@@ -143,7 +155,7 @@ func TestLocationAnalysisSamplesSplit(t *testing.T) {
 	tickAt(s, ms(25), trace.StateRunnable, "sun.j2d.Draw", true, false)
 	tickAt(s, ms(500), trace.StateRunnable, "com.example.Idle", false, false)
 
-	loc := LocationAnalysis([]*trace.Session{s}, th, false, nil)
+	loc := analyze([]*trace.Session{s}).LocationAll
 	if loc.JavaSamples != 3 {
 		t.Fatalf("JavaSamples = %d, want 3", loc.JavaSamples)
 	}
@@ -166,8 +178,8 @@ func TestLocationAnalysisPerceptibleFilter(t *testing.T) {
 	fast := ep(ms(0), trace.Ms(50), trace.NewGC(ms(10), trace.Ms(25), false))
 	slow := ep(ms(1000), trace.Ms(200), trace.NewGC(ms(1010), trace.Ms(20), false))
 	s := sessionWith(fast, slow)
-	all := LocationAnalysis([]*trace.Session{s}, th, false, nil)
-	long := LocationAnalysis([]*trace.Session{s}, th, true, nil)
+	r := analyze([]*trace.Session{s})
+	all, long := r.LocationAll, r.LocationLong
 	if math.Abs(all.GC-45.0/250) > 1e-12 {
 		t.Errorf("all GC = %v", all.GC)
 	}
@@ -180,7 +192,7 @@ func TestLocationAnalysisPerceptibleFilter(t *testing.T) {
 }
 
 func TestPrefixClassifier(t *testing.T) {
-	isLib := DefaultLibraryClassifier
+	isLib := engine.IsLibrary
 	for _, cls := range []string{"java.util.ArrayList", "javax.swing.JButton", "sun.awt.X", "com.apple.laf.ComboBox", "jdk.internal.Foo"} {
 		if !isLib(trace.Frame{Class: cls}) {
 			t.Errorf("%s should be library", cls)
@@ -190,10 +202,6 @@ func TestPrefixClassifier(t *testing.T) {
 		if isLib(trace.Frame{Class: cls}) {
 			t.Errorf("%s should be application", cls)
 		}
-	}
-	custom := PrefixClassifier([]string{"org.gantt."})
-	if !custom(trace.Frame{Class: "org.gantt.Chart"}) {
-		t.Error("custom prefix ignored")
 	}
 }
 
@@ -209,14 +217,15 @@ func TestConcurrency(t *testing.T) {
 	// Outside the episode: ignored.
 	tickAt(s, ms(900), trace.StateRunnable, "a.B", false, true)
 
-	avg, n := Concurrency([]*trace.Session{s}, th, false)
+	r := analyze([]*trace.Session{s})
+	avg, n := r.ConcurrencyAll, r.TicksAll
 	if n != 3 {
 		t.Fatalf("ticks = %d, want 3", n)
 	}
 	if got := avg; math.Abs(got-1.0) > 1e-12 {
 		t.Errorf("avg runnable = %v, want 1.0", got)
 	}
-	if avg, n := Concurrency(nil, th, false); avg != 0 || n != 0 {
+	if r := analyze(nil); r.ConcurrencyAll != 0 || r.TicksAll != 0 {
 		t.Error("empty concurrency should be 0,0")
 	}
 }
@@ -229,7 +238,7 @@ func TestCauseAnalysis(t *testing.T) {
 	tickAt(s, ms(30), trace.StateBlocked, "a.B", false, false)
 	tickAt(s, ms(40), trace.StateSleeping, "com.apple.laf.Blink", false, false)
 
-	c := CauseAnalysis([]*trace.Session{s}, th, false)
+	c := analyze([]*trace.Session{s}).CausesAll
 	if c.Samples != 4 {
 		t.Fatalf("samples = %d", c.Samples)
 	}
@@ -244,7 +253,7 @@ func TestCauseAnalysis(t *testing.T) {
 			t.Errorf("negative share for %v", st)
 		}
 	}
-	if got := CauseAnalysis(nil, th, false); got.Samples != 0 {
+	if got := analyze(nil).CausesAll; got.Samples != 0 {
 		t.Error("empty cause analysis should have 0 samples")
 	}
 }
@@ -263,7 +272,7 @@ func TestOverviewOf(t *testing.T) {
 		return s
 	}
 	suite := &trace.Suite{App: "TestApp", Sessions: []*trace.Session{mkSession(0), mkSession(1)}}
-	o := OverviewOf(suite, th)
+	o := engine.Analyze(suite, th, engine.Options{}).Overview
 
 	if o.App != "TestApp" || o.Sessions != 2 {
 		t.Errorf("identity: %+v", o)
@@ -296,36 +305,36 @@ func TestOverviewOf(t *testing.T) {
 }
 
 func TestOverviewEmptySuite(t *testing.T) {
-	o := OverviewOf(&trace.Suite{App: "Empty"}, th)
+	o := engine.Analyze(&trace.Suite{App: "Empty"}, th, engine.Options{}).Overview
 	if o.Sessions != 0 || o.Traced != 0 {
 		t.Errorf("empty suite overview = %+v", o)
 	}
 }
 
 func TestMeanOverview(t *testing.T) {
-	rows := []Overview{
+	rows := []analysis.Overview{
 		{Sessions: 4, E2ESeconds: 100, Traced: 10, LongPerMin: 30, OneEpFrac: 0.4},
 		{Sessions: 4, E2ESeconds: 300, Traced: 20, LongPerMin: 90, OneEpFrac: 0.6},
 	}
-	m := MeanOverview(rows)
+	m := analysis.MeanOverview(rows)
 	if m.App != "Mean" || m.Sessions != 8 {
 		t.Errorf("mean identity: %+v", m)
 	}
 	if m.E2ESeconds != 200 || m.Traced != 15 || m.LongPerMin != 60 || m.OneEpFrac != 0.5 {
 		t.Errorf("mean values: %+v", m)
 	}
-	if MeanOverview(nil).App != "Mean" {
+	if analysis.MeanOverview(nil).App != "Mean" {
 		t.Error("empty mean should still be labelled")
 	}
 }
 
 func TestTriggerNames(t *testing.T) {
-	if len(Triggers()) != 4 {
+	if len(analysis.Triggers()) != 4 {
 		t.Fatal("want 4 trigger classes")
 	}
-	names := map[Trigger]string{
-		TriggerInput: "input", TriggerOutput: "output",
-		TriggerAsync: "async", TriggerUnspecified: "unspecified",
+	names := map[analysis.Trigger]string{
+		analysis.TriggerInput: "input", analysis.TriggerOutput: "output",
+		analysis.TriggerAsync: "async", analysis.TriggerUnspecified: "unspecified",
 	}
 	for tr, want := range names {
 		if tr.String() != want {

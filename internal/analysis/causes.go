@@ -2,34 +2,6 @@ package analysis
 
 import "lagalyzer/internal/trace"
 
-// Concurrency computes the average number of runnable threads per
-// sampling tick taken during episodes (Figure 7). A value of one means
-// only the GUI thread was runnable; below one, the GUI thread itself
-// was sometimes blocked, waiting, or sleeping; above one, background
-// threads were competing for the CPU.
-//
-// onlyPerceptible restricts the population to episodes at or above the
-// threshold (the lower panel of Figure 7). The second return value is
-// the number of ticks behind the average.
-func Concurrency(sessions []*trace.Session, threshold trace.Dur, onlyPerceptible bool) (float64, int) {
-	total, ticks := 0, 0
-	for _, s := range sessions {
-		for _, e := range s.Episodes {
-			if onlyPerceptible && !e.Perceptible(threshold) {
-				continue
-			}
-			for _, tick := range s.EpisodeTicks(e) {
-				total += tick.Runnable()
-				ticks++
-			}
-		}
-	}
-	if ticks == 0 {
-		return 0, 0
-	}
-	return float64(total) / float64(ticks), ticks
-}
-
 // CauseShares partitions the GUI thread's in-episode time by its
 // sampled scheduling state (Figure 8): blocked entering contended
 // monitors, waiting in Object.wait()/LockSupport.park(), voluntarily
@@ -57,38 +29,4 @@ func (c CauseShares) Frac(st trace.ThreadState) float64 {
 		return c.Runnable
 	}
 	return 0
-}
-
-// CauseAnalysis computes CauseShares over the sessions' episodes;
-// onlyPerceptible restricts to episodes at or above the threshold
-// (the lower panel of Figure 8). Only samples of each episode's own
-// dispatch thread are counted.
-func CauseAnalysis(sessions []*trace.Session, threshold trace.Dur, onlyPerceptible bool) CauseShares {
-	var counts [4]int
-	total := 0
-	for _, s := range sessions {
-		for _, e := range s.Episodes {
-			if onlyPerceptible && !e.Perceptible(threshold) {
-				continue
-			}
-			for _, tick := range s.EpisodeTicks(e) {
-				ts, ok := tick.Thread(e.Thread)
-				if !ok {
-					continue
-				}
-				counts[ts.State]++
-				total++
-			}
-		}
-	}
-	var c CauseShares
-	c.Samples = total
-	if total == 0 {
-		return c
-	}
-	c.Runnable = float64(counts[trace.StateRunnable]) / float64(total)
-	c.Blocked = float64(counts[trace.StateBlocked]) / float64(total)
-	c.Waiting = float64(counts[trace.StateWaiting]) / float64(total)
-	c.Sleeping = float64(counts[trace.StateSleeping]) / float64(total)
-	return c
 }

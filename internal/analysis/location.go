@@ -1,52 +1,16 @@
 package analysis
 
-import (
-	"strings"
-
-	"lagalyzer/internal/trace"
-)
-
-// LibraryClassifier decides whether a frame executes runtime-library
-// code (as opposed to application code). The paper distinguishes the
-// two "based on the fully qualified class name of the method that was
-// executing when the sample was taken".
-type LibraryClassifier func(trace.Frame) bool
-
-// DefaultLibraryPrefixes are the class-name prefixes of the Java
-// runtime libraries on the paper's platform (Apple's Java 6): the
-// platform classes, the Sun/Apple internals, and the standards bodies'
-// namespaces.
-var DefaultLibraryPrefixes = []string{
-	"java.", "javax.", "sun.", "com.sun.", "com.apple.", "apple.",
-	"jdk.", "org.omg.", "org.w3c.", "org.xml.", "org.ietf.",
-}
-
-// PrefixClassifier builds a LibraryClassifier from class-name
-// prefixes.
-func PrefixClassifier(prefixes []string) LibraryClassifier {
-	owned := make([]string, len(prefixes))
-	copy(owned, prefixes)
-	return func(f trace.Frame) bool {
-		for _, p := range owned {
-			if strings.HasPrefix(f.Class, p) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// DefaultLibraryClassifier classifies by DefaultLibraryPrefixes.
-var DefaultLibraryClassifier = PrefixClassifier(DefaultLibraryPrefixes)
+import "lagalyzer/internal/trace"
 
 // LocationShares quantifies where episode time went (one application's
 // two stacked bars of Figure 6).
 //
 // App and Library partition the Java-code samples of the episode
-// thread: App+Library = 1 when any such samples exist. GC and Native
-// are fractions of total episode *time* spent in garbage collection
-// and in native calls (exclusive of nested GC), computed directly from
-// the intervals.
+// thread, classified by the leaf frame's class name (engine.IsLibrary):
+// App+Library = 1 when any such samples exist. GC and Native are
+// fractions of total episode *time* spent in garbage collection and in
+// native calls (exclusive of nested GC), computed directly from the
+// intervals.
 type LocationShares struct {
 	App     float64
 	Library float64
@@ -59,65 +23,4 @@ type LocationShares struct {
 	// EpisodeTime is the total episode time behind the GC/Native
 	// fractions.
 	EpisodeTime trace.Dur
-}
-
-// LocationAnalysis computes LocationShares over the sessions'
-// episodes; onlyPerceptible restricts to episodes at or above the
-// threshold (the lower panel of Figure 6).
-//
-// The App/Library split follows the paper: call-stack samples of the
-// episode's dispatch thread, taken during the episode while executing
-// Java code (native-leaf samples are excluded), classified by the leaf
-// frame's class name. The GC/Native split instead uses the explicit
-// intervals: exclusive GC time and exclusive native time as fractions
-// of total episode time.
-func LocationAnalysis(sessions []*trace.Session, threshold trace.Dur, onlyPerceptible bool, isLibrary LibraryClassifier) LocationShares {
-	if isLibrary == nil {
-		isLibrary = DefaultLibraryClassifier
-	}
-	var (
-		appSamples, libSamples int
-		gcTime, nativeTime     trace.Dur
-		episodeTime            trace.Dur
-	)
-	for _, s := range sessions {
-		for _, e := range s.Episodes {
-			if onlyPerceptible && !e.Perceptible(threshold) {
-				continue
-			}
-			episodeTime += e.Dur()
-			kt := e.Root.KindTime()
-			gcTime += kt[trace.KindGC]
-			nativeTime += kt[trace.KindNative]
-
-			for _, tick := range s.EpisodeTicks(e) {
-				ts, ok := tick.Thread(e.Thread)
-				if !ok {
-					continue
-				}
-				leaf, ok := ts.Leaf()
-				if !ok || leaf.Native {
-					continue // not executing Java code
-				}
-				if isLibrary(leaf) {
-					libSamples++
-				} else {
-					appSamples++
-				}
-			}
-		}
-	}
-	shares := LocationShares{
-		JavaSamples: appSamples + libSamples,
-		EpisodeTime: episodeTime,
-	}
-	if shares.JavaSamples > 0 {
-		shares.App = float64(appSamples) / float64(shares.JavaSamples)
-		shares.Library = float64(libSamples) / float64(shares.JavaSamples)
-	}
-	if episodeTime > 0 {
-		shares.GC = float64(gcTime) / float64(episodeTime)
-		shares.Native = float64(nativeTime) / float64(episodeTime)
-	}
-	return shares
 }

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"lagalyzer/internal/patterns"
-	"lagalyzer/internal/trace"
-)
-
 // Overview is one row of the paper's Table III: session duration,
 // episode counts, and pattern statistics for one application, averaged
 // over its sessions.
@@ -45,37 +40,6 @@ type Overview struct {
 	// Depth is the mean interval tree depth, averaged over patterns
 	// ("Depth").
 	Depth float64
-}
-
-// OverviewOf computes the Table III row for one application's suite of
-// sessions. Pattern statistics are computed per session and averaged,
-// matching the table's presentation ("each row represents the average
-// over the four interactive sessions").
-func OverviewOf(suite *trace.Suite, threshold trace.Dur) Overview {
-	o := Overview{App: suite.App, Sessions: len(suite.Sessions)}
-	if len(suite.Sessions) == 0 {
-		return o
-	}
-	n := float64(len(suite.Sessions))
-	for _, s := range suite.Sessions {
-		o.E2ESeconds += s.E2E().Seconds() / n
-		o.InEpsFrac += s.InEpisodeFrac() / n
-		o.Short += float64(s.ShortCount) / n
-		o.Traced += float64(len(s.Episodes)) / n
-		perceptible := len(s.PerceptibleEpisodes(threshold))
-		o.Perceptible += float64(perceptible) / n
-		if inEps := s.InEpisode(); inEps > 0 {
-			o.LongPerMin += float64(perceptible) / (inEps.Seconds() / 60) / n
-		}
-
-		set := patterns.Classify([]*trace.Session{s}, patterns.Options{Threshold: threshold})
-		o.Dist += float64(len(set.Patterns)) / n
-		o.CoveredEps += float64(set.Covered()) / n
-		o.OneEpFrac += set.SingletonFrac() / n
-		o.Descs += set.MeanDescendants() / n
-		o.Depth += set.MeanDepth() / n
-	}
-	return o
 }
 
 // MeanOverview averages a list of per-application overviews into the

@@ -1,9 +1,10 @@
-package analysis
+package analysis_test
 
 import (
 	"math"
 	"testing"
 
+	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/trace"
 )
 
@@ -17,13 +18,13 @@ func TestThresholdSweep(t *testing.T) {
 	}
 	s := sessionWith(eps...)
 
-	points := ThresholdSweep([]*trace.Session{s}, nil)
-	if len(points) != len(LiteratureThresholds) {
-		t.Fatalf("%d points, want %d", len(points), len(LiteratureThresholds))
+	points := analysis.ThresholdSweep([]*trace.Session{s}, nil)
+	if len(points) != len(analysis.LiteratureThresholds) {
+		t.Fatalf("%d points, want %d", len(points), len(analysis.LiteratureThresholds))
 	}
 	wantCounts := []int{4, 3, 2, 1} // ≥100, ≥150, ≥195, ≥225
 	for i, p := range points {
-		if p.Threshold != LiteratureThresholds[i] {
+		if p.Threshold != analysis.LiteratureThresholds[i] {
 			t.Errorf("point %d threshold = %v", i, p.Threshold)
 		}
 		if p.Episodes != wantCounts[i] {
@@ -48,11 +49,11 @@ func TestThresholdSweep(t *testing.T) {
 
 func TestThresholdSweepCustomAndEmpty(t *testing.T) {
 	s := sessionWith(ep(0, trace.Ms(80)))
-	points := ThresholdSweep([]*trace.Session{s}, []trace.Dur{trace.Ms(50), trace.Ms(100)})
+	points := analysis.ThresholdSweep([]*trace.Session{s}, []trace.Dur{trace.Ms(50), trace.Ms(100)})
 	if len(points) != 2 || points[0].Episodes != 1 || points[1].Episodes != 0 {
 		t.Errorf("custom sweep: %+v", points)
 	}
-	empty := ThresholdSweep(nil, nil)
+	empty := analysis.ThresholdSweep(nil, nil)
 	for _, p := range empty {
 		if p.Episodes != 0 || p.Frac != 0 || p.PerMin != 0 {
 			t.Errorf("empty sweep point: %+v", p)
@@ -62,12 +63,12 @@ func TestThresholdSweepCustomAndEmpty(t *testing.T) {
 
 func TestLiteratureThresholds(t *testing.T) {
 	want := []trace.Dur{trace.Ms(100), trace.Ms(150), trace.Ms(195), trace.Ms(225)}
-	if len(LiteratureThresholds) != len(want) {
-		t.Fatalf("%d literature thresholds", len(LiteratureThresholds))
+	if len(analysis.LiteratureThresholds) != len(want) {
+		t.Fatalf("%d literature thresholds", len(analysis.LiteratureThresholds))
 	}
 	for i, th := range want {
-		if LiteratureThresholds[i] != th {
-			t.Errorf("threshold %d = %v, want %v", i, LiteratureThresholds[i], th)
+		if analysis.LiteratureThresholds[i] != th {
+			t.Errorf("threshold %d = %v, want %v", i, analysis.LiteratureThresholds[i], th)
 		}
 	}
 }

@@ -1,15 +1,11 @@
-// Package analysis implements LagAlyzer's characterization analyses
-// (Section IV of the paper): overview statistics (Table III), episode
-// trigger classification (Figure 5), location of time (Figure 6),
-// concurrency (Figure 7), and the causes of lag — synchronization,
-// sleep, and work (Figure 8).
+// Package analysis is the vocabulary of LagAlyzer's characterization
+// (Section IV of the paper): the trigger classes (Figure 5), the
+// per-population share types of Figures 5-8, the Table III overview
+// row, and the perceptibility thresholds of the HCI literature.
 //
-// All analyses operate on trace.Session values and are pure functions:
-// they never mutate their inputs and carry no global state, so callers
-// can run them concurrently over different suites.
+// The rules that compute these values live in one place, the
+// internal/engine package; this package only names their results.
 package analysis
-
-import "lagalyzer/internal/trace"
 
 // Trigger classifies what initiated an episode (Section IV-C).
 type Trigger int
@@ -73,35 +69,6 @@ type TriggerOptions struct {
 	NoAsyncReclassify bool
 }
 
-// TriggerOf determines an episode's trigger with the paper's rules: a
-// preorder traversal of the interval tree finds the first listener,
-// paint, or async interval, whose type decides the class. An async
-// interval that contains a paint interval is reclassified as output
-// (repaint-manager episodes), unless opts disables that.
-func TriggerOf(e *trace.Episode, opts TriggerOptions) Trigger {
-	deciding := e.Root.Find(func(n *trace.Interval) bool {
-		switch n.Kind {
-		case trace.KindListener, trace.KindPaint, trace.KindAsync:
-			return true
-		}
-		return false
-	})
-	if deciding == nil {
-		return TriggerUnspecified
-	}
-	switch deciding.Kind {
-	case trace.KindListener:
-		return TriggerInput
-	case trace.KindPaint:
-		return TriggerOutput
-	default: // async
-		if !opts.NoAsyncReclassify && deciding.HasKind(trace.KindPaint) {
-			return TriggerOutput
-		}
-		return TriggerAsync
-	}
-}
-
 // TriggerShares is the per-class episode fraction for one population
 // of episodes (one bar of Figure 5). Fractions sum to 1 unless the
 // population was empty.
@@ -116,21 +83,4 @@ func (ts TriggerShares) Frac(t Trigger) float64 {
 		return 0
 	}
 	return float64(ts.Counts[t]) / float64(ts.Total)
-}
-
-// TriggerAnalysis tallies the triggers of the sessions' episodes;
-// onlyPerceptible restricts the population to episodes at or above
-// the threshold (the lower panel of Figure 5).
-func TriggerAnalysis(sessions []*trace.Session, threshold trace.Dur, onlyPerceptible bool, opts TriggerOptions) TriggerShares {
-	var ts TriggerShares
-	for _, s := range sessions {
-		for _, e := range s.Episodes {
-			if onlyPerceptible && !e.Perceptible(threshold) {
-				continue
-			}
-			ts.Counts[TriggerOf(e, opts)]++
-			ts.Total++
-		}
-	}
-	return ts
 }

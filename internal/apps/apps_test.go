@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
 )
@@ -269,7 +270,7 @@ func TestTriggerMixPerApp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := analysis.TriggerAnalysis([]*trace.Session{s}, trace.DefaultPerceptibleThreshold, true, analysis.TriggerOptions{})
+		ts := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold, engine.Options{}).TriggerLong
 		best, bestF := analysis.TriggerInput, -1.0
 		for _, tr := range analysis.Triggers() {
 			if f := ts.Frac(tr); f > bestF {

@@ -1,10 +1,16 @@
-// Package engine is the fused analysis pipeline behind
-// report.AnalyzeSuite. Where the individual analysis.* functions each
-// make a full pass over every session — and the all/perceptible
-// populations double that — the engine computes the structural
-// fingerprint, trigger class, location shares, cause shares, and
-// concurrency for both populations in ONE traversal per episode plus
-// one scan of its sampling ticks.
+// Package engine is the one definition of LagAlyzer's analyses
+// (Section IV of the paper) and the fused pipeline that runs them.
+// rules.go states each rule once: the trigger classification, the
+// per-tick fold behind location, concurrency, and causes, and the
+// mergeable population tally with its share derivations. The batch
+// pipeline here, the streaming analyzer (internal/stream), the ingest
+// batch reference, `lagalyzer stats`, and the root API all drive those
+// functions instead of restating them.
+//
+// The pipeline computes the structural fingerprint, trigger class,
+// location shares, cause shares, and concurrency for both populations
+// (all and perceptible episodes) in ONE traversal per episode plus one
+// scan of its sampling ticks.
 //
 // Episodes are sharded into fixed-size chunks processed by a bounded
 // worker pool and merged in chunk order. Because the chunk layout is a
@@ -51,9 +57,6 @@ type Options struct {
 	Patterns patterns.Options
 	// Trigger configures the trigger classification.
 	Trigger analysis.TriggerOptions
-	// Library overrides the app-vs-library frame classifier; nil means
-	// analysis.DefaultLibraryClassifier.
-	Library analysis.LibraryClassifier
 	// Workers bounds the worker pool; 0 means runtime.GOMAXPROCS(0).
 	// The result is identical for every value.
 	Workers int
@@ -88,123 +91,16 @@ type item struct {
 	e *trace.Episode
 }
 
-// tickTally accumulates what one episode's sampling ticks contribute:
-// concurrency over all ticks, causes over the episode thread's
-// samples, and the app/library split over its Java-leaf samples.
-type tickTally struct {
-	app, lib int
-	states   [4]int
-	samples  int
-	runnable int
-	ticks    int
-}
-
-// population accumulates one episode population (all or perceptible).
-// Everything is integral (counts and Dur sums), so merging shards is
-// order-independent; fractions are derived only at the end.
-type population struct {
-	trigger analysis.TriggerShares
-
-	app, lib           int
-	gcTime, nativeTime trace.Dur
-	episodeTime        trace.Dur
-
-	states  [4]int
-	samples int
-
-	runnable, ticks int
-}
-
-func (p *population) addEpisode(e *trace.Episode, info epInfo, t tickTally) {
-	p.trigger.Counts[info.trigger]++
-	p.trigger.Total++
-
-	p.episodeTime += e.Dur()
-	p.gcTime += info.gc
-	p.nativeTime += info.native
-
-	p.app += t.app
-	p.lib += t.lib
-	for i, n := range t.states {
-		p.states[i] += n
-	}
-	p.samples += t.samples
-	p.runnable += t.runnable
-	p.ticks += t.ticks
-}
-
-func (p *population) merge(o *population) {
-	for i, n := range o.trigger.Counts {
-		p.trigger.Counts[i] += n
-	}
-	p.trigger.Total += o.trigger.Total
-
-	p.episodeTime += o.episodeTime
-	p.gcTime += o.gcTime
-	p.nativeTime += o.nativeTime
-
-	p.app += o.app
-	p.lib += o.lib
-	for i, n := range o.states {
-		p.states[i] += n
-	}
-	p.samples += o.samples
-	p.runnable += o.runnable
-	p.ticks += o.ticks
-}
-
-// locationShares derives Figure 6's shares exactly as
-// analysis.LocationAnalysis does.
-func (p *population) locationShares() analysis.LocationShares {
-	shares := analysis.LocationShares{
-		JavaSamples: p.app + p.lib,
-		EpisodeTime: p.episodeTime,
-	}
-	if shares.JavaSamples > 0 {
-		shares.App = float64(p.app) / float64(shares.JavaSamples)
-		shares.Library = float64(p.lib) / float64(shares.JavaSamples)
-	}
-	if p.episodeTime > 0 {
-		shares.GC = float64(p.gcTime) / float64(p.episodeTime)
-		shares.Native = float64(p.nativeTime) / float64(p.episodeTime)
-	}
-	return shares
-}
-
-// causeShares derives Figure 8's shares exactly as
-// analysis.CauseAnalysis does.
-func (p *population) causeShares() analysis.CauseShares {
-	c := analysis.CauseShares{Samples: p.samples}
-	if p.samples == 0 {
-		return c
-	}
-	total := float64(p.samples)
-	c.Runnable = float64(p.states[trace.StateRunnable]) / total
-	c.Blocked = float64(p.states[trace.StateBlocked]) / total
-	c.Waiting = float64(p.states[trace.StateWaiting]) / total
-	c.Sleeping = float64(p.states[trace.StateSleeping]) / total
-	return c
-}
-
-// concurrency derives Figure 7's average exactly as
-// analysis.Concurrency does.
-func (p *population) concurrency() (float64, int) {
-	if p.ticks == 0 {
-		return 0, 0
-	}
-	return float64(p.runnable) / float64(p.ticks), p.ticks
-}
-
 // shard is one worker's private accumulator state.
 type shard struct {
-	pop     [2]population // [0] all episodes, [1] perceptible only
+	pop     [2]Population // [0] all episodes, [1] perceptible only
 	builder *patterns.Builder
 }
 
 // Analyze runs the fused pipeline over a suite. threshold is the raw
 // perceptibility threshold used for the Long population and the
 // overview (report passes a resolved, non-zero value; 0 means every
-// episode is perceptible, matching analysis.* semantics).
+// episode is perceptible).
 func Analyze(suite *trace.Suite, threshold trace.Dur, opts Options) *Result {
 	return AnalyzeContext(context.Background(), suite, threshold, opts)
 }
@@ -236,9 +132,6 @@ func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.
 	defer endEngine()
 
 	opts.Patterns.Threshold = threshold
-	if opts.Library == nil {
-		opts.Library = analysis.DefaultLibraryClassifier
-	}
 
 	_, endPrep := obs.Span(ctx, "prepare")
 	total := 0
@@ -287,7 +180,7 @@ func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.
 				chunkErrs[ci] = wctx.Err()
 				break
 			}
-			analyzeItem(sh, w, it, threshold, opts.Library)
+			analyzeItem(sh, w, it, threshold)
 		}
 		endChunk()
 	}
@@ -339,8 +232,8 @@ func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.
 	if chunks > 0 {
 		merged = shards[0]
 		for _, sh := range shards[1:] {
-			merged.pop[0].merge(&sh.pop[0])
-			merged.pop[1].merge(&sh.pop[1])
+			merged.pop[0].Merge(&sh.pop[0])
+			merged.pop[1].Merge(&sh.pop[1])
 			merged.builder.Merge(sh.builder)
 		}
 		mShardsMerged.Add(int64(chunks - 1))
@@ -353,15 +246,15 @@ func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.
 		Overview: overviewOf(suite, threshold, pooled),
 		Pooled:   pooled,
 
-		TriggerAll:   merged.pop[0].trigger,
-		TriggerLong:  merged.pop[1].trigger,
-		LocationAll:  merged.pop[0].locationShares(),
-		LocationLong: merged.pop[1].locationShares(),
-		CausesAll:    merged.pop[0].causeShares(),
-		CausesLong:   merged.pop[1].causeShares(),
+		TriggerAll:   merged.pop[0].Trigger,
+		TriggerLong:  merged.pop[1].Trigger,
+		LocationAll:  merged.pop[0].Location(),
+		LocationLong: merged.pop[1].Location(),
+		CausesAll:    merged.pop[0].Causes(),
+		CausesLong:   merged.pop[1].Causes(),
 	}
-	r.ConcurrencyAll, r.TicksAll = merged.pop[0].concurrency()
-	r.ConcurrencyLong, r.TicksLong = merged.pop[1].concurrency()
+	r.ConcurrencyAll, r.TicksAll = merged.pop[0].Concurrency()
+	r.ConcurrencyLong, r.TicksLong = merged.pop[1].Concurrency()
 	endOverview()
 	return r, nil
 }
@@ -370,40 +263,17 @@ func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.
 // hash + structure + trigger + GC/native time), one tick scan
 // (concurrency + causes + location), emitted into the all-episodes
 // population and, when perceptible, the long population too.
-func analyzeItem(sh *shard, w *walker, it item, threshold trace.Dur, isLibrary analysis.LibraryClassifier) {
-	info := w.analyze(it.e)
+func analyzeItem(sh *shard, w *walker, it item, threshold trace.Dur) {
+	info := w.analyze(it.s, it.e)
 	ref := patterns.EpisodeRef{Session: it.s, Episode: it.e}
-	if info.structured {
-		sh.builder.Add(ref, info.print)
+	if info.Structured {
+		sh.builder.Add(ref, info.Print)
 	} else {
 		sh.builder.AddUnstructured(ref)
 	}
-
-	var t tickTally
-	ticks := it.s.EpisodeTicks(it.e)
-	for ti := range ticks {
-		tick := &ticks[ti]
-		run, idx := tick.ScanThread(it.e.Thread)
-		t.runnable += run
-		t.ticks++
-		if idx < 0 {
-			continue
-		}
-		ts := &tick.Threads[idx]
-		t.states[ts.State]++
-		t.samples++
-		if len(ts.Stack) > 0 && !ts.Stack[0].Native {
-			if isLibrary(ts.Stack[0]) {
-				t.lib++
-			} else {
-				t.app++
-			}
-		}
-	}
-
-	sh.pop[0].addEpisode(it.e, info, t)
+	sh.pop[0].Add(info.Trigger, it.e.Dur(), info.GC, info.Native, &info.Ticks)
 	if it.e.Perceptible(threshold) {
-		sh.pop[1].addEpisode(it.e, info, t)
+		sh.pop[1].Add(info.Trigger, it.e.Dur(), info.GC, info.Native, &info.Ticks)
 	}
 }
 
@@ -413,8 +283,8 @@ func analyzeItem(sh *shard, w *walker, it item, threshold trace.Dur, isLibrary a
 // form — and with it Descendants and Depth — is a function of the
 // episode alone), so per-session Dist, #Eps, One-Ep, Descs, and Depth
 // fall out of one scan over the pooled patterns' episode lists. The
-// floating-point operations replicate analysis.OverviewOf's order so
-// the result is identical.
+// floating-point operations replicate the per-session classification's
+// order (the reference in oracle_test.go), so the result is identical.
 func overviewOf(suite *trace.Suite, threshold trace.Dur, pooled *patterns.Set) analysis.Overview {
 	o := analysis.Overview{App: suite.App, Sessions: len(suite.Sessions)}
 	ns := len(suite.Sessions)

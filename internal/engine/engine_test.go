@@ -34,52 +34,67 @@ var testSuite = sync.OnceValue(func() *trace.Suite {
 const threshold = trace.DefaultPerceptibleThreshold
 
 // TestEngineMatchesLegacyAnalyses checks that the fused single pass
-// reproduces every figure the dedicated analysis.* functions compute
-// in nine separate passes, on both populations.
+// reproduces every figure the oracle (oracle_test.go) computes in
+// separate per-figure passes, on both populations.
 func TestEngineMatchesLegacyAnalyses(t *testing.T) {
 	suite := testSuite()
 	sessions := suite.Sessions
 	r := Analyze(suite, threshold, Options{})
 
-	if want := analysis.TriggerAnalysis(sessions, threshold, false, analysis.TriggerOptions{}); r.TriggerAll != want {
+	if want := oracleTriggers(sessions, threshold, false, analysis.TriggerOptions{}); r.TriggerAll != want {
 		t.Errorf("TriggerAll = %+v, want %+v", r.TriggerAll, want)
 	}
-	if want := analysis.TriggerAnalysis(sessions, threshold, true, analysis.TriggerOptions{}); r.TriggerLong != want {
+	if want := oracleTriggers(sessions, threshold, true, analysis.TriggerOptions{}); r.TriggerLong != want {
 		t.Errorf("TriggerLong = %+v, want %+v", r.TriggerLong, want)
 	}
-	if want := analysis.LocationAnalysis(sessions, threshold, false, nil); r.LocationAll != want {
+	if want := oracleLocation(sessions, threshold, false); r.LocationAll != want {
 		t.Errorf("LocationAll = %+v, want %+v", r.LocationAll, want)
 	}
-	if want := analysis.LocationAnalysis(sessions, threshold, true, nil); r.LocationLong != want {
+	if want := oracleLocation(sessions, threshold, true); r.LocationLong != want {
 		t.Errorf("LocationLong = %+v, want %+v", r.LocationLong, want)
 	}
-	if want := analysis.CauseAnalysis(sessions, threshold, false); r.CausesAll != want {
+	if want := oracleCauses(sessions, threshold, false); r.CausesAll != want {
 		t.Errorf("CausesAll = %+v, want %+v", r.CausesAll, want)
 	}
-	if want := analysis.CauseAnalysis(sessions, threshold, true); r.CausesLong != want {
+	if want := oracleCauses(sessions, threshold, true); r.CausesLong != want {
 		t.Errorf("CausesLong = %+v, want %+v", r.CausesLong, want)
 	}
-	if want, ticks := analysis.Concurrency(sessions, threshold, false); r.ConcurrencyAll != want || r.TicksAll != ticks {
+	if want, ticks := oracleConcurrency(sessions, threshold, false); r.ConcurrencyAll != want || r.TicksAll != ticks {
 		t.Errorf("ConcurrencyAll = %v/%d, want %v/%d", r.ConcurrencyAll, r.TicksAll, want, ticks)
 	}
-	if want, ticks := analysis.Concurrency(sessions, threshold, true); r.ConcurrencyLong != want || r.TicksLong != ticks {
+	if want, ticks := oracleConcurrency(sessions, threshold, true); r.ConcurrencyLong != want || r.TicksLong != ticks {
 		t.Errorf("ConcurrencyLong = %v/%d, want %v/%d", r.ConcurrencyLong, r.TicksLong, want, ticks)
 	}
 }
 
 // TestEngineOverviewMatchesLegacy checks the pooled-set derivation of
-// Table III against analysis.OverviewOf's per-session classification.
+// Table III against the oracle's per-session classification.
 // The derivation replicates the legacy floating-point operation order,
 // so the comparison is exact, not within a tolerance.
 func TestEngineOverviewMatchesLegacy(t *testing.T) {
 	suite := testSuite()
 	got := Analyze(suite, threshold, Options{}).Overview
-	want := analysis.OverviewOf(suite, threshold)
+	want := oracleOverview(suite, threshold)
 	if got != want {
 		t.Errorf("Overview = %+v, want %+v", got, want)
 	}
 	if got.Traced == 0 || got.Dist == 0 {
 		t.Errorf("degenerate overview (no episodes or patterns): %+v", got)
+	}
+}
+
+// TestTriggerOfMatchesOracle drives the incremental trigger rule over
+// every simulated episode, with and without the repaint-manager
+// reclassification, against the oracle's find-first classification.
+func TestTriggerOfMatchesOracle(t *testing.T) {
+	for _, opts := range []analysis.TriggerOptions{{}, {NoAsyncReclassify: true}} {
+		for _, s := range testSuite().Sessions {
+			for _, e := range s.Episodes {
+				if got, want := TriggerOf(e, opts), oracleTriggerOf(e, opts); got != want {
+					t.Fatalf("%+v: episode %d: TriggerOf = %v, oracle %v", opts, e.Index, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -19,11 +19,12 @@ type EpisodeInfo struct {
 
 	Trigger    analysis.Trigger
 	GC, Native trace.Dur
+	Ticks      TickTally
 }
 
 // EpisodeAnalyzer wraps the engine's fused per-episode traversal
 // (canonical fingerprint, trigger class, exclusive GC/native time in
-// a single walk). Not safe for concurrent use.
+// a single walk, plus the tick fold). Not safe for concurrent use.
 type EpisodeAnalyzer struct {
 	w *walker
 }
@@ -34,15 +35,9 @@ func NewEpisodeAnalyzer(opts Options) *EpisodeAnalyzer {
 	return &EpisodeAnalyzer{w: newWalker(opts)}
 }
 
-// Analyze traverses one episode exactly once. The returned
-// Print.Canon aliases an internal buffer reused by the next call.
-func (ea *EpisodeAnalyzer) Analyze(e *trace.Episode) EpisodeInfo {
-	info := ea.w.analyze(e)
-	return EpisodeInfo{
-		Structured: info.structured,
-		Print:      info.print,
-		Trigger:    info.trigger,
-		GC:         info.gc,
-		Native:     info.native,
-	}
+// Analyze traverses one episode of session s exactly once and folds
+// its sampling ticks. The returned Print.Canon aliases an internal
+// buffer reused by the next call.
+func (ea *EpisodeAnalyzer) Analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
+	return ea.w.analyze(s, e)
 }

@@ -25,10 +25,7 @@ type walker struct {
 	buf  []byte
 	hash uint64
 
-	// trigger classification state
-	decided   bool
-	scanPaint bool
-	trigger   analysis.Trigger
+	trigger TriggerRule
 
 	// exclusive per-kind time (Figure 6's GC/native fractions)
 	gc, native trace.Dur
@@ -38,39 +35,31 @@ func newWalker(opts Options) *walker {
 	return &walker{popt: opts.Patterns, topt: opts.Trigger}
 }
 
-// epInfo is everything one fused walk learns about an episode.
-type epInfo struct {
-	print      patterns.Print // Canon aliases the walker's buffer
-	structured bool
-	trigger    analysis.Trigger
-	gc, native trace.Dur
-}
-
 // analyze traverses the episode's interval tree exactly once,
 // simultaneously computing the structural fingerprint (canonical
 // bytes, FNV-1a hash, descendants, depth — GC nodes excluded unless
-// the options include them), the trigger class (first listener, paint,
-// or async interval in preorder, with the repaint-manager async→output
-// reclassification), and the exclusive GC and native time. The
-// returned epInfo.print is valid until the next analyze call.
-func (w *walker) analyze(e *trace.Episode) epInfo {
+// the options include them), the trigger class (TriggerRule driven in
+// preorder), and the exclusive GC and native time; then it folds the
+// episode's sampling ticks. The returned Print is valid until the next
+// analyze call.
+func (w *walker) analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
 	w.buf = w.buf[:0]
 	w.hash = fnvOffset64
-	w.decided, w.scanPaint = false, false
-	w.trigger = analysis.TriggerUnspecified
+	w.trigger = NewTriggerRule(w.topt)
 	w.gc, w.native = 0, 0
 
 	structured := patterns.Classifiable(e, w.popt)
 	descs, depth := w.visit(e.Root, structured)
 
-	info := epInfo{
-		structured: structured,
-		trigger:    w.trigger,
-		gc:         w.gc,
-		native:     w.native,
+	info := EpisodeInfo{
+		Structured: structured,
+		Trigger:    w.trigger.Trigger(),
+		GC:         w.gc,
+		Native:     w.native,
+		Ticks:      tallyTicks(s, e),
 	}
 	if structured {
-		info.print = patterns.Print{
+		info.Print = patterns.Print{
 			Canon:       w.buf,
 			Hash:        w.hash,
 			Descendants: descs,
@@ -85,27 +74,7 @@ func (w *walker) analyze(e *trace.Episode) epInfo {
 // subtrees); canon gates which nodes also emit canonical bytes and
 // count toward the structural metrics.
 func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
-	decidingAsync := false
-	if !w.decided {
-		switch iv.Kind {
-		case trace.KindListener:
-			w.decided, w.trigger = true, analysis.TriggerInput
-		case trace.KindPaint:
-			w.decided, w.trigger = true, analysis.TriggerOutput
-		case trace.KindAsync:
-			w.decided, w.trigger = true, analysis.TriggerAsync
-			if !w.topt.NoAsyncReclassify {
-				// A paint anywhere below this async interval
-				// reclassifies the episode as output (the Swing
-				// repaint-manager case).
-				w.scanPaint, decidingAsync = true, true
-			}
-		}
-	} else if w.scanPaint && iv.Kind == trace.KindPaint {
-		w.trigger = analysis.TriggerOutput
-		w.scanPaint = false
-	}
-
+	w.trigger.Enter(iv.Kind)
 	if canon {
 		w.emitString(iv.Kind.String())
 		if !w.popt.KindOnly && (iv.Class != "" || iv.Method != "") {
@@ -148,9 +117,7 @@ func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 	case trace.KindNative:
 		w.native += self
 	}
-	if decidingAsync {
-		w.scanPaint = false
-	}
+	w.trigger.Exit()
 	return descs, maxChild + 1
 }
 

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/trace"
 )
 
@@ -75,10 +76,10 @@ func (p *PatternTally) merge(o *PatternTally) {
 // folding the same episodes in any other order — the property the
 // streamed-vs-batch golden test pins.
 //
-// The tick-derived fields (States/Samples/App/Lib/Runnable/Ticks)
-// follow the batch pipeline's per-episode EpisodeTicks scan, so a
-// tick spanning two overlapping episodes counts once per episode,
-// exactly as analysis.Concurrency and the fused engine tally it.
+// The tick-derived fields (States/Samples/App/Lib/Runnable/Ticks) sum
+// the engine's per-episode tick tallies, so a tick spanning two
+// overlapping episodes counts once per episode, exactly as the engine
+// tallies it.
 type Aggregate struct {
 	Episodes    int `json:"episodes"`
 	Perceptible int `json:"perceptible"`
@@ -120,11 +121,7 @@ type epContribution struct {
 	trigger    analysis.Trigger
 	gc, native trace.Dur
 
-	causes   [4]int
-	samples  int
-	app, lib int
-	runnable int
-	ticks    int
+	ticks engine.TickTally
 
 	structured bool
 	canon      []byte // valid only during the call
@@ -143,14 +140,14 @@ func (a *Aggregate) addEpisode(ec *epContribution, threshold trace.Dur) {
 	a.EpisodeTime += ec.dur
 	a.GCTime += ec.gc
 	a.NativeTime += ec.native
-	for i, n := range ec.causes {
+	for i, n := range ec.ticks.States {
 		a.States[i] += n
 	}
-	a.Samples += ec.samples
-	a.AppSamples += ec.app
-	a.LibSamples += ec.lib
-	a.Runnable += ec.runnable
-	a.Ticks += ec.ticks
+	a.Samples += ec.ticks.Samples
+	a.AppSamples += ec.ticks.App
+	a.LibSamples += ec.ticks.Lib
+	a.Runnable += ec.ticks.Runnable
+	a.Ticks += ec.ticks.Ticks
 	a.LagHist[lagBucket(ec.dur)]++
 	a.LagTotal += ec.dur
 	if ec.dur > a.LagMax {

@@ -3,7 +3,6 @@ package ingest
 import (
 	"errors"
 
-	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/patterns"
@@ -98,11 +97,6 @@ func (c *Consumer) onEpisode(er *stream.EpisodeResult) {
 		trigger:  er.Trigger,
 		gc:       er.KindTime[trace.KindGC],
 		native:   er.KindTime[trace.KindNative],
-		causes:   er.Causes,
-		samples:  er.Samples,
-		app:      er.AppSamples,
-		lib:      er.LibSamples,
-		runnable: er.Runnable,
 		ticks:    er.Ticks,
 		treeless: er.Root == nil,
 	}
@@ -243,7 +237,7 @@ func (c *Consumer) Treeless() int { return c.treeless }
 // FoldSessions is the batch reference: it folds fully-materialized
 // sessions (from LoadTraceDir + treebuild) into the same Tables shape
 // the streaming consumer produces, using the engine's fused
-// per-episode walk and the batch EpisodeTicks scan. The golden
+// per-episode walk and tick fold. The golden
 // equivalence test pins streamed == FoldSessions over identical
 // (salvaged) records; both sides share Aggregate.addEpisode, so any
 // divergence is in per-episode math, not folding.
@@ -257,38 +251,18 @@ func FoldSessions(t *Tables, app string, sessions []*trace.Session, windowDur, t
 	ea := engine.NewEpisodeAnalyzer(engine.Options{
 		Patterns: patterns.Options{Threshold: threshold},
 	})
-	isLibrary := analysis.DefaultLibraryClassifier
 	for _, s := range sessions {
 		for _, e := range s.Episodes {
-			info := ea.Analyze(e)
+			info := ea.Analyze(s, e)
 			ec := epContribution{
 				dur:        e.Dur(),
 				trigger:    info.Trigger,
 				gc:         info.GC,
 				native:     info.Native,
+				ticks:      info.Ticks,
 				structured: info.Structured,
 				canon:      info.Print.Canon,
 				hash:       info.Print.Hash,
-			}
-			ticks := s.EpisodeTicks(e)
-			for ti := range ticks {
-				tick := &ticks[ti]
-				run, idx := tick.ScanThread(e.Thread)
-				ec.runnable += run
-				ec.ticks++
-				if idx < 0 {
-					continue
-				}
-				ts := &tick.Threads[idx]
-				ec.causes[ts.State]++
-				ec.samples++
-				if len(ts.Stack) > 0 && !ts.Stack[0].Native {
-					if isLibrary(ts.Stack[0]) {
-						ec.lib++
-					} else {
-						ec.app++
-					}
-				}
 			}
 			w := int64(e.Start()) / int64(windowDur)
 			t.window(WindowKey{App: app, Window: w}).addEpisode(&ec, threshold)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/stats"
@@ -322,7 +323,7 @@ func TestStateMixShowsUpInCauses(t *testing.T) {
 		}},
 	}}
 	s := runTest(t, Config{Profile: p, Seed: 23})
-	c := analysis.CauseAnalysis([]*trace.Session{s}, trace.DefaultPerceptibleThreshold, true)
+	c := analyzeSession(s).CausesLong
 	if c.Samples < 100 {
 		t.Fatalf("too few samples: %d", c.Samples)
 	}
@@ -370,9 +371,8 @@ func TestExplicitGCEpisodes(t *testing.T) {
 		if !e.Structured() && hasGC {
 			unspecifiedWithGC++
 		}
-		if analysis.TriggerOf(e, analysis.TriggerOptions{}) != analysis.TriggerUnspecified {
-			t.Fatalf("explicit-GC episode classified as %v, want unspecified",
-				analysis.TriggerOf(e, analysis.TriggerOptions{}))
+		if tr := engine.TriggerOf(e, analysis.TriggerOptions{}); tr != analysis.TriggerUnspecified {
+			t.Fatalf("explicit-GC episode classified as %v, want unspecified", tr)
 		}
 	}
 	if unspecifiedWithGC == 0 {
@@ -440,6 +440,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// analyzeSession runs the analysis engine over one session.
+func analyzeSession(s *trace.Session) *engine.Result {
+	return engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold, engine.Options{})
+}
+
 func TestLibFracControlsLocationSplit(t *testing.T) {
 	mk := func(libFrac float64) *trace.Session {
 		p := testProfile()
@@ -452,8 +457,8 @@ func TestLibFracControlsLocationSplit(t *testing.T) {
 		}}
 		return runTest(t, Config{Profile: p, Seed: 41})
 	}
-	libHeavy := analysis.LocationAnalysis([]*trace.Session{mk(0.9)}, trace.DefaultPerceptibleThreshold, false, nil)
-	appHeavy := analysis.LocationAnalysis([]*trace.Session{mk(0.1)}, trace.DefaultPerceptibleThreshold, false, nil)
+	libHeavy := analyzeSession(mk(0.9)).LocationAll
+	appHeavy := analyzeSession(mk(0.1)).LocationAll
 	if math.Abs(libHeavy.Library-0.9) > 0.08 {
 		t.Errorf("library-heavy split = %v, want ≈0.9", libHeavy.Library)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
@@ -43,8 +44,7 @@ func TestObserveDeliversEpisodes(t *testing.T) {
 	if len(got) != st.Episodes {
 		t.Fatalf("observed %d episodes, stats count %d", len(got), st.Episodes)
 	}
-	var samples, ticks, runnable int
-	var causes [4]int
+	var ticks engine.TickTally
 	var gc, native trace.Dur
 	for i := range got {
 		er := &got[i]
@@ -54,27 +54,27 @@ func TestObserveDeliversEpisodes(t *testing.T) {
 		if er.Dur() != er.End.Sub(er.Start) {
 			t.Errorf("episode %d: Dur() inconsistent", i)
 		}
-		samples += er.Samples
-		ticks += er.Ticks
-		runnable += er.Runnable
-		for s, n := range er.Causes {
-			causes[s] += n
+		for s, n := range er.Ticks.States {
+			ticks.States[s] += n
 		}
+		ticks.Samples += er.Ticks.Samples
+		ticks.Runnable += er.Ticks.Runnable
+		ticks.Ticks += er.Ticks.Ticks
 		gc += er.KindTime[trace.KindGC]
 		native += er.KindTime[trace.KindNative]
 	}
-	if causes != st.Causes {
-		t.Errorf("summed causes %v, stats %v", causes, st.Causes)
+	if ticks.States != st.All.States || ticks.Samples != st.All.Samples {
+		t.Errorf("summed causes %v/%d, stats %v/%d", ticks.States, ticks.Samples, st.All.States, st.All.Samples)
 	}
-	if ticks != st.TickCount {
-		t.Errorf("summed ticks %d, stats %d", ticks, st.TickCount)
+	if ticks.Ticks != st.All.Ticks {
+		t.Errorf("summed ticks %d, stats %d", ticks.Ticks, st.All.Ticks)
 	}
-	if runnable != st.RunnableSum {
-		t.Errorf("summed runnable %d, stats %d", runnable, st.RunnableSum)
+	if ticks.Runnable != st.All.Runnable {
+		t.Errorf("summed runnable %d, stats %d", ticks.Runnable, st.All.Runnable)
 	}
-	if gc != st.KindTime[trace.KindGC] || native != st.KindTime[trace.KindNative] {
+	if gc != st.All.GC || native != st.All.Native {
 		t.Errorf("summed kind time gc=%v native=%v, stats gc=%v native=%v",
-			gc, native, st.KindTime[trace.KindGC], st.KindTime[trace.KindNative])
+			gc, native, st.All.GC, st.All.Native)
 	}
 }
 

@@ -11,6 +11,12 @@
 // native fractions), GUI-thread cause shares, and runnable-thread
 // concurrency are all computable online in O(stack depth) memory.
 //
+// The analyzer states none of the rules itself: it drives the engine's
+// trigger rule from call and return records and its tick fold from
+// sample records, and folds each finished traced episode into the
+// engine's population tallies — so streamed and batch figures agree
+// exactly.
+//
 // Pattern mining and episode sketches inherently need the trees and
 // are not offered here; use treebuild for those.
 package stream
@@ -21,6 +27,7 @@ import (
 	"time"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/stats"
@@ -63,52 +70,11 @@ type Stats struct {
 	// Durations summarizes traced episode durations in milliseconds.
 	Durations stats.Summary
 
-	// Triggers tallies episode triggers over all traced episodes;
-	// TriggersLong over the perceptible ones.
-	Triggers     analysis.TriggerShares
-	TriggersLong analysis.TriggerShares
-
-	// KindTime accumulates exclusive in-episode time per interval
-	// kind (the basis of Figure 6's GC and native fractions).
-	KindTime [6]trace.Dur
-
-	// Causes counts GUI-thread samples inside episodes by state;
-	// CausesLong will equal Causes only when every episode is
-	// perceptible, since perceptibility is unknown until an episode
-	// ends, so the streaming analyzer reports causes over all
-	// episodes only.
-	Causes [4]int
-
-	// RunnableSum and TickCount yield the Figure 7 concurrency
-	// average over sampling ticks that fell inside episodes.
-	RunnableSum int
-	TickCount   int
-}
-
-// GCFrac returns exclusive GC time as a fraction of in-episode time.
-func (st *Stats) GCFrac() float64 {
-	if st.InEpisode == 0 {
-		return 0
-	}
-	return float64(st.KindTime[trace.KindGC]) / float64(st.InEpisode)
-}
-
-// NativeFrac returns exclusive native time as a fraction of
-// in-episode time.
-func (st *Stats) NativeFrac() float64 {
-	if st.InEpisode == 0 {
-		return 0
-	}
-	return float64(st.KindTime[trace.KindNative]) / float64(st.InEpisode)
-}
-
-// Concurrency returns the average number of runnable threads per
-// in-episode sampling tick.
-func (st *Stats) Concurrency() float64 {
-	if st.TickCount == 0 {
-		return 0
-	}
-	return float64(st.RunnableSum) / float64(st.TickCount)
+	// All and Long are the engine's population tallies over every
+	// traced episode and over the perceptible ones: triggers, GC and
+	// native time, causes, location, and concurrency, each finished
+	// episode folded in exactly as the batch engine folds it.
+	All, Long engine.Population
 }
 
 // RecordsPerSec returns the decode throughput in records per second
@@ -129,44 +95,24 @@ func (st *Stats) BytesPerSec() float64 {
 	return float64(st.Bytes) / st.Elapsed.Seconds()
 }
 
-// CauseFrac returns the fraction of in-episode GUI-thread samples in
-// the given state.
-func (st *Stats) CauseFrac(state trace.ThreadState) float64 {
-	total := 0
-	for _, n := range st.Causes {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(st.Causes[state]) / float64(total)
-}
-
 // EpisodeResult is one finished traced episode's contribution, as
-// delivered to an Observe hook. Its tick tallies follow the batch
-// pipeline's per-episode semantics exactly (analysis.CauseAnalysis,
-// analysis.Concurrency, analysis.LocationAnalysis and the fused engine
-// all scan Session.EpisodeTicks, i.e. the half-open [Start, End) tick
-// range), so summing EpisodeResults over any episode partition matches
-// the engine's mergeable populations.
+// delivered to an Observe hook. Its tick tally is the engine's fold
+// over exactly the ticks a batch scan of the finished episode visits
+// (the half-open [Start, End) range), so summing EpisodeResults over
+// any episode partition matches the engine's mergeable populations.
 type EpisodeResult struct {
 	Thread     trace.ThreadID
 	Start, End trace.Time
 	Trigger    analysis.Trigger
 
 	// KindTime is the episode's exclusive per-kind time (GC bracket
-	// override included), as in Stats.KindTime.
+	// override included).
 	KindTime [6]trace.Dur
 
-	// Causes, Samples, AppSamples and LibSamples tally the episode
-	// thread's in-episode samples: by state, in total, and — for
-	// Java-leaf samples — by the app/library classification of the
-	// leaf frame. Runnable and Ticks are the episode's concurrency
-	// contribution over all threads.
-	Causes                 [4]int
-	Samples                int
-	AppSamples, LibSamples int
-	Runnable, Ticks        int
+	// Ticks tallies the episode's sampling ticks: the episode thread's
+	// samples by state and by app/library leaf, and runnable threads
+	// over all threads.
+	Ticks engine.TickTally
 
 	// Root is the episode's interval tree when tree building is on
 	// and the node budget held; nil otherwise. GC copy-nodes are not
@@ -181,37 +127,17 @@ type EpisodeResult struct {
 // Dur returns the episode's lag.
 func (er *EpisodeResult) Dur() trace.Dur { return er.End.Sub(er.Start) }
 
-// tickSample is one thread's sample within the pending tick, retained
-// until the tick flushes so its contribution can be attributed to the
-// episodes actually spanning the tick time.
-type tickSample struct {
-	thread  trace.ThreadID
-	state   trace.ThreadState
-	leaf    trace.Frame
-	hasLeaf bool
-}
-
 // episodeState tracks one thread's active episode.
 type episodeState struct {
 	active   bool
 	thread   trace.ThreadID
 	start    trace.Time
-	depth    int // open intervals including the dispatch
-	kinds    []trace.Kind
+	kinds    []trace.Kind // open intervals' kinds, the dispatch first
 	lastTime trace.Time
 
-	trigger      analysis.Trigger
-	decided      bool
-	asyncPending int // >0 while inside the deciding async interval
-
+	trigger  engine.TriggerRule
 	kindTime [6]trace.Dur
-	causes   [4]int
-
-	// Engine-equivalent tick tallies (see EpisodeResult).
-	samples  int
-	app, lib int
-	runnable int
-	ticks    int
+	ticks    engine.TickTally
 
 	// Incremental interval tree (BuildTrees).
 	root        *trace.Interval
@@ -232,19 +158,19 @@ type Analyzer struct {
 	// GC bracket state.
 	inGC bool
 
-	// Sampling-tick grouping.
-	tickTime      trace.Time
-	tickRunnable  int
-	tickValid     bool
-	tickInEpisode bool
-	tickSamples   []tickSample
+	// The pending sampling tick, retained until it is complete so it
+	// can be attributed to the episodes actually spanning its time.
+	// Each sample keeps only its leaf frame (all the tick fold reads),
+	// copied into leaves out of the reader's scratch.
+	tick      trace.SampleTick
+	tickValid bool
+	leaves    []trace.Frame
 
 	// Incremental-consumption extensions (Observe/BuildTrees).
 	onEpisode func(*EpisodeResult)
 	buildTree bool
 	maxNodes  int
 	treeNodes int
-	isLibrary analysis.LibraryClassifier
 	lastTime  trace.Time
 }
 
@@ -259,7 +185,6 @@ func NewAnalyzer(h lila.Header, threshold trace.Dur) *Analyzer {
 		filter:    h.FilterThreshold,
 		st:        Stats{App: h.App, SessionID: h.SessionID},
 		threads:   make(map[trace.ThreadID]*episodeState),
-		isLibrary: analysis.DefaultLibraryClassifier,
 	}
 }
 
@@ -351,7 +276,7 @@ func (a *Analyzer) Add(rec *lila.Record) error {
 	// or open episodes, so the per-episode attribution sees exactly
 	// the episodes whose [Start, End) range spans the tick.
 	if rec.Type != lila.RecThread {
-		if a.tickValid && rec.Time != a.tickTime {
+		if a.tickValid && rec.Time != a.tick.Time {
 			a.flushTick()
 		}
 		a.lastTime = rec.Time
@@ -366,15 +291,15 @@ func (a *Analyzer) Add(rec *lila.Record) error {
 			*es = episodeState{
 				active: true, thread: rec.Thread,
 				start: rec.Time, lastTime: rec.Time,
-				trigger: analysis.TriggerUnspecified,
+				trigger: engine.NewTriggerRule(analysis.TriggerOptions{}),
 			}
 		}
 		if !es.active {
 			return nil // orphan top-level non-dispatch interval
 		}
 		es.account(rec.Time, a.inGC)
-		es.depth++
 		es.kinds = append(es.kinds, rec.Kind)
+		es.trigger.Enter(rec.Kind)
 		if a.buildTree && !es.treeDropped {
 			iv := &trace.Interval{
 				Kind: rec.Kind, Class: rec.Class, Method: rec.Method,
@@ -395,51 +320,24 @@ func (a *Analyzer) Add(rec *lila.Record) error {
 				es.treeDropped = true
 			}
 		}
-		switch {
-		case es.asyncPending > 0:
-			// Inside the deciding async interval only a paint can
-			// change the class (the repaint-manager rule); listeners
-			// and further asyncs do not.
-			if rec.Kind == trace.KindPaint {
-				es.trigger = analysis.TriggerOutput
-				es.decided = true
-				es.asyncPending = 0
-			}
-		case !es.decided:
-			switch rec.Kind {
-			case trace.KindListener:
-				es.trigger, es.decided = analysis.TriggerInput, true
-			case trace.KindPaint:
-				es.trigger, es.decided = analysis.TriggerOutput, true
-			case trace.KindAsync:
-				// Tentatively async, pending the paint check.
-				es.trigger = analysis.TriggerAsync
-				es.asyncPending = es.depth
-			}
-		}
 
 	case lila.RecReturn:
 		es := a.thread(rec.Thread)
 		if !es.active {
 			return nil
 		}
-		if es.depth == 0 {
+		if len(es.kinds) == 0 {
 			return fmt.Errorf("stream: return without call at %v", rec.Time)
 		}
 		es.account(rec.Time, a.inGC)
-		es.depth--
 		es.kinds = es.kinds[:len(es.kinds)-1]
+		es.trigger.Exit()
 		if len(es.stack) > 0 {
 			iv := es.stack[len(es.stack)-1]
 			iv.End = rec.Time
 			es.stack = es.stack[:len(es.stack)-1]
 		}
-		if es.asyncPending > 0 && es.depth < es.asyncPending {
-			// The deciding async interval closed without a paint.
-			es.decided = true
-			es.asyncPending = 0
-		}
-		if es.depth == 0 {
+		if len(es.kinds) == 0 {
 			a.finishEpisode(es, rec.Time)
 		}
 
@@ -476,69 +374,36 @@ func (a *Analyzer) Add(rec *lila.Record) error {
 }
 
 func (a *Analyzer) addSample(rec *lila.Record) {
-	// Group equal-time samples into ticks for the concurrency count.
-	// Whether the tick falls inside an episode for the *global* count
-	// must be decided now: the episode may end before the next record
-	// arrives. Per-episode attribution instead waits for the flush,
-	// which matches the batch pipeline's half-open [Start, End) scan.
-	if !a.tickValid || rec.Time != a.tickTime {
+	// Equal-time samples form one tick; a new time completes the
+	// pending one.
+	if !a.tickValid || rec.Time != a.tick.Time {
 		a.flushTick()
 		a.tickValid = true
-		a.tickTime = rec.Time
-		a.tickRunnable = 0
-		a.tickInEpisode = false
-		for _, es := range a.threads {
-			if es.active {
-				a.tickInEpisode = true
-				break
-			}
-		}
+		a.tick.Time = rec.Time
 	}
-	if rec.State == trace.StateRunnable {
-		a.tickRunnable++
-	}
-	ts := tickSample{thread: rec.Thread, state: rec.State}
+	ts := trace.ThreadSample{Thread: rec.Thread, State: rec.State}
 	if len(rec.Stack) > 0 {
-		ts.leaf, ts.hasLeaf = rec.Stack[0], true
+		n := len(a.leaves)
+		a.leaves = append(a.leaves, rec.Stack[0])
+		ts.Stack = a.leaves[n : n+1 : n+1]
 	}
-	a.tickSamples = append(a.tickSamples, ts)
+	a.tick.Threads = append(a.tick.Threads, ts)
 }
 
-// flushTick finalizes the pending sampling tick: globally it counts
-// toward concurrency if a thread was inside an episode when it fired,
-// and per episode it is attributed to every episode still spanning
-// the tick time — exactly the ticks a batch EpisodeTicks scan of the
+// flushTick folds the pending sampling tick into every episode still
+// spanning the tick time — exactly the ticks a batch scan of the
 // finished episode would visit.
 func (a *Analyzer) flushTick() {
 	if !a.tickValid {
 		return
 	}
-	if a.tickInEpisode {
-		a.st.RunnableSum += a.tickRunnable
-		a.st.TickCount++
-	}
 	for _, es := range a.threads {
 		if es.active {
-			es.ticks++
-			es.runnable += a.tickRunnable
+			es.ticks.AddTick(&a.tick, es.thread)
 		}
 	}
-	for _, ts := range a.tickSamples {
-		es := a.threads[ts.thread]
-		if es == nil || !es.active {
-			continue
-		}
-		es.causes[ts.state]++
-		es.samples++
-		if ts.hasLeaf && !ts.leaf.Native {
-			if a.isLibrary(ts.leaf) {
-				es.lib++
-			} else {
-				es.app++
-			}
-		}
-	}
-	a.tickSamples = a.tickSamples[:0]
+	a.tick.Threads = a.tick.Threads[:0]
+	a.leaves = a.leaves[:0]
 	a.tickValid = false
 }
 
@@ -555,30 +420,20 @@ func (a *Analyzer) finishEpisode(es *episodeState, end trace.Time) {
 	a.st.Episodes++
 	a.st.InEpisode += dur
 	a.st.Durations.Add(dur.Ms())
-	a.st.Triggers.Counts[es.trigger]++
-	a.st.Triggers.Total++
-	perceptible := dur >= a.threshold
-	if perceptible {
+	trigger := es.trigger.Trigger()
+	gc, native := es.kindTime[trace.KindGC], es.kindTime[trace.KindNative]
+	a.st.All.Add(trigger, dur, gc, native, &es.ticks)
+	if dur >= a.threshold {
 		a.st.Perceptible++
-		a.st.TriggersLong.Counts[es.trigger]++
-		a.st.TriggersLong.Total++
-	}
-	for k, d := range es.kindTime {
-		a.st.KindTime[k] += d
-	}
-	for state, n := range es.causes {
-		a.st.Causes[state] += n
+		a.st.Long.Add(trigger, dur, gc, native, &es.ticks)
 	}
 	if a.onEpisode != nil {
 		a.onEpisode(&EpisodeResult{
 			Thread: es.thread, Start: es.start, End: end,
-			Trigger:    es.trigger,
-			KindTime:   es.kindTime,
-			Causes:     es.causes,
-			Samples:    es.samples,
-			AppSamples: es.app, LibSamples: es.lib,
-			Runnable: es.runnable, Ticks: es.ticks,
-			Root: root, TreeDropped: dropped,
+			Trigger:  trigger,
+			KindTime: es.kindTime,
+			Ticks:    es.ticks,
+			Root:     root, TreeDropped: dropped,
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
@@ -15,7 +16,7 @@ import (
 
 // TestStreamingMatchesFullAnalysis is the package's core contract:
 // on the same record stream, the single-pass analyzer must agree with
-// treebuild + the full analyses.
+// treebuild + the batch engine.
 func TestStreamingMatchesFullAnalysis(t *testing.T) {
 	for _, app := range []string{"CrosswordSage", "Jmol", "Arabeske", "FindBugs"} {
 		t.Run(app, func(t *testing.T) {
@@ -36,8 +37,8 @@ func TestStreamingMatchesFullAnalysis(t *testing.T) {
 			if err != nil {
 				t.Fatalf("treebuild: %v", err)
 			}
-			sessions := []*trace.Session{session}
 			th := trace.DefaultPerceptibleThreshold
+			full := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{session}}, th, engine.Options{})
 
 			if st.Episodes != len(session.Episodes) {
 				t.Errorf("episodes: stream %d, full %d", st.Episodes, len(session.Episodes))
@@ -55,36 +56,34 @@ func TestStreamingMatchesFullAnalysis(t *testing.T) {
 				t.Errorf("E2E: stream %v, full %v", st.E2E, session.E2E())
 			}
 
-			trig := analysis.TriggerAnalysis(sessions, th, false, analysis.TriggerOptions{})
-			if st.Triggers != trig {
-				t.Errorf("triggers: stream %+v, full %+v", st.Triggers, trig)
+			if st.All.Trigger != full.TriggerAll {
+				t.Errorf("triggers: stream %+v, full %+v", st.All.Trigger, full.TriggerAll)
 			}
-			trigLong := analysis.TriggerAnalysis(sessions, th, true, analysis.TriggerOptions{})
-			if st.TriggersLong != trigLong {
-				t.Errorf("perceptible triggers: stream %+v, full %+v", st.TriggersLong, trigLong)
+			if st.Long.Trigger != full.TriggerLong {
+				t.Errorf("perceptible triggers: stream %+v, full %+v", st.Long.Trigger, full.TriggerLong)
 			}
 
-			loc := analysis.LocationAnalysis(sessions, th, false, nil)
-			if math.Abs(st.GCFrac()-loc.GC) > 1e-9 {
-				t.Errorf("GC frac: stream %v, full %v", st.GCFrac(), loc.GC)
+			loc := st.All.Location()
+			if math.Abs(loc.GC-full.LocationAll.GC) > 1e-9 {
+				t.Errorf("GC frac: stream %v, full %v", loc.GC, full.LocationAll.GC)
 			}
-			if math.Abs(st.NativeFrac()-loc.Native) > 1e-9 {
-				t.Errorf("native frac: stream %v, full %v", st.NativeFrac(), loc.Native)
+			if math.Abs(loc.Native-full.LocationAll.Native) > 1e-9 {
+				t.Errorf("native frac: stream %v, full %v", loc.Native, full.LocationAll.Native)
 			}
 
-			causes := analysis.CauseAnalysis(sessions, th, false)
+			causes := st.All.Causes()
 			for _, state := range trace.ThreadStates() {
-				if got, want := st.CauseFrac(state), causes.Frac(state); math.Abs(got-want) > 1e-9 {
+				if got, want := causes.Frac(state), full.CausesAll.Frac(state); math.Abs(got-want) > 1e-9 {
 					t.Errorf("cause %v: stream %v, full %v", state, got, want)
 				}
 			}
 
-			conc, ticks := analysis.Concurrency(sessions, th, false)
-			if st.TickCount != ticks {
-				t.Errorf("ticks: stream %d, full %d", st.TickCount, ticks)
+			conc, ticks := st.All.Concurrency()
+			if ticks != full.TicksAll {
+				t.Errorf("ticks: stream %d, full %d", ticks, full.TicksAll)
 			}
-			if math.Abs(st.Concurrency()-conc) > 1e-9 {
-				t.Errorf("concurrency: stream %v, full %v", st.Concurrency(), conc)
+			if math.Abs(conc-full.ConcurrencyAll) > 1e-9 {
+				t.Errorf("concurrency: stream %v, full %v", conc, full.ConcurrencyAll)
 			}
 
 			// Duration summary sanity.
@@ -93,6 +92,86 @@ func TestStreamingMatchesFullAnalysis(t *testing.T) {
 			}
 			if st.Durations.Total == 0 && st.Episodes > 0 {
 				t.Error("duration summary empty")
+			}
+		})
+	}
+}
+
+// TestStreamPopulationMatchesEngine pins the streamed figures to the
+// batch engine's all-episodes population exactly, on the two shapes
+// where a stream-side rule once diverged: sub-filter episodes that
+// are later dropped (a -materialize-short trace) and overlapping
+// episodes on two event dispatch threads. Ticks inside a dropped
+// episode must not count, and a tick inside two episodes counts once
+// for each.
+func TestStreamPopulationMatchesEngine(t *testing.T) {
+	ms := func(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
+	profile, err := apps.ByName("FindBugs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	simRecs, simHeader, err := sim.Records(sim.Config{Profile: profile, Seed: 3, SessionSeconds: 60, MaterializeShort: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two EDTs with overlapping episodes, one tick inside both (the
+	// treebuild multi-EDT fixture).
+	multiRecs := []*lila.Record{
+		{Type: lila.RecThread, Thread: 1, Name: "EDT-A"},
+		{Type: lila.RecThread, Thread: 2, Name: "EDT-B"},
+		{Type: lila.RecCall, Time: ms(0), Thread: 1, Kind: trace.KindDispatch},
+		{Type: lila.RecCall, Time: ms(1), Thread: 1, Kind: trace.KindListener, Class: "a.A", Method: "on"},
+		{Type: lila.RecCall, Time: ms(50), Thread: 2, Kind: trace.KindDispatch},
+		{Type: lila.RecCall, Time: ms(51), Thread: 2, Kind: trace.KindPaint, Class: "b.B", Method: "paint"},
+		{Type: lila.RecSample, Time: ms(60), Thread: 1, State: trace.StateRunnable,
+			Stack: []trace.Frame{{Class: "a.A", Method: "on"}}},
+		{Type: lila.RecSample, Time: ms(60), Thread: 2, State: trace.StateSleeping,
+			Stack: []trace.Frame{{Class: "java.lang.Thread", Method: "sleep", Native: true}}},
+		{Type: lila.RecGCStart, Time: ms(70)},
+		{Type: lila.RecGCEnd, Time: ms(90)},
+		{Type: lila.RecReturn, Time: ms(110), Thread: 2},
+		{Type: lila.RecReturn, Time: ms(120), Thread: 2},
+		{Type: lila.RecReturn, Time: ms(190), Thread: 1},
+		{Type: lila.RecReturn, Time: ms(200), Thread: 1},
+		{Type: lila.RecEnd, Time: ms(1000)},
+	}
+	multiHeader := lila.Header{App: "multi", GUIThread: 1, FilterThreshold: trace.DefaultFilterThreshold}
+
+	for _, tc := range []struct {
+		name string
+		h    lila.Header
+		recs []*lila.Record
+	}{
+		{"materialized-short", simHeader, simRecs},
+		{"overlapping-edts", multiHeader, multiRecs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := AnalyzeRecords(tc.h, tc.recs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			session, _, err := treebuild.BuildRecords(tc.h, tc.recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{session}},
+				trace.DefaultPerceptibleThreshold, engine.Options{})
+
+			conc, ticks := st.All.Concurrency()
+			if conc != full.ConcurrencyAll || ticks != full.TicksAll {
+				t.Errorf("concurrency: stream %v over %d ticks, engine %v over %d", conc, ticks, full.ConcurrencyAll, full.TicksAll)
+			}
+			if st.All.Trigger != full.TriggerAll {
+				t.Errorf("triggers: stream %+v, engine %+v", st.All.Trigger, full.TriggerAll)
+			}
+			if c := st.All.Causes(); c != full.CausesAll {
+				t.Errorf("causes: stream %+v, engine %+v", c, full.CausesAll)
+			}
+			if l := st.All.Location(); l != full.LocationAll {
+				t.Errorf("location: stream %+v, engine %+v", l, full.LocationAll)
+			}
+			if ticks == 0 {
+				t.Error("no in-episode ticks: fixture lost its premise")
 			}
 		})
 	}
@@ -187,8 +266,8 @@ func TestStreamTriggerRules(t *testing.T) {
 			if st.Episodes != 1 {
 				t.Fatalf("episodes = %d", st.Episodes)
 			}
-			if st.Triggers.Counts[tc.want] != 1 {
-				t.Errorf("trigger counts = %v, want one %v", st.Triggers.Counts, tc.want)
+			if st.All.Trigger.Counts[tc.want] != 1 {
+				t.Errorf("trigger counts = %v, want one %v", st.All.Trigger.Counts, tc.want)
 			}
 		})
 	}
@@ -247,7 +326,9 @@ func TestStreamShortEpisodeFilter(t *testing.T) {
 
 func TestStatsZeroValues(t *testing.T) {
 	var st Stats
-	if st.GCFrac() != 0 || st.NativeFrac() != 0 || st.Concurrency() != 0 || st.CauseFrac(trace.StateRunnable) != 0 {
+	loc := st.All.Location()
+	conc, _ := st.All.Concurrency()
+	if loc.GC != 0 || loc.Native != 0 || conc != 0 || st.All.Causes().Frac(trace.StateRunnable) != 0 {
 		t.Error("zero stats should report zero fractions")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/trace"
 )
@@ -73,11 +74,10 @@ func TestMultipleEventDispatchThreads(t *testing.T) {
 		}
 	}
 
-	sessions := []*trace.Session{s}
-	th := trace.DefaultPerceptibleThreshold
+	r := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold, engine.Options{})
 
 	// Triggers: one input (A) and one output (B).
-	trig := analysis.TriggerAnalysis(sessions, th, false, analysis.TriggerOptions{})
+	trig := r.TriggerAll
 	if trig.Counts[analysis.TriggerInput] != 1 || trig.Counts[analysis.TriggerOutput] != 1 {
 		t.Errorf("trigger counts: %v", trig.Counts)
 	}
@@ -85,7 +85,7 @@ func TestMultipleEventDispatchThreads(t *testing.T) {
 	// Cause analysis follows each episode's own thread: the shared
 	// tick contributes one runnable sample (episode A, thread 1) and
 	// one sleeping sample (episode B, thread 2).
-	causes := analysis.CauseAnalysis(sessions, th, false)
+	causes := r.CausesAll
 	if causes.Samples != 2 {
 		t.Fatalf("cause samples = %d, want 2", causes.Samples)
 	}
@@ -94,8 +94,7 @@ func TestMultipleEventDispatchThreads(t *testing.T) {
 	}
 
 	// Concurrency counts the tick once per episode containing it.
-	_, ticks := analysis.Concurrency(sessions, th, false)
-	if ticks != 2 {
+	if ticks := r.TicksAll; ticks != 2 {
 		t.Errorf("concurrency ticks = %d (tick inside two overlapping episodes)", ticks)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/trace"
 )
 
@@ -99,7 +100,7 @@ func Timeline(s *trace.Session, opt TimelineOptions) string {
 		if x1-x0 < 0.7 {
 			x1 = x0 + 0.7
 		}
-		tr := analysis.TriggerOf(e, analysis.TriggerOptions{})
+		tr := engine.TriggerOf(e, analysis.TriggerOptions{})
 		y := yFor(e.Dur())
 		tip := fmt.Sprintf("episode #%d at %v: %v, %s", e.Index, e.Start(), e.Dur(), tr)
 		doc.rect(x0, y, x1-x0, baseline-y, triggerColor(tr), "", tip)

@@ -17,7 +17,9 @@
 //     in for the paper's real applications (internal/sim) and the 14
 //     study profiles (internal/apps),
 //   - episode pattern classification (internal/patterns),
-//   - the characterization analyses of Section IV (internal/analysis),
+//   - the characterization analyses of Section IV, each rule defined
+//     once in the fused engine (internal/engine) over the result types
+//     of internal/analysis,
 //   - the pattern browser (internal/browser),
 //   - SVG/text visualization (internal/viz), and
 //   - the full-study harness reproducing Table III and Figures 3-8
@@ -44,6 +46,7 @@ import (
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/browser"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/report"
@@ -192,7 +195,7 @@ const (
 
 // TriggerOf determines an episode's trigger with the paper's rules
 // (including the repaint-manager async→output reclassification).
-func TriggerOf(e *Episode) Trigger { return analysis.TriggerOf(e, analysis.TriggerOptions{}) }
+func TriggerOf(e *Episode) Trigger { return engine.TriggerOf(e, analysis.TriggerOptions{}) }
 
 // TriggerShares, LocationShares, and CauseShares are per-population
 // results of the corresponding analyses.
@@ -203,31 +206,53 @@ type (
 	Overview       = analysis.Overview
 )
 
+// analyze runs the engine over the sessions as one suite; the
+// per-figure functions below are views over its result.
+func analyze(sessions []*Session, threshold Dur) *engine.Result {
+	return engine.Analyze(&Suite{Sessions: sessions}, threshold, engine.Options{})
+}
+
 // Triggers tallies episode triggers (Figure 5); onlyPerceptible
 // restricts to episodes at or above the threshold.
 func Triggers(sessions []*Session, threshold Dur, onlyPerceptible bool) TriggerShares {
-	return analysis.TriggerAnalysis(sessions, threshold, onlyPerceptible, analysis.TriggerOptions{})
+	r := analyze(sessions, threshold)
+	if onlyPerceptible {
+		return r.TriggerLong
+	}
+	return r.TriggerAll
 }
 
 // Location computes where episode time went (Figure 6).
 func Location(sessions []*Session, threshold Dur, onlyPerceptible bool) LocationShares {
-	return analysis.LocationAnalysis(sessions, threshold, onlyPerceptible, nil)
+	r := analyze(sessions, threshold)
+	if onlyPerceptible {
+		return r.LocationLong
+	}
+	return r.LocationAll
 }
 
 // Concurrency returns the average number of runnable threads during
 // episodes (Figure 7) and the number of samples behind the average.
 func Concurrency(sessions []*Session, threshold Dur, onlyPerceptible bool) (float64, int) {
-	return analysis.Concurrency(sessions, threshold, onlyPerceptible)
+	r := analyze(sessions, threshold)
+	if onlyPerceptible {
+		return r.ConcurrencyLong, r.TicksLong
+	}
+	return r.ConcurrencyAll, r.TicksAll
 }
 
 // Causes partitions GUI-thread time by scheduling state (Figure 8).
 func Causes(sessions []*Session, threshold Dur, onlyPerceptible bool) CauseShares {
-	return analysis.CauseAnalysis(sessions, threshold, onlyPerceptible)
+	r := analyze(sessions, threshold)
+	if onlyPerceptible {
+		return r.CausesLong
+	}
+	return r.CausesAll
 }
 
 // OverviewOf computes an application's Table III row.
 func OverviewOf(suite *Suite, threshold Dur) Overview {
-	return analysis.OverviewOf(suite, threshold)
+	return engine.Analyze(suite, threshold, engine.Options{}).Overview
 }
 
 // --- Visualization and browsing ---
