@@ -23,6 +23,7 @@ import (
 
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
@@ -201,6 +202,65 @@ func BenchmarkStudy_EndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.TotalEpisodes()), "episodes")
+	}
+}
+
+// checkpointSuites simulates the benchmark's paper_study workload once:
+// the 14 catalog applications, one 240 s session each at seed 42.
+var checkpointSuites = sync.OnceValue(func() []*trace.Suite {
+	var suites []*trace.Suite
+	for _, p := range apps.Catalog() {
+		s, err := sim.Run(sim.Config{Profile: p, Seed: 42, SessionSeconds: 240})
+		if err != nil {
+			panic(err)
+		}
+		suites = append(suites, &trace.Suite{App: p.Name, Sessions: []*trace.Session{s}})
+	}
+	return suites
+})
+
+// BenchmarkCheckpointSave persists the 14-app suite set to a fresh
+// checkpoint store per iteration: the study's critical-path cost of
+// -out (Flatten, the v2 writer, SHA-256, atomic writes).
+func BenchmarkCheckpointSave(b *testing.B) {
+	b.ReportAllocs()
+	suites := checkpointSuites()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := checkpoint.Open(filepath.Join(b.TempDir(), "ckpt"), "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, su := range suites {
+			if err := st.Save(su); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCheckpointLoad restores the 14-app suite set from a store
+// per iteration: the resume path (read, SHA-256, strict v2 decode,
+// treebuild).
+func BenchmarkCheckpointLoad(b *testing.B) {
+	b.ReportAllocs()
+	suites := checkpointSuites()
+	st, err := checkpoint.Open(filepath.Join(b.TempDir(), "ckpt"), "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, su := range suites {
+		if err := st.Save(su); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, su := range suites {
+			if _, ok := st.Load(su.App); !ok {
+				b.Fatalf("%s: checkpoint miss", su.App)
+			}
+		}
 	}
 }
 

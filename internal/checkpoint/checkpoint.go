@@ -16,8 +16,14 @@
 //
 // Layout under the store directory (lagreport uses <out>/.checkpoint):
 //
-//	manifest.json      config hash, git SHA, app name → entry digest
-//	apps/<digest>.gob  gob-encoded session suites, named by content
+//	manifest.json       config hash, git SHA, app name → entry digest
+//	apps/<digest>.lila  one app's session suite, named by content
+//
+// A payload is a treebuild suite frame: the app name, then each
+// session as a length-prefixed raw LiLa v2 trace (what `lilasim
+// -format v2` writes). Loads decode it strictly (no salvage, no
+// lenient rebuild), so a payload is either the suite that was saved or
+// a miss.
 //
 // Consistency protocol: an app's payload file is written (and synced)
 // before the manifest references it, and both writes are atomic
@@ -29,9 +35,7 @@
 package checkpoint
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -44,6 +48,7 @@ import (
 
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // Checkpoint metrics: hits are the re-runs avoided on resume; errors
@@ -59,8 +64,9 @@ var (
 )
 
 // manifestVersion is bumped whenever the payload encoding changes; a
-// version mismatch invalidates the whole store.
-const manifestVersion = 1
+// version mismatch invalidates the whole store. Version 1 stored gob
+// payloads (apps/<digest>.gob); version 2 stores LiLa v2 suite frames.
+const manifestVersion = 2
 
 // Entry references one checkpointed app in the manifest.
 type Entry struct {
@@ -164,24 +170,18 @@ func (s *Store) Apps() []string {
 	return names
 }
 
-// payload is the gob wire form of one checkpointed app.
-type payload struct {
-	App      string
-	Sessions []*trace.Session
-}
-
 // Save persists one completed app's session suite: payload first
 // (atomic, synced), manifest second (atomic), so a crash between the
 // two never leaves a reference to a missing or partial file.
 func (s *Store) Save(suite *trace.Suite) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload{App: suite.App, Sessions: suite.Sessions}); err != nil {
+	data, err := treebuild.AppendSuite(nil, suite)
+	if err != nil {
 		mErrors.Inc()
 		return fmt.Errorf("checkpoint: encoding %s: %w", suite.App, err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
+	sum := sha256.Sum256(data)
 	digest := hex.EncodeToString(sum[:])
-	if err := obs.WriteFileAtomic(s.payloadPath(digest), buf.Bytes(), 0o644); err != nil {
+	if err := obs.WriteFileAtomic(s.payloadPath(digest), data, 0o644); err != nil {
 		mErrors.Inc()
 		return fmt.Errorf("checkpoint: writing %s: %w", suite.App, err)
 	}
@@ -198,8 +198,9 @@ func (s *Store) Save(suite *trace.Suite) error {
 }
 
 // Load returns the checkpointed suite for app, or (nil, false) on any
-// miss: no entry, unreadable payload, digest mismatch, or decode
-// failure. A miss is never an error — the caller just re-runs the app.
+// miss: no entry, unreadable payload, digest mismatch, or a payload
+// that does not decode strictly to exactly one suite for app. A miss
+// is never an error — the caller just re-runs the app.
 func (s *Store) Load(app string) (*trace.Suite, bool) {
 	s.mu.Lock()
 	entry, ok := s.manifest.Apps[app]
@@ -227,23 +228,19 @@ func (s *Store) Load(app string) (*trace.Suite, bool) {
 		mErrors.Inc()
 		return nil, false
 	}
-	var p payload
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		mErrors.Inc()
-		return nil, false
-	}
-	if p.App != app {
+	suite, rest, err := treebuild.ReadSuite(data)
+	if err != nil || len(rest) != 0 || suite.App != app {
 		mErrors.Inc()
 		return nil, false
 	}
 	mHits.Inc()
-	return &trace.Suite{App: p.App, Sessions: p.Sessions}, true
+	return suite, true
 }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
 
 func (s *Store) payloadPath(digest string) string {
-	return filepath.Join(s.dir, "apps", digest+".gob")
+	return filepath.Join(s.dir, "apps", digest+".lila")
 }
 
 // writeManifest serializes the manifest atomically. Callers hold s.mu
@@ -261,11 +258,12 @@ func (s *Store) writeManifest() error {
 
 // collectGarbage removes payload files the manifest does not
 // reference: leftovers from a crash between payload and manifest
-// writes, or from a discarded stale store. Best-effort.
+// writes, from a discarded stale store, or from an older payload
+// encoding (version-1 *.gob files). Best-effort.
 func (s *Store) collectGarbage() {
 	referenced := map[string]bool{}
 	for _, e := range s.manifest.Apps {
-		referenced[e.Digest+".gob"] = true
+		referenced[filepath.Base(s.payloadPath(e.Digest))] = true
 	}
 	entries, err := os.ReadDir(filepath.Join(s.dir, "apps"))
 	if err != nil {

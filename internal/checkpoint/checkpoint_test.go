@@ -1,6 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +15,7 @@ import (
 
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/faultinject"
+	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
 )
@@ -294,5 +300,132 @@ func TestCorruptManifestResets(t *testing.T) {
 	}
 	if _, ok := st2.Load(suite.App); ok {
 		t.Fatal("Load hit through a bit-flipped manifest")
+	}
+}
+
+// tamperSession rewrites session i of app's checkpointed payload with
+// damage(v2 trace), then re-addresses the payload (new digest, file
+// name, and manifest entry) so the SHA-256 check passes and only the
+// strict decode stands between the damage and the caller.
+func tamperSession(t *testing.T, dir, app string, i int, damage func([]byte) []byte) {
+	t.Helper()
+	mp := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "apps", m.Apps[app].Digest+".lila")
+	data, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Walk the suite frame: app name, session count, then
+	// length-prefixed v2 traces.
+	var out []byte
+	rest := data
+	next := func() []byte {
+		n, k := binary.Uvarint(rest)
+		field := rest[k : k+int(n)]
+		rest = rest[k+int(n):]
+		return field
+	}
+	name := next()
+	out = binary.AppendUvarint(out, uint64(len(name)))
+	out = append(out, name...)
+	count, k := binary.Uvarint(rest)
+	rest = rest[k:]
+	out = binary.AppendUvarint(out, count)
+	for j := 0; j < int(count); j++ {
+		v2 := next()
+		if j == i {
+			v2 = damage(append([]byte(nil), v2...))
+		}
+		out = binary.AppendUvarint(out, uint64(len(v2)))
+		out = append(out, v2...)
+	}
+
+	sum := sha256.Sum256(out)
+	digest := hex.EncodeToString(sum[:])
+	if err := os.WriteFile(filepath.Join(dir, "apps", digest+".lila"), out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(old)
+	m.Apps[app] = Entry{Digest: digest, Sessions: int(count)}
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mp, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHostilePayloadIsMiss: a payload whose digest is right but whose
+// v2 content is damaged — a flipped byte inside a block (checksum
+// failure) or a session cut short (no end record, which a lenient
+// build would patch over) — must be a counted miss, never a salvaged
+// suite that differs from the one saved.
+func TestHostilePayloadIsMiss(t *testing.T) {
+	suite := testSuite(t)
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, s *trace.Session, v2 []byte) []byte
+	}{
+		{"block byte flip", func(t *testing.T, _ *trace.Session, v2 []byte) []byte {
+			v, err := lila.ParseV2(v2, lila.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := v.Blocks()[len(v.Blocks())/2]
+			v2[b.Offset+b.Length-3] ^= 0x40 // inside the stored payload
+			return v2
+		}},
+		{"truncated session", func(t *testing.T, s *trace.Session, _ []byte) []byte {
+			recs := lila.Flatten(s)
+			var buf bytes.Buffer
+			w, err := lila.NewV2Writer(&buf, lila.HeaderOf(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs[:len(recs)/2] {
+				if err := w.WriteRecord(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, "h")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Save(suite); err != nil {
+				t.Fatal(err)
+			}
+			tamperSession(t, dir, suite.App, 1, func(v2 []byte) []byte {
+				return tc.damage(t, suite.Sessions[1], v2)
+			})
+
+			st2, err := Open(dir, "h")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := mErrors.Value()
+			if got, ok := st2.Load(suite.App); ok {
+				t.Fatalf("Load hit on a damaged session (%d sessions returned)", len(got.Sessions))
+			}
+			if d := mErrors.Value() - before; d != 1 {
+				t.Errorf("checkpoint_errors_total delta = %d, want 1", d)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package lila
 
 import (
+	"hash/maphash"
 	"sync"
 
 	"lagalyzer/internal/intern"
@@ -50,29 +51,24 @@ type stackTab struct {
 	m map[uint64][][]trace.Frame
 }
 
+// stackSeed seeds stackTab's frame hash; the hash only picks buckets,
+// so its per-process value never shows in any output.
+var stackSeed = maphash.MakeSeed()
+
 // canon returns the canonical slice for the frames in scratch,
 // copying them only the first time this exact stack is seen.
 func (t *stackTab) canon(scratch []trace.Frame) []trace.Frame {
 	if len(scratch) == 0 {
 		return nil
 	}
-	h := uint64(14695981039346656037)
+	h := uint64(len(scratch))
 	for i := range scratch {
 		f := &scratch[i]
-		for j := 0; j < len(f.Class); j++ {
-			h ^= uint64(f.Class[j])
-			h *= 1099511628211
-		}
-		h ^= '#'
-		h *= 1099511628211
-		for j := 0; j < len(f.Method); j++ {
-			h ^= uint64(f.Method[j])
-			h *= 1099511628211
-		}
+		h = (h ^ maphash.String(stackSeed, f.Class)) * 1099511628211
+		h = (h ^ maphash.String(stackSeed, f.Method)) * 1099511628211
 		if f.Native {
 			h ^= 1
 		}
-		h *= 1099511628211
 	}
 	if t.m == nil {
 		t.m = make(map[uint64][][]trace.Frame)

@@ -1,9 +1,10 @@
 package lila
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"lagalyzer/internal/trace"
 )
@@ -19,85 +20,163 @@ import (
 // them and emits the global brackets from Session.GCs instead, so the
 // round trip through treebuild reconstructs the copies.
 func Flatten(s *trace.Session) []*Record {
-	var recs []*Record
-	for _, t := range s.Threads {
-		recs = append(recs, &Record{Type: RecThread, Thread: t.ID, Name: t.Name, Daemon: t.Daemon})
+	f := flatten(s)
+	slab := make([]Record, 0, len(s.Threads)+len(f.keys)+1)
+	f.each(func(r *Record) error {
+		slab = append(slab, *r)
+		return nil
+	})
+	recs := make([]*Record, len(slab))
+	for i := range slab {
+		recs[i] = &slab[i]
 	}
+	return recs
+}
 
-	// Ordered stream events: collect, then sort with tie-breaking
-	// rules that preserve proper nesting at equal time stamps:
-	// returns close before anything opens (deepest first), samples in
-	// between, calls open after (shallowest first), and GC brackets
-	// sit innermost (end first, start last).
-	type event struct {
-		rec   *Record
-		prio  int // see ordering above
-		depth int
-		seq   int
+// flattened is a session's record stream in compact form: each stream
+// event refers back to the interval or thread sample it comes from,
+// and the sorted keys give the stream order.
+type flattened struct {
+	s      *trace.Session
+	events []flatEvent
+	keys   []flattenKey // in stream order; uint32(order) indexes events
+}
+
+// flatEvent is one call, return, GC bracket, or sample.
+type flatEvent struct {
+	iv     *trace.Interval     // calls and GC starts
+	sample *trace.ThreadSample // samples
+	thread trace.ThreadID
+	typ    RecType
+}
+
+// Flatten's equal-time priorities, lowest first.
+const (
+	prioGCEnd = iota
+	prioReturn
+	prioSample
+	prioCall
+	prioGCStart
+)
+
+// flattenKey is the sort key of one stream event: its time, then an
+// order word packing three tie-breaks whose rules preserve proper
+// nesting at equal time stamps. From the high bits down: the priority
+// (3 bits: returns close before anything opens, samples in between,
+// calls open after, and GC brackets sit innermost, end first and start
+// last); the tie (29 bits, biased: the call depth for calls and its
+// negation for returns, so shallower calls open first and deeper
+// intervals close first); and seq (32 bits), the creation index. The
+// packing is total and loses nothing: a tree walk cannot recurse 2^28
+// levels deep, and a session cannot hold 2^32 events in memory.
+type flattenKey struct {
+	time  trace.Time
+	order uint64
+}
+
+func (a flattenKey) compare(b flattenKey) int {
+	if c := cmp.Compare(a.time, b.time); c != 0 {
+		return c
 	}
-	var events []event
-	seq := 0
-	add := func(rec *Record, prio, depth int) {
-		events = append(events, event{rec, prio, depth, seq})
-		seq++
-	}
+	return cmp.Compare(a.order, b.order)
+}
 
-	const (
-		prioGCEnd = iota
-		prioReturn
-		prioSample
-		prioCall
-		prioGCStart
-	)
-
+// flatten collects a session's stream events in three runs (episode
+// intervals, GC brackets, samples), sorts each, and merges them. The
+// sample run, the longest, arrives sorted, so its sort is one pass.
+func flatten(s *trace.Session) flattened {
+	n := 0
 	for _, e := range s.Episodes {
-		e.Root.Walk(func(n *trace.Interval, depth int) bool {
-			if n.Kind == trace.KindGC {
+		e.Root.Walk(func(iv *trace.Interval, _ int) bool {
+			if iv.Kind == trace.KindGC {
 				return false // global brackets come from s.GCs
 			}
-			add(&Record{Type: RecCall, Time: n.Start, Thread: e.Thread, Kind: n.Kind, Class: n.Class, Method: n.Method}, prioCall, depth)
-			add(&Record{Type: RecReturn, Time: n.End, Thread: e.Thread}, prioReturn, depth)
+			n += 2
+			return true
+		})
+	}
+	nIntervals := n
+	n += 2 * len(s.GCs)
+	nGC := n - nIntervals
+	for _, tick := range s.Ticks {
+		n += len(tick.Threads)
+	}
+
+	f := flattened{s: s, events: make([]flatEvent, 0, n)}
+	keys := make([]flattenKey, 0, n)
+	add := func(ev flatEvent, at trace.Time, prio, tie int) {
+		seq := len(keys)
+		keys = append(keys, flattenKey{time: at, order: uint64(prio)<<61 | uint64(tie+1<<28)<<32 | uint64(seq)})
+		f.events = append(f.events, ev)
+	}
+	for _, e := range s.Episodes {
+		e.Root.Walk(func(iv *trace.Interval, depth int) bool {
+			if iv.Kind == trace.KindGC {
+				return false
+			}
+			add(flatEvent{iv: iv, thread: e.Thread, typ: RecCall}, iv.Start, prioCall, depth)
+			add(flatEvent{thread: e.Thread, typ: RecReturn}, iv.End, prioReturn, -depth)
 			return true
 		})
 	}
 	for _, gc := range s.GCs {
-		add(&Record{Type: RecGCStart, Time: gc.Start, Major: gc.Major}, prioGCStart, 0)
-		add(&Record{Type: RecGCEnd, Time: gc.End}, prioGCEnd, 0)
+		add(flatEvent{iv: gc, typ: RecGCStart}, gc.Start, prioGCStart, 0)
+		add(flatEvent{typ: RecGCEnd}, gc.End, prioGCEnd, 0)
 	}
 	for _, tick := range s.Ticks {
-		for _, th := range tick.Threads {
-			add(&Record{Type: RecSample, Time: tick.Time, Thread: th.Thread, State: th.State, Stack: th.Stack}, prioSample, 0)
+		for i := range tick.Threads {
+			th := &tick.Threads[i]
+			add(flatEvent{sample: th, thread: th.Thread, typ: RecSample}, tick.Time, prioSample, 0)
 		}
 	}
 
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.rec.Time != b.rec.Time {
-			return a.rec.Time < b.rec.Time
-		}
-		if a.prio != b.prio {
-			return a.prio < b.prio
-		}
-		switch a.prio {
-		case prioReturn:
-			// Deeper intervals close first.
-			if a.depth != b.depth {
-				return a.depth > b.depth
-			}
-		case prioCall:
-			// Shallower intervals open first.
-			if a.depth != b.depth {
-				return a.depth < b.depth
-			}
-		}
-		return a.seq < b.seq
-	})
-
-	for _, ev := range events {
-		recs = append(recs, ev.rec)
+	intervals, gcs, samples := keys[:nIntervals], keys[nIntervals:nIntervals+nGC], keys[nIntervals+nGC:]
+	for _, run := range [][]flattenKey{intervals, gcs, samples} {
+		slices.SortFunc(run, flattenKey.compare)
 	}
-	recs = append(recs, &Record{Type: RecEnd, Time: s.End, Count: s.ShortCount})
-	return recs
+	f.keys = mergeKeys(make([]flattenKey, 0, n), mergeKeys(make([]flattenKey, 0, nIntervals+nGC), intervals, gcs), samples)
+	return f
+}
+
+// mergeKeys appends the merge of the sorted runs a and b to dst.
+func mergeKeys(dst, a, b []flattenKey) []flattenKey {
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].compare(a[0]) < 0 {
+			dst, b = append(dst, b[0]), b[1:]
+		} else {
+			dst, a = append(dst, a[0]), a[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
+// each hands fn every record in stream order. The record is fn's to
+// read, not to keep: each reuses it for the next record.
+func (f *flattened) each(fn func(*Record) error) error {
+	var r Record
+	for _, t := range f.s.Threads {
+		r = Record{Type: RecThread, Thread: t.ID, Name: t.Name, Daemon: t.Daemon}
+		if err := fn(&r); err != nil {
+			return err
+		}
+	}
+	for _, k := range f.keys {
+		ev := &f.events[uint32(k.order)]
+		r = Record{Type: ev.typ, Time: k.time, Thread: ev.thread}
+		switch ev.typ {
+		case RecCall:
+			r.Kind, r.Class, r.Method = ev.iv.Kind, ev.iv.Class, ev.iv.Method
+		case RecGCStart:
+			r.Major = ev.iv.Major
+		case RecSample:
+			r.State, r.Stack = ev.sample.State, ev.sample.Stack
+		}
+		if err := fn(&r); err != nil {
+			return err
+		}
+	}
+	r = Record{Type: RecEnd, Time: f.s.End, Count: f.s.ShortCount}
+	return fn(&r)
 }
 
 // HeaderOf derives the trace header for a session.
@@ -196,10 +275,9 @@ func WriteSessionOptions(w io.Writer, o WriteOptions, s *trace.Session) error {
 	if err != nil {
 		return err
 	}
-	for _, rec := range Flatten(s) {
-		if err := lw.WriteRecord(rec); err != nil {
-			return err
-		}
+	f := flatten(s)
+	if err := f.each(lw.WriteRecord); err != nil {
+		return err
 	}
 	return lw.Close()
 }

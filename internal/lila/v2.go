@@ -159,15 +159,28 @@ type V2WriterOptions struct {
 
 // V2Writer writes a trace in the v2 block-indexed format. The string
 // and stack tables precede the blocks in the file, so the writer
-// buffers the record stream in memory and emits everything on Close —
-// acceptable because v2 traces are produced from in-memory sessions
-// (the simulator, Flatten, or a convert pass over another encoding).
+// encodes each record into its block payload as it arrives, keeping
+// only the encoded bytes and the tables in memory, and emits the
+// complete file on Close. A sample's Stack must not change after it
+// has been written: the writer recognises a stack it has already
+// seen by its first-frame pointer and length.
 type V2Writer struct {
-	w      io.Writer
-	h      Header
-	opts   V2WriterOptions
-	recs   []Record
-	closed bool
+	w        io.Writer
+	h        Header
+	opts     V2WriterOptions
+	enc      v2enc // enc.buf holds the block payloads, back to back
+	blocks   []pendingBlock
+	cur      pendingBlock // the block being filled
+	lastTime trace.Time   // running time base across blocks
+	closed   bool
+}
+
+// pendingBlock is a block whose payload is encoded but not yet framed.
+type pendingBlock struct {
+	start, end int // payload bytes within the writer's payload buffer
+	meta       blockMeta
+	baseTime   trace.Time
+	timed      bool // meta.minTime/maxTime hold a record time
 }
 
 // NewV2Writer returns a Writer that emits the v2 format on Close.
@@ -183,10 +196,14 @@ func NewV2WriterOptions(w io.Writer, h Header, opts V2WriterOptions) (*V2Writer,
 	if opts.Compression != CompressionNone && opts.Compression != CompressionFlate {
 		return nil, fmt.Errorf("lila: unknown compression %d", int(opts.Compression))
 	}
-	return &V2Writer{w: w, h: h, opts: opts}, nil
+	return &V2Writer{w: w, h: h, opts: opts, enc: v2enc{
+		strings: make(map[string]uint64),
+		stackID: make(map[stackKey]uint64),
+	}}, nil
 }
 
-// WriteRecord implements Writer. Records are buffered until Close.
+// WriteRecord implements Writer: it encodes r into the current block,
+// framing the block once it holds BlockRecords records.
 func (vw *V2Writer) WriteRecord(r *Record) error {
 	if vw.closed {
 		return fmt.Errorf("lila: write after Close")
@@ -194,8 +211,46 @@ func (vw *V2Writer) WriteRecord(r *Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	vw.recs = append(vw.recs, *r)
+	pb := &vw.cur
+	if pb.meta.records == 0 {
+		*pb = pendingBlock{baseTime: vw.lastTime, start: len(vw.enc.buf)}
+	}
+	vw.lastTime = vw.enc.encodeRecord(r, vw.lastTime)
+	pb.meta.records++
+	switch r.Type {
+	case RecThread, RecGCStart, RecGCEnd, RecEnd:
+		pb.meta.flags |= v2FlagGlobal
+	}
+	switch r.Type {
+	case RecCall, RecReturn, RecSample:
+		pb.meta.threadBits |= threadBit(r.Thread)
+	}
+	if r.Type != RecThread { // threads carry no time stamp
+		if !pb.timed || r.Time < pb.meta.minTime {
+			pb.meta.minTime = r.Time
+		}
+		if !pb.timed || r.Time > pb.meta.maxTime {
+			pb.meta.maxTime = r.Time
+		}
+		pb.timed = true
+	}
+	if pb.meta.records == vw.opts.BlockRecords {
+		vw.endBlock()
+	}
 	return nil
+}
+
+// endBlock closes the current block.
+func (vw *V2Writer) endBlock() {
+	pb := vw.cur
+	if !pb.timed {
+		// A block of nothing but thread declarations: pin its span to
+		// the running time base so index entries stay ordered.
+		pb.meta.minTime, pb.meta.maxTime = pb.baseTime, pb.baseTime
+	}
+	pb.end = len(vw.enc.buf)
+	vw.blocks = append(vw.blocks, pb)
+	vw.cur = pendingBlock{}
 }
 
 // EncodeV2 encodes a complete record stream as a v2 trace and returns
@@ -227,8 +282,16 @@ type v2enc struct {
 	strings map[string]uint64
 	strTab  []string
 	stacks  stackTab // canonicalizes producer stacks before ref lookup
-	stackID map[*trace.Frame]uint64
+	stackID map[stackKey]uint64
 	stakTab [][]trace.Frame
+}
+
+// stackKey identifies a frame slice by its first-frame pointer and
+// length: the canonical slices of stackTab, and the producer slices
+// already resolved to one of them.
+type stackKey struct {
+	first *trace.Frame
+	n     int
 }
 
 func (e *v2enc) strRef(s string) uint64 {
@@ -248,24 +311,30 @@ func (e *v2enc) stackRef(frames []trace.Frame) uint64 {
 	if len(frames) == 0 {
 		return 0
 	}
-	// Canonicalize so identical stacks from different producers (or a
-	// reader that did not dedup) share one table entry, then key by the
-	// canonical slice's first-frame pointer, which stackTab guarantees
-	// is unique per distinct stack.
-	canon := e.stacks.canon(frames)
-	key := &canon[0]
+	// A producer hands the same slice to many samples (a simulator's
+	// idle stack, a reader's deduplicated stacks): resolve it once.
+	key := stackKey{&frames[0], len(frames)}
 	if id, ok := e.stackID[key]; ok {
 		return id
 	}
-	// Intern the frame symbols now so the table section below reuses
-	// the string refs records already forced.
-	for _, f := range canon {
-		e.strRef(f.Class)
-		e.strRef(f.Method)
+	// Canonicalize so identical stacks from different producer slices
+	// share one table entry, keyed by the canonical slice, which
+	// stackTab guarantees is unique per distinct stack.
+	canon := e.stacks.canon(frames)
+	ckey := stackKey{&canon[0], len(canon)}
+	id, ok := e.stackID[ckey]
+	if !ok {
+		// Intern the frame symbols now so the table section below
+		// reuses the string refs records already forced.
+		for _, f := range canon {
+			e.strRef(f.Class)
+			e.strRef(f.Method)
+		}
+		id = uint64(len(e.stakTab) + 1)
+		e.stackID[ckey] = id
+		e.stakTab = append(e.stakTab, canon)
 	}
-	id := uint64(len(e.stakTab) + 1)
 	e.stackID[key] = id
-	e.stakTab = append(e.stakTab, canon)
 	return id
 }
 
@@ -325,71 +394,20 @@ type blockMeta struct {
 	rawLen           uint64 // inflated payload length; set iff compressed
 }
 
-// Close encodes the buffered stream and writes the complete v2 file.
+// Close frames the last block and writes the complete v2 file.
 func (vw *V2Writer) Close() error {
 	if vw.closed {
 		return nil
 	}
 	vw.closed = true
-
-	enc := &v2enc{
-		strings: make(map[string]uint64),
-		stackID: make(map[*trace.Frame]uint64),
+	if vw.cur.meta.records > 0 {
+		vw.endBlock()
 	}
+	enc := &vw.enc
+	payloads, blocks := enc.buf, vw.blocks
 
-	// Pass 1: encode every block payload. Interleaving table discovery
-	// with payload encoding is safe because payloads are assembled in a
-	// scratch buffer and spliced after the tables are written.
-	var payloads []byte // all block payloads, back to back
-	type pendingBlock struct {
-		payloadLen int
-		meta       blockMeta
-		baseTime   trace.Time
-	}
-	var blocks []pendingBlock
-	lastTime := trace.Time(0)
-	for start := 0; start < len(vw.recs); start += vw.opts.BlockRecords {
-		end := start + vw.opts.BlockRecords
-		if end > len(vw.recs) {
-			end = len(vw.recs)
-		}
-		pb := pendingBlock{baseTime: lastTime}
-		pb.meta.records = end - start
-		enc.buf = payloads
-		mark := len(enc.buf)
-		first := true
-		for i := start; i < end; i++ {
-			r := &vw.recs[i]
-			lastTime = enc.encodeRecord(r, lastTime)
-			switch r.Type {
-			case RecThread, RecGCStart, RecGCEnd, RecEnd:
-				pb.meta.flags |= v2FlagGlobal
-			}
-			switch r.Type {
-			case RecCall, RecReturn, RecSample:
-				pb.meta.threadBits |= threadBit(r.Thread)
-			}
-			if r.Type != RecThread { // threads carry no time stamp
-				if first || r.Time < pb.meta.minTime {
-					pb.meta.minTime = r.Time
-				}
-				if first || r.Time > pb.meta.maxTime {
-					pb.meta.maxTime = r.Time
-				}
-				first = false
-			}
-		}
-		if first {
-			// A block of nothing but thread declarations: pin its span
-			// to the running time base so index entries stay ordered.
-			pb.meta.minTime, pb.meta.maxTime = pb.baseTime, pb.baseTime
-		}
-		payloads = enc.buf
-		pb.payloadLen = len(payloads) - mark
-		blocks = append(blocks, pb)
-	}
-
-	// Pass 2: assemble the file.
+	// Assemble the file: header and tables, then the block payloads
+	// with their framing, then the index.
 	enc.buf = make([]byte, 0, len(payloads)+len(payloads)/4+1024)
 	enc.buf = append(enc.buf, v2Magic[:]...)
 	enc.str(vw.h.App)
@@ -415,11 +433,9 @@ func (vw *V2Writer) Close() error {
 
 	var fw *flate.Writer
 	var cbuf bytes.Buffer
-	off := 0
 	for i := range blocks {
 		pb := &blocks[i]
-		payload := payloads[off : off+pb.payloadLen]
-		off += pb.payloadLen
+		payload := payloads[pb.start:pb.end]
 		stored := payload
 		if vw.opts.Compression == CompressionFlate {
 			cbuf.Reset()
@@ -482,6 +498,6 @@ func (vw *V2Writer) Close() error {
 	if _, err := vw.w.Write(enc.buf); err != nil {
 		return fmt.Errorf("lila: writing v2 trace: %w", err)
 	}
-	vw.recs = nil
+	vw.enc, vw.blocks = v2enc{}, nil
 	return nil
 }

@@ -1,7 +1,12 @@
 package report
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +15,7 @@ import (
 	"time"
 
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/sim"
@@ -246,5 +252,67 @@ func TestAnalyzeSuitesContextCancelMarksRemaining(t *testing.T) {
 	}
 	if len(res.Health.Apps) != 1 || res.Health.Apps[0].Reason != LossCanceled {
 		t.Errorf("health = %+v, want one %q entry", res.Health.Apps, LossCanceled)
+	}
+}
+
+// TestCheckpointVersion1StoreReruns: a store left by the gob payload
+// encoding (manifest version 1, apps/<digest>.gob) is stale as a
+// whole. Open removes its payload, the app misses, and the study
+// re-runs it with output identical to a fresh run.
+func TestCheckpointVersion1StoreReruns(t *testing.T) {
+	fresh, err := RunStudy(resumeTestConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	cfg := resumeTestConfig(dir)
+	suite := fresh.Apps[0].Suite
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(struct {
+		App      string
+		Sessions []*trace.Session
+	}{suite.App, suite.Sessions}); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload.Bytes())
+	digest := hex.EncodeToString(sum[:])
+	gobPath := filepath.Join(dir, "apps", digest+".gob")
+	if err := os.MkdirAll(filepath.Dir(gobPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gobPath, payload.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest := fmt.Sprintf(`{"version": 1, "config_hash": %q, "apps": {%q: {"digest": %q, "sessions": %d}}}`,
+		cfg.Hash(), suite.App, digest, len(suite.Sessions))
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := checkpoint.Open(dir, cfg.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(gobPath); !os.IsNotExist(err) {
+		t.Errorf("version-1 payload survived Open (stat err %v)", err)
+	}
+	if _, ok := st.Load(suite.App); ok {
+		t.Fatal("Load hit through a version-1 manifest")
+	}
+
+	hits := obs.NewCounter("checkpoint_hits_total", "")
+	saves := obs.NewCounter("checkpoint_saves_total", "")
+	h0, s0 := hits.Value(), saves.Value()
+	cfg.Checkpoint = st
+	resumed, err := RunStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, s := hits.Value()-h0, saves.Value()-s0; h != 0 || s != 2 {
+		t.Errorf("checkpoint hits/saves delta = %d/%d, want 0/2 (both apps re-run)", h, s)
+	}
+	if a, b := FormatAll(fresh), FormatAll(resumed); a != b {
+		t.Error("report differs after re-running over a version-1 store")
 	}
 }

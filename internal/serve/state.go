@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // Shard partial state: the wire form a worker lagd returns for a
@@ -23,17 +25,20 @@ import (
 // Framing is paranoid by design, because this payload crosses a
 // network that the fault-injection suite is allowed to damage:
 //
-//	8 bytes  magic "LAGSHRD1"
-//	32 bytes SHA-256 of the gob payload
-//	N bytes  gob(ShardState)
+//	8 bytes  magic "LAGSHRD2"
+//	32 bytes SHA-256 of the payload
+//	N bytes  payload := uvarint(nsuites) suite* health
+//	         suite   := treebuild suite frame (sessions as raw LiLa v2)
+//	         health  := gob of the Health ledger, to the end
 //
-// Any truncation, reset, or bit flip — in the header, checksum, or
-// payload — surfaces as ErrBadShardState, never as a silently wrong
-// merge. The coordinator treats ErrBadShardState as retryable wire
-// damage.
+// The suites travel in the checkpoint store's encoding and decode
+// through the same strict path (treebuild.ReadSuite). Any truncation,
+// reset, or bit flip — in the header, checksum, or payload — surfaces
+// as ErrBadShardState, never as a silently wrong merge. The
+// coordinator treats ErrBadShardState as retryable wire damage.
 
 // shardStateMagic identifies (and versions) the shard-state framing.
-const shardStateMagic = "LAGSHRD1"
+const shardStateMagic = "LAGSHRD2"
 
 // ErrBadShardState marks a shard-state payload that failed its framing
 // or checksum validation: the bytes on the wire are not the bytes the
@@ -54,23 +59,37 @@ type ShardState struct {
 	Health *report.StudyHealth
 }
 
+// shardHealth is the gob wire form of the health ledger; the wrapper
+// lets a nil ledger round-trip.
+type shardHealth struct {
+	Health *report.StudyHealth
+}
+
 // EncodeShardState serializes st with checksum framing.
 func EncodeShardState(st *ShardState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("serve: encoding shard state: %w", err)
+	header := len(shardStateMagic) + sha256.Size
+	out := binary.AppendUvarint(make([]byte, header), uint64(len(st.Suites)))
+	for _, suite := range st.Suites {
+		var err error
+		if out, err = treebuild.AppendSuite(out, suite); err != nil {
+			return nil, fmt.Errorf("serve: encoding shard state: %w", err)
+		}
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	out := make([]byte, 0, len(shardStateMagic)+len(sum)+buf.Len())
-	out = append(out, shardStateMagic...)
-	out = append(out, sum[:]...)
-	out = append(out, buf.Bytes()...)
+	buf := bytes.NewBuffer(out)
+	if err := gob.NewEncoder(buf).Encode(shardHealth{st.Health}); err != nil {
+		return nil, fmt.Errorf("serve: encoding shard health: %w", err)
+	}
+	out = buf.Bytes()
+	copy(out, shardStateMagic)
+	sum := sha256.Sum256(out[header:])
+	copy(out[len(shardStateMagic):], sum[:])
 	return out, nil
 }
 
 // DecodeShardState parses and verifies a shard-state payload. Every
-// failure mode — short header, wrong magic, checksum mismatch, gob
-// damage — returns an error wrapping ErrBadShardState.
+// failure mode — short header, wrong magic, checksum mismatch, a
+// payload that does not decode strictly — returns an error wrapping
+// ErrBadShardState.
 func DecodeShardState(data []byte) (*ShardState, error) {
 	header := len(shardStateMagic) + sha256.Size
 	if len(data) < header {
@@ -86,14 +105,41 @@ func DecodeShardState(data []byte) (*ShardState, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch over %d payload bytes",
 			ErrBadShardState, len(payload))
 	}
-	var st ShardState
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
-		// The checksum passed but gob still failed: the worker encoded
-		// something this build cannot read (version skew), which is just
-		// as unusable as wire damage.
+	// The checksum passed, so a decode failure below means the worker
+	// encoded something this build cannot read (version skew), which is
+	// just as unusable as wire damage.
+	st, err := decodeShardPayload(payload)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadShardState, err)
 	}
-	return &st, nil
+	return st, nil
+}
+
+func decodeShardPayload(p []byte) (*ShardState, error) {
+	count, k := binary.Uvarint(p)
+	if k <= 0 || count > uint64(len(p)) {
+		return nil, errors.New("bad suite count")
+	}
+	p = p[k:]
+	st := &ShardState{}
+	for i := uint64(0); i < count; i++ {
+		suite, rest, err := treebuild.ReadSuite(p)
+		if err != nil {
+			return nil, err
+		}
+		st.Suites = append(st.Suites, suite)
+		p = rest
+	}
+	r := bytes.NewReader(p)
+	var h shardHealth
+	if err := gob.NewDecoder(r).Decode(&h); err != nil {
+		return nil, err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	st.Health = h.Health
+	return st, nil
 }
 
 // shardStateOf extracts the mergeable partial state from a finished
