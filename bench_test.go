@@ -535,7 +535,9 @@ func BenchmarkTraceDecode_Binary(b *testing.B) { benchDecode(b, lila.FormatBinar
 // standing in for the mmap'd file).
 func BenchmarkTraceDecode_V2(b *testing.B) { benchDecode(b, lila.FormatV2) }
 
-func benchDecodeV2Random(b *testing.B, comp lila.Compression, jobs int) {
+// benchDecodeV2Random times decode, which returns the record count,
+// over a freshly parsed v2 trace.
+func benchDecodeV2Random(b *testing.B, comp lila.Compression, decode func(*lila.V2File) (int, error)) {
 	b.ReportAllocs()
 	recs, h := benchRecords(b)
 	var buf bytes.Buffer
@@ -559,33 +561,82 @@ func benchDecodeV2Random(b *testing.B, comp lila.Compression, jobs int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		got, _, err := v.RecordsJobs(nil, false, jobs)
+		n, err := decode(v)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(got) != len(recs) {
-			b.Fatalf("decoded %d of %d records", len(got), len(recs))
+		if n != len(recs) {
+			b.Fatalf("decoded %d of %d records", n, len(recs))
 		}
 	}
 }
 
+// collectV2 is the collecting decode every record slice comes from.
+func collectV2(v *lila.V2File) (int, error) {
+	recs, _, err := v.Records(nil, false)
+	return len(recs), err
+}
+
 func BenchmarkTraceDecode_V2Mmap(b *testing.B) {
-	benchDecodeV2Random(b, lila.CompressionNone, 1)
+	benchDecodeV2Random(b, lila.CompressionNone, collectV2)
 }
 
 // BenchmarkTraceDecode_V2Compressed is the random-access decode of the
 // same trace with flate-compressed blocks: crc + inflate per block on
 // top of the V2Mmap baseline.
 func BenchmarkTraceDecode_V2Compressed(b *testing.B) {
-	benchDecodeV2Random(b, lila.CompressionFlate, 1)
+	benchDecodeV2Random(b, lila.CompressionFlate, collectV2)
 }
 
-// BenchmarkTraceDecode_V2ParallelBlocks inflates and decodes blocks on
-// a worker pool sized to GOMAXPROCS — run with -cpu 1,4 to see the
-// intra-file scaling (output is pinned byte-identical across worker
-// counts by TestV2ParallelDecodeDeterminism).
+// BenchmarkTraceDecode_V2ParallelBlocks streams the compressed trace
+// through Each with one decode worker per GOMAXPROCS, records recycled
+// per block — run with -cpu 1,4 to see the intra-file scaling (output
+// is pinned byte-identical across worker counts by
+// TestV2ParallelDecodeDeterminism).
 func BenchmarkTraceDecode_V2ParallelBlocks(b *testing.B) {
-	benchDecodeV2Random(b, lila.CompressionFlate, runtime.GOMAXPROCS(0))
+	benchDecodeV2Random(b, lila.CompressionFlate, func(v *lila.V2File) (int, error) {
+		n := 0
+		_, err := v.Each(nil, false, runtime.GOMAXPROCS(0), func(*lila.Record) error { n++; return nil })
+		return n, err
+	})
+}
+
+// bigV2Session is one 2-hour GanttProject session (about 1.5 M
+// records) encoded as LiLa v2 with flate blocks, written once.
+var bigV2Session = sync.OnceValues(func() ([]byte, error) {
+	s, err := sim.Run(sim.Config{Profile: apps.GanttProject(), Seed: 42, SessionSeconds: 2 * 3600})
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = lila.WriteSessionOptions(&buf, lila.WriteOptions{Format: lila.FormatV2, Compression: lila.CompressionFlate}, s)
+	return buf.Bytes(), err
+})
+
+// BenchmarkLoadV2BigSession loads the 2-hour session the way
+// `lagalyzer stats` does: BuildV2 with one block decode worker per
+// GOMAXPROCS. Run with -cpu 1,2 to see what read-ahead decode buys.
+func BenchmarkLoadV2BigSession(b *testing.B) {
+	b.ReportAllocs()
+	data, err := bigV2Session()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := lila.ParseV2(data, lila.Limits{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, _, _, err := treebuild.BuildV2(v, nil, false, runtime.GOMAXPROCS(0), treebuild.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(s.Episodes) == 0 {
+			b.Fatal("no episodes")
+		}
+	}
 }
 
 // --- Ablations (design decisions of Section II) ---

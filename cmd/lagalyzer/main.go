@@ -286,61 +286,38 @@ func loadSessions(paths []string) ([]*trace.Session, error) {
 // loadSession ingests one trace file, strictly by default; in salvage
 // mode it decodes leniently and reports any damage worked around on
 // stderr. v2 traces take the mmap + block-index fast path, with up to
-// blockJobs workers decoding one file's blocks concurrently.
+// blockJobs workers decoding one file's blocks ahead of the session
+// build.
 func loadSession(path string, blockJobs int) (*trace.Session, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var magic [5]byte
-	if _, err := f.ReadAt(magic[:], 0); err == nil &&
-		string(magic[:4]) == "LILA" && magic[4] == lila.V2FormatVersion {
-		return loadSessionV2(f, path, blockJobs)
-	}
-	if !salvageMode {
-		return treebuild.ReadSession(f)
+	if lila.IsV2File(f) {
+		v, err := lila.OpenV2File(f, lila.Limits{})
+		if err != nil {
+			return nil, err
+		}
+		defer v.Close()
+		s, diag, rep, err := treebuild.BuildV2(v, nil, salvageMode, blockJobs, treebuild.Options{Lenient: salvageMode})
+		if err != nil {
+			return nil, err
+		}
+		noteDamage(path, rep, diag)
+		return s, nil
 	}
 	s, sh, err := treebuild.ReadSessionOptions(f,
-		lila.ReaderOptions{Salvage: true}, treebuild.Options{Lenient: true})
+		lila.ReaderOptions{Salvage: salvageMode}, treebuild.Options{Lenient: salvageMode})
 	if err != nil {
 		return nil, err
 	}
-	if sh != nil && sh.Degraded() {
-		if sh.Salvage.Damaged() {
-			fmt.Fprintf(os.Stderr, "lagalyzer: %s: salvage: %s\n", path, sh.Salvage)
-		}
-		if sh.Diag.Degraded() {
-			d := sh.Diag
-			msg := fmt.Sprintf("skipped %d records, dropped %d open intervals, %d episodes",
-				d.SkippedRecords, d.DroppedOpenIntervals, d.DroppedEpisodes)
-			if d.SynthesizedEnd {
-				msg += ", synthesized end"
-			}
-			fmt.Fprintf(os.Stderr, "lagalyzer: %s: rebuild: %s\n", path, msg)
-		}
-	}
+	noteDamage(path, sh.Salvage, sh.Diag)
 	return s, nil
 }
 
-// loadSessionV2 decodes a v2 trace via its footer index: the file is
-// mapped, blocks (compressed or raw) fan out to blockJobs workers, and
-// the merged record stream rebuilds the session. Salvage notes print
-// exactly like the streaming path's.
-func loadSessionV2(f *os.File, path string, blockJobs int) (*trace.Session, error) {
-	v, err := lila.OpenV2File(f, lila.Limits{})
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	recs, rep, err := v.RecordsJobs(nil, salvageMode, blockJobs)
-	if err != nil {
-		return nil, err
-	}
-	s, diag, err := treebuild.BuildRecordsOptions(v.Header(), recs, treebuild.Options{Lenient: salvageMode})
-	if err != nil {
-		return nil, err
-	}
+// noteDamage prints what a salvage-mode load of path worked around.
+func noteDamage(path string, rep *lila.SalvageReport, diag *treebuild.Diagnostics) {
 	if rep.Damaged() {
 		fmt.Fprintf(os.Stderr, "lagalyzer: %s: salvage: %s\n", path, rep)
 	}
@@ -352,7 +329,6 @@ func loadSessionV2(f *os.File, path string, blockJobs int) (*trace.Session, erro
 		}
 		fmt.Fprintf(os.Stderr, "lagalyzer: %s: rebuild: %s\n", path, msg)
 	}
-	return s, nil
 }
 
 func runStats(args []string) error {

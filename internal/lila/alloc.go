@@ -18,27 +18,49 @@ import (
 // of times per session.
 
 // recChunkSize is the records-per-allocation granularity of recArena.
-// Records handed out are never recycled — they stay valid for the
-// life of the session being built — so the only cost of a larger
-// chunk is tail waste on the final one.
+// The only cost of a larger chunk is tail waste on the final one.
 const recChunkSize = 1024
 
 // recArena hands out Record slots from chunked slabs. The zero value
-// is ready to use. Not safe for concurrent use; every reader owns its
-// own arena (LoadTraceDir parallelism is one reader per file).
+// never recycles: records stay valid for the life of the session
+// being built. A recycling arena is per-block scratch: after reset,
+// the next block's records overwrite this one's. Not safe for
+// concurrent use; every reader or decode worker owns its own arena.
 type recArena struct {
-	chunk []Record
+	chunk   []Record // unused tail of the current chunk
+	recycle bool
+	held    [][]Record // a recycling arena's chunks; held[next] is reused next
+	next    int
 }
 
-// new returns a pointer to a zeroed Record that remains valid (and is
-// never reused) after the arena moves on.
+// new returns a pointer to a zeroed Record, valid until reset.
 func (a *recArena) new() *Record {
 	if len(a.chunk) == 0 {
-		a.chunk = make([]Record, recChunkSize)
+		a.chunk = a.grow()
 	}
 	r := &a.chunk[0]
 	a.chunk = a.chunk[1:]
 	return r
+}
+
+func (a *recArena) grow() []Record {
+	if !a.recycle {
+		return make([]Record, recChunkSize)
+	}
+	if a.next == len(a.held) {
+		a.held = append(a.held, make([]Record, recChunkSize))
+	}
+	a.next++
+	c := a.held[a.next-1]
+	clear(c)
+	return c
+}
+
+// reset rewinds a recycling arena to its first chunk.
+func (a *recArena) reset() {
+	if a.recycle {
+		a.chunk, a.next = nil, 0
+	}
 }
 
 // stackTab deduplicates decoded call stacks within one session: the

@@ -259,7 +259,7 @@ func TestV2CompressedSelectiveDecodeEquivalence(t *testing.T) {
 		}
 		want := drainReader(t, NewFilteredReader(br, f))
 		for _, jobs := range []int{1, 4} {
-			got, _, err := v.RecordsJobs(f, false, jobs)
+			got, _, err := collectEach(v, f, false, jobs)
 			if err != nil {
 				t.Fatalf("filter %d jobs %d: %v", i, jobs, err)
 			}
@@ -268,10 +268,10 @@ func TestV2CompressedSelectiveDecodeEquivalence(t *testing.T) {
 	}
 }
 
-// TestV2ParallelDecodeDeterminism is the worker-count pin of the
-// acceptance criteria: records, salvage reports, and strict errors must
-// be byte-identical at jobs 1, 2, and 8, for raw and compressed files,
-// clean and damaged, filtered and not.
+// TestV2ParallelDecodeDeterminism is the worker-count pin: records,
+// salvage reports, and strict errors that Each yields at jobs 1, 2,
+// and 8 must be byte-identical to the collecting Records, for raw and
+// compressed files, clean and damaged, filtered and not.
 func TestV2ParallelDecodeDeterminism(t *testing.T) {
 	all := v2TestRecords()
 	filters := []*RecordFilter{
@@ -298,16 +298,16 @@ func TestV2ParallelDecodeDeterminism(t *testing.T) {
 			for fi, f := range filters {
 				for _, salvage := range []bool{false, true} {
 					label := fmt.Sprintf("%v/%s/filter%d/salvage=%v", comp, name, fi, salvage)
-					wantRecs, wantRep, wantErr := vf.RecordsJobs(f, salvage, 1)
-					for _, jobs := range []int{2, 8} {
-						gotRecs, gotRep, gotErr := vf.RecordsJobs(f, salvage, jobs)
+					wantRecs, wantRep, wantErr := vf.Records(f, salvage)
+					for _, jobs := range []int{1, 2, 8} {
+						gotRecs, gotRep, gotErr := collectEach(vf, f, salvage, jobs)
 						if (gotErr == nil) != (wantErr == nil) ||
 							(gotErr != nil && gotErr.Error() != wantErr.Error()) {
 							t.Errorf("%s jobs=%d: err %v, want %v", label, jobs, gotErr, wantErr)
 							continue
 						}
 						if !reflect.DeepEqual(gotRecs, wantRecs) {
-							t.Errorf("%s jobs=%d: records diverge from sequential", label, jobs)
+							t.Errorf("%s jobs=%d: records diverge from Records", label, jobs)
 						}
 						if !reflect.DeepEqual(gotRep, wantRep) {
 							t.Errorf("%s jobs=%d: report %+v, want %+v", label, jobs, gotRep, wantRep)
@@ -380,7 +380,7 @@ func TestV2ThreadSkipWithOpenCall(t *testing.T) {
 			}
 		}
 		for _, jobs := range []int{1, 4} {
-			got, _, err := vb.RecordsJobs(f, false, jobs)
+			got, _, err := collectEach(vb, f, false, jobs)
 			if err != nil {
 				t.Fatalf("%v jobs=%d: GUI-filtered decode touched the corrupt worker block under an open call: %v", comp, jobs, err)
 			}
@@ -433,4 +433,19 @@ func TestV2SelectiveDecodeInflatesOnlyTouchedBlocks(t *testing.T) {
 	if skipped == 0 {
 		t.Error("filtered decode skipped no blocks")
 	}
+}
+
+// collectEach drives Each and copies out every record it yields, since
+// a record is only valid inside fn. Its results follow Records'.
+func collectEach(v *V2File, f *RecordFilter, salvage bool, jobs int) ([]*Record, *SalvageReport, error) {
+	var out []*Record
+	rep, err := v.Each(f, salvage, jobs, func(rec *Record) error {
+		cp := *rec
+		out = append(out, &cp)
+		return nil
+	})
+	if err != nil {
+		return nil, rep, err
+	}
+	return out, rep, nil
 }

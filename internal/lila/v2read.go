@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -408,14 +409,24 @@ func scanV2Blocks(d *v2data) ([]V2BlockInfo, error) {
 	}
 }
 
-// v2scratch bundles the per-goroutine decode state: the record arena
-// plus the reusable inflate machinery for compressed blocks. Not safe
-// for concurrent use; every decoding goroutine owns one.
+// v2scratch bundles the per-goroutine decode state: the record arena,
+// the reusable inflate machinery for compressed blocks, and a read-ahead
+// worker's last decoded block (or err). Not safe for concurrent use;
+// every decoding goroutine owns one.
 type v2scratch struct {
 	arena    recArena
 	br       bytes.Reader
 	fr       io.ReadCloser // flate reader, Reset per block
 	inflated []byte        // reusable inflated-payload buffer
+	recs     []*Record
+	err      error
+}
+
+// decode resets the arena (a recycling one then overwrites the
+// previous block) and decodes block b, appending its records to dst.
+func (s *v2scratch) decode(d *v2data, b *V2BlockInfo, dst []*Record) ([]*Record, error) {
+	s.arena.reset()
+	return d.decodeV2Block(b, s, dst)
 }
 
 // inflate decompresses stored into the scratch buffer, insisting on
@@ -505,6 +516,7 @@ func (d *v2data) decodeV2Block(b *V2BlockInfo, sc *v2scratch, dst []*Record) ([]
 
 	pc := &v2cur{data: payload}
 	lastTime := trace.Time(base)
+	dst = slices.Grow(dst, min(int(count), len(payload))) // a record takes at least one byte
 	for i := 0; i < int(count); i++ {
 		rec, err := d.decodeRecord(pc, &lastTime, &sc.arena)
 		if err != nil {
@@ -705,6 +717,15 @@ func (v *V2File) Header() Header { return v.d.h }
 // Blocks exposes the block index (read-only).
 func (v *V2File) Blocks() []V2BlockInfo { return v.blocks }
 
+// NumRecords returns the record count the block index declares.
+func (v *V2File) NumRecords() int {
+	n := 0
+	for i := range v.blocks {
+		n += v.blocks[i].Records
+	}
+	return n
+}
+
 // Size returns the trace's encoded size in bytes.
 func (v *V2File) Size() int64 { return int64(len(v.d.data)) }
 
@@ -718,36 +739,35 @@ func (v *V2File) Close() error {
 	return nil
 }
 
-// Records decodes the blocks selected by filter (nil = everything) and
-// returns their records, filtered, in stream order.
-//
-// With salvage false the decode is fail-stop: a damaged index or a
-// block that fails its checksum is an error. With salvage true damage
-// is per block: a bad block is dropped and itemized in the returned
-// SalvageReport (never a resync scan — the loss is exactly the blocks
-// that failed), and a missing end record marks a truncated tail. The
-// report is non-nil exactly when salvage is true; its metrics are
-// flushed once per call.
+const v2ReadAheadPerWorker = 2 // decoded blocks a worker may hold unfed
+
+// Each decodes the blocks selected by filter (nil = everything) and
+// calls fn with every record the filter keeps, in stream order. A
+// record is valid only during its fn call; an error from fn stops the
+// decode and is returned. With salvage false a damaged index or block
+// is an error; with salvage true a bad block is dropped whole and
+// itemized in the returned SalvageReport (non-nil exactly then, its
+// metrics flushed once per call), as is a missing end record. Up to
+// jobs workers (≤0 takes GOMAXPROCS, 1 decodes inline) decode blocks
+// ahead of the merge, which walks the blocks in index order, applies
+// the filter with its live call-depth state, and feeds fn, so records,
+// salvage accounting, and errors are identical at every worker count:
+// the first failure in stream order wins.
+func (v *V2File) Each(filter *RecordFilter, salvage bool, jobs int, fn func(*Record) error) (*SalvageReport, error) {
+	_, report, err := v.each(filter, salvage, jobs, fn)
+	return report, err
+}
+
+// Records is Each at one worker, collecting the records into slots
+// that are never recycled, so they stay valid after the call.
 func (v *V2File) Records(filter *RecordFilter, salvage bool) ([]*Record, *SalvageReport, error) {
-	return v.RecordsJobs(filter, salvage, 1)
+	return v.each(filter, salvage, 1, nil)
 }
 
-// v2blockResult is one speculatively decoded block.
-type v2blockResult struct {
-	recs []*Record
-	err  error
-	done bool // false = the pre-pass skipped this block
-}
-
-// RecordsJobs is Records with a bounded intra-file decode pool: up to
-// jobs workers (≤0 takes GOMAXPROCS, ≤1 decodes inline) verify,
-// inflate, and decode blocks concurrently, each with its own arena
-// and inflate scratch, while a sequential merge walks the blocks in
-// index order and applies the filter with its live call-depth state.
-// Records, salvage accounting, and errors are byte-identical at every
-// worker count: the merge is the one place that decides what a block
-// contributes, so parallelism only changes who ran the decode.
-func (v *V2File) RecordsJobs(filter *RecordFilter, salvage bool, jobs int) ([]*Record, *SalvageReport, error) {
+// each is Each; a nil fn collects instead: decode is inline and never
+// recycles, each block's kept records stay in place after the previous
+// block's, and each returns them all.
+func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Record) error) ([]*Record, *SalvageReport, error) {
 	var report *SalvageReport
 	if salvage {
 		report = &SalvageReport{}
@@ -766,31 +786,15 @@ func (v *V2File) RecordsJobs(filter *RecordFilter, salvage bool, jobs int) ([]*R
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	scratch := &v2scratch{}
-	fetch := func(i int, dst []*Record) ([]*Record, error) {
-		return v.d.decodeV2Block(&v.blocks[i], scratch, dst)
+	p := v.newPipe(state, jobs, fn == nil)
+	defer p.stop()
+	// buf takes inline decodes: reused per block, or, collecting, the
+	// kept records so far. Kept in a local, not the heap scratch: the
+	// latter measurably raises the collecting path's GC cycle count.
+	var buf []*Record
+	if fn == nil {
+		buf = make([]*Record, 0, min(v.NumRecords(), v.d.limits.MaxRecords))
 	}
-	if jobs > 1 && len(v.blocks) > 1 {
-		results := v.decodeBlocksParallel(state, jobs)
-		fetch = func(i int, dst []*Record) ([]*Record, error) {
-			r := &results[i]
-			if !r.done {
-				// The pre-pass skip set is provably a subset of the
-				// merge's (see decodeBlocksParallel); decode inline if
-				// that invariant ever broke rather than lose a block.
-				return v.d.decodeV2Block(&v.blocks[i], scratch, dst)
-			}
-			if r.err != nil {
-				return nil, r.err
-			}
-			return append(dst, r.recs...), nil
-		}
-	}
-	totalCap := 0
-	for i := range v.blocks {
-		totalCap += v.blocks[i].Records
-	}
-	out := make([]*Record, 0, max(0, min(totalCap, v.d.limits.MaxRecords)))
 	sawEnd := false
 	total := 0
 	for i := range v.blocks {
@@ -801,13 +805,22 @@ func (v *V2File) RecordsJobs(filter *RecordFilter, salvage bool, jobs int) ([]*R
 		if total += b.Records; total > v.d.limits.MaxRecords {
 			return nil, report, limitErrf("lila: record limit %d exceeded", v.d.limits.MaxRecords)
 		}
+		sc := p.take(i)
 		if state != nil && !state.blockMayMatch(b) {
 			mBlocksSkipped.Inc()
+			p.release(sc)
 			continue
 		}
-		mark := len(out)
-		decoded, err := fetch(i, out)
+		mark := len(buf) // records collected so far; 0 when feeding fn
+		var recs []*Record
+		var err error
+		if sc != nil {
+			recs, err = sc.recs, sc.err
+		} else if recs, err = p.own.decode(v.d, b, buf[:mark]); err == nil {
+			buf = recs
+		}
 		if err != nil {
+			p.release(sc)
 			err = fmt.Errorf("lila: v2 block %d: %w", i, err)
 			if !salvage {
 				return nil, nil, err
@@ -820,24 +833,36 @@ func (v *V2File) RecordsJobs(filter *RecordFilter, salvage bool, jobs int) ([]*R
 			}
 			continue
 		}
+		block := recs[mark:]
 		if report != nil {
-			report.RecordsKept += len(decoded) - mark
+			report.RecordsKept += len(block)
 		}
 		// Filter in place and stop at the end record; anything a
-		// malformed block encodes after RecEnd is discarded.
-		w := mark
-		for j := mark; j < len(decoded); j++ {
-			rec := decoded[j]
+		// malformed block encodes after RecEnd is discarded. Feeding fn
+		// in a second pass keeps this loop as tight as collecting needs.
+		kept := 0
+		for _, rec := range block {
 			if state == nil || state.keep(rec) {
-				decoded[w] = rec
-				w++
+				block[kept] = rec
+				kept++
 			}
 			if rec.Type == RecEnd {
 				sawEnd = true
 				break
 			}
 		}
-		out = decoded[:w]
+		if fn == nil {
+			buf = buf[:mark+kept]
+		} else {
+			buf = buf[:0]
+		}
+		for j := 0; fn != nil && j < kept && err == nil; j++ {
+			err = fn(block[j])
+		}
+		p.release(sc)
+		if err != nil {
+			return nil, report, err
+		}
 	}
 	if !sawEnd {
 		if !salvage {
@@ -848,27 +873,39 @@ func (v *V2File) RecordsJobs(filter *RecordFilter, salvage bool, jobs int) ([]*R
 			report.note(errTruncated)
 		}
 	}
-	return out, report, nil
+	return buf, report, nil
 }
 
-// decodeBlocksParallel speculatively decodes every block an index-only
-// pre-pass cannot rule out, fanning them over min(jobs, candidates)
-// workers with per-worker scratch (arena + inflate state) and the same
-// work-stealing discipline as the directory loader's pool.
-//
-// The merge in RecordsJobs re-applies the exact skip rule with live
-// call-depth state, so a block decoded here but skipped there costs
-// only wasted work — never a changed output. What must not happen is
-// the converse: the pre-pass skipping a block the merge wants. The
-// exact rule decodes a non-global block when its thread bitmap matches
-// and either the window overlaps or a kept call is open; a kept call
-// open at block i implies an earlier block passed both the thread and
-// window tests, which is exactly when mayOpen is set below — so from
-// then on the pre-pass stops trusting window exclusions, and its
-// decode set is a superset of the merge's. Thread-bitmap misses stay
-// skippable throughout (see blockMayMatch).
-func (v *V2File) decodeBlocksParallel(state *filterState, jobs int) []v2blockResult {
-	want := make([]int, 0, len(v.blocks))
+// v2pipe hands decoded blocks to Each's merge: inline into own, or
+// read ahead by workers that decode the blocks of want in order, each
+// into a scratch from a pool of v2ReadAheadPerWorker×workers that the
+// merge hands back once the block is fed or skipped. Position k of
+// want arrives on done[k%len(done)]; the ring cannot overflow, since
+// every position the merge has not received holds a pool scratch.
+type v2pipe struct {
+	own  v2scratch
+	want []int // blocks read ahead, in order
+	next int   // the merge's position in want
+	done []chan *v2scratch
+	free chan *v2scratch // closed by stop
+	wg   sync.WaitGroup
+}
+
+// newPipe starts the decode pipeline for one Each call; the caller
+// must stop it. Its index-only pre-pass reads ahead a superset of the
+// blocks the merge decodes (one decoded but skipped costs only wasted
+// work): the merge decodes a non-global block when its thread bitmap
+// matches and either the window overlaps or a kept call is open, and a
+// kept call open implies an earlier block passed both tests — when
+// mayOpen latches and window exclusions stop counting. Thread-bitmap
+// misses stay skippable throughout (see blockMayMatch).
+func (v *V2File) newPipe(state *filterState, jobs int, collect bool) *v2pipe {
+	p := &v2pipe{}
+	p.own.arena.recycle = !collect
+	if collect || jobs <= 1 || len(v.blocks) <= 1 {
+		return p
+	}
+	var want []int
 	mayOpen := false
 	total := 0
 	for i := range v.blocks {
@@ -890,39 +927,67 @@ func (v *V2File) decodeBlocksParallel(state *filterState, jobs int) []v2blockRes
 			mayOpen = true
 		}
 	}
-	results := make([]v2blockResult, len(v.blocks))
-	decodeOne := func(sc *v2scratch, bi int) {
-		r := &results[bi]
-		r.recs, r.err = v.d.decodeV2Block(&v.blocks[bi], sc, nil)
-		r.done = true
-	}
 	workers := min(jobs, len(want))
 	if workers <= 1 {
-		sc := &v2scratch{}
-		for _, bi := range want {
-			decodeOne(sc, bi)
-		}
-		return results
+		return p
 	}
 	mDecodeWorkers.Set(int64(workers))
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	p.want = want
+	p.done = make([]chan *v2scratch, v2ReadAheadPerWorker*workers)
+	p.free = make(chan *v2scratch, len(p.done))
+	for k := range p.done {
+		p.done[k] = make(chan *v2scratch, 1)
+		p.free <- &v2scratch{arena: recArena{recycle: true}}
+	}
+	var claimed atomic.Int64
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			sc := &v2scratch{}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(want) {
+			defer p.wg.Done()
+			for sc := range p.free {
+				k := int(claimed.Add(1)) - 1
+				if k >= len(want) {
 					return
 				}
-				decodeOne(sc, want[i])
+				sc.recs, sc.err = sc.decode(v.d, &v.blocks[want[k]], sc.recs[:0])
+				p.done[k%len(p.done)] <- sc
 			}
 		}()
 	}
-	wg.Wait()
-	return results
+	return p
+}
+
+// take waits for block i if it was read ahead and returns its
+// scratch, decoded; nil means the merge decodes it inline, if at all.
+// Every scratch taken is released, fed or not.
+func (p *v2pipe) take(i int) *v2scratch {
+	if p.next == len(p.want) || p.want[p.next] != i {
+		return nil
+	}
+	p.next++
+	return <-p.done[(p.next-1)%len(p.done)]
+}
+
+func (p *v2pipe) release(sc *v2scratch) {
+	if sc != nil && sc != &p.own {
+		p.free <- sc
+	}
+}
+
+// stop makes the workers exit and waits until they have; they may
+// first decode the blocks the pool still has scratches for.
+func (p *v2pipe) stop() {
+	if p.free != nil {
+		close(p.free)
+		p.wg.Wait()
+	}
+}
+
+// IsV2File sniffs f for the v2 magic without moving its offset.
+func IsV2File(f *os.File) bool {
+	var magic [len(v2Magic)]byte
+	_, err := f.ReadAt(magic[:], 0)
+	return err == nil && magic == v2Magic
 }
 
 // readAllLimited buffers r, refusing inputs beyond max bytes.

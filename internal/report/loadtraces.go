@@ -257,24 +257,12 @@ func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
 		return nil, fh
 	}
 	defer f.Close()
-	if isV2File(f) {
-		return loadOneV2(f, path, o)
+	load := loadV1
+	if lila.IsV2File(f) {
+		load = loadV2
 	}
-	cr := obs.NewCountingReader(f, nil)
-	ro := lila.ReaderOptions{Salvage: o.Salvage, Limits: o.Limits}
-	bo := treebuild.Options{Lenient: o.Salvage, Limits: o.Limits}
-	lr, err := lila.NewReaderOptions(cr, ro)
-	if err != nil {
-		mTraceBytes.Add(cr.Bytes())
-		fh.Error = err.Error()
-		return nil, fh
-	}
-	if filt := o.filterFor(lr.Header()); filt != nil {
-		lr = lila.NewFilteredReader(lr, filt)
-	}
-	s, diag, err := treebuild.BuildOptions(lr, bo)
-	mTraceBytes.Add(cr.Bytes())
-	if rep := lila.SalvageOf(lr); rep.Damaged() {
+	s, diag, rep, err := load(f, o)
+	if rep.Damaged() {
 		fh.Salvage = rep
 	}
 	if diag.Degraded() {
@@ -300,54 +288,34 @@ func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
 	return nil, fh
 }
 
-// isV2File sniffs f for the v2 magic, rewinding either way.
-func isV2File(f *os.File) bool {
-	var magic [5]byte
-	_, err := f.ReadAt(magic[:], 0)
-	return err == nil && string(magic[:4]) == "LILA" && magic[4] == lila.V2FormatVersion
+// loadV1 decodes and rebuilds a text or v1 binary trace record by
+// record, filtering as it reads.
+func loadV1(f *os.File, o LoadOptions) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
+	cr := obs.NewCountingReader(f, nil)
+	defer func() { mTraceBytes.Add(cr.Bytes()) }()
+	lr, err := lila.NewReaderOptions(cr, lila.ReaderOptions{Salvage: o.Salvage, Limits: o.Limits})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if filt := o.filterFor(lr.Header()); filt != nil {
+		lr = lila.NewFilteredReader(lr, filt)
+	}
+	s, diag, err := treebuild.BuildOptions(lr, treebuild.Options{Lenient: o.Salvage, Limits: o.Limits})
+	return s, diag, lila.SalvageOf(lr), err
 }
 
-// loadOneV2 is the v2 fast path: the file is mapped (mmap where the
-// platform has it), the footer index parsed, and only the blocks the
-// effective filter selects are decoded — no per-record interning or
-// stack canonicalization, since v2 carries its tables up front.
-func loadOneV2(f *os.File, path string, o LoadOptions) (*trace.Session, FileHealth) {
-	fh := FileHealth{Path: path}
+// loadV2 is the v2 fast path: the file is mapped, and only the blocks
+// the effective filter selects are decoded, straight into the session
+// build, from tables interned once up front.
+func loadV2(f *os.File, o LoadOptions) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	v, err := lila.OpenV2File(f, o.Limits)
 	if err != nil {
-		fh.Error = err.Error()
-		return nil, fh
+		return nil, nil, nil, err
 	}
 	defer v.Close()
 	mTraceBytes.Add(v.Size())
-	recs, rep, err := v.RecordsJobs(o.filterFor(v.Header()), o.Salvage, max(1, o.BlockJobs))
-	if rep.Damaged() {
-		fh.Salvage = rep
-	}
-	if err != nil {
-		fh.Error = err.Error()
-		return nil, fh
-	}
 	bo := treebuild.Options{Lenient: o.Salvage, Limits: o.Limits}
-	s, diag, err := treebuild.BuildRecordsOptions(v.Header(), recs, bo)
-	if diag.Degraded() {
-		fh.Diagnostics = diag
-	}
-	if err == nil {
-		fh.App = s.App
-		return s, fh
-	}
-	if errors.Is(err, treebuild.ErrSessionTooLarge) && !o.Strict {
-		if st, ok := streamFallback(path, o); ok {
-			fh.App = st.App
-			fh.DegradedToStream = true
-			fh.StreamEpisodes = st.Episodes
-			fh.StreamRecords = st.Records
-			return nil, fh
-		}
-	}
-	fh.Error = err.Error()
-	return nil, fh
+	return treebuild.BuildV2(v, o.filterFor(v.Header()), o.Salvage, max(1, o.BlockJobs), bo)
 }
 
 // streamFallback re-reads path through the streaming analyzer.

@@ -304,3 +304,34 @@ func TestV2SelectWindowLoad(t *testing.T) {
 		t.Errorf("windowed load built %d episodes vs %d full; window did not select", winEps, fullEps)
 	}
 }
+
+// TestV2OverBudgetDegradesToStream: a v2 session over the memory
+// budget trips the guard mid-decode, and the loader still falls back
+// to the streaming analyzer for it, at one block worker and several.
+func TestV2OverBudgetDegradesToStream(t *testing.T) {
+	dir := t.TempDir()
+	s, err := sim.Run(sim.Config{Profile: apps.GanttProject(), Seed: 17, SessionSeconds: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := lila.WriteSessionOptions(&buf, lila.WriteOptions{Format: lila.FormatV2, Compression: lila.CompressionFlate}, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "GanttProject_0.lila"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, blockJobs := range []int{1, 4} {
+		o := LoadOptions{Jobs: 1, BlockJobs: blockJobs, Limits: lila.Limits{MaxSessionBytes: 1 << 20}}
+		// The only session degrades, so the load reports no loadable
+		// session; the health ledger still comes back.
+		_, health, _ := LoadTraceDirOptions(dir, o)
+		if health == nil || len(health.Files) != 1 || !health.Files[0].DegradedToStream || health.Files[0].Error != "" {
+			t.Fatalf("block jobs %d: health %+v, want one file degraded to stream", blockJobs, health)
+		}
+		if fh := health.Files[0]; fh.StreamEpisodes != len(s.Episodes) || fh.App != "GanttProject" {
+			t.Errorf("block jobs %d: stream fallback saw %d episodes of %q, want %d of GanttProject",
+				blockJobs, fh.StreamEpisodes, fh.App, len(s.Episodes))
+		}
+	}
+}

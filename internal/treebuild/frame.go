@@ -86,11 +86,7 @@ func decodeStrict(v2 []byte) (*trace.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, _, err := v.Records(nil, false)
-	if err != nil {
-		return nil, err
-	}
-	s, diag, err := BuildRecords(v.Header(), recs)
+	s, diag, _, err := BuildV2(v, nil, false, 1, Options{})
 	if err != nil {
 		return nil, err
 	}

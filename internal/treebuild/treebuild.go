@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"lagalyzer/internal/lila"
@@ -124,12 +125,34 @@ func BuildRecords(h lila.Header, recs []*lila.Record) (*trace.Session, *Diagnost
 // BuildRecordsOptions is BuildRecords with explicit options.
 func BuildRecordsOptions(h lila.Header, recs []*lila.Record, o Options) (*trace.Session, *Diagnostics, error) {
 	b := newBuilder(h, o)
+	if n := len(recs); n > 0 {
+		b.sizeTicks(recs[n-1].Time, n)
+	}
 	for _, rec := range recs {
 		if err := b.feed(rec); err != nil {
 			return nil, nil, err
 		}
 	}
 	return b.finish()
+}
+
+// BuildV2 rebuilds a session from a v2 file block by block, feeding
+// each record while v.Each(filter, salvage, jobs) holds its block, so
+// no whole-session record slice ever exists. The salvage report comes
+// back even on error. The first failure in stream order wins: a build
+// error, the memory guard included, stops the decode of later blocks.
+func BuildV2(v *lila.V2File, filter *lila.RecordFilter, salvage bool, jobs int, o Options) (*trace.Session, *Diagnostics, *lila.SalvageReport, error) {
+	b := newBuilder(v.Header(), o)
+	// A scanned index (damaged footer) has no time bounds: no hint.
+	if blocks := v.Blocks(); len(blocks) > 0 && blocks[len(blocks)-1].MaxTime != math.MaxInt64 {
+		b.sizeTicks(blocks[len(blocks)-1].MaxTime, v.NumRecords())
+	}
+	report, err := v.Each(filter, salvage, jobs, b.feed)
+	if err != nil {
+		return nil, nil, report, err
+	}
+	s, diag, err := b.finish()
+	return s, diag, report, err
 }
 
 // ReadSession reads a trace in either encoding from rd and rebuilds
@@ -207,6 +230,16 @@ func newBuilder(h lila.Header, o Options) *builder {
 		},
 		stacks: make(map[trace.ThreadID][]*trace.Interval),
 		known:  make(map[trace.ThreadID]bool),
+	}
+}
+
+// sizeTicks pre-sizes the ticks for one per sample period from the
+// session start to last, capped by the record count and by 1<<22 (11.6
+// h at 10 ms), which bounds what a forged index can make it allocate.
+func (b *builder) sizeTicks(last trace.Time, records int) {
+	if p := b.h.SamplePeriod; p > 0 && last > b.h.Start && records > 0 {
+		n := (uint64(last)-uint64(b.h.Start))/uint64(p) + 1
+		b.s.Ticks = make([]trace.SampleTick, 0, min(n, uint64(records), 1<<22))
 	}
 }
 
