@@ -1,7 +1,8 @@
 # Build/test entry points. `make check` is the tier-1 gate; `make race`
 # exercises the concurrent packages (the analysis engine's worker
-# pools, sharded classification, the study fan-out, and the lagd job
-# supervisor) under the race detector. `make chaos` is the robustness
+# pools, sharded classification, the study fan-out, the v2 block
+# read-ahead behind treebuild.BuildV2, and the lagd job supervisor)
+# under the race detector. `make chaos` is the robustness
 # tier: the fault-injection suites (salvage decoding, lenient rebuild,
 # engine panic containment, checkpoint-store corruption and stalled
 # reads, service shedding/retry/shutdown, CLI kill-and-resume, and the
@@ -32,7 +33,7 @@ check: build test
 race:
 	$(GO) test -race ./internal/engine ./internal/report ./internal/patterns ./internal/obs \
 		./internal/serve ./internal/checkpoint ./internal/intern ./internal/lila ./internal/dist \
-		./internal/ingest
+		./internal/ingest ./internal/treebuild ./internal/sim
 
 chaos:
 	$(GO) test ./internal/faultinject ./internal/lila ./internal/treebuild \

@@ -239,6 +239,22 @@ func BenchmarkCheckpointSave(b *testing.B) {
 	}
 }
 
+// BenchmarkStudyCheckpointed runs the paper_study workload's study
+// into a fresh checkpoint store per iteration: the 14 catalog apps, one
+// 240 s session each at seed 42, simulated, analyzed, and saved as
+// checkpoint payloads — the critical path of lagreport -out before
+// rendering.
+func BenchmarkStudyCheckpointed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := report.RunStudy(report.StudyConfig{Seed: 42, SessionsPerApp: 1, SessionSeconds: 240,
+			CheckpointDir: filepath.Join(b.TempDir(), "ckpt")})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCheckpointLoad restores the 14-app suite set from a store
 // per iteration: the resume path (read, SHA-256, strict v2 decode,
 // treebuild).

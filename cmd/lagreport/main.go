@@ -255,7 +255,8 @@ func run() int {
 	if *outDir == "" {
 		return exitCode(res)
 	}
-	for name, svg := range report.Figures(res) {
+	figs := report.Figures(res)
+	for name, svg := range figs {
 		if err := obs.WriteFileAtomic(filepath.Join(*outDir, name), []byte(svg), 0o644); err != nil {
 			fail(err)
 		}
@@ -264,7 +265,7 @@ func run() int {
 	if err := obs.WriteFileAtomic(filepath.Join(*outDir, "experiments.md"), []byte(md), 0o644); err != nil {
 		fail(err)
 	}
-	if err := obs.WriteFileAtomic(filepath.Join(*outDir, "report.html"), []byte(report.FormatHTML(res)), 0o644); err != nil {
+	if err := obs.WriteFileAtomic(filepath.Join(*outDir, "report.html"), []byte(report.FormatHTMLFigures(res, figs)), 0o644); err != nil {
 		fail(err)
 	}
 	if res.Health.Degraded() {
@@ -275,7 +276,7 @@ func run() int {
 		fail(err)
 	}
 	fmt.Printf("wrote %d figures, experiments.md, report.html, and runmeta.json to %s\n",
-		len(report.Figures(res)), *outDir)
+		len(figs), *outDir)
 	return exitCode(res)
 }
 

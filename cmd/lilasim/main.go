@@ -41,7 +41,7 @@ func main() {
 		compress    = flag.Bool("compress", false, "DEFLATE-compress v2 blocks (v2 format only)")
 		out         = flag.String("o", "", "output file (default stdout)")
 		short       = flag.Bool("materialize-short", false, "emit sub-3ms episodes as records instead of a count")
-		selfProfile = flag.String("self-profile", "", "write a LiLa v2 trace of this run's own generate/encode spans to this file")
+		selfProfile = flag.String("self-profile", "", "write a LiLa v2 trace of this run's own generate span to this file")
 	)
 	profiler := obs.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -76,28 +76,22 @@ func main() {
 		wo.Compression = lila.CompressionFlate
 	}
 
-	// With -self-profile the generate and encode phases are recorded as
-	// spans and flushed as a LiLa v2 trace of lilasim's own run. The
-	// trace never influences the generated records (spans are written
-	// after the output file is complete), so output stays seed-exact.
+	// With -self-profile the run is one "generate" span (records stream
+	// from the simulator straight into the encoder), flushed as a LiLa
+	// v2 trace after the output file is complete, so it never perturbs
+	// the generated records.
 	var selfTr *obs.Trace
 	ctx := context.Background()
 	if *selfProfile != "" {
 		selfTr = obs.NewTrace()
 		ctx = obs.WithTrace(ctx, selfTr)
 	}
-
-	_, endGen := obs.PhaseSpan(ctx, "generate")
-	recs, header, err := sim.Records(sim.Config{
+	cfg := sim.Config{
 		Profile:          profile,
 		SessionID:        *session,
 		Seed:             *seed,
 		SessionSeconds:   *seconds,
 		MaterializeShort: *short,
-	})
-	endGen()
-	if err != nil {
-		fail(err)
 	}
 
 	// Stream to a temp file in the target directory and rename on
@@ -114,20 +108,23 @@ func main() {
 		defer os.Remove(tmp.Name()) // no-op after the rename
 		w = tmp
 	}
-	_, endEnc := obs.PhaseSpan(ctx, "encode")
-	lw, err := lila.NewWriterOptions(w, header, wo)
+	_, endGen := obs.PhaseSpan(ctx, "generate")
+	lw, err := lila.NewWriterOptions(w, cfg.Header(), wo)
 	if err != nil {
 		fail(err)
 	}
-	for _, rec := range recs {
-		if err := lw.WriteRecord(rec); err != nil {
-			fail(err)
-		}
+	records := 0
+	err = sim.Stream(cfg, func(r *lila.Record) error {
+		records++
+		return lw.WriteRecord(r)
+	})
+	if err == nil {
+		err = lw.Close()
 	}
-	if err := lw.Close(); err != nil {
+	endGen()
+	if err != nil {
 		fail(err)
 	}
-	endEnc()
 	if tmp != nil {
 		if err := tmp.Sync(); err != nil {
 			fail(err)
@@ -148,7 +145,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "lilasim: wrote self-trace to %s\n", *selfProfile)
 	}
-	fmt.Fprintf(os.Stderr, "lilasim: wrote %d records (%s/%d, %s format)\n", len(recs), profile.Name, *session, f)
+	fmt.Fprintf(os.Stderr, "lilasim: wrote %d records (%s/%d, %s format)\n", records, profile.Name, *session, f)
 }
 
 func fail(err error) {

@@ -6,7 +6,9 @@ package lagalyzer
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -825,5 +827,56 @@ func TestExamples(t *testing.T) {
 				t.Errorf("output missing %q:\n%s", tc.want, out)
 			}
 		})
+	}
+}
+
+// TestCLILilasimStreamGolden pins lilasim's output in every encoding
+// to SHA-256 digests taken when lilasim still collected the whole
+// record stream before encoding it: streaming the simulator straight
+// into the writer must not change a byte.
+func TestCLILilasimStreamGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-format", "text"}, "80736144a03d04a625883d8b113a37480cb513b77c8baa52b0b7afbb2c89021b"},
+		{[]string{"-format", "binary"}, "b909df0d432433c8f586d8f8e1e3d0d2ddf5099a215fb7687c5751760362739c"},
+		{[]string{"-format", "v2"}, "c18aa220a22507868b7f5cddf0459abc1b16b9fe34046c7626e213a52aa9b92c"},
+		{[]string{"-format", "v2", "-compress"}, "15ccd7fae6f49ac5d2df0b29794181c63e39debf0e1e3c08ea76b8378c105c51"},
+	} {
+		path := filepath.Join(dir, "jedit.lila")
+		args := append([]string{"-app", "JEdit", "-seconds", "30", "-seed", "7", "-session", "1",
+			"-materialize-short", "-o", path}, c.args...)
+		run(t, tool(t, "lilasim"), "", args...)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != c.want {
+			t.Errorf("lilasim %v: sha256 %s, want %s", c.args, got, c.want)
+		}
+	}
+}
+
+// TestCLIReportHTMLGolden pins report.html from lagreport -out, which
+// embeds the figures the run renders once for its SVG files, to the
+// digest of the page taken when FormatHTML rendered its own copy.
+func TestCLIReportHTMLGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	out := t.TempDir()
+	run(t, tool(t, "lagreport"), "", "-sessions", "1", "-seconds", "20", "-only", "table3", "-out", out)
+	page, err := os.ReadFile(filepath.Join(out, "report.html"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "d0a408edfc5d7301ea4d5cba4d51a1c4ca9bdbd22014a0365695ae678f1a68fc"
+	if got := fmt.Sprintf("%x", sha256.Sum256(page)); got != want {
+		t.Errorf("report.html sha256 %s, want %s", got, want)
 	}
 }

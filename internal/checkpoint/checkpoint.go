@@ -170,25 +170,32 @@ func (s *Store) Apps() []string {
 	return names
 }
 
-// Save persists one completed app's session suite: payload first
-// (atomic, synced), manifest second (atomic), so a crash between the
-// two never leaves a reference to a missing or partial file.
+// Save persists one completed app's session suite, encoding it as a
+// suite frame for SaveFrame.
 func (s *Store) Save(suite *trace.Suite) error {
 	data, err := treebuild.AppendSuite(nil, suite)
 	if err != nil {
 		mErrors.Inc()
 		return fmt.Errorf("checkpoint: encoding %s: %w", suite.App, err)
 	}
-	sum := sha256.Sum256(data)
+	return s.SaveFrame(suite.App, len(suite.Sessions), data)
+}
+
+// SaveFrame persists app's suite of n sessions, already encoded as a
+// treebuild suite frame: payload first (atomic, synced), manifest
+// second (atomic), so a crash between the two never leaves a reference
+// to a missing or partial file.
+func (s *Store) SaveFrame(app string, n int, frame []byte) error {
+	sum := sha256.Sum256(frame)
 	digest := hex.EncodeToString(sum[:])
-	if err := obs.WriteFileAtomic(s.payloadPath(digest), data, 0o644); err != nil {
+	if err := obs.WriteFileAtomic(s.payloadPath(digest), frame, 0o644); err != nil {
 		mErrors.Inc()
-		return fmt.Errorf("checkpoint: writing %s: %w", suite.App, err)
+		return fmt.Errorf("checkpoint: writing %s: %w", app, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.manifest.Apps[suite.App] = Entry{Digest: digest, Sessions: len(suite.Sessions)}
+	s.manifest.Apps[app] = Entry{Digest: digest, Sessions: n}
 	if err := s.writeManifest(); err != nil {
 		mErrors.Inc()
 		return err

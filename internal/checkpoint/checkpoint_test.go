@@ -384,8 +384,15 @@ func TestHostilePayloadIsMiss(t *testing.T) {
 			v2[b.Offset+b.Length-3] ^= 0x40 // inside the stored payload
 			return v2
 		}},
-		{"truncated session", func(t *testing.T, s *trace.Session, _ []byte) []byte {
-			recs := lila.Flatten(s)
+		{"truncated session", func(t *testing.T, s *trace.Session, v2 []byte) []byte {
+			v, err := lila.ParseV2(v2, lila.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := v.Records(nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var buf bytes.Buffer
 			w, err := lila.NewV2Writer(&buf, lila.HeaderOf(s))
 			if err != nil {

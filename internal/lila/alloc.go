@@ -63,23 +63,23 @@ func (a *recArena) reset() {
 	}
 }
 
-// stackTab deduplicates decoded call stacks within one session: the
-// decoder parses each sample's frames into a scratch buffer, and the
-// table either returns the shared slice of an identical earlier stack
-// or copies the scratch into a fresh canonical slice. Frame strings
-// are interned before lookup, so equality checks usually
+// StackTab deduplicates sampled call stacks within one session: a
+// decoder, the v2 writer, or the simulator builds each stack in a
+// scratch buffer, and the table either returns the shared slice of an
+// identical earlier stack or copies the scratch into a fresh canonical
+// slice. Interned frame strings make equality checks usually
 // short-circuit on identical string data pointers.
-type stackTab struct {
+type StackTab struct {
 	m map[uint64][][]trace.Frame
 }
 
-// stackSeed seeds stackTab's frame hash; the hash only picks buckets,
+// stackSeed seeds StackTab's frame hash; the hash only picks buckets,
 // so its per-process value never shows in any output.
 var stackSeed = maphash.MakeSeed()
 
-// canon returns the canonical slice for the frames in scratch,
-// copying them only the first time this exact stack is seen.
-func (t *stackTab) canon(scratch []trace.Frame) []trace.Frame {
+// Canon returns the canonical (read-only) slice for the frames in
+// scratch, copying them only the first time this exact stack is seen.
+func (t *StackTab) Canon(scratch []trace.Frame) []trace.Frame {
 	if len(scratch) == 0 {
 		return nil
 	}

@@ -165,7 +165,7 @@ type BinaryReader struct {
 	done     bool
 
 	arena    recArena
-	stacks   stackTab
+	stacks   StackTab
 	frameBuf []trace.Frame // per-sample decode scratch, reused
 }
 
@@ -410,7 +410,7 @@ func (br *BinaryReader) read() (*Record, error) {
 				return fail(err)
 			}
 		}
-		rec.Stack = br.stacks.canon(br.frameBuf)
+		rec.Stack = br.stacks.Canon(br.frameBuf)
 	case RecEnd:
 		if rec.Time, err = br.readTime(); err != nil {
 			return fail(err)

@@ -9,30 +9,6 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// Flatten converts an in-memory session back into the record stream a
-// profiler would have emitted: thread declarations, then calls,
-// returns, GC brackets, and samples in time order, terminated by the
-// end record. It is the inverse of treebuild and the basis for
-// serializing simulated sessions.
-//
-// GC intervals embedded in episode trees are per-thread *copies* of
-// the global collections (Section II-A of the paper); Flatten skips
-// them and emits the global brackets from Session.GCs instead, so the
-// round trip through treebuild reconstructs the copies.
-func Flatten(s *trace.Session) []*Record {
-	f := flatten(s)
-	slab := make([]Record, 0, len(s.Threads)+len(f.keys)+1)
-	f.each(func(r *Record) error {
-		slab = append(slab, *r)
-		return nil
-	})
-	recs := make([]*Record, len(slab))
-	for i := range slab {
-		recs[i] = &slab[i]
-	}
-	return recs
-}
-
 // flattened is a session's record stream in compact form: each stream
 // event refers back to the interval or thread sample it comes from,
 // and the sorted keys give the stream order.
@@ -50,7 +26,7 @@ type flatEvent struct {
 	typ    RecType
 }
 
-// Flatten's equal-time priorities, lowest first.
+// flatten's equal-time priorities, lowest first.
 const (
 	prioGCEnd = iota
 	prioReturn
@@ -81,9 +57,20 @@ func (a flattenKey) compare(b flattenKey) int {
 	return cmp.Compare(a.order, b.order)
 }
 
-// flatten collects a session's stream events in three runs (episode
-// intervals, GC brackets, samples), sorts each, and merges them. The
-// sample run, the longest, arrives sorted, so its sort is one pass.
+// flatten converts an in-memory session back into the record stream a
+// profiler would have emitted — thread declarations, then calls,
+// returns, GC brackets, and samples in time order, terminated by the
+// end record — for WriteSession to encode. It is the inverse of
+// treebuild.
+//
+// GC intervals embedded in episode trees are per-thread *copies* of
+// the global collections (Section II-A of the paper); flatten skips
+// them and emits the global brackets from Session.GCs instead, so the
+// round trip through treebuild reconstructs the copies.
+//
+// The events come in three runs (episode intervals, GC brackets,
+// samples), each sorted, then merged. The sample run, the longest,
+// arrives sorted, so its sort is one pass.
 func flatten(s *trace.Session) flattened {
 	n := 0
 	for _, e := range s.Episodes {

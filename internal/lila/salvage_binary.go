@@ -71,7 +71,7 @@ type BinarySalvageReader struct {
 	flushed  bool
 
 	arena    recArena
-	stacks   stackTab
+	stacks   StackTab
 	frameBuf []trace.Frame // per-sample decode scratch, reused
 	// probing marks speculative decodes (resync plausibility probes).
 	// Probe strings are never interned: a rolled-back probe over
@@ -384,7 +384,7 @@ func (d *BinarySalvageReader) decodeRecord() (*Record, error) {
 			if d.probing {
 				rec.Stack = d.frameBuf // transient; dies with the probe
 			} else {
-				rec.Stack = d.stacks.canon(d.frameBuf)
+				rec.Stack = d.stacks.Canon(d.frameBuf)
 			}
 		}
 	case RecEnd:

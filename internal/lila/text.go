@@ -160,7 +160,7 @@ func formatStack(stack []trace.Frame) (string, error) {
 
 // parseStack parses a ';'-separated stack into the reader's scratch
 // buffer, interning every symbol, and returns the session-canonical
-// shared slice for that exact stack (see stackTab).
+// shared slice for that exact stack (see StackTab).
 func (tr *TextReader) parseStack(s string) ([]trace.Frame, error) {
 	if s == "-" {
 		return nil, nil
@@ -185,7 +185,7 @@ func (tr *TextReader) parseStack(s string) ([]trace.Frame, error) {
 		f.Class, f.Method = internString(class), internString(method)
 		tr.frameBuf = append(tr.frameBuf, f)
 	}
-	return tr.stacks.canon(tr.frameBuf), nil
+	return tr.stacks.Canon(tr.frameBuf), nil
 }
 
 // TextReader reads a trace in the text format. Like the binary
@@ -205,7 +205,7 @@ type TextReader struct {
 	flushed      bool
 
 	arena    recArena
-	stacks   stackTab
+	stacks   StackTab
 	frameBuf []trace.Frame // per-sample parse scratch, reused
 }
 

@@ -281,13 +281,13 @@ type v2enc struct {
 	buf     []byte
 	strings map[string]uint64
 	strTab  []string
-	stacks  stackTab // canonicalizes producer stacks before ref lookup
+	stacks  StackTab // canonicalizes producer stacks before ref lookup
 	stackID map[stackKey]uint64
 	stakTab [][]trace.Frame
 }
 
 // stackKey identifies a frame slice by its first-frame pointer and
-// length: the canonical slices of stackTab, and the producer slices
+// length: the canonical slices of StackTab, and the producer slices
 // already resolved to one of them.
 type stackKey struct {
 	first *trace.Frame
@@ -319,8 +319,8 @@ func (e *v2enc) stackRef(frames []trace.Frame) uint64 {
 	}
 	// Canonicalize so identical stacks from different producer slices
 	// share one table entry, keyed by the canonical slice, which
-	// stackTab guarantees is unique per distinct stack.
-	canon := e.stacks.canon(frames)
+	// StackTab guarantees is unique per distinct stack.
+	canon := e.stacks.Canon(frames)
 	ckey := stackKey{&canon[0], len(canon)}
 	id, ok := e.stackID[ckey]
 	if !ok {

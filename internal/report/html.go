@@ -12,7 +12,10 @@ import (
 // in preformatted blocks, and the paper-vs-measured findings. The
 // output needs nothing but a browser — the reproduction's stand-in for
 // the paper's MATLAB chart pipeline plus GUI.
-func FormatHTML(res *StudyResult) string {
+func FormatHTML(res *StudyResult) string { return FormatHTMLFigures(res, Figures(res)) }
+
+// FormatHTMLFigures is FormatHTML with figs = Figures(res) from the caller.
+func FormatHTMLFigures(res *StudyResult, figs map[string]string) string {
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html>
 <html lang="en">
@@ -48,7 +51,6 @@ func FormatHTML(res *StudyResult) string {
 		pre(FormatTable3Comparison(res.Rows))
 	})
 
-	figs := Figures(res)
 	names := make([]string, 0, len(figs))
 	for name := range figs {
 		names = append(names, name)

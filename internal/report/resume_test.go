@@ -83,6 +83,64 @@ func TestCheckpointResumeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestTeedCheckpointResume: the study checkpoints each app as the
+// frame of the record streams the simulator teed while building its
+// sessions. The payloads are byte-identical to the ones Save encodes
+// from the built suites, so stores written either way hit, and a study
+// resumed over the teed store renders the fresh run's reports byte for
+// byte.
+func TestTeedCheckpointResume(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "teed")
+	cfg := resumeTestConfig(dir)
+	fresh, err := RunStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	savedDir := filepath.Join(t.TempDir(), "saved")
+	saved, err := checkpoint.Open(savedDir, cfg.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range fresh.Apps {
+		if err := saved.Save(a.Suite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payloads := func(dir string) []string {
+		entries, err := os.ReadDir(filepath.Join(dir, "apps"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	if a, b := payloads(dir), payloads(savedDir); len(a) != 2 || fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("teed payloads %v, saved payloads %v", a, b)
+	}
+
+	hits := obs.NewCounter("checkpoint_hits_total", "")
+	before := hits.Value()
+	resumed, err := RunStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hits.Value() - before; got != 2 {
+		t.Errorf("checkpoint_hits_total delta = %d, want 2", got)
+	}
+	if a, b := FormatAll(fresh), FormatAll(resumed); a != b {
+		t.Error("text report differs after resuming over the teed store")
+	}
+	if a, b := FormatExperimentsMarkdown(fresh), FormatExperimentsMarkdown(resumed); a != b {
+		t.Error("experiments.md differs after resuming over the teed store")
+	}
+	if a, b := FormatHTML(fresh), FormatHTML(resumed); a != b {
+		t.Error("HTML report differs after resuming over the teed store")
+	}
+}
+
 // TestCheckpointCorruptEntryReruns: damaging one checkpointed payload
 // turns that app into a miss — it is re-simulated, and the final
 // output is still identical. A broken checkpoint can cost time, never

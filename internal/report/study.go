@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -22,6 +23,7 @@ import (
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/stats"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // Study metrics. Counters are flushed in whole-run amounts; the
@@ -329,11 +331,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*StudyResult, error)
 				// will classify the error normally.
 			}
 		}
-		results[i], errs[i] = runApp(wctx, cfg, profiles[i], pr)
-		if store != nil && errs[i] == nil && results[i] != nil {
-			// Best-effort: a failed save costs only resumability.
-			_ = store.Save(results[i].Suite)
-		}
+		results[i], errs[i] = runApp(wctx, cfg, profiles[i], pr, store)
 	})
 	mApps.Add(int64(len(profiles)))
 
@@ -387,7 +385,9 @@ func lossReason(ctx context.Context, cfg StudyConfig, err error) string {
 	return ""
 }
 
-func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress) (*AppResult, error) {
+// runApp produces, analyzes, and (with a store) checkpoints one app's
+// suite. Saves are best-effort: a failed save costs only resumability.
+func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store) (*AppResult, error) {
 	ctx, endApp := obs.Span(ctx, "app:"+p.Name)
 	defer endApp()
 
@@ -406,12 +406,16 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress) 
 		}
 		a.Profile = p
 		pr.step("analyze " + p.Name)
+		if store != nil {
+			_ = store.Save(suite)
+		}
 		return a, nil
 	}
 
 	n := cfg.sessions()
 	sessions := make([]*trace.Session, n)
 	errs := make([]error, n)
+	traces := make([][]byte, n) // with a store: each session's teed record stream
 	runPool(cfg.workers(), n, func(w, i int) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -424,12 +428,17 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress) 
 			return
 		}
 		_, endSim := obs.Span(obs.WithWorker(ctx, w), "simulate")
-		sessions[i], errs[i] = sim.Run(sim.Config{
-			Profile:        p,
-			SessionID:      i,
-			Seed:           cfg.Seed,
-			SessionSeconds: cfg.SessionSeconds,
-		})
+		scfg := sim.Config{Profile: p, SessionID: i, Seed: cfg.Seed, SessionSeconds: cfg.SessionSeconds}
+		if store == nil {
+			sessions[i], errs[i] = sim.Run(scfg)
+		} else {
+			var buf bytes.Buffer
+			tw := treebuild.NewTraceWriter(&buf, scfg.Header())
+			if sessions[i], errs[i] = sim.RunTee(scfg, tw); errs[i] == nil {
+				errs[i] = tw.Close()
+			}
+			traces[i] = buf.Bytes()
+		}
 		endSim()
 		pr.step(fmt.Sprintf("sim %s/%d", p.Name, i))
 	})
@@ -446,6 +455,9 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress) 
 	}
 	a.Profile = p
 	pr.step("analyze " + p.Name)
+	if store != nil {
+		_ = store.SaveFrame(p.Name, n, treebuild.AppendTraces(nil, p.Name, traces))
+	}
 	return a, nil
 }
 

@@ -182,13 +182,17 @@ func testV2BlockLossItemized(t *testing.T, comp lila.Compression) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.Run(sim.Config{Profile: p, SessionID: 0, Seed: 23, SessionSeconds: 10})
+	cfg := sim.Config{Profile: p, SessionID: 0, Seed: 23, SessionSeconds: 10}
+	s, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := lila.Flatten(s)
+	recs, h, err := sim.Records(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	w, err := lila.NewV2WriterOptions(&buf, lila.HeaderOf(s), lila.V2WriterOptions{BlockRecords: 64, Compression: comp})
+	w, err := lila.NewV2WriterOptions(&buf, h, lila.V2WriterOptions{BlockRecords: 64, Compression: comp})
 	if err != nil {
 		t.Fatal(err)
 	}

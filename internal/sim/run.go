@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -17,25 +18,59 @@ import (
 const guiThreadID trace.ThreadID = 1
 
 // Run simulates one session and returns it rebuilt through the same
-// treebuild path real traces take.
-func Run(cfg Config) (*trace.Session, error) {
-	recs, h, err := Records(cfg)
-	if err != nil {
+// treebuild path real traces take, streaming each record to the builder.
+func Run(cfg Config) (*trace.Session, error) { return RunTee(cfg, nil) }
+
+// RunTee is Run that also writes every record to tee when it is not
+// nil. The caller opens tee with cfg.Header() and closes it.
+func RunTee(cfg Config, tee lila.Writer) (*trace.Session, error) {
+	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	s, _, err := treebuild.BuildRecords(h, recs)
-	return s, err
+	s := newSimulation(cfg)
+	sess, _, err := treebuild.BuildFeed(cfg.Header(), s.end, treebuild.Options{}, func(feed func(*lila.Record) error) error {
+		if tee == nil {
+			return s.run(feed)
+		}
+		return s.run(func(r *lila.Record) error { return errors.Join(tee.WriteRecord(r), feed(r)) })
+	})
+	return sess, err
+}
+
+// Stream simulates one session, handing fn its raw records in order —
+// what the LiLa profiler would have produced — until fn's first error,
+// which it returns. A record is valid only during its call; every
+// sample of one distinct stack carries the same immutable slice.
+func Stream(cfg Config, fn func(*lila.Record) error) error {
+	if err := validate(cfg); err != nil {
+		return err
+	}
+	return newSimulation(cfg).run(fn)
 }
 
 // Records simulates one session and returns its raw record stream and
-// header — what the LiLa profiler would have produced.
+// header, collected from Stream.
 func Records(cfg Config) ([]*lila.Record, lila.Header, error) {
-	if err := validate(cfg); err != nil {
+	var recs []*lila.Record
+	if err := Stream(cfg, func(r *lila.Record) error {
+		cp := *r
+		recs = append(recs, &cp)
+		return nil
+	}); err != nil {
 		return nil, lila.Header{}, err
 	}
-	s := newSimulation(cfg)
-	s.run()
-	return s.recs, s.header(), nil
+	return recs, cfg.Header(), nil
+}
+
+// Header is the LiLa header of the sessions cfg (with a profile) simulates.
+func (c Config) Header() lila.Header {
+	return lila.Header{
+		App:             c.Profile.Name,
+		SessionID:       c.SessionID,
+		GUIThread:       guiThreadID,
+		FilterThreshold: c.filterThreshold(),
+		SamplePeriod:    c.samplePeriod(),
+	}
 }
 
 func validate(cfg Config) error {
@@ -84,7 +119,9 @@ type simulation struct {
 	cfg  Config
 	prof *Profile
 	r    *rand.Rand
-	recs []*lila.Record
+	sink func(*lila.Record) error // receives every record, through rec
+	rec  lila.Record
+	err  error // sink's first error; it stops the session
 
 	now trace.Time
 	end trace.Time
@@ -111,13 +148,9 @@ type simulation struct {
 
 	filter trace.Dur
 
-	// Allocation batching. A 30-second session emits hundreds of
-	// thousands of records and sampled stacks; drawing them from slabs
-	// keeps the simulator's cost per record at a copy, not a heap
-	// allocation. Everything handed out stays live for the life of the
-	// returned record stream.
-	recArena    []lila.Record // slab behind emitted records
-	frames      []trace.Frame // slab behind sampled tick stacks
+	// Allocation reuse. A session samples only a few hundred distinct
+	// stacks: each tick's GUI stack is built in scratch and interned.
+	stacks      lila.StackTab
 	tickBuf     []trace.Frame // per-tick stack scratch, reused
 	plans       planArena     // episode plan nodes, reused per episode
 	appLeaves   []trace.Frame // synthLeaf app pool with AppPackage applied
@@ -181,45 +214,13 @@ func newSimulation(cfg Config) *simulation {
 	return s
 }
 
-func (s *simulation) header() lila.Header {
-	return lila.Header{
-		App:             s.prof.Name,
-		SessionID:       s.cfg.SessionID,
-		GUIThread:       guiThreadID,
-		FilterThreshold: s.filter,
-		SamplePeriod:    s.samplePeriod,
-		Start:           0,
-	}
-}
-
-// emit appends rec to the record stream, backing it with slab storage.
+// emit hands rec to the sink through the reused s.rec: passing &rec
+// itself would move every record to the heap.
 func (s *simulation) emit(rec lila.Record) {
-	if len(s.recArena) == 0 {
-		s.recArena = make([]lila.Record, 512)
+	if s.err == nil {
+		s.rec = rec
+		s.err = s.sink(&s.rec)
 	}
-	p := &s.recArena[0]
-	s.recArena = s.recArena[1:]
-	*p = rec
-	s.recs = append(s.recs, p)
-}
-
-// stackCopy moves a scratch-built stack into slab storage so the
-// returned slice stays valid while the scratch is reused.
-func (s *simulation) stackCopy(fs []trace.Frame) []trace.Frame {
-	n := len(fs)
-	if n == 0 {
-		return nil
-	}
-	if cap(s.frames)-len(s.frames) < n {
-		c := 4096
-		if n > c {
-			c = n
-		}
-		s.frames = make([]trace.Frame, 0, c)
-	}
-	start := len(s.frames)
-	s.frames = append(s.frames, fs...)
-	return s.frames[start : start+n : start+n]
 }
 
 func (s *simulation) sampleThink(from trace.Time) trace.Time {
@@ -232,8 +233,10 @@ func (s *simulation) shortArrival(from trace.Time) trace.Time {
 }
 
 // run is the main loop: alternate idle gaps and episodes until the
-// session ends.
-func (s *simulation) run() {
+// session ends, handing every record to sink. It returns sink's first
+// error.
+func (s *simulation) run(sink func(*lila.Record) error) error {
+	s.sink = sink
 	s.emit(lila.Record{Type: lila.RecThread, Thread: guiThreadID, Name: "AWT-EventQueue-0"})
 	for i, bg := range s.prof.Background {
 		s.emit(lila.Record{
@@ -244,7 +247,7 @@ func (s *simulation) run() {
 		})
 	}
 
-	for {
+	for s.err == nil {
 		arrival, behavior, user := s.nextArrival()
 		if behavior == nil || arrival >= s.end {
 			break
@@ -261,7 +264,7 @@ func (s *simulation) run() {
 			s.rescheduleUser()
 		}
 	}
-	if s.end > s.now {
+	if s.err == nil && s.end > s.now {
 		s.idleAdvance(s.end)
 	}
 
@@ -270,6 +273,7 @@ func (s *simulation) run() {
 		short = stats.Poisson(s.r, s.prof.ShortPerSecond*s.end.Seconds())
 	}
 	s.emit(lila.Record{Type: lila.RecEnd, Time: s.now, Count: short})
+	return s.err
 }
 
 // nextArrival picks the earliest pending EDT event. Timer sources are
@@ -514,7 +518,7 @@ func (s *simulation) emitTick(at trace.Time, guiState trace.ThreadState) {
 		guiStackFrames = idleGUIStack
 	} else {
 		s.tickBuf = buildGUIStack(s.tickBuf[:0], s.r, guiState, s.edtStack, s.appLeaves)
-		guiStackFrames = s.stackCopy(s.tickBuf)
+		guiStackFrames = s.stacks.Canon(s.tickBuf)
 	}
 	s.emit(lila.Record{Type: lila.RecSample, Time: at, Thread: guiThreadID, State: guiState, Stack: guiStackFrames})
 

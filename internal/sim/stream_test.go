@@ -1,0 +1,145 @@
+package sim_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"lagalyzer/internal/apps"
+	"lagalyzer/internal/lila"
+	"lagalyzer/internal/sim"
+	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
+)
+
+// suiteBytes encodes one session as a checkpoint suite frame, the
+// byte-level identity the equivalence tests compare.
+func suiteBytes(t *testing.T, s *trace.Session) []byte {
+	t.Helper()
+	b, err := treebuild.AppendSuite(nil, &trace.Suite{App: s.App, Sessions: []*trace.Session{s}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRunMatchesRecords: the session Run streams into the builder
+// equals the one rebuilt from the collected record stream, for every
+// catalog app, two sessions each, with and without materialized
+// short episodes.
+func TestRunMatchesRecords(t *testing.T) {
+	for _, p := range apps.Catalog() {
+		for id := 0; id < 2; id++ {
+			for _, short := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%d/short=%v", p.Name, id, short), func(t *testing.T) {
+					cfg := sim.Config{Profile: p, SessionID: id, Seed: 42, SessionSeconds: 20, MaterializeShort: short}
+					streamed, err := sim.Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					recs, h, err := sim.Records(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if h != cfg.Header() {
+						t.Errorf("Records header %+v, Config.Header %+v", h, cfg.Header())
+					}
+					slab, _, err := treebuild.BuildRecords(h, recs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(suiteBytes(t, streamed), suiteBytes(t, slab)) {
+						t.Error("streamed session differs from the one built from Records")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunTeeWritesTheStream: the trace RunTee writes is the record
+// stream Records collects, record for record.
+func TestRunTeeWritesTheStream(t *testing.T) {
+	cfg := sim.Config{Profile: apps.JEdit(), SessionID: 1, Seed: 3, SessionSeconds: 20, MaterializeShort: true}
+	var teed bytes.Buffer
+	w := treebuild.NewTraceWriter(&teed, cfg.Header())
+	if _, err := sim.RunTee(cfg, w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, h, err := sim.Records(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lila.EncodeV2(h, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(teed.Bytes(), want) {
+		t.Errorf("teed trace (%d bytes) differs from the encoded record stream (%d bytes)", teed.Len(), len(want))
+	}
+}
+
+// TestStreamSharesStacks: every sample of one distinct stack carries
+// the same slice, so a session holds each distinct stack once.
+func TestStreamSharesStacks(t *testing.T) {
+	cfg := sim.Config{Profile: apps.ArgoUML(), Seed: 9, SessionSeconds: 30}
+	first := map[string]*trace.Frame{}
+	samples := 0
+	err := sim.Stream(cfg, func(r *lila.Record) error {
+		if r.Type != lila.RecSample || len(r.Stack) == 0 {
+			return nil
+		}
+		samples++
+		key := fmt.Sprint(r.Stack)
+		if p, ok := first[key]; !ok {
+			first[key] = &r.Stack[0]
+		} else if p != &r.Stack[0] {
+			return fmt.Errorf("stack %s at %v is a second copy", key, r.Time)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples < 10*len(first) {
+		t.Errorf("%d samples over %d distinct stacks: too few repeats to test sharing", samples, len(first))
+	}
+}
+
+// TestStreamStopsAtSinkError: the sink's first error ends the session
+// and comes back unchanged.
+func TestStreamStopsAtSinkError(t *testing.T) {
+	stop := fmt.Errorf("enough")
+	n := 0
+	err := sim.Stream(sim.Config{Profile: apps.Jmol(), Seed: 1, SessionSeconds: 20}, func(*lila.Record) error {
+		if n++; n == 100 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || n != 100 {
+		t.Errorf("Stream returned %v after %d records, want %v after 100", err, n, stop)
+	}
+}
+
+// TestRunAllocs pins Run's heap allocations for a short session well
+// below its record count: a record that escapes to the heap on its
+// way to the builder would cost one allocation per record.
+func TestRunAllocs(t *testing.T) {
+	cfg := sim.Config{Profile: apps.CrosswordSage(), Seed: 1, SessionSeconds: 20}
+	recs, _, err := sim.Records(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := sim.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(len(recs)) / 4; allocs > limit {
+		t.Errorf("sim.Run: %.0f allocations for %d records, want at most %.0f", allocs, len(recs), limit)
+	}
+}

@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/trace"
 )
 
-// Suite frames are the one serialization of in-memory session suites
-// that leave the process: the checkpoint store's payloads and the
-// distributed shard state. Each session travels as the raw LiLa v2
-// trace lila.WriteSessionOptions writes for it:
+// Suite frames are the one serialization of session suites that leave
+// the process: the checkpoint store's payloads and the distributed
+// shard state. Each session travels as a raw LiLa v2 trace:
 //
 //	suite   := uvarint(len(app)) app uvarint(nsessions) session*
 //	session := uvarint(len(trace)) trace      (LiLa v2, blocks raw)
+//
+// A study frames the traces its simulator streamed into NewTraceWriter
+// (AppendTraces); only a suite held solely in memory is flattened and
+// encoded (AppendSuite). Both give the same bytes unless the simulator
+// materialized sub-threshold episodes, which a built session drops.
 //
 // Blocks stay raw because flate costs more time than the bytes it
 // saves are worth on a local disk or a LAN. Decoding is strict: a v2
@@ -25,21 +30,37 @@ import (
 
 var v2Raw = lila.WriteOptions{Format: lila.FormatV2, Compression: lila.CompressionNone}
 
-// AppendSuite appends suite's frame to dst.
+// NewTraceWriter returns a writer of one session trace in the encoding
+// suite frames carry, for producers that stream a session's records.
+func NewTraceWriter(w io.Writer, h lila.Header) *lila.V2Writer {
+	vw, _ := lila.NewV2Writer(w, h) // raw blocks, as v2Raw: never an error
+	return vw
+}
+
+// AppendSuite appends suite's frame to dst, encoding each session.
 func AppendSuite(dst []byte, suite *trace.Suite) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(suite.App)))
-	dst = append(dst, suite.App...)
-	dst = binary.AppendUvarint(dst, uint64(len(suite.Sessions)))
-	var buf bytes.Buffer
-	for _, s := range suite.Sessions {
-		buf.Reset()
+	traces := make([][]byte, len(suite.Sessions))
+	for i, s := range suite.Sessions {
+		var buf bytes.Buffer
 		if err := lila.WriteSessionOptions(&buf, v2Raw, s); err != nil {
 			return nil, fmt.Errorf("treebuild: encoding %s session %d: %w", suite.App, s.ID, err)
 		}
-		dst = binary.AppendUvarint(dst, uint64(buf.Len()))
-		dst = append(dst, buf.Bytes()...)
+		traces[i] = buf.Bytes()
 	}
-	return dst, nil
+	return AppendTraces(dst, suite.App, traces), nil
+}
+
+// AppendTraces appends to dst the frame of app's suite whose sessions
+// are already encoded, as NewTraceWriter writes them.
+func AppendTraces(dst []byte, app string, traces [][]byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(app)))
+	dst = append(dst, app...)
+	dst = binary.AppendUvarint(dst, uint64(len(traces)))
+	for _, t := range traces {
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
+		dst = append(dst, t...)
+	}
+	return dst
 }
 
 // ReadSuite decodes the suite frame at the front of data and returns

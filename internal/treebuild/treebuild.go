@@ -93,13 +93,8 @@ type Options struct {
 	Limits lila.Limits
 }
 
-// Build consumes the record stream of r until its end record and
-// reconstructs the session.
-func Build(r lila.Reader) (*trace.Session, *Diagnostics, error) {
-	return BuildOptions(r, Options{})
-}
-
-// BuildOptions is Build with explicit options.
+// BuildOptions consumes the record stream of r until its end record
+// and reconstructs the session.
 func BuildOptions(r lila.Reader, o Options) (*trace.Session, *Diagnostics, error) {
 	b := newBuilder(r.Header(), o)
 	for {
@@ -132,6 +127,19 @@ func BuildRecordsOptions(h lila.Header, recs []*lila.Record, o Options) (*trace.
 		if err := b.feed(rec); err != nil {
 			return nil, nil, err
 		}
+	}
+	return b.finish()
+}
+
+// BuildFeed rebuilds a session from produce, which hands feed every
+// record in stream order (each valid only during its call) and returns
+// feed's first error. until, the producer's end time, pre-sizes the
+// ticks.
+func BuildFeed(h lila.Header, until trace.Time, o Options, produce func(feed func(*lila.Record) error) error) (*trace.Session, *Diagnostics, error) {
+	b := newBuilder(h, o)
+	b.sizeTicks(until, math.MaxInt)
+	if err := produce(b.feed); err != nil {
+		return nil, nil, err
 	}
 	return b.finish()
 }
@@ -234,8 +242,9 @@ func newBuilder(h lila.Header, o Options) *builder {
 }
 
 // sizeTicks pre-sizes the ticks for one per sample period from the
-// session start to last, capped by the record count and by 1<<22 (11.6
-// h at 10 ms), which bounds what a forged index can make it allocate.
+// session start to last, capped by the record count (when known) and
+// by 1<<22 (11.6 h at 10 ms), which bounds what a forged index can
+// make it allocate.
 func (b *builder) sizeTicks(last trace.Time, records int) {
 	if p := b.h.SamplePeriod; p > 0 && last > b.h.Start && records > 0 {
 		n := (uint64(last)-uint64(b.h.Start))/uint64(p) + 1
