@@ -1,7 +1,8 @@
 # Build/test entry points. `make check` is the tier-1 gate; `make race`
 # exercises the concurrent packages (the analysis engine's worker
 # pools, sharded classification, the study fan-out, the v2 block
-# read-ahead behind treebuild.BuildV2, and the lagd job supervisor)
+# read-ahead behind treebuild.BuildV2, the lagd job supervisor, and
+# lagalyzer's per-file load pool)
 # under the race detector. `make chaos` is the robustness
 # tier: the fault-injection suites (salvage decoding, lenient rebuild,
 # engine panic containment, checkpoint-store corruption and stalled
@@ -33,7 +34,7 @@ check: build test
 race:
 	$(GO) test -race ./internal/engine ./internal/report ./internal/patterns ./internal/obs \
 		./internal/serve ./internal/checkpoint ./internal/intern ./internal/lila ./internal/dist \
-		./internal/ingest ./internal/treebuild ./internal/sim
+		./internal/ingest ./internal/treebuild ./internal/sim ./cmd/lagalyzer
 
 chaos:
 	$(GO) test ./internal/faultinject ./internal/lila ./internal/treebuild \

@@ -629,9 +629,10 @@ var bigV2Session = sync.OnceValues(func() ([]byte, error) {
 	return buf.Bytes(), err
 })
 
-// BenchmarkLoadV2BigSession loads the 2-hour session the way
-// `lagalyzer stats` does: BuildV2 with one block decode worker per
-// GOMAXPROCS. Run with -cpu 1,2 to see what read-ahead decode buys.
+// BenchmarkLoadV2BigSession builds the whole 2-hour session, as the
+// commands that keep full sessions load a trace: BuildV2 with one
+// block decode worker per GOMAXPROCS. Run with -cpu 1,2 to see what
+// read-ahead decode buys.
 func BenchmarkLoadV2BigSession(b *testing.B) {
 	b.ReportAllocs()
 	data, err := bigV2Session()
@@ -650,6 +651,38 @@ func BenchmarkLoadV2BigSession(b *testing.B) {
 			b.Fatal(err)
 		}
 		if len(s.Episodes) == 0 {
+			b.Fatal("no episodes")
+		}
+	}
+}
+
+// BenchmarkStatsBigSession is `lagalyzer stats` on the 2-hour
+// session: a release-mode BuildV2 that folds each episode through the
+// engine's EpisodeAnalyzer as it closes and keeps no session tree.
+// BenchmarkLoadV2BigSession's full build is its baseline.
+func BenchmarkStatsBigSession(b *testing.B) {
+	b.ReportAllocs()
+	data, err := bigV2Session()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := lila.ParseV2(data, lila.Limits{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ea := engine.NewEpisodeAnalyzer(engine.Options{})
+		var pop [2]engine.Population
+		fold := func(s *trace.Session, e *trace.Episode) {
+			info := ea.Analyze(s, e)
+			engine.Fold(&pop, e, &info, trace.DefaultPerceptibleThreshold)
+		}
+		if _, _, _, err := treebuild.BuildV2(v, nil, false, runtime.GOMAXPROCS(0), treebuild.Options{Episode: fold}); err != nil {
+			b.Fatal(err)
+		}
+		if pop[0].Trigger.Total == 0 {
 			b.Fatal("no episodes")
 		}
 	}

@@ -190,6 +190,15 @@ exit codes: 0 success, 1 total failure, 2 usage, 3 partial success`)
 }
 
 func loadSessions(paths []string) ([]*trace.Session, error) {
+	return loadEach(paths, func(path string, blockJobs int) (*trace.Session, error) {
+		s, _, err := loadSession(path, blockJobs, nil)
+		return s, err
+	})
+}
+
+// loadEach runs load over paths on a bounded pool, returning results in
+// argument order; -salvage skips failed files, else the first aborts.
+func loadEach[T any](paths []string, load func(path string, blockJobs int) (T, error)) ([]T, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("no trace files given")
 	}
@@ -207,8 +216,9 @@ func loadSessions(paths []string) ([]*trace.Session, error) {
 	}
 
 	type result struct {
-		s   *trace.Session
-		err error
+		v    T
+		err  error
+		done bool
 	}
 	results := make([]result, len(paths))
 	if jobs <= 1 {
@@ -219,12 +229,12 @@ func loadSessions(paths []string) ([]*trace.Session, error) {
 				break
 			}
 			_, endLoad := obs.Span(runCtx, "load")
-			s, err := loadSession(path, blockJobs)
+			v, err := load(path, blockJobs)
 			endLoad()
 			if err != nil && !salvageMode {
 				return nil, fmt.Errorf("%s: %w", path, err)
 			}
-			results[i] = result{s, err}
+			results[i] = result{v, err, true}
 		}
 	} else {
 		// Decode concurrently; results land in argument-order slots so
@@ -242,19 +252,19 @@ func loadSessions(paths []string) ([]*trace.Session, error) {
 						return
 					}
 					_, endLoad := obs.Span(wctx, "load")
-					s, err := loadSession(paths[i], blockJobs)
+					v, err := load(paths[i], blockJobs)
 					endLoad()
-					results[i] = result{s, err}
+					results[i] = result{v, err, true}
 				}
 			}(w)
 		}
 		wg.Wait()
 	}
 
-	var sessions []*trace.Session
+	var loaded []T
 	interrupted := 0
 	for i, r := range results {
-		if r.s == nil && r.err == nil {
+		if !r.done {
 			// Never decoded: the signal arrived before this file's
 			// pickup. It counts as a lost input, so the run finishes
 			// its output over what loaded and exits 3.
@@ -271,49 +281,49 @@ func loadSessions(paths []string) ([]*trace.Session, error) {
 			// sequential fail-fast scan reports.
 			return nil, fmt.Errorf("%s: %w", paths[i], r.err)
 		}
-		sessions = append(sessions, r.s)
+		loaded = append(loaded, r.v)
 	}
 	if interrupted > 0 {
 		fmt.Fprintf(os.Stderr, "lagalyzer: interrupted — skipping %d remaining input(s)\n", interrupted)
 		lostInputs += interrupted
 	}
-	if len(sessions) == 0 {
+	if len(loaded) == 0 {
 		return nil, fmt.Errorf("no loadable trace sessions (%d file(s) skipped)", lostInputs)
 	}
-	return sessions, nil
+	return loaded, nil
 }
 
 // loadSession ingests one trace file, strictly by default; in salvage
 // mode it decodes leniently and reports any damage worked around on
 // stderr. v2 traces take the mmap + block-index fast path, with up to
 // blockJobs workers decoding one file's blocks ahead of the session
-// build.
-func loadSession(path string, blockJobs int) (*trace.Session, error) {
+// build. A non-nil episode hook builds in release mode (see treebuild).
+func loadSession(path string, blockJobs int, episode func(*trace.Session, *trace.Episode)) (*trace.Session, *treebuild.Diagnostics, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
+	o := treebuild.Options{Lenient: salvageMode, Episode: episode}
 	if lila.IsV2File(f) {
 		v, err := lila.OpenV2File(f, lila.Limits{})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		defer v.Close()
-		s, diag, rep, err := treebuild.BuildV2(v, nil, salvageMode, blockJobs, treebuild.Options{Lenient: salvageMode})
+		s, diag, rep, err := treebuild.BuildV2(v, nil, salvageMode, blockJobs, o)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		noteDamage(path, rep, diag)
-		return s, nil
+		return s, diag, nil
 	}
-	s, sh, err := treebuild.ReadSessionOptions(f,
-		lila.ReaderOptions{Salvage: salvageMode}, treebuild.Options{Lenient: salvageMode})
+	s, sh, err := treebuild.ReadSessionOptions(f, lila.ReaderOptions{Salvage: salvageMode}, o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	noteDamage(path, sh.Salvage, sh.Diag)
-	return s, nil
+	return s, sh.Diag, nil
 }
 
 // noteDamage prints what a salvage-mode load of path worked around.
@@ -335,24 +345,50 @@ func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	threshold := fs.Duration("threshold", 100e6, "perceptibility threshold")
 	fs.Parse(args)
-	sessions, err := loadSessions(fs.Args())
-	if err != nil {
-		return err
-	}
 	th := trace.Dur(*threshold)
 
-	for _, s := range sessions {
-		long := len(s.PerceptibleEpisodes(th))
-		fmt.Printf("%s/%d: E2E %v, in-episode %.1f%%, episodes <%v: %d, traced: %d, >=%v: %d, GCs: %d, samples: %d\n",
-			s.App, s.ID, s.E2E(), s.InEpisodeFrac()*100, s.FilterThreshold, s.ShortCount,
-			len(s.Episodes), th, long, len(s.GCs), len(s.Ticks))
+	// Each trace builds in release mode, keeping only its summary line and
+	// its episodes' durations and populations, folded as each closes.
+	type fileStats struct {
+		line string
+		durs []trace.Dur
+		pop  [2]engine.Population
 	}
-
-	r, err := engine.AnalyzeContextErr(runCtx, &trace.Suite{Sessions: sessions}, th, engine.Options{Workers: loadJobs})
+	all, err := loadEach(fs.Args(), func(path string, blockJobs int) (*fileStats, error) {
+		st := &fileStats{}
+		ea := engine.NewEpisodeAnalyzer(engine.Options{})
+		s, diag, err := loadSession(path, blockJobs, func(s *trace.Session, e *trace.Episode) {
+			info := ea.Analyze(s, e)
+			engine.Fold(&st.pop, e, &info, th)
+			st.durs = append(st.durs, e.Dur())
+		})
+		if err != nil {
+			return nil, err
+		}
+		inEps := 0.0
+		if e2e := s.E2E(); e2e > 0 {
+			inEps = float64(st.pop[0].EpisodeTime) / float64(e2e)
+		}
+		st.line = fmt.Sprintf("%s/%d: E2E %v, in-episode %.1f%%, episodes <%v: %d, traced: %d, >=%v: %d, GCs: %d, samples: %d\n",
+			s.App, s.ID, s.E2E(), inEps*100, s.FilterThreshold, s.ShortCount,
+			st.pop[0].Trigger.Total, th, st.pop[1].Trigger.Total, diag.GCs, diag.Ticks)
+		return st, nil
+	})
 	if err != nil {
 		return err
 	}
-	trigAll, trigLong := r.TriggerAll, r.TriggerLong
+	// Every tally is integral, so merging in argument order gives the
+	// same output at any -jobs.
+	var pop [2]engine.Population
+	var durs []trace.Dur
+	for _, st := range all {
+		fmt.Print(st.line)
+		pop[0].Merge(&st.pop[0])
+		pop[1].Merge(&st.pop[1])
+		durs = append(durs, st.durs...)
+	}
+
+	trigAll, trigLong := pop[0].Trigger, pop[1].Trigger
 	fmt.Printf("\ntriggers (all):          input %.1f%%  output %.1f%%  async %.1f%%  unspecified %.1f%%\n",
 		trigAll.Frac(analysis.TriggerInput)*100, trigAll.Frac(analysis.TriggerOutput)*100,
 		trigAll.Frac(analysis.TriggerAsync)*100, trigAll.Frac(analysis.TriggerUnspecified)*100)
@@ -360,15 +396,17 @@ func runStats(args []string) error {
 		trigLong.Frac(analysis.TriggerInput)*100, trigLong.Frac(analysis.TriggerOutput)*100,
 		trigLong.Frac(analysis.TriggerAsync)*100, trigLong.Frac(analysis.TriggerUnspecified)*100)
 
-	locAll, locLong := r.LocationAll, r.LocationLong
+	locAll, locLong := pop[0].Location(), pop[1].Location()
 	fmt.Printf("location (all):          library %.1f%%  app %.1f%%  |  gc %.1f%%  native %.1f%%\n",
 		locAll.Library*100, locAll.App*100, locAll.GC*100, locAll.Native*100)
 	fmt.Printf("location (perceptible):  library %.1f%%  app %.1f%%  |  gc %.1f%%  native %.1f%%\n",
 		locLong.Library*100, locLong.App*100, locLong.GC*100, locLong.Native*100)
 
-	fmt.Printf("concurrency:             all %.2f  perceptible %.2f runnable threads\n", r.ConcurrencyAll, r.ConcurrencyLong)
+	concAll, _ := pop[0].Concurrency()
+	concLong, _ := pop[1].Concurrency()
+	fmt.Printf("concurrency:             all %.2f  perceptible %.2f runnable threads\n", concAll, concLong)
 
-	cAll, cLong := r.CausesAll, r.CausesLong
+	cAll, cLong := pop[0].Causes(), pop[1].Causes()
 	fmt.Printf("causes (all):            blocked %.1f%%  wait %.1f%%  sleep %.1f%%  runnable %.1f%%\n",
 		cAll.Blocked*100, cAll.Waiting*100, cAll.Sleeping*100, cAll.Runnable*100)
 	fmt.Printf("causes (perceptible):    blocked %.1f%%  wait %.1f%%  sleep %.1f%%  runnable %.1f%%\n",
@@ -377,7 +415,7 @@ func runStats(args []string) error {
 	// The HCI literature disagrees on where "perceptible" begins;
 	// show the sensitivity.
 	fmt.Println("\nthreshold sensitivity (Shneiderman 100ms; Dabrowski/Munson 150/195ms; MacKenzie/Ware 225ms):")
-	for _, p := range analysis.ThresholdSweep(sessions, nil) {
+	for _, p := range analysis.SweepDurations(durs, nil) {
 		fmt.Printf("  >=%-8v %6d episodes (%5.2f%%)  %6.1f per minute of in-episode time\n",
 			p.Threshold, p.Episodes, p.Frac*100, p.PerMin)
 	}

@@ -146,8 +146,9 @@ func TestCLIWorkflow(t *testing.T) {
 
 // TestCLIStatsStreamGolden pins `lagalyzer stats` (sequential and at
 // the default -jobs) and `lagalyzer stream` stdout byte for byte on a
-// seeded v2 trace. The stream's decode-throughput line carries wall
-// clock and is masked.
+// seeded v2 trace, and checks that stats over two traces prints the
+// same at 1, 2, and 8 workers. The stream's decode-throughput line
+// carries wall clock and is masked.
 func TestCLIStatsStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -178,6 +179,18 @@ func TestCLIStatsStreamGolden(t *testing.T) {
 	for _, args := range [][]string{{"-jobs", "1", "stats", traceFile}, {"stats", traceFile}} {
 		if got := stdout(args...); got != stats {
 			t.Errorf("lagalyzer %v:\n%s\nwant:\n%s", args, got, stats)
+		}
+	}
+	second := filepath.Join(t.TempDir(), "cs1.lila")
+	run(t, tool(t, "lilasim"), "",
+		"-app", "CrosswordSage", "-session", "1", "-seconds", "60", "-seed", "3", "-format", "v2", "-compress", "-o", second)
+	two := stdout("-jobs", "1", "stats", traceFile, second)
+	if !strings.HasPrefix(two, "CrosswordSage/0: ") || !strings.Contains(two, "\nCrosswordSage/1: ") {
+		t.Errorf("lagalyzer stats over two traces:\n%s", two)
+	}
+	for _, jobs := range []string{"2", "8"} {
+		if got := stdout("-jobs", jobs, "stats", traceFile, second); got != two {
+			t.Errorf("lagalyzer -jobs %s stats over two traces:\n%s\nwant (-jobs 1):\n%s", jobs, got, two)
 		}
 	}
 

@@ -34,24 +34,36 @@ type ThresholdPoint struct {
 // disagreeing HCI literature. Thresholds nil means
 // LiteratureThresholds.
 func ThresholdSweep(sessions []*trace.Session, thresholds []trace.Dur) []ThresholdPoint {
+	var durs []trace.Dur
+	for _, s := range sessions {
+		for _, e := range s.Episodes {
+			durs = append(durs, e.Dur())
+		}
+	}
+	return SweepDurations(durs, thresholds)
+}
+
+// SweepDurations is ThresholdSweep over the durations of the traced
+// episodes, whose sum is the in-episode time.
+func SweepDurations(durs, thresholds []trace.Dur) []ThresholdPoint {
 	if thresholds == nil {
 		thresholds = LiteratureThresholds
 	}
-	total := 0
 	var inEps trace.Dur
-	for _, s := range sessions {
-		total += len(s.Episodes)
-		inEps += s.InEpisode()
+	for _, d := range durs {
+		inEps += d
 	}
 	points := make([]ThresholdPoint, 0, len(thresholds))
 	for _, th := range thresholds {
 		n := 0
-		for _, s := range sessions {
-			n += len(s.PerceptibleEpisodes(th))
+		for _, d := range durs {
+			if d >= th {
+				n++
+			}
 		}
 		p := ThresholdPoint{Threshold: th, Episodes: n}
-		if total > 0 {
-			p.Frac = float64(n) / float64(total)
+		if len(durs) > 0 {
+			p.Frac = float64(n) / float64(len(durs))
 		}
 		if inEps > 0 {
 			p.PerMin = float64(n) / (inEps.Seconds() / 60)

@@ -271,10 +271,7 @@ func analyzeItem(sh *shard, w *walker, it item, threshold trace.Dur) {
 	} else {
 		sh.builder.AddUnstructured(ref)
 	}
-	sh.pop[0].Add(info.Trigger, it.e.Dur(), info.GC, info.Native, &info.Ticks)
-	if it.e.Perceptible(threshold) {
-		sh.pop[1].Add(info.Trigger, it.e.Dur(), info.GC, info.Native, &info.Ticks)
-	}
+	Fold(&sh.pop, it.e, &info, threshold)
 }
 
 // overviewOf computes the Table III row from the pooled pattern set

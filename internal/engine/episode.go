@@ -41,3 +41,12 @@ func NewEpisodeAnalyzer(opts Options) *EpisodeAnalyzer {
 func (ea *EpisodeAnalyzer) Analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
 	return ea.w.analyze(s, e)
 }
+
+// Fold adds an analyzed episode to pop[0], the population of every
+// episode, and, when it is perceptible at threshold, to pop[1].
+func Fold(pop *[2]Population, e *trace.Episode, info *EpisodeInfo, threshold trace.Dur) {
+	pop[0].Add(info.Trigger, e.Dur(), info.GC, info.Native, &info.Ticks)
+	if e.Perceptible(threshold) {
+		pop[1].Add(info.Trigger, e.Dur(), info.GC, info.Native, &info.Ticks)
+	}
+}

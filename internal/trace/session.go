@@ -184,24 +184,11 @@ func (s *Session) Validate() error {
 	// event dispatch threads may (the multi-EDT case of Section V).
 	prevEnd := make(map[ThreadID]Time)
 	for i, e := range s.Episodes {
-		if e.Root == nil {
-			return fmt.Errorf("trace: episode %d of %s/%d has no root interval", i, s.App, s.ID)
-		}
-		if e.Root.Kind != KindDispatch {
-			return fmt.Errorf("trace: episode %d of %s/%d roots at %v, want dispatch", i, s.App, s.ID, e.Root.Kind)
-		}
 		if e.Index != i {
 			return fmt.Errorf("trace: episode %d of %s/%d carries index %d", i, s.App, s.ID, e.Index)
 		}
-		if e.Start() < prevEnd[e.Thread] {
-			return fmt.Errorf("trace: episode %d of %s/%d overlaps its predecessor on thread %d", i, s.App, s.ID, e.Thread)
-		}
-		if e.Start() < s.Start || e.End() > s.End {
-			return fmt.Errorf("trace: episode %d of %s/%d escapes the session bounds", i, s.App, s.ID)
-		}
-		prevEnd[e.Thread] = e.End()
-		if err := e.Root.Validate(); err != nil {
-			return fmt.Errorf("episode %d of %s/%d: %w", i, s.App, s.ID, err)
+		if err := s.CheckEpisode(i, e, prevEnd, s.End); err != nil {
+			return err
 		}
 	}
 	var prevTick Time = -1
@@ -223,6 +210,29 @@ func (s *Session) Validate() error {
 		if gc.End < gc.Start {
 			return fmt.Errorf("trace: session GC %d of %s/%d ends before it starts", i, s.App, s.ID)
 		}
+	}
+	return nil
+}
+
+// CheckEpisode applies Validate's rules to episode i: a dispatch root,
+// no overlap with its thread's last episode end in prevEnd (which it
+// advances), bounds [s.Start, end], and a valid interval tree.
+func (s *Session) CheckEpisode(i int, e *Episode, prevEnd map[ThreadID]Time, end Time) error {
+	if e.Root == nil {
+		return fmt.Errorf("trace: episode %d of %s/%d has no root interval", i, s.App, s.ID)
+	}
+	if e.Root.Kind != KindDispatch {
+		return fmt.Errorf("trace: episode %d of %s/%d roots at %v, want dispatch", i, s.App, s.ID, e.Root.Kind)
+	}
+	if e.Start() < prevEnd[e.Thread] {
+		return fmt.Errorf("trace: episode %d of %s/%d overlaps its predecessor on thread %d", i, s.App, s.ID, e.Thread)
+	}
+	if e.Start() < s.Start || e.End() > end {
+		return fmt.Errorf("trace: episode %d of %s/%d escapes the session bounds", i, s.App, s.ID)
+	}
+	prevEnd[e.Thread] = e.End()
+	if err := e.Root.Validate(); err != nil {
+		return fmt.Errorf("episode %d of %s/%d: %w", i, s.App, s.ID, err)
 	}
 	return nil
 }

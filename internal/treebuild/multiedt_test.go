@@ -9,19 +9,12 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// TestMultipleEventDispatchThreads exercises the capability the paper
-// states but does not use (§V): "LagAlyzer already supports traces
-// based on multiple concurrent event dispatch threads. It defines the
-// notion of an episode as the time interval from the point where a
-// given thread starts handling a GUI event until that thread finishes
-// handling that event."
-//
-// Two EDTs handle interleaved — even overlapping — episodes; both
-// must be reconstructed, each attributed to its thread, and the
-// per-thread analyses must follow the right thread's samples.
-func TestMultipleEventDispatchThreads(t *testing.T) {
+// MultiEDT is the two-EDT fixture: an episode on EDT-A with an
+// overlapping one on EDT-B inside it, a shared sampling tick, and a GC
+// while both are open. Exported for the release-mode tests.
+func MultiEDT() (lila.Header, []*lila.Record) {
 	ms := func(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
-	recs := []*lila.Record{
+	return lila.Header{App: "multi", GUIThread: 1, FilterThreshold: trace.DefaultFilterThreshold}, []*lila.Record{
 		{Type: lila.RecThread, Thread: 1, Name: "EDT-A"},
 		{Type: lila.RecThread, Thread: 2, Name: "EDT-B"},
 		// Episode on EDT-A: 0..200ms (perceptible, listener).
@@ -45,8 +38,21 @@ func TestMultipleEventDispatchThreads(t *testing.T) {
 		{Type: lila.RecReturn, Time: ms(200), Thread: 1},
 		{Type: lila.RecEnd, Time: ms(1000)},
 	}
-	s, diag, err := BuildRecords(lila.Header{App: "multi", GUIThread: 1,
-		FilterThreshold: trace.DefaultFilterThreshold}, recs)
+}
+
+// TestMultipleEventDispatchThreads exercises the capability the paper
+// states but does not use (§V): "LagAlyzer already supports traces
+// based on multiple concurrent event dispatch threads. It defines the
+// notion of an episode as the time interval from the point where a
+// given thread starts handling a GUI event until that thread finishes
+// handling that event."
+//
+// Two EDTs handle interleaved — even overlapping — episodes; both
+// must be reconstructed, each attributed to its thread, and the
+// per-thread analyses must follow the right thread's samples.
+func TestMultipleEventDispatchThreads(t *testing.T) {
+	h, recs := MultiEDT()
+	s, diag, err := BuildRecords(h, recs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,13 @@
 // the filter threshold are dropped and counted, mirroring the tracing
 // tool's own 3 ms filter (LagAlyzer "never gets to see such episodes,
 // it only is able to see how many such short episodes occurred").
+//
+// Setting Options.Episode switches the builder to release mode, which
+// lifts Section V's "needs to load the complete session trace into
+// memory": each episode goes to the hook as its dispatch returns and
+// is then dropped, with every tick no open episode can reach; GCs are
+// counted, not kept. The stream is time-ordered, so the hook sees
+// every tick in the episode's [Start, End), as EpisodeTicks would.
 package treebuild
 
 import (
@@ -26,6 +33,10 @@ import (
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/trace"
 )
+
+// errInvalid marks a Session.Validate failure, fatal even under
+// Lenient; release mode meets it as each episode closes.
+var errInvalid = errors.New("treebuild: rebuilt session invalid")
 
 // ErrSessionTooLarge is returned (wrapped) when a session's estimated
 // in-memory size exceeds Options.Limits.MaxSessionBytes. Callers that
@@ -71,6 +82,9 @@ type Diagnostics struct {
 	// SynthesizedEnd is set when the stream had no end record and the
 	// lenient builder closed the session at the last seen time stamp.
 	SynthesizedEnd bool
+	// Ticks and GCs count what a release-mode build did not keep in
+	// Session.Ticks and Session.GCs; a full build leaves them zero.
+	Ticks, GCs int `json:",omitempty"`
 }
 
 // Degraded reports whether the lenient builder had to drop anything.
@@ -91,6 +105,11 @@ type Options struct {
 	// Limits bound the rebuilt session's estimated memory
 	// (MaxSessionBytes); zero fields take lila.DefaultLimits values.
 	Limits lila.Limits
+	// Episode, when set, is release mode: it gets each traced episode
+	// as it closes (Index counts close order) with the session so far,
+	// End not yet known; neither e nor s.Ticks may be kept. The built
+	// session has no episodes, ticks, or GCs.
+	Episode func(s *trace.Session, e *trace.Episode)
 }
 
 // BuildOptions consumes the record stream of r until its end record
@@ -211,6 +230,9 @@ type builder struct {
 	last   trace.Time
 	ended  bool
 	est    int64 // estimated session bytes, checked against MaxSessionBytes
+	// release mode: each thread's last episode end, episodes released
+	prevEnd  map[trace.ThreadID]trace.Time
+	released int
 }
 
 // Rough per-object costs for the session memory estimate. They only
@@ -236,17 +258,18 @@ func newBuilder(h lila.Header, o Options) *builder {
 			FilterThreshold: h.FilterThreshold,
 			SamplePeriod:    h.SamplePeriod,
 		},
-		stacks: make(map[trace.ThreadID][]*trace.Interval),
-		known:  make(map[trace.ThreadID]bool),
+		stacks:  make(map[trace.ThreadID][]*trace.Interval),
+		known:   make(map[trace.ThreadID]bool),
+		prevEnd: make(map[trace.ThreadID]trace.Time),
 	}
 }
 
 // sizeTicks pre-sizes the ticks for one per sample period from the
 // session start to last, capped by the record count (when known) and
 // by 1<<22 (11.6 h at 10 ms), which bounds what a forged index can
-// make it allocate.
+// make it allocate. Release mode keeps too few ticks to need it.
 func (b *builder) sizeTicks(last trace.Time, records int) {
-	if p := b.h.SamplePeriod; p > 0 && last > b.h.Start && records > 0 {
+	if p := b.h.SamplePeriod; p > 0 && last > b.h.Start && records > 0 && b.opts.Episode == nil {
 		n := (uint64(last)-uint64(b.h.Start))/uint64(p) + 1
 		b.s.Ticks = make([]trace.SampleTick, 0, min(n, uint64(records), 1<<22))
 	}
@@ -271,7 +294,7 @@ func (b *builder) charge(n int64) error {
 // failing the build. Resource-guard trips stay fatal either way.
 func (b *builder) feed(rec *lila.Record) error {
 	err := b.add(rec)
-	if err == nil || !b.opts.Lenient || errors.Is(err, ErrSessionTooLarge) {
+	if err == nil || !b.opts.Lenient || errors.Is(err, ErrSessionTooLarge) || errors.Is(err, errInvalid) {
 		return err
 	}
 	b.diag.SkippedRecords++
@@ -359,9 +382,15 @@ func (b *builder) add(rec *lila.Record) error {
 			b.s.ShortCount++
 			return nil
 		}
+		if b.beforeStart(iv) {
+			return nil
+		}
 		ep := b.slab.Episode()
 		ep.Thread = rec.Thread
 		ep.Root = iv
+		if b.opts.Episode != nil {
+			return b.release(ep)
+		}
 		b.s.Episodes = append(b.s.Episodes, ep)
 
 	case lila.RecGCStart:
@@ -400,7 +429,15 @@ func (b *builder) add(rec *lila.Record) error {
 			top.Children = append(top.Children, cp)
 			copies++
 		}
-		b.s.GCs = append(b.s.GCs, b.gc)
+		// Release mode counts the bracket (a kept slab interval would pin
+		// its chunk); time order already guarantees End >= Start.
+		switch {
+		case b.beforeStart(b.gc):
+		case b.opts.Episode == nil:
+			b.s.GCs = append(b.s.GCs, b.gc)
+		default:
+			b.diag.GCs++
+		}
 		b.gc = nil
 		if err := b.charge(copies * estIntervalBytes); err != nil {
 			return err
@@ -412,6 +449,9 @@ func (b *builder) add(rec *lila.Record) error {
 		}
 		if err := b.charge(estSampleBytes + int64(len(rec.Stack))*estFrameBytes); err != nil {
 			return err
+		}
+		if b.opts.Episode != nil && !rec.State.Valid() {
+			return fmt.Errorf("%w: trace: sample at %v has invalid thread state", errInvalid, rec.Time)
 		}
 		b.ensureThread(rec.Thread)
 		if b.gc != nil {
@@ -457,6 +497,43 @@ func (b *builder) add(rec *lila.Record) error {
 	return nil
 }
 
+// beforeStart drops (and counts) a finished episode root or GC bracket
+// that a salvage gap (binary times are delta-coded) shifted before the
+// session start under Lenient; time order keeps every End in bounds.
+func (b *builder) beforeStart(iv *trace.Interval) bool {
+	if b.opts.Lenient && iv.Start < b.s.Start {
+		b.diag.DroppedEpisodes++
+		return true
+	}
+	return false
+}
+
+// release applies Validate's episode rules, hands e to the hook, and
+// drops the ticks before both the current instant and every open
+// top-level dispatch.
+func (b *builder) release(e *trace.Episode) error {
+	if err := b.s.CheckEpisode(b.released, e, b.prevEnd, math.MaxInt64); err != nil {
+		return fmt.Errorf("%w: %w", errInvalid, err)
+	}
+	e.Index = b.released
+	b.released++
+	b.opts.Episode(b.s, e)
+	cut := b.last
+	for _, stack := range b.stacks {
+		if len(stack) > 0 && stack[0].Kind == trace.KindDispatch {
+			cut = min(cut, stack[0].Start)
+		}
+	}
+	// Compact in place: a resliced window would keep dropped samples live.
+	ticks := b.s.Ticks
+	k := sort.Search(len(ticks), func(i int) bool { return ticks[i].Time >= cut })
+	n := copy(ticks, ticks[k:])
+	clear(ticks[n:])
+	b.s.Ticks = ticks[:n]
+	b.diag.Ticks += k
+	return nil
+}
+
 func (b *builder) finish() (*trace.Session, *Diagnostics, error) {
 	if !b.ended {
 		if !b.opts.Lenient {
@@ -481,38 +558,18 @@ func (b *builder) finish() (*trace.Session, *Diagnostics, error) {
 		}
 		b.s.End = end
 	}
-	if b.opts.Lenient {
-		// A salvage gap swallows time deltas with it (binary times are
-		// delta-coded), which can shift later absolute times ahead of
-		// the session start; drop episodes the shifted timeline pushed
-		// outside the session bounds rather than fail validation.
-		kept := b.s.Episodes[:0]
-		for _, e := range b.s.Episodes {
-			if e.Start() < b.s.Start || e.End() > b.s.End {
-				b.diag.DroppedEpisodes++
-				continue
-			}
-			kept = append(kept, e)
-		}
-		b.s.Episodes = kept
-		keptGC := b.s.GCs[:0]
-		for _, gc := range b.s.GCs {
-			if gc.Start < b.s.Start || gc.End > b.s.End {
-				b.diag.DroppedEpisodes++
-				continue
-			}
-			keptGC = append(keptGC, gc)
-		}
-		b.s.GCs = keptGC
-	}
 	sort.SliceStable(b.s.Episodes, func(i, j int) bool {
 		return b.s.Episodes[i].Start() < b.s.Episodes[j].Start()
 	})
 	for i, e := range b.s.Episodes {
 		e.Index = i
 	}
+	if b.opts.Episode != nil {
+		b.diag.Ticks += len(b.s.Ticks)
+		b.s.Ticks = nil
+	}
 	if err := b.s.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("treebuild: rebuilt session invalid: %w", err)
+		return nil, nil, fmt.Errorf("%w: %w", errInvalid, err)
 	}
 	diag := b.diag
 	return b.s, &diag, nil
