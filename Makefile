@@ -2,16 +2,18 @@
 # exercises the concurrent packages (the analysis engine's worker
 # pools, sharded classification, the study fan-out, the v2 block
 # read-ahead behind treebuild.BuildV2, the lagd job supervisor, and
-# lagalyzer's per-file load pool)
+# lagalyzer's per-file load pool with its release-mode folds)
 # under the race detector. `make chaos` is the robustness
 # tier: the fault-injection suites (salvage decoding, lenient rebuild,
 # engine panic containment, checkpoint-store corruption and stalled
 # reads, service shedding/retry/shutdown, CLI kill-and-resume, and the
 # multi-node distributed-study suite under network fault injection,
-# and the live-ingest chaos suite: flaky upload swarms, kill-and-resume
-# over the ingest journal, budget eviction, and drain) plus a fuzz
-# smoke pass over the salvage decoders and the streaming ingest
-# endpoint. `make profile` runs the
+# the live-ingest chaos suite: flaky upload swarms, kill-and-resume
+# over the ingest journal, budget eviction, and drain, and lagalyzer's
+# per-file panic containment) plus a fuzz smoke pass over the
+# decoders — the strict-reader target also drives the release-mode
+# stream path — and the streaming ingest endpoint, whose consumer is
+# the same release-mode builder run leniently. `make profile` runs the
 # engine benchmark under the CPU and heap profilers and prints the
 # top-10 hot spots from each. `make loc` prints the non-test and test
 # Go line counts outside the benchmark module (bench/), the size
@@ -46,6 +48,7 @@ chaos:
 		-run 'Golden|Hedge|Eject|Degrad|Itemized|Resume|Backoff|Pool|Metrics' -race
 	$(GO) test ./internal/ingest \
 		-run 'Chaos|Golden|Journal|Shed|Drain|Budget|Idle|Duplicate|Garbage|Degrad' -race
+	$(GO) test ./cmd/lagalyzer -run Panic
 	$(GO) test -run TestCLIFaultTolerance .
 	$(GO) test -run TestCLICheckpointKillResume .
 	$(GO) test -run TestCLIConvertGolden .

@@ -168,7 +168,8 @@ func usage() {
   lagalyzer sketch   [-episode N] [-svg file] <trace>
   lagalyzer timeline [-svg file] <trace>   whole-session trace timeline
   lagalyzer stream   [-follow [-poll d] [-follow-idle d]] <trace>...
-                                           single-pass statistics (O(1) memory);
+                                           single-pass statistics (memory: the open
+                                           episodes and the ticks they can reach);
                                            -follow tails one growing trace live
   lagalyzer browse   <trace>...            interactive pattern browser
   lagalyzer diff     [-n rows] <old> <new> compare two runs' patterns
@@ -341,39 +342,57 @@ func noteDamage(path string, rep *lila.SalvageReport, diag *treebuild.Diagnostic
 	}
 }
 
+// fileFold is one trace file's release-mode analysis, the per-file
+// fold stats and stream both print from: its statistics, the closed
+// session (no episodes, ticks, or GCs), and its episodes' durations.
+type fileFold struct {
+	st   *stream.Stats
+	s    *trace.Session
+	diag *treebuild.Diagnostics
+	durs []trace.Dur
+}
+
+// analyzeEpisode is the fold's per-episode step; a variable so tests
+// can inject a fault.
+var analyzeEpisode = (*stream.Analyzer).Episode
+
+// foldFiles builds each trace in release mode on loadEach's pool,
+// analyzing each episode as it closes. A panic in a file's fold becomes
+// that file's error, as the engine's chunk recover does: exit 1, or the
+// file skipped under -salvage.
+func foldFiles(paths []string, threshold trace.Dur) ([]*fileFold, error) {
+	return loadEach(paths, func(path string, blockJobs int) (ff *fileFold, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				ff, err = nil, fmt.Errorf("panic analyzing episodes: %v", r)
+			}
+		}()
+		start := time.Now()
+		ff = &fileFold{}
+		a := stream.NewAnalyzer(threshold)
+		ff.s, ff.diag, err = loadSession(path, blockJobs, func(s *trace.Session, e *trace.Episode) {
+			analyzeEpisode(a, s, e)
+			ff.durs = append(ff.durs, e.Dur())
+		})
+		if err != nil {
+			return nil, err
+		}
+		ff.st = a.Stats(ff.s, ff.diag)
+		ff.st.Elapsed = time.Since(start)
+		if fi, err := os.Stat(path); err == nil {
+			ff.st.Bytes = fi.Size()
+		}
+		return ff, nil
+	})
+}
+
 func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	threshold := fs.Duration("threshold", 100e6, "perceptibility threshold")
 	fs.Parse(args)
 	th := trace.Dur(*threshold)
 
-	// Each trace builds in release mode, keeping only its summary line and
-	// its episodes' durations and populations, folded as each closes.
-	type fileStats struct {
-		line string
-		durs []trace.Dur
-		pop  [2]engine.Population
-	}
-	all, err := loadEach(fs.Args(), func(path string, blockJobs int) (*fileStats, error) {
-		st := &fileStats{}
-		ea := engine.NewEpisodeAnalyzer(engine.Options{})
-		s, diag, err := loadSession(path, blockJobs, func(s *trace.Session, e *trace.Episode) {
-			info := ea.Analyze(s, e)
-			engine.Fold(&st.pop, e, &info, th)
-			st.durs = append(st.durs, e.Dur())
-		})
-		if err != nil {
-			return nil, err
-		}
-		inEps := 0.0
-		if e2e := s.E2E(); e2e > 0 {
-			inEps = float64(st.pop[0].EpisodeTime) / float64(e2e)
-		}
-		st.line = fmt.Sprintf("%s/%d: E2E %v, in-episode %.1f%%, episodes <%v: %d, traced: %d, >=%v: %d, GCs: %d, samples: %d\n",
-			s.App, s.ID, s.E2E(), inEps*100, s.FilterThreshold, s.ShortCount,
-			st.pop[0].Trigger.Total, th, st.pop[1].Trigger.Total, diag.GCs, diag.Ticks)
-		return st, nil
-	})
+	all, err := foldFiles(fs.Args(), th)
 	if err != nil {
 		return err
 	}
@@ -381,11 +400,18 @@ func runStats(args []string) error {
 	// same output at any -jobs.
 	var pop [2]engine.Population
 	var durs []trace.Dur
-	for _, st := range all {
-		fmt.Print(st.line)
-		pop[0].Merge(&st.pop[0])
-		pop[1].Merge(&st.pop[1])
-		durs = append(durs, st.durs...)
+	for _, ff := range all {
+		s, st := ff.s, ff.st
+		inEps := 0.0
+		if e2e := s.E2E(); e2e > 0 {
+			inEps = float64(st.InEpisode) / float64(e2e)
+		}
+		fmt.Printf("%s/%d: E2E %v, in-episode %.1f%%, episodes <%v: %d, traced: %d, >=%v: %d, GCs: %d, samples: %d\n",
+			s.App, s.ID, s.E2E(), inEps*100, s.FilterThreshold, s.ShortCount,
+			st.Episodes, th, st.Perceptible, ff.diag.GCs, ff.diag.Ticks)
+		pop[0].Merge(&st.All)
+		pop[1].Merge(&st.Long)
+		durs = append(durs, ff.durs...)
 	}
 
 	trigAll, trigLong := pop[0].Trigger, pop[1].Trigger
@@ -502,25 +528,12 @@ func runStream(args []string) error {
 		}
 		return followOne(args[0], *poll, *followIdle)
 	}
-	for i, path := range args {
-		if runCtx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "lagalyzer: interrupted — skipping %d remaining input(s)\n", len(args)-i)
-			lostInputs += len(args) - i
-			break
-		}
-		st, err := streamOne(path)
-		if err != nil {
-			if salvageMode {
-				fmt.Fprintf(os.Stderr, "lagalyzer: %s: skipped: %v\n", path, err)
-				lostInputs++
-				continue
-			}
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		printStreamStats(st)
+	all, err := foldFiles(args, 0)
+	if err != nil {
+		return err
 	}
-	if len(args) == 0 {
-		return fmt.Errorf("no trace files given")
+	for _, ff := range all {
+		printStreamStats(ff.st)
 	}
 	return nil
 }
@@ -543,9 +556,11 @@ func printStreamStats(st *stream.Stats) {
 // followOne tails a growing trace file the way a live profiler writes
 // one: decode what is there, then poll for appended bytes and resume
 // exactly where the last complete record ended (a partial record at
-// the tail simply stays buffered until the writer completes it).
-// Stops at the trace's end record, after -follow-idle without growth,
-// or on SIGINT — and prints the single-pass summary either way.
+// the tail simply stays buffered until the writer completes it). The
+// records drive a release-mode session build, so each episode is
+// analyzed as it closes. Stops at the trace's end record, after
+// -follow-idle without growth, or on SIGINT — and prints the
+// single-pass summary either way.
 func followOne(path string, poll, idle time.Duration) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -559,8 +574,9 @@ func followOne(path string, poll, idle time.Duration) error {
 	if err != nil {
 		return err
 	}
-	an := stream.NewAnalyzer(lr.Header(), 0)
-	skipped, lastNote := 0, time.Now()
+	a := stream.NewAnalyzer(0)
+	b := treebuild.NewBuilder(lr.Header(), treebuild.Options{Lenient: salvageMode, Episode: a.Episode})
+	lastNote := time.Now()
 	for {
 		rec, err := lr.Read()
 		if err == io.EOF {
@@ -573,30 +589,26 @@ func followOne(path string, poll, idle time.Duration) error {
 			fmt.Fprintf(os.Stderr, "lagalyzer: %s: stream ended: %v\n", path, err)
 			break
 		}
-		if aerr := an.Add(rec); aerr != nil {
-			if !salvageMode {
-				return aerr
-			}
-			skipped++
+		if err := b.Feed(rec); err != nil {
+			return err
 		}
 		if rec.Type == lila.RecEnd {
 			break
 		}
 		if time.Since(lastNote) >= 5*time.Second {
-			fmt.Fprintf(os.Stderr, "lagalyzer: following %s: %.2f MB, trace time %v\n",
-				path, float64(cr.Bytes())/1e6, trace.Dur(an.Now()))
+			fmt.Fprintf(os.Stderr, "lagalyzer: following %s: %.2f MB, final through trace time %v\n",
+				path, float64(cr.Bytes())/1e6, trace.Dur(b.Watermark()))
 			lastNote = time.Now()
 		}
 	}
-	st := an.Stats()
+	s, diag, err := b.Finish()
+	if err != nil {
+		return err
+	}
+	noteDamage(path, lila.SalvageOf(lr), diag)
+	st := a.Stats(s, diag)
 	st.Bytes = cr.Bytes()
 	st.Elapsed = time.Since(start)
-	if rep := lila.SalvageOf(lr); rep.Damaged() {
-		fmt.Fprintf(os.Stderr, "lagalyzer: %s: salvage: %s\n", path, rep)
-	}
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "lagalyzer: %s: %d records rejected by the analyzer\n", path, skipped)
-	}
 	printStreamStats(st)
 	return nil
 }
@@ -631,37 +643,6 @@ func (t *tailReader) Read(p []byte) (int, error) {
 		time.Sleep(sleep)
 		waited += sleep
 	}
-}
-
-// streamOne runs the single-pass analyzer over one trace file,
-// leniently (salvage decoding, rejected records skipped) when
-// -salvage is set.
-func streamOne(path string) (*stream.Stats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if !salvageMode {
-		return stream.AnalyzeStream(f, 0)
-	}
-	cr := obs.NewCountingReader(f, nil)
-	lr, err := lila.NewReaderOptions(cr, lila.ReaderOptions{Salvage: true})
-	if err != nil {
-		return nil, err
-	}
-	st, skipped, err := stream.AnalyzeLenient(lr, 0)
-	if err != nil {
-		return nil, err
-	}
-	st.Bytes = cr.Bytes()
-	if rep := lila.SalvageOf(lr); rep.Damaged() {
-		fmt.Fprintf(os.Stderr, "lagalyzer: %s: salvage: %s\n", path, rep)
-	}
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "lagalyzer: %s: %d records rejected by the analyzer\n", path, skipped)
-	}
-	return st, nil
 }
 
 func runPatterns(args []string) error {

@@ -11,11 +11,13 @@ import (
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
+	"lagalyzer/internal/stream"
+	"lagalyzer/internal/trace"
 )
 
-// captureStats runs `stats` over paths at the given -jobs and returns
-// its stdout.
-func captureStats(t *testing.T, jobs int, paths []string) string {
+// capture runs cmd (runStats or runStream) over paths at the given
+// -jobs and returns its stdout and error.
+func capture(t *testing.T, cmd func([]string) error, jobs int, paths []string) (string, error) {
 	t.Helper()
 	loadJobs = jobs
 	defer func() { loadJobs = 0 }()
@@ -30,23 +32,30 @@ func captureStats(t *testing.T, jobs int, paths []string) string {
 		b, _ := io.ReadAll(r) // a pipe read fails only once w is closed
 		out <- b
 	}()
-	err = runStats(paths)
+	err = cmd(paths)
 	os.Stdout = stdout
 	w.Close()
-	got := <-out
+	return string(<-out), err
+}
+
+// captureStats runs `stats` over paths at the given -jobs and returns
+// its stdout.
+func captureStats(t *testing.T, jobs int, paths []string) string {
+	t.Helper()
+	got, err := capture(t, runStats, jobs, paths)
 	if err != nil {
 		t.Fatalf("stats at -jobs %d: %v", jobs, err)
 	}
-	return string(got)
+	return got
 }
 
-// TestStatsParallelFolds runs the release-mode stats pool over two
-// multi-block v2 traces with file and block workers at once (run it
-// under -race), and checks the output matches the sequential run.
-func TestStatsParallelFolds(t *testing.T) {
+// writeV2Traces writes one multi-block v2 trace per app and returns
+// their paths.
+func writeV2Traces(t *testing.T, names ...string) []string {
+	t.Helper()
 	dir := t.TempDir()
 	var paths []string
-	for _, app := range []string{"Jmol", "CrosswordSage"} {
+	for _, app := range names {
 		profile, err := apps.ByName(app)
 		if err != nil {
 			t.Fatal(err)
@@ -74,6 +83,14 @@ func TestStatsParallelFolds(t *testing.T) {
 		}
 		paths = append(paths, path)
 	}
+	return paths
+}
+
+// TestStatsParallelFolds runs the release-mode stats pool over two
+// multi-block v2 traces with file and block workers at once (run it
+// under -race), and checks the output matches the sequential run.
+func TestStatsParallelFolds(t *testing.T) {
+	paths := writeV2Traces(t, "Jmol", "CrosswordSage")
 	want := captureStats(t, 1, paths)
 	if !strings.HasPrefix(want, "Jmol/0: ") || !strings.Contains(want, "\nCrosswordSage/0: ") {
 		t.Fatalf("stats output:\n%s", want)
@@ -82,5 +99,42 @@ func TestStatsParallelFolds(t *testing.T) {
 		if got := captureStats(t, jobs, paths); got != want {
 			t.Errorf("-jobs %d:\n%s\nwant (-jobs 1):\n%s", jobs, got, want)
 		}
+	}
+}
+
+// TestFoldPanicIsFileError: a panic in one file's per-episode analysis
+// fails that file, not the process. stats and stream return it as an
+// error (exit 1) at any -jobs; under -salvage the file is skipped
+// (exit 3) and the others still print.
+func TestFoldPanicIsFileError(t *testing.T) {
+	paths := writeV2Traces(t, "Jmol", "CrosswordSage")
+	analyzeEpisode = func(a *stream.Analyzer, s *trace.Session, e *trace.Episode) {
+		if s.App == "Jmol" && e.Index == 3 {
+			panic("injected fault")
+		}
+		a.Episode(s, e)
+	}
+	defer func() { analyzeEpisode = (*stream.Analyzer).Episode }()
+
+	for _, cmd := range []struct {
+		name string
+		run  func([]string) error
+	}{{"stats", runStats}, {"stream", runStream}} {
+		for _, jobs := range []int{1, 8} {
+			_, err := capture(t, cmd.run, jobs, paths)
+			if err == nil || !strings.Contains(err.Error(), "Jmol.lila: panic analyzing episodes: injected fault") {
+				t.Errorf("%s at -jobs %d: error %v, want the Jmol file's contained panic", cmd.name, jobs, err)
+			}
+		}
+		salvageMode, lostInputs = true, 0
+		out, err := capture(t, cmd.run, 2, paths)
+		salvageMode = false
+		if err != nil || lostInputs != 1 {
+			t.Errorf("%s -salvage: error %v, %d inputs lost, want nil and 1", cmd.name, err, lostInputs)
+		}
+		if strings.Contains(out, "Jmol/0") || !strings.Contains(out, "CrosswordSage/0") {
+			t.Errorf("%s -salvage printed:\n%s\nwant CrosswordSage only", cmd.name, out)
+		}
+		lostInputs = 0
 	}
 }

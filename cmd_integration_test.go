@@ -146,9 +146,9 @@ func TestCLIWorkflow(t *testing.T) {
 
 // TestCLIStatsStreamGolden pins `lagalyzer stats` (sequential and at
 // the default -jobs) and `lagalyzer stream` stdout byte for byte on a
-// seeded v2 trace, and checks that stats over two traces prints the
-// same at 1, 2, and 8 workers. The stream's decode-throughput line
-// carries wall clock and is masked.
+// seeded v2 trace, and checks that stats and stream over two traces
+// each print the same at 1, 2, and 8 workers. The stream's
+// decode-throughput lines carry wall clock and are masked.
 func TestCLIStatsStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -194,14 +194,27 @@ func TestCLIStatsStreamGolden(t *testing.T) {
 		}
 	}
 
-	lines := strings.Split(stdout("stream", traceFile), "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(l, "  decoded ") {
-			lines[i] = "  decoded (timing masked)"
+	masked := func(args ...string) string {
+		t.Helper()
+		lines := strings.Split(stdout(args...), "\n")
+		for i, l := range lines {
+			if strings.HasPrefix(l, "  decoded ") {
+				lines[i] = "  decoded (timing masked)"
+			}
 		}
+		return strings.Join(lines, "\n")
 	}
-	if got, want := strings.Join(lines, "\n"), golden("stream_crosswordsage.golden"); got != want {
+	if got, want := masked("stream", traceFile), golden("stream_crosswordsage.golden"); got != want {
 		t.Errorf("lagalyzer stream:\n%s\nwant:\n%s", got, want)
+	}
+	twoStream := masked("-jobs", "1", "stream", traceFile, second)
+	if !strings.HasPrefix(twoStream, "CrosswordSage/0: ") || !strings.Contains(twoStream, "\nCrosswordSage/1: ") {
+		t.Errorf("lagalyzer stream over two traces:\n%s", twoStream)
+	}
+	for _, jobs := range []string{"2", "8"} {
+		if got := masked("-jobs", jobs, "stream", traceFile, second); got != twoStream {
+			t.Errorf("lagalyzer -jobs %s stream over two traces:\n%s\nwant (-jobs 1):\n%s", jobs, got, twoStream)
+		}
 	}
 }
 

@@ -34,9 +34,10 @@ func TimelineText(s *Session, columns int) string {
 type StreamStats = stream.Stats
 
 // AnalyzeStream computes overview statistics, triggers, GC/native
-// fractions, cause shares, and concurrency in one pass over a trace,
-// in O(stack depth) memory — without materializing the session.
-// threshold 0 means the paper's 100 ms.
+// fractions, cause shares, and concurrency in one pass over a trace
+// without materializing the session: each episode is analyzed as it
+// closes and then dropped, so memory holds only the open episodes and
+// the ticks they can still reach. threshold 0 means the paper's 100 ms.
 func AnalyzeStream(r io.Reader, threshold Dur) (*StreamStats, error) {
 	lr, err := lila.NewReader(r)
 	if err != nil {

@@ -1,8 +1,10 @@
 // Package ingest is lagd's live streaming ingestion surface: many
 // concurrent LiLa record streams arrive over chunked HTTP, each is
-// consumed incrementally by internal/stream's O(stack-depth) analyzer
-// plus an incremental episode-tree builder, and everything folds into
-// mergeable per-window aggregate state that is queryable mid-session.
+// consumed incrementally by a lenient release-mode treebuild builder
+// whose episode hook is internal/stream's analyzer — so a session holds
+// only its open episodes and the ticks they can reach — and everything
+// folds into mergeable per-window aggregate state that is queryable
+// mid-session.
 //
 // The package is built hostile-client-first: per-session and global
 // memory budgets with 429/Retry-After shedding and a degraded

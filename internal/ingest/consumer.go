@@ -1,13 +1,12 @@
 package ingest
 
 import (
-	"errors"
-
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/stream"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // ConsumerConfig tunes one session's incremental consumer.
@@ -18,12 +17,6 @@ type ConsumerConfig struct {
 	// Threshold is the perceptibility threshold; 0 means the paper's
 	// 100 ms.
 	Threshold trace.Dur
-	// MaxEpisodeNodes bounds one episode's retained interval tree;
-	// an episode exceeding it degrades to stats-only. 0 means 1<<16.
-	MaxEpisodeNodes int
-	// StatsOnly disables tree building (and with it pattern tallies)
-	// from the start.
-	StatsOnly bool
 }
 
 // DefaultWindowDur is the aggregation window when none is configured:
@@ -38,30 +31,25 @@ type flushEntry struct {
 	Agg    *Aggregate
 }
 
-// Consumer feeds one session's record stream through the streaming
-// analyzer and an incremental episode-tree builder, folding each
-// finished episode into per-window aggregates. A window is emitted as
-// soon as it can no longer change: every later record is past it and
-// no open episode started inside it. Not safe for concurrent use —
-// one consumer lives on one session's receive goroutine.
+// Consumer feeds one session's record stream to a lenient release-mode
+// session builder whose episode hook is the streaming analyzer, folding
+// each episode into per-window aggregates as it closes. A window is
+// emitted as soon as it lies wholly below the builder's watermark: no
+// episode closing later can start inside it. Not safe for concurrent
+// use — one consumer lives on one session's receive goroutine.
 type Consumer struct {
+	b         *treebuild.Builder
 	an        *stream.Analyzer
+	diag      *treebuild.Diagnostics // set by Finish
 	app       string
 	windowDur trace.Dur
 	threshold trace.Dur
-	fp        *patterns.Fingerprinter
 
 	local        map[int64]*Aggregate
 	flushedBelow int64 // windows < this have been emitted
 	patternBytes int64 // retained canon bytes, for memory estimates
 	treeless     int
 	degraded     bool
-
-	// Lenient-skip guards, mirroring treebuild's: the batch reference
-	// drops out-of-order and after-end records, so the streaming side
-	// must reject the same ones for golden equivalence to hold.
-	last  trace.Time
-	ended bool
 }
 
 // NewConsumer builds a consumer for one session stream. app is the
@@ -75,41 +63,24 @@ func NewConsumer(app string, h lila.Header, cfg ConsumerConfig) *Consumer {
 		threshold = trace.DefaultPerceptibleThreshold
 	}
 	c := &Consumer{
-		an:        stream.NewAnalyzer(h, threshold),
+		an:        stream.NewAnalyzer(threshold),
 		app:       app,
 		windowDur: cfg.WindowDur,
 		threshold: threshold,
-		fp:        patterns.NewFingerprinter(patterns.Options{Threshold: threshold}),
 		local:     make(map[int64]*Aggregate),
 	}
-	if cfg.StatsOnly {
-		c.degraded = true
-	} else {
-		c.an.BuildTrees(cfg.MaxEpisodeNodes)
-	}
+	c.b = treebuild.NewBuilder(h, treebuild.Options{Lenient: true, Episode: c.an.Episode})
 	c.an.Observe(c.onEpisode)
 	return c
 }
 
-func (c *Consumer) onEpisode(er *stream.EpisodeResult) {
-	ec := epContribution{
-		dur:      er.Dur(),
-		trigger:  er.Trigger,
-		gc:       er.KindTime[trace.KindGC],
-		native:   er.KindTime[trace.KindNative],
-		ticks:    er.Ticks,
-		treeless: er.Root == nil,
-	}
-	if er.Root != nil {
-		ep := trace.Episode{Thread: er.Thread, Root: er.Root}
-		pr, ok := c.fp.Fingerprint(&ep)
-		ec.structured = ok
-		ec.canon, ec.hash = pr.Canon, pr.Hash
-		ec.treeless = false
-	} else {
+func (c *Consumer) onEpisode(_ *trace.Session, e *trace.Episode, info *engine.EpisodeInfo) {
+	ec := contribution(e, info)
+	if c.degraded {
+		ec.treeless, ec.structured = true, false
 		c.treeless++
 	}
-	w := int64(er.Start) / int64(c.windowDur)
+	w := int64(e.Start()) / int64(c.windowDur)
 	agg := c.local[w]
 	if agg == nil {
 		agg = &Aggregate{}
@@ -122,76 +93,43 @@ func (c *Consumer) onEpisode(er *stream.EpisodeResult) {
 	}
 }
 
-// Add consumes one record leniently-ready: a non-nil error means the
-// record was rejected (out of time order, after the end record, or
-// inconsistent — return without call, unbalanced GC); the caller
-// counts it as skipped. The rejection rules mirror treebuild's
-// lenient builder so that a salvaged stream produces the same record
-// sequence on both the streamed and the batch side.
-func (c *Consumer) Add(rec *lila.Record) error {
-	if c.ended {
-		return errAfterEnd
-	}
-	if rec.Type != lila.RecThread {
-		if rec.Time < c.last {
-			return errOutOfOrder
-		}
-		c.last = rec.Time
-	}
-	if err := c.an.Add(rec); err != nil {
-		return err
-	}
-	if rec.Type == lila.RecEnd {
-		c.ended = true
-	}
-	return nil
-}
+// Add feeds one record to the lenient builder, which counts and skips
+// records inconsistent with the session so far, exactly as the batch
+// reference's lenient build does. A non-nil error is fatal for the
+// session: the memory guard or a Validate-class episode.
+func (c *Consumer) Add(rec *lila.Record) error { return c.b.Feed(rec) }
 
-var (
-	errOutOfOrder = errors.New("ingest: record out of time order")
-	errAfterEnd   = errors.New("ingest: record after end record")
-)
-
-// Degrade enters stats-only mode: open and future episode trees are
-// dropped, aggregate statistics keep flowing.
-func (c *Consumer) Degrade() {
-	if !c.degraded {
-		c.degraded = true
-		c.an.DropTrees()
-	}
-}
+// Degrade enters stats-only mode: episodes closing from now on skip
+// pattern classification and count as Treeless; aggregate statistics
+// keep flowing.
+func (c *Consumer) Degrade() { c.degraded = true }
 
 // Degraded reports whether stats-only mode is active.
 func (c *Consumer) Degraded() bool { return c.degraded }
 
-// EstimateBytes approximates the consumer's retained memory: open
-// episode trees, window aggregates, and pattern canon strings.
+// EstimateBytes approximates the consumer's retained memory: what the
+// builder keeps (open episodes and the ticks they can reach), window
+// aggregates, and pattern canon strings.
 func (c *Consumer) EstimateBytes() int64 {
 	const (
 		base      = 16 << 10
-		perNode   = 160
 		perWindow = 1 << 10
 	)
 	return base +
-		int64(c.an.TreeNodes())*perNode +
+		c.b.EstimatedBytes() +
 		int64(len(c.local))*perWindow +
 		c.patternBytes
 }
 
-// CompletedWindows drains every window that can no longer change:
-// strictly before the current record time's window and before the
-// window of the earliest still-open episode. Returned aggregates are
-// owned by the caller.
+// CompletedWindows drains every window wholly below the builder's
+// watermark (the current record time, or the earliest still-open
+// episode's start if earlier). Returned aggregates are owned by the
+// caller.
 func (c *Consumer) CompletedWindows() []flushEntry {
 	if len(c.local) == 0 {
 		return nil
 	}
-	flushable := int64(c.an.Now()) / int64(c.windowDur)
-	if minStart, open := c.an.MinOpenStart(); open {
-		if w := int64(minStart) / int64(c.windowDur); w < flushable {
-			flushable = w
-		}
-	}
+	flushable := int64(c.b.Watermark()) / int64(c.windowDur)
 	if flushable <= c.flushedBelow {
 		return nil
 	}
@@ -206,26 +144,40 @@ func (c *Consumer) CompletedWindows() []flushEntry {
 	return out
 }
 
-// Finish closes the stream: the pending tick is flushed, every
-// remaining window is drained (open episodes never finished, so they
-// contribute nothing — salvage-what-arrived), and the session's app
-// tally is computed from the analyzer's final statistics.
+// Finish closes the stream: the builder closes the session (a
+// truncated stream ends at the last seen time stamp, and open episodes
+// never finished contribute nothing — salvage-what-arrived), every
+// remaining window is drained, and the session's app tally is taken
+// from the closed session.
 func (c *Consumer) Finish() (entries []flushEntry, app AppTally, st *stream.Stats) {
-	st = c.an.Stats()
-	if !c.ended {
-		// Truncated stream — no end record arrived. Close the session
-		// at the last seen time stamp, exactly as treebuild's lenient
-		// builder synthesizes the end for the batch pipeline.
-		if now := c.an.Now(); trace.Dur(now) > st.E2E {
-			st.E2E = trace.Dur(now)
-		}
+	s, diag, err := c.b.Finish()
+	if err != nil {
+		// Only an end record before the session start fails a lenient
+		// release-mode finish; the windows folded so far still count.
+		s, diag = &trace.Session{}, &treebuild.Diagnostics{}
 	}
+	c.diag = diag
+	st = c.an.Stats(s, diag)
 	for w, agg := range c.local {
 		entries = append(entries, flushEntry{Window: w, Agg: agg})
 		delete(c.local, w)
 	}
-	app = AppTally{Sessions: 1, Short: st.ShortCount, E2E: st.E2E}
+	app = AppTally{Sessions: 1, Short: s.ShortCount, E2E: s.E2E()}
 	return entries, app, st
+}
+
+// contribution normalizes one analyzed episode for Aggregate.addEpisode.
+func contribution(e *trace.Episode, info *engine.EpisodeInfo) epContribution {
+	return epContribution{
+		dur:        e.Dur(),
+		trigger:    info.Trigger,
+		gc:         info.GC,
+		native:     info.Native,
+		ticks:      info.Ticks,
+		structured: info.Structured,
+		canon:      info.Print.Canon,
+		hash:       info.Print.Hash,
+	}
 }
 
 // App returns the aggregation key.
@@ -254,16 +206,7 @@ func FoldSessions(t *Tables, app string, sessions []*trace.Session, windowDur, t
 	for _, s := range sessions {
 		for _, e := range s.Episodes {
 			info := ea.Analyze(s, e)
-			ec := epContribution{
-				dur:        e.Dur(),
-				trigger:    info.Trigger,
-				gc:         info.GC,
-				native:     info.Native,
-				ticks:      info.Ticks,
-				structured: info.Structured,
-				canon:      info.Print.Canon,
-				hash:       info.Print.Hash,
-			}
+			ec := contribution(e, &info)
 			w := int64(e.Start()) / int64(windowDur)
 			t.window(WindowKey{App: app, Window: w}).addEpisode(&ec, threshold)
 		}

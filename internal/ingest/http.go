@@ -96,13 +96,11 @@ func (s *Server) HandleIngest(w http.ResponseWriter, r *http.Request) {
 		fh.App = h.App
 	}
 	cons := NewConsumer(fh.App, h, ConsumerConfig{
-		WindowDur:       s.cfg.windowDur(),
-		Threshold:       s.cfg.threshold(),
-		MaxEpisodeNodes: s.cfg.MaxEpisodeNodes,
+		WindowDur: s.cfg.windowDur(),
+		Threshold: s.cfg.threshold(),
 	})
 
 	var readErr error
-	var skipped int64
 	const checkEvery = 256
 	for n := 0; ; n++ {
 		if n%checkEvery == 0 && ss.evictReason() != "" {
@@ -121,7 +119,8 @@ func (s *Server) HandleIngest(w http.ResponseWriter, r *http.Request) {
 		ss.mu.Unlock()
 		mRecords.Inc()
 		if err := cons.Add(rec); err != nil {
-			skipped++
+			readErr = err
+			break
 		}
 		if n%checkEvery == checkEvery-1 {
 			if err := s.flushAndPolice(ss, cons); err != nil {
@@ -143,10 +142,10 @@ func (s *Server) HandleIngest(w http.ResponseWriter, r *http.Request) {
 	fh.StreamEpisodes = st.Episodes
 	fh.DegradedToStream = cons.Degraded()
 	var diags []string
-	if skipped > 0 {
-		fh.Diagnostics = &treebuild.Diagnostics{SkippedRecords: int(skipped)}
+	if skipped := cons.diag.SkippedRecords; skipped > 0 {
+		fh.Diagnostics = &treebuild.Diagnostics{SkippedRecords: skipped}
 		diags = append(diags,
-			fmt.Sprintf("%d records skipped by the streaming analyzer", skipped))
+			fmt.Sprintf("%d records skipped by the lenient session builder", skipped))
 	}
 	if cons.Degraded() {
 		diags = append(diags,

@@ -26,15 +26,13 @@ type Config struct {
 	// sessions (default 256 MiB). Admission beyond it sheds with 429;
 	// a live session pushing past it degrades, then is evicted.
 	MemoryBudget int64
-	// SessionBudget bounds one session's estimate (default 32 MiB).
+	// SessionBudget bounds one session's estimate (default 32 MiB),
+	// which covers the open episodes and the ticks they can reach.
 	// Crossing it degrades the session to stats-only; still crossing
 	// it evicts.
 	SessionBudget int64
 	// MaxSessions caps concurrent sessions (default 1024).
 	MaxSessions int
-	// MaxEpisodeNodes bounds one episode's retained interval tree
-	// (default 1<<16 nodes); beyond it the episode loses its tree.
-	MaxEpisodeNodes int
 	// IdleTimeout evicts sessions that have delivered no bytes for
 	// this long (default 60s).
 	IdleTimeout time.Duration

@@ -94,14 +94,14 @@ func compressibleRecords() []*lila.Record {
 }
 
 // drain reads everything the parser will give, feeding both downstream
-// consumers; the property under test is "no panic, no hang" on
-// arbitrary input.
+// consumers: a full session build and the streaming analyzer's
+// release-mode build. The property under test is "no panic, no hang"
+// on arbitrary input.
 func drain(data []byte) {
 	r, err := lila.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return
 	}
-	a := stream.NewAnalyzer(r.Header(), 0)
 	var recs []*lila.Record
 	for i := 0; i < 1<<17; i++ { // hard cap: fuzz inputs must terminate
 		rec, err := r.Read()
@@ -109,10 +109,9 @@ func drain(data []byte) {
 			break
 		}
 		recs = append(recs, rec)
-		_ = a.Add(rec) // errors fine; panics not
 	}
-	_, _, _ = treebuild.BuildRecords(r.Header(), recs)
-	_ = a.Stats()
+	_, _, _ = treebuild.BuildRecords(r.Header(), recs) // errors fine; panics not
+	_, _ = stream.AnalyzeRecords(r.Header(), recs, 0)
 }
 
 // FuzzReader throws arbitrary bytes at the format sniffer, both

@@ -13,7 +13,6 @@ import (
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
-	"lagalyzer/internal/stream"
 	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
 )
@@ -28,7 +27,7 @@ type LoadOptions struct {
 	// Salvage enables damage-tolerant ingest end to end: salvage-mode
 	// decoding (resynchronize past wire damage), lenient session
 	// rebuild (skip inconsistent records, synthesize a missing end),
-	// and the streaming-analyzer fallback for over-budget sessions.
+	// and the release-mode fallback for over-budget sessions.
 	Salvage bool
 	// Strict restores the historical fail-fast contract: the first
 	// file (in sorted path order) that fails to load aborts the whole
@@ -251,17 +250,8 @@ func (o LoadOptions) filterFor(h lila.Header) *lila.RecordFilter {
 // fh.Error means the session was degraded to streaming aggregates.
 func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
 	fh := FileHealth{Path: path}
-	f, err := os.Open(path)
-	if err != nil {
-		fh.Error = err.Error()
-		return nil, fh
-	}
-	defer f.Close()
-	load := loadV1
-	if lila.IsV2File(f) {
-		load = loadV2
-	}
-	s, diag, rep, err := load(f, o)
+	bo := treebuild.Options{Lenient: o.Salvage, Limits: o.Limits}
+	s, diag, rep, err := loadFile(path, o, bo)
 	if rep.Damaged() {
 		fh.Salvage = rep
 	}
@@ -273,14 +263,16 @@ func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
 		return s, fh
 	}
 	if errors.Is(err, treebuild.ErrSessionTooLarge) && !o.Strict {
-		// The session tree would blow the memory budget; fall back to
-		// the single-pass streaming analyzer, which needs O(stack
-		// depth) memory, and keep its aggregate counts in the health.
-		if st, ok := streamFallback(path, o); ok {
-			fh.App = st.App
+		// The session tree would blow the memory budget; rebuild in
+		// release mode, which keeps only the open episodes and the
+		// ticks they can reach, and keep its counts in the health.
+		episodes := 0
+		bo.Episode = func(*trace.Session, *trace.Episode) { episodes++ }
+		if s, diag, _, serr := loadFile(path, o, bo); serr == nil {
+			fh.App = s.App
 			fh.DegradedToStream = true
-			fh.StreamEpisodes = st.Episodes
-			fh.StreamRecords = st.Records
+			fh.StreamEpisodes = episodes
+			fh.StreamRecords = diag.Records
 			return nil, fh
 		}
 	}
@@ -288,9 +280,23 @@ func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
 	return nil, fh
 }
 
+// loadFile opens path and builds its session with bo: v2 traces on
+// the mapped fast path, others record by record.
+func loadFile(path string, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer f.Close()
+	if lila.IsV2File(f) {
+		return loadV2(f, o, bo)
+	}
+	return loadV1(f, o, bo)
+}
+
 // loadV1 decodes and rebuilds a text or v1 binary trace record by
 // record, filtering as it reads.
-func loadV1(f *os.File, o LoadOptions) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
+func loadV1(f *os.File, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	cr := obs.NewCountingReader(f, nil)
 	defer func() { mTraceBytes.Add(cr.Bytes()) }()
 	lr, err := lila.NewReaderOptions(cr, lila.ReaderOptions{Salvage: o.Salvage, Limits: o.Limits})
@@ -300,40 +306,21 @@ func loadV1(f *os.File, o LoadOptions) (*trace.Session, *treebuild.Diagnostics, 
 	if filt := o.filterFor(lr.Header()); filt != nil {
 		lr = lila.NewFilteredReader(lr, filt)
 	}
-	s, diag, err := treebuild.BuildOptions(lr, treebuild.Options{Lenient: o.Salvage, Limits: o.Limits})
+	s, diag, err := treebuild.BuildOptions(lr, bo)
 	return s, diag, lila.SalvageOf(lr), err
 }
 
 // loadV2 is the v2 fast path: the file is mapped, and only the blocks
 // the effective filter selects are decoded, straight into the session
 // build, from tables interned once up front.
-func loadV2(f *os.File, o LoadOptions) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
+func loadV2(f *os.File, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	v, err := lila.OpenV2File(f, o.Limits)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer v.Close()
 	mTraceBytes.Add(v.Size())
-	bo := treebuild.Options{Lenient: o.Salvage, Limits: o.Limits}
 	return treebuild.BuildV2(v, o.filterFor(v.Header()), o.Salvage, max(1, o.BlockJobs), bo)
-}
-
-// streamFallback re-reads path through the streaming analyzer.
-func streamFallback(path string, o LoadOptions) (*stream.Stats, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	lr, err := lila.NewReaderOptions(f, lila.ReaderOptions{Salvage: o.Salvage, Limits: o.Limits})
-	if err != nil {
-		return nil, false
-	}
-	st, _, err := stream.AnalyzeLenient(lr, 0)
-	if err != nil {
-		return nil, false
-	}
-	return st, true
 }
 
 // AnalyzeSuites runs the full per-application characterization over

@@ -9,33 +9,33 @@
 // for the aggregate analyses: overview counts, episode-duration
 // statistics, trigger classification, per-kind exclusive time (GC and
 // native fractions), GUI-thread cause shares, and runnable-thread
-// concurrency are all computable online in O(stack depth) memory.
+// concurrency. Its memory is the open episodes plus the ticks they can
+// still reach.
 //
-// The analyzer states none of the rules itself: it drives the engine's
-// trigger rule from call and return records and its tick fold from
-// sample records, and folds each finished traced episode into the
-// engine's population tallies — so streamed and batch figures agree
-// exactly.
+// The analyzer states none of the rules itself: it is the hook of a
+// release-mode treebuild build (see treebuild.Options.Episode), which
+// hands it each episode as it closes, and it folds the engine's
+// per-episode analysis of that episode into the engine's population
+// tallies — so streamed and batch figures agree by construction.
 //
-// Pattern mining and episode sketches inherently need the trees and
-// are not offered here; use treebuild for those.
+// Pattern mining and episode sketches need the whole session's trees
+// and are not offered here; use a full treebuild build for those.
 package stream
 
 import (
-	"fmt"
 	"io"
 	"time"
 
-	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
+	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/stats"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
-// Decode-throughput metrics, flushed once per analyzed trace (records
-// are counted in a plain struct field on the hot path).
+// Decode-throughput metrics, flushed once per analyzed trace.
 var (
 	mRecords = obs.NewCounter("stream_records_total",
 		"LiLa records consumed by the streaming analyzer")
@@ -95,376 +95,81 @@ func (st *Stats) BytesPerSec() float64 {
 	return float64(st.Bytes) / st.Elapsed.Seconds()
 }
 
-// EpisodeResult is one finished traced episode's contribution, as
-// delivered to an Observe hook. Its tick tally is the engine's fold
-// over exactly the ticks a batch scan of the finished episode visits
-// (the half-open [Start, End) range), so summing EpisodeResults over
-// any episode partition matches the engine's mergeable populations.
-type EpisodeResult struct {
-	Thread     trace.ThreadID
-	Start, End trace.Time
-	Trigger    analysis.Trigger
-
-	// KindTime is the episode's exclusive per-kind time (GC bracket
-	// override included).
-	KindTime [6]trace.Dur
-
-	// Ticks tallies the episode's sampling ticks: the episode thread's
-	// samples by state and by app/library leaf, and runnable threads
-	// over all threads.
-	Ticks engine.TickTally
-
-	// Root is the episode's interval tree when tree building is on
-	// and the node budget held; nil otherwise. GC copy-nodes are not
-	// materialized — pattern fingerprints exclude them anyway, so the
-	// canonical form matches a treebuild-built episode's exactly.
-	Root *trace.Interval
-	// TreeDropped reports that tree building was on but this
-	// episode's node budget was exceeded (degraded stats-only).
-	TreeDropped bool
-}
-
-// Dur returns the episode's lag.
-func (er *EpisodeResult) Dur() trace.Dur { return er.End.Sub(er.Start) }
-
-// episodeState tracks one thread's active episode.
-type episodeState struct {
-	active   bool
-	thread   trace.ThreadID
-	start    trace.Time
-	kinds    []trace.Kind // open intervals' kinds, the dispatch first
-	lastTime trace.Time
-
-	trigger  engine.TriggerRule
-	kindTime [6]trace.Dur
-	ticks    engine.TickTally
-
-	// Incremental interval tree (BuildTrees).
-	root        *trace.Interval
-	stack       []*trace.Interval
-	nodes       int
-	treeDropped bool
-}
-
-// Analyzer consumes records incrementally; see Analyze for the
-// one-call form.
+// Analyzer folds the episodes of one release-mode build: pass its
+// Episode method as treebuild.Options.Episode, then read the result
+// with Stats once the build finishes. Not safe for concurrent use.
 type Analyzer struct {
+	ea        *engine.EpisodeAnalyzer
 	threshold trace.Dur
-	filter    trace.Dur
-	st        Stats
-
-	threads map[trace.ThreadID]*episodeState
-
-	// GC bracket state.
-	inGC bool
-
-	// The pending sampling tick, retained until it is complete so it
-	// can be attributed to the episodes actually spanning its time.
-	// Each sample keeps only its leaf frame (all the tick fold reads),
-	// copied into leaves out of the reader's scratch.
-	tick      trace.SampleTick
-	tickValid bool
-	leaves    []trace.Frame
-
-	// Incremental-consumption extensions (Observe/BuildTrees).
-	onEpisode func(*EpisodeResult)
-	buildTree bool
-	maxNodes  int
-	treeNodes int
-	lastTime  trace.Time
+	pop       [2]engine.Population
+	durs      stats.Summary
+	observe   func(*trace.Session, *trace.Episode, *engine.EpisodeInfo)
 }
 
-// NewAnalyzer builds a streaming analyzer for one trace. threshold 0
-// means the paper's 100 ms.
-func NewAnalyzer(h lila.Header, threshold trace.Dur) *Analyzer {
+// NewAnalyzer builds a streaming analyzer. threshold 0 means the
+// paper's 100 ms; it also sets the pattern fingerprint's threshold.
+func NewAnalyzer(threshold trace.Dur) *Analyzer {
 	if threshold == 0 {
 		threshold = trace.DefaultPerceptibleThreshold
 	}
 	return &Analyzer{
+		ea:        engine.NewEpisodeAnalyzer(engine.Options{Patterns: patterns.Options{Threshold: threshold}}),
 		threshold: threshold,
-		filter:    h.FilterThreshold,
-		st:        Stats{App: h.App, SessionID: h.SessionID},
-		threads:   make(map[trace.ThreadID]*episodeState),
 	}
 }
 
-// Observe installs a hook called once per finished traced episode
-// (sub-filter episodes are dropped, matching the batch builder). The
-// passed EpisodeResult is only valid during the call.
-func (a *Analyzer) Observe(fn func(*EpisodeResult)) { a.onEpisode = fn }
-
-// BuildTrees makes the analyzer materialize each open episode's
-// interval tree incrementally, delivered via EpisodeResult.Root. An
-// episode exceeding maxNodes retained intervals (0 means 1<<16) has
-// its tree dropped — stats keep flowing — and reports TreeDropped.
-func (a *Analyzer) BuildTrees(maxNodes int) {
-	if maxNodes <= 0 {
-		maxNodes = 1 << 16
-	}
-	a.buildTree, a.maxNodes = true, maxNodes
+// Observe installs a hook called with each episode after it is folded,
+// with the engine's analysis of it. The episode and info are valid only
+// during the call, as Options.Episode's arguments are.
+func (a *Analyzer) Observe(fn func(s *trace.Session, e *trace.Episode, info *engine.EpisodeInfo)) {
+	a.observe = fn
 }
 
-// DropTrees stops tree building and frees every open episode's
-// partial tree: the degraded stats-only mode entered under memory
-// pressure. Aggregate statistics are unaffected.
-func (a *Analyzer) DropTrees() {
-	a.buildTree = false
-	for _, es := range a.threads {
-		if es.nodes > 0 || es.root != nil {
-			a.treeNodes -= es.nodes
-			es.root, es.stack, es.nodes = nil, nil, 0
-			es.treeDropped = true
-		}
+// Episode is the release-mode hook: it analyzes e once and folds it.
+func (a *Analyzer) Episode(s *trace.Session, e *trace.Episode) {
+	info := a.ea.Analyze(s, e)
+	engine.Fold(&a.pop, e, &info, a.threshold)
+	a.durs.Add(e.Dur().Ms())
+	if a.observe != nil {
+		a.observe(s, e, &info)
 	}
 }
 
-// TreeNodes returns the number of interval nodes currently retained
-// by open episode trees — the basis of ingest memory estimates.
-func (a *Analyzer) TreeNodes() int { return a.treeNodes }
-
-// Now returns the time stamp of the last timed record consumed.
-func (a *Analyzer) Now() trace.Time { return a.lastTime }
-
-// MinOpenStart returns the earliest start time among episodes still
-// open, and whether any episode is open. Everything before that point
-// (or before Now when nothing is open) is final.
-func (a *Analyzer) MinOpenStart() (trace.Time, bool) {
-	var minStart trace.Time
-	open := false
-	for _, es := range a.threads {
-		if es.active && (!open || es.start < minStart) {
-			minStart, open = es.start, true
-		}
-	}
-	return minStart, open
-}
-
-func (a *Analyzer) thread(id trace.ThreadID) *episodeState {
-	es := a.threads[id]
-	if es == nil {
-		es = &episodeState{}
-		a.threads[id] = es
-	}
-	return es
-}
-
-// account attributes elapsed time on a thread's episode to the
-// current context (GC when the world is stopped, else the innermost
-// open interval's kind).
-func (es *episodeState) account(now trace.Time, inGC bool) {
-	if !es.active {
-		return
-	}
-	d := now.Sub(es.lastTime)
-	es.lastTime = now
-	if d <= 0 {
-		return
-	}
-	if inGC {
-		es.kindTime[trace.KindGC] += d
-		return
-	}
-	es.kindTime[es.kinds[len(es.kinds)-1]] += d
-}
-
-// Add consumes one record.
-func (a *Analyzer) Add(rec *lila.Record) error {
-	a.st.Records++
-	// A pending sampling tick is complete as soon as any record with a
-	// different time stamp arrives (equal-time samples are contiguous
-	// in a well-formed stream): flush it before this record can close
-	// or open episodes, so the per-episode attribution sees exactly
-	// the episodes whose [Start, End) range spans the tick.
-	if rec.Type != lila.RecThread {
-		if a.tickValid && rec.Time != a.tick.Time {
-			a.flushTick()
-		}
-		a.lastTime = rec.Time
-	}
-	switch rec.Type {
-	case lila.RecThread:
-		// Thread identity is irrelevant to the aggregates.
-
-	case lila.RecCall:
-		es := a.thread(rec.Thread)
-		if !es.active && rec.Kind == trace.KindDispatch {
-			*es = episodeState{
-				active: true, thread: rec.Thread,
-				start: rec.Time, lastTime: rec.Time,
-				trigger: engine.NewTriggerRule(analysis.TriggerOptions{}),
-			}
-		}
-		if !es.active {
-			return nil // orphan top-level non-dispatch interval
-		}
-		es.account(rec.Time, a.inGC)
-		es.kinds = append(es.kinds, rec.Kind)
-		es.trigger.Enter(rec.Kind)
-		if a.buildTree && !es.treeDropped {
-			iv := &trace.Interval{
-				Kind: rec.Kind, Class: rec.Class, Method: rec.Method,
-				Start: rec.Time, End: -1,
-			}
-			if es.root == nil {
-				es.root = iv
-			} else {
-				parent := es.stack[len(es.stack)-1]
-				parent.Children = append(parent.Children, iv)
-			}
-			es.stack = append(es.stack, iv)
-			es.nodes++
-			a.treeNodes++
-			if es.nodes > a.maxNodes {
-				a.treeNodes -= es.nodes
-				es.root, es.stack, es.nodes = nil, nil, 0
-				es.treeDropped = true
-			}
-		}
-
-	case lila.RecReturn:
-		es := a.thread(rec.Thread)
-		if !es.active {
-			return nil
-		}
-		if len(es.kinds) == 0 {
-			return fmt.Errorf("stream: return without call at %v", rec.Time)
-		}
-		es.account(rec.Time, a.inGC)
-		es.kinds = es.kinds[:len(es.kinds)-1]
-		es.trigger.Exit()
-		if len(es.stack) > 0 {
-			iv := es.stack[len(es.stack)-1]
-			iv.End = rec.Time
-			es.stack = es.stack[:len(es.stack)-1]
-		}
-		if len(es.kinds) == 0 {
-			a.finishEpisode(es, rec.Time)
-		}
-
-	case lila.RecGCStart:
-		if a.inGC {
-			return fmt.Errorf("stream: nested gcstart at %v", rec.Time)
-		}
-		for _, es := range a.threads {
-			es.account(rec.Time, false)
-		}
-		a.inGC = true
-
-	case lila.RecGCEnd:
-		if !a.inGC {
-			return fmt.Errorf("stream: gcend without gcstart at %v", rec.Time)
-		}
-		for _, es := range a.threads {
-			es.account(rec.Time, true)
-		}
-		a.inGC = false
-
-	case lila.RecSample:
-		a.addSample(rec)
-
-	case lila.RecEnd:
-		a.flushTick()
-		a.st.E2E = rec.Time.Sub(0)
-		a.st.ShortCount += rec.Count
-
-	default:
-		return fmt.Errorf("stream: unknown record type %d", rec.Type)
-	}
-	return nil
-}
-
-func (a *Analyzer) addSample(rec *lila.Record) {
-	// Equal-time samples form one tick; a new time completes the
-	// pending one.
-	if !a.tickValid || rec.Time != a.tick.Time {
-		a.flushTick()
-		a.tickValid = true
-		a.tick.Time = rec.Time
-	}
-	ts := trace.ThreadSample{Thread: rec.Thread, State: rec.State}
-	if len(rec.Stack) > 0 {
-		n := len(a.leaves)
-		a.leaves = append(a.leaves, rec.Stack[0])
-		ts.Stack = a.leaves[n : n+1 : n+1]
-	}
-	a.tick.Threads = append(a.tick.Threads, ts)
-}
-
-// flushTick folds the pending sampling tick into every episode still
-// spanning the tick time — exactly the ticks a batch scan of the
-// finished episode would visit.
-func (a *Analyzer) flushTick() {
-	if !a.tickValid {
-		return
-	}
-	for _, es := range a.threads {
-		if es.active {
-			es.ticks.AddTick(&a.tick, es.thread)
-		}
-	}
-	a.tick.Threads = a.tick.Threads[:0]
-	a.leaves = a.leaves[:0]
-	a.tickValid = false
-}
-
-func (a *Analyzer) finishEpisode(es *episodeState, end trace.Time) {
-	dur := end.Sub(es.start)
-	es.active = false
-	root, dropped := es.root, es.treeDropped
-	a.treeNodes -= es.nodes
-	es.root, es.stack, es.nodes, es.treeDropped = nil, nil, 0, false
-	if dur < a.filter {
-		a.st.ShortCount++
-		return
-	}
-	a.st.Episodes++
-	a.st.InEpisode += dur
-	a.st.Durations.Add(dur.Ms())
-	trigger := es.trigger.Trigger()
-	gc, native := es.kindTime[trace.KindGC], es.kindTime[trace.KindNative]
-	a.st.All.Add(trigger, dur, gc, native, &es.ticks)
-	if dur >= a.threshold {
-		a.st.Perceptible++
-		a.st.Long.Add(trigger, dur, gc, native, &es.ticks)
-	}
-	if a.onEpisode != nil {
-		a.onEpisode(&EpisodeResult{
-			Thread: es.thread, Start: es.start, End: end,
-			Trigger:  trigger,
-			KindTime: es.kindTime,
-			Ticks:    es.ticks,
-			Root:     root, TreeDropped: dropped,
-		})
+// Stats returns the statistics of the finished release-mode build s,
+// whose diagnostics are diag.
+func (a *Analyzer) Stats(s *trace.Session, diag *treebuild.Diagnostics) *Stats {
+	return &Stats{
+		App: s.App, SessionID: s.ID, E2E: s.E2E(),
+		Records:     diag.Records,
+		ShortCount:  s.ShortCount,
+		Episodes:    a.pop[0].Trigger.Total,
+		Perceptible: a.pop[1].Trigger.Total,
+		InEpisode:   a.pop[0].EpisodeTime,
+		Durations:   a.durs,
+		All:         a.pop[0], Long: a.pop[1],
 	}
 }
 
-// Stats returns the accumulated statistics. Call after the end record.
-func (a *Analyzer) Stats() *Stats {
-	a.flushTick()
-	st := a.st
-	return &st
+// analyze runs one strict release-mode build through build and
+// returns its statistics.
+func analyze(threshold trace.Dur, build func(treebuild.Options) (*trace.Session, *treebuild.Diagnostics, error)) (*Stats, error) {
+	start := time.Now()
+	a := NewAnalyzer(threshold)
+	s, diag, err := build(treebuild.Options{Episode: a.Episode})
+	if err != nil {
+		return nil, err
+	}
+	st := a.Stats(s, diag)
+	st.Elapsed = time.Since(start)
+	mRecords.Add(int64(st.Records))
+	return st, nil
 }
 
 // Analyze consumes a whole trace from r and returns its statistics.
 func Analyze(r lila.Reader, threshold trace.Dur) (*Stats, error) {
-	start := time.Now()
-	a := NewAnalyzer(r.Header(), threshold)
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := a.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	st := a.Stats()
-	st.Elapsed = time.Since(start)
-	mRecords.Add(int64(st.Records))
-	return st, nil
+	return analyze(threshold, func(o treebuild.Options) (*trace.Session, *treebuild.Diagnostics, error) {
+		return treebuild.BuildOptions(r, o)
+	})
 }
 
 // AnalyzeStream is Analyze over a raw encoded trace: it sniffs the
@@ -485,40 +190,9 @@ func AnalyzeStream(rd io.Reader, threshold trace.Dur) (*Stats, error) {
 	return st, nil
 }
 
-// AnalyzeLenient consumes r like Analyze but skips records the
-// analyzer rejects (returns without calls, unbalanced GC brackets)
-// instead of failing, returning the skip count alongside the
-// statistics. Paired with a salvage-mode reader it is the degraded
-// path for traces that cannot support a full session rebuild.
-func AnalyzeLenient(r lila.Reader, threshold trace.Dur) (*Stats, int, error) {
-	start := time.Now()
-	a := NewAnalyzer(r.Header(), threshold)
-	skipped := 0
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, skipped, err
-		}
-		if err := a.Add(rec); err != nil {
-			skipped++
-		}
-	}
-	st := a.Stats()
-	st.Elapsed = time.Since(start)
-	mRecords.Add(int64(st.Records))
-	return st, skipped, nil
-}
-
 // AnalyzeRecords is Analyze over an in-memory record slice.
 func AnalyzeRecords(h lila.Header, recs []*lila.Record, threshold trace.Dur) (*Stats, error) {
-	a := NewAnalyzer(h, threshold)
-	for _, rec := range recs {
-		if err := a.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	return a.Stats(), nil
+	return analyze(threshold, func(o treebuild.Options) (*trace.Session, *treebuild.Diagnostics, error) {
+		return treebuild.BuildRecordsOptions(h, recs, o)
+	})
 }

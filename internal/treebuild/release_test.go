@@ -3,6 +3,7 @@ package treebuild_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -218,8 +219,8 @@ func TestReleaseRetention(t *testing.T) {
 // TestReleaseKeepsChecks feeds the same malformed streams to a full
 // and a release-mode build: a strict build must fail in both modes,
 // and a lenient one must fail in both or return the same diagnostics
-// (with the release build's tick and GC counts standing in for the
-// full session's lists).
+// (with the release build's record count, and its tick and GC counts
+// standing in for the full session's lists).
 func TestReleaseKeepsChecks(t *testing.T) {
 	ms := func(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
 	base := lila.Header{App: "bad", GUIThread: 1, Start: ms(100), SamplePeriod: trace.Ms(10),
@@ -281,10 +282,76 @@ func TestReleaseKeepsChecks(t *testing.T) {
 				t.Errorf("%s: strict builds accepted a malformed stream", label)
 			}
 			want := *fdiag
-			want.Ticks, want.GCs = len(fs.Ticks), len(fs.GCs)
+			want.Records, want.Ticks, want.GCs = len(recs), len(fs.Ticks), len(fs.GCs)
 			if !reflect.DeepEqual(*rdiag, want) {
 				t.Errorf("%s: release diagnostics %+v, want %+v", label, *rdiag, want)
 			}
+		}
+	}
+}
+
+// TestReleaseWatermark pins the release watermark on two EDTs with
+// overlapping episodes: it is the earlier of the last record's time and
+// the earliest open dispatch start, so EDT-B's episode closing inside
+// EDT-A's leaves it at A's start, and both hooks see their shared tick.
+func TestReleaseWatermark(t *testing.T) {
+	h, recs := treebuild.MultiEDT()
+	ms := func(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
+	var sawTick []bool
+	b := treebuild.NewBuilder(h, treebuild.Options{Episode: func(s *trace.Session, e *trace.Episode) {
+		sawTick = append(sawTick, len(s.EpisodeTicks(e)) == 1)
+	}})
+	// want[i] is the watermark after recs[i]: A opens at 0 and holds it
+	// until it closes at 200; the end record moves it to 1000.
+	want := make([]trace.Time, len(recs))
+	want[len(recs)-2], want[len(recs)-1] = ms(200), ms(1000)
+	for i, rec := range recs {
+		if err := b.Feed(rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Watermark(); got != want[i] {
+			t.Errorf("after record %d (%v at %v): watermark %v, want %v", i, rec.Type, rec.Time, got, want[i])
+		}
+	}
+	if _, _, err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sawTick, []bool{true, true}) {
+		t.Errorf("hooks saw the shared tick: %v, want both", sawTick)
+	}
+}
+
+// TestReleaseBuildsUnderFullBuildBudget: the memory guard charges what
+// a build keeps, so a session whose full build trips MaxSessionBytes
+// builds in release mode under that same budget, with the same folds
+// as an unlimited release build. The idle session samples for ten
+// minutes without a single episode, so no release ever compacts it.
+func TestReleaseBuildsUnderFullBuildBudget(t *testing.T) {
+	gantt, h, err := sim.Records(sim.Config{Profile: apps.GanttProject(), Seed: 17, SessionSeconds: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := []*lila.Record{{Type: lila.RecThread, Thread: 1, Name: "edt"}}
+	for i := 0; i < 60000; i++ {
+		idle = append(idle, &lila.Record{Type: lila.RecSample, Time: trace.Time(i) * trace.Time(trace.Ms(10)),
+			Thread: 1, State: trace.StateWaiting, Stack: []trace.Frame{{Class: "java.lang.Object", Method: "wait"}}})
+	}
+	idle = append(idle, &lila.Record{Type: lila.RecEnd, Time: trace.Time(trace.Ms(600000))})
+	limits := lila.Limits{MaxSessionBytes: 1 << 20}
+	for name, recs := range map[string][]*lila.Record{"GanttProject": gantt, "idle": idle} {
+		if _, _, err := treebuild.BuildRecordsOptions(h, recs, treebuild.Options{Limits: limits}); !errors.Is(err, treebuild.ErrSessionTooLarge) {
+			t.Fatalf("%s: full build under %d bytes: %v, want ErrSessionTooLarge", name, limits.MaxSessionBytes, err)
+		}
+		build := func(l lila.Limits) summary {
+			r := newReleaser(t)
+			s, diag, err := treebuild.BuildRecordsOptions(h, recs, treebuild.Options{Limits: l, Episode: r.hook})
+			if err != nil {
+				t.Fatalf("%s: release build under %d bytes: %v", name, l.MaxSessionBytes, err)
+			}
+			return r.summary(s, diag)
+		}
+		if got, want := build(limits), build(lila.Limits{}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: budgeted release build\n%+v\nwant\n%+v", name, got, want)
 		}
 	}
 }

@@ -18,9 +18,12 @@
 // Setting Options.Episode switches the builder to release mode, which
 // lifts Section V's "needs to load the complete session trace into
 // memory": each episode goes to the hook as its dispatch returns and
-// is then dropped, with every tick no open episode can reach; GCs are
-// counted, not kept. The stream is time-ordered, so the hook sees
-// every tick in the episode's [Start, End), as EpisodeTicks would.
+// is then dropped, with every tick before the release watermark (see
+// Builder.Watermark); GCs are counted, not kept. The stream is
+// time-ordered, so the hook sees every tick in the episode's
+// [Start, End), as EpisodeTicks would. What release mode keeps — the
+// open episodes and the ticks they can reach — is what its memory
+// guard charges.
 package treebuild
 
 import (
@@ -82,9 +85,10 @@ type Diagnostics struct {
 	// SynthesizedEnd is set when the stream had no end record and the
 	// lenient builder closed the session at the last seen time stamp.
 	SynthesizedEnd bool
-	// Ticks and GCs count what a release-mode build did not keep in
-	// Session.Ticks and Session.GCs; a full build leaves them zero.
-	Ticks, GCs int `json:",omitempty"`
+	// In release mode, Records counts the records fed (skipped ones
+	// included), and Ticks and GCs what the build did not keep in
+	// Session.Ticks and Session.GCs; a full build leaves all three zero.
+	Records, Ticks, GCs int `json:",omitempty"`
 }
 
 // Degraded reports whether the lenient builder had to drop anything.
@@ -115,7 +119,7 @@ type Options struct {
 // BuildOptions consumes the record stream of r until its end record
 // and reconstructs the session.
 func BuildOptions(r lila.Reader, o Options) (*trace.Session, *Diagnostics, error) {
-	b := newBuilder(r.Header(), o)
+	b := NewBuilder(r.Header(), o)
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {
@@ -124,11 +128,11 @@ func BuildOptions(r lila.Reader, o Options) (*trace.Session, *Diagnostics, error
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := b.feed(rec); err != nil {
+		if err := b.Feed(rec); err != nil {
 			return nil, nil, err
 		}
 	}
-	return b.finish()
+	return b.Finish()
 }
 
 // BuildRecords reconstructs a session from an in-memory record slice.
@@ -138,16 +142,16 @@ func BuildRecords(h lila.Header, recs []*lila.Record) (*trace.Session, *Diagnost
 
 // BuildRecordsOptions is BuildRecords with explicit options.
 func BuildRecordsOptions(h lila.Header, recs []*lila.Record, o Options) (*trace.Session, *Diagnostics, error) {
-	b := newBuilder(h, o)
+	b := NewBuilder(h, o)
 	if n := len(recs); n > 0 {
 		b.sizeTicks(recs[n-1].Time, n)
 	}
 	for _, rec := range recs {
-		if err := b.feed(rec); err != nil {
+		if err := b.Feed(rec); err != nil {
 			return nil, nil, err
 		}
 	}
-	return b.finish()
+	return b.Finish()
 }
 
 // BuildFeed rebuilds a session from produce, which hands feed every
@@ -155,12 +159,12 @@ func BuildRecordsOptions(h lila.Header, recs []*lila.Record, o Options) (*trace.
 // feed's first error. until, the producer's end time, pre-sizes the
 // ticks.
 func BuildFeed(h lila.Header, until trace.Time, o Options, produce func(feed func(*lila.Record) error) error) (*trace.Session, *Diagnostics, error) {
-	b := newBuilder(h, o)
+	b := NewBuilder(h, o)
 	b.sizeTicks(until, math.MaxInt)
-	if err := produce(b.feed); err != nil {
+	if err := produce(b.Feed); err != nil {
 		return nil, nil, err
 	}
-	return b.finish()
+	return b.Finish()
 }
 
 // BuildV2 rebuilds a session from a v2 file block by block, feeding
@@ -169,16 +173,16 @@ func BuildFeed(h lila.Header, until trace.Time, o Options, produce func(feed fun
 // back even on error. The first failure in stream order wins: a build
 // error, the memory guard included, stops the decode of later blocks.
 func BuildV2(v *lila.V2File, filter *lila.RecordFilter, salvage bool, jobs int, o Options) (*trace.Session, *Diagnostics, *lila.SalvageReport, error) {
-	b := newBuilder(v.Header(), o)
+	b := NewBuilder(v.Header(), o)
 	// A scanned index (damaged footer) has no time bounds: no hint.
 	if blocks := v.Blocks(); len(blocks) > 0 && blocks[len(blocks)-1].MaxTime != math.MaxInt64 {
 		b.sizeTicks(blocks[len(blocks)-1].MaxTime, v.NumRecords())
 	}
-	report, err := v.Each(filter, salvage, jobs, b.feed)
+	report, err := v.Each(filter, salvage, jobs, b.Feed)
 	if err != nil {
 		return nil, nil, report, err
 	}
-	s, diag, err := b.finish()
+	s, diag, err := b.Finish()
 	return s, diag, report, err
 }
 
@@ -218,21 +222,34 @@ func ReadSessionOptions(rd io.Reader, ro lila.ReaderOptions, o Options) (*trace.
 	return s, h, err
 }
 
-type builder struct {
+// Builder is the push form of a session build: Feed it every record in
+// stream order (each valid only during its call), then Finish.
+// BuildOptions, BuildRecords, BuildFeed, and BuildV2 are loops over it.
+type Builder struct {
 	h      lila.Header
 	opts   Options
 	s      *trace.Session
 	slab   trace.Slab // arena behind every Interval/Episode/tick the build creates
 	diag   Diagnostics
-	stacks map[trace.ThreadID][]*trace.Interval
+	stacks map[trace.ThreadID]*threadStack
 	known  map[trace.ThreadID]bool
 	gc     *trace.Interval // open GC bracket, nil outside collections
 	last   trace.Time
 	ended  bool
-	est    int64 // estimated session bytes, checked against MaxSessionBytes
+	est    int64 // estimated retained bytes, checked against MaxSessionBytes
+	ticks  int64 // the part of est charged for Session.Ticks
 	// release mode: each thread's last episode end, episodes released
 	prevEnd  map[trace.ThreadID]trace.Time
 	released int
+	fed      int // records fed
+	open     int // threads inside a top-level dispatch
+}
+
+// threadStack is one thread's open intervals, innermost last, and the
+// intervals (GC copies included) of the top-level tree they belong to.
+type threadStack struct {
+	ivs   []*trace.Interval
+	nodes int64
 }
 
 // Rough per-object costs for the session memory estimate. They only
@@ -245,9 +262,10 @@ const (
 	estThreadBytes   = 128 // ThreadInfo + map entries
 )
 
-func newBuilder(h lila.Header, o Options) *builder {
+// NewBuilder starts a session build over the stream headed by h.
+func NewBuilder(h lila.Header, o Options) *Builder {
 	o.Limits = o.Limits.WithDefaults()
-	return &builder{
+	return &Builder{
 		h:    h,
 		opts: o,
 		s: &trace.Session{
@@ -258,7 +276,7 @@ func newBuilder(h lila.Header, o Options) *builder {
 			FilterThreshold: h.FilterThreshold,
 			SamplePeriod:    h.SamplePeriod,
 		},
-		stacks:  make(map[trace.ThreadID][]*trace.Interval),
+		stacks:  make(map[trace.ThreadID]*threadStack),
 		known:   make(map[trace.ThreadID]bool),
 		prevEnd: make(map[trace.ThreadID]trace.Time),
 	}
@@ -268,19 +286,19 @@ func newBuilder(h lila.Header, o Options) *builder {
 // session start to last, capped by the record count (when known) and
 // by 1<<22 (11.6 h at 10 ms), which bounds what a forged index can
 // make it allocate. Release mode keeps too few ticks to need it.
-func (b *builder) sizeTicks(last trace.Time, records int) {
+func (b *Builder) sizeTicks(last trace.Time, records int) {
 	if p := b.h.SamplePeriod; p > 0 && last > b.h.Start && records > 0 && b.opts.Episode == nil {
 		n := (uint64(last)-uint64(b.h.Start))/uint64(p) + 1
 		b.s.Ticks = make([]trace.SampleTick, 0, min(n, uint64(records), 1<<22))
 	}
 }
 
-// charge adds n bytes to the session size estimate and trips the
+// charge adds n bytes to the retained-size estimate and trips the
 // memory guard when the budget is exceeded. The guard is fatal even
 // under Lenient — skipping records would silently bias the analysis —
-// but callers can errors.Is for ErrSessionTooLarge and fall back to
-// the streaming analyzer.
-func (b *builder) charge(n int64) error {
+// but callers can errors.Is for ErrSessionTooLarge and fall back to a
+// release-mode build, whose estimate drops what it releases.
+func (b *Builder) charge(n int64) error {
 	b.est += n
 	if b.est > b.opts.Limits.MaxSessionBytes {
 		return fmt.Errorf("%w: estimated %d bytes over budget %d",
@@ -289,10 +307,12 @@ func (b *builder) charge(n int64) error {
 	return nil
 }
 
-// feed routes one record through add, applying the lenient skip
+// Feed routes one record through add, applying the lenient skip
 // policy: inconsistent records are counted and dropped instead of
-// failing the build. Resource-guard trips stay fatal either way.
-func (b *builder) feed(rec *lila.Record) error {
+// failing the build. Resource-guard trips and Validate-class failures
+// stay fatal either way.
+func (b *Builder) Feed(rec *lila.Record) error {
+	b.fed++
 	err := b.add(rec)
 	if err == nil || !b.opts.Lenient || errors.Is(err, ErrSessionTooLarge) || errors.Is(err, errInvalid) {
 		return err
@@ -304,7 +324,7 @@ func (b *builder) feed(rec *lila.Record) error {
 	return nil
 }
 
-func (b *builder) ensureThread(id trace.ThreadID) {
+func (b *Builder) ensureThread(id trace.ThreadID) {
 	if b.known[id] {
 		return
 	}
@@ -313,7 +333,7 @@ func (b *builder) ensureThread(id trace.ThreadID) {
 	b.s.Threads = append(b.s.Threads, trace.ThreadInfo{ID: id, Name: fmt.Sprintf("thread-%d", id)})
 }
 
-func (b *builder) checkTime(t trace.Time) error {
+func (b *Builder) checkTime(t trace.Time) error {
 	if t < b.last {
 		return fmt.Errorf("treebuild: record at %v after record at %v: stream not time-ordered", t, b.last)
 	}
@@ -321,7 +341,7 @@ func (b *builder) checkTime(t trace.Time) error {
 	return nil
 }
 
-func (b *builder) add(rec *lila.Record) error {
+func (b *Builder) add(rec *lila.Record) error {
 	if b.ended {
 		return fmt.Errorf("treebuild: record after end record")
 	}
@@ -350,33 +370,49 @@ func (b *builder) add(rec *lila.Record) error {
 		iv.Method = rec.Method
 		iv.Start = rec.Time
 		iv.End = -1 // patched by the matching return
-		b.stacks[rec.Thread] = append(b.stacks[rec.Thread], iv)
+		stk := b.stacks[rec.Thread]
+		if stk == nil {
+			stk = &threadStack{}
+			b.stacks[rec.Thread] = stk
+		}
+		if len(stk.ivs) == 0 && iv.Kind == trace.KindDispatch {
+			b.open++
+		}
+		stk.ivs = append(stk.ivs, iv)
+		stk.nodes++
 
 	case lila.RecReturn:
 		if err := b.checkTime(rec.Time); err != nil {
 			return err
 		}
-		stack := b.stacks[rec.Thread]
-		if len(stack) == 0 {
+		stk := b.stacks[rec.Thread]
+		if stk == nil || len(stk.ivs) == 0 {
 			return fmt.Errorf("treebuild: return on thread %d at %v with no open interval", rec.Thread, rec.Time)
 		}
-		iv := stack[len(stack)-1]
-		b.stacks[rec.Thread] = stack[:len(stack)-1]
+		n := len(stk.ivs) - 1
+		iv := stk.ivs[n]
+		stk.ivs = stk.ivs[:n]
 		iv.End = rec.Time
 		if iv.End < iv.Start {
 			return fmt.Errorf("treebuild: interval %s on thread %d ends (%v) before it starts (%v)",
 				iv.Qualified(), rec.Thread, iv.End, iv.Start)
 		}
-		if len(b.stacks[rec.Thread]) > 0 {
-			parent := b.stacks[rec.Thread][len(b.stacks[rec.Thread])-1]
+		if n > 0 {
+			parent := stk.ivs[n-1]
 			parent.Children = append(parent.Children, iv)
 			return nil
 		}
-		// Completed top-level interval.
+		// Completed top-level interval: release mode keeps none of its
+		// tree.
+		if b.opts.Episode != nil {
+			b.est -= stk.nodes * estIntervalBytes
+		}
+		stk.nodes = 0
 		if iv.Kind != trace.KindDispatch {
 			b.diag.OrphanTopLevel++
 			return nil
 		}
+		b.open--
 		if iv.Dur() < b.h.FilterThreshold {
 			b.diag.FilteredEpisodes++
 			b.s.ShortCount++
@@ -417,16 +453,17 @@ func (b *builder) add(rec *lila.Record) error {
 		// A GC stops all threads: add a copy of the interval to the
 		// tree of every thread that was inside an interval.
 		copies := int64(1)
-		for _, stack := range b.stacks {
-			if len(stack) == 0 {
+		for _, stk := range b.stacks {
+			if len(stk.ivs) == 0 {
 				continue
 			}
-			top := stack[len(stack)-1]
+			top := stk.ivs[len(stk.ivs)-1]
 			// The open bracket is childless, so a shallow slab copy is a
 			// full clone.
 			cp := b.slab.Interval()
 			*cp = *b.gc
 			top.Children = append(top.Children, cp)
+			stk.nodes++
 			copies++
 		}
 		// Release mode counts the bracket (a kept slab interval would pin
@@ -437,6 +474,7 @@ func (b *builder) add(rec *lila.Record) error {
 			b.s.GCs = append(b.s.GCs, b.gc)
 		default:
 			b.diag.GCs++
+			copies--
 		}
 		b.gc = nil
 		if err := b.charge(copies * estIntervalBytes); err != nil {
@@ -447,7 +485,9 @@ func (b *builder) add(rec *lila.Record) error {
 		if err := b.checkTime(rec.Time); err != nil {
 			return err
 		}
-		if err := b.charge(estSampleBytes + int64(len(rec.Stack))*estFrameBytes); err != nil {
+		cost := estSampleBytes + int64(len(rec.Stack))*estFrameBytes
+		b.ticks += cost
+		if err := b.charge(cost); err != nil {
 			return err
 		}
 		if b.opts.Episode != nil && !rec.State.Valid() {
@@ -457,8 +497,14 @@ func (b *builder) add(rec *lila.Record) error {
 		if b.gc != nil {
 			b.diag.SamplesDuringGC++
 		}
+		n := len(b.s.Ticks)
+		if b.opts.Episode != nil && b.open == 0 && n > 0 && b.s.Ticks[n-1].Time < rec.Time {
+			// No episode is open, so none can reach an earlier tick.
+			b.dropTicks(n)
+			n = 0
+		}
 		ts := trace.ThreadSample{Thread: rec.Thread, State: rec.State, Stack: rec.Stack}
-		if n := len(b.s.Ticks); n > 0 && b.s.Ticks[n-1].Time == rec.Time {
+		if n > 0 && b.s.Ticks[n-1].Time == rec.Time {
 			b.s.Ticks[n-1].Threads = b.slab.AppendSample(b.s.Ticks[n-1].Threads, ts)
 		} else {
 			b.s.Ticks = append(b.s.Ticks, trace.SampleTick{Time: rec.Time, Threads: b.slab.AppendSample(nil, ts)})
@@ -468,8 +514,8 @@ func (b *builder) add(rec *lila.Record) error {
 		if err := b.checkTime(rec.Time); err != nil {
 			return err
 		}
-		for id, stack := range b.stacks {
-			if len(stack) > 0 {
+		for id, stk := range b.stacks {
+			if stack := stk.ivs; len(stack) > 0 {
 				if !b.opts.Lenient {
 					return fmt.Errorf("treebuild: thread %d has %d open interval(s) at session end (innermost %s)",
 						id, len(stack), stack[len(stack)-1].Qualified())
@@ -500,7 +546,7 @@ func (b *builder) add(rec *lila.Record) error {
 // beforeStart drops (and counts) a finished episode root or GC bracket
 // that a salvage gap (binary times are delta-coded) shifted before the
 // session start under Lenient; time order keeps every End in bounds.
-func (b *builder) beforeStart(iv *trace.Interval) bool {
+func (b *Builder) beforeStart(iv *trace.Interval) bool {
 	if b.opts.Lenient && iv.Start < b.s.Start {
 		b.diag.DroppedEpisodes++
 		return true
@@ -508,33 +554,61 @@ func (b *builder) beforeStart(iv *trace.Interval) bool {
 	return false
 }
 
+// Watermark returns the earlier of the last record's time and the
+// start of the earliest open top-level dispatch. No episode that closes
+// later starts before it, so everything before it is final; release
+// mode keeps no tick before it.
+func (b *Builder) Watermark() trace.Time {
+	w := b.last
+	for _, stk := range b.stacks {
+		if len(stk.ivs) > 0 && stk.ivs[0].Kind == trace.KindDispatch {
+			w = min(w, stk.ivs[0].Start)
+		}
+	}
+	return w
+}
+
+// EstimatedBytes returns the memory guard's estimate of what the build
+// retains.
+func (b *Builder) EstimatedBytes() int64 { return b.est }
+
 // release applies Validate's episode rules, hands e to the hook, and
-// drops the ticks before both the current instant and every open
-// top-level dispatch.
-func (b *builder) release(e *trace.Episode) error {
+// drops the ticks before the watermark.
+func (b *Builder) release(e *trace.Episode) error {
 	if err := b.s.CheckEpisode(b.released, e, b.prevEnd, math.MaxInt64); err != nil {
 		return fmt.Errorf("%w: %w", errInvalid, err)
 	}
 	e.Index = b.released
 	b.released++
 	b.opts.Episode(b.s, e)
-	cut := b.last
-	for _, stack := range b.stacks {
-		if len(stack) > 0 && stack[0].Kind == trace.KindDispatch {
-			cut = min(cut, stack[0].Start)
+	cut := b.Watermark()
+	b.dropTicks(sort.Search(len(b.s.Ticks), func(i int) bool { return b.s.Ticks[i].Time >= cut }))
+	return nil
+}
+
+// dropTicks releases the first k ticks and their charge. It compacts in
+// place: a resliced window would keep the dropped samples live.
+func (b *Builder) dropTicks(k int) {
+	ticks := b.s.Ticks
+	cost := b.ticks
+	if k < len(ticks) {
+		cost = 0
+		for i := range ticks[:k] {
+			for _, ts := range ticks[i].Threads {
+				cost += estSampleBytes + int64(len(ts.Stack))*estFrameBytes
+			}
 		}
 	}
-	// Compact in place: a resliced window would keep dropped samples live.
-	ticks := b.s.Ticks
-	k := sort.Search(len(ticks), func(i int) bool { return ticks[i].Time >= cut })
+	b.est -= cost
+	b.ticks -= cost
 	n := copy(ticks, ticks[k:])
 	clear(ticks[n:])
 	b.s.Ticks = ticks[:n]
 	b.diag.Ticks += k
-	return nil
 }
 
-func (b *builder) finish() (*trace.Session, *Diagnostics, error) {
+// Finish closes the build and returns the session.
+func (b *Builder) Finish() (*trace.Session, *Diagnostics, error) {
 	if !b.ended {
 		if !b.opts.Lenient {
 			return nil, nil, fmt.Errorf("treebuild: record stream had no end record")
@@ -542,9 +616,9 @@ func (b *builder) finish() (*trace.Session, *Diagnostics, error) {
 		// Truncated stream: close the session at the last time stamp we
 		// saw and drop whatever was still open.
 		b.diag.SynthesizedEnd = true
-		for id, stack := range b.stacks {
-			if len(stack) > 0 {
-				b.diag.DroppedOpenIntervals += len(stack)
+		for id, stk := range b.stacks {
+			if len(stk.ivs) > 0 {
+				b.diag.DroppedOpenIntervals += len(stk.ivs)
 				delete(b.stacks, id)
 			}
 		}
@@ -565,6 +639,7 @@ func (b *builder) finish() (*trace.Session, *Diagnostics, error) {
 		e.Index = i
 	}
 	if b.opts.Episode != nil {
+		b.diag.Records = b.fed
 		b.diag.Ticks += len(b.s.Ticks)
 		b.s.Ticks = nil
 	}
