@@ -54,7 +54,6 @@ chaos:
 	$(GO) test -run TestCLIConvertGolden .
 	$(GO) test -run TestCLISelfProfile .
 	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageText -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lila -run '^$$' -fuzz 'FuzzSalvageBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageBinaryV2 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lila -run '^$$' -fuzz 'FuzzReader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzIngestStream -fuzztime $(FUZZTIME) -fuzzminimizetime 2s

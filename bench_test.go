@@ -328,15 +328,12 @@ func benchLoadTraceDir(b *testing.B, dir string, files int, o report.LoadOptions
 // BenchmarkLoadTraceDir measures the on-disk ingestion path end to
 // end: directory scan, format sniffing, concurrent decode (interner,
 // record arenas, stack dedup), session rebuild, and the deterministic
-// suite merge. The corpus — two applications, eight sessions, both v1
-// encodings — is written once outside the timed loop.
+// suite merge. The corpus — two applications, eight sessions, all
+// text — is written once outside the timed loop.
 func BenchmarkLoadTraceDir(b *testing.B) {
 	b.ReportAllocs()
-	dir, files := benchTraceDir(b, func(id int) lila.WriteOptions {
-		if id%2 == 1 {
-			return lila.WriteOptions{Format: lila.FormatText}
-		}
-		return lila.WriteOptions{Format: lila.FormatBinary}
+	dir, files := benchTraceDir(b, func(int) lila.WriteOptions {
+		return lila.WriteOptions{Format: lila.FormatText}
 	})
 	benchLoadTraceDir(b, dir, files, report.LoadOptions{})
 }
@@ -497,9 +494,8 @@ func benchEncode(b *testing.B, f lila.Format) {
 	b.ReportMetric(float64(size)/float64(len(recs)), "bytes/record")
 }
 
-func BenchmarkTraceEncode_Text(b *testing.B)   { benchEncode(b, lila.FormatText) }
-func BenchmarkTraceEncode_Binary(b *testing.B) { benchEncode(b, lila.FormatBinary) }
-func BenchmarkTraceEncode_V2(b *testing.B)     { benchEncode(b, lila.FormatV2) }
+func BenchmarkTraceEncode_Text(b *testing.B) { benchEncode(b, lila.FormatText) }
+func BenchmarkTraceEncode_V2(b *testing.B)   { benchEncode(b, lila.FormatV2) }
 
 func benchDecode(b *testing.B, f lila.Format) {
 	b.ReportAllocs()
@@ -542,8 +538,7 @@ func benchDecode(b *testing.B, f lila.Format) {
 	}
 }
 
-func BenchmarkTraceDecode_Text(b *testing.B)   { benchDecode(b, lila.FormatText) }
-func BenchmarkTraceDecode_Binary(b *testing.B) { benchDecode(b, lila.FormatBinary) }
+func BenchmarkTraceDecode_Text(b *testing.B) { benchDecode(b, lila.FormatText) }
 
 // BenchmarkTraceDecode_V2 measures the streaming v2 reader (the sniffed
 // NewReader path); BenchmarkTraceDecode_V2Mmap measures the

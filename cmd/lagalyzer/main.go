@@ -12,16 +12,18 @@
 //	lagalyzer browse   <trace>...          interactive pattern browser
 //	lagalyzer convert  [-to v2] <trace>... re-encode traces between formats
 //
-// Traces in any encoding (v1 text, v1 binary, block-indexed v2) are
-// accepted, sniffed by their first bytes. Generate synthetic traces
-// with lilasim; re-encode recorded ones with convert — conversion is
-// record-preserving, so analysis output is identical across formats.
+// Traces in either encoding (text, block-indexed v2) are accepted,
+// sniffed by their first bytes; a trace in the retired v1 binary
+// encoding is rejected with a hint to regenerate it. Generate
+// synthetic traces with lilasim; re-encode recorded ones with convert
+// — conversion is record-preserving, so analysis output is identical
+// across formats.
 //
 // Global profiling flags (-cpuprofile, -memprofile, -trace) go before
 // the subcommand: lagalyzer -cpuprofile cpu.out stats trace.lila
 //
-// The global -salvage flag tolerates damaged traces: the decoders
-// resynchronize past wire damage, sessions are rebuilt leniently, and
+// The global -salvage flag tolerates damaged traces: the decoders drop
+// damaged text lines and v2 blocks, sessions are rebuilt leniently, and
 // files that still cannot contribute anything are skipped with a note
 // on stderr instead of aborting the run.
 //
@@ -81,7 +83,7 @@ func main() {
 // run is main's body with a return code, so deferred cleanups (the
 // profile writers) execute before the process exits.
 func run() int {
-	salvage := flag.Bool("salvage", false, "tolerate damaged traces: resynchronize past wire damage, rebuild leniently, skip unrecoverable files")
+	salvage := flag.Bool("salvage", false, "tolerate damaged traces: drop damaged lines and blocks, rebuild leniently, skip unrecoverable files")
 	jobs := flag.Int("jobs", 0, "trace files decoded concurrently (0 = one per CPU, 1 = sequential)")
 	selfProfile := flag.String("self-profile", "", "write a LiLa v2 trace of this run's own pipeline spans to this file")
 	profiler := obs.AddProfileFlags(flag.CommandLine)
@@ -170,10 +172,12 @@ func usage() {
   lagalyzer stream   [-follow [-poll d] [-follow-idle d]] <trace>...
                                            single-pass statistics (memory: the open
                                            episodes and the ticks they can reach);
-                                           -follow tails one growing trace live
+                                           -follow tails one growing trace: live on
+                                           text; a v2 file is decoded when the
+                                           follow ends (-follow-idle or SIGINT)
   lagalyzer browse   <trace>...            interactive pattern browser
   lagalyzer diff     [-n rows] <old> <new> compare two runs' patterns
-  lagalyzer convert  [-to text|binary|v2] [-compress] [-out dir] <trace>...
+  lagalyzer convert  [-to text|v2] [-compress] [-out dir] <trace>...
                                            re-encode traces (record-preserving);
                                            -compress DEFLATEs each v2 block
 
@@ -558,7 +562,9 @@ func printStreamStats(st *stream.Stats) {
 // exactly where the last complete record ended (a partial record at
 // the tail simply stays buffered until the writer completes it). The
 // records drive a release-mode session build, so each episode is
-// analyzed as it closes. Stops at the trace's end record, after
+// analyzed as it closes. That is incremental on text only: the v2
+// reader buffers its whole input, so a v2 file is decoded when the
+// follow ends. Stops at the trace's end record, after
 // -follow-idle without growth, or on SIGINT — and prints the
 // single-pass summary either way.
 func followOne(path string, poll, idle time.Duration) error {
@@ -737,7 +743,7 @@ func runDiff(args []string) error {
 // encoding a study is stored in.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	to := fs.String("to", "v2", "output encoding: text, binary, or v2")
+	to := fs.String("to", "v2", "output encoding: text or v2")
 	compress := fs.Bool("compress", false, "DEFLATE-compress v2 blocks (only with -to v2)")
 	outDir := fs.String("out", "", "output directory, keeping base names (default: alongside each input as <input>.<format>)")
 	fs.Parse(args)

@@ -70,7 +70,7 @@ func run() int {
 		seed        = flag.Uint64("seed", 42, "base random seed")
 		seconds     = flag.Float64("seconds", 0, "session length override in seconds (0 = profile defaults)")
 		traces      = flag.String("traces", "", "analyze LiLa traces from this directory instead of simulating")
-		salvage     = flag.Bool("salvage", false, "with -traces: salvage damaged trace files (resynchronize past wire damage, rebuild leniently)")
+		salvage     = flag.Bool("salvage", false, "with -traces: salvage damaged trace files (drop damaged lines and blocks, rebuild leniently)")
 		strict      = flag.Bool("strict", false, "with -traces: fail fast on the first unloadable trace file")
 		jobs        = flag.Int("jobs", 0, "with -traces: trace files decoded concurrently (0 = one per CPU, 1 = sequential)")
 		outDir      = flag.String("out", "", "directory for SVG figures, experiments.md, and runmeta.json (empty = text only)")

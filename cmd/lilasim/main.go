@@ -6,10 +6,9 @@
 // Usage:
 //
 //	lilasim -list
-//	lilasim -app Jmol -seconds 60 -seed 7 -format binary -o jmol.lila
-//	lilasim -app Jmol -format v2 -o jmol.lila            (block-indexed v2)
-//	lilasim -app Jmol -format v2 -compress -o jmol.lila  (DEFLATE-compressed blocks)
-//	lilasim -app GanttProject -session 2 > gantt.lila.txt
+//	lilasim -app Jmol -seconds 60 -seed 7 -o jmol.lila    (block-indexed v2, the default)
+//	lilasim -app Jmol -compress -o jmol.lila              (DEFLATE-compressed v2 blocks)
+//	lilasim -app GanttProject -session 2 -format text > gantt.lila.txt
 //
 // Exit codes: 0 success, 1 total failure, 2 usage error (the shared
 // convention across lagalyzer, lagreport, and lilasim; the generator
@@ -37,7 +36,7 @@ func main() {
 		session     = flag.Int("session", 0, "session id (varies the random stream)")
 		seed        = flag.Uint64("seed", 42, "base random seed")
 		seconds     = flag.Float64("seconds", 0, "session length override in seconds (0 = profile default)")
-		format      = flag.String("format", "text", "trace encoding: text, binary, or v2")
+		format      = flag.String("format", "v2", "trace encoding: text or v2")
 		compress    = flag.Bool("compress", false, "DEFLATE-compress v2 blocks (v2 format only)")
 		out         = flag.String("o", "", "output file (default stdout)")
 		short       = flag.Bool("materialize-short", false, "emit sub-3ms episodes as records instead of a count")

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,13 +77,13 @@ func TestCLIWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "cs.lila")
 
-	// lilasim: list profiles, then generate a binary trace.
+	// lilasim: list profiles, then generate a trace (v2, the default).
 	list := run(t, tool(t, "lilasim"), "", "-list")
 	if !strings.Contains(list, "NetBeans") || !strings.Contains(list, "45367") {
 		t.Errorf("lilasim -list output:\n%s", list)
 	}
 	gen := run(t, tool(t, "lilasim"), "",
-		"-app", "CrosswordSage", "-seconds", "20", "-seed", "3", "-format", "binary", "-o", traceFile)
+		"-app", "CrosswordSage", "-seconds", "20", "-seed", "3", "-o", traceFile)
 	if !strings.Contains(gen, "wrote") {
 		t.Errorf("lilasim output: %s", gen)
 	}
@@ -340,9 +341,9 @@ func TestCLIFaultTolerance(t *testing.T) {
 	intact := filepath.Join(traceDir, "a_jedit.lila")
 	truncated := filepath.Join(traceDir, "b_trunc.lila")
 	flipped := filepath.Join(traceDir, "c_flip.lila")
-	run(t, tool(t, "lilasim"), "", "-app", "JEdit", "-seconds", "15", "-format", "binary", "-o", intact)
-	run(t, tool(t, "lilasim"), "", "-app", "CrosswordSage", "-seconds", "15", "-format", "binary", "-o", truncated)
-	run(t, tool(t, "lilasim"), "", "-app", "CrosswordSage", "-session", "1", "-seconds", "15", "-format", "binary", "-o", flipped)
+	run(t, tool(t, "lilasim"), "", "-app", "JEdit", "-seconds", "15", "-format", "v2", "-o", intact)
+	run(t, tool(t, "lilasim"), "", "-app", "CrosswordSage", "-seconds", "15", "-format", "v2", "-o", truncated)
+	run(t, tool(t, "lilasim"), "", "-app", "CrosswordSage", "-session", "1", "-seconds", "15", "-format", "v2", "-o", flipped)
 
 	damage := func(path string, f func([]byte) []byte) {
 		t.Helper()
@@ -375,8 +376,8 @@ func TestCLIFaultTolerance(t *testing.T) {
 		t.Errorf("-strict over damaged dir: exit %d, want 1\n%s", code, out)
 	}
 
-	// -salvage keeps all three sessions: damage is worked around at the
-	// record level, so no whole unit is lost and the run succeeds.
+	// -salvage keeps all three sessions: damage is worked around block
+	// by block, so no whole unit is lost and the run succeeds.
 	outDir := t.TempDir()
 	code, out = runCode(t, tool(t, "lagreport"), "-traces", traceDir, "-only", "table3", "-salvage", "-out", outDir)
 	if code != 0 {
@@ -417,6 +418,16 @@ func TestCLIFaultTolerance(t *testing.T) {
 	}
 	if !strings.Contains(out, "CrosswordSage/0") || !strings.Contains(out, "salvage") {
 		t.Errorf("lagalyzer -salvage output:\n%s", out)
+	}
+	// Each damaged file's salvage note itemizes the loss: v2 drops
+	// whole blocks, and a note that counts nothing would hide it.
+	itemized := regexp.MustCompile(`salvage: kept \d+, dropped (\d+) records, skipped (\d+) bytes`)
+	for _, path := range []string{truncated, flipped} {
+		_, out := runCode(t, tool(t, "lagalyzer"), "-salvage", "stats", path)
+		m := itemized.FindStringSubmatch(out)
+		if m == nil || (m[1] == "0" && m[2] == "0") {
+			t.Errorf("%s: salvage note itemizes no loss:\n%s", filepath.Base(path), out)
+		}
 	}
 	junk := filepath.Join(t.TempDir(), "junk.lila")
 	if err := os.WriteFile(junk, []byte("not a trace at all"), 0o644); err != nil {
@@ -568,8 +579,8 @@ func TestCLICheckpointKillResume(t *testing.T) {
 }
 
 // TestCLIConvertGolden pins the convert round trip end to end: a study
-// recorded as v1 traces, converted to v2 with `lagalyzer convert`, must
-// analyze to byte-identical reports. This is the CI golden step for
+// recorded as text traces, converted to v2 with `lagalyzer convert`,
+// must analyze to byte-identical reports. This is the CI golden step for
 // format independence at the tool level (the unit-level twin lives in
 // internal/report).
 func TestCLIConvertGolden(t *testing.T) {
@@ -578,31 +589,26 @@ func TestCLIConvertGolden(t *testing.T) {
 	}
 	simBin, lagBin, repBin := tool(t, "lilasim"), tool(t, "lagalyzer"), tool(t, "lagreport")
 
-	// A small v1 study: two apps, two sessions each, mixed text and
-	// binary encodings so convert exercises both v1 readers.
-	v1Dir := t.TempDir()
-	for i, app := range []string{"CrosswordSage", "GanttProject"} {
+	// A small text study: two apps, two sessions each.
+	textDir := t.TempDir()
+	for _, app := range []string{"CrosswordSage", "GanttProject"} {
 		for id := 0; id < 2; id++ {
-			format := "binary"
-			if (i+id)%2 == 1 {
-				format = "text"
-			}
 			run(t, simBin, "", "-app", app, "-session", strconv.Itoa(id),
-				"-seed", "11", "-seconds", "15", "-format", format,
-				"-o", filepath.Join(v1Dir, app+"_"+strconv.Itoa(id)+".lila"))
+				"-seed", "11", "-seconds", "15", "-format", "text",
+				"-o", filepath.Join(textDir, app+"_"+strconv.Itoa(id)+".lila"))
 		}
 	}
 
-	// Baseline: analyze the v1 study.
+	// Baseline: analyze the text study.
 	outA := t.TempDir()
-	stdoutA := run(t, repBin, "", "-traces", v1Dir, "-jobs", "1", "-out", outA)
+	stdoutA := run(t, repBin, "", "-traces", textDir, "-jobs", "1", "-out", outA)
 
 	// Convert everything to v2 (convert -out keeps base names, so the
-	// sorted ingest order matches the v1 directory's).
+	// sorted ingest order matches the text directory's).
 	v2Dir := t.TempDir()
-	traces, err := filepath.Glob(filepath.Join(v1Dir, "*.lila"))
+	traces, err := filepath.Glob(filepath.Join(textDir, "*.lila"))
 	if err != nil || len(traces) != 4 {
-		t.Fatalf("globbing v1 traces: %v (%d files)", err, len(traces))
+		t.Fatalf("globbing text traces: %v (%d files)", err, len(traces))
 	}
 	run(t, lagBin, "", append([]string{"convert", "-to", "v2", "-out", v2Dir}, traces...)...)
 	for _, p := range traces {
@@ -641,7 +647,7 @@ func TestCLIConvertGolden(t *testing.T) {
 		return strings.Join(lines, "\n")
 	}
 	if a, b := normalize(stdoutA), normalize(stdoutB); a != b {
-		t.Errorf("v2 study stdout differs from v1 baseline:\n--- v1 ---\n%s\n--- v2 ---\n%s", a, b)
+		t.Errorf("v2 study stdout differs from text baseline:\n--- text ---\n%s\n--- v2 ---\n%s", a, b)
 	}
 
 	// Every artifact except runmeta.json must be byte-identical.
@@ -664,7 +670,7 @@ func TestCLIConvertGolden(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(wantBytes, gotBytes) {
-			t.Errorf("artifact %s differs between v1 and v2 studies", e.Name())
+			t.Errorf("artifact %s differs between text and v2 studies", e.Name())
 		}
 		compared++
 	}
@@ -696,16 +702,27 @@ func TestCLIConvertGolden(t *testing.T) {
 		t.Errorf("runmeta.json stable fields differ:\n%s\nvs\n%s", stableA, stableB)
 	}
 
-	// Round trip the binary leg back to v1 and check record-level
-	// identity via stats output.
+	// Round trip a v2 trace back to text: the records, and so the
+	// text bytes, must come back unchanged.
 	backDir := t.TempDir()
 	v2Trace := filepath.Join(v2Dir, "CrosswordSage_0.lila")
-	run(t, lagBin, "", "convert", "-to", "binary", "-out", backDir, v2Trace)
-	statsV1 := run(t, lagBin, "", "stats", filepath.Join(v1Dir, "CrosswordSage_0.lila"))
+	run(t, lagBin, "", "convert", "-to", "text", "-out", backDir, v2Trace)
+	orig, err := os.ReadFile(filepath.Join(textDir, "CrosswordSage_0.lila"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := os.ReadFile(filepath.Join(backDir, "CrosswordSage_0.lila"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(orig, back) {
+		t.Error("text -> v2 -> text round trip changed the trace")
+	}
+	statsText := run(t, lagBin, "", "stats", filepath.Join(textDir, "CrosswordSage_0.lila"))
 	statsBack := run(t, lagBin, "", "stats", filepath.Join(backDir, "CrosswordSage_0.lila"))
-	if statsV1 != statsBack {
-		t.Errorf("stats after v1->v2->binary round trip differ:\n--- v1 ---\n%s\n--- round trip ---\n%s",
-			statsV1, statsBack)
+	if statsText != statsBack {
+		t.Errorf("stats after text->v2->text round trip differ:\n--- text ---\n%s\n--- round trip ---\n%s",
+			statsText, statsBack)
 	}
 }
 
@@ -727,8 +744,8 @@ func TestCLISelfProfile(t *testing.T) {
 	plain := filepath.Join(dir, "plain.lila")
 	profiled := filepath.Join(dir, "profiled.lila")
 	simSelf := filepath.Join(dir, "lilasim-self.lila")
-	run(t, simBin, "", "-app", "CrosswordSage", "-seconds", "15", "-seed", "3", "-format", "binary", "-o", plain)
-	out := run(t, simBin, "", "-app", "CrosswordSage", "-seconds", "15", "-seed", "3", "-format", "binary",
+	run(t, simBin, "", "-app", "CrosswordSage", "-seconds", "15", "-seed", "3", "-format", "v2", "-o", plain)
+	out := run(t, simBin, "", "-app", "CrosswordSage", "-seconds", "15", "-seed", "3", "-format", "v2",
 		"-o", profiled, "-self-profile", simSelf)
 	if !strings.Contains(out, "wrote self-trace") {
 		t.Errorf("lilasim output missing self-trace line:\n%s", out)
@@ -870,7 +887,6 @@ func TestCLILilasimStreamGolden(t *testing.T) {
 		want string
 	}{
 		{[]string{"-format", "text"}, "80736144a03d04a625883d8b113a37480cb513b77c8baa52b0b7afbb2c89021b"},
-		{[]string{"-format", "binary"}, "b909df0d432433c8f586d8f8e1e3d0d2ddf5099a215fb7687c5751760362739c"},
 		{[]string{"-format", "v2"}, "c18aa220a22507868b7f5cddf0459abc1b16b9fe34046c7626e213a52aa9b92c"},
 		{[]string{"-format", "v2", "-compress"}, "15ccd7fae6f49ac5d2df0b29794181c63e39debf0e1e3c08ea76b8378c105c51"},
 	} {

@@ -395,7 +395,7 @@ func tracesCorpus(t *testing.T) string {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := lila.WriteSession(&b, lila.FormatBinary, s); err != nil {
+		if err := lila.WriteSession(&b, lila.FormatV2, s); err != nil {
 			t.Fatal(err)
 		}
 		data := []byte(b.String())

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lagalyzer/internal/faultinject"
+	"lagalyzer/internal/lila"
 )
 
 // TestIngestChaosFlakyClients is the seeded chaos suite: a concurrent
@@ -20,8 +21,16 @@ import (
 // never errors on hostile streams (it salvages), the session registry
 // and memory accounting return to zero, every non-refused session is
 // tallied exactly once, and both restarts recover the committed
-// tables exactly.
+// tables exactly. The uploads are text in one run and v2 in another:
+// a v2 upload cut off mid-body must still salvage the blocks that
+// arrived.
 func TestIngestChaosFlakyClients(t *testing.T) {
+	for _, format := range []lila.Format{lila.FormatText, lila.FormatV2} {
+		t.Run(format.String(), func(t *testing.T) { chaosFlakyClients(t, format) })
+	}
+}
+
+func chaosFlakyClients(t *testing.T, format lila.Format) {
 	dir := t.TempDir()
 	cfg := Config{
 		WindowDur:   goldenWindow,
@@ -59,7 +68,7 @@ func TestIngestChaosFlakyClients(t *testing.T) {
 			d := delivery{
 				app:     apps[i%len(apps)],
 				session: "c" + string(rune('a'+i)),
-				body:    encodeSession(t, apps[i%len(apps)], uint64(100+i), 20),
+				body:    encodeSession(t, format, apps[i%len(apps)], uint64(100+i), 20),
 			}
 			// Refused and reset uploads error client-side; everything
 			// else must come back as a response, never a hang.
@@ -100,7 +109,7 @@ func TestIngestChaosFlakyClients(t *testing.T) {
 			d := delivery{
 				app:     apps[i],
 				session: "kill" + string(rune('a'+i)),
-				body:    encodeSession(t, apps[i], uint64(200+i), 20),
+				body:    encodeSession(t, format, apps[i], uint64(200+i), 20),
 			}
 			postDelivery(t, &http.Client{Transport: &faultinject.FlakyTransport{
 				RequestPlan: func(int, *http.Request) faultinject.Fault { return faultinject.FaultStall },
@@ -139,7 +148,7 @@ func TestIngestChaosFlakyClients(t *testing.T) {
 			d := delivery{
 				app:     apps[i%len(apps)],
 				session: "w2" + string(rune('a'+i)),
-				body:    encodeSession(t, apps[i%len(apps)], uint64(300+i), 15),
+				body:    encodeSession(t, format, apps[i%len(apps)], uint64(300+i), 15),
 			}
 			resp, _, err := postDelivery(t, client2, hs2.URL, d)
 			if err == nil && resp.StatusCode != http.StatusOK {

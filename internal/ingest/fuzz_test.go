@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"lagalyzer/internal/lila"
 )
 
 // FuzzIngestStream throws arbitrary bytes at the full HTTP ingest
@@ -32,7 +34,7 @@ func FuzzIngestStream(f *testing.F) {
 	}
 	mux := mountIngest(srv)
 
-	valid := encodeSession(f, "Jmol", 7, 5)
+	valid := encodeSession(f, lila.FormatText, "Jmol", 7, 5)
 	f.Add([]byte{})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])

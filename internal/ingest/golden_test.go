@@ -28,10 +28,11 @@ type delivery struct {
 	body         []byte
 }
 
-// encodeSession simulates one app session and serializes it in the
-// text format (the natural live wire format, and the one the salvage
-// reader can resynchronize line-by-line).
-func encodeSession(t testing.TB, app string, seed uint64, seconds float64) []byte {
+// encodeSession simulates one app session and serializes it in format:
+// text is the natural live wire format, whose salvage reader drops
+// damage line by line; v2 is the file format, which salvage drops
+// block by block.
+func encodeSession(t testing.TB, format lila.Format, app string, seed uint64, seconds float64) []byte {
 	t.Helper()
 	profile, err := apps.ByName(app)
 	if err != nil {
@@ -42,7 +43,7 @@ func encodeSession(t testing.TB, app string, seed uint64, seconds float64) []byt
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	w, err := lila.NewWriter(&sb, lila.FormatText, h)
+	w, err := lila.NewWriter(&sb, format, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,15 +179,21 @@ const goldenWindow = 5 * trace.Second
 // must yield byte-for-byte the same aggregate tables as the batch
 // pipeline (salvage read, treebuild, FoldSessions) over the same
 // bytes — per-window tallies, pattern maps, and app tallies included.
+// The last session arrives v2-encoded.
 func TestGoldenStreamedMatchesBatch(t *testing.T) {
 	deliveries := []delivery{
 		{app: "CrosswordSage", session: "1"},
 		{app: "Jmol", session: "1"},
 		{app: "Arabeske", session: "1"},
 		{app: "Jmol", session: "2"},
+		{app: "CrosswordSage", session: "v2"},
 	}
 	for i := range deliveries {
-		deliveries[i].body = encodeSession(t, deliveries[i].app, uint64(31+i), 30)
+		format := lila.FormatText
+		if deliveries[i].session == "v2" {
+			format = lila.FormatV2
+		}
+		deliveries[i].body = encodeSession(t, format, deliveries[i].app, uint64(31+i), 30)
 	}
 
 	srv, hs := newIngestFixture(t, Config{WindowDur: goldenWindow})
@@ -215,7 +222,8 @@ func TestGoldenStreamedMatchesBatch(t *testing.T) {
 // seed-derived bit flips. The batch reference is rebuilt from the
 // byte-exact damaged bodies the transport recorded, so the contract
 // under test is: whatever bytes arrived, streamed == batch over those
-// same salvaged bytes.
+// same salvaged bytes. Every session is sent twice, as text and as v2,
+// so each fault hits both encodings.
 func TestGoldenStreamedMatchesBatchUnderFaults(t *testing.T) {
 	faults := []faultinject.Fault{
 		faultinject.FaultNone, faultinject.FaultStall,
@@ -223,12 +231,14 @@ func TestGoldenStreamedMatchesBatchUnderFaults(t *testing.T) {
 		faultinject.FaultCorrupt, faultinject.FaultTruncate,
 	}
 	var deliveries []delivery
-	for i, app := range []string{"CrosswordSage", "Jmol", "Arabeske", "FindBugs", "Jmol", "CrosswordSage"} {
-		deliveries = append(deliveries, delivery{
-			app:     app,
-			session: fmt.Sprintf("f%d", i),
-			body:    encodeSession(t, app, uint64(71+i), 25),
-		})
+	for _, format := range []lila.Format{lila.FormatText, lila.FormatV2} {
+		for i, app := range []string{"CrosswordSage", "Jmol", "Arabeske", "FindBugs", "Jmol", "CrosswordSage"} {
+			deliveries = append(deliveries, delivery{
+				app:     app,
+				session: fmt.Sprintf("f%d-%v", i, format),
+				body:    encodeSession(t, format, app, uint64(71+i), 25),
+			})
+		}
 	}
 
 	srv, hs := newIngestFixture(t, Config{
@@ -283,34 +293,34 @@ func TestGoldenStreamedMatchesBatchUnderFaults(t *testing.T) {
 }
 
 // TestGoldenAdversarialChunking streams one session byte-by-byte (the
-// most hostile chunking possible) and in one giant write, pinning that
-// chunk boundaries cannot change the aggregates.
+// most hostile chunking possible) and in one giant write, in text and
+// in v2, pinning that chunk boundaries cannot change the aggregates.
 func TestGoldenAdversarialChunking(t *testing.T) {
-	body := encodeSession(t, "Jmol", 5, 20)
 	srv, hs := newIngestFixture(t, Config{WindowDur: goldenWindow, IdleTimeout: time.Minute})
+	var sent []delivery
+	for _, format := range []lila.Format{lila.FormatText, lila.FormatV2} {
+		body := encodeSession(t, format, "Jmol", 5, 20)
+		drip := delivery{app: "Jmol", session: "drip-" + format.String(), body: body}
+		bulk := delivery{app: "Jmol", session: "bulk-" + format.String(), body: body}
 
-	// One-byte reads via an io.Reader that refuses to batch.
-	resp, err := hs.Client().Post(hs.URL+"/ingest/Jmol/drip", "application/octet-stream",
-		io.NopCloser(iotest(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("drip-fed stream: status %d", resp.StatusCode)
-	}
+		// One-byte reads via an io.Reader that refuses to batch.
+		resp, err := hs.Client().Post(hs.URL+"/ingest/Jmol/"+drip.session, "application/octet-stream",
+			io.NopCloser(iotest(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("drip-fed %v stream: status %d", format, resp.StatusCode)
+		}
 
-	if _, _, err := postDelivery(t, hs.Client(), hs.URL, delivery{app: "Jmol", session: "bulk", body: body}); err != nil {
-		t.Fatal(err)
+		if _, _, err := postDelivery(t, hs.Client(), hs.URL, bulk); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, drip, bulk)
 	}
-
-	got := srv.Tables()
-	want := batchReference(t, []delivery{
-		{app: "Jmol", session: "drip", body: body},
-		{app: "Jmol", session: "bulk", body: body},
-	}, goldenWindow)
-	compareTables(t, got, want)
+	compareTables(t, srv.Tables(), batchReference(t, sent, goldenWindow))
 }
 
 // iotest returns a reader that yields one byte per Read call.

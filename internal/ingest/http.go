@@ -19,13 +19,13 @@ import (
 
 // HandleIngest serves POST /ingest/{app}/{session}: one chunked LiLa
 // record stream (any format the readers sniff — text is the natural
-// live wire format), consumed incrementally until the client closes
+// live wire format; v2 is buffered whole), consumed incrementally until the client closes
 // the stream, disconnects, goes idle, or is evicted. The stream is
-// always decoded in salvage mode: mid-stream corruption is
-// resynchronized past, a disconnect salvages what arrived, and the
-// response carries the session's salvage report. Only resource
-// exhaustion (429), a stalled client (408), and admission refusals
-// are error statuses.
+// always decoded in salvage mode: mid-stream corruption is dropped (a
+// text line or a v2 block at a time), a disconnect salvages what
+// arrived, and the response carries the session's salvage report.
+// Only resource exhaustion (429), a stalled client (408), and
+// admission refusals are error statuses.
 func (s *Server) HandleIngest(w http.ResponseWriter, r *http.Request) {
 	app := r.PathValue("app")
 	sessionID := r.PathValue("session")

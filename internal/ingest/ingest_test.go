@@ -32,10 +32,10 @@ func TestShedSessionCap(t *testing.T) {
 		}
 		done <- resp
 	}()
-	pw.Write(encodeSession(t, "Jmol", 1, 5)[:64]) // header arrives, stream stays open
+	pw.Write(encodeSession(t, lila.FormatText, "Jmol", 1, 5)[:64]) // header arrives, stream stays open
 	waitFor(t, func() bool { return srv.Sessions() == 1 })
 
-	d := delivery{app: "Jmol", session: "second", body: encodeSession(t, "Jmol", 2, 5)}
+	d := delivery{app: "Jmol", session: "second", body: encodeSession(t, lila.FormatText, "Jmol", 2, 5)}
 	resp, _, err := postDelivery(t, hs.Client(), hs.URL, d)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestDuplicateSessionConflict(t *testing.T) {
 // PUT, not POST; the route accepts both identically.
 func TestPutUploadAccepted(t *testing.T) {
 	srv, hs := newIngestFixture(t, Config{IdleTimeout: time.Minute})
-	body := encodeSession(t, "Jmol", 9, 10)
+	body := encodeSession(t, lila.FormatText, "Jmol", 9, 10)
 
 	req, err := http.NewRequest(http.MethodPut, hs.URL+"/ingest/Jmol/put-1", bytes.NewReader(body))
 	if err != nil {
@@ -138,7 +138,7 @@ func TestDrainRefusesAndFlushes(t *testing.T) {
 		json.NewDecoder(resp.Body).Decode(&sum)
 		sums <- sum
 	}()
-	body := encodeSession(t, "Jmol", 21, 30)
+	body := encodeSession(t, lila.FormatText, "Jmol", 21, 30)
 	pw.Write(body[:len(body)/2])
 	// Wait until the handler has actually parsed records, not merely
 	// admitted the session: the client's pipe write returns when the
@@ -193,7 +193,7 @@ func TestBudgetDegradeThenEvict(t *testing.T) {
 		SessionBudget: 8 << 10,
 		IdleTimeout:   time.Minute,
 	})
-	d := delivery{app: "Jmol", session: "hog", body: encodeSession(t, "Jmol", 41, 60)}
+	d := delivery{app: "Jmol", session: "hog", body: encodeSession(t, lila.FormatText, "Jmol", 41, 60)}
 	resp, sum, err := postDelivery(t, hs.Client(), hs.URL, d)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestBudgetDegradeThenEvict(t *testing.T) {
 // pattern map, but durations, triggers, causes, histograms, and tick
 // attributions keep flowing untouched.
 func TestStatsOnlyDegradationKeepsAggregates(t *testing.T) {
-	body := encodeSession(t, "Jmol", 51, 25)
+	body := encodeSession(t, lila.FormatText, "Jmol", 51, 25)
 	r, err := newSalvageReader(body)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestIdleSessionReaped(t *testing.T) {
 func TestStatsEndpointMidSession(t *testing.T) {
 	srv, hs := newIngestFixture(t, Config{WindowDur: goldenWindow, IdleTimeout: time.Minute})
 
-	body := encodeSession(t, "Jmol", 61, 40)
+	body := encodeSession(t, lila.FormatText, "Jmol", 61, 40)
 	pr, pw := io.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -442,7 +442,7 @@ func TestIngestMetricsSchema(t *testing.T) {
 func TestIngestMetricsCount(t *testing.T) {
 	before := obs.Default().Snapshot().Counters
 	_, hs := newIngestFixture(t, Config{WindowDur: goldenWindow})
-	d := delivery{app: "Jmol", session: "m1", body: encodeSession(t, "Jmol", 77, 25)}
+	d := delivery{app: "Jmol", session: "m1", body: encodeSession(t, lila.FormatText, "Jmol", 77, 25)}
 	if resp, _, err := postDelivery(t, hs.Client(), hs.URL, d); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("post: %v (%v)", err, resp)
 	}
@@ -479,7 +479,7 @@ func TestReadyReasons(t *testing.T) {
 // final drain partition the episodes — nothing lost, nothing folded
 // twice. Pure consumer-level check, no HTTP.
 func TestConsumerWindowPartition(t *testing.T) {
-	body := encodeSession(t, "CrosswordSage", 13, 30)
+	body := encodeSession(t, lila.FormatText, "CrosswordSage", 13, 30)
 	r, err := newSalvageReader(body)
 	if err != nil {
 		t.Fatal(err)

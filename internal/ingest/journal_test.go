@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lagalyzer/internal/lila"
 )
 
 // mountIngest wraps a server in the real route patterns.
@@ -36,7 +38,7 @@ func TestJournalKillResume(t *testing.T) {
 	}
 	hs1 := httptest.NewServer(mountIngest(srv1))
 	for i, app := range []string{"Jmol", "CrosswordSage"} {
-		d := delivery{app: app, session: "k1", body: encodeSession(t, app, uint64(11+i), 20)}
+		d := delivery{app: app, session: "k1", body: encodeSession(t, lila.FormatText, app, uint64(11+i), 20)}
 		if resp, _, err := postDelivery(t, hs1.Client(), hs1.URL, d); err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("post %s: %v (%v)", app, err, resp)
 		}
@@ -59,7 +61,7 @@ func TestJournalKillResume(t *testing.T) {
 	// The restarted server keeps ingesting and folds on top of the
 	// recovered state.
 	hs2 := httptest.NewServer(mountIngest(srv2))
-	d := delivery{app: "Arabeske", session: "k2", body: encodeSession(t, "Arabeske", 99, 20)}
+	d := delivery{app: "Arabeske", session: "k2", body: encodeSession(t, lila.FormatText, "Arabeske", 99, 20)}
 	if resp, _, err := postDelivery(t, hs2.Client(), hs2.URL, d); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("post after resume: %v (%v)", err, resp)
 	}
@@ -107,7 +109,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs1 := httptest.NewServer(mountIngest(srv1))
-	d := delivery{app: "Jmol", session: "t1", body: encodeSession(t, "Jmol", 3, 20)}
+	d := delivery{app: "Jmol", session: "t1", body: encodeSession(t, lila.FormatText, "Jmol", 3, 20)}
 	if resp, _, err := postDelivery(t, hs1.Client(), hs1.URL, d); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("post: %v (%v)", err, resp)
 	}
@@ -147,7 +149,7 @@ func TestJournalCorruptSnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs1 := httptest.NewServer(mountIngest(srv1))
-	d := delivery{app: "Jmol", session: "c1", body: encodeSession(t, "Jmol", 8, 15)}
+	d := delivery{app: "Jmol", session: "c1", body: encodeSession(t, lila.FormatText, "Jmol", 8, 15)}
 	if resp, _, err := postDelivery(t, hs1.Client(), hs1.URL, d); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("post: %v (%v)", err, resp)
 	}

@@ -5,7 +5,7 @@
 // classes, and a study directory holds many sessions of the same
 // application, so the same fully qualified class and method names
 // recur millions of times. The decoders intern each string-table
-// entry (binary format) or token (text format) exactly once, after
+// entry (v2 format) or token (text format) exactly once, after
 // which every session in the process shares one backing string per
 // distinct symbol — the in-memory cost of symbols becomes O(distinct
 // names), not O(records), and later string comparisons in the

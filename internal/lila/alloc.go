@@ -2,14 +2,13 @@ package lila
 
 import (
 	"hash/maphash"
-	"sync"
 
 	"lagalyzer/internal/intern"
 	"lagalyzer/internal/trace"
 )
 
-// Allocation-lean decode plumbing shared by the text, binary, and
-// salvage readers. A multi-hundred-thousand-record session used to
+// Allocation-lean decode plumbing shared by the text and v2
+// readers. A multi-hundred-thousand-record session used to
 // cost one heap allocation per record plus one per sampled stack;
 // the arenas below amortize the former to one allocation per chunk
 // and the dedup table collapses the latter onto one shared slice per
@@ -116,13 +115,6 @@ func framesEqual(a, b []trace.Frame) bool {
 		}
 	}
 	return true
-}
-
-// scratchPool recycles the byte buffers the binary decoders read
-// inline strings into before interning; the pooled buffer never
-// escapes a single readString call.
-var scratchPool = sync.Pool{
-	New: func() any { return make([]byte, 0, 256) },
 }
 
 // internBytes is intern.Bytes; aliased here so the decoders read as

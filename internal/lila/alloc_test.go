@@ -8,7 +8,7 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// allocTestTrace builds a binary trace whose symbols and stacks repeat
+// allocTestTrace builds a v2 trace whose symbols and stacks repeat
 // heavily, the shape real profiler output has (the same few painted
 // classes and idle stacks, tens of thousands of times).
 func allocTestTrace(t *testing.T, calls int) []byte {
@@ -16,7 +16,7 @@ func allocTestTrace(t *testing.T, calls int) []byte {
 	var buf bytes.Buffer
 	h := Header{App: "AllocLean", SessionID: 1, GUIThread: 1,
 		FilterThreshold: trace.Ms(3), SamplePeriod: trace.Ms(10)}
-	bw, err := NewBinaryWriter(&buf, h)
+	bw, err := NewV2Writer(&buf, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,64 +47,6 @@ func allocTestTrace(t *testing.T, calls int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func decodeAll(t *testing.T, data []byte) int {
-	t.Helper()
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, err := r.Read()
-		if err == io.EOF {
-			return n
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-}
-
-// TestBinaryDecodeAllocationLean pins the decode path's allocation
-// budget: with the record arena, the pooled read scratch, the string
-// interner, and the stack-dedup table in place, decoding a
-// symbol-repetitive trace must cost far less than one heap allocation
-// per record. A regression to per-record allocation trips this
-// immediately (the historical decoder paid 1 Record + 1 stack slice
-// per record).
-func TestBinaryDecodeAllocationLean(t *testing.T) {
-	const calls = 2000
-	data := allocTestTrace(t, calls)
-
-	// Warm the process-wide interner so the measured runs exercise the
-	// steady state (hits, not first-sight inserts).
-	records := decodeAll(t, data)
-	if want := 3*calls + 2; records != want {
-		t.Fatalf("decoded %d records, want %d", records, want)
-	}
-
-	allocs := testing.AllocsPerRun(5, func() {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			panic(err)
-		}
-		for {
-			if _, err := r.Read(); err != nil {
-				if err == io.EOF {
-					return
-				}
-				panic(err)
-			}
-		}
-	})
-	// Budget: reader setup, arena chunks (one per 1024 records), the
-	// dedup table — all amortized. One-per-record anything blows this.
-	if max := float64(records) / 10; allocs > max {
-		t.Errorf("decode of %d records allocated %v times, want <= %v", records, allocs, max)
-	}
 }
 
 // TestSampleStackDedup: identical sampled stacks within one session

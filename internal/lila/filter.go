@@ -144,8 +144,8 @@ func (s *filterState) blockMayMatch(b *V2BlockInfo) bool {
 
 // NewFilteredReader wraps r so that Read yields only records selected
 // by f, preserving the Reader contract (io.EOF after the end record).
-// It is how v1 readers honor the same selection a v2 reader serves
-// from its block index.
+// It is how the text reader honors the same selection a v2 reader
+// serves from its block index.
 func NewFilteredReader(r Reader, f *RecordFilter) Reader {
 	if f.All() {
 		return r

@@ -181,24 +181,22 @@ func HeaderOf(s *trace.Session) Header {
 // Format selects a trace encoding.
 type Format int
 
+// Value 1 was the retired v1 stream binary encoding; it stays unused
+// so a stale numeric format cannot silently select another encoding.
 const (
 	// FormatText is the line-oriented, human-readable encoding.
-	FormatText Format = iota
-	// FormatBinary is the compact v1 varint stream encoding.
-	FormatBinary
+	FormatText Format = 0
 	// FormatV2 is the block-indexed binary encoding: string and stack
 	// tables up front, checksummed blocks with independent time bases,
 	// and a footer index for mmap-style selective decode.
-	FormatV2
+	FormatV2 Format = 2
 )
 
-// String returns "text", "binary", or "v2".
+// String returns "text" or "v2".
 func (f Format) String() string {
 	switch f {
 	case FormatText:
 		return "text"
-	case FormatBinary:
-		return "binary"
 	case FormatV2:
 		return "v2"
 	default:
@@ -206,17 +204,17 @@ func (f Format) String() string {
 	}
 }
 
-// ParseFormat recognises "text", "binary", and "v2".
+// ParseFormat recognises "text" and "v2".
 func ParseFormat(s string) (Format, error) {
 	switch s {
 	case "text":
 		return FormatText, nil
-	case "binary":
-		return FormatBinary, nil
 	case "v2":
 		return FormatV2, nil
+	case "binary":
+		return 0, fmt.Errorf("lila: the v1 binary format is retired (want text or v2)")
 	}
-	return 0, fmt.Errorf("lila: unknown format %q (want text, binary, or v2)", s)
+	return 0, fmt.Errorf("lila: unknown format %q (want text or v2)", s)
 }
 
 // NewWriter returns a Writer for the chosen format, with the header
@@ -242,12 +240,10 @@ func NewWriterOptions(w io.Writer, h Header, o WriteOptions) (Writer, error) {
 	switch o.Format {
 	case FormatText:
 		return NewTextWriter(w, h)
-	case FormatBinary:
-		return NewBinaryWriter(w, h)
 	case FormatV2:
 		return NewV2WriterOptions(w, h, V2WriterOptions{Compression: o.Compression})
 	default:
-		return nil, fmt.Errorf("lila: unknown format %d", o.Format)
+		return nil, fmt.Errorf("lila: unknown format %d (want text or v2)", o.Format)
 	}
 }
 

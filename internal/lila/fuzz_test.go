@@ -17,7 +17,7 @@ import (
 func corpus(t testing.TB) [][]byte {
 	var out [][]byte
 	h := lila.Header{App: "fuzz", GUIThread: 1, FilterThreshold: trace.Ms(3), SamplePeriod: trace.Ms(10)}
-	for _, f := range []lila.Format{lila.FormatText, lila.FormatBinary, lila.FormatV2} {
+	for _, f := range []lila.Format{lila.FormatText, lila.FormatV2} {
 		var buf bytes.Buffer
 		w, err := lila.NewWriter(&buf, f, h)
 		if err != nil {
@@ -71,6 +71,7 @@ func corpus(t testing.TB) [][]byte {
 		[]byte("LILA\x01"),
 		[]byte("LILA\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"),
 		[]byte("LILA\x02junk"),
+		[]byte("NOPE\x01rest"),
 	)
 	return out
 }
@@ -180,21 +181,6 @@ func salvageSeeds(t testing.TB) [][]byte {
 func FuzzSalvageText(f *testing.F) {
 	for _, seed := range salvageSeeds(f) {
 		if len(seed) > 0 && seed[0] == '#' {
-			f.Add(seed)
-		}
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		drainSalvage(t, data)
-	})
-}
-
-// FuzzSalvageBinary fuzzes the binary salvage path, including the
-// forward-scan resynchronization. The corpus split (text seeds above,
-// binary seeds here) just points each fuzzer at its format; the
-// sniffing entry point is shared, so crossover mutations still run.
-func FuzzSalvageBinary(f *testing.F) {
-	for _, seed := range salvageSeeds(f) {
-		if len(seed) == 0 || seed[0] != '#' {
 			f.Add(seed)
 		}
 	}

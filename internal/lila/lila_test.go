@@ -2,6 +2,7 @@ package lila
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -79,7 +80,7 @@ func roundTrip(t *testing.T, f Format) ([]*Record, Header) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, f := range []Format{FormatText, FormatBinary, FormatV2} {
+	for _, f := range []Format{FormatText, FormatV2} {
 		t.Run(f.String(), func(t *testing.T) {
 			got, h := roundTrip(t, f)
 			if h != testHeader() {
@@ -95,39 +96,6 @@ func TestRoundTrip(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestBinarySmallerThanText(t *testing.T) {
-	var text, bin bytes.Buffer
-	for _, tc := range []struct {
-		f   Format
-		buf *bytes.Buffer
-	}{{FormatText, &text}, {FormatBinary, &bin}} {
-		w, err := NewWriter(tc.buf, tc.f, testHeader())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Write repetitive records so interning pays off.
-		for i := 0; i < 500; i++ {
-			rec := &Record{Type: RecCall, Time: trace.Time(i) * 1000, Thread: 1,
-				Kind: trace.KindPaint, Class: "javax.swing.JComponent", Method: "paintComponent"}
-			if err := w.WriteRecord(rec); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.WriteRecord(&Record{Type: RecReturn, Time: trace.Time(i)*1000 + 500, Thread: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.WriteRecord(&Record{Type: RecEnd, Time: 10 << 20}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bin.Len()*4 > text.Len() {
-		t.Errorf("binary %d bytes vs text %d bytes; want at least 4x smaller", bin.Len(), text.Len())
 	}
 }
 
@@ -223,7 +191,7 @@ func TestTextHeaderErrors(t *testing.T) {
 }
 
 func TestTruncatedTraces(t *testing.T) {
-	for _, f := range []Format{FormatText, FormatBinary} {
+	for _, f := range []Format{FormatText, FormatV2} {
 		t.Run(f.String(), func(t *testing.T) {
 			var buf bytes.Buffer
 			w, err := NewWriter(&buf, f, testHeader())
@@ -252,38 +220,8 @@ func TestTruncatedTraces(t *testing.T) {
 	}
 }
 
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := NewBinaryReader(bytes.NewReader([]byte("NOPE\x01rest"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := NewBinaryReader(bytes.NewReader([]byte("LI"))); err == nil {
-		t.Error("short magic accepted")
-	}
-}
-
-func TestBinaryBadStringRef(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewBinaryWriter(&buf, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Append a call record with a dangling string reference.
-	raw := append(buf.Bytes(), byte(RecCall))
-	raw = append(raw, 0x02 /* dt=1 */, 0x02 /* tid=1 */, byte(trace.KindPaint), 0x09 /* ref 9: dangling */)
-	r, err := NewBinaryReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Read(); err == nil || !strings.Contains(err.Error(), "string ref") {
-		t.Errorf("dangling ref error = %v", err)
-	}
-}
-
 func TestReaderSniffsFormat(t *testing.T) {
-	for _, f := range []Format{FormatText, FormatBinary, FormatV2} {
+	for _, f := range []Format{FormatText, FormatV2} {
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf, f, testHeader())
 		if err != nil {
@@ -306,14 +244,32 @@ func TestReaderSniffsFormat(t *testing.T) {
 	if _, err := NewReader(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
+	// A retired v1 stream (or any version but v2) is named as such,
+	// with the way out; input with no LiLa magic is not a trace.
+	for _, in := range []string{"LILA\x01\x08Test App\x04\x02", "LILA\x07"} {
+		_, err := NewReader(strings.NewReader(in))
+		if !errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), "regenerate") {
+			t.Errorf("%q: err = %v, want ErrUnsupportedVersion with a regenerate hint", in, err)
+		}
+	}
+	for _, in := range []string{"NOPE\x01rest", "LI"} {
+		_, err := NewReader(strings.NewReader(in))
+		if err == nil || errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), "not a LiLa trace") {
+			t.Errorf("%q: err = %v, want a not-a-LiLa-trace error", in, err)
+		}
+	}
 }
 
 func TestParseFormat(t *testing.T) {
 	if f, err := ParseFormat("text"); err != nil || f != FormatText {
 		t.Errorf("ParseFormat(text) = %v, %v", f, err)
 	}
-	if f, err := ParseFormat("binary"); err != nil || f != FormatBinary {
-		t.Errorf("ParseFormat(binary) = %v, %v", f, err)
+	if _, err := ParseFormat("binary"); err == nil || !strings.Contains(err.Error(), "v2") {
+		t.Errorf("ParseFormat(binary) = %v, want the retired v1 format rejected naming v2", err)
+	}
+	if _, err := NewWriterOptions(io.Discard, testHeader(), WriteOptions{Format: 1}); err == nil ||
+		!strings.Contains(err.Error(), "v2") {
+		t.Errorf("NewWriterOptions(format 1) = %v, want v1 rejected naming v2", err)
 	}
 	if f, err := ParseFormat("v2"); err != nil || f != FormatV2 {
 		t.Errorf("ParseFormat(v2) = %v, %v", f, err)
@@ -327,7 +283,7 @@ func TestParseFormat(t *testing.T) {
 }
 
 func TestWriteAfterClose(t *testing.T) {
-	for _, f := range []Format{FormatText, FormatBinary, FormatV2} {
+	for _, f := range []Format{FormatText, FormatV2} {
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf, f, testHeader())
 		if err != nil {

@@ -31,8 +31,8 @@ func drainUntilErr(t *testing.T, r lila.Reader) error {
 // input must NOT match, or corrupt streams would masquerade as
 // exhaustion and get retried forever.
 func TestErrLimitClassification(t *testing.T) {
-	for _, f := range []lila.Format{lila.FormatText, lila.FormatBinary} {
-		t.Run(formatName(f), func(t *testing.T) {
+	for _, f := range []lila.Format{lila.FormatText, lila.FormatV2} {
+		t.Run(f.String(), func(t *testing.T) {
 			data, _, _ := genTrace(t, f, 8)
 
 			r, err := lila.NewReaderOptions(bytes.NewReader(data), lila.ReaderOptions{
@@ -104,11 +104,4 @@ func TestErrLimitUnderSalvage(t *testing.T) {
 	if lerr == nil || !errors.Is(lerr, lila.ErrLimit) {
 		t.Errorf("salvage reader: err = %v, want ErrLimit match", lerr)
 	}
-}
-
-func formatName(f lila.Format) string {
-	if f == lila.FormatText {
-		return "text"
-	}
-	return "binary"
 }

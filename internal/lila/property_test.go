@@ -96,7 +96,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			SamplePeriod:    trace.Dur(r.Int64N(int64(trace.Ms(20)))),
 			Start:           trace.Time(r.Int64N(1000)),
 		}
-		for _, f := range []Format{FormatText, FormatBinary} {
+		for _, f := range []Format{FormatText, FormatV2} {
 			var buf bytes.Buffer
 			w, err := NewWriter(&buf, f, h)
 			if err != nil {

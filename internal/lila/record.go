@@ -7,12 +7,14 @@
 // carrying the session end time and the count of episodes the profiler
 // filtered out (shorter than the filter threshold).
 //
-// Three interchangeable encodings are provided: a line-oriented text
-// format that is easy to inspect and diff, a compact v1 binary format
-// with string interning for realistic multi-hundred-thousand-record
-// sessions, and the block-indexed v2 binary format whose footer index
-// lets readers map the file and decode only the blocks an analysis
-// needs. All of them round-trip exactly.
+// Two interchangeable encodings are provided: a line-oriented text
+// format that is easy to inspect and diff (and to stream, line by
+// line), and the block-indexed v2 binary format for files, whose
+// up-front string and stack tables keep multi-hundred-thousand-record
+// sessions compact and whose footer index lets readers map the file
+// and decode only the blocks an analysis needs. Both round-trip
+// exactly. The v1 stream binary format is retired: readers reject it
+// with ErrUnsupportedVersion.
 //
 // The package deliberately knows nothing about interval trees or
 // episodes; reconstructing those from the record stream is the job of
@@ -27,14 +29,13 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// FormatVersion is the version of the v1 encodings (text and the
-// stream binary format). The block-indexed binary format is
-// V2FormatVersion.
+// FormatVersion is the version of the text encoding. The
+// block-indexed binary format is V2FormatVersion.
 const FormatVersion = 1
 
 // ErrUnsupportedVersion is wrapped by readers that recognise a LiLa
-// trace whose format version they do not speak — a v1 reader handed a
-// v2 file, or any reader handed a version from the future. Callers
+// trace whose format version they do not speak — a retired v1 binary
+// trace, or a version from the future. Callers
 // match it with errors.Is to distinguish "wrong version" from "not a
 // LiLa trace at all".
 var ErrUnsupportedVersion = errors.New("lila: unsupported format version")

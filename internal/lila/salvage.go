@@ -26,6 +26,10 @@ type limitError struct{ msg string }
 func (e *limitError) Error() string        { return e.msg }
 func (e *limitError) Is(target error) bool { return target == ErrLimit }
 
+// errTruncated is noted when a salvage-mode stream ends without its
+// end record.
+var errTruncated = errors.New("truncated trace: no end record")
+
 // Salvage metrics, flushed once per trace when the stream finishes
 // (never per record).
 var (
@@ -42,15 +46,17 @@ type Limits struct {
 	// MaxStringLen bounds a single decoded string (class, method,
 	// thread, app name).
 	MaxStringLen int
-	// MaxStringTable bounds the binary format's interned-string table.
+	// MaxStringTable bounds each of the v2 format's up-front string
+	// and stack tables.
 	MaxStringTable int
 	// MaxStackDepth bounds one sample's frame count.
 	MaxStackDepth int
 	// MaxRecords bounds the total records decoded from one trace.
 	MaxRecords int
-	// MaxTraceBytes bounds the encoded bytes a salvage-mode binary
-	// reader will buffer (the salvage decoder needs the record stream
-	// in memory to scan for resynchronization points).
+	// MaxTraceBytes bounds the encoded bytes a v2 stream reader will
+	// buffer (the tables its records reference sit between the header
+	// and the blocks, so a sniffed io.Reader is read whole) and the
+	// inflated size of any one compressed block.
 	MaxTraceBytes int64
 	// MaxSessionBytes bounds the estimated in-memory size of a rebuilt
 	// session (enforced by treebuild, not by the readers); sessions
@@ -99,9 +105,9 @@ func (l Limits) WithDefaults() Limits {
 // ReaderOptions configure trace decoding beyond the defaults.
 type ReaderOptions struct {
 	// Salvage switches the reader from fail-stop to salvage decoding:
-	// a malformed record no longer kills the stream; the reader
-	// resynchronizes at the next plausible record boundary and keeps
-	// going, accounting for the damage in its SalvageReport.
+	// damage no longer kills the stream. The text reader drops the
+	// malformed line, the v2 reader the damaged block, and both keep
+	// going, accounting for the damage in their SalvageReport.
 	Salvage bool
 	// Limits are the resource guards; zero fields take defaults.
 	Limits Limits
@@ -115,18 +121,19 @@ type SalvageReport struct {
 	// RecordsKept counts records decoded successfully.
 	RecordsKept int `json:"records_kept"`
 	// RecordsDropped counts records lost to damage: malformed text
-	// lines and binary resynchronization gaps (a binary gap of unknown
-	// record count is counted as one drop per resync).
+	// lines, and the declared record counts of v2 blocks that failed
+	// their checksum or were torn off the end (a torn block's count is
+	// included when its header survived and is plausible).
 	RecordsDropped int `json:"records_dropped"`
-	// BytesSkipped totals the encoded bytes passed over while
-	// resynchronizing (text: the malformed lines; binary: the scan
-	// gaps including any undecodable tail).
+	// BytesSkipped totals the encoded bytes passed over (text: the
+	// malformed lines; v2: the dropped blocks, and everything from a
+	// frame the reader cannot use to the end of the data).
 	BytesSkipped int64 `json:"bytes_skipped"`
 	// Resyncs counts successful re-entries into the record stream
-	// after damage.
+	// after damage (v2: blocks decoded after a dropped one).
 	Resyncs int `json:"resyncs,omitempty"`
 	// TruncatedTail is set when the stream ended without an end record
-	// (or the undecodable remainder was dropped).
+	// (or the input was cut off by a transport error).
 	TruncatedTail bool `json:"truncated_tail,omitempty"`
 	// FirstError and LastError describe the first and most recent
 	// damage encountered.
@@ -191,8 +198,10 @@ func SalvageOf(r Reader) *SalvageReport {
 // NewReaderOptions is NewReader with explicit options: it sniffs the
 // encoding of rd ('#' opens the text format; otherwise the 5-byte
 // binary magic carries the version) and returns the matching reader
-// configured with o. A recognised magic with an unknown version is
-// ErrUnsupportedVersion, never a garbled decode or a salvage spiral.
+// configured with o. A LILA magic with any version but v2 — the
+// retired v1 stream binary included — is ErrUnsupportedVersion, never
+// a garbled decode or a salvage spiral; input that is neither is not
+// a LiLa trace.
 func NewReaderOptions(rd io.Reader, o ReaderOptions) (Reader, error) {
 	br := &sniffReader{r: rd}
 	first, err := br.peek()
@@ -202,19 +211,16 @@ func NewReaderOptions(rd io.Reader, o ReaderOptions) (Reader, error) {
 	if first == '#' {
 		return NewTextReaderOptions(br, o)
 	}
-	// Binary: dispatch on the version byte that follows the magic. A
-	// stream too short to hold the magic falls through to the v1
-	// reader, whose framing error describes it.
-	if magic, err := br.peekN(5); err == nil && string(magic[:4]) == "LILA" {
-		switch magic[4] {
-		case FormatVersion:
-			// v1 stream binary, below.
-		case V2FormatVersion:
-			return NewV2Reader(br, o)
-		default:
-			return nil, fmt.Errorf("%w %d (this reader supports v1 and v2)",
-				ErrUnsupportedVersion, magic[4])
-		}
+	magic, err := br.peekN(len(v2Magic))
+	if err != nil && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("lila: sniffing trace format: %w", err)
 	}
-	return NewBinaryReaderOptions(br, o)
+	if err != nil || string(magic[:4]) != "LILA" {
+		return nil, errors.New("lila: not a LiLa trace (no text header or LILA magic)")
+	}
+	if magic[4] != V2FormatVersion {
+		return nil, fmt.Errorf("%w %d (this reader supports v2; regenerate the trace with lilasim)",
+			ErrUnsupportedVersion, magic[4])
+	}
+	return NewV2Reader(br, o)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,7 +85,7 @@ func salvageAll(t testing.TB, data []byte) ([]*lila.Record, *lila.SalvageReport)
 }
 
 func TestSalvageCleanTrace(t *testing.T) {
-	for _, f := range []lila.Format{lila.FormatText, lila.FormatBinary} {
+	for _, f := range []lila.Format{lila.FormatText, lila.FormatV2} {
 		data, _, want := genTrace(t, f, 10)
 		got, rep := salvageAll(t, data)
 		if rep.Damaged() {
@@ -99,11 +100,37 @@ func TestSalvageCleanTrace(t *testing.T) {
 	}
 }
 
+// v2Blocks returns the block index of a clean v2 trace and, per
+// block, the index of its first record in the trace's record stream.
+func v2Blocks(t testing.TB, data []byte) ([]lila.V2BlockInfo, []int) {
+	t.Helper()
+	v, err := lila.ParseV2(data, lila.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := v.Blocks()
+	first := make([]int, len(blocks))
+	n := 0
+	for i, b := range blocks {
+		first[i] = n
+		n += b.Records
+	}
+	return blocks, first
+}
+
+// sameRecords is reflect.DeepEqual, except that a nil and an empty
+// stream are the same.
+func sameRecords(a, b []*lila.Record) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
 // TestSalvageTruncated is the golden truncation test: records salvaged
 // from a truncated trace must be exactly the decodable prefix of the
 // original record stream, and the report must flag the lost tail.
+// Text keeps every line before the cut; v2 keeps every block before
+// it and itemizes the block the cut tears.
 func TestSalvageTruncated(t *testing.T) {
-	for _, f := range []lila.Format{lila.FormatText, lila.FormatBinary} {
+	for _, f := range []lila.Format{lila.FormatText, lila.FormatV2} {
 		data, _, want := genTrace(t, f, 20)
 		for _, frac := range []float64{0.35, 0.6, 0.9} {
 			cut := faultinject.TruncateFrac(data, frac)
@@ -111,14 +138,31 @@ func TestSalvageTruncated(t *testing.T) {
 			if !rep.TruncatedTail {
 				t.Errorf("%v frac=%v: truncated tail not reported: %s", f, frac, rep)
 			}
-			if len(got) == 0 {
-				t.Errorf("%v frac=%v: salvaged nothing from %d bytes", f, frac, len(cut))
+			switch f {
+			case lila.FormatText:
+				if len(got) == 0 {
+					t.Errorf("%v frac=%v: salvaged nothing from %d bytes", f, frac, len(cut))
+				}
+			case lila.FormatV2:
+				blocks, first := v2Blocks(t, data)
+				i := 0
+				for i < len(blocks) && blocks[i].Offset+blocks[i].Length <= int64(len(cut)) {
+					i++
+				}
+				if len(got) != first[i] {
+					t.Errorf("%v frac=%v: kept %d records, want the %d of the %d blocks before the cut",
+						f, frac, len(got), first[i], i)
+				}
+				if rep.RecordsDropped != blocks[i].Records || rep.BytesSkipped != int64(len(cut))-blocks[i].Offset {
+					t.Errorf("%v frac=%v: dropped %d records, skipped %d bytes; want the torn block's %d records and %d bytes",
+						f, frac, rep.RecordsDropped, rep.BytesSkipped, blocks[i].Records, int64(len(cut))-blocks[i].Offset)
+				}
 			}
 			if len(got) >= len(want) {
 				t.Errorf("%v frac=%v: kept %d records from truncated trace of %d", f, frac, len(got), len(want))
 			}
 			// Golden property: the survivors are the uncorrupted prefix.
-			if !reflect.DeepEqual(got, want[:len(got)]) {
+			if !sameRecords(got, want[:len(got)]) {
 				t.Errorf("%v frac=%v: salvaged records diverge from original prefix", f, frac)
 			}
 			if rep.RecordsKept != len(got) {
@@ -131,8 +175,10 @@ func TestSalvageTruncated(t *testing.T) {
 // TestSalvageBitFlips corrupts bytes mid-stream and checks the reader
 // resynchronizes: the prefix before the damage survives verbatim, the
 // report accounts for the loss, and a lenient session build succeeds.
+// Text drops the damaged lines; v2 keeps every block no flip touched
+// and drops each one a flip did, with its records itemized.
 func TestSalvageBitFlips(t *testing.T) {
-	for _, f := range []lila.Format{lila.FormatText, lila.FormatBinary} {
+	for _, f := range []lila.Format{lila.FormatText, lila.FormatV2} {
 		data, _, want := genTrace(t, f, 40)
 		lo := len(data) / 3 // keep header and an ample prefix intact
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -162,18 +208,41 @@ func TestSalvageBitFlips(t *testing.T) {
 				t.Errorf("%v seed=%d: kept %d records, undamaged prefix alone holds %d",
 					f, seed, len(got), len(prefix))
 			}
-			if !reflect.DeepEqual(got[:len(prefix)], prefix) {
+			if !sameRecords(got[:len(prefix)], prefix) {
 				t.Errorf("%v seed=%d: records before the damage diverge", f, seed)
 			}
+			if f == lila.FormatV2 {
+				blocks, first := v2Blocks(t, data)
+				var intact []*lila.Record
+				dropped := 0
+				for i, b := range blocks {
+					if bytes.Equal(bad[b.Offset:b.Offset+b.Length], data[b.Offset:b.Offset+b.Length]) {
+						intact = append(intact, want[first[i]:first[i]+b.Records]...)
+					} else {
+						dropped += b.Records
+					}
+				}
+				if !sameRecords(got, intact) {
+					t.Errorf("%v seed=%d: kept %d records, want the %d of the blocks no flip touched",
+						f, seed, len(got), len(intact))
+				}
+				if rep.RecordsDropped != dropped {
+					t.Errorf("%v seed=%d: dropped %d records, want the damaged blocks' %d", f, seed, rep.RecordsDropped, dropped)
+				}
+			}
 			// End to end: a lenient build over the salvaged records must
-			// produce a valid (possibly degraded) session.
+			// produce a valid (possibly degraded) session, with episodes
+			// whenever a dispatch survived.
 			s, health, err := treebuild.ReadSessionOptions(bytes.NewReader(bad),
 				lila.ReaderOptions{Salvage: true}, treebuild.Options{Lenient: true})
 			if err != nil {
 				t.Errorf("%v seed=%d: lenient build over salvaged trace: %v", f, seed, err)
 				continue
 			}
-			if s == nil || len(s.Episodes) == 0 {
+			dispatched := slices.ContainsFunc(got, func(r *lila.Record) bool {
+				return r.Type == lila.RecCall && r.Kind == trace.KindDispatch
+			})
+			if s == nil || (dispatched && len(s.Episodes) == 0) {
 				t.Errorf("%v seed=%d: salvaged session has no episodes", f, seed)
 			}
 			if !health.Degraded() {
@@ -187,7 +256,7 @@ func TestSalvageBitFlips(t *testing.T) {
 // and requires byte-identical outcomes — reports feed the study health
 // sections, which participate in the byte-identical output guarantee.
 func TestSalvageDeterministic(t *testing.T) {
-	for _, f := range []lila.Format{lila.FormatText, lila.FormatBinary} {
+	for _, f := range []lila.Format{lila.FormatText, lila.FormatV2} {
 		data, _, _ := genTrace(t, f, 30)
 		bad := faultinject.FlipBits(data, 42, 12, len(data)/4, 0)
 		bad = faultinject.Truncate(bad, len(bad)-len(bad)/10)
@@ -233,7 +302,7 @@ func TestSalvageTextLineDamage(t *testing.T) {
 // TestStrictReadersStillFail pins the fail-stop default: without
 // Salvage the same damage is an error, not a degraded success.
 func TestStrictReadersStillFail(t *testing.T) {
-	for _, f := range []lila.Format{lila.FormatText, lila.FormatBinary} {
+	for _, f := range []lila.Format{lila.FormatText, lila.FormatV2} {
 		data, _, _ := genTrace(t, f, 10)
 		// Truncation is unambiguous damage in both formats; a bit flip
 		// can land inside a symbol name where no decoder can tell.

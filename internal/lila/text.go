@@ -188,8 +188,8 @@ func (tr *TextReader) parseStack(s string) ([]trace.Frame, error) {
 	return tr.stacks.Canon(tr.frameBuf), nil
 }
 
-// TextReader reads a trace in the text format. Like the binary
-// reader, decoding is allocation-lean: records come from a chunked
+// TextReader reads a trace in the text format. Like the v2 reader,
+// decoding is allocation-lean: records come from a chunked
 // arena, symbol tokens are interned process-wide, and identical
 // sampled stacks share one canonical []Frame per session.
 type TextReader struct {

@@ -36,7 +36,7 @@ import (
 //	             [uvarint(inflatedLen) iff flags&compressed]
 //	trailer   := u64le(indexOffset) u32le(indexLen) u32le(crc32c(index)) "LILAIDX2"
 //
-// Unlike v1, every string and every distinct sampled call stack is
+// Every string and every distinct sampled call stack is
 // written exactly once, up front; records reference them by table
 // index, so the per-record hot path of a reader is a handful of varint
 // reads and two slice lookups — no hashing, interning, or frame
@@ -44,7 +44,7 @@ import (
 // *within the block*, with the block's first delta taken from the
 // header's baseTime: blocks decode independently, in any order, and a
 // block lost to damage never shifts the absolute times of the blocks
-// after it (the v1 salvage decoder cannot make that promise).
+// after it.
 //
 // The footer index carries per-block offsets, record counts, time
 // spans, a 64-bit thread bitmap (bit tid%64 set for every thread with
@@ -73,8 +73,9 @@ import (
 // V2FormatVersion is the version byte of the block-indexed format.
 const V2FormatVersion = 2
 
-// v2Magic opens every v2 trace; it shares the "LILA" prefix with the
-// v1 binary magic so version sniffing is uniform.
+// v2Magic opens every v2 trace. The "LILA" prefix is shared by every
+// binary LiLa version, so the sniffer can tell a retired or future
+// version from input that is no LiLa trace at all.
 var v2Magic = [5]byte{'L', 'I', 'L', 'A', V2FormatVersion}
 
 // v2TrailerMagic closes every v2 trace.
@@ -336,6 +337,13 @@ func (e *v2enc) stackRef(frames []trace.Frame) uint64 {
 	}
 	e.stackID[key] = id
 	return id
+}
+
+func b2byte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (e *v2enc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }

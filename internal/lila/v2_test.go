@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"lagalyzer/internal/trace"
 )
@@ -161,7 +164,7 @@ func TestV2OpenFileMmap(t *testing.T) {
 
 // TestV2SelectiveDecodeEquivalence pins the format-independence of
 // RecordFilter: selecting blocks via the v2 index must yield exactly
-// the records the same filter keeps over the full v1 stream.
+// the records the same filter keeps over the full text stream.
 func TestV2SelectiveDecodeEquivalence(t *testing.T) {
 	all := v2TestRecords()
 	filters := []*RecordFilter{
@@ -176,8 +179,8 @@ func TestV2SelectiveDecodeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	w, err := NewWriter(&v1, FormatBinary, testHeader())
+	var text bytes.Buffer
+	w, err := NewWriter(&text, FormatText, testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +198,7 @@ func TestV2SelectiveDecodeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("filter %d: v2 Records: %v", i, err)
 		}
-		br, err := NewReader(bytes.NewReader(v1.Bytes()))
+		br, err := NewReader(bytes.NewReader(text.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,6 +373,144 @@ func TestV2TruncatedTail(t *testing.T) {
 	}
 }
 
+// TestV2TornTailItemized cuts a single-block and a multi-block trace
+// inside a block: both salvage paths keep the blocks before the cut
+// and itemize the torn one — every byte from its frame to the end of
+// the data, and the records its header declares once that header is
+// whole.
+func TestV2TornTailItemized(t *testing.T) {
+	all := v2TestRecords()
+	for _, blockRecords := range []int{1 << 20, 8} {
+		data := writeV2(t, all, blockRecords)
+		v, err := ParseV2(data, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := v.Blocks()
+		i := len(blocks) / 2
+		torn := blocks[i]
+		kept := 0
+		for _, b := range blocks[:i] {
+			kept += b.Records
+		}
+		for _, tc := range []struct {
+			name    string
+			cut     int64 // bytes of the torn block left
+			dropped int
+		}{
+			{"payload", torn.Length / 2, torn.Records},
+			{"header", 1, 0},
+		} {
+			label := fmt.Sprintf("%d blocks, torn %s", len(blocks), tc.name)
+			cut := data[:torn.Offset+tc.cut]
+			check := func(path string, got []*Record, rep *SalvageReport) {
+				t.Helper()
+				recordsEqual(t, got, all[:kept], label+" "+path)
+				if rep == nil || rep.RecordsDropped != tc.dropped || rep.BytesSkipped != tc.cut || !rep.TruncatedTail {
+					t.Errorf("%s %s: report %+v, want %d dropped, %d skipped, truncated tail",
+						label, path, rep, tc.dropped, tc.cut)
+				}
+			}
+			vc, err := ParseV2(cut, Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, rep, err := vc.Records(nil, true)
+			if err != nil {
+				t.Fatalf("%s: salvage Records: %v", label, err)
+			}
+			check("random access", got, rep)
+			r, err := NewReaderOptions(bytes.NewReader(cut), ReaderOptions{Salvage: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("stream", drainReader(t, r), SalvageOf(r))
+		}
+	}
+}
+
+// TestV2TableDamageKeepsSession breaks a stack-table reference: no
+// block can decode, so strict reads fail, while salvage still opens the
+// session from its header and itemizes everything after it — every
+// byte, and every record the intact footer index declares.
+func TestV2TableDamageKeepsSession(t *testing.T) {
+	all := v2TestRecords()
+	data := writeV2(t, all, 8)
+	v, err := ParseV2(data, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(data)
+	bad[v.Blocks()[0].Offset-1] = 0x7f // the last frame's method ref, now dangling
+	d, err := parseV2Prefix(bad, Limits{})
+	if err == nil || d == nil {
+		t.Fatalf("parseV2Prefix = %v, %v; want the header and a table error", d, err)
+	}
+	wantSkip := int64(len(bad) - d.blocksStart)
+
+	if _, err := NewReader(bytes.NewReader(bad)); err == nil {
+		t.Error("strict stream read accepted a damaged stack table")
+	}
+	vb, err := ParseV2(bad, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := vb.Records(nil, false); err == nil {
+		t.Error("strict decode accepted a damaged stack table")
+	}
+	got, rep, err := vb.Records(nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReaderOptions(bytes.NewReader(bad), ReaderOptions{Salvage: true})
+	if err != nil {
+		t.Fatalf("salvage stream read: %v", err)
+	}
+	if r.Header() != testHeader() {
+		t.Errorf("salvaged header = %+v", r.Header())
+	}
+	for path, res := range map[string]struct {
+		recs []*Record
+		rep  *SalvageReport
+	}{"random access": {got, rep}, "stream": {drainReader(t, r), SalvageOf(r)}} {
+		if len(res.recs) != 0 || res.rep.RecordsDropped != len(all) || res.rep.BytesSkipped != wantSkip ||
+			!strings.Contains(res.rep.FirstError, "stack table") {
+			t.Errorf("%s: %d records, report %+v; want none, %d dropped, %d skipped, the table error",
+				path, len(res.recs), res.rep, len(all), wantSkip)
+		}
+	}
+}
+
+// TestV2SalvageKeepsPrefixOnReadError cuts the input stream with a
+// transport error mid-block: salvage decodes the blocks that arrived,
+// notes the error, and marks the tail truncated; strict mode fails.
+func TestV2SalvageKeepsPrefixOnReadError(t *testing.T) {
+	all := v2TestRecords()
+	data := writeV2(t, all, 8)
+	v, err := ParseV2(data, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := v.Blocks()[2]
+	reset := errors.New("connection reset by peer")
+	body := func() io.Reader {
+		return io.MultiReader(bytes.NewReader(data[:b.Offset+b.Length/2]), iotest.ErrReader(reset))
+	}
+	if _, err := NewReaderOptions(body(), ReaderOptions{}); !errors.Is(err, reset) {
+		t.Errorf("strict read of a cut stream: err = %v, want the transport error", err)
+	}
+	r, err := NewReaderOptions(body(), ReaderOptions{Salvage: true})
+	if err != nil {
+		t.Fatalf("salvage reader: %v", err)
+	}
+	recordsEqual(t, drainReader(t, r), all[:16], "salvaged prefix")
+	rep := SalvageOf(r)
+	if !rep.TruncatedTail || !strings.Contains(rep.FirstError, reset.Error()) || rep.RecordsDropped != b.Records {
+		t.Errorf("report %+v, want truncated tail, the transport error first, and the torn block's %d records",
+			rep, b.Records)
+	}
+}
+
 // readerAdapter exposes a lila.Reader as an io.Reader of record
 // stringifications, just to drive it to EOF-or-error.
 type readerAdapter struct{ r Reader }
@@ -387,41 +528,31 @@ func (a readerAdapter) Read(p []byte) (int, error) {
 
 // TestUnsupportedVersionBothDirections covers every reader × wrong
 // version pairing: each must report ErrUnsupportedVersion, not a
-// garbled decode or a salvage spiral.
+// garbled decode or a salvage spiral. v1 is the retired stream binary
+// format; only its magic matters.
 func TestUnsupportedVersionBothDirections(t *testing.T) {
 	v2Data := writeV2(t, v2TestRecords(), 8)
-	var v1buf bytes.Buffer
-	w, err := NewWriter(&v1buf, FormatBinary, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteRecord(&Record{Type: RecEnd, Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v1Data := v1buf.Bytes()
+	v1Data := []byte("LILA\x01\x08Test App\x04\x02\x06\x00\x00\x00")
 	future := []byte("LILA\x07whatever")
 
 	cases := []struct {
 		name string
 		err  func() error
 	}{
-		{"v1 binary reader on v2", func() error {
-			_, err := NewBinaryReader(bytes.NewReader(v2Data))
-			return err
-		}},
-		{"v1 salvage reader on v2", func() error {
-			_, err := NewBinarySalvageReader(bytes.NewReader(v2Data), Limits{})
-			return err
-		}},
 		{"v2 parser on v1", func() error {
 			_, err := ParseV2(v1Data, Limits{})
 			return err
 		}},
 		{"v2 stream reader on v1", func() error {
 			_, err := NewV2Reader(bytes.NewReader(v1Data), ReaderOptions{})
+			return err
+		}},
+		{"sniffer on v1", func() error {
+			_, err := NewReader(bytes.NewReader(v1Data))
+			return err
+		}},
+		{"salvage sniffer on v1", func() error {
+			_, err := NewReaderOptions(bytes.NewReader(v1Data), ReaderOptions{Salvage: true})
 			return err
 		}},
 		{"sniffer on future version", func() error {
@@ -448,15 +579,13 @@ func TestUnsupportedVersionBothDirections(t *testing.T) {
 		}
 	}
 
-	// The sniffing entry points must route each version to the right
-	// reader rather than erroring.
-	for _, data := range [][]byte{v1Data, v2Data} {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("sniffed reader: %v", err)
-		}
-		drainReader(t, r)
+	// The sniffing entry point must route v2 to its reader rather than
+	// erroring.
+	r, err := NewReader(bytes.NewReader(v2Data))
+	if err != nil {
+		t.Fatalf("sniffed reader: %v", err)
 	}
+	drainReader(t, r)
 }
 
 // TestV2RejectsCompressedFlag pins the index-entry contract around the

@@ -225,7 +225,7 @@ func TestV2CompressedIndexSalvageScan(t *testing.T) {
 // TestV2CompressedSelectiveDecodeEquivalence re-pins the selective
 // decode contract over the compressed encoding, sequentially and with
 // intra-file workers: block skipping via the index must yield exactly
-// what the same filter keeps over the full v1 stream.
+// what the same filter keeps over the full text stream.
 func TestV2CompressedSelectiveDecodeEquivalence(t *testing.T) {
 	all := v2TestRecords()
 	filters := []*RecordFilter{
@@ -239,8 +239,8 @@ func TestV2CompressedSelectiveDecodeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	w, err := NewWriter(&v1, FormatBinary, testHeader())
+	var text bytes.Buffer
+	w, err := NewWriter(&text, FormatText, testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestV2CompressedSelectiveDecodeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, f := range filters {
-		br, err := NewReader(bytes.NewReader(v1.Bytes()))
+		br, err := NewReader(bytes.NewReader(text.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -104,6 +105,9 @@ func (d *v2data) str(ref uint64) (string, error) {
 }
 
 // parseV2Prefix parses magic, header, string table, and stack table.
+// When the header parses but a table does not, it also returns the
+// header-only data, whose blocks start right after the header, so a
+// salvage read can still open the session and itemize the loss.
 func parseV2Prefix(data []byte, limits Limits) (*v2data, error) {
 	limits = limits.WithDefaults()
 	c := &v2cur{data: data}
@@ -149,39 +153,51 @@ func parseV2Prefix(data []byte, limits Limits) (*v2data, error) {
 	d.h.SamplePeriod = trace.Dur(period)
 	d.h.Start = trace.Time(start)
 
+	d.blocksStart = c.off
+	if err := d.parseTables(c, readString); err != nil {
+		d.strings, d.stacks = nil, nil
+		return d, err
+	}
+	d.blocksStart = c.off
+	return d, nil
+}
+
+// parseTables parses the string and stack tables at c.
+func (d *v2data) parseTables(c *v2cur, readString func() (string, error)) error {
+	limits := d.limits
 	nstr, err := c.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("lila: v2 string table: %w", err)
+		return fmt.Errorf("lila: v2 string table: %w", err)
 	}
 	if nstr > uint64(limits.MaxStringTable) {
-		return nil, limitErrf("lila: v2 string table exceeds limit %d", limits.MaxStringTable)
+		return limitErrf("lila: v2 string table exceeds limit %d", limits.MaxStringTable)
 	}
 	d.strings = make([]string, nstr)
 	for i := range d.strings {
 		if d.strings[i], err = readString(); err != nil {
-			return nil, fmt.Errorf("lila: v2 string table entry %d: %w", i, err)
+			return fmt.Errorf("lila: v2 string table entry %d: %w", i, err)
 		}
 	}
 
 	nstk, err := c.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("lila: v2 stack table: %w", err)
+		return fmt.Errorf("lila: v2 stack table: %w", err)
 	}
 	if nstk > uint64(limits.MaxStringTable) {
-		return nil, limitErrf("lila: v2 stack table exceeds limit %d", limits.MaxStringTable)
+		return limitErrf("lila: v2 stack table exceeds limit %d", limits.MaxStringTable)
 	}
 	d.stacks = make([][]trace.Frame, nstk)
 	var slab []trace.Frame // frames for all stacks, allocated in chunks
 	for i := range d.stacks {
 		nf, err := c.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
+			return fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
 		}
 		if nf == 0 || nf > uint64(limits.MaxStackDepth) {
-			return nil, fmt.Errorf("lila: v2 stack table entry %d: implausible depth %d", i, nf)
+			return fmt.Errorf("lila: v2 stack table entry %d: implausible depth %d", i, nf)
 		}
 		if uint64(c.remaining()) < 3*nf { // each frame is at least 3 bytes
-			return nil, fmt.Errorf("lila: v2 stack table entry %d: truncated", i)
+			return fmt.Errorf("lila: v2 stack table entry %d: truncated", i)
 		}
 		if len(slab) < int(nf) {
 			slab = make([]trace.Frame, max(int(nf), 1024))
@@ -191,28 +207,27 @@ func parseV2Prefix(data []byte, limits Limits) (*v2data, error) {
 		for j := range frames {
 			fl, err := c.byte()
 			if err != nil {
-				return nil, fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
+				return fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
 			}
 			frames[j].Native = fl&1 != 0
 			cr, err := c.uvarint()
 			if err != nil {
-				return nil, fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
+				return fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
 			}
 			mr, err := c.uvarint()
 			if err != nil {
-				return nil, fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
+				return fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
 			}
 			if frames[j].Class, err = d.str(cr); err != nil {
-				return nil, fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
+				return fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
 			}
 			if frames[j].Method, err = d.str(mr); err != nil {
-				return nil, fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
+				return fmt.Errorf("lila: v2 stack table entry %d: %w", i, err)
 			}
 		}
 		d.stacks[i] = frames
 	}
-	d.blocksStart = c.off
-	return d, nil
+	return nil
 }
 
 // V2BlockInfo describes one block for selective decode. Entries come
@@ -342,58 +357,40 @@ func maxInflatedLen(storedLen uint64, limits Limits) uint64 {
 // the footer index is destroyed. Selectivity fields are conservative:
 // every scanned block reports global and an all-ones thread bitmap, so
 // no filter ever skips it. A framing error mid-scan returns the blocks
-// recovered so far together with the error.
-func scanV2Blocks(d *v2data) ([]V2BlockInfo, error) {
+// recovered so far, the torn remainder, and the error.
+func scanV2Blocks(d *v2data) ([]V2BlockInfo, v2Torn, error) {
 	c := &v2cur{data: d.data, off: d.blocksStart}
 	var blocks []V2BlockInfo
 	total := 0
 	for {
 		start := c.off
-		plen, err := c.uvarint()
+		torn := v2Torn{bytes: int64(len(d.data) - start)}
+		plen, count, rawLen, flags, err := readV2Frame(c)
 		if err != nil {
-			return blocks, fmt.Errorf("lila: v2 block %d framing: %w", len(blocks), err)
+			return blocks, torn, fmt.Errorf("lila: v2 block %d framing: %w", len(blocks), err)
 		}
 		if plen == 0 {
-			return blocks, nil // sentinel: index + trailer follow
+			return blocks, v2Torn{}, nil // sentinel: index + trailer follow
 		}
-		count, err := c.uvarint()
-		if err != nil {
-			return blocks, fmt.Errorf("lila: v2 block %d framing: %w", len(blocks), err)
-		}
-		flags := uint64(v2FlagGlobal)
-		var rawLen uint64
-		if count == 0 {
-			// Raw blocks never have zero records: this is the escape
-			// into the compressed framing (see the format comment in
-			// v2.go) — the true count and inflated length follow.
-			flags |= v2FlagCompressed
-			if count, err = c.uvarint(); err != nil {
-				return blocks, fmt.Errorf("lila: v2 block %d framing: %w", len(blocks), err)
-			}
-			if rawLen, err = c.uvarint(); err != nil {
-				return blocks, fmt.Errorf("lila: v2 block %d framing: %w", len(blocks), err)
-			}
-		}
-		if _, err := c.varint(); err != nil { // baseTime
-			return blocks, fmt.Errorf("lila: v2 block %d framing: %w", len(blocks), err)
-		}
-		if _, err := c.bytes(4); err != nil { // crc
-			return blocks, fmt.Errorf("lila: v2 block %d framing: %w", len(blocks), err)
-		}
-		implausible := plen > uint64(c.remaining()) || count == 0
+		implausible := count == 0
 		if flags&v2FlagCompressed != 0 {
 			implausible = implausible || rawLen == 0 || count > rawLen ||
 				rawLen > maxInflatedLen(plen, d.limits)
 		} else {
 			implausible = implausible || count > plen
 		}
-		if implausible {
-			return blocks, fmt.Errorf("lila: v2 block %d: implausible frame (payload %d, records %d)",
+		if implausible || plen > uint64(c.remaining()) {
+			// A payload running past the data is a torn tail: its
+			// header still says how many records went with it.
+			if !implausible && total+int(count) <= d.limits.MaxRecords {
+				torn.records = int(count)
+			}
+			return blocks, torn, fmt.Errorf("lila: v2 block %d: implausible frame (payload %d, records %d)",
 				len(blocks), plen, count)
 		}
 		total += int(count)
 		if total > d.limits.MaxRecords {
-			return blocks, limitErrf("lila: record limit %d exceeded", d.limits.MaxRecords)
+			return blocks, torn, limitErrf("lila: record limit %d exceeded", d.limits.MaxRecords)
 		}
 		c.off += int(plen)
 		blocks = append(blocks, V2BlockInfo{
@@ -407,6 +404,57 @@ func scanV2Blocks(d *v2data) ([]V2BlockInfo, error) {
 			flags:      flags,
 		})
 	}
+}
+
+// v2Torn is what a block scan that stopped early could not read: the
+// bytes from the unusable frame to the end of the data, and the
+// records that frame declares when its header decoded to a plausible
+// count (0 otherwise). Salvage readers itemize it.
+type v2Torn struct {
+	records int
+	bytes   int64
+}
+
+// tableLoss itemizes a trace whose header parsed but whose tables did
+// not: every byte after the header is lost, and so is every record the
+// footer index declares, if the index survived.
+func (d *v2data) tableLoss() v2Torn {
+	lost := v2Torn{bytes: int64(len(d.data) - d.blocksStart)}
+	if blocks, err := parseV2Index(d); err == nil {
+		for _, b := range blocks {
+			lost.records += b.Records
+		}
+	}
+	return lost
+}
+
+// readV2Frame reads one block header for scanV2Blocks, leaving c at
+// the payload; a zero plen is the sentinel, read alone.
+func readV2Frame(c *v2cur) (plen, count, rawLen, flags uint64, err error) {
+	if plen, err = c.uvarint(); err != nil || plen == 0 {
+		return
+	}
+	if count, err = c.uvarint(); err != nil {
+		return
+	}
+	flags = v2FlagGlobal
+	if count == 0 {
+		// Raw blocks never have zero records: this is the escape
+		// into the compressed framing (see the format comment in
+		// v2.go) — the true count and inflated length follow.
+		flags |= v2FlagCompressed
+		if count, err = c.uvarint(); err != nil {
+			return
+		}
+		if rawLen, err = c.uvarint(); err != nil {
+			return
+		}
+	}
+	if _, err = c.varint(); err != nil { // baseTime
+		return
+	}
+	_, err = c.bytes(4) // crc
+	return
 }
 
 // v2scratch bundles the per-goroutine decode state: the record arena,
@@ -663,9 +711,12 @@ type V2File struct {
 	d      *v2data
 	blocks []V2BlockInfo
 	// indexErr is non-nil when the footer index was damaged and blocks
-	// were re-framed by sequential scan; strict decodes refuse to
-	// proceed, salvage decodes carry on with what the scan recovered.
+	// were re-framed by sequential scan, or when the tables were and
+	// nothing decodes; strict decodes refuse to proceed, salvage
+	// decodes carry on with the blocks recovered and itemize torn,
+	// what could not be.
 	indexErr error
+	torn     v2Torn
 	unmap    func() error
 }
 
@@ -674,7 +725,12 @@ type V2File struct {
 func ParseV2(data []byte, limits Limits) (*V2File, error) {
 	d, err := parseV2Prefix(data, limits)
 	if err != nil {
-		return nil, err
+		if d == nil || errors.Is(err, ErrLimit) {
+			return nil, err
+		}
+		// Damaged tables: no block decodes, which strict reads report
+		// and salvage reads itemize.
+		return &V2File{d: d, indexErr: err, torn: d.tableLoss()}, nil
 	}
 	v := &V2File{d: d}
 	blocks, ierr := parseV2Index(d)
@@ -686,8 +742,8 @@ func ParseV2(data []byte, limits Limits) (*V2File, error) {
 	// scan error (if any) marks where framing broke; everything before
 	// it is usable under salvage.
 	v.indexErr = ierr
-	blocks, scanErr := scanV2Blocks(d)
-	v.blocks = blocks
+	blocks, torn, scanErr := scanV2Blocks(d)
+	v.blocks, v.torn = blocks, torn
 	if scanErr != nil {
 		v.indexErr = fmt.Errorf("%v; block scan: %w", ierr, scanErr)
 	}
@@ -747,12 +803,12 @@ const v2ReadAheadPerWorker = 2 // decoded blocks a worker may hold unfed
 // decode and is returned. With salvage false a damaged index or block
 // is an error; with salvage true a bad block is dropped whole and
 // itemized in the returned SalvageReport (non-nil exactly then, its
-// metrics flushed once per call), as is a missing end record. Up to
-// jobs workers (≤0 takes GOMAXPROCS, 1 decodes inline) decode blocks
-// ahead of the merge, which walks the blocks in index order, applies
-// the filter with its live call-depth state, and feeds fn, so records,
-// salvage accounting, and errors are identical at every worker count:
-// the first failure in stream order wins.
+// metrics flushed once per call), as are a torn tail and a missing end
+// record. Up to jobs workers (≤0 takes GOMAXPROCS, 1 decodes inline)
+// decode blocks ahead of the merge, which walks the blocks in index
+// order, applies the filter with its live call-depth state, and feeds
+// fn, so records, salvage accounting, and errors are identical at
+// every worker count: the first failure in stream order wins.
 func (v *V2File) Each(filter *RecordFilter, salvage bool, jobs int, fn func(*Record) error) (*SalvageReport, error) {
 	_, report, err := v.each(filter, salvage, jobs, fn)
 	return report, err
@@ -778,6 +834,8 @@ func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Rec
 			return nil, nil, v.indexErr
 		}
 		report.note(v.indexErr)
+		report.RecordsDropped += v.torn.records
+		report.BytesSkipped += v.torn.bytes
 	}
 	var state *filterState
 	if !filter.All() {
@@ -990,16 +1048,14 @@ func IsV2File(f *os.File) bool {
 	return err == nil && magic == v2Magic
 }
 
-// readAllLimited buffers r, refusing inputs beyond max bytes.
+// readAllLimited buffers r, refusing inputs beyond max bytes. A read
+// error comes with the bytes that arrived before it.
 func readAllLimited(r io.Reader, max int64) ([]byte, error) {
 	data, err := io.ReadAll(io.LimitReader(r, max+1))
-	if err != nil {
-		return nil, err
-	}
 	if int64(len(data)) > max {
 		return nil, fmt.Errorf("lila: trace exceeds %d-byte limit", max)
 	}
-	return data, nil
+	return data, err
 }
 
 // V2Reader adapts a v2 trace to the streaming Reader contract for
@@ -1009,14 +1065,16 @@ func readAllLimited(r io.Reader, max int64) ([]byte, error) {
 // block without ever touching the footer index. In salvage mode a
 // block that fails its checksum is dropped and itemized — and because
 // every block carries its own time base, the blocks after a loss
-// decode with correct absolute times, which the v1 salvage decoder
-// cannot guarantee.
+// decode with correct absolute times. A salvage read cut off by a
+// transport error keeps the blocks that arrived before it.
 type V2Reader struct {
 	d      *v2data
 	blocks []V2BlockInfo
 	// scanErr is the block-framing error hit by the sequential scan,
-	// reported after the blocks before it have been delivered.
+	// reported after the blocks before it have been delivered; torn is
+	// what salvage itemizes for it.
 	scanErr error
+	torn    v2Torn
 	report  *SalvageReport // nil outside salvage mode
 
 	scratch v2scratch
@@ -1034,18 +1092,31 @@ type V2Reader struct {
 // here via format sniffing).
 func NewV2Reader(r io.Reader, o ReaderOptions) (*V2Reader, error) {
 	limits := o.Limits.WithDefaults()
-	data, err := readAllLimited(r, limits.MaxTraceBytes)
-	if err != nil {
-		return nil, fmt.Errorf("lila: buffering v2 trace: %w", err)
+	data, readErr := readAllLimited(r, limits.MaxTraceBytes)
+	if readErr != nil {
+		readErr = fmt.Errorf("lila: buffering v2 trace: %w", readErr)
+		// Salvage decodes whatever arrived before a transport error;
+		// its torn last block is itemized like any other.
+		if !o.Salvage || len(data) == 0 {
+			return nil, readErr
+		}
 	}
 	d, err := parseV2Prefix(data, limits)
-	if err != nil {
+	if err != nil && (!o.Salvage || d == nil || errors.Is(err, ErrLimit)) {
 		return nil, err
 	}
 	vr := &V2Reader{d: d}
-	vr.blocks, vr.scanErr = scanV2Blocks(d)
+	if err != nil {
+		vr.scanErr, vr.torn = err, d.tableLoss() // header only: nothing decodes
+	} else {
+		vr.blocks, vr.torn, vr.scanErr = scanV2Blocks(d)
+	}
 	if o.Salvage {
 		vr.report = &SalvageReport{}
+		if readErr != nil {
+			vr.report.note(readErr)
+			vr.report.TruncatedTail = true
+		}
 	}
 	return vr, nil
 }
@@ -1134,6 +1205,8 @@ func (vr *V2Reader) nextBlock() error {
 	}
 	if vr.scanErr != nil {
 		vr.report.note(vr.scanErr)
+		vr.report.RecordsDropped += vr.torn.records
+		vr.report.BytesSkipped += vr.torn.bytes
 	} else {
 		vr.report.note(errTruncated)
 	}

@@ -25,7 +25,7 @@ var mTraceBytes = obs.NewCounter("report_trace_bytes_total",
 // LoadOptions configure the trace-directory loader.
 type LoadOptions struct {
 	// Salvage enables damage-tolerant ingest end to end: salvage-mode
-	// decoding (resynchronize past wire damage), lenient session
+	// decoding (drop damaged text lines and v2 blocks), lenient session
 	// rebuild (skip inconsistent records, synthesize a missing end),
 	// and the release-mode fallback for over-budget sessions.
 	Salvage bool
@@ -36,7 +36,7 @@ type LoadOptions struct {
 	// Limits are the resource guards; zero fields take defaults.
 	Limits lila.Limits
 	// Select restricts decode to the records matching the filter (nil
-	// loads everything). Selection is format-independent: v1 readers
+	// loads everything). Selection is format-independent: text traces
 	// filter record by record, while v2 traces additionally skip whole
 	// blocks via their footer index without ever decoding them.
 	Select *lila.RecordFilter
@@ -281,7 +281,7 @@ func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
 }
 
 // loadFile opens path and builds its session with bo: v2 traces on
-// the mapped fast path, others record by record.
+// the mapped fast path, text record by record.
 func loadFile(path string, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -291,12 +291,13 @@ func loadFile(path string, o LoadOptions, bo treebuild.Options) (*trace.Session,
 	if lila.IsV2File(f) {
 		return loadV2(f, o, bo)
 	}
-	return loadV1(f, o, bo)
+	return loadText(f, o, bo)
 }
 
-// loadV1 decodes and rebuilds a text or v1 binary trace record by
-// record, filtering as it reads.
-func loadV1(f *os.File, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
+// loadText decodes and rebuilds a text trace record by record,
+// filtering as it reads. Anything else the sniffer rejects: a retired
+// binary version, or a file that is no LiLa trace.
+func loadText(f *os.File, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	cr := obs.NewCountingReader(f, nil)
 	defer func() { mTraceBytes.Add(cr.Bytes()) }()
 	lr, err := lila.NewReaderOptions(cr, lila.ReaderOptions{Salvage: o.Salvage, Limits: o.Limits})

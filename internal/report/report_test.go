@@ -399,9 +399,9 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("cs0.lila", "CrosswordSage", 0, lila.FormatBinary)
+	write("cs0.lila", "CrosswordSage", 0, lila.FormatV2)
 	write("cs1.lila", "CrosswordSage", 1, lila.FormatText)
-	write("je0.lila", "JEdit", 0, lila.FormatBinary)
+	write("je0.lila", "JEdit", 0, lila.FormatV2)
 
 	suites, err := LoadTraceDir(dir)
 	if err != nil {

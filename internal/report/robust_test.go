@@ -42,8 +42,8 @@ func damagedCorpus(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	write("a_intact.lila", "JEdit", 0, lila.FormatBinary, nil)
-	write("b_trunc.lila", "CrosswordSage", 0, lila.FormatBinary, func(b []byte) []byte {
+	write("a_intact.lila", "JEdit", 0, lila.FormatV2, nil)
+	write("b_trunc.lila", "CrosswordSage", 0, lila.FormatV2, func(b []byte) []byte {
 		return faultinject.TruncateFrac(b, 0.6)
 	})
 	write("c_flip.lila", "CrosswordSage", 1, lila.FormatText, func(b []byte) []byte {

@@ -12,10 +12,10 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// crossFormatCorpus writes the same simulated study four times — v1
-// text, v1 binary, v2, and flate-compressed v2 — with identical file
-// names, and returns the four directory paths.
-func crossFormatCorpus(t *testing.T) (textDir, binDir, v2Dir, v2cDir string) {
+// crossFormatCorpus writes the same simulated study three times —
+// text, v2, and flate-compressed v2 — with identical file names, and
+// returns the three directory paths.
+func crossFormatCorpus(t *testing.T) (textDir, v2Dir, v2cDir string) {
 	t.Helper()
 	root := t.TempDir()
 	encodings := []struct {
@@ -23,7 +23,6 @@ func crossFormatCorpus(t *testing.T) (textDir, binDir, v2Dir, v2cDir string) {
 		dir  string
 	}{
 		{lila.WriteOptions{Format: lila.FormatText}, filepath.Join(root, "text")},
-		{lila.WriteOptions{Format: lila.FormatBinary}, filepath.Join(root, "binary")},
 		{lila.WriteOptions{Format: lila.FormatV2}, filepath.Join(root, "v2")},
 		{lila.WriteOptions{Format: lila.FormatV2, Compression: lila.CompressionFlate}, filepath.Join(root, "v2flate")},
 	}
@@ -57,7 +56,7 @@ func crossFormatCorpus(t *testing.T) (textDir, binDir, v2Dir, v2cDir string) {
 			}
 		}
 	}
-	return encodings[0].dir, encodings[1].dir, encodings[2].dir, encodings[3].dir
+	return encodings[0].dir, encodings[1].dir, encodings[2].dir
 }
 
 // dirSize sums the corpus bytes under dir.
@@ -79,13 +78,13 @@ func dirSize(t *testing.T, dir string) int64 {
 }
 
 // TestCrossFormatByteIdenticalStudy pins the format-independence
-// guarantee end to end: the same study stored as v1 text, v1 binary,
-// v2, and compressed v2 must render byte-identical text and HTML
+// guarantee end to end: the same study stored as text, v2, and
+// compressed v2 must render byte-identical text and HTML
 // reports — and the compressed corpus must be at least 2x smaller than
 // the raw v2 one while doing so. The compressed directory additionally
 // loads with intra-file block workers, which must change nothing.
 func TestCrossFormatByteIdenticalStudy(t *testing.T) {
-	textDir, binDir, v2Dir, v2cDir := crossFormatCorpus(t)
+	textDir, v2Dir, v2cDir := crossFormatCorpus(t)
 
 	render := func(dir string, o LoadOptions) (string, string) {
 		t.Helper()
@@ -101,7 +100,6 @@ func TestCrossFormatByteIdenticalStudy(t *testing.T) {
 		dir  string
 		opts LoadOptions
 	}{
-		{binDir, LoadOptions{Jobs: 1}},
 		{v2Dir, LoadOptions{Jobs: 1}},
 		{v2cDir, LoadOptions{Jobs: 1}},
 		{v2cDir, LoadOptions{Jobs: 1, BlockJobs: 4}},
@@ -129,7 +127,7 @@ func TestCrossFormatByteIdenticalStudy(t *testing.T) {
 // results agree: episodes are built from GUI-thread dispatch intervals
 // alone, so skipping worker blocks must not change them.
 func TestV2GUIOnlySelectiveLoad(t *testing.T) {
-	_, _, v2Dir, _ := crossFormatCorpus(t)
+	_, v2Dir, _ := crossFormatCorpus(t)
 
 	full, _, err := LoadTraceDirOptions(v2Dir, LoadOptions{Jobs: 1})
 	if err != nil {
@@ -274,7 +272,7 @@ func testV2BlockLossItemized(t *testing.T, comp lila.Compression) {
 // TestV2SelectWindowLoad drives the Select plumbing: a time-window
 // load must produce sessions whose episodes all overlap the window.
 func TestV2SelectWindowLoad(t *testing.T) {
-	_, _, v2Dir, _ := crossFormatCorpus(t)
+	_, v2Dir, _ := crossFormatCorpus(t)
 	full, _, err := LoadTraceDirOptions(v2Dir, LoadOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func shardCorpus(t *testing.T) (string, []string) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := lila.WriteSession(&b, lila.FormatBinary, sess); err != nil {
+		if err := lila.WriteSession(&b, lila.FormatV2, sess); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(b.String()), 0o644); err != nil {

@@ -43,7 +43,7 @@ func encode(t *testing.T, app string, format lila.Format) (string, []*lila.Recor
 // counted must equal the number of records actually in the trace, for
 // both encodings.
 func TestThroughputAccounting(t *testing.T) {
-	for _, format := range []lila.Format{lila.FormatText, lila.FormatBinary} {
+	for _, format := range []lila.Format{lila.FormatText, lila.FormatV2} {
 		t.Run(format.String(), func(t *testing.T) {
 			encoded, recs := encode(t, "CrosswordSage", format)
 

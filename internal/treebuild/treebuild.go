@@ -544,8 +544,8 @@ func (b *Builder) add(rec *lila.Record) error {
 }
 
 // beforeStart drops (and counts) a finished episode root or GC bracket
-// that a salvage gap (binary times are delta-coded) shifted before the
-// session start under Lenient; time order keeps every End in bounds.
+// that damaged input placed before the session start under Lenient;
+// time order keeps every End in bounds.
 func (b *Builder) beforeStart(iv *trace.Interval) bool {
 	if b.opts.Lenient && iv.Start < b.s.Start {
 		b.diag.DroppedEpisodes++

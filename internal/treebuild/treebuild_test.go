@@ -352,7 +352,7 @@ func TestRoundTripRandomSessions(t *testing.T) {
 		r := rand.New(rand.NewPCG(seed, seed^0xdead))
 		orig := randomSession(r)
 
-		for _, format := range []lila.Format{lila.FormatText, lila.FormatBinary} {
+		for _, format := range []lila.Format{lila.FormatText, lila.FormatV2} {
 			var buf bytes.Buffer
 			if err := lila.WriteSession(&buf, format, orig); err != nil {
 				t.Fatalf("seed %d %v: WriteSession: %v", seed, format, err)
@@ -404,7 +404,7 @@ func TestRoundTripPreservesGCCopies(t *testing.T) {
 		FilterThreshold: trace.DefaultFilterThreshold,
 	}
 	var buf bytes.Buffer
-	if err := lila.WriteSession(&buf, lila.FormatBinary, s); err != nil {
+	if err := lila.WriteSession(&buf, lila.FormatV2, s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSession(&buf)

@@ -11,7 +11,7 @@
 // The package is a facade over the implementation:
 //
 //   - trace model and sessions (internal/trace),
-//   - the LiLa trace format, text and binary (internal/lila),
+//   - the LiLa trace format, text and block-indexed v2 (internal/lila),
 //   - trace → session reconstruction (internal/treebuild),
 //   - a deterministic simulator of interactive Java sessions standing
 //     in for the paper's real applications (internal/sim) and the 14
@@ -113,13 +113,14 @@ func Ms(ms float64) Dur { return trace.Ms(ms) }
 
 // --- Trace I/O ---
 
-// TraceFormat selects a trace encoding (text or binary).
+// TraceFormat selects a trace encoding: text for debugging and live
+// streams, v2 (block-indexed binary) for files.
 type TraceFormat = lila.Format
 
 // Trace encodings.
 const (
-	FormatText   = lila.FormatText
-	FormatBinary = lila.FormatBinary
+	FormatText = lila.FormatText
+	FormatV2   = lila.FormatV2
 )
 
 // ReadSession reads a LiLa trace (either encoding, sniffed) and

@@ -22,9 +22,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("unexpected session: app=%q episodes=%d", session.App, len(session.Episodes))
 	}
 
-	// Round trip through the binary trace format.
+	// Round trip through the v2 trace format.
 	var buf bytes.Buffer
-	if err := WriteSession(&buf, FormatBinary, session); err != nil {
+	if err := WriteSession(&buf, FormatV2, session); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := ReadSession(&buf)
@@ -129,7 +129,7 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSession(&buf, FormatBinary, session); err != nil {
+	if err := WriteSession(&buf, FormatV2, session); err != nil {
 		t.Fatal(err)
 	}
 	st, err := AnalyzeStream(&buf, 0)

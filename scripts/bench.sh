@@ -19,7 +19,7 @@ git_dirty=""
 [ -z "$(git status --porcelain 2>/dev/null)" ] || git_dirty="-dirty"
 
 raw=$(go test -run '^$' \
-	-bench 'AnalyzeSuite|ClassifyParallel|Figure3_PatternCDF|TableIII_Overview|Study_EndToEnd|LoadTraceDir|TraceDecode_(Text|Binary|V2|V2Mmap|V2Compressed)$' \
+	-bench 'AnalyzeSuite|ClassifyParallel|Figure3_PatternCDF|TableIII_Overview|Study_EndToEnd|LoadTraceDir|TraceDecode_(Text|V2|V2Mmap|V2Compressed)$' \
 	-benchtime "$benchtime" .)
 
 # The intra-file parallel decode bench runs separately at -cpu 1,4 so
