@@ -22,10 +22,13 @@
 // Global profiling flags (-cpuprofile, -memprofile, -trace) go before
 // the subcommand: lagalyzer -cpuprofile cpu.out stats trace.lila
 //
-// The global -salvage flag tolerates damaged traces: the decoders drop
-// damaged text lines and v2 blocks, sessions are rebuilt leniently, and
-// files that still cannot contribute anything are skipped with a note
-// on stderr instead of aborting the run.
+// Every subcommand but convert and stream -follow loads its traces
+// through report.LoadFiles, the loader lagreport and lagd use, on the
+// global -jobs workers. The global -salvage flag tolerates damaged
+// traces: the decoders drop damaged text lines and v2 blocks, sessions
+// are rebuilt leniently, and files that still cannot contribute
+// anything are skipped with a note on stderr, in argument order once
+// the load finishes, instead of aborting the run.
 //
 // Exit codes: 0 success, 1 total failure, 2 usage error, 3 partial
 // success (-salvage skipped at least one input file entirely).
@@ -41,11 +44,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -194,141 +194,68 @@ exit codes: 0 success, 1 total failure, 2 usage, 3 partial success`)
 	os.Exit(2)
 }
 
-func loadSessions(paths []string) ([]*trace.Session, error) {
-	return loadEach(paths, func(path string, blockJobs int) (*trace.Session, error) {
-		s, _, err := loadSession(path, blockJobs, nil)
-		return s, err
-	})
-}
-
-// loadEach runs load over paths on a bounded pool, returning results in
-// argument order; -salvage skips failed files, else the first aborts.
-func loadEach[T any](paths []string, load func(path string, blockJobs int) (T, error)) ([]T, error) {
+// loadFiles loads paths through report's file loader — strict by
+// default, salvaging under -salvage, on -jobs workers — with episode
+// as the per-file release-mode hook (nil builds whole sessions). Once
+// the load finishes it prints each file's damage notes in argument
+// order, skips what -salvage could not recover, and counts the files
+// an interrupt left unread as lost. The usable files are those with a
+// session; at least one has one when the error is nil.
+func loadFiles(paths []string, episode func(i int) func(*trace.Session, *trace.Episode)) ([]report.FileLoad, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("no trace files given")
 	}
-	jobs := loadJobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	// Workers beyond the file count are not wasted: they become the
-	// intra-file share, decoding one v2 file's blocks concurrently —
-	// a single huge trace with -jobs 4 uses all four workers.
-	blockJobs := 1
-	if jobs > len(paths) {
-		blockJobs = jobs / len(paths)
-		jobs = len(paths)
-	}
-
-	type result struct {
-		v    T
-		err  error
-		done bool
-	}
-	results := make([]result, len(paths))
-	if jobs <= 1 {
-		for i, path := range paths {
-			// A signal stops ingest at the next file boundary; the
-			// files not reached stay undecoded and are counted below.
-			if runCtx.Err() != nil {
-				break
-			}
-			_, endLoad := obs.Span(runCtx, "load")
-			v, err := load(path, blockJobs)
-			endLoad()
-			if err != nil && !salvageMode {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			results[i] = result{v, err, true}
-		}
-	} else {
-		// Decode concurrently; results land in argument-order slots so
-		// downstream output is identical to a sequential run.
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < jobs; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wctx := obs.WithWorker(runCtx, w)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(paths) || runCtx.Err() != nil {
-						return
-					}
-					_, endLoad := obs.Span(wctx, "load")
-					v, err := load(paths[i], blockJobs)
-					endLoad()
-					results[i] = result{v, err, true}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	var loaded []T
-	interrupted := 0
-	for i, r := range results {
-		if !r.done {
-			// Never decoded: the signal arrived before this file's
+	loads := report.LoadFiles(runCtx, paths,
+		report.LoadOptions{Salvage: salvageMode, Strict: !salvageMode, Jobs: loadJobs}, episode)
+	usable, interrupted := 0, 0
+	for _, l := range loads {
+		fh := &l.Health
+		switch {
+		case fh.Path == "":
+			// Never loaded: the signal arrived before this file's
 			// pickup. It counts as a lost input, so the run finishes
 			// its output over what loaded and exits 3.
 			interrupted++
-			continue
-		}
-		if r.err != nil {
-			if salvageMode {
-				fmt.Fprintf(os.Stderr, "lagalyzer: %s: skipped: %v\n", paths[i], r.err)
+		case fh.Error != "" && !salvageMode:
+			// First failure in argument order.
+			return nil, fmt.Errorf("%s: %s", fh.Path, fh.Error)
+		case fh.Error != "":
+			fmt.Fprintf(os.Stderr, "lagalyzer: %s: skipped: %s\n", fh.Path, fh.Error)
+			lostInputs++
+		default:
+			noteDamage(fh.Path, fh.Salvage, fh.Diagnostics)
+			if l.Session == nil {
+				fmt.Fprintf(os.Stderr, "lagalyzer: %s: skipped: session exceeds the memory budget (%d episodes in %d records)\n",
+					fh.Path, fh.StreamEpisodes, fh.StreamRecords)
 				lostInputs++
 				continue
 			}
-			// First failure in argument order, matching what a
-			// sequential fail-fast scan reports.
-			return nil, fmt.Errorf("%s: %w", paths[i], r.err)
+			usable++
 		}
-		loaded = append(loaded, r.v)
 	}
 	if interrupted > 0 {
 		fmt.Fprintf(os.Stderr, "lagalyzer: interrupted — skipping %d remaining input(s)\n", interrupted)
 		lostInputs += interrupted
 	}
-	if len(loaded) == 0 {
+	if usable == 0 {
 		return nil, fmt.Errorf("no loadable trace sessions (%d file(s) skipped)", lostInputs)
 	}
-	return loaded, nil
+	return loads, nil
 }
 
-// loadSession ingests one trace file, strictly by default; in salvage
-// mode it decodes leniently and reports any damage worked around on
-// stderr. v2 traces take the mmap + block-index fast path, with up to
-// blockJobs workers decoding one file's blocks ahead of the session
-// build. A non-nil episode hook builds in release mode (see treebuild).
-func loadSession(path string, blockJobs int, episode func(*trace.Session, *trace.Episode)) (*trace.Session, *treebuild.Diagnostics, error) {
-	f, err := os.Open(path)
+// loadSessions loads paths as whole sessions, in argument order.
+func loadSessions(paths []string) ([]*trace.Session, error) {
+	loads, err := loadFiles(paths, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	defer f.Close()
-	o := treebuild.Options{Lenient: salvageMode, Episode: episode}
-	if lila.IsV2File(f) {
-		v, err := lila.OpenV2File(f, lila.Limits{})
-		if err != nil {
-			return nil, nil, err
+	var sessions []*trace.Session
+	for _, l := range loads {
+		if l.Session != nil {
+			sessions = append(sessions, l.Session)
 		}
-		defer v.Close()
-		s, diag, rep, err := treebuild.BuildV2(v, nil, salvageMode, blockJobs, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		noteDamage(path, rep, diag)
-		return s, diag, nil
 	}
-	s, sh, err := treebuild.ReadSessionOptions(f, lila.ReaderOptions{Salvage: salvageMode}, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	noteDamage(path, sh.Salvage, sh.Diag)
-	return s, sh.Diag, nil
+	return sessions, nil
 }
 
 // noteDamage prints what a salvage-mode load of path worked around.
@@ -350,6 +277,7 @@ func noteDamage(path string, rep *lila.SalvageReport, diag *treebuild.Diagnostic
 // fold stats and stream both print from: its statistics, the closed
 // session (no episodes, ticks, or GCs), and its episodes' durations.
 type fileFold struct {
+	a    *stream.Analyzer
 	st   *stream.Stats
 	s    *trace.Session
 	diag *treebuild.Diagnostics
@@ -360,34 +288,37 @@ type fileFold struct {
 // can inject a fault.
 var analyzeEpisode = (*stream.Analyzer).Episode
 
-// foldFiles builds each trace in release mode on loadEach's pool,
-// analyzing each episode as it closes. A panic in a file's fold becomes
-// that file's error, as the engine's chunk recover does: exit 1, or the
-// file skipped under -salvage.
+// foldFiles loads each trace in release mode, analyzing each episode
+// as it closes. A panic in a file's fold is that file's load error:
+// exit 1, or the file skipped under -salvage.
 func foldFiles(paths []string, threshold trace.Dur) ([]*fileFold, error) {
-	return loadEach(paths, func(path string, blockJobs int) (ff *fileFold, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				ff, err = nil, fmt.Errorf("panic analyzing episodes: %v", r)
-			}
-		}()
-		start := time.Now()
-		ff = &fileFold{}
-		a := stream.NewAnalyzer(threshold)
-		ff.s, ff.diag, err = loadSession(path, blockJobs, func(s *trace.Session, e *trace.Episode) {
-			analyzeEpisode(a, s, e)
+	folds := make([]*fileFold, len(paths))
+	loads, err := loadFiles(paths, func(i int) func(*trace.Session, *trace.Episode) {
+		ff := &fileFold{a: stream.NewAnalyzer(threshold)}
+		folds[i] = ff
+		return func(s *trace.Session, e *trace.Episode) {
+			analyzeEpisode(ff.a, s, e)
 			ff.durs = append(ff.durs, e.Dur())
-		})
-		if err != nil {
-			return nil, err
 		}
-		ff.st = a.Stats(ff.s, ff.diag)
-		ff.st.Elapsed = time.Since(start)
-		if fi, err := os.Stat(path); err == nil {
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []*fileFold
+	for i, l := range loads {
+		if l.Session == nil {
+			continue
+		}
+		ff := folds[i]
+		ff.s, ff.diag = l.Session, l.Diag
+		ff.st = ff.a.Stats(ff.s, ff.diag)
+		ff.st.Elapsed = l.Elapsed
+		if fi, err := os.Stat(l.Health.Path); err == nil {
 			ff.st.Bytes = fi.Size()
 		}
-		return ff, nil
-	})
+		out = append(out, ff)
+	}
+	return out, nil
 }
 
 func runStats(args []string) error {

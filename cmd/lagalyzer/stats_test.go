@@ -122,7 +122,7 @@ func TestFoldPanicIsFileError(t *testing.T) {
 	}{{"stats", runStats}, {"stream", runStream}} {
 		for _, jobs := range []int{1, 8} {
 			_, err := capture(t, cmd.run, jobs, paths)
-			if err == nil || !strings.Contains(err.Error(), "Jmol.lila: panic analyzing episodes: injected fault") {
+			if err == nil || !strings.Contains(err.Error(), "Jmol.lila: panic: injected fault") {
 				t.Errorf("%s at -jobs %d: error %v, want the Jmol file's contained panic", cmd.name, jobs, err)
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"io"
 
 	"lagalyzer/internal/analysis"
-	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/stream"
 	"lagalyzer/internal/viz"
@@ -39,11 +38,7 @@ type StreamStats = stream.Stats
 // closes and then dropped, so memory holds only the open episodes and
 // the ticks they can still reach. threshold 0 means the paper's 100 ms.
 func AnalyzeStream(r io.Reader, threshold Dur) (*StreamStats, error) {
-	lr, err := lila.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return stream.Analyze(lr, threshold)
+	return stream.AnalyzeStream(r, threshold)
 }
 
 // ThresholdPoint reports perceptible-episode statistics at one

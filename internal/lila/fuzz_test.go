@@ -3,6 +3,7 @@ package lila_test
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"lagalyzer/internal/faultinject"
@@ -193,7 +194,9 @@ func FuzzSalvageText(f *testing.F) {
 // index recovery, per-block checksum drops, and the sequential
 // re-framing scan. Seeds are the v2 members of the damaged corpus
 // (magic "LILA\x02"); the sniffing entry point is shared, so crossover
-// mutations exercise the other formats too.
+// mutations exercise the other formats too. Its property pins the two
+// v2 read paths together: every input that both the stream reader and
+// ParseV2 open yields the same records and the same salvage report.
 func FuzzSalvageBinaryV2(f *testing.F) {
 	for _, seed := range salvageSeeds(f) {
 		if len(seed) >= 5 && bytes.HasPrefix(seed, []byte("LILA\x02")) {
@@ -202,16 +205,35 @@ func FuzzSalvageBinaryV2(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		drainSalvage(t, data)
-		// The random-access path sees the same bytes via LoadTraceDir;
-		// fuzz it directly as well.
+		// The random-access path sees the same bytes via LoadTraceDir.
 		v, err := lila.ParseV2(data, lila.Limits{})
 		if err != nil {
 			return
 		}
-		if recs, rep, err := v.Records(nil, true); err == nil && rep != nil {
-			if rep.RecordsKept < len(recs) {
-				t.Fatalf("report kept %d < yielded %d", rep.RecordsKept, len(recs))
+		recs, rep, err := v.Records(nil, true)
+		if err == nil && rep.RecordsKept < len(recs) {
+			t.Fatalf("report kept %d < yielded %d", rep.RecordsKept, len(recs))
+		}
+		r, serr := lila.NewReaderOptions(bytes.NewReader(data), lila.ReaderOptions{Salvage: true})
+		if serr != nil {
+			return
+		}
+		var streamed []*lila.Record
+		for serr == nil {
+			var rec *lila.Record
+			if rec, serr = r.Read(); serr == nil {
+				streamed = append(streamed, rec)
 			}
+		}
+		if serr == io.EOF {
+			serr = nil
+		}
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("file read error %v, stream read error %v", err, serr)
+		}
+		if err == nil && (!sameRecords(streamed, recs) || !reflect.DeepEqual(lila.SalvageOf(r), rep)) {
+			t.Fatalf("stream read kept %d records, report %+v; file read kept %d, report %+v",
+				len(streamed), lila.SalvageOf(r), len(recs), rep)
 		}
 	})
 }

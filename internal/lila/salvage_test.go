@@ -233,8 +233,12 @@ func TestSalvageBitFlips(t *testing.T) {
 			// End to end: a lenient build over the salvaged records must
 			// produce a valid (possibly degraded) session, with episodes
 			// whenever a dispatch survived.
-			s, health, err := treebuild.ReadSessionOptions(bytes.NewReader(bad),
-				lila.ReaderOptions{Salvage: true}, treebuild.Options{Lenient: true})
+			lr, err := lila.NewReaderOptions(bytes.NewReader(bad), lila.ReaderOptions{Salvage: true})
+			if err != nil {
+				t.Errorf("%v seed=%d: salvage reader over damaged trace: %v", f, seed, err)
+				continue
+			}
+			s, diag, err := treebuild.BuildOptions(lr, treebuild.Options{Lenient: true})
 			if err != nil {
 				t.Errorf("%v seed=%d: lenient build over salvaged trace: %v", f, seed, err)
 				continue
@@ -245,7 +249,7 @@ func TestSalvageBitFlips(t *testing.T) {
 			if s == nil || (dispatched && len(s.Episodes) == 0) {
 				t.Errorf("%v seed=%d: salvaged session has no episodes", f, seed)
 			}
-			if !health.Degraded() {
+			if !lila.SalvageOf(lr).Damaged() && !diag.Degraded() {
 				t.Errorf("%v seed=%d: damaged ingest not reflected in health", f, seed)
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -310,6 +311,71 @@ func TestV2PerBlockSalvage(t *testing.T) {
 	}
 }
 
+// TestV2StreamSalvageEqualsFile pins the two v2 read paths to one
+// result on damaged input: a salvage read through NewReaderOptions
+// must keep exactly the records, produce exactly the report, and flush
+// exactly the salvage metrics of a salvage read of the same bytes
+// through ParseV2. A flipped frame byte is the case that used to split
+// them: the file path drops the one block its index frames, while a
+// stream that re-framed blocks by scanning lost everything from the
+// flip on.
+func TestV2StreamSalvageEqualsFile(t *testing.T) {
+	all := v2TestRecords()
+	data := writeV2(t, all, 8)
+	v, err := ParseV2(data, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := v.Blocks()
+	if len(blocks) != 22 || len(all) != 173 {
+		t.Fatalf("%d blocks, %d records; the rows below assume 22 and 173", len(blocks), len(all))
+	}
+	flip := func(block int, off func(b V2BlockInfo) int64) []byte {
+		bad := bytes.Clone(data)
+		bad[off(blocks[block])] ^= 0xff
+		return bad
+	}
+	frameStart := func(b V2BlockInfo) int64 { return b.Offset }
+	lastPayload := func(b V2BlockInfo) int64 { return b.Offset + b.Length - 1 }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want []*Record
+	}{
+		{"frame start of block 1", flip(1, frameStart), append(slices.Clone(all[:8]), all[16:]...)},
+		{"frame start of block 11", flip(11, frameStart), append(slices.Clone(all[:88]), all[96:]...)},
+		{"payload byte of block 5", flip(5, lastPayload), append(slices.Clone(all[:40]), all[48:]...)},
+		{"no end record", writeV2(t, all[:len(all)-1], 8), all[:len(all)-1]},
+	} {
+		salvaged := mRecordsSalvaged.Value()
+		vb, err := ParseV2(tc.data, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fileRecs, fileRep, err := vb.Records(nil, true)
+		if err != nil {
+			t.Fatalf("%s: file salvage: %v", tc.name, err)
+		}
+		fileSalvaged := mRecordsSalvaged.Value() - salvaged
+		recordsEqual(t, fileRecs, tc.want, tc.name+" file")
+		if !fileRep.Damaged() || fileSalvaged != int64(len(tc.want)) {
+			t.Errorf("%s: file report %+v, %d records counted salvaged", tc.name, fileRep, fileSalvaged)
+		}
+		r, err := NewReaderOptions(bytes.NewReader(tc.data), ReaderOptions{Salvage: true})
+		if err != nil {
+			t.Fatalf("%s: stream salvage: %v", tc.name, err)
+		}
+		salvaged = mRecordsSalvaged.Value()
+		recordsEqual(t, drainReader(t, r), fileRecs, tc.name+" stream")
+		if rep := SalvageOf(r); !reflect.DeepEqual(rep, fileRep) {
+			t.Errorf("%s: stream report %+v\nwant the file's %+v", tc.name, rep, fileRep)
+		}
+		if got := mRecordsSalvaged.Value() - salvaged; got != fileSalvaged {
+			t.Errorf("%s: stream counted %d records salvaged, the file read %d", tc.name, got, fileSalvaged)
+		}
+	}
+}
+
 // TestV2IndexDamageFallsBackToScan destroys the footer and checks
 // strict decode refuses while salvage re-frames every block from the
 // self-describing headers.
@@ -329,6 +395,9 @@ func TestV2IndexDamageFallsBackToScan(t *testing.T) {
 			}
 			if _, _, err := v.Records(nil, false); err == nil {
 				t.Error("strict decode accepted a damaged index")
+			}
+			if _, err := NewReader(bytes.NewReader(bad)); err == nil {
+				t.Error("strict stream read accepted a damaged index")
 			}
 			got, rep, err := v.Records(nil, true)
 			if err != nil {

@@ -25,10 +25,12 @@ import (
 //     read elsewhere) and serves random-access, index-driven selective
 //     decode — the LoadTraceDir fast path.
 //   - ParseV2 does the same over an in-memory byte slice.
-//   - NewV2Reader adapts the slice machinery to the streaming Reader
+//   - NewV2Reader adapts a ParseV2 file to the streaming Reader
 //     contract for sniffed io.Reader inputs (pipes, network, the
 //     convert pass); it buffers the input, bounded by MaxTraceBytes,
-//     and never needs the footer index — blocks are self-framing.
+//     and pulls the same block list — the footer index, or the
+//     header scan when the index is damaged — so a stream read and a
+//     file read of the same bytes agree, salvage accounting included.
 
 // Decode-path metrics: how often the index lets a selective read skip
 // a whole block, how many compressed blocks readers inflate, and the
@@ -319,9 +321,12 @@ func parseV2Index(d *v2data) ([]V2BlockInfo, error) {
 		}
 		b.Offset, b.Length, b.Records = int64(off), int64(length), int(records)
 		b.MinTime, b.MaxTime = trace.Time(minT), trace.Time(maxT)
+		// A record takes at least one payload byte, so a raw block's
+		// count is bounded by its frame; the MaxRecords budget is the
+		// reads' to charge, block by block, as an ErrLimit.
 		if b.Offset < int64(d.blocksStart) || b.Length <= 0 ||
 			uint64(b.Offset)+uint64(b.Length) > indexOff ||
-			b.Records < 0 || b.Records > d.limits.MaxRecords {
+			b.Records < 0 || (b.flags&v2FlagCompressed == 0 && int64(b.Records) > b.Length) {
 			return nil, fmt.Errorf("lila: v2 index entry %d: frame out of bounds", i)
 		}
 		if b.flags&v2FlagCompressed != 0 {
@@ -332,7 +337,7 @@ func parseV2Index(d *v2data) ([]V2BlockInfo, error) {
 			if err != nil {
 				return nil, fmt.Errorf("lila: v2 index entry %d: %w", i, err)
 			}
-			if rl == 0 || rl > maxInflatedLen(uint64(b.Length), d.limits) {
+			if rl == 0 || rl < records || rl > maxInflatedLen(uint64(b.Length), d.limits) {
 				return nil, fmt.Errorf("lila: v2 index entry %d: implausible inflated length %d", i, rl)
 			}
 			b.RawLen = int64(rl)
@@ -353,8 +358,8 @@ func maxInflatedLen(storedLen uint64, limits Limits) uint64 {
 }
 
 // scanV2Blocks re-frames the block sequence from the self-describing
-// block headers — the streaming path, and the salvage fallback when
-// the footer index is destroyed. Selectivity fields are conservative:
+// block headers — the salvage fallback when the footer index is
+// destroyed. Selectivity fields are conservative:
 // every scanned block reports global and an all-ones thread bitmap, so
 // no filter ever skips it. A framing error mid-scan returns the blocks
 // recovered so far, the torn remainder, and the error.
@@ -829,13 +834,8 @@ func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Rec
 		report = &SalvageReport{}
 		defer report.flushMetrics()
 	}
-	if v.indexErr != nil {
-		if !salvage {
-			return nil, nil, v.indexErr
-		}
-		report.note(v.indexErr)
-		report.RecordsDropped += v.torn.records
-		report.BytesSkipped += v.torn.bytes
+	if err := v.begin(report); err != nil {
+		return nil, nil, err
 	}
 	var state *filterState
 	if !filter.All() {
@@ -879,15 +879,8 @@ func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Rec
 		}
 		if err != nil {
 			p.release(sc)
-			err = fmt.Errorf("lila: v2 block %d: %w", i, err)
-			if !salvage {
+			if err := v.drop(i, err, report); err != nil {
 				return nil, nil, err
-			}
-			report.note(err)
-			report.RecordsDropped += b.Records
-			report.BytesSkipped += b.Length
-			if i < len(v.blocks)-1 {
-				report.Resyncs++
 			}
 			continue
 		}
@@ -922,16 +915,62 @@ func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Rec
 			return nil, report, err
 		}
 	}
-	if !sawEnd {
-		if !salvage {
-			return nil, nil, fmt.Errorf("lila: truncated trace: no end record")
-		}
-		report.TruncatedTail = true
-		if report.FirstError == "" {
-			report.note(errTruncated)
-		}
+	if err := endOfBlocks(sawEnd, report); err != nil {
+		return nil, nil, err
 	}
 	return buf, report, nil
+}
+
+// The steps every read of a V2File shares — Each's merge and the
+// V2Reader's pull loop — so both account for damage identically. A
+// nil report is a strict read.
+
+// begin opens a read: a strict one fails on a damaged index or
+// tables, a salvage one itemizes what they cost.
+func (v *V2File) begin(report *SalvageReport) error {
+	if v.indexErr == nil {
+		return nil
+	}
+	if report == nil {
+		return v.indexErr
+	}
+	report.note(v.indexErr)
+	report.RecordsDropped += v.torn.records
+	report.BytesSkipped += v.torn.bytes
+	return nil
+}
+
+// drop handles block i failing to decode: a strict read fails with
+// the error, a salvage read itemizes the block and carries on.
+func (v *V2File) drop(i int, err error, report *SalvageReport) error {
+	err = fmt.Errorf("lila: v2 block %d: %w", i, err)
+	if report == nil {
+		return err
+	}
+	report.note(err)
+	report.RecordsDropped += v.blocks[i].Records
+	report.BytesSkipped += v.blocks[i].Length
+	if i < len(v.blocks)-1 {
+		report.Resyncs++
+	}
+	return nil
+}
+
+// endOfBlocks closes a read that ran out of blocks: without the end
+// record, a strict read fails and a salvage read marks the tail
+// truncated.
+func endOfBlocks(sawEnd bool, report *SalvageReport) error {
+	if sawEnd {
+		return nil
+	}
+	if report == nil {
+		return fmt.Errorf("lila: truncated trace: no end record")
+	}
+	report.TruncatedTail = true
+	if report.FirstError == "" {
+		report.note(errTruncated)
+	}
+	return nil
 }
 
 // v2pipe hands decoded blocks to Each's merge: inline into own, or
@@ -1061,35 +1100,26 @@ func readAllLimited(r io.Reader, max int64) ([]byte, error) {
 // V2Reader adapts a v2 trace to the streaming Reader contract for
 // sniffed io.Reader inputs. The input is buffered (bounded by
 // Limits.MaxTraceBytes) because the tables that records reference sit
-// between the header and the blocks; decode then proceeds block by
-// block without ever touching the footer index. In salvage mode a
-// block that fails its checksum is dropped and itemized — and because
-// every block carries its own time base, the blocks after a loss
-// decode with correct absolute times. A salvage read cut off by a
-// transport error keeps the blocks that arrived before it.
+// between the header and the blocks, and opened with ParseV2; Read then
+// decodes that file's block list one block per pull, with Each's
+// damage accounting, so the records and the SalvageReport equal a file
+// read's. A salvage read cut off by a transport error keeps the blocks
+// that arrived before it.
 type V2Reader struct {
-	d      *v2data
-	blocks []V2BlockInfo
-	// scanErr is the block-framing error hit by the sequential scan,
-	// reported after the blocks before it have been delivered; torn is
-	// what salvage itemizes for it.
-	scanErr error
-	torn    v2Torn
+	v       *V2File
 	report  *SalvageReport // nil outside salvage mode
-
 	scratch v2scratch
 	queue   []*Record
 	qi      int
-	block   int
-	records int
-	sawEnd  bool
+	block   int // next block to decode
+	total   int // records the blocks so far declare
 	done    bool
-	flushed bool
 }
 
 // NewV2Reader buffers r and returns a streaming reader for its record
 // stream. The first bytes of r must be the v2 magic (callers reach
-// here via format sniffing).
+// here via format sniffing). A strict reader fails here on a damaged
+// footer index or tables, as a strict file read does.
 func NewV2Reader(r io.Reader, o ReaderOptions) (*V2Reader, error) {
 	limits := o.Limits.WithDefaults()
 	data, readErr := readAllLimited(r, limits.MaxTraceBytes)
@@ -1101,16 +1131,11 @@ func NewV2Reader(r io.Reader, o ReaderOptions) (*V2Reader, error) {
 			return nil, readErr
 		}
 	}
-	d, err := parseV2Prefix(data, limits)
-	if err != nil && (!o.Salvage || d == nil || errors.Is(err, ErrLimit)) {
+	v, err := ParseV2(data, limits)
+	if err != nil {
 		return nil, err
 	}
-	vr := &V2Reader{d: d}
-	if err != nil {
-		vr.scanErr, vr.torn = err, d.tableLoss() // header only: nothing decodes
-	} else {
-		vr.blocks, vr.torn, vr.scanErr = scanV2Blocks(d)
-	}
+	vr := &V2Reader{v: v}
 	if o.Salvage {
 		vr.report = &SalvageReport{}
 		if readErr != nil {
@@ -1118,99 +1143,74 @@ func NewV2Reader(r io.Reader, o ReaderOptions) (*V2Reader, error) {
 			vr.report.TruncatedTail = true
 		}
 	}
+	if err := v.begin(vr.report); err != nil {
+		return nil, err
+	}
 	return vr, nil
 }
 
 // Header implements Reader.
-func (vr *V2Reader) Header() Header { return vr.d.h }
+func (vr *V2Reader) Header() Header { return vr.v.Header() }
 
 // Salvage implements SalvageReporter; it returns nil unless the
 // reader was opened in salvage mode.
 func (vr *V2Reader) Salvage() *SalvageReport { return vr.report }
 
-func (vr *V2Reader) finishStream() {
-	if vr.flushed || vr.report == nil {
-		return
-	}
-	vr.flushed = true
-	vr.report.flushMetrics()
-}
-
 // Read implements Reader. It returns io.EOF after the end record.
 func (vr *V2Reader) Read() (*Record, error) {
-	for {
-		if vr.qi < len(vr.queue) {
-			rec := vr.queue[vr.qi]
-			vr.qi++
-			if vr.report != nil {
-				vr.report.RecordsKept++
-			}
-			if rec.Type == RecEnd {
-				vr.sawEnd = true
-				vr.done = true
-				vr.finishStream()
-			}
-			return rec, nil
-		}
+	for vr.qi == len(vr.queue) {
 		if vr.done {
 			return nil, io.EOF
 		}
 		if err := vr.nextBlock(); err != nil {
+			vr.finish()
 			return nil, err
 		}
 	}
+	rec := vr.queue[vr.qi]
+	vr.qi++
+	if rec.Type == RecEnd {
+		// Anything a malformed block encodes after the end record is
+		// discarded, as Each discards it.
+		vr.queue = vr.queue[:vr.qi]
+		vr.finish()
+	}
+	return rec, nil
 }
 
-// nextBlock decodes the next block into the queue, or finishes the
-// stream. It returns a non-nil error only in fail-stop mode.
+// nextBlock decodes the next block that survives into the queue; out
+// of blocks, it finishes the stream.
 func (vr *V2Reader) nextBlock() error {
 	vr.queue, vr.qi = vr.queue[:0], 0
-	for vr.block < len(vr.blocks) {
-		b := &vr.blocks[vr.block]
+	for vr.block < len(vr.v.blocks) {
+		i := vr.block
 		vr.block++
-		if vr.records+b.Records > vr.d.limits.MaxRecords {
-			vr.done = true
-			vr.finishStream()
-			return limitErrf("lila: record limit %d exceeded", vr.d.limits.MaxRecords)
+		b := &vr.v.blocks[i]
+		if vr.total += b.Records; vr.total > vr.v.d.limits.MaxRecords {
+			return limitErrf("lila: record limit %d exceeded", vr.v.d.limits.MaxRecords)
 		}
-		recs, err := vr.d.decodeV2Block(b, &vr.scratch, vr.queue)
+		recs, err := vr.scratch.decode(vr.v.d, b, vr.queue)
 		if err != nil {
-			err = fmt.Errorf("lila: v2 block %d: %w", vr.block-1, err)
-			if vr.report == nil {
-				vr.done = true
+			if err := vr.v.drop(i, err, vr.report); err != nil {
 				return err
-			}
-			vr.report.note(err)
-			vr.report.RecordsDropped += b.Records
-			vr.report.BytesSkipped += b.Length
-			if vr.block < len(vr.blocks) {
-				vr.report.Resyncs++
 			}
 			continue
 		}
-		vr.records += len(recs)
+		if vr.report != nil {
+			vr.report.RecordsKept += len(recs)
+		}
 		vr.queue = recs
 		return nil
 	}
-	// Out of blocks: account for how the stream ended.
+	err := endOfBlocks(false, vr.report)
+	vr.finish()
+	return err
+}
+
+// finish ends the stream, flushing the salvage metrics once.
+func (vr *V2Reader) finish() {
+	if !vr.done && vr.report != nil {
+		vr.report.flushMetrics()
+	}
 	vr.done = true
-	if vr.sawEnd {
-		return nil // queue drain already returned EOF path
-	}
-	if vr.report == nil {
-		if vr.scanErr != nil {
-			return vr.scanErr
-		}
-		return fmt.Errorf("lila: truncated trace: no end record")
-	}
-	if vr.scanErr != nil {
-		vr.report.note(vr.scanErr)
-		vr.report.RecordsDropped += vr.torn.records
-		vr.report.BytesSkipped += vr.torn.bytes
-	} else {
-		vr.report.note(errTruncated)
-	}
-	vr.report.TruncatedTail = true
-	vr.finishStream()
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/treebuild"
 )
@@ -98,7 +99,11 @@ func TestEncodeIsValidV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := treebuild.ReadSession(bytes.NewReader(data))
+	lr, err := lila.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("v2 decode of self-trace failed: %v", err)
+	}
+	s, _, err := treebuild.BuildOptions(lr, treebuild.Options{})
 	if err != nil {
 		t.Fatalf("v2 decode of self-trace failed: %v", err)
 	}
@@ -140,7 +145,11 @@ func TestWriteFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s, err := treebuild.ReadSession(f)
+	lr, err := lila.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := treebuild.BuildOptions(lr, treebuild.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync/atomic"
+	"time"
 
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/lila"
@@ -108,17 +110,12 @@ func LoadTraceDirOptions(dir string, o LoadOptions) ([]*trace.Suite, *StudyHealt
 }
 
 // LoadTraceDirContext is LoadTraceDirOptions with cancellation and
-// observability: files are decoded by a pool of o.Jobs workers (a
-// context-carried obs.Trace collects a "load" phase span with per-file
-// child spans attributed to pool workers), and a canceled context
-// aborts the scan with the context's error. Decode results are merged
-// in sorted path order regardless of completion order, so suites,
-// session order, and the health ledger are byte-identical whatever the
-// worker count.
+// observability: it lists the files and loads them with LoadFiles, then
+// groups the sessions into suites. A canceled context aborts the scan
+// with the context's error. Results are merged in sorted path order
+// regardless of completion order, so suites, session order, and the
+// health ledger are byte-identical whatever the worker count.
 func LoadTraceDirContext(ctx context.Context, dir string, o LoadOptions) ([]*trace.Suite, *StudyHealth, error) {
-	ctx, endLoad := obs.PhaseSpan(ctx, "load")
-	defer endLoad()
-
 	paths := o.Paths
 	if len(paths) == 0 {
 		var err error
@@ -129,54 +126,20 @@ func LoadTraceDirContext(ctx context.Context, dir string, o LoadOptions) ([]*tra
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("report: no trace files under %s", dir)
 	}
-	o.BlockJobs = o.blockJobs(len(paths))
-
-	type loadedFile struct {
-		s  *trace.Session
-		fh FileHealth
-	}
-	results := make([]loadedFile, len(paths))
-	if jobs := o.jobs(); jobs <= 1 || len(paths) == 1 {
-		// Sequential scan: under Strict the first failure aborts
-		// before any later file is even opened.
-		for i, path := range paths {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, nil, cerr
-			}
-			s, fh := loadOne(path, o)
-			if fh.Error != "" && o.Strict {
-				return nil, nil, fmt.Errorf("report: %s: %s", path, fh.Error)
-			}
-			results[i] = loadedFile{s, fh}
-		}
-	} else {
-		runPool(jobs, len(paths), func(worker, i int) {
-			if ctx.Err() != nil {
-				return
-			}
-			_, end := obs.Span(obs.WithWorker(ctx, worker), "file")
-			s, fh := loadOne(paths[i], o)
-			end()
-			results[i] = loadedFile{s, fh}
-		})
-		if cerr := ctx.Err(); cerr != nil {
-			// Some slots were skipped after cancellation; a partial
-			// merge would misattribute the loss, so surface the
-			// cancellation itself.
-			return nil, nil, cerr
-		}
+	loads := LoadFiles(ctx, paths, o, nil)
+	if cerr := ctx.Err(); cerr != nil {
+		// Some files were never loaded; a partial merge would
+		// misattribute the loss, so surface the cancellation itself.
+		return nil, nil, cerr
 	}
 
 	health := &StudyHealth{}
 	byApp := make(map[string]*trace.Suite)
 	var order []string
-	for i := range results {
-		s, fh := results[i].s, results[i].fh
+	for _, l := range loads {
+		s, fh := l.Session, l.Health
 		if fh.Error != "" && o.Strict {
-			// Path-order-first failure: identical to what the
-			// sequential scan reports, whichever file failed first in
-			// wall-clock terms.
-			return nil, nil, fmt.Errorf("report: %s: %s", paths[i], fh.Error)
+			return nil, nil, fmt.Errorf("report: %s: %s", fh.Path, fh.Error)
 		}
 		if fh.Damaged() {
 			health.Files = append(health.Files, fh)
@@ -206,6 +169,60 @@ func LoadTraceDirContext(ctx context.Context, dir string, o LoadOptions) ([]*tra
 		suites = append(suites, byApp[app])
 	}
 	return suites, health, nil
+}
+
+// FileLoad is one trace file's outcome from LoadFiles: its session
+// (nil when the file contributed none), the session build's
+// diagnostics, the file's health entry, and the wall time its load
+// took. A file the load never reached — after a Strict failure, or
+// once the context was canceled — is the zero FileLoad.
+type FileLoad struct {
+	Session *trace.Session
+	Diag    *treebuild.Diagnostics
+	Health  FileHealth
+	Elapsed time.Duration
+}
+
+// LoadFiles loads each trace file in paths (either encoding, sniffed)
+// on a pool of o.Jobs workers and returns the outcomes in path order,
+// identical at any worker count. A failed file, one whose load panicked
+// included, carries Health.Error; unless o.Strict, a session over the
+// memory budget is rebuilt in release mode and kept as counts only.
+// Under o.Strict no file after a failed one is picked up, but every
+// file before it loads, so the first failure in path order is always
+// there; a canceled ctx stops pickups too. A non-nil episode is called
+// with a file's index just before that file loads and returns its
+// episode hook: the session is built in release mode (see
+// treebuild.Options.Episode) and comes back closed. A context-carried
+// obs.Trace collects a "load" phase span with one "file" child per
+// file, attributed to its pool worker.
+func LoadFiles(ctx context.Context, paths []string, o LoadOptions, episode func(i int) func(*trace.Session, *trace.Episode)) []FileLoad {
+	ctx, endLoad := obs.PhaseSpan(ctx, "load")
+	defer endLoad()
+	o.BlockJobs = o.blockJobs(len(paths))
+	loads := make([]FileLoad, len(paths))
+	var stop atomic.Int64 // a failed file's index under Strict
+	stop.Store(int64(len(paths)))
+	runPool(o.jobs(), len(paths), func(worker, i int) {
+		if int64(i) > stop.Load() || ctx.Err() != nil {
+			return
+		}
+		_, end := obs.Span(obs.WithWorker(ctx, worker), "file")
+		defer end()
+		var hook func(*trace.Session, *trace.Episode)
+		if episode != nil {
+			hook = episode(i)
+		}
+		start := time.Now()
+		loads[i] = loadOne(paths[i], o, hook)
+		loads[i].Elapsed = time.Since(start)
+		if o.Strict && loads[i].Health.Error != "" {
+			// Files are claimed in path order, so every file before
+			// this one is already loading: only later ones are skipped.
+			stop.Store(int64(i))
+		}
+	})
+	return loads
 }
 
 // ListTraceFiles returns every file under dir (recursively), sorted by
@@ -246,11 +263,17 @@ func (o LoadOptions) filterFor(h lila.Header) *lila.RecordFilter {
 	return f
 }
 
-// loadOne ingests one trace file. A nil session with an empty
-// fh.Error means the session was degraded to streaming aggregates.
-func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
-	fh := FileHealth{Path: path}
-	bo := treebuild.Options{Lenient: o.Salvage, Limits: o.Limits}
+// loadOne ingests one trace file, building with the episode hook
+// when it is non-nil; a panic anywhere in the load is the file's error.
+func loadOne(path string, o LoadOptions, episode func(*trace.Session, *trace.Episode)) (l FileLoad) {
+	defer func() {
+		if r := recover(); r != nil {
+			l = FileLoad{Health: FileHealth{Path: path, Error: fmt.Sprintf("panic: %v", r)}}
+		}
+	}()
+	fh := &l.Health
+	fh.Path = path
+	bo := treebuild.Options{Lenient: o.Salvage, Limits: o.Limits, Episode: episode}
 	s, diag, rep, err := loadFile(path, o, bo)
 	if rep.Damaged() {
 		fh.Salvage = rep
@@ -260,7 +283,8 @@ func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
 	}
 	if err == nil {
 		fh.App = s.App
-		return s, fh
+		l.Session, l.Diag = s, diag
+		return l
 	}
 	if errors.Is(err, treebuild.ErrSessionTooLarge) && !o.Strict {
 		// The session tree would blow the memory budget; rebuild in
@@ -273,11 +297,11 @@ func loadOne(path string, o LoadOptions) (*trace.Session, FileHealth) {
 			fh.DegradedToStream = true
 			fh.StreamEpisodes = episodes
 			fh.StreamRecords = diag.Records
-			return nil, fh
+			return l
 		}
 	}
 	fh.Error = err.Error()
-	return nil, fh
+	return l
 }
 
 // loadFile opens path and builds its session with bo: v2 traces on

@@ -1,9 +1,12 @@
 package report
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"lagalyzer/internal/trace"
 )
 
 // TestParallelLoadByteIdentical is the loader half of the
@@ -66,6 +69,48 @@ func TestParallelStrictPathOrderError(t *testing.T) {
 		}
 		if parErr.Error() != seqErr.Error() {
 			t.Errorf("jobs=%d strict error = %q, want sequential's %q", jobs, parErr, seqErr)
+		}
+	}
+}
+
+// TestLoadFilesPanicIsFileError: a panic in one file's episode hook is
+// contained to that file — its FileHealth.Error, no session — while
+// the other files still load, in path order, at one worker or four.
+func TestLoadFilesPanicIsFileError(t *testing.T) {
+	paths, err := ListTraceFiles(damagedCorpus(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 2 // c_flip.lila, the file with episodes after salvage
+	for _, jobs := range []int{1, 4} {
+		var episodes [3]int
+		loads := LoadFiles(context.Background(), paths, LoadOptions{Salvage: true, Jobs: jobs},
+			func(i int) func(*trace.Session, *trace.Episode) {
+				return func(*trace.Session, *trace.Episode) {
+					if i == bad {
+						panic("injected fault")
+					}
+					episodes[i]++
+				}
+			})
+		if len(loads) != len(paths) {
+			t.Fatalf("jobs=%d: %d loads for %d paths", jobs, len(loads), len(paths))
+		}
+		for i, l := range loads {
+			if l.Health.Path != paths[i] {
+				t.Errorf("jobs=%d: load %d is %q, want %q", jobs, i, l.Health.Path, paths[i])
+			}
+			if i == bad {
+				if l.Session != nil || l.Health.Error != "panic: injected fault" {
+					t.Errorf("jobs=%d: panicking file: session %v, error %q", jobs, l.Session != nil, l.Health.Error)
+				}
+			} else if l.Session == nil || l.Health.Error != "" {
+				t.Errorf("jobs=%d: %s: session %v, error %q", jobs, paths[i], l.Session != nil, l.Health.Error)
+			}
+		}
+		if loads[0].Session.App != "JEdit" || episodes[0] == 0 || loads[1].Session.App != "CrosswordSage" {
+			t.Errorf("jobs=%d: apps %s (%d episodes), %s; want JEdit (some), CrosswordSage",
+				jobs, loads[0].Session.App, episodes[0], loads[1].Session.App)
 		}
 	}
 }

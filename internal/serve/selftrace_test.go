@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/treebuild"
@@ -52,7 +53,11 @@ func TestSelfProfileCapturedAndServed(t *testing.T) {
 	}
 	// The bytes must be a loadable LiLa v2 session with the job's spans
 	// as episodes — the whole point is feeding it back to the analyzer.
-	sess, err := treebuild.ReadSession(bytes.NewReader(data))
+	lr, err := lila.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("self-trace does not decode: %v", err)
+	}
+	sess, _, err := treebuild.BuildOptions(lr, treebuild.Options{})
 	if err != nil {
 		t.Fatalf("self-trace does not decode: %v", err)
 	}

@@ -115,7 +115,10 @@ func TestSessionMemoryBudget(t *testing.T) {
 	}
 }
 
-func TestReadSessionOptionsHealth(t *testing.T) {
+// TestLenientIngestHealth reads a text trace through a salvage-mode
+// reader into a lenient build: a clean trace reports no damage, one cut
+// mid-stream still yields a session and reports the loss.
+func TestLenientIngestHealth(t *testing.T) {
 	h, recs := lenientRecs()
 	var buf bytes.Buffer
 	w, err := lila.NewWriter(&buf, lila.FormatText, h)
@@ -130,26 +133,31 @@ func TestReadSessionOptionsHealth(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Clean trace: health present but not degraded.
-	s, health, err := treebuild.ReadSessionOptions(bytes.NewReader(buf.Bytes()),
-		lila.ReaderOptions{Salvage: true}, treebuild.Options{Lenient: true})
+	ingest := func(data []byte) (*trace.Session, bool, error) {
+		lr, err := lila.NewReaderOptions(bytes.NewReader(data), lila.ReaderOptions{Salvage: true})
+		if err != nil {
+			return nil, false, err
+		}
+		s, diag, err := treebuild.BuildOptions(lr, treebuild.Options{Lenient: true})
+		return s, lila.SalvageOf(lr).Damaged() || diag.Degraded(), err
+	}
+	// Clean trace: nothing lost.
+	s, degraded, err := ingest(buf.Bytes())
 	if err != nil {
 		t.Fatalf("clean ingest: %v", err)
 	}
-	if health.Degraded() {
-		t.Errorf("clean ingest reported degraded health: %+v", health)
+	if degraded {
+		t.Error("clean ingest reported degraded health")
 	}
 	if len(s.Episodes) != 2 {
 		t.Errorf("got %d episodes, want 2", len(s.Episodes))
 	}
 	// Damaged trace: cut mid-stream.
-	cut := buf.Bytes()[:buf.Len()*2/3]
-	s, health, err = treebuild.ReadSessionOptions(bytes.NewReader(cut),
-		lila.ReaderOptions{Salvage: true}, treebuild.Options{Lenient: true})
+	s, degraded, err = ingest(buf.Bytes()[:buf.Len()*2/3])
 	if err != nil {
 		t.Fatalf("damaged ingest: %v", err)
 	}
-	if !health.Degraded() {
+	if !degraded {
 		t.Error("damaged ingest not reflected in health")
 	}
 	if s == nil {

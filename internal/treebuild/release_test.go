@@ -151,11 +151,11 @@ func checkRelease(t *testing.T, label string, h lila.Header, recs []*lila.Record
 	}
 	text := encode(t, h, recs, lila.FormatText, false)
 	compare("text", func(o treebuild.Options) (*trace.Session, *treebuild.Diagnostics, error) {
-		s, sh, err := treebuild.ReadSessionOptions(bytes.NewReader(text), lila.ReaderOptions{}, o)
+		lr, err := lila.NewReaderOptions(bytes.NewReader(text), lila.ReaderOptions{})
 		if err != nil {
 			return nil, nil, err
 		}
-		return s, sh.Diag, nil
+		return treebuild.BuildOptions(lr, o)
 	})
 	for _, flate := range []bool{false, true} {
 		v, err := lila.ParseV2(encode(t, h, recs, lila.FormatV2, flate), lila.Limits{})

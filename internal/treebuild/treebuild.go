@@ -186,42 +186,6 @@ func BuildV2(v *lila.V2File, filter *lila.RecordFilter, salvage bool, jobs int, 
 	return s, diag, report, err
 }
 
-// ReadSession reads a trace in either encoding from rd and rebuilds
-// the session, discarding diagnostics. It is the one-call path used by
-// the command-line tools.
-func ReadSession(rd io.Reader) (*trace.Session, error) {
-	s, _, err := ReadSessionOptions(rd, lila.ReaderOptions{}, Options{})
-	return s, err
-}
-
-// SessionHealth bundles the per-file damage accounting from a lenient
-// ingest: what the salvage reader dropped on the wire and what the
-// lenient builder dropped while rebuilding. Either field may be nil
-// (strict reader / strict build).
-type SessionHealth struct {
-	Salvage *lila.SalvageReport `json:"salvage,omitempty"`
-	Diag    *Diagnostics        `json:"diagnostics,omitempty"`
-}
-
-// Degraded reports whether anything was lost on the way in.
-func (h *SessionHealth) Degraded() bool {
-	return h != nil && (h.Salvage.Damaged() || h.Diag.Degraded())
-}
-
-// ReadSessionOptions reads a trace from rd with ro applied to the
-// decoder and o applied to the rebuild, returning the session together
-// with its ingest health. On error the health (possibly partial) is
-// still returned when available so callers can attribute the failure.
-func ReadSessionOptions(rd io.Reader, ro lila.ReaderOptions, o Options) (*trace.Session, *SessionHealth, error) {
-	lr, err := lila.NewReaderOptions(rd, ro)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, diag, err := BuildOptions(lr, o)
-	h := &SessionHealth{Salvage: lila.SalvageOf(lr), Diag: diag}
-	return s, h, err
-}
-
 // Builder is the push form of a session build: Feed it every record in
 // stream order (each valid only during its call), then Finish.
 // BuildOptions, BuildRecords, BuildFeed, and BuildV2 are loops over it.

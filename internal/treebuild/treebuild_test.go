@@ -2,6 +2,7 @@ package treebuild
 
 import (
 	"bytes"
+	"io"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -347,6 +348,16 @@ func randomSession(r *rand.Rand) *trace.Session {
 	return s
 }
 
+// readSession decodes a trace in either encoding and rebuilds it.
+func readSession(rd io.Reader) (*trace.Session, error) {
+	lr, err := lila.NewReader(rd)
+	if err != nil {
+		return nil, err
+	}
+	s, _, err := BuildOptions(lr, Options{})
+	return s, err
+}
+
 func TestRoundTripRandomSessions(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewPCG(seed, seed^0xdead))
@@ -357,9 +368,9 @@ func TestRoundTripRandomSessions(t *testing.T) {
 			if err := lila.WriteSession(&buf, format, orig); err != nil {
 				t.Fatalf("seed %d %v: WriteSession: %v", seed, format, err)
 			}
-			got, err := ReadSession(&buf)
+			got, err := readSession(&buf)
 			if err != nil {
-				t.Fatalf("seed %d %v: ReadSession: %v", seed, format, err)
+				t.Fatalf("seed %d %v: readSession: %v", seed, format, err)
 			}
 			if got.App != orig.App || got.ID != orig.ID || got.End != orig.End {
 				t.Errorf("seed %d %v: header fields differ", seed, format)
@@ -407,7 +418,7 @@ func TestRoundTripPreservesGCCopies(t *testing.T) {
 	if err := lila.WriteSession(&buf, lila.FormatV2, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSession(&buf)
+	got, err := readSession(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

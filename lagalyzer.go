@@ -125,7 +125,14 @@ const (
 
 // ReadSession reads a LiLa trace (either encoding, sniffed) and
 // reconstructs the session.
-func ReadSession(r io.Reader) (*Session, error) { return treebuild.ReadSession(r) }
+func ReadSession(r io.Reader) (*Session, error) {
+	lr, err := lila.NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	s, _, err := treebuild.BuildOptions(lr, treebuild.Options{})
+	return s, err
+}
 
 // WriteSession writes a session as a LiLa trace in the given format.
 func WriteSession(w io.Writer, f TraceFormat, s *Session) error {
