@@ -360,22 +360,10 @@ func BenchmarkLoadTraceDirV2Compressed(b *testing.B) {
 	benchLoadTraceDir(b, dir, files, report.LoadOptions{})
 }
 
-// BenchmarkLoadTraceDirV2_GUIOnly loads the v2 corpus through the block
-// index with a GUI-thread filter: worker-only blocks are skipped
-// without decoding, the headline selective-decode case.
-func BenchmarkLoadTraceDirV2_GUIOnly(b *testing.B) {
-	b.ReportAllocs()
-	dir, files := benchTraceDir(b, func(int) lila.WriteOptions { return lila.WriteOptions{Format: lila.FormatV2} })
-	benchLoadTraceDir(b, dir, files, report.LoadOptions{GUIOnly: true})
-}
-
-// benchDaemonHeavyDir hand-builds a corpus where daemon threads
-// dominate: eight worker threads each producing long runs of
-// call/sample/return triples between sparse GUI episodes, stored with
-// small blocks so most blocks carry no GUI-thread bit at all. This is
-// the corpus where block skipping should actually pay — the simulated
-// sessions above are GUI-dominated, which is why their GUIOnly numbers
-// barely move.
+// benchDaemonHeavyDir hand-builds a many-thread corpus: eight daemon
+// worker threads each producing long runs of call/sample/return
+// triples between sparse GUI episodes, stored in small 512-record
+// blocks, so a load decodes many small blocks across many threads.
 func benchDaemonHeavyDir(b *testing.B) (string, int) {
 	b.Helper()
 	dir := b.TempDir()
@@ -430,20 +418,12 @@ func benchDaemonHeavyDir(b *testing.B) (string, int) {
 	return dir, 2
 }
 
-// BenchmarkLoadTraceDirV2_DaemonHeavy is the full-load baseline for the
-// daemon-heavy corpus; BenchmarkLoadTraceDirV2_GUIOnlyDaemonHeavy is
-// the selective load that gets to skip the ~90% of blocks holding only
-// worker records.
+// BenchmarkLoadTraceDirV2_DaemonHeavy loads the daemon-heavy corpus:
+// a many-thread, small-block load.
 func BenchmarkLoadTraceDirV2_DaemonHeavy(b *testing.B) {
 	b.ReportAllocs()
 	dir, files := benchDaemonHeavyDir(b)
 	benchLoadTraceDir(b, dir, files, report.LoadOptions{})
-}
-
-func BenchmarkLoadTraceDirV2_GUIOnlyDaemonHeavy(b *testing.B) {
-	b.ReportAllocs()
-	dir, files := benchDaemonHeavyDir(b)
-	benchLoadTraceDir(b, dir, files, report.LoadOptions{GUIOnly: true})
 }
 
 func BenchmarkSimulateSession(b *testing.B) {
@@ -607,7 +587,7 @@ func BenchmarkTraceDecode_V2Compressed(b *testing.B) {
 func BenchmarkTraceDecode_V2ParallelBlocks(b *testing.B) {
 	benchDecodeV2Random(b, lila.CompressionFlate, func(v *lila.V2File) (int, error) {
 		n := 0
-		_, err := v.Each(nil, false, runtime.GOMAXPROCS(0), func(*lila.Record) error { n++; return nil })
+		_, err := v.Each(false, runtime.GOMAXPROCS(0), func(*lila.Record) error { n++; return nil })
 		return n, err
 	})
 }
@@ -641,7 +621,7 @@ func BenchmarkLoadV2BigSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, _, _, err := treebuild.BuildV2(v, nil, false, runtime.GOMAXPROCS(0), treebuild.Options{})
+		s, _, _, err := treebuild.BuildV2(v, false, runtime.GOMAXPROCS(0), treebuild.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -674,7 +654,7 @@ func BenchmarkStatsBigSession(b *testing.B) {
 			info := ea.Analyze(s, e)
 			engine.Fold(&pop, e, &info, trace.DefaultPerceptibleThreshold)
 		}
-		if _, _, _, err := treebuild.BuildV2(v, nil, false, runtime.GOMAXPROCS(0), treebuild.Options{Episode: fold}); err != nil {
+		if _, _, _, err := treebuild.BuildV2(v, false, runtime.GOMAXPROCS(0), treebuild.Options{Episode: fold}); err != nil {
 			b.Fatal(err)
 		}
 		if pop[0].Trigger.Total == 0 {

@@ -4,12 +4,9 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// RecordFilter selects a subset of a trace's record stream for
-// analyses that do not need everything — episode building needs only
-// the GUI thread's calls, a zoomed-in view needs only one time window.
-// Filter semantics are defined at the record level and are therefore
-// format-independent: a v2 reader merely *accelerates* the same
-// selection by skipping whole blocks whose index entry cannot match.
+// RecordFilter selects a subset of a trace's record stream: some
+// threads, one time window. It is V2File.Records' record-level rule,
+// applied after every block has decoded.
 //
 // The selection always keeps the stream well formed:
 //
@@ -38,7 +35,7 @@ func (f *RecordFilter) All() bool {
 }
 
 // filterState is the stateful evaluator of a RecordFilter over one
-// record stream. Not safe for concurrent use; each reader owns one.
+// record stream. Not safe for concurrent use; apply owns one per call.
 type filterState struct {
 	f       *RecordFilter
 	threads map[trace.ThreadID]bool // nil = all threads
@@ -93,85 +90,14 @@ func (s *filterState) keep(rec *Record) bool {
 	return true
 }
 
-// blockThreadHit reports whether the block's thread bitmap intersects
-// the selected threads (vacuously true without a thread restriction;
-// the bitmap has false positives but never false negatives).
-func (s *filterState) blockThreadHit(b *V2BlockInfo) bool {
-	if s.threads == nil {
-		return true
-	}
-	for id := range s.threads {
-		if b.threadBits&threadBit(id) != 0 {
-			return true
+// apply filters recs in place, keeping what the rule selects.
+func (f *RecordFilter) apply(recs []*Record) []*Record {
+	s := newFilterState(f)
+	kept := recs[:0]
+	for _, rec := range recs {
+		if s.keep(rec) {
+			kept = append(kept, rec)
 		}
 	}
-	return false
+	return kept
 }
-
-// blockTimeExcluded reports whether every timed record of the block
-// falls outside the filter window.
-func (s *filterState) blockTimeExcluded(b *V2BlockInfo) bool {
-	if s.f.MaxTime != 0 && b.MinTime > s.f.MaxTime {
-		return true
-	}
-	return b.MaxTime < s.f.MinTime
-}
-
-// blockMayMatch is the v2 index-level pre-test: false only when no
-// record of the block can survive the filter, so skipping the block is
-// sound. Global blocks always decode (they carry records every
-// selection keeps). A thread-bitmap miss is sound even while a kept
-// call is open: the writer sets a thread's bit for its returns as well
-// as its calls, so a missed block can hold neither a selected thread's
-// call nor the return that closes one — and only selected threads ever
-// have open depth. An open call therefore only forces decoding of
-// blocks the *window* test would exclude, where the call's return (in
-// a later, out-of-window block) may hide.
-func (s *filterState) blockMayMatch(b *V2BlockInfo) bool {
-	if b.flags&v2FlagGlobal != 0 {
-		return true
-	}
-	if !s.blockThreadHit(b) {
-		return false
-	}
-	for _, d := range s.depth {
-		if d > 0 {
-			return true
-		}
-	}
-	return !s.blockTimeExcluded(b)
-}
-
-// NewFilteredReader wraps r so that Read yields only records selected
-// by f, preserving the Reader contract (io.EOF after the end record).
-// It is how the text reader honors the same selection a v2 reader
-// serves from its block index.
-func NewFilteredReader(r Reader, f *RecordFilter) Reader {
-	if f.All() {
-		return r
-	}
-	return &filteredReader{r: r, state: newFilterState(f)}
-}
-
-type filteredReader struct {
-	r     Reader
-	state *filterState
-}
-
-func (fr *filteredReader) Header() Header { return fr.r.Header() }
-
-func (fr *filteredReader) Read() (*Record, error) {
-	for {
-		rec, err := fr.r.Read()
-		if err != nil {
-			return nil, err
-		}
-		if fr.state.keep(rec) {
-			return rec, nil
-		}
-	}
-}
-
-// Salvage implements SalvageReporter by delegation, so damage
-// accounting survives filtering.
-func (fr *filteredReader) Salvage() *SalvageReport { return SalvageOf(fr.r) }

@@ -188,7 +188,7 @@ const (
 	FormatText Format = 0
 	// FormatV2 is the block-indexed binary encoding: string and stack
 	// tables up front, checksummed blocks with independent time bases,
-	// and a footer index for mmap-style selective decode.
+	// and a footer index for mmap-style parallel decode.
 	FormatV2 Format = 2
 )
 

@@ -8,7 +8,7 @@ import (
 )
 
 // mapFile on platforms without mmap support reads the whole file via
-// the io.ReaderAt surface instead; unmap is a no-op. Selective decode
+// the io.ReaderAt surface instead; unmap is a no-op. Block decode
 // still works — it just pays the full read up front.
 func mapFile(f *os.File) (data []byte, unmap func() error, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {

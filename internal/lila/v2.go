@@ -12,8 +12,8 @@ import (
 )
 
 // The v2 format is block-structured and indexed, designed so readers
-// can map the file into memory and decode only the blocks an analysis
-// needs:
+// can map the file into memory and decode its blocks independently,
+// in parallel:
 //
 //	file      := magic header stringtab stacktab block* sentinel index trailer
 //	magic     := "LILA" 0x02
@@ -49,8 +49,10 @@ import (
 // The footer index carries per-block offsets, record counts, time
 // spans, a 64-bit thread bitmap (bit tid%64 set for every thread with
 // records in the block), and a global flag (the block holds thread
-// declarations, GC brackets, or the end record). Selective readers
-// skip blocks whose index entry cannot match their RecordFilter.
+// declarations, GC brackets, or the end record). The writer still
+// writes the bitmap and the flag, and readers still frame them, so
+// every file stays byte-compatible, but no reader consults them: every
+// read decodes every block.
 //
 // Blocks may be individually DEFLATE-compressed (v2.1). A record
 // count of 0 in the block header — impossible for a raw block, whose
@@ -59,8 +61,7 @@ import (
 // stored bytes are the flate stream of the payload. The CRC always
 // covers the *stored* bytes, so damage is detected before any
 // inflation, and a compressed index entry carries the inflated length
-// after its flags, so selective readers still skip untouched blocks
-// without inflating anything. The writer compresses per block and
+// after its flags. The writer compresses per block and
 // keeps whichever form is smaller, so pathological payloads never
 // grow; uncompressed writes are byte-identical to v2.0.
 //
@@ -85,8 +86,8 @@ var v2TrailerMagic = [8]byte{'L', 'I', 'L', 'A', 'I', 'D', 'X', '2'}
 const v2TrailerLen = 8 + 4 + 4 + 8
 
 // DefaultV2BlockRecords is the records-per-block granularity of the
-// writer. Blocks are the unit of selective decode and of salvage loss,
-// so the default balances skip granularity against per-block overhead.
+// writer. Blocks are the unit of parallel decode and of salvage loss,
+// so the default balances both against per-block overhead.
 const DefaultV2BlockRecords = 4096
 
 // v2CRC is the Castagnoli table shared by writer and readers.
@@ -95,15 +96,13 @@ var v2CRC = crc32.MakeTable(crc32.Castagnoli)
 // v2 index entry flag bits.
 const (
 	// v2FlagGlobal marks a block containing records that apply to every
-	// thread (thread declarations, GC brackets, the end record); such
-	// blocks are decoded by every selective read.
+	// thread (thread declarations, GC brackets, the end record). It is
+	// written for byte-compatibility; no reader consults it.
 	v2FlagGlobal = 1 << 0
 	// v2FlagCompressed marks a block whose payload is stored as a raw
 	// DEFLATE stream; the index entry then carries the inflated length
 	// after its flags. The block's own header is authoritative for
-	// decode (the count-0 escape, see the format comment); the index
-	// flag exists so selective readers can account for compression
-	// without touching the block.
+	// decode (the count-0 escape, see the format comment).
 	v2FlagCompressed = 1 << 1
 )
 
@@ -130,17 +129,6 @@ func (c Compression) String() string {
 	default:
 		return fmt.Sprintf("compression(%d)", int(c))
 	}
-}
-
-// ParseCompression recognises "none" and "flate".
-func ParseCompression(s string) (Compression, error) {
-	switch s {
-	case "none", "":
-		return CompressionNone, nil
-	case "flate":
-		return CompressionFlate, nil
-	}
-	return 0, fmt.Errorf("lila: unknown compression %q (want none or flate)", s)
 }
 
 // threadBit maps a thread ID onto the 64-bit per-block thread bitmap.

@@ -222,64 +222,12 @@ func TestV2CompressedIndexSalvageScan(t *testing.T) {
 	}
 }
 
-// TestV2CompressedSelectiveDecodeEquivalence re-pins the selective
-// decode contract over the compressed encoding, sequentially and with
-// intra-file workers: block skipping via the index must yield exactly
-// what the same filter keeps over the full text stream.
-func TestV2CompressedSelectiveDecodeEquivalence(t *testing.T) {
-	all := v2TestRecords()
-	filters := []*RecordFilter{
-		{Threads: []trace.ThreadID{1}},
-		{Threads: []trace.ThreadID{2}},
-		{MinTime: 1100, MaxTime: 1300},
-		{Threads: []trace.ThreadID{1}, MinTime: 1050, MaxTime: 1200},
-	}
-	data := writeV2C(t, all, 8, CompressionFlate)
-	v, err := ParseV2(data, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var text bytes.Buffer
-	w, err := NewWriter(&text, FormatText, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range all {
-		if err := w.WriteRecord(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range filters {
-		br, err := NewReader(bytes.NewReader(text.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := drainReader(t, NewFilteredReader(br, f))
-		for _, jobs := range []int{1, 4} {
-			got, _, err := collectEach(v, f, false, jobs)
-			if err != nil {
-				t.Fatalf("filter %d jobs %d: %v", i, jobs, err)
-			}
-			recordsEqual(t, got, want, fmt.Sprintf("compressed filter %d jobs %d", i, jobs))
-		}
-	}
-}
-
 // TestV2ParallelDecodeDeterminism is the worker-count pin: records,
 // salvage reports, and strict errors that Each yields at jobs 1, 2,
 // and 8 must be byte-identical to the collecting Records, for raw and
-// compressed files, clean and damaged, filtered and not.
+// compressed files, clean and damaged.
 func TestV2ParallelDecodeDeterminism(t *testing.T) {
 	all := v2TestRecords()
-	filters := []*RecordFilter{
-		nil,
-		{Threads: []trace.ThreadID{1}},
-		{MinTime: 1100, MaxTime: 1300},
-		{Threads: []trace.ThreadID{2}, MinTime: 1050, MaxTime: 1400},
-	}
 	for _, comp := range []Compression{CompressionNone, CompressionFlate} {
 		data := writeV2C(t, all, 8, comp)
 		bad := bytes.Clone(data)
@@ -295,23 +243,21 @@ func TestV2ParallelDecodeDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for fi, f := range filters {
-				for _, salvage := range []bool{false, true} {
-					label := fmt.Sprintf("%v/%s/filter%d/salvage=%v", comp, name, fi, salvage)
-					wantRecs, wantRep, wantErr := vf.Records(f, salvage)
-					for _, jobs := range []int{1, 2, 8} {
-						gotRecs, gotRep, gotErr := collectEach(vf, f, salvage, jobs)
-						if (gotErr == nil) != (wantErr == nil) ||
-							(gotErr != nil && gotErr.Error() != wantErr.Error()) {
-							t.Errorf("%s jobs=%d: err %v, want %v", label, jobs, gotErr, wantErr)
-							continue
-						}
-						if !reflect.DeepEqual(gotRecs, wantRecs) {
-							t.Errorf("%s jobs=%d: records diverge from Records", label, jobs)
-						}
-						if !reflect.DeepEqual(gotRep, wantRep) {
-							t.Errorf("%s jobs=%d: report %+v, want %+v", label, jobs, gotRep, wantRep)
-						}
+			for _, salvage := range []bool{false, true} {
+				label := fmt.Sprintf("%v/%s/salvage=%v", comp, name, salvage)
+				wantRecs, wantRep, wantErr := vf.Records(nil, salvage)
+				for _, jobs := range []int{1, 2, 8} {
+					gotRecs, gotRep, gotErr := collectEach(vf, salvage, jobs)
+					if (gotErr == nil) != (wantErr == nil) ||
+						(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+						t.Errorf("%s jobs=%d: err %v, want %v", label, jobs, gotErr, wantErr)
+						continue
+					}
+					if !reflect.DeepEqual(gotRecs, wantRecs) {
+						t.Errorf("%s jobs=%d: records diverge from Records", label, jobs)
+					}
+					if !reflect.DeepEqual(gotRep, wantRep) {
+						t.Errorf("%s jobs=%d: report %+v, want %+v", label, jobs, gotRep, wantRep)
 					}
 				}
 			}
@@ -319,127 +265,11 @@ func TestV2ParallelDecodeDeterminism(t *testing.T) {
 	}
 }
 
-// TestV2ThreadSkipWithOpenCall pins the filter-conservatism fix: a
-// thread-bitmap miss is sound even while a kept call is open, so
-// worker-only blocks under an open GUI dispatch are skipped (previously
-// any open call forced every block to decode). A corrupt worker-only
-// block inside the open call proves the skip really happens, at every
-// worker count.
-func TestV2ThreadSkipWithOpenCall(t *testing.T) {
-	recs := []*Record{
-		{Type: RecThread, Thread: 1, Name: "AWT-EventQueue-0"},
-		{Type: RecThread, Thread: 2, Name: "Worker", Daemon: true},
-		{Type: RecCall, Time: 100, Thread: 1, Kind: trace.KindDispatch},
-	}
-	tm := trace.Time(110)
-	for i := 0; i < 40; i++ {
-		recs = append(recs,
-			&Record{Type: RecCall, Time: tm, Thread: 2, Kind: trace.KindListener, Class: "app.Worker", Method: "run"},
-			&Record{Type: RecSample, Time: tm + 1, Thread: 2, State: trace.StateRunnable,
-				Stack: []trace.Frame{{Class: "app.Worker", Method: "run"}}},
-			&Record{Type: RecReturn, Time: tm + 2, Thread: 2})
-		tm += 10
-	}
-	recs = append(recs,
-		&Record{Type: RecReturn, Time: tm, Thread: 1},
-		&Record{Type: RecEnd, Time: tm + 10, Count: 2})
-
-	for _, comp := range []Compression{CompressionNone, CompressionFlate} {
-		data := writeV2C(t, recs, 8, comp)
-		v, err := ParseV2(data, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		target := -1
-		for i, b := range v.Blocks() {
-			if !b.HasGlobal() && b.MayContainThread(2) && !b.MayContainThread(1) {
-				target = i
-				break
-			}
-		}
-		if target < 0 {
-			t.Fatal("no worker-only block in corpus; adjust the test stream")
-		}
-		bad := bytes.Clone(data)
-		b := v.Blocks()[target]
-		bad[b.Offset+b.Length-1] ^= 0xff
-
-		vb, err := ParseV2(bad, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := vb.Records(nil, false); err == nil {
-			t.Fatalf("%v: strict full decode of corrupt block succeeded", comp)
-		}
-		f := &RecordFilter{Threads: []trace.ThreadID{1}}
-		var want []*Record
-		st := newFilterState(f)
-		for _, rec := range recs {
-			if st.keep(rec) {
-				want = append(want, rec)
-			}
-		}
-		for _, jobs := range []int{1, 4} {
-			got, _, err := collectEach(vb, f, false, jobs)
-			if err != nil {
-				t.Fatalf("%v jobs=%d: GUI-filtered decode touched the corrupt worker block under an open call: %v", comp, jobs, err)
-			}
-			recordsEqual(t, got, want, fmt.Sprintf("%v jobs=%d open-call skip", comp, jobs))
-		}
-	}
-}
-
-// TestV2SelectiveDecodeInflatesOnlyTouchedBlocks checks the
-// skip-effectiveness metrics: a filtered decode of a compressed file
-// must inflate strictly fewer blocks than a full decode, and account
-// for the skipped remainder.
-func TestV2SelectiveDecodeInflatesOnlyTouchedBlocks(t *testing.T) {
-	all := v2LongRecords(400)
-	data := writeV2C(t, all, 64, CompressionFlate)
-	v, err := ParseV2(data, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compressed := 0
-	for _, b := range v.Blocks() {
-		if b.Compressed() {
-			compressed++
-		}
-	}
-	if compressed < 3 {
-		t.Fatalf("only %d compressed blocks; corpus too small", compressed)
-	}
-
-	before := mBlocksInflated.Value()
-	if _, _, err := v.Records(nil, false); err != nil {
-		t.Fatal(err)
-	}
-	full := mBlocksInflated.Value() - before
-	if full != int64(compressed) {
-		t.Errorf("full decode inflated %d blocks, want all %d compressed", full, compressed)
-	}
-
-	beforeInf, beforeSkip := mBlocksInflated.Value(), mBlocksSkipped.Value()
-	// Threads in v2LongRecords split the stream in half: the worker
-	// filter must leave the GUI half's blocks uninflated.
-	if _, _, err := v.Records(&RecordFilter{Threads: []trace.ThreadID{2}}, false); err != nil {
-		t.Fatal(err)
-	}
-	partial := mBlocksInflated.Value() - beforeInf
-	skipped := mBlocksSkipped.Value() - beforeSkip
-	if partial >= full {
-		t.Errorf("filtered decode inflated %d blocks, not fewer than the full decode's %d", partial, full)
-	}
-	if skipped == 0 {
-		t.Error("filtered decode skipped no blocks")
-	}
-}
-
 // collectEach drives Each and copies out every record it yields, since
 // a record is only valid inside fn. Its results follow Records'.
-func collectEach(v *V2File, f *RecordFilter, salvage bool, jobs int) ([]*Record, *SalvageReport, error) {
+func collectEach(v *V2File, salvage bool, jobs int) ([]*Record, *SalvageReport, error) {
 	var out []*Record
-	rep, err := v.Each(f, salvage, jobs, func(rec *Record) error {
+	rep, err := v.Each(salvage, jobs, func(rec *Record) error {
 		cp := *rec
 		out = append(out, &cp)
 		return nil

@@ -69,7 +69,7 @@ func TestEachEarlyExitStopsWorkers(t *testing.T) {
 		}
 		base := runtime.NumGoroutine()
 		mDecodeWorkers.Set(0)
-		_, err = vf.Each(nil, false, 8, c.fn)
+		_, err = vf.Each(false, 8, c.fn)
 		if !c.want(err) {
 			t.Errorf("%s: err %v", c.name, err)
 		}

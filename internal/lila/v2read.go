@@ -22,8 +22,8 @@ import (
 // v2 decoding. Three entry points share the machinery below:
 //
 //   - OpenV2File maps a trace file into memory (mmap on unix, a plain
-//     read elsewhere) and serves random-access, index-driven selective
-//     decode — the LoadTraceDir fast path.
+//     read elsewhere) and decodes its blocks independently, in
+//     parallel if asked — the LoadTraceDir fast path.
 //   - ParseV2 does the same over an in-memory byte slice.
 //   - NewV2Reader adapts a ParseV2 file to the streaming Reader
 //     contract for sniffed io.Reader inputs (pipes, network, the
@@ -32,11 +32,9 @@ import (
 //     header scan when the index is damaged — so a stream read and a
 //     file read of the same bytes agree, salvage accounting included.
 
-// Decode-path metrics: how often the index lets a selective read skip
-// a whole block, how many compressed blocks readers inflate, and the
-// worker count of the most recent intra-file parallel decode.
+// Decode-path metrics: how many compressed blocks readers inflate, and
+// the worker count of the most recent intra-file parallel decode.
 var (
-	mBlocksSkipped  = obs.NewCounter("lila_blocks_skipped_total", "v2 blocks skipped whole by index-level selective decode")
 	mBlocksInflated = obs.NewCounter("lila_blocks_inflated_total", "compressed v2 blocks inflated by readers")
 	mDecodeWorkers  = obs.NewGauge("lila_block_decode_workers", "workers of the most recent parallel v2 block decode")
 )
@@ -232,10 +230,9 @@ func (d *v2data) parseTables(c *v2cur, readString func() (string, error)) error 
 	return nil
 }
 
-// V2BlockInfo describes one block for selective decode. Entries come
-// from the footer index, or — when the index is damaged — from a
-// sequential scan of the self-framing block headers, in which case the
-// selectivity fields are conservative (never exclude a block).
+// V2BlockInfo describes one block. Entries come from the footer index,
+// or — when the index is damaged — from a sequential scan of the
+// self-framing block headers, in which case the time span is unbounded.
 type V2BlockInfo struct {
 	// Offset and Length frame the whole block (header + payload) in
 	// the file.
@@ -248,19 +245,7 @@ type V2BlockInfo struct {
 	// 0 for blocks stored raw.
 	RawLen int64
 
-	threadBits uint64
-	flags      uint64
-}
-
-// HasGlobal reports whether the block carries records that apply to
-// every thread (thread declarations, GC brackets, the end record).
-func (b *V2BlockInfo) HasGlobal() bool { return b.flags&v2FlagGlobal != 0 }
-
-// MayContainThread reports whether the block may hold records of the
-// given thread (64-bit bitmap; false positives possible, false
-// negatives not).
-func (b *V2BlockInfo) MayContainThread(id trace.ThreadID) bool {
-	return b.threadBits&threadBit(id) != 0
+	flags uint64
 }
 
 // Compressed reports whether the block's payload is stored as a
@@ -309,7 +294,7 @@ func parseV2Index(d *v2data) ([]V2BlockInfo, error) {
 			func() (e error) { records, e = c.uvarint(); return },
 			func() (e error) { minT, e = c.varint(); return },
 			func() (e error) { maxT, e = c.varint(); return },
-			func() (e error) { b.threadBits, e = c.uvarint(); return },
+			func() (e error) { _, e = c.uvarint(); return }, // thread bitmap, unused
 			func() (e error) { b.flags, e = c.uvarint(); return },
 		} {
 			if err = step(); err != nil {
@@ -359,10 +344,9 @@ func maxInflatedLen(storedLen uint64, limits Limits) uint64 {
 
 // scanV2Blocks re-frames the block sequence from the self-describing
 // block headers — the salvage fallback when the footer index is
-// destroyed. Selectivity fields are conservative:
-// every scanned block reports global and an all-ones thread bitmap, so
-// no filter ever skips it. A framing error mid-scan returns the blocks
-// recovered so far, the torn remainder, and the error.
+// destroyed. A scanned block's time span is unbounded. A framing error
+// mid-scan returns the blocks recovered so far, the torn remainder,
+// and the error.
 func scanV2Blocks(d *v2data) ([]V2BlockInfo, v2Torn, error) {
 	c := &v2cur{data: d.data, off: d.blocksStart}
 	var blocks []V2BlockInfo
@@ -399,14 +383,13 @@ func scanV2Blocks(d *v2data) ([]V2BlockInfo, v2Torn, error) {
 		}
 		c.off += int(plen)
 		blocks = append(blocks, V2BlockInfo{
-			Offset:     int64(start),
-			Length:     int64(c.off - start),
-			Records:    int(count),
-			MinTime:    math.MinInt64,
-			MaxTime:    math.MaxInt64,
-			RawLen:     int64(rawLen),
-			threadBits: ^uint64(0),
-			flags:      flags,
+			Offset:  int64(start),
+			Length:  int64(c.off - start),
+			Records: int(count),
+			MinTime: math.MinInt64,
+			MaxTime: math.MaxInt64,
+			RawLen:  int64(rawLen),
+			flags:   flags,
 		})
 	}
 }
@@ -442,12 +425,11 @@ func readV2Frame(c *v2cur) (plen, count, rawLen, flags uint64, err error) {
 	if count, err = c.uvarint(); err != nil {
 		return
 	}
-	flags = v2FlagGlobal
 	if count == 0 {
 		// Raw blocks never have zero records: this is the escape
 		// into the compressed framing (see the format comment in
 		// v2.go) — the true count and inflated length follow.
-		flags |= v2FlagCompressed
+		flags = v2FlagCompressed
 		if count, err = c.uvarint(); err != nil {
 			return
 		}
@@ -710,8 +692,8 @@ func (d *v2data) decodeRecord(c *v2cur, lastTime *trace.Time, arena *recArena) (
 }
 
 // V2File is a v2 trace opened for random access: the footer index is
-// parsed once, and blocks decode independently — all of them, or only
-// the ones a RecordFilter selects.
+// parsed once, and blocks decode independently, so workers can decode
+// them in parallel ahead of an in-order merge.
 type V2File struct {
 	d      *v2data
 	blocks []V2BlockInfo
@@ -802,33 +784,38 @@ func (v *V2File) Close() error {
 
 const v2ReadAheadPerWorker = 2 // decoded blocks a worker may hold unfed
 
-// Each decodes the blocks selected by filter (nil = everything) and
-// calls fn with every record the filter keeps, in stream order. A
-// record is valid only during its fn call; an error from fn stops the
-// decode and is returned. With salvage false a damaged index or block
-// is an error; with salvage true a bad block is dropped whole and
-// itemized in the returned SalvageReport (non-nil exactly then, its
+// Each decodes every block and calls fn with every record, in stream
+// order. A record is valid only during its fn call; an error from fn
+// stops the decode and is returned. With salvage false a damaged index
+// or block is an error; with salvage true a bad block is dropped whole
+// and itemized in the returned SalvageReport (non-nil exactly then, its
 // metrics flushed once per call), as are a torn tail and a missing end
 // record. Up to jobs workers (≤0 takes GOMAXPROCS, 1 decodes inline)
 // decode blocks ahead of the merge, which walks the blocks in index
-// order, applies the filter with its live call-depth state, and feeds
-// fn, so records, salvage accounting, and errors are identical at
-// every worker count: the first failure in stream order wins.
-func (v *V2File) Each(filter *RecordFilter, salvage bool, jobs int, fn func(*Record) error) (*SalvageReport, error) {
-	_, report, err := v.each(filter, salvage, jobs, fn)
+// order and feeds fn, so records, salvage accounting, and errors are
+// identical at every worker count: the first failure in stream order
+// wins.
+func (v *V2File) Each(salvage bool, jobs int, fn func(*Record) error) (*SalvageReport, error) {
+	_, report, err := v.each(salvage, jobs, fn)
 	return report, err
 }
 
 // Records is Each at one worker, collecting the records into slots
-// that are never recycled, so they stay valid after the call.
+// that are never recycled, so they stay valid after the call. Every
+// block decodes; filter (nil = everything) then keeps the records its
+// record-level rule selects.
 func (v *V2File) Records(filter *RecordFilter, salvage bool) ([]*Record, *SalvageReport, error) {
-	return v.each(filter, salvage, 1, nil)
+	recs, report, err := v.each(salvage, 1, nil)
+	if err != nil || filter.All() {
+		return recs, report, err
+	}
+	return filter.apply(recs), report, nil
 }
 
 // each is Each; a nil fn collects instead: decode is inline and never
-// recycles, each block's kept records stay in place after the previous
+// recycles, each block's records stay in place after the previous
 // block's, and each returns them all.
-func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Record) error) ([]*Record, *SalvageReport, error) {
+func (v *V2File) each(salvage bool, jobs int, fn func(*Record) error) ([]*Record, *SalvageReport, error) {
 	var report *SalvageReport
 	if salvage {
 		report = &SalvageReport{}
@@ -837,17 +824,13 @@ func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Rec
 	if err := v.begin(report); err != nil {
 		return nil, nil, err
 	}
-	var state *filterState
-	if !filter.All() {
-		state = newFilterState(filter)
-	}
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	p := v.newPipe(state, jobs, fn == nil)
+	p := v.newPipe(jobs, fn == nil)
 	defer p.stop()
 	// buf takes inline decodes: reused per block, or, collecting, the
-	// kept records so far. Kept in a local, not the heap scratch: the
+	// records so far. Kept in a local, not the heap scratch: the
 	// latter measurably raises the collecting path's GC cycle count.
 	var buf []*Record
 	if fn == nil {
@@ -864,11 +847,6 @@ func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Rec
 			return nil, report, limitErrf("lila: record limit %d exceeded", v.d.limits.MaxRecords)
 		}
 		sc := p.take(i)
-		if state != nil && !state.blockMayMatch(b) {
-			mBlocksSkipped.Inc()
-			p.release(sc)
-			continue
-		}
 		mark := len(buf) // records collected so far; 0 when feeding fn
 		var recs []*Record
 		var err error
@@ -888,26 +866,21 @@ func (v *V2File) each(filter *RecordFilter, salvage bool, jobs int, fn func(*Rec
 		if report != nil {
 			report.RecordsKept += len(block)
 		}
-		// Filter in place and stop at the end record; anything a
-		// malformed block encodes after RecEnd is discarded. Feeding fn
-		// in a second pass keeps this loop as tight as collecting needs.
-		kept := 0
-		for _, rec := range block {
-			if state == nil || state.keep(rec) {
-				block[kept] = rec
-				kept++
-			}
+		// Stop at the end record; anything a malformed block encodes
+		// after RecEnd is discarded.
+		for j, rec := range block {
 			if rec.Type == RecEnd {
+				block = block[:j+1]
 				sawEnd = true
 				break
 			}
 		}
 		if fn == nil {
-			buf = buf[:mark+kept]
+			buf = buf[:mark+len(block)]
 		} else {
 			buf = buf[:0]
 		}
-		for j := 0; fn != nil && j < kept && err == nil; j++ {
+		for j := 0; fn != nil && j < len(block) && err == nil; j++ {
 			err = fn(block[j])
 		}
 		p.release(sc)
@@ -974,62 +947,39 @@ func endOfBlocks(sawEnd bool, report *SalvageReport) error {
 }
 
 // v2pipe hands decoded blocks to Each's merge: inline into own, or
-// read ahead by workers that decode the blocks of want in order, each
+// read ahead by workers that decode blocks 0..ahead-1 in order, each
 // into a scratch from a pool of v2ReadAheadPerWorker×workers that the
-// merge hands back once the block is fed or skipped. Position k of
-// want arrives on done[k%len(done)]; the ring cannot overflow, since
-// every position the merge has not received holds a pool scratch.
+// merge hands back once the block is fed. Block k arrives on
+// done[k%len(done)]; the ring cannot overflow, since every block the
+// merge has not received holds a pool scratch.
 type v2pipe struct {
-	own  v2scratch
-	want []int // blocks read ahead, in order
-	next int   // the merge's position in want
-	done []chan *v2scratch
-	free chan *v2scratch // closed by stop
-	wg   sync.WaitGroup
+	own   v2scratch
+	ahead int // blocks read ahead: those before the record limit trips
+	done  []chan *v2scratch
+	free  chan *v2scratch // closed by stop
+	wg    sync.WaitGroup
 }
 
 // newPipe starts the decode pipeline for one Each call; the caller
-// must stop it. Its index-only pre-pass reads ahead a superset of the
-// blocks the merge decodes (one decoded but skipped costs only wasted
-// work): the merge decodes a non-global block when its thread bitmap
-// matches and either the window overlaps or a kept call is open, and a
-// kept call open implies an earlier block passed both tests — when
-// mayOpen latches and window exclusions stop counting. Thread-bitmap
-// misses stay skippable throughout (see blockMayMatch).
-func (v *V2File) newPipe(state *filterState, jobs int, collect bool) *v2pipe {
+// must stop it.
+func (v *V2File) newPipe(jobs int, collect bool) *v2pipe {
 	p := &v2pipe{}
 	p.own.arena.recycle = !collect
-	if collect || jobs <= 1 || len(v.blocks) <= 1 {
+	if collect || jobs <= 1 {
 		return p
 	}
-	var want []int
-	mayOpen := false
-	total := 0
-	for i := range v.blocks {
-		b := &v.blocks[i]
-		if total += b.Records; total > v.d.limits.MaxRecords {
+	ahead := 0
+	for total := 0; ahead < len(v.blocks); ahead++ {
+		if total += v.blocks[ahead].Records; total > v.d.limits.MaxRecords {
 			break // the merge stops with a limit error at this block
 		}
-		dec, opens := true, true
-		if state != nil {
-			threadHit := state.blockThreadHit(b)
-			inWindow := !state.blockTimeExcluded(b)
-			opens = threadHit && inWindow
-			dec = b.HasGlobal() || (threadHit && (mayOpen || inWindow))
-		}
-		if dec {
-			want = append(want, i)
-		}
-		if opens {
-			mayOpen = true
-		}
 	}
-	workers := min(jobs, len(want))
+	workers := min(jobs, ahead)
 	if workers <= 1 {
 		return p
 	}
 	mDecodeWorkers.Set(int64(workers))
-	p.want = want
+	p.ahead = ahead
 	p.done = make([]chan *v2scratch, v2ReadAheadPerWorker*workers)
 	p.free = make(chan *v2scratch, len(p.done))
 	for k := range p.done {
@@ -1043,10 +993,10 @@ func (v *V2File) newPipe(state *filterState, jobs int, collect bool) *v2pipe {
 			defer p.wg.Done()
 			for sc := range p.free {
 				k := int(claimed.Add(1)) - 1
-				if k >= len(want) {
+				if k >= ahead {
 					return
 				}
-				sc.recs, sc.err = sc.decode(v.d, &v.blocks[want[k]], sc.recs[:0])
+				sc.recs, sc.err = sc.decode(v.d, &v.blocks[k], sc.recs[:0])
 				p.done[k%len(p.done)] <- sc
 			}
 		}()
@@ -1055,14 +1005,13 @@ func (v *V2File) newPipe(state *filterState, jobs int, collect bool) *v2pipe {
 }
 
 // take waits for block i if it was read ahead and returns its
-// scratch, decoded; nil means the merge decodes it inline, if at all.
-// Every scratch taken is released, fed or not.
+// scratch, decoded; nil means the merge decodes it inline. The merge
+// takes blocks in order, and every scratch taken is released.
 func (p *v2pipe) take(i int) *v2scratch {
-	if p.next == len(p.want) || p.want[p.next] != i {
+	if i >= p.ahead {
 		return nil
 	}
-	p.next++
-	return <-p.done[(p.next-1)%len(p.done)]
+	return <-p.done[i%len(p.done)]
 }
 
 func (p *v2pipe) release(sc *v2scratch) {

@@ -37,29 +37,15 @@ type LoadOptions struct {
 	Strict bool
 	// Limits are the resource guards; zero fields take defaults.
 	Limits lila.Limits
-	// Select restricts decode to the records matching the filter (nil
-	// loads everything). Selection is format-independent: text traces
-	// filter record by record, while v2 traces additionally skip whole
-	// blocks via their footer index without ever decoding them.
-	Select *lila.RecordFilter
-	// GUIOnly restricts each session to its GUI thread, resolved per
-	// file from the trace header — the episode-building hot path. It
-	// overrides Select.Threads; Select's time window still applies.
-	GUIOnly bool
 	// Jobs bounds how many trace files are decoded concurrently:
 	// 0 means one worker per GOMAXPROCS, 1 restores the sequential
 	// loader. The worker count never changes the result — files are
 	// merged in sorted path order whatever order they finish in — and
 	// under Strict the error surfaced is always the path-order-first
-	// failure, exactly as a sequential scan would report.
+	// failure, exactly as a sequential scan would report. Jobs also
+	// bounds the blocks that decode concurrently within one v2 file
+	// (see blockJobs), with the same byte-identical result.
 	Jobs int
-	// BlockJobs bounds how many blocks decode concurrently *within*
-	// one v2 file. 0 derives a per-file share of Jobs (a single-file
-	// load gets all of Jobs; with as many files as workers it stays 1,
-	// since the file pool already saturates the cores); 1 keeps
-	// intra-file decode sequential. Like Jobs, it never changes the
-	// result: the v2 block merge is byte-identical at any worker count.
-	BlockJobs int
 	// Paths, when non-empty, names the exact files to load (already
 	// sorted) instead of walking the directory — the hook distributed
 	// trace shards use to load their slice of a corpus. Paths outside
@@ -75,12 +61,11 @@ func (o LoadOptions) jobs() int {
 }
 
 // blockJobs resolves the intra-file decode width for a load of files
-// trace files: the explicit BlockJobs if set, else each file's share
-// of the worker budget left over by the cross-file pool.
+// trace files: each file's share of the worker budget left over by the
+// cross-file pool. A single-file load gets all of Jobs; with as many
+// files as workers it stays 1, since the file pool already saturates
+// the cores.
 func (o LoadOptions) blockJobs(files int) int {
-	if o.BlockJobs > 0 {
-		return o.BlockJobs
-	}
 	if j := o.jobs(); files > 0 && files < j {
 		return j / files
 	}
@@ -199,7 +184,7 @@ type FileLoad struct {
 func LoadFiles(ctx context.Context, paths []string, o LoadOptions, episode func(i int) func(*trace.Session, *trace.Episode)) []FileLoad {
 	ctx, endLoad := obs.PhaseSpan(ctx, "load")
 	defer endLoad()
-	o.BlockJobs = o.blockJobs(len(paths))
+	blockJobs := o.blockJobs(len(paths))
 	loads := make([]FileLoad, len(paths))
 	var stop atomic.Int64 // a failed file's index under Strict
 	stop.Store(int64(len(paths)))
@@ -214,7 +199,7 @@ func LoadFiles(ctx context.Context, paths []string, o LoadOptions, episode func(
 			hook = episode(i)
 		}
 		start := time.Now()
-		loads[i] = loadOne(paths[i], o, hook)
+		loads[i] = loadOne(paths[i], o, blockJobs, hook)
 		loads[i].Elapsed = time.Since(start)
 		if o.Strict && loads[i].Health.Error != "" {
 			// Files are claimed in path order, so every file before
@@ -247,25 +232,10 @@ func ListTraceFiles(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// filterFor resolves the effective record selection for one file,
-// given its header. Nil means "load everything".
-func (o LoadOptions) filterFor(h lila.Header) *lila.RecordFilter {
-	if !o.GUIOnly && o.Select.All() {
-		return nil
-	}
-	f := &lila.RecordFilter{}
-	if o.Select != nil {
-		*f = *o.Select
-	}
-	if o.GUIOnly {
-		f.Threads = []trace.ThreadID{h.GUIThread}
-	}
-	return f
-}
-
-// loadOne ingests one trace file, building with the episode hook
-// when it is non-nil; a panic anywhere in the load is the file's error.
-func loadOne(path string, o LoadOptions, episode func(*trace.Session, *trace.Episode)) (l FileLoad) {
+// loadOne ingests one trace file, decoding a v2 file's blocks on up to
+// blockJobs workers and building with the episode hook when it is
+// non-nil; a panic anywhere in the load is the file's error.
+func loadOne(path string, o LoadOptions, blockJobs int, episode func(*trace.Session, *trace.Episode)) (l FileLoad) {
 	defer func() {
 		if r := recover(); r != nil {
 			l = FileLoad{Health: FileHealth{Path: path, Error: fmt.Sprintf("panic: %v", r)}}
@@ -274,7 +244,7 @@ func loadOne(path string, o LoadOptions, episode func(*trace.Session, *trace.Epi
 	fh := &l.Health
 	fh.Path = path
 	bo := treebuild.Options{Lenient: o.Salvage, Limits: o.Limits, Episode: episode}
-	s, diag, rep, err := loadFile(path, o, bo)
+	s, diag, rep, err := loadFile(path, o, blockJobs, bo)
 	if rep.Damaged() {
 		fh.Salvage = rep
 	}
@@ -292,7 +262,7 @@ func loadOne(path string, o LoadOptions, episode func(*trace.Session, *trace.Epi
 		// ticks they can reach, and keep its counts in the health.
 		episodes := 0
 		bo.Episode = func(*trace.Session, *trace.Episode) { episodes++ }
-		if s, diag, _, serr := loadFile(path, o, bo); serr == nil {
+		if s, diag, _, serr := loadFile(path, o, blockJobs, bo); serr == nil {
 			fh.App = s.App
 			fh.DegradedToStream = true
 			fh.StreamEpisodes = episodes
@@ -306,20 +276,20 @@ func loadOne(path string, o LoadOptions, episode func(*trace.Session, *trace.Epi
 
 // loadFile opens path and builds its session with bo: v2 traces on
 // the mapped fast path, text record by record.
-func loadFile(path string, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
+func loadFile(path string, o LoadOptions, blockJobs int, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer f.Close()
 	if lila.IsV2File(f) {
-		return loadV2(f, o, bo)
+		return loadV2(f, o, blockJobs, bo)
 	}
 	return loadText(f, o, bo)
 }
 
-// loadText decodes and rebuilds a text trace record by record,
-// filtering as it reads. Anything else the sniffer rejects: a retired
+// loadText decodes and rebuilds a text trace record by record.
+// Anything else the sniffer rejects: a retired
 // binary version, or a file that is no LiLa trace.
 func loadText(f *os.File, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	cr := obs.NewCountingReader(f, nil)
@@ -328,24 +298,21 @@ func loadText(f *os.File, o LoadOptions, bo treebuild.Options) (*trace.Session, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if filt := o.filterFor(lr.Header()); filt != nil {
-		lr = lila.NewFilteredReader(lr, filt)
-	}
 	s, diag, err := treebuild.BuildOptions(lr, bo)
 	return s, diag, lila.SalvageOf(lr), err
 }
 
-// loadV2 is the v2 fast path: the file is mapped, and only the blocks
-// the effective filter selects are decoded, straight into the session
-// build, from tables interned once up front.
-func loadV2(f *os.File, o LoadOptions, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
+// loadV2 is the v2 fast path: the file is mapped, and its blocks
+// decode on up to blockJobs workers straight into the session build,
+// from tables interned once up front.
+func loadV2(f *os.File, o LoadOptions, blockJobs int, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	v, err := lila.OpenV2File(f, o.Limits)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer v.Close()
 	mTraceBytes.Add(v.Size())
-	return treebuild.BuildV2(v, o.filterFor(v.Header()), o.Salvage, max(1, o.BlockJobs), bo)
+	return treebuild.BuildV2(v, o.Salvage, blockJobs, bo)
 }
 
 // AnalyzeSuites runs the full per-application characterization over

@@ -9,7 +9,6 @@ import (
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
-	"lagalyzer/internal/trace"
 )
 
 // crossFormatCorpus writes the same simulated study three times —
@@ -82,7 +81,8 @@ func dirSize(t *testing.T, dir string) int64 {
 // compressed v2 must render byte-identical text and HTML
 // reports — and the compressed corpus must be at least 2x smaller than
 // the raw v2 one while doing so. The compressed directory additionally
-// loads with intra-file block workers, which must change nothing.
+// loads at 16 jobs, which over its 4 files gives each file 4 block
+// workers; that must change nothing.
 func TestCrossFormatByteIdenticalStudy(t *testing.T) {
 	textDir, v2Dir, v2cDir := crossFormatCorpus(t)
 
@@ -102,16 +102,16 @@ func TestCrossFormatByteIdenticalStudy(t *testing.T) {
 	}{
 		{v2Dir, LoadOptions{Jobs: 1}},
 		{v2cDir, LoadOptions{Jobs: 1}},
-		{v2cDir, LoadOptions{Jobs: 1, BlockJobs: 4}},
+		{v2cDir, LoadOptions{Jobs: 16}},
 	} {
 		gotText, gotHTML := render(tc.dir, tc.opts)
 		if gotText != wantText {
-			t.Errorf("%s (block jobs %d) text report differs from text-format baseline",
-				filepath.Base(tc.dir), tc.opts.BlockJobs)
+			t.Errorf("%s (jobs %d) text report differs from text-format baseline",
+				filepath.Base(tc.dir), tc.opts.Jobs)
 		}
 		if gotHTML != wantHTML {
-			t.Errorf("%s (block jobs %d) HTML report differs from text-format baseline",
-				filepath.Base(tc.dir), tc.opts.BlockJobs)
+			t.Errorf("%s (jobs %d) HTML report differs from text-format baseline",
+				filepath.Base(tc.dir), tc.opts.Jobs)
 		}
 	}
 
@@ -119,48 +119,6 @@ func TestCrossFormatByteIdenticalStudy(t *testing.T) {
 	if compressed*2 > raw {
 		t.Errorf("compressed corpus %d bytes, raw v2 %d: ratio %.2fx < 2x",
 			compressed, raw, float64(raw)/float64(compressed))
-	}
-}
-
-// TestV2GUIOnlySelectiveLoad loads a v2 study twice — everything, and
-// GUI-thread-only via the block index — and checks the episode-level
-// results agree: episodes are built from GUI-thread dispatch intervals
-// alone, so skipping worker blocks must not change them.
-func TestV2GUIOnlySelectiveLoad(t *testing.T) {
-	_, v2Dir, _ := crossFormatCorpus(t)
-
-	full, _, err := LoadTraceDirOptions(v2Dir, LoadOptions{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gui, _, err := LoadTraceDirOptions(v2Dir, LoadOptions{Jobs: 1, GUIOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gui) != len(full) {
-		t.Fatalf("GUI-only load found %d suites, full load %d", len(gui), len(full))
-	}
-	for i := range full {
-		fs, gs := full[i], gui[i]
-		if fs.App != gs.App || len(fs.Sessions) != len(gs.Sessions) {
-			t.Fatalf("suite %d mismatch: %s/%d vs %s/%d",
-				i, fs.App, len(fs.Sessions), gs.App, len(gs.Sessions))
-		}
-		for j := range fs.Sessions {
-			f, g := fs.Sessions[j], gs.Sessions[j]
-			if len(f.Episodes) != len(g.Episodes) {
-				t.Errorf("%s/%d: GUI-only load built %d episodes, full %d",
-					f.App, f.ID, len(g.Episodes), len(f.Episodes))
-				continue
-			}
-			for k := range f.Episodes {
-				fe, ge := f.Episodes[k], g.Episodes[k]
-				if fe.Root.Start != ge.Root.Start || fe.Root.End != ge.Root.End {
-					t.Errorf("%s/%d episode %d: [%v,%v] vs [%v,%v]",
-						f.App, f.ID, k, ge.Root.Start, ge.Root.End, fe.Root.Start, fe.Root.End)
-				}
-			}
-		}
 	}
 }
 
@@ -269,47 +227,10 @@ func testV2BlockLossItemized(t *testing.T, comp lila.Compression) {
 	}
 }
 
-// TestV2SelectWindowLoad drives the Select plumbing: a time-window
-// load must produce sessions whose episodes all overlap the window.
-func TestV2SelectWindowLoad(t *testing.T) {
-	_, v2Dir, _ := crossFormatCorpus(t)
-	full, _, err := LoadTraceDirOptions(v2Dir, LoadOptions{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var minT, maxT trace.Time = 2e9, 6e9
-	windowed, _, err := LoadTraceDirOptions(v2Dir, LoadOptions{
-		Jobs:   1,
-		Select: &lila.RecordFilter{MinTime: minT, MaxTime: maxT},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullEps, winEps := 0, 0
-	for _, suite := range full {
-		for _, s := range suite.Sessions {
-			fullEps += len(s.Episodes)
-		}
-	}
-	for _, suite := range windowed {
-		for _, s := range suite.Sessions {
-			winEps += len(s.Episodes)
-			for _, e := range s.Episodes {
-				if e.Root.Start < minT || e.Root.Start > maxT {
-					t.Errorf("%s/%d: episode starting at %v escaped window [%v,%v]",
-						s.App, s.ID, e.Root.Start, minT, maxT)
-				}
-			}
-		}
-	}
-	if winEps == 0 || winEps >= fullEps {
-		t.Errorf("windowed load built %d episodes vs %d full; window did not select", winEps, fullEps)
-	}
-}
-
 // TestV2OverBudgetDegradesToStream: a v2 session over the memory
 // budget trips the guard mid-decode, and the loader still falls back
-// to the streaming analyzer for it, at one block worker and several.
+// to the streaming analyzer for it, at one block worker and several
+// (the single file takes all of Jobs).
 func TestV2OverBudgetDegradesToStream(t *testing.T) {
 	dir := t.TempDir()
 	s, err := sim.Run(sim.Config{Profile: apps.GanttProject(), Seed: 17, SessionSeconds: 120})
@@ -323,17 +244,17 @@ func TestV2OverBudgetDegradesToStream(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "GanttProject_0.lila"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, blockJobs := range []int{1, 4} {
-		o := LoadOptions{Jobs: 1, BlockJobs: blockJobs, Limits: lila.Limits{MaxSessionBytes: 1 << 20}}
+	for _, jobs := range []int{1, 4} {
+		o := LoadOptions{Jobs: jobs, Limits: lila.Limits{MaxSessionBytes: 1 << 20}}
 		// The only session degrades, so the load reports no loadable
 		// session; the health ledger still comes back.
 		_, health, _ := LoadTraceDirOptions(dir, o)
 		if health == nil || len(health.Files) != 1 || !health.Files[0].DegradedToStream || health.Files[0].Error != "" {
-			t.Fatalf("block jobs %d: health %+v, want one file degraded to stream", blockJobs, health)
+			t.Fatalf("jobs %d: health %+v, want one file degraded to stream", jobs, health)
 		}
 		if fh := health.Files[0]; fh.StreamEpisodes != len(s.Episodes) || fh.App != "GanttProject" {
-			t.Errorf("block jobs %d: stream fallback saw %d episodes of %q, want %d of GanttProject",
-				blockJobs, fh.StreamEpisodes, fh.App, len(s.Episodes))
+			t.Errorf("jobs %d: stream fallback saw %d episodes of %q, want %d of GanttProject",
+				jobs, fh.StreamEpisodes, fh.App, len(s.Episodes))
 		}
 	}
 }

@@ -67,13 +67,13 @@ func pack(t *testing.T, s *trace.Session, diag *treebuild.Diagnostics, rep *lila
 
 // referenceBuild is the collect-then-build load: Records, then
 // BuildRecordsOptions over the whole record slice.
-func referenceBuild(t *testing.T, data []byte, f *lila.RecordFilter, salvage bool) built {
+func referenceBuild(t *testing.T, data []byte, salvage bool) built {
 	t.Helper()
 	v, err := lila.ParseV2(data, lila.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, rep, err := v.Records(f, salvage)
+	recs, rep, err := v.Records(nil, salvage)
 	if err != nil {
 		return pack(t, nil, nil, rep, err)
 	}
@@ -81,13 +81,13 @@ func referenceBuild(t *testing.T, data []byte, f *lila.RecordFilter, salvage boo
 	return pack(t, s, diag, rep, err)
 }
 
-func streamedBuild(t *testing.T, data []byte, f *lila.RecordFilter, salvage bool, jobs int) built {
+func streamedBuild(t *testing.T, data []byte, salvage bool, jobs int) built {
 	t.Helper()
 	v, err := lila.ParseV2(data, lila.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, diag, rep, err := treebuild.BuildV2(v, f, salvage, jobs, treebuild.Options{Lenient: salvage})
+	s, diag, rep, err := treebuild.BuildV2(v, salvage, jobs, treebuild.Options{Lenient: salvage})
 	return pack(t, s, diag, rep, err)
 }
 
@@ -135,50 +135,29 @@ func damaged(t *testing.T, data []byte) map[string][]byte {
 
 // TestBuildV2MatchesBuildRecords pins the streamed build to the
 // collect-then-build reference: for one session per catalog app, raw
-// and flate, at 1, 2, and 8 decode workers, under every filter shape
-// and every damage case (salvage and strict), the session bytes,
+// and flate, at 1, 2, and 8 decode workers, clean and under every
+// damage case (salvage and strict), the session bytes,
 // diagnostics, salvage report, and error text must be identical. The
 // streamed build overwrites each block's record slots once the block
 // is fed, so a builder that kept a *Record would diverge here.
 func TestBuildV2MatchesBuildRecords(t *testing.T) {
 	for _, p := range apps.Catalog() {
 		for _, comp := range []lila.Compression{lila.CompressionNone, lila.CompressionFlate} {
-			data, recs := v2Trace(t, p, 30, comp)
-			v, err := lila.ParseV2(data, lila.Limits{})
-			if err != nil {
-				t.Fatal(err)
+			data, _ := v2Trace(t, p, 30, comp)
+			want := referenceBuild(t, data, false)
+			if want.err != "" {
+				t.Fatalf("%s/%v: reference build failed: %s", p.Name, comp, want.err)
 			}
-			h := v.Header()
-			other := h.GUIThread
-			for _, rec := range recs {
-				if rec.Type == lila.RecThread && rec.Thread != h.GUIThread {
-					other = rec.Thread
-					break
-				}
-			}
-			end := recs[len(recs)-1].Time
-			filters := map[string]*lila.RecordFilter{
-				"all":    nil,
-				"gui":    {Threads: []trace.ThreadID{h.GUIThread}},
-				"thread": {Threads: []trace.ThreadID{other}},
-				"window": {MinTime: h.Start + (end-h.Start)/4, MaxTime: h.Start + (end-h.Start)/2},
-			}
-			for fname, f := range filters {
-				want := referenceBuild(t, data, f, false)
-				if want.err != "" {
-					t.Fatalf("%s/%v/%s: reference build failed: %s", p.Name, comp, fname, want.err)
-				}
-				for _, jobs := range []int{1, 2, 8} {
-					label := fmt.Sprintf("%s/%v/%s/jobs=%d", p.Name, comp, fname, jobs)
-					sameBuild(t, label, streamedBuild(t, data, f, false, jobs), want)
-				}
+			for _, jobs := range []int{1, 2, 8} {
+				label := fmt.Sprintf("%s/%v/jobs=%d", p.Name, comp, jobs)
+				sameBuild(t, label, streamedBuild(t, data, false, jobs), want)
 			}
 			for dname, bad := range damaged(t, data) {
 				for _, salvage := range []bool{false, true} {
-					want := referenceBuild(t, bad, nil, salvage)
+					want := referenceBuild(t, bad, salvage)
 					for _, jobs := range []int{1, 2, 8} {
 						label := fmt.Sprintf("%s/%v/%s/salvage=%v/jobs=%d", p.Name, comp, dname, salvage, jobs)
-						sameBuild(t, label, streamedBuild(t, bad, nil, salvage, jobs), want)
+						sameBuild(t, label, streamedBuild(t, bad, salvage, jobs), want)
 					}
 				}
 			}
@@ -209,7 +188,7 @@ func TestBuildV2MemoryGuardStopsDecode(t *testing.T) {
 	o := treebuild.Options{Limits: lila.Limits{MaxSessionBytes: 1 << 20}}
 	for _, jobs := range []int{1, 8} {
 		before := inflated()
-		_, _, _, err := treebuild.BuildV2(v, nil, false, jobs, o)
+		_, _, _, err := treebuild.BuildV2(v, false, jobs, o)
 		if !errors.Is(err, treebuild.ErrSessionTooLarge) {
 			t.Fatalf("jobs=%d: err %v, want ErrSessionTooLarge", jobs, err)
 		}

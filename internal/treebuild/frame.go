@@ -107,7 +107,7 @@ func decodeStrict(v2 []byte) (*trace.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, diag, _, err := BuildV2(v, nil, false, 1, Options{})
+	s, diag, _, err := BuildV2(v, false, 1, Options{})
 	if err != nil {
 		return nil, err
 	}

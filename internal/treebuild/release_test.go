@@ -164,7 +164,7 @@ func checkRelease(t *testing.T, label string, h lila.Header, recs []*lila.Record
 		}
 		for _, jobs := range []int{1, 2, 8} {
 			compare(fmt.Sprintf("v2/flate=%v/jobs=%d", flate, jobs), func(o treebuild.Options) (*trace.Session, *treebuild.Diagnostics, error) {
-				s, diag, _, err := treebuild.BuildV2(v, nil, false, jobs, o)
+				s, diag, _, err := treebuild.BuildV2(v, false, jobs, o)
 				return s, diag, err
 			})
 		}
