@@ -1,8 +1,8 @@
 # Build/test entry points. `make check` is the tier-1 gate; `make race`
-# exercises the concurrent packages (the analysis engine's worker
-# pools, sharded classification, the study fan-out, the v2 block
+# exercises the concurrent packages (the study fan-out, the v2 block
 # read-ahead behind treebuild.BuildV2, the lagd job supervisor, and
-# lagalyzer's per-file load pool with its release-mode folds)
+# the per-file load pool with its release-mode folds, which lagreport
+# -traces and lagalyzer share)
 # under the race detector. `make chaos` is the robustness
 # tier: the fault-injection suites (salvage decoding, lenient rebuild,
 # engine panic containment, checkpoint-store corruption and stalled

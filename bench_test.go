@@ -360,6 +360,27 @@ func BenchmarkLoadTraceDirV2Compressed(b *testing.B) {
 	benchLoadTraceDir(b, dir, files, report.LoadOptions{})
 }
 
+// BenchmarkAnalyzeTraceDir is `lagreport -traces` without rendering,
+// over the v2 corpus: every file builds in release mode and folds each
+// episode as it closes, and the files' folds merge per app. Compare its
+// allocations against BenchmarkLoadTraceDirV2, which only keeps the
+// sessions.
+func BenchmarkAnalyzeTraceDir(b *testing.B) {
+	b.ReportAllocs()
+	dir, files := benchTraceDir(b, func(int) lila.WriteOptions { return lila.WriteOptions{Format: lila.FormatV2} })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := report.AnalyzeTraceDirContext(context.Background(), dir, report.LoadOptions{}, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := res.Rows[0].Sessions + res.Rows[1].Sessions; n != files || len(res.Apps) != 2 {
+			b.Fatalf("analyzed %d sessions of %d apps, want %d of 2", n, len(res.Apps), files)
+		}
+	}
+	b.ReportMetric(float64(files), "files")
+}
+
 // benchDaemonHeavyDir hand-builds a many-thread corpus: eight daemon
 // worker threads each producing long runs of call/sample/return
 // triples between sparse GUI episodes, stored in small 512-record
@@ -871,9 +892,10 @@ func BenchmarkAnalyzeSuiteSelfProfiled(b *testing.B) {
 	b.ReportMetric(benchEpisodes(suite), "episodes")
 }
 
-// BenchmarkClassifyParallel measures hash-first classification on a
-// workload large enough to span several shards (all 14 applications'
-// sessions pooled), exercising the chunked build-and-merge path.
+// BenchmarkClassifyParallel measures hash-first classification over
+// all 14 applications' sessions pooled. Classify is a sequential loop
+// now; the name is kept so the BENCH_engine.json series stays
+// comparable.
 func BenchmarkClassifyParallel(b *testing.B) {
 	b.ReportAllocs()
 	var sessions []*trace.Session

@@ -385,31 +385,28 @@ func runStats(args []string) error {
 
 // runReport runs the full study analysis — tables, figure data, and
 // optionally SVG figures — over already-recorded traces, grouping the
-// sessions into one suite per application. It is how a self-trace is
-// fed back through the complete pipeline ("profile the profiler"), but
-// it works on any trace set.
+// sessions into one application per app name, in first-seen argument
+// order. Each file's episodes are analyzed as its release-mode build
+// closes them, so no session is kept. It is how a self-trace is fed
+// back through the complete pipeline ("profile the profiler"), but it
+// works on any trace set.
 func runReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	outDir := fs.String("out", "", "directory for SVG figures (empty = text only)")
 	fs.Parse(args)
-	sessions, err := loadSessions(fs.Args())
+	th := trace.DefaultPerceptibleThreshold
+	folds := make([]*engine.AppFold, len(fs.Args()))
+	loads, err := loadFiles(fs.Args(), report.FoldHook(folds, th))
 	if err != nil {
 		return err
 	}
-	// Group into suites by app, preserving first-seen order so output
-	// follows the argument order.
-	byApp := map[string]*trace.Suite{}
-	var suites []*trace.Suite
-	for _, s := range sessions {
-		su, ok := byApp[s.App]
-		if !ok {
-			su = &trace.Suite{App: s.App}
-			byApp[s.App] = su
-			suites = append(suites, su)
+	var sessions []report.FoldedSession
+	for i, l := range loads {
+		if l.Session != nil {
+			sessions = append(sessions, report.FoldedSession{Fold: folds[i], Session: l.Session})
 		}
-		su.Sessions = append(su.Sessions, s)
 	}
-	res := report.AnalyzeSuitesContext(runCtx, suites, 0, nil)
+	res := report.AnalyzeFolds(runCtx, sessions, th, nil)
 	fmt.Print(report.FormatAll(res))
 	fmt.Printf("analyzed %d traced episodes across %d application(s)\n", res.TotalEpisodes(), len(res.Apps))
 	if *outDir == "" {
@@ -601,7 +598,7 @@ func runPatterns(args []string) error {
 	b.SetSort(key)
 	b.SetPerceptibleOnly(*perceptibleOnly)
 	fmt.Print(b.Table(*rows))
-	fmt.Printf("unstructured episodes (not classified): %d\n", len(set.Unstructured))
+	fmt.Printf("unstructured episodes (not classified): %d\n", set.Unstructured)
 	return nil
 }
 

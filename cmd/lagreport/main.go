@@ -55,7 +55,6 @@ import (
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/obs/selftrace"
 	"lagalyzer/internal/report"
-	"lagalyzer/internal/trace"
 )
 
 func main() {
@@ -154,20 +153,16 @@ func run() int {
 			Strict:  *strict,
 			Jobs:    *jobs,
 		}
-		var suites []*trace.Suite
-		var loadHealth *report.StudyHealth
 		if coord != nil {
+			// Shards ship their sessions, so the coordinator analyzes
+			// the merged suites.
 			var tr *dist.TracesResult
-			tr, err = coord.RunTraces(ctx, *traces, opts, 0)
-			if tr != nil {
-				suites, loadHealth = tr.Suites, tr.Health
+			if tr, err = coord.RunTraces(ctx, *traces, opts, 0); err == nil {
+				res = report.AnalyzeSuitesContext(ctx, tr.Suites, 0, progressW)
+				res.Health.Merge(tr.Health)
 			}
 		} else {
-			suites, loadHealth, err = report.LoadTraceDirContext(ctx, *traces, opts)
-		}
-		if err == nil {
-			res = report.AnalyzeSuitesContext(ctx, suites, 0, progressW)
-			res.Health.Merge(loadHealth)
+			res, err = report.AnalyzeTraceDirContext(ctx, *traces, opts, 0, progressW)
 		}
 	} else {
 		cfg := report.StudyConfig{

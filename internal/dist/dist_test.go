@@ -427,7 +427,7 @@ func TestDistTracesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes := report.AnalyzeSuites(wantSuites, 0)
+	wantRes := report.AnalyzeSuitesContext(context.Background(), wantSuites, 0, nil)
 	wantRes.Health.Merge(wantHealth)
 	want := formatted(wantRes)
 
@@ -437,7 +437,7 @@ func TestDistTracesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := report.AnalyzeSuites(got.Suites, 0)
+		res := report.AnalyzeSuitesContext(context.Background(), got.Suites, 0, nil)
 		res.Health.Merge(got.Health)
 		if text := formatted(res); text != want {
 			t.Errorf("distributed trace study diverges:\n--- got ---\n%s\n--- want ---\n%s", text, want)

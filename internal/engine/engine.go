@@ -1,30 +1,32 @@
 // Package engine is the one definition of LagAlyzer's analyses
-// (Section IV of the paper) and the fused pipeline that runs them.
-// rules.go states each rule once: the trigger classification, the
-// per-tick fold behind location, concurrency, and causes, and the
-// mergeable population tally with its share derivations. The batch
-// pipeline here, the streaming analyzer (internal/stream), the ingest
-// batch reference, `lagalyzer stats`, and the root API all drive those
-// functions instead of restating them.
+// (Section IV of the paper) and the fold that runs them. rules.go
+// states each rule once: the trigger classification, the per-tick fold
+// behind location, concurrency, and causes, and the mergeable
+// population tally with its share derivations. The study reports, the
+// streaming analyzer (internal/stream), the ingest batch reference,
+// `lagalyzer stats`, and the root API all drive those functions
+// instead of restating them.
 //
-// The pipeline computes the structural fingerprint, trigger class,
-// location shares, cause shares, and concurrency for both populations
-// (all and perceptible episodes) in ONE traversal per episode plus one
-// scan of its sampling ticks.
+// Every episode is analyzed in ONE traversal of its tree plus one scan
+// of its sampling ticks, which together give its structural
+// fingerprint, trigger class, location and cause shares, and
+// concurrency for both populations (all and perceptible episodes).
 //
-// Episodes are sharded into fixed-size chunks processed by a bounded
-// worker pool and merged in chunk order. Because the chunk layout is a
-// function of the input alone (never of the worker count) and the
-// merge sequence is fixed, the engine produces byte-identical Results
-// for any number of workers, including one.
+// An AppFold takes those episodes one session at a time, in whatever
+// order they close, and keeps only tallies: the two populations,
+// per-pattern counts, one Table III tally per session, and a copy of
+// Figure 2's candidate. A release-mode build (treebuild.Options.Episode)
+// feeds it as each episode closes, so no session is kept; Analyze feeds
+// it from held sessions. Every tally but a pattern's lag summary is
+// integral, and the figures are derived per session in session order
+// once the folds are merged, so no rendered result depends on the
+// order episodes close in or on how the sessions were split across
+// folds.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/obs"
@@ -32,42 +34,39 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// Engine metrics. Counters are flushed in whole-run amounts (one
-// atomic add each per Analyze), not per episode, so instrumentation
-// overhead stays far below the per-episode budget. None of these
-// observations feed back into analysis, so the byte-identical
-// sequential-vs-parallel guarantee holds with tracing on.
+// Engine metrics. Counters are flushed once per session, not per
+// episode, so instrumentation overhead stays far below the per-episode
+// budget. None of these observations feed back into analysis.
 var (
 	mEpisodes = obs.NewCounter("engine_episodes_total",
 		"episodes folded through the fused engine")
-	mChunks = obs.NewCounter("engine_chunks_total",
-		"fixed-size episode chunks processed")
-	mShardsMerged = obs.NewCounter("engine_shards_merged_total",
-		"shard accumulators merged into the deterministic result")
 	mPanicsRecovered = obs.NewCounter("engine_panics_recovered_total",
 		"worker panics contained and converted to attributed errors")
 )
 
-// Options configure an engine run. The zero value reproduces
-// report.AnalyzeSuite's configuration.
+// Options configure an engine run. The zero value reproduces the
+// study's configuration.
 type Options struct {
-	// Patterns configures the structural fingerprint. Analyze stores
+	// Patterns configures the structural fingerprint. The fold stores
 	// the perceptibility threshold into Patterns.Threshold, so callers
 	// only set the structural knobs (IncludeGC, KindOnly).
 	Patterns patterns.Options
 	// Trigger configures the trigger classification.
 	Trigger analysis.TriggerOptions
-	// Workers bounds the worker pool; 0 means runtime.GOMAXPROCS(0).
-	// The result is identical for every value.
-	Workers int
 }
 
-// Result is everything report.AnalyzeSuite needs for one application.
-// The All/Long pairs are the two populations of the paper's figures:
-// every traced episode, and only the perceptible (≥ threshold) ones.
+// Result is everything a report needs for one application. The
+// All/Long pairs are the two populations of the paper's figures: every
+// traced episode, and only the perceptible (≥ threshold) ones.
 type Result struct {
 	Overview analysis.Overview
 	Pooled   *patterns.Set
+	// Deepest holds Figure 2's episode, Episodes[0], and its ticks: the
+	// episode with the largest EpisodeInfo.Size — on a tie the first
+	// session's, and within it the earliest-starting one — copied so
+	// that it outlives the build that released it. Nil when no session
+	// had an episode.
+	Deepest *trace.Session
 
 	TriggerAll, TriggerLong   analysis.TriggerShares
 	LocationAll, LocationLong analysis.LocationShares
@@ -79,25 +78,201 @@ type Result struct {
 	TicksAll, TicksLong int
 }
 
-// chunkSize is the number of episodes per work unit. It is a fixed
-// constant — never derived from the worker count — so the chunk
-// layout, and with it every merge sequence, is identical no matter
-// how many workers run.
-const chunkSize = 512
-
-// item is one episode together with the session that owns its ticks.
-type item struct {
-	s *trace.Session
-	e *trace.Episode
+// sessionTally is one session's Table III inputs.
+type sessionTally struct {
+	E2E, InEpisode             trace.Dur
+	Short, Traced, Perceptible int
+	// Dist counts the session's distinct patterns, Covered the
+	// episodes in them, and Singletons those with one episode;
+	// Descendants and Depth sum the patterns' structural metrics.
+	Dist, Covered, Singletons, Descendants, Depth int
 }
 
-// shard is one worker's private accumulator state.
-type shard struct {
-	pop     [2]Population // [0] all episodes, [1] perceptible only
-	builder *patterns.Builder
+// AppFold is the mergeable per-application fold. Episode takes the
+// episodes of one open session, CloseSession ends it, and Merge
+// appends another fold's sessions. Not safe for concurrent use; a
+// parallel load gives each file its own AppFold.
+type AppFold struct {
+	threshold trace.Dur
+	ea        *EpisodeAnalyzer
+	pop       [2]Population // [0] all episodes, [1] perceptible only
+	patterns  *patterns.Builder
+	sessions  []sessionTally
+	deepest   *trace.Session // Figure 2's candidate (see Result.Deepest)
+	deepSize  int
+
+	// The open session: its tally so far, its episodes per pattern,
+	// and its Figure 2 candidate.
+	open      sessionTally
+	openCount map[*patterns.Pattern]int
+	openBest  *trace.Session
+	openSize  int
 }
 
-// Analyze runs the fused pipeline over a suite. threshold is the raw
+// NewAppFold returns an empty fold. threshold is the raw perceptibility
+// threshold of the Long population and the overview (0 makes every
+// episode perceptible).
+func NewAppFold(threshold trace.Dur, opts Options) *AppFold {
+	opts.Patterns.Threshold = threshold
+	return &AppFold{
+		threshold: threshold,
+		ea:        NewEpisodeAnalyzer(opts),
+		patterns:  patterns.NewBuilder(opts.Patterns),
+		openCount: make(map[*patterns.Pattern]int),
+	}
+}
+
+// Episode folds one episode of the open session s. It has the
+// signature of treebuild.Options.Episode: neither e nor s is kept.
+func (f *AppFold) Episode(s *trace.Session, e *trace.Episode) {
+	info := f.ea.Analyze(s, e)
+	if info.Structured {
+		f.openCount[f.patterns.Add(info.Print, e.Dur())]++
+	} else {
+		f.patterns.AddUnstructured()
+	}
+	Fold(&f.pop, e, &info, f.threshold)
+	f.open.Traced++
+	f.open.InEpisode += e.Dur()
+	if e.Perceptible(f.threshold) {
+		f.open.Perceptible++
+	}
+	if b := f.openBest; b == nil || info.Size > f.openSize || info.Size == f.openSize && e.Start() < b.Episodes[0].Start() {
+		f.openBest, f.openSize = copyEpisode(s, e), info.Size
+	}
+}
+
+// copyEpisode deep-copies e and the ticks of s inside it into a
+// session of its own.
+func copyEpisode(s *trace.Session, e *trace.Episode) *trace.Session {
+	ticks := append([]trace.SampleTick(nil), s.EpisodeTicks(e)...)
+	for i := range ticks {
+		ticks[i].Threads = append([]trace.ThreadSample(nil), ticks[i].Threads...)
+		for j := range ticks[i].Threads {
+			ts := &ticks[i].Threads[j]
+			ts.Stack = append([]trace.Frame(nil), ts.Stack...)
+		}
+	}
+	return &trace.Session{App: s.App, ID: s.ID, GUIThread: s.GUIThread, Start: s.Start, Ticks: ticks,
+		Episodes: []*trace.Episode{{Index: e.Index, Thread: e.Thread, Root: e.Root.Clone()}}}
+}
+
+// CloseSession ends the open session, whose build finished as s, and
+// records its Table III tally.
+func (f *AppFold) CloseSession(s *trace.Session) {
+	t := f.open
+	t.E2E, t.Short = s.E2E(), s.ShortCount
+	for p, n := range f.openCount {
+		t.Dist++
+		t.Covered += n
+		if n == 1 {
+			t.Singletons++
+		}
+		t.Descendants += p.Descendants
+		t.Depth += p.Depth
+	}
+	f.sessions = append(f.sessions, t)
+	f.keepDeepest(f.openBest, f.openSize)
+	f.open, f.openBest = sessionTally{}, nil
+	clear(f.openCount)
+	mEpisodes.Add(int64(t.Traced))
+}
+
+// keepDeepest makes d, of the given size, Figure 2's candidate if it
+// beats the current one, which on a tie comes from an earlier session
+// and stays.
+func (f *AppFold) keepDeepest(d *trace.Session, size int) {
+	if d != nil && (f.deepest == nil || size > f.deepSize) {
+		f.deepest, f.deepSize = d, size
+	}
+}
+
+// Merge appends o's closed sessions after f's; o must not be used
+// afterwards.
+func (f *AppFold) Merge(o *AppFold) {
+	f.pop[0].Merge(&o.pop[0])
+	f.pop[1].Merge(&o.pop[1])
+	f.patterns.Merge(o.patterns)
+	f.sessions = append(f.sessions, o.sessions...)
+	f.keepDeepest(o.deepest, o.deepSize)
+}
+
+// FinishSessions closes each fold's open session — fold i's build
+// finished as sessions[i] — then merges the folds in order and derives
+// the result, consuming them. Its engine phase span has AnalyzeContext's
+// children; classify covers only the closes.
+func FinishSessions(ctx context.Context, app string, folds []*AppFold, sessions []*trace.Session) *Result {
+	ctx, endEngine := obs.PhaseSpan(ctx, "engine")
+	defer endEngine()
+	_, endClassify := obs.Span(ctx, "classify")
+	for i, f := range folds {
+		f.CloseSession(sessions[i])
+	}
+	endClassify()
+	return finish(ctx, app, folds)
+}
+
+// finish merges closed folds in order and derives the result, under
+// merge and overview spans.
+func finish(ctx context.Context, app string, folds []*AppFold) *Result {
+	_, endMerge := obs.Span(ctx, "merge")
+	f := folds[0]
+	for _, o := range folds[1:] {
+		f.Merge(o)
+	}
+	pooled := f.patterns.Finish()
+	endMerge()
+
+	_, endOverview := obs.Span(ctx, "overview")
+	defer endOverview()
+	r := &Result{
+		Overview: f.overview(app),
+		Pooled:   pooled,
+		Deepest:  f.deepest,
+
+		TriggerAll:   f.pop[0].Trigger,
+		TriggerLong:  f.pop[1].Trigger,
+		LocationAll:  f.pop[0].Location(),
+		LocationLong: f.pop[1].Location(),
+		CausesAll:    f.pop[0].Causes(),
+		CausesLong:   f.pop[1].Causes(),
+	}
+	r.ConcurrencyAll, r.TicksAll = f.pop[0].Concurrency()
+	r.ConcurrencyLong, r.TicksLong = f.pop[1].Concurrency()
+	return r
+}
+
+// overview derives the Table III row: per-session averages, summed in
+// session order.
+func (f *AppFold) overview(app string) analysis.Overview {
+	o := analysis.Overview{App: app, Sessions: len(f.sessions)}
+	n := float64(len(f.sessions))
+	for _, t := range f.sessions {
+		o.E2ESeconds += t.E2E.Seconds() / n
+		inEpsFrac := 0.0
+		if t.E2E > 0 {
+			inEpsFrac = float64(t.InEpisode) / float64(t.E2E)
+		}
+		o.InEpsFrac += inEpsFrac / n
+		o.Short += float64(t.Short) / n
+		o.Traced += float64(t.Traced) / n
+		o.Perceptible += float64(t.Perceptible) / n
+		if t.InEpisode > 0 {
+			o.LongPerMin += float64(t.Perceptible) / (t.InEpisode.Seconds() / 60) / n
+		}
+
+		o.Dist += float64(t.Dist) / n
+		o.CoveredEps += float64(t.Covered) / n
+		if t.Dist > 0 {
+			o.OneEpFrac += (float64(t.Singletons) / float64(t.Dist)) / n
+			o.Descs += (float64(t.Descendants) / float64(t.Dist)) / n
+			o.Depth += (float64(t.Depth) / float64(t.Dist)) / n
+		}
+	}
+	return o
+}
+
+// Analyze folds a suite of held sessions. threshold is the raw
 // perceptibility threshold used for the Long population and the
 // overview (report passes a resolved, non-zero value; 0 means every
 // episode is perceptible).
@@ -107,10 +282,8 @@ func Analyze(suite *trace.Suite, threshold trace.Dur, opts Options) *Result {
 
 // AnalyzeContext is Analyze with observability: when the context
 // carries an obs.Trace, the run records an "engine" phase span (with
-// alloc delta) plus prepare/classify/merge/overview child spans and
-// per-chunk spans attributed to the worker that ran them. With no
-// trace installed the span calls are allocation-free no-ops; the only
-// residual cost is three atomic counter adds per run.
+// alloc delta) with classify, merge, and overview children. With no
+// trace installed the span calls are allocation-free no-ops.
 func AnalyzeContext(ctx context.Context, suite *trace.Suite, threshold trace.Dur, opts Options) *Result {
 	r, err := AnalyzeContextErr(ctx, suite, threshold, opts)
 	if err != nil {
@@ -123,232 +296,40 @@ func AnalyzeContext(ctx context.Context, suite *trace.Suite, threshold trace.Dur
 }
 
 // AnalyzeContextErr is AnalyzeContext with fault containment: a panic
-// inside a worker is recovered, counted, and returned as an error
-// attributed to its chunk, and context cancellation stops the chunk
-// fan-out between pickups. The happy path is bit-for-bit identical to
-// AnalyzeContext.
-func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.Dur, opts Options) (_ *Result, err error) {
+// is recovered, counted, and returned as an error attributed to its
+// session, and context cancellation stops the fold within 64 episodes.
+func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.Dur, opts Options) (*Result, error) {
 	ctx, endEngine := obs.PhaseSpan(ctx, "engine")
 	defer endEngine()
-
-	opts.Patterns.Threshold = threshold
-
-	_, endPrep := obs.Span(ctx, "prepare")
-	total := 0
-	for _, s := range suite.Sessions {
-		total += len(s.Episodes)
-	}
-	items := make([]item, 0, total)
-	for _, s := range suite.Sessions {
-		for _, e := range s.Episodes {
-			items = append(items, item{s, e})
+	_, endClassify := obs.Span(ctx, "classify")
+	f := NewAppFold(threshold, opts)
+	for i, s := range suite.Sessions {
+		if err := foldSession(ctx, f, s); err != nil {
+			endClassify()
+			return nil, fmt.Errorf("engine: %s session %d: %w", suite.App, i, err)
 		}
-	}
-	endPrep()
-
-	chunks := (len(items) + chunkSize - 1) / chunkSize
-	shards := make([]*shard, chunks)
-	chunkErrs := make([]error, chunks)
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-
-	runChunk := func(wctx context.Context, ci int) {
-		defer func() {
-			if r := recover(); r != nil {
-				mPanicsRecovered.Add(1)
-				chunkErrs[ci] = fmt.Errorf("engine: panic in chunk %d of app %s: %v", ci, suite.App, r)
-			}
-		}()
-		_, endChunk := obs.Span(wctx, "chunk")
-		sh := &shard{builder: patterns.NewBuilder(opts.Patterns)}
-		shards[ci] = sh
-		w := newWalker(opts)
-		lo := ci * chunkSize
-		hi := min(lo+chunkSize, len(items))
-		for ii, it := range items[lo:hi] {
-			// Probe cancellation inside the chunk too (every 64 items),
-			// so a per-app deadline or shutdown interrupts within tens of
-			// episodes instead of only at chunk boundaries. The partial
-			// shard is discarded with the run, so determinism is intact.
-			if ii%64 == 0 && wctx.Err() != nil {
-				chunkErrs[ci] = wctx.Err()
-				break
-			}
-			analyzeItem(sh, w, it, threshold)
-		}
-		endChunk()
-	}
-
-	cctx, endClassify := obs.Span(ctx, "classify")
-	if workers <= 1 {
-		wctx := obs.WithWorker(cctx, 0)
-		for ci := 0; ci < chunks && ctx.Err() == nil; ci++ {
-			runChunk(wctx, ci)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				wctx := obs.WithWorker(cctx, w)
-				for ctx.Err() == nil {
-					ci := int(next.Add(1)) - 1
-					if ci >= chunks {
-						return
-					}
-					runChunk(wctx, ci)
-				}
-			}(w)
-		}
-		wg.Wait()
 	}
 	endClassify()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Attribute failures deterministically: the lowest-indexed failing
-	// chunk wins no matter which worker hit it first.
-	for _, cerr := range chunkErrs {
-		if cerr != nil {
-			return nil, cerr
-		}
-	}
-	mEpisodes.Add(int64(len(items)))
-	mChunks.Add(int64(chunks))
-
-	// Deterministic merge: always in chunk index order, so pattern
-	// encounter order and the floating-point lag accumulation are the
-	// same no matter which worker processed which chunk.
-	_, endMerge := obs.Span(ctx, "merge")
-	merged := &shard{builder: patterns.NewBuilder(opts.Patterns)}
-	if chunks > 0 {
-		merged = shards[0]
-		for _, sh := range shards[1:] {
-			merged.pop[0].Merge(&sh.pop[0])
-			merged.pop[1].Merge(&sh.pop[1])
-			merged.builder.Merge(sh.builder)
-		}
-		mShardsMerged.Add(int64(chunks - 1))
-	}
-	pooled := merged.builder.Finish()
-	endMerge()
-
-	_, endOverview := obs.Span(ctx, "overview")
-	r := &Result{
-		Overview: overviewOf(suite, threshold, pooled),
-		Pooled:   pooled,
-
-		TriggerAll:   merged.pop[0].Trigger,
-		TriggerLong:  merged.pop[1].Trigger,
-		LocationAll:  merged.pop[0].Location(),
-		LocationLong: merged.pop[1].Location(),
-		CausesAll:    merged.pop[0].Causes(),
-		CausesLong:   merged.pop[1].Causes(),
-	}
-	r.ConcurrencyAll, r.TicksAll = merged.pop[0].Concurrency()
-	r.ConcurrencyLong, r.TicksLong = merged.pop[1].Concurrency()
-	endOverview()
-	return r, nil
+	return finish(ctx, suite.App, []*AppFold{f}), nil
 }
 
-// analyzeItem folds one episode into the shard: one tree walk (canon +
-// hash + structure + trigger + GC/native time), one tick scan
-// (concurrency + causes + location), emitted into the all-episodes
-// population and, when perceptible, the long population too.
-func analyzeItem(sh *shard, w *walker, it item, threshold trace.Dur) {
-	info := w.analyze(it.s, it.e)
-	ref := patterns.EpisodeRef{Session: it.s, Episode: it.e}
-	if info.Structured {
-		sh.builder.Add(ref, info.Print)
-	} else {
-		sh.builder.AddUnstructured(ref)
-	}
-	Fold(&sh.pop, it.e, &info, threshold)
-}
-
-// overviewOf computes the Table III row from the pooled pattern set
-// instead of re-classifying each session: a session's own pattern set
-// is exactly the pooled set restricted to its episodes (the canonical
-// form — and with it Descendants and Depth — is a function of the
-// episode alone), so per-session Dist, #Eps, One-Ep, Descs, and Depth
-// fall out of one scan over the pooled patterns' episode lists. The
-// floating-point operations replicate the per-session classification's
-// order (the reference in oracle_test.go), so the result is identical.
-func overviewOf(suite *trace.Suite, threshold trace.Dur, pooled *patterns.Set) analysis.Overview {
-	o := analysis.Overview{App: suite.App, Sessions: len(suite.Sessions)}
-	ns := len(suite.Sessions)
-	if ns == 0 {
-		return o
-	}
-
-	sessIdx := make(map[*trace.Session]int, ns)
-	for i, s := range suite.Sessions {
-		sessIdx[s] = i
-	}
-
-	var (
-		dist     = make([]int, ns)
-		covered  = make([]int, ns)
-		single   = make([]int, ns)
-		descsSum = make([]int, ns)
-		depthSum = make([]int, ns)
-
-		counts  = make([]int, ns) // per-pattern scratch
-		touched []int
-	)
-	for _, p := range pooled.Patterns {
-		for _, ref := range p.Episodes {
-			si := sessIdx[ref.Session]
-			if counts[si] == 0 {
-				touched = append(touched, si)
-			}
-			counts[si]++
+// foldSession folds and closes one held session.
+func foldSession(ctx context.Context, f *AppFold, s *trace.Session) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			mPanicsRecovered.Add(1)
+			err = fmt.Errorf("panic: %v", r)
 		}
-		for _, si := range touched {
-			dist[si]++
-			covered[si] += counts[si]
-			if counts[si] == 1 {
-				single[si]++
-			}
-			descsSum[si] += p.Descendants
-			depthSum[si] += p.Depth
-			counts[si] = 0
+	}()
+	for i, e := range s.Episodes {
+		if i%64 == 0 && ctx.Err() != nil {
+			return ctx.Err()
 		}
-		touched = touched[:0]
+		f.Episode(s, e)
 	}
-
-	n := float64(ns)
-	for si, s := range suite.Sessions {
-		o.E2ESeconds += s.E2E().Seconds() / n
-		o.InEpsFrac += s.InEpisodeFrac() / n
-		o.Short += float64(s.ShortCount) / n
-		o.Traced += float64(len(s.Episodes)) / n
-		perceptible := 0
-		for _, e := range s.Episodes {
-			if e.Perceptible(threshold) {
-				perceptible++
-			}
-		}
-		o.Perceptible += float64(perceptible) / n
-		if inEps := s.InEpisode(); inEps > 0 {
-			o.LongPerMin += float64(perceptible) / (inEps.Seconds() / 60) / n
-		}
-
-		o.Dist += float64(dist[si]) / n
-		o.CoveredEps += float64(covered[si]) / n
-		if dist[si] > 0 {
-			o.OneEpFrac += (float64(single[si]) / float64(dist[si])) / n
-			o.Descs += (float64(descsSum[si]) / float64(dist[si])) / n
-			o.Depth += (float64(depthSum[si]) / float64(dist[si])) / n
-		}
-	}
-	return o
+	f.CloseSession(s)
+	return nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -99,7 +100,8 @@ func TestTriggerOfMatchesOracle(t *testing.T) {
 }
 
 // TestEnginePooledMatchesClassify checks that the engine's pooled set
-// is the same set patterns.Classify produces.
+// is the same set patterns.Classify produces: the same patterns in the
+// same order, with the same member tallies.
 func TestEnginePooledMatchesClassify(t *testing.T) {
 	suite := testSuite()
 	got := Analyze(suite, threshold, Options{}).Pooled
@@ -113,34 +115,96 @@ func TestEnginePooledMatchesClassify(t *testing.T) {
 		if p.Canon != q.Canon || p.Hash != q.Hash || p.ID() != q.ID() {
 			t.Fatalf("pattern %d: %q/%q (%s/%s)", i, p.Canon, q.Canon, p.ID(), q.ID())
 		}
-		if len(p.Episodes) != len(q.Episodes) {
-			t.Fatalf("pattern %q count = %d, want %d", p.Canon, len(p.Episodes), len(q.Episodes))
+		if p.Count() != q.Count() || p.Count() != len(q.Episodes) ||
+			p.PerceptibleCount(threshold) != q.PerceptibleCount(threshold) || p.GCCount() != q.GCCount() {
+			t.Fatalf("pattern %q tallies: count %d/%d, perceptible %d/%d, gc %d/%d", p.Canon,
+				p.Count(), q.Count(), p.PerceptibleCount(threshold), q.PerceptibleCount(threshold), p.GCCount(), q.GCCount())
 		}
-		for j := range p.Episodes {
-			if p.Episodes[j] != q.Episodes[j] {
-				t.Fatalf("pattern %q episode %d differs", p.Canon, j)
-			}
+		if p.MinLag() != q.MinLag() || p.MaxLag() != q.MaxLag() {
+			t.Fatalf("pattern %q lag range differs", p.Canon)
 		}
 	}
-	if len(got.Unstructured) != len(want.Unstructured) {
-		t.Errorf("unstructured = %d, want %d", len(got.Unstructured), len(want.Unstructured))
+	if got.Unstructured != want.Unstructured {
+		t.Errorf("unstructured = %d, want %d", got.Unstructured, want.Unstructured)
 	}
 }
 
-// TestEngineWorkerCountInvariance is the tentpole determinism
-// guarantee: one worker and many workers must produce byte-identical
-// results, including pattern ordering, IDs, and every floating-point
-// figure (reflect.DeepEqual also compares the patterns' unexported
-// lag summaries, which only merge identically because the chunk
-// layout and merge order are fixed).
-func TestEngineWorkerCountInvariance(t *testing.T) {
-	suite := testSuite()
-	base := Analyze(suite, threshold, Options{Workers: 1})
-	for _, workers := range []int{2, 4, 16} {
-		r := Analyze(suite, threshold, Options{Workers: workers})
-		if !reflect.DeepEqual(base, r) {
-			t.Fatalf("workers=%d result differs from workers=1", workers)
+// sameResult compares two results on everything a report renders:
+// every share and the Table III row exactly, the patterns by canon and
+// tallies, and Figure 2's pick. Only the patterns' float lag sums may
+// differ, since folds merge them in another order.
+func sameResult(t *testing.T, a, b *Result) {
+	t.Helper()
+	if a.Overview != b.Overview || a.TriggerAll != b.TriggerAll || a.TriggerLong != b.TriggerLong ||
+		a.LocationAll != b.LocationAll || a.LocationLong != b.LocationLong ||
+		a.CausesAll != b.CausesAll || a.CausesLong != b.CausesLong ||
+		a.ConcurrencyAll != b.ConcurrencyAll || a.ConcurrencyLong != b.ConcurrencyLong ||
+		a.TicksAll != b.TicksAll || a.TicksLong != b.TicksLong {
+		t.Fatalf("results differ:\n%+v\n%+v", a, b)
+	}
+	if len(a.Pooled.Patterns) != len(b.Pooled.Patterns) || a.Pooled.Unstructured != b.Pooled.Unstructured {
+		t.Fatalf("pattern sets differ: %d/%d patterns", len(a.Pooled.Patterns), len(b.Pooled.Patterns))
+	}
+	for i, p := range a.Pooled.Patterns {
+		q := b.Pooled.Patterns[i]
+		if p.Canon != q.Canon || p.Count() != q.Count() || p.GCCount() != q.GCCount() ||
+			p.Occurrence(threshold) != q.Occurrence(threshold) {
+			t.Fatalf("pattern %d differs: %q ×%d vs %q ×%d", i, p.Canon, p.Count(), q.Canon, q.Count())
 		}
+	}
+	if a.Deepest.ID != b.Deepest.ID || !reflect.DeepEqual(a.Deepest.Episodes[0].Root, b.Deepest.Episodes[0].Root) {
+		t.Fatalf("Figure 2 pick differs: session %d vs %d", a.Deepest.ID, b.Deepest.ID)
+	}
+}
+
+// TestEngineFoldSplitInvariance is the fold's determinism guarantee:
+// one fold over the whole suite and one fold per session merged in
+// session order give the same result, with each session's episodes fed
+// in start order or in reverse.
+func TestEngineFoldSplitInvariance(t *testing.T) {
+	suite := testSuite()
+	base := Analyze(suite, threshold, Options{})
+	for _, reverse := range []bool{false, true} {
+		var folds []*AppFold
+		for _, s := range suite.Sessions {
+			f := NewAppFold(threshold, Options{})
+			for i := range s.Episodes {
+				if reverse {
+					i = len(s.Episodes) - 1 - i
+				}
+				f.Episode(s, s.Episodes[i])
+			}
+			folds = append(folds, f)
+		}
+		sameResult(t, base, FinishSessions(context.Background(), suite.App, folds, suite.Sessions))
+	}
+}
+
+// TestEngineDeepestIsFigure2 checks the fold's Figure 2 pick against a
+// scan of the held sessions: the largest descendants × depth, the
+// first one in session and start order on a tie, copied with its ticks.
+func TestEngineDeepestIsFigure2(t *testing.T) {
+	suite := testSuite()
+	var bestS *trace.Session
+	var bestE *trace.Episode
+	best := -1
+	for _, s := range suite.Sessions {
+		for _, e := range s.Episodes {
+			if score := e.Root.Descendants() * e.Root.Depth(); score > best {
+				bestS, bestE, best = s, e, score
+			}
+		}
+	}
+	d := Analyze(suite, threshold, Options{}).Deepest
+	e := d.Episodes[0]
+	if d.ID != bestS.ID || e.Start() != bestE.Start() {
+		t.Fatalf("deepest = session %d at %v; want %d at %v", d.ID, e.Start(), bestS.ID, bestE.Start())
+	}
+	if e.Root == bestE.Root || !reflect.DeepEqual(e.Root, bestE.Root) {
+		t.Error("deepest episode is not a deep copy of the tree")
+	}
+	if !reflect.DeepEqual(d.EpisodeTicks(e), bestS.EpisodeTicks(bestE)) {
+		t.Error("deepest episode's ticks differ from the session's")
 	}
 }
 
@@ -170,7 +234,7 @@ func TestEngineZeroThreshold(t *testing.T) {
 // TestEngineEmptySuite must not panic and must return zero values.
 func TestEngineEmptySuite(t *testing.T) {
 	r := Analyze(&trace.Suite{App: "empty"}, threshold, Options{})
-	if r.Pooled == nil || len(r.Pooled.Patterns) != 0 {
+	if r.Pooled == nil || len(r.Pooled.Patterns) != 0 || r.Deepest != nil {
 		t.Errorf("empty suite pooled set: %+v", r.Pooled)
 	}
 	if r.TriggerAll.Total != 0 || r.ConcurrencyAll != 0 {

@@ -20,6 +20,10 @@ type EpisodeInfo struct {
 	Trigger    analysis.Trigger
 	GC, Native trace.Dur
 	Ticks      TickTally
+	// Size is the whole tree's descendants times its depth, GC
+	// intervals included: Figure 2 sketches the episode that maximizes
+	// it.
+	Size int
 }
 
 // EpisodeAnalyzer wraps the engine's fused per-episode traversal

@@ -3,65 +3,42 @@ package engine
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"lagalyzer/internal/obs"
 )
 
 // TestEngineInstrumentedDeterminism is the acceptance guard for the
-// observability layer: with span tracing enabled, one worker and many
-// workers must still produce byte-identical results — instrumentation
-// only observes, never influences.
+// observability layer: with span tracing enabled, the result must be
+// identical to an untraced run — instrumentation only observes, never
+// influences.
 func TestEngineInstrumentedDeterminism(t *testing.T) {
 	suite := testSuite()
-	plain := Analyze(suite, threshold, Options{Workers: 1})
-	for _, workers := range []int{1, 4, 16} {
-		ctx := obs.WithTrace(context.Background(), obs.NewTrace())
-		r := AnalyzeContext(ctx, suite, threshold, Options{Workers: workers})
-		if !reflect.DeepEqual(plain, r) {
-			t.Fatalf("workers=%d traced result differs from untraced workers=1", workers)
-		}
+	plain := Analyze(suite, threshold, Options{})
+	ctx := obs.WithTrace(context.Background(), obs.NewTrace())
+	if r := AnalyzeContext(ctx, suite, threshold, Options{}); !reflect.DeepEqual(plain, r) {
+		t.Fatal("traced result differs from untraced")
 	}
 }
 
 // TestEngineSpans checks the shape of the recorded trace: the engine
-// phase with its prepare/classify/merge/overview children, per-chunk
-// spans attributed to workers, and an alloc delta on the phase span.
+// phase with its classify/merge/overview children, and an alloc delta
+// on the phase span.
 func TestEngineSpans(t *testing.T) {
 	suite := testSuite()
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
-	AnalyzeContext(ctx, suite, threshold, Options{Workers: 2})
+	AnalyzeContext(ctx, suite, threshold, Options{})
 
 	rows := tr.Summary()
 	byPath := map[string]int{}
-	chunkCount := 0
-	workerSeen := false
 	for _, r := range rows {
 		byPath[r.Path] += r.Count
-		if strings.HasSuffix(r.Path, "/chunk") {
-			chunkCount += r.Count
-			if r.Worker >= 0 {
-				workerSeen = true
-			}
-		}
 	}
-	for _, want := range []string{"engine", "engine/prepare", "engine/classify", "engine/merge", "engine/overview"} {
+	for _, want := range []string{"engine", "engine/classify", "engine/merge", "engine/overview"} {
 		if byPath[want] != 1 {
 			t.Errorf("span %q count = %d, want 1 (rows: %v)", want, byPath[want], byPath)
 		}
-	}
-	total := 0
-	for _, s := range suite.Sessions {
-		total += len(s.Episodes)
-	}
-	wantChunks := (total + chunkSize - 1) / chunkSize
-	if chunkCount != wantChunks {
-		t.Errorf("chunk spans = %d, want %d", chunkCount, wantChunks)
-	}
-	if !workerSeen {
-		t.Error("no chunk span carried a worker attribution")
 	}
 	for _, r := range rows {
 		if r.Path == "engine" && r.AllocBytes == 0 {
@@ -70,11 +47,10 @@ func TestEngineSpans(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics checks the whole-run counter flushes.
+// TestEngineMetrics checks the per-session counter flushes.
 func TestEngineMetrics(t *testing.T) {
 	suite := testSuite()
 	epBefore := obs.NewCounter("engine_episodes_total", "").Value()
-	chBefore := obs.NewCounter("engine_chunks_total", "").Value()
 	Analyze(suite, threshold, Options{})
 	total := 0
 	for _, s := range suite.Sessions {
@@ -82,9 +58,5 @@ func TestEngineMetrics(t *testing.T) {
 	}
 	if got := obs.NewCounter("engine_episodes_total", "").Value() - epBefore; got != int64(total) {
 		t.Errorf("engine_episodes_total advanced by %d, want %d", got, total)
-	}
-	wantChunks := int64((total + chunkSize - 1) / chunkSize)
-	if got := obs.NewCounter("engine_chunks_total", "").Value() - chBefore; got != wantChunks {
-		t.Errorf("engine_chunks_total advanced by %d, want %d", got, wantChunks)
 	}
 }

@@ -6,29 +6,26 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// FNV-1a 64-bit parameters, matching internal/patterns so the engine's
-// inline hashes are identical to patterns.Classify's.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// walker holds the per-worker state of the fused episode traversal.
-// One walker is reused across all episodes a worker processes, so the
-// canon buffer is allocated once per worker instead of once per
-// episode. A walker is not safe for concurrent use.
+// walker holds the state of the fused episode traversal. One walker is
+// reused across all the episodes a fold sees, so the canon buffer is
+// allocated once per fold instead of once per episode. A walker is not
+// safe for concurrent use.
 type walker struct {
 	popt patterns.Options
 	topt analysis.TriggerOptions
 
-	// canon emission + incremental FNV-1a hash
-	buf  []byte
-	hash uint64
+	// canon emission + incremental FNV-1a hash, shared with
+	// patterns.Classify
+	canon patterns.Canon
 
 	trigger TriggerRule
 
 	// exclusive per-kind time (Figure 6's GC/native fractions)
 	gc, native trace.Dur
+	hasGC      bool
+
+	// the whole tree's size, GC included (Figure 2's pick)
+	nodes, level, height int
 }
 
 func newWalker(opts Options) *walker {
@@ -39,14 +36,14 @@ func newWalker(opts Options) *walker {
 // simultaneously computing the structural fingerprint (canonical
 // bytes, FNV-1a hash, descendants, depth — GC nodes excluded unless
 // the options include them), the trigger class (TriggerRule driven in
-// preorder), and the exclusive GC and native time; then it folds the
-// episode's sampling ticks. The returned Print is valid until the next
-// analyze call.
+// preorder), the exclusive GC and native time, and the whole tree's
+// size; then it folds the episode's sampling ticks. The returned Print
+// is valid until the next analyze call.
 func (w *walker) analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
-	w.buf = w.buf[:0]
-	w.hash = fnvOffset64
+	w.canon.Reset()
 	w.trigger = NewTriggerRule(w.topt)
-	w.gc, w.native = 0, 0
+	w.gc, w.native, w.hasGC = 0, 0, false
+	w.nodes, w.level, w.height = 0, 0, 0
 
 	structured := patterns.Classifiable(e, w.popt)
 	descs, depth := w.visit(e.Root, structured)
@@ -57,14 +54,10 @@ func (w *walker) analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
 		GC:         w.gc,
 		Native:     w.native,
 		Ticks:      tallyTicks(s, e),
+		Size:       (w.nodes - 1) * w.height,
 	}
 	if structured {
-		info.Print = patterns.Print{
-			Canon:       w.buf,
-			Hash:        w.hash,
-			Descendants: descs,
-			Depth:       depth,
-		}
+		info.Print = w.canon.Print(descs, depth, w.hasGC)
 	}
 	return info
 }
@@ -75,15 +68,11 @@ func (w *walker) analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
 // count toward the structural metrics.
 func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 	w.trigger.Enter(iv.Kind)
+	w.nodes++
+	w.level++
+	w.height = max(w.height, w.level)
 	if canon {
-		w.emitString(iv.Kind.String())
-		if !w.popt.KindOnly && (iv.Class != "" || iv.Method != "") {
-			w.emitByte('[')
-			w.emitString(iv.Class)
-			w.emitByte('.')
-			w.emitString(iv.Method)
-			w.emitByte(']')
-		}
+		w.canon.Node(iv, w.popt.KindOnly)
 	}
 
 	self := iv.Dur()
@@ -93,10 +82,10 @@ func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 		self -= c.Dur()
 		if canon && !(c.Kind == trace.KindGC && !w.popt.IncludeGC) {
 			if !wrote {
-				w.emitByte('(')
+				w.canon.Byte('(')
 				wrote = true
 			} else {
-				w.emitByte(',')
+				w.canon.Byte(',')
 			}
 			d, dep := w.visit(c, true)
 			descs += 1 + d
@@ -108,29 +97,17 @@ func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 		}
 	}
 	if wrote {
-		w.emitByte(')')
+		w.canon.Byte(')')
 	}
 
 	switch iv.Kind {
 	case trace.KindGC:
 		w.gc += self
+		w.hasGC = true
 	case trace.KindNative:
 		w.native += self
 	}
+	w.level--
 	w.trigger.Exit()
 	return descs, maxChild + 1
-}
-
-func (w *walker) emitString(s string) {
-	w.buf = append(w.buf, s...)
-	h := w.hash
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	w.hash = h
-}
-
-func (w *walker) emitByte(b byte) {
-	w.buf = append(w.buf, b)
-	w.hash = (w.hash ^ uint64(b)) * fnvPrime64
 }

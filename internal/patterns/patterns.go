@@ -18,10 +18,7 @@ package patterns
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/stats"
@@ -126,7 +123,9 @@ type Pattern struct {
 	// stable display identifiers.
 	Hash uint64
 	// Episodes lists the member episodes in encounter order (session
-	// order within a session, sessions in input order).
+	// order within a session, sessions in input order). Only Classify
+	// keeps them; a Builder fed by the engine's fold keeps the tallies
+	// below and no episode.
 	Episodes []EpisodeRef
 	// Descendants and Depth describe the fingerprinted structure
 	// (excluding whatever Options excluded): the number of
@@ -135,11 +134,15 @@ type Pattern struct {
 	Descendants int
 	Depth       int
 
-	lag stats.Summary // durations in milliseconds
+	// The member tallies: episodes, those perceptible at threshold,
+	// those holding a GC interval, and their lag in milliseconds.
+	count, perceptible, gc int
+	threshold              trace.Dur
+	lag                    stats.Summary
 }
 
 // Count returns the number of member episodes.
-func (p *Pattern) Count() int { return len(p.Episodes) }
+func (p *Pattern) Count() int { return p.count }
 
 // MinLag, AvgLag, MaxLag, and TotalLag are the lag statistics the
 // pattern browser shows per pattern.
@@ -149,8 +152,13 @@ func (p *Pattern) MaxLag() trace.Dur   { return trace.Ms(p.lag.Max) }
 func (p *Pattern) TotalLag() trace.Dur { return trace.Ms(p.lag.Total) }
 
 // PerceptibleCount returns how many member episodes meet the
-// threshold.
+// threshold. The pattern tallies them at its builder's threshold; any
+// other threshold counts the member episodes, which only Classify
+// keeps.
 func (p *Pattern) PerceptibleCount(threshold trace.Dur) int {
+	if threshold == p.threshold {
+		return p.perceptible
+	}
 	n := 0
 	for _, ref := range p.Episodes {
 		if ref.Episode.Perceptible(threshold) {
@@ -184,27 +192,19 @@ func (p *Pattern) Occurrence(threshold trace.Dur) Occurrence {
 // given equivalence class always or rarely contains GC intervals. If
 // it always contains GC intervals, then the developer may want to
 // investigate the cause of the GC."
-func (p *Pattern) GCCount() int {
-	n := 0
-	for _, ref := range p.Episodes {
-		if ref.Episode.Root.HasKind(trace.KindGC) {
-			n++
-		}
-	}
-	return n
-}
+func (p *Pattern) GCCount() int { return p.gc }
 
 // GCFrac returns GCCount as a fraction of the pattern's episodes.
 func (p *Pattern) GCFrac() float64 {
-	if len(p.Episodes) == 0 {
+	if p.count == 0 {
 		return 0
 	}
-	return float64(p.GCCount()) / float64(len(p.Episodes))
+	return float64(p.gc) / float64(p.count)
 }
 
 // Singleton reports whether the pattern has exactly one episode.
 // Table III's "One-Ep" column is the fraction of singleton patterns.
-func (p *Pattern) Singleton() bool { return len(p.Episodes) == 1 }
+func (p *Pattern) Singleton() bool { return p.count == 1 }
 
 // First returns the pattern's first episode (the browser shows its
 // sketch when the pattern is selected).
@@ -219,9 +219,9 @@ type Set struct {
 	// Patterns holds the equivalence classes, ordered by descending
 	// episode count, ties broken by canonical form (deterministic).
 	Patterns []*Pattern
-	// Unstructured lists the episodes excluded from classification
+	// Unstructured counts the episodes excluded from classification
 	// because their dispatch interval has no non-GC children.
-	Unstructured []EpisodeRef
+	Unstructured int
 	// Options echoes the classification options used.
 	Options Options
 
@@ -236,85 +236,112 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// Fingerprinter computes canonical forms without per-episode
-// allocations: the canon bytes land in an internal buffer that is
-// reused across calls, and the FNV-1a hash plus the structural metrics
-// (descendants, depth) are computed during the same single tree walk.
-// A Fingerprinter is not safe for concurrent use; each worker owns one.
-type Fingerprinter struct {
-	opt  Options
+// Canon is the one writer of the canonical form: it accumulates the
+// bytes and their FNV-1a hash as they are emitted, in a buffer reused
+// across episodes. Classify's fingerprints and the engine's fused walk
+// emit through it.
+type Canon struct {
 	buf  []byte
 	hash uint64
 }
 
-// NewFingerprinter returns a Fingerprinter for the given options.
-func NewFingerprinter(opt Options) *Fingerprinter {
-	return &Fingerprinter{opt: opt}
+// Reset starts a new canonical form.
+func (c *Canon) Reset() { c.buf, c.hash = c.buf[:0], fnvOffset64 }
+
+// Node emits iv's label: its kind, then [class.method] unless kindOnly
+// or both names are empty.
+func (c *Canon) Node(iv *trace.Interval, kindOnly bool) {
+	c.str(iv.Kind.String())
+	if !kindOnly && (iv.Class != "" || iv.Method != "") {
+		c.Byte('[')
+		c.str(iv.Class)
+		c.Byte('.')
+		c.str(iv.Method)
+		c.Byte(']')
+	}
+}
+
+// Byte emits one structural byte: '(' before the first retained
+// child, ',' between children, ')' after the last.
+func (c *Canon) Byte(b byte) {
+	c.buf = append(c.buf, b)
+	c.hash = (c.hash ^ uint64(b)) * fnvPrime64
+}
+
+func (c *Canon) str(s string) {
+	c.buf = append(c.buf, s...)
+	h := c.hash
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	c.hash = h
+}
+
+// Print returns the form emitted since Reset with the structure's
+// metrics; its Canon aliases the buffer until the next Reset.
+func (c *Canon) Print(descs, depth int, gc bool) Print {
+	return Print{Canon: c.buf, Hash: c.hash, Descendants: descs, Depth: depth, GC: gc}
+}
+
+// fingerprinter computes canonical forms without per-episode
+// allocations: the canon bytes land in a reused buffer, and the FNV-1a
+// hash plus the structural metrics (descendants, depth) are computed
+// during the same single tree walk.
+type fingerprinter struct {
+	opt Options
+	c   Canon
+	gc  bool
 }
 
 // Print is the result of fingerprinting one episode. Canon aliases the
-// Fingerprinter's internal buffer and is only valid until the next
-// Fingerprint call; Builder.Add copies it when (and only when) the
-// pattern is new.
+// emitting buffer and is only valid until the next fingerprint;
+// Builder.Add copies it when (and only when) the pattern is new.
 type Print struct {
 	Canon       []byte
 	Hash        uint64
 	Descendants int
 	Depth       int
+	// GC reports whether the episode's tree holds a GC interval,
+	// fingerprinted or not (Pattern.GCCount).
+	GC bool
 }
 
-// Fingerprint computes the episode's canonical form, hash, and
+// fingerprint computes the episode's canonical form, hash, and
 // structural metrics in one walk. ok is false for unstructured
 // episodes (no retained child below the dispatch interval), which are
 // excluded from classification.
-func (f *Fingerprinter) Fingerprint(e *trace.Episode) (pr Print, ok bool) {
+func (f *fingerprinter) fingerprint(e *trace.Episode) (pr Print, ok bool) {
 	if !Classifiable(e, f.opt) {
 		return Print{}, false
 	}
-	f.buf = f.buf[:0]
-	f.hash = fnvOffset64
+	f.c.Reset()
+	f.gc = false
 	descs, depth := f.walk(e.Root)
-	return Print{Canon: f.buf, Hash: f.hash, Descendants: descs, Depth: depth}, true
-}
-
-func (f *Fingerprinter) emitString(s string) {
-	f.buf = append(f.buf, s...)
-	h := f.hash
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	f.hash = h
-}
-
-func (f *Fingerprinter) emitByte(b byte) {
-	f.buf = append(f.buf, b)
-	f.hash = (f.hash ^ uint64(b)) * fnvPrime64
+	return f.c.Print(descs, depth, f.gc), true
 }
 
 // walk emits iv's canonical form and returns the retained descendant
 // count and tree height (1 for a retained leaf). Depth includes the
 // dispatch root: a bare dispatch would have depth 1, but bare
-// dispatches are unstructured and never get here.
-func (f *Fingerprinter) walk(iv *trace.Interval) (descs, depth int) {
-	f.emitString(iv.Kind.String())
-	if !f.opt.KindOnly && (iv.Class != "" || iv.Method != "") {
-		f.emitByte('[')
-		f.emitString(iv.Class)
-		f.emitByte('.')
-		f.emitString(iv.Method)
-		f.emitByte(']')
-	}
+// dispatches are unstructured and never get here. An excluded GC child
+// is not walked, but it is the topmost GC on its path, so seeing it
+// here is enough to flag the tree.
+func (f *fingerprinter) walk(iv *trace.Interval) (descs, depth int) {
+	f.c.Node(iv, f.opt.KindOnly)
 	wrote := false
 	maxChild := 0
 	for _, c := range iv.Children {
-		if c.Kind == trace.KindGC && !f.opt.IncludeGC {
-			continue
+		if c.Kind == trace.KindGC {
+			f.gc = true
+			if !f.opt.IncludeGC {
+				continue
+			}
 		}
 		if !wrote {
-			f.emitByte('(')
+			f.c.Byte('(')
 			wrote = true
 		} else {
-			f.emitByte(',')
+			f.c.Byte(',')
 		}
 		d, dep := f.walk(c)
 		descs += 1 + d
@@ -323,33 +350,35 @@ func (f *Fingerprinter) walk(iv *trace.Interval) (descs, depth int) {
 		}
 	}
 	if wrote {
-		f.emitByte(')')
+		f.c.Byte(')')
 	}
 	return descs, maxChild + 1
 }
 
 // Fingerprint returns the canonical structural form of an episode's
 // tree under the given options. Two episodes belong to the same
-// pattern iff their fingerprints are equal. Unlike Fingerprinter, it
-// materializes a fresh string and does not require structure.
+// pattern iff their fingerprints are equal. It materializes a fresh
+// string and does not require structure.
 func Fingerprint(e *trace.Episode, opt Options) string {
-	f := Fingerprinter{opt: opt, hash: fnvOffset64}
+	f := fingerprinter{opt: opt}
+	f.c.Reset()
 	f.walk(e.Root)
-	return string(f.buf)
+	return string(f.c.buf)
 }
 
 // Builder accumulates episodes with precomputed fingerprints into
-// patterns. It is the shared backend of Classify and of the fused
-// analysis engine (internal/engine): lookups are hash-first (canonical
-// strings are compared only to confirm a hash hit, and materialized
-// only once per new pattern), and builders can be merged in a
-// deterministic order to combine shards of a parallel run.
+// patterns, keeping per-pattern tallies rather than the episodes. It
+// is the shared backend of Classify and of the engine's per-app fold
+// (internal/engine): lookups are hash-first (canonical strings are
+// compared only to confirm a hash hit, and materialized only once per
+// new pattern), and builders merge in a fixed order to combine the
+// folds of several sessions.
 type Builder struct {
 	opt          Options
 	patterns     []*Pattern
 	byHash       map[uint64]*Pattern
 	collisions   map[string]*Pattern // only populated on 64-bit hash collisions
-	unstructured []EpisodeRef
+	unstructured int
 }
 
 // NewBuilder returns an empty Builder for the given options.
@@ -357,9 +386,10 @@ func NewBuilder(opt Options) *Builder {
 	return &Builder{opt: opt, byHash: make(map[uint64]*Pattern)}
 }
 
-// Add folds one structured episode into the builder. pr.Canon may
-// alias a reusable buffer; it is copied only when the pattern is new.
-func (b *Builder) Add(ref EpisodeRef, pr Print) {
+// Add folds one structured episode of duration dur into the builder
+// and returns its pattern. pr.Canon may alias a reusable buffer; it is
+// copied only when the pattern is new.
+func (b *Builder) Add(pr Print, dur trace.Dur) *Pattern {
 	p := b.findBytes(pr.Hash, pr.Canon)
 	if p == nil {
 		p = &Pattern{
@@ -367,17 +397,26 @@ func (b *Builder) Add(ref EpisodeRef, pr Print) {
 			Hash:        pr.Hash,
 			Descendants: pr.Descendants,
 			Depth:       pr.Depth,
+			threshold:   b.opt.threshold(),
 		}
 		b.insert(p)
 	}
-	p.Episodes = append(p.Episodes, ref)
-	p.lag.Add(ref.Episode.Dur().Ms())
+	p.count++
+	if dur >= p.threshold {
+		p.perceptible++
+	}
+	if pr.GC {
+		p.gc++
+	}
+	p.lag.Add(dur.Ms())
+	return p
 }
 
-// AddUnstructured records an episode excluded from classification.
-func (b *Builder) AddUnstructured(ref EpisodeRef) {
-	b.unstructured = append(b.unstructured, ref)
-}
+// AddUnstructured counts an episode excluded from classification.
+func (b *Builder) AddUnstructured() { b.unstructured++ }
+
+// Patterns returns the patterns built so far, in encounter order.
+func (b *Builder) Patterns() []*Pattern { return b.patterns }
 
 // findBytes looks a pattern up by hash, confirming the hit (and
 // resolving 64-bit collisions) by canon comparison. The string(canon)
@@ -427,10 +466,10 @@ func (b *Builder) insert(p *Pattern) {
 	b.patterns = append(b.patterns, p)
 }
 
-// Merge folds another builder's patterns and unstructured episodes
-// into the receiver, preserving o's encounter order. Merging shard
-// builders in a fixed (chunk) order makes parallel classification
-// byte-identical to sequential classification.
+// Merge folds another builder's pattern tallies and unstructured count
+// into the receiver, preserving o's encounter order for new patterns;
+// o must not be used afterwards. Member episodes are not merged: only
+// Classify keeps them, in one builder.
 func (b *Builder) Merge(o *Builder) {
 	for _, q := range o.patterns {
 		p := b.findString(q.Hash, q.Canon)
@@ -438,10 +477,12 @@ func (b *Builder) Merge(o *Builder) {
 			b.insert(q)
 			continue
 		}
-		p.Episodes = append(p.Episodes, q.Episodes...)
+		p.count += q.count
+		p.perceptible += q.perceptible
+		p.gc += q.gc
 		p.lag.Merge(q.lag)
 	}
-	b.unstructured = append(b.unstructured, o.unstructured...)
+	b.unstructured += o.unstructured
 }
 
 // Finish sorts the patterns (descending episode count, ties broken by
@@ -456,94 +497,39 @@ func (b *Builder) Finish() *Set {
 	}
 	sort.SliceStable(set.Patterns, func(i, j int) bool {
 		a, b := set.Patterns[i], set.Patterns[j]
-		if len(a.Episodes) != len(b.Episodes) {
-			return len(a.Episodes) > len(b.Episodes)
+		if a.count != b.count {
+			return a.count > b.count
 		}
 		return a.Canon < b.Canon
 	})
-	covered := 0
 	for _, p := range set.Patterns {
 		set.byCanon[p.Canon] = p
-		covered += len(p.Episodes)
 	}
 	mPatternsUnique.Add(int64(len(set.Patterns)))
-	mEpisodesDeduped.Add(int64(covered - len(set.Patterns)))
-	mUnstructured.Add(int64(len(set.Unstructured)))
+	mEpisodesDeduped.Add(int64(set.Covered() - len(set.Patterns)))
+	mUnstructured.Add(int64(set.Unstructured))
 	return set
 }
 
-// classifyChunkSize is the number of episodes per classification
-// shard. It is a constant (never derived from the worker count or
-// GOMAXPROCS) so that the chunk layout — and therefore the merge order
-// and every floating-point lag accumulation — is identical no matter
-// how many workers execute the chunks.
-const classifyChunkSize = 512
-
-// Classify groups the episodes of the given sessions into patterns.
-// Episodes are fingerprinted in one tree walk each (hash computed
-// inline, canonical string materialized only once per new pattern) and
-// sharded across a worker pool bounded by GOMAXPROCS; shards are
-// merged in a fixed order, so the result is byte-identical to a
-// sequential run.
+// Classify groups the episodes of the given sessions into patterns,
+// keeping each pattern's member episodes in encounter order. Each
+// episode is fingerprinted in one tree walk (hash computed inline,
+// canonical string materialized only once per new pattern).
 func Classify(sessions []*trace.Session, opt Options) *Set {
-	n := 0
-	for _, s := range sessions {
-		n += len(s.Episodes)
-	}
-	items := make([]EpisodeRef, 0, n)
+	b := NewBuilder(opt)
+	f := &fingerprinter{opt: opt}
 	for _, s := range sessions {
 		for _, e := range s.Episodes {
-			items = append(items, EpisodeRef{Session: s, Episode: e})
-		}
-	}
-
-	chunks := (len(items) + classifyChunkSize - 1) / classifyChunkSize
-	if chunks <= 1 {
-		b := NewBuilder(opt)
-		classifyChunk(items, NewFingerprinter(opt), b)
-		return b.Finish()
-	}
-
-	builders := make([]*Builder, chunks)
-	workers := min(runtime.GOMAXPROCS(0), chunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f := NewFingerprinter(opt)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= chunks {
-					return
-				}
-				lo := i * classifyChunkSize
-				hi := min(lo+classifyChunkSize, len(items))
-				b := NewBuilder(opt)
-				classifyChunk(items[lo:hi], f, b)
-				builders[i] = b
+			pr, ok := f.fingerprint(e)
+			if !ok {
+				b.AddUnstructured()
+				continue
 			}
-		}()
-	}
-	wg.Wait()
-
-	root := builders[0]
-	for _, b := range builders[1:] {
-		root.Merge(b)
-	}
-	return root.Finish()
-}
-
-func classifyChunk(items []EpisodeRef, f *Fingerprinter, b *Builder) {
-	for _, ref := range items {
-		pr, ok := f.Fingerprint(ref.Episode)
-		if !ok {
-			b.AddUnstructured(ref)
-			continue
+			p := b.Add(pr, e.Dur())
+			p.Episodes = append(p.Episodes, EpisodeRef{Session: s, Episode: e})
 		}
-		b.Add(ref, pr)
 	}
+	return b.Finish()
 }
 
 // Classifiable reports whether the episode participates in
@@ -569,7 +555,7 @@ func (s *Set) Lookup(e *trace.Episode) (*Pattern, bool) {
 func (s *Set) Covered() int {
 	n := 0
 	for _, p := range s.Patterns {
-		n += len(p.Episodes)
+		n += p.count
 	}
 	return n
 }
@@ -606,7 +592,7 @@ func (s *Set) OccurrenceCounts() map[Occurrence]int {
 func (s *Set) CDF() []stats.CDFPoint {
 	weights := make([]float64, len(s.Patterns))
 	for i, p := range s.Patterns {
-		weights[i] = float64(len(p.Episodes))
+		weights[i] = float64(p.count)
 	}
 	return stats.CumulativeShare(weights)
 }

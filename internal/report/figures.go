@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
@@ -72,24 +73,18 @@ func Figure1SVG() string {
 
 // Figure2Episode simulates a GanttProject session and returns its
 // structurally richest episode — the deeply nested recursive paint of
-// the paper's Figure 2 — along with the session it came from.
+// the paper's Figure 2, picked as the study's Figure 2 is — with a
+// session holding that episode and its ticks.
 func Figure2Episode(p *sim.Profile, seed uint64) (*trace.Session, *trace.Episode, error) {
 	s, err := sim.Run(sim.Config{Profile: p, Seed: seed, SessionSeconds: 60})
 	if err != nil {
 		return nil, nil, err
 	}
-	var best *trace.Episode
-	bestScore := -1
-	for _, e := range s.Episodes {
-		score := e.Root.Descendants() * e.Root.Depth()
-		if score > bestScore {
-			best, bestScore = e, score
-		}
-	}
-	if best == nil {
+	d := engine.Analyze(&trace.Suite{App: s.App, Sessions: []*trace.Session{s}}, 0, engine.Options{}).Deepest
+	if d == nil {
 		return nil, nil, fmt.Errorf("report: simulated session has no episodes")
 	}
-	return s, best, nil
+	return d, d.Episodes[0], nil
 }
 
 // triggerRows converts per-app trigger shares into chart rows.
@@ -100,7 +95,7 @@ func triggerRows(res *StudyResult, long bool) []viz.BarRow {
 		if long {
 			ts = a.TriggerLong
 		}
-		rows = append(rows, viz.BarRow{Label: a.Suite.App, Values: []float64{
+		rows = append(rows, viz.BarRow{Label: a.App, Values: []float64{
 			ts.Frac(analysis.TriggerInput), ts.Frac(analysis.TriggerOutput),
 			ts.Frac(analysis.TriggerAsync), ts.Frac(analysis.TriggerUnspecified),
 		}})
@@ -117,28 +112,17 @@ func Figures(res *StudyResult) map[string]string {
 
 	// Figure 2: the deepest episode the study's GanttProject sessions
 	// produced.
-	if gantt, ok := res.AppByName("GanttProject"); ok {
-		var bestS *trace.Session
-		var bestE *trace.Episode
-		bestScore := -1
-		for _, s := range gantt.Suite.Sessions {
-			for _, e := range s.Episodes {
-				if score := e.Root.Descendants() * e.Root.Depth(); score > bestScore {
-					bestS, bestE, bestScore = s, e, score
-				}
-			}
-		}
-		if bestE != nil {
-			out["figure2_ganttproject_sketch.svg"] = viz.Sketch(bestS, bestE, viz.SketchOptions{
-				Title: fmt.Sprintf("Figure 2 — GanttProject episode sketch: deep paint nesting (%d descendants, depth %d)",
-					bestE.Root.Descendants(), bestE.Root.Depth()),
-			})
-		}
+	if gantt, ok := res.AppByName("GanttProject"); ok && gantt.Deepest != nil {
+		e := gantt.Deepest.Episodes[0]
+		out["figure2_ganttproject_sketch.svg"] = viz.Sketch(gantt.Deepest, e, viz.SketchOptions{
+			Title: fmt.Sprintf("Figure 2 — GanttProject episode sketch: deep paint nesting (%d descendants, depth %d)",
+				e.Root.Descendants(), e.Root.Depth()),
+		})
 	}
 
 	series := make([]viz.CDFSeries, 0, len(res.Apps))
 	for _, a := range res.Apps {
-		series = append(series, viz.CDFSeries{Label: a.Suite.App, Points: a.CDF})
+		series = append(series, viz.CDFSeries{Label: a.App, Points: a.CDF})
 	}
 	out["figure3_pattern_cdf.svg"] = viz.RenderCDF(viz.CDFChart{
 		Title:  "Figure 3 — cumulative distribution of episodes into patterns",
@@ -155,7 +139,7 @@ func Figures(res *StudyResult) map[string]string {
 		for i, occ := range occOrder {
 			vals[i] = fr[occ]
 		}
-		occRows = append(occRows, viz.BarRow{Label: a.Suite.App, Values: vals})
+		occRows = append(occRows, viz.BarRow{Label: a.App, Values: vals})
 	}
 	out["figure4_occurrence.svg"] = viz.RenderStackedBars(viz.StackedBars{
 		Title:      "Figure 4 — long-latency episodes in patterns",
@@ -182,8 +166,8 @@ func Figures(res *StudyResult) map[string]string {
 			if long {
 				loc = a.LocationLong
 			}
-			lib = append(lib, viz.BarRow{Label: a.Suite.App, Values: []float64{loc.Library, loc.App}})
-			gcn = append(gcn, viz.BarRow{Label: a.Suite.App, Values: []float64{loc.GC, loc.Native}})
+			lib = append(lib, viz.BarRow{Label: a.App, Values: []float64{loc.Library, loc.App}})
+			gcn = append(gcn, viz.BarRow{Label: a.App, Values: []float64{loc.GC, loc.Native}})
 		}
 		return
 	}
@@ -211,7 +195,7 @@ func Figures(res *StudyResult) map[string]string {
 			if long {
 				v = a.ConcurrencyLong
 			}
-			rows = append(rows, viz.BarRow{Label: a.Suite.App, Values: []float64{v}})
+			rows = append(rows, viz.BarRow{Label: a.App, Values: []float64{v}})
 		}
 		return rows
 	}
@@ -231,7 +215,7 @@ func Figures(res *StudyResult) map[string]string {
 			if long {
 				c = a.CausesLong
 			}
-			rows = append(rows, viz.BarRow{Label: a.Suite.App, Values: []float64{c.Blocked, c.Waiting, c.Sleeping}})
+			rows = append(rows, viz.BarRow{Label: a.App, Values: []float64{c.Blocked, c.Waiting, c.Sleeping}})
 		}
 		return rows
 	}

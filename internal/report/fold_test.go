@@ -1,0 +1,182 @@
+package report
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"lagalyzer/internal/apps"
+	"lagalyzer/internal/lila"
+	"lagalyzer/internal/obs"
+	"lagalyzer/internal/sim"
+	"lagalyzer/internal/trace"
+)
+
+// writeMultiEDT writes a GanttProject trace in which two event dispatch
+// threads handle overlapping episodes: EDT-B's closes first although
+// EDT-A's started first, so a release-mode build hands them over out of
+// start order. Both trees get a copy of the GC that runs while they are
+// open, which makes them tie for Figure 2's pick; the earlier start,
+// EDT-A's, must win it.
+func writeMultiEDT(t *testing.T, path string) {
+	t.Helper()
+	ms := func(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
+	h := lila.Header{App: "GanttProject", GUIThread: 1, FilterThreshold: trace.DefaultFilterThreshold,
+		SamplePeriod: 10 * trace.Millisecond}
+	recs := []*lila.Record{
+		{Type: lila.RecThread, Thread: 1, Name: "EDT-A"},
+		{Type: lila.RecThread, Thread: 2, Name: "EDT-B"},
+		{Type: lila.RecCall, Time: ms(0), Thread: 1, Kind: trace.KindDispatch},
+		{Type: lila.RecCall, Time: ms(1), Thread: 1, Kind: trace.KindListener, Class: "a.A", Method: "on"},
+		{Type: lila.RecCall, Time: ms(50), Thread: 2, Kind: trace.KindDispatch},
+		{Type: lila.RecCall, Time: ms(51), Thread: 2, Kind: trace.KindPaint, Class: "b.B", Method: "paint"},
+		{Type: lila.RecSample, Time: ms(60), Thread: 1, State: trace.StateRunnable,
+			Stack: []trace.Frame{{Class: "a.A", Method: "on"}}},
+		{Type: lila.RecSample, Time: ms(60), Thread: 2, State: trace.StateSleeping,
+			Stack: []trace.Frame{{Class: "java.lang.Thread", Method: "sleep", Native: true}}},
+		{Type: lila.RecGCStart, Time: ms(70)},
+		{Type: lila.RecGCEnd, Time: ms(90)},
+		{Type: lila.RecReturn, Time: ms(110), Thread: 2},
+		{Type: lila.RecReturn, Time: ms(120), Thread: 2},
+		{Type: lila.RecSample, Time: ms(150), Thread: 1, State: trace.StateBlocked,
+			Stack: []trace.Frame{{Class: "a.A", Method: "on"}}},
+		{Type: lila.RecReturn, Time: ms(190), Thread: 1},
+		{Type: lila.RecReturn, Time: ms(200), Thread: 1},
+		{Type: lila.RecEnd, Time: ms(1000)},
+	}
+	var buf bytes.Buffer
+	w, err := lila.NewWriter(&buf, lila.FormatText, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := w.WriteRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rendered is everything lagreport -traces writes about a study.
+type rendered struct {
+	text, markdown, html, health string
+	figures                      map[string]string
+}
+
+func render(t *testing.T, res *StudyResult) rendered {
+	t.Helper()
+	health, err := json.Marshal(res.Health)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rendered{FormatAll(res), FormatExperimentsMarkdown(res), FormatHTML(res), string(health), Figures(res)}
+}
+
+// TestTraceDirFoldMatchesHeld is the fold path's equivalence guarantee:
+// analyzing each episode as its file's release-mode build closes it
+// renders byte for byte what loading whole sessions and analyzing the
+// held suites renders — text, experiments.md, HTML, every figure, and
+// the health ledger — over the damaged corpus plus a session whose
+// episodes close out of start order, at any worker count, salvaging or
+// not.
+func TestTraceDirFoldMatchesHeld(t *testing.T) {
+	dir := damagedCorpus(t)
+	writeMultiEDT(t, filepath.Join(dir, "d_multiedt.lila"))
+	ctx := context.Background()
+	for _, salvage := range []bool{false, true} {
+		o := LoadOptions{Salvage: salvage, Jobs: 1}
+		suites, health, err := LoadTraceDirContext(ctx, dir, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := AnalyzeSuitesContext(ctx, suites, 0, nil)
+		held.Health.Merge(health)
+		want := render(t, held)
+		if _, ok := want.figures["figure2_ganttproject_sketch.svg"]; !ok {
+			t.Fatal("no Figure 2 from the multi-EDT GanttProject session")
+		}
+		for _, jobs := range []int{1, 2, 8} {
+			o.Jobs = jobs
+			res, err := AnalyzeTraceDirContext(ctx, dir, o, 0, nil)
+			if err != nil {
+				t.Fatalf("salvage %v, jobs %d: %v", salvage, jobs, err)
+			}
+			if got := render(t, res); !reflect.DeepEqual(got, want) {
+				t.Errorf("salvage %v, jobs %d: fold path renders differently from the held sessions", salvage, jobs)
+				for name, svg := range want.figures {
+					if got.figures[name] != svg {
+						t.Errorf("  %s differs", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTraceDirFoldAnalyzesOverBudget pins the fold path's over-budget
+// behaviour: a session too large for a full build under the memory
+// budget is analyzed like any other, because release mode keeps only
+// what its open episodes can reach; the keep-sessions loader still
+// degrades it to counts.
+func TestTraceDirFoldAnalyzesOverBudget(t *testing.T) {
+	dir := t.TempDir()
+	s, err := sim.Run(sim.Config{Profile: apps.GanttProject(), Seed: 17, SessionSeconds: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := lila.WriteSession(&buf, lila.FormatV2, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "GanttProject_0.lila"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := LoadOptions{Limits: lila.Limits{MaxSessionBytes: 1 << 20}}
+	if _, health, _ := LoadTraceDirOptions(dir, o); health == nil || len(health.Files) != 1 || !health.Files[0].DegradedToStream {
+		t.Fatalf("keep-sessions load: health %+v, want the session degraded to counts", health)
+	}
+	res, err := AnalyzeTraceDirContext(context.Background(), dir, o, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Health.Degraded() {
+		t.Errorf("fold path health %+v, want clean", res.Health)
+	}
+	if len(res.Apps) != 1 || res.TotalEpisodes() != len(s.Episodes) {
+		t.Errorf("fold path analyzed %d apps, %d episodes; want 1, %d", len(res.Apps), res.TotalEpisodes(), len(s.Episodes))
+	}
+}
+
+// TestTraceDirSpans checks that the fold path records the study span
+// shape of the held path: one app span per application with the
+// engine phase and its classify, merge, and overview children.
+func TestTraceDirSpans(t *testing.T) {
+	tr := obs.NewTrace()
+	if _, err := AnalyzeTraceDirContext(obs.WithTrace(context.Background(), tr), damagedCorpus(t),
+		LoadOptions{Salvage: true}, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, r := range tr.Summary() {
+		counts[r.Path] += r.Count
+	}
+	for _, app := range []string{"CrosswordSage", "JEdit"} {
+		for _, span := range []string{"engine", "engine/classify", "engine/merge", "engine/overview"} {
+			if path := "study/app:" + app + "/" + span; counts[path] != 1 {
+				t.Errorf("span %q count = %d, want 1 (all: %v)", path, counts[path], counts)
+			}
+		}
+	}
+	if counts["load"] != 1 {
+		t.Errorf("load span count = %d, want 1", counts["load"])
+	}
+}

@@ -30,12 +30,14 @@ type FileHealth struct {
 	// Diagnostics accounts for records the lenient session builder had
 	// to drop.
 	Diagnostics *treebuild.Diagnostics `json:"diagnostics,omitempty"`
-	// DegradedToStream marks a session that exceeded the memory budget
-	// and was analyzed by the single-pass streaming analyzer instead of
-	// a full session rebuild; only its aggregate counts survive.
+	// DegradedToStream marks a session over the memory budget of a
+	// full build, which a load that keeps sessions (LoadFiles without
+	// an episode hook) rebuilt in release mode for its counts only. The
+	// fold path (AnalyzeTraceDirContext) builds in release mode from
+	// the start, so it analyzes such a session and never sets this.
 	DegradedToStream bool `json:"degraded_to_stream,omitempty"`
-	// StreamEpisodes and StreamRecords summarize the streaming fallback
-	// (deterministic counts only — no wall-clock figures).
+	// StreamEpisodes and StreamRecords summarize the release-mode
+	// fallback (deterministic counts only — no wall-clock figures).
 	StreamEpisodes int `json:"stream_episodes,omitempty"`
 	StreamRecords  int `json:"stream_records,omitempty"`
 }

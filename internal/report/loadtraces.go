@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/trace"
@@ -72,24 +73,15 @@ func (o LoadOptions) blockJobs(files int) int {
 	return 1
 }
 
-// LoadTraceDir reads every LiLa trace under dir (recursively; both
-// encodings, sniffed), groups the sessions into suites by application
-// name, and returns the suites ordered by name. It is the on-disk
-// counterpart of the simulator path: `lagreport -traces dir`
-// characterizes recorded traces exactly like simulated ones.
-//
-// A file that fails to load is skipped (use LoadTraceDirOptions to see
-// the per-file health, or Strict to fail fast); the scan errors only
-// when no session loads at all.
-func LoadTraceDir(dir string) ([]*trace.Suite, error) {
-	suites, _, err := LoadTraceDirOptions(dir, LoadOptions{})
-	return suites, err
-}
-
-// LoadTraceDirOptions is LoadTraceDir with explicit options and a
-// health ledger. The returned health is non-nil whenever the scan ran,
-// including alongside a no-sessions error; its Files list (ordered by
-// path, damaged files only) feeds the study's Health section.
+// LoadTraceDirOptions reads every LiLa trace under dir (recursively;
+// both encodings, sniffed), groups the sessions into suites by
+// application name, and returns the suites ordered by name, keeping
+// every session (AnalyzeTraceDirContext analyzes the same traces
+// without keeping any). A file that fails to load is skipped unless
+// o.Strict; the scan errors only when no session loads at all. The
+// returned health is non-nil whenever the scan ran, including
+// alongside a no-sessions error; its Files list (ordered by path,
+// damaged files only) feeds the study's Health section.
 func LoadTraceDirOptions(dir string, o LoadOptions) ([]*trace.Suite, *StudyHealth, error) {
 	return LoadTraceDirContext(context.Background(), dir, o)
 }
@@ -101,27 +93,83 @@ func LoadTraceDirOptions(dir string, o LoadOptions) ([]*trace.Suite, *StudyHealt
 // regardless of completion order, so suites, session order, and the
 // health ledger are byte-identical whatever the worker count.
 func LoadTraceDirContext(ctx context.Context, dir string, o LoadOptions) ([]*trace.Suite, *StudyHealth, error) {
+	paths, err := tracePaths(dir, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	loads := LoadFiles(ctx, paths, o, nil)
+	order, health, err := sortLoads(ctx, dir, o, loads)
+	if err != nil {
+		return nil, health, err
+	}
+	var suites []*trace.Suite
+	for _, i := range order {
+		s := loads[i].Session
+		if n := len(suites); n == 0 || suites[n-1].App != s.App {
+			suites = append(suites, &trace.Suite{App: s.App})
+		}
+		suites[len(suites)-1].Sessions = append(suites[len(suites)-1].Sessions, s)
+	}
+	return suites, health, nil
+}
+
+// AnalyzeTraceDirContext characterizes the traces under dir (or
+// o.Paths) as LoadTraceDirContext then AnalyzeSuitesContext would, the
+// load's health merged in, but keeps no session: each file builds in
+// release mode, folding each episode into the file's engine.AppFold as
+// it closes, and the folds merge per app in path order. Memory is the
+// open episodes of the files in flight plus per-pattern tallies, so a
+// session over a full build's memory budget is analyzed, not degraded.
+func AnalyzeTraceDirContext(ctx context.Context, dir string, o LoadOptions, threshold trace.Dur, progressW io.Writer) (*StudyResult, error) {
+	paths, err := tracePaths(dir, o)
+	if err != nil {
+		return nil, err
+	}
+	if threshold == 0 {
+		threshold = trace.DefaultPerceptibleThreshold
+	}
+	folds := make([]*engine.AppFold, len(paths))
+	loads := LoadFiles(ctx, paths, o, FoldHook(folds, threshold))
+	order, health, err := sortLoads(ctx, dir, o, loads)
+	if err != nil {
+		return nil, err
+	}
+	sessions := make([]FoldedSession, len(order))
+	for k, i := range order {
+		sessions[k] = FoldedSession{folds[i], loads[i].Session}
+	}
+	res := AnalyzeFolds(ctx, sessions, threshold, progressW)
+	res.Health.Merge(health)
+	return res, nil
+}
+
+// tracePaths returns o.Paths, or else every file under dir.
+func tracePaths(dir string, o LoadOptions) ([]string, error) {
 	paths := o.Paths
 	if len(paths) == 0 {
 		var err error
 		if paths, err = ListTraceFiles(dir); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("report: no trace files under %s", dir)
+		return nil, fmt.Errorf("report: no trace files under %s", dir)
 	}
-	loads := LoadFiles(ctx, paths, o, nil)
+	return paths, nil
+}
+
+// sortLoads turns a directory load's outcomes into its health ledger
+// and the indices of the loads with a session, by app name and then
+// path. Under o.Strict the first failed file is the error; so is a
+// canceled ctx, since a partial merge would misattribute the loss, and
+// a load where no session survived (then with the health).
+func sortLoads(ctx context.Context, dir string, o LoadOptions, loads []FileLoad) ([]int, *StudyHealth, error) {
 	if cerr := ctx.Err(); cerr != nil {
-		// Some files were never loaded; a partial merge would
-		// misattribute the loss, so surface the cancellation itself.
 		return nil, nil, cerr
 	}
-
 	health := &StudyHealth{}
-	byApp := make(map[string]*trace.Suite)
-	var order []string
-	for _, l := range loads {
+	var order []int
+	for i, l := range loads {
 		s, fh := l.Session, l.Health
 		if fh.Error != "" && o.Strict {
 			return nil, nil, fmt.Errorf("report: %s: %s", fh.Path, fh.Error)
@@ -136,24 +184,14 @@ func LoadTraceDirContext(ctx context.Context, dir string, o LoadOptions) ([]*tra
 			mSessionsSkipped.Add(1)
 			continue
 		}
-		suite := byApp[s.App]
-		if suite == nil {
-			suite = &trace.Suite{App: s.App}
-			byApp[s.App] = suite
-			order = append(order, s.App)
-		}
-		suite.Sessions = append(suite.Sessions, s)
+		order = append(order, i)
 	}
 	if len(order) == 0 {
 		return nil, health, fmt.Errorf("report: no loadable trace sessions under %s (%d files failed)",
 			dir, len(health.Files))
 	}
-	sort.Strings(order)
-	suites := make([]*trace.Suite, 0, len(order))
-	for _, app := range order {
-		suites = append(suites, byApp[app])
-	}
-	return suites, health, nil
+	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]].Session.App < loads[order[b]].Session.App })
+	return order, health, nil
 }
 
 // FileLoad is one trace file's outcome from LoadFiles: its session
@@ -171,8 +209,8 @@ type FileLoad struct {
 // LoadFiles loads each trace file in paths (either encoding, sniffed)
 // on a pool of o.Jobs workers and returns the outcomes in path order,
 // identical at any worker count. A failed file, one whose load panicked
-// included, carries Health.Error; unless o.Strict, a session over the
-// memory budget is rebuilt in release mode and kept as counts only.
+// included, carries Health.Error; unless o.Strict, a whole session over
+// the memory budget is rebuilt in release mode and kept as counts only.
 // Under o.Strict no file after a failed one is picked up, but every
 // file before it loads, so the first failure in path order is always
 // there; a canceled ctx stops pickups too. A non-nil episode is called
@@ -256,7 +294,7 @@ func loadOne(path string, o LoadOptions, blockJobs int, episode func(*trace.Sess
 		l.Session, l.Diag = s, diag
 		return l
 	}
-	if errors.Is(err, treebuild.ErrSessionTooLarge) && !o.Strict {
+	if errors.Is(err, treebuild.ErrSessionTooLarge) && episode == nil && !o.Strict {
 		// The session tree would blow the memory budget; rebuild in
 		// release mode, which keeps only the open episodes and the
 		// ticks they can reach, and keep its counts in the health.
@@ -315,48 +353,95 @@ func loadV2(f *os.File, o LoadOptions, blockJobs int, bo treebuild.Options) (*tr
 	return treebuild.BuildV2(v, o.Salvage, blockJobs, bo)
 }
 
-// AnalyzeSuites runs the full per-application characterization over
-// already-loaded suites — the entry point for trace-directory studies.
-func AnalyzeSuites(suites []*trace.Suite, threshold trace.Dur) *StudyResult {
-	return AnalyzeSuitesContext(context.Background(), suites, threshold, nil)
-}
-
-// AnalyzeSuitesContext is AnalyzeSuites with observability: phase
-// spans from a context-carried obs.Trace and per-app progress lines
-// with an ETA on progressW (nil = silent). An app whose analysis
-// fails (a contained engine panic) is dropped into the result's
-// Health instead of taking the study down.
+// AnalyzeSuitesContext runs the full per-application characterization
+// over already-loaded suites, with phase spans from a context-carried
+// obs.Trace and per-app progress lines with an ETA on progressW (nil =
+// silent). An app whose analysis fails (a contained engine panic) is
+// dropped into the result's Health instead of taking the study down.
 func AnalyzeSuitesContext(ctx context.Context, suites []*trace.Suite, threshold trace.Dur, progressW io.Writer) *StudyResult {
-	ctx, endStudy := obs.PhaseSpan(ctx, "study")
-	defer endStudy()
-
 	if threshold == 0 {
 		threshold = trace.DefaultPerceptibleThreshold
 	}
-	pr := newProgress(progressW, len(suites))
+	apps := make([]string, len(suites))
+	for i, suite := range suites {
+		apps[i] = suite.App
+	}
+	return analyzeApps(ctx, apps, threshold, progressW, func(ctx context.Context, i int) (*AppResult, error) {
+		mSessions.Add(int64(len(suites[i].Sessions)))
+		return analyzeSuite(ctx, suites[i], threshold)
+	})
+}
+
+// FoldedSession is one session's release-mode fold and the session
+// its build closed.
+type FoldedSession struct {
+	Fold    *engine.AppFold
+	Session *trace.Session
+}
+
+// FoldHook returns the LoadFiles episode hook that folds file i's
+// episodes into a new folds[i] at threshold.
+func FoldHook(folds []*engine.AppFold, threshold trace.Dur) func(i int) func(*trace.Session, *trace.Episode) {
+	return func(i int) func(*trace.Session, *trace.Episode) {
+		folds[i] = engine.NewAppFold(threshold, engine.Options{})
+		return folds[i].Episode
+	}
+}
+
+// AnalyzeFolds is AnalyzeSuitesContext for sessions folded as they
+// loaded: one application per app name in first-seen order, merging
+// its sessions in order. threshold must be the one the folds were
+// built at.
+func AnalyzeFolds(ctx context.Context, sessions []FoldedSession, threshold trace.Dur, progressW io.Writer) *StudyResult {
+	var apps []string
+	var folds [][]*engine.AppFold
+	var closed [][]*trace.Session
+	byApp := make(map[string]int)
+	for _, fs := range sessions {
+		g, ok := byApp[fs.Session.App]
+		if !ok {
+			g = len(apps)
+			byApp[fs.Session.App] = g
+			apps, folds, closed = append(apps, fs.Session.App), append(folds, nil), append(closed, nil)
+		}
+		folds[g], closed[g] = append(folds[g], fs.Fold), append(closed[g], fs.Session)
+	}
+	return analyzeApps(ctx, apps, threshold, progressW, func(ctx context.Context, i int) (*AppResult, error) {
+		mSessions.Add(int64(len(closed[i])))
+		return appResult(apps[i], engine.FinishSessions(ctx, apps[i], folds[i], closed[i])), nil
+	})
+}
+
+// analyzeApps runs analyze for each app in order under a "study" phase
+// span, with one "app:" span and progress line per app. A failed app
+// lands in the health; once ctx is canceled, every remaining app is
+// recorded as canceled so the partial ledger is complete.
+func analyzeApps(ctx context.Context, apps []string, threshold trace.Dur, progressW io.Writer,
+	analyze func(ctx context.Context, i int) (*AppResult, error)) *StudyResult {
+	ctx, endStudy := obs.PhaseSpan(ctx, "study")
+	defer endStudy()
+
+	pr := newProgress(progressW, len(apps))
 	res := &StudyResult{Config: StudyConfig{Threshold: threshold}, Health: &StudyHealth{}}
-	for _, suite := range suites {
-		// Cancellation (signal, job deadline): record every remaining
-		// app as canceled so the partial health ledger is complete.
+	for i, app := range apps {
 		if cerr := ctx.Err(); cerr != nil {
 			res.Health.Apps = append(res.Health.Apps,
-				AppHealth{App: suite.App, Error: cerr.Error(), Reason: LossCanceled})
+				AppHealth{App: app, Error: cerr.Error(), Reason: LossCanceled})
 			continue
 		}
-		actx, endApp := obs.Span(ctx, "app:"+suite.App)
-		a, err := analyzeSuite(actx, suite, threshold, 0)
+		actx, endApp := obs.Span(ctx, "app:"+app)
+		a, err := analyze(actx, i)
 		endApp()
-		mSessions.Add(int64(len(suite.Sessions)))
-		pr.step("analyze " + suite.App)
+		pr.step("analyze " + app)
 		if err != nil {
 			res.Health.Apps = append(res.Health.Apps,
-				AppHealth{App: suite.App, Error: err.Error(), Reason: lossReason(ctx, StudyConfig{}, err)})
+				AppHealth{App: app, Error: err.Error(), Reason: lossReason(ctx, StudyConfig{}, err)})
 			continue
 		}
 		res.Apps = append(res.Apps, a)
 		res.Rows = append(res.Rows, a.Overview)
 	}
-	mApps.Add(int64(len(suites)))
+	mApps.Add(int64(len(apps)))
 	if len(res.Rows) > 0 {
 		res.Rows = append(res.Rows, analysis.MeanOverview(res.Rows))
 	}

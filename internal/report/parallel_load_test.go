@@ -28,7 +28,7 @@ func TestParallelLoadByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := AnalyzeSuites(suites, 0)
+		res := AnalyzeSuitesContext(context.Background(), suites, 0, nil)
 		res.Health.Merge(lh)
 		return FormatAll(res), FormatHTML(res), string(hj)
 	}

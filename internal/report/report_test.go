@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -403,7 +404,7 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 	write("cs1.lila", "CrosswordSage", 1, lila.FormatText)
 	write("je0.lila", "JEdit", 0, lila.FormatV2)
 
-	suites, err := LoadTraceDir(dir)
+	suites, _, err := LoadTraceDirOptions(dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 		t.Errorf("suite 1 = %s with %d sessions", suites[1].App, len(suites[1].Sessions))
 	}
 
-	res := AnalyzeSuites(suites, 0)
+	res := AnalyzeSuitesContext(context.Background(), suites, 0, nil)
 	if len(res.Apps) != 2 || len(res.Rows) != 3 {
 		t.Fatalf("analyzed %d apps, %d rows", len(res.Apps), len(res.Rows))
 	}
@@ -432,11 +433,11 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 		t.Error("Table III missing loaded app")
 	}
 
-	if _, err := LoadTraceDir(filepath.Join(dir, "nonexistent")); err == nil {
+	if _, _, err := LoadTraceDirOptions(filepath.Join(dir, "nonexistent"), LoadOptions{}); err == nil {
 		t.Error("missing directory accepted")
 	}
 	empty := t.TempDir()
-	if _, err := LoadTraceDir(empty); err == nil {
+	if _, _, err := LoadTraceDirOptions(empty, LoadOptions{}); err == nil {
 		t.Error("empty directory accepted")
 	}
 	// A non-trace file fails cleanly.
@@ -444,7 +445,7 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(bad, "junk.txt"), []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTraceDir(bad); err == nil {
+	if _, _, err := LoadTraceDirOptions(bad, LoadOptions{}); err == nil {
 		t.Error("junk file accepted")
 	}
 }
@@ -452,9 +453,9 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 // TestRunStudySequentialParallelIdentical is the engine's determinism
 // guarantee surfaced at the study level: with a fixed seed, the
 // parallel run must reproduce the sequential run exactly — same Table
-// III rows, same pattern ordering, same pattern IDs — because the
-// engine's chunk layout and merge order never depend on the worker
-// count.
+// III rows, same pattern ordering, same pattern IDs — because each
+// app's analysis is a function of its sessions alone, whatever order
+// the pools finish in.
 func TestRunStudySequentialParallelIdentical(t *testing.T) {
 	run := func(sequential bool) *StudyResult {
 		res, err := RunStudy(StudyConfig{

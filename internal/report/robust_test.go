@@ -7,12 +7,10 @@ import (
 	"strings"
 	"testing"
 
-	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
-	"lagalyzer/internal/trace"
 )
 
 // damagedCorpus writes a small trace directory with one intact, one
@@ -84,35 +82,19 @@ func TestLoadTraceDirDamagedDefaults(t *testing.T) {
 }
 
 // TestSalvagedStudyDeterministicAcrossWorkers is the byte-identical
-// sequential-vs-parallel guarantee extended over a salvaged corpus:
-// the rendered study — Health section included — must not depend on
-// the engine worker count, because every health field is a
-// deterministic function of the input bytes.
+// sequential-vs-parallel guarantee extended over a salvaged corpus
+// analyzed as it loads: the rendered study — Health section included —
+// must not depend on the load's worker count, because every health
+// field is a deterministic function of the input bytes and the folds
+// merge in path order.
 func TestSalvagedStudyDeterministicAcrossWorkers(t *testing.T) {
 	dir := damagedCorpus(t)
 
-	study := func(workers int) string {
-		suites, health, err := LoadTraceDirOptions(dir, LoadOptions{Salvage: true})
+	study := func(jobs int) string {
+		res, err := AnalyzeTraceDirContext(context.Background(), dir, LoadOptions{Salvage: true, Jobs: jobs}, 0, nil)
 		if err != nil {
-			t.Fatalf("salvage load: %v", err)
+			t.Fatalf("salvage study: %v", err)
 		}
-		res := &StudyResult{
-			Config: StudyConfig{Threshold: trace.DefaultPerceptibleThreshold},
-			Health: &StudyHealth{},
-		}
-		for _, suite := range suites {
-			a, err := analyzeSuite(context.Background(), suite, trace.DefaultPerceptibleThreshold, workers)
-			if err != nil {
-				res.Health.Apps = append(res.Health.Apps, AppHealth{App: suite.App, Error: err.Error()})
-				continue
-			}
-			res.Apps = append(res.Apps, a)
-			res.Rows = append(res.Rows, a.Overview)
-		}
-		if len(res.Rows) > 0 {
-			res.Rows = append(res.Rows, analysis.MeanOverview(res.Rows))
-		}
-		res.Health.Merge(health)
 		return FormatAll(res)
 	}
 
@@ -123,9 +105,9 @@ func TestSalvagedStudyDeterministicAcrossWorkers(t *testing.T) {
 	if !strings.Contains(seq, "salvage:") {
 		t.Errorf("Health section reports no salvage:\n%s", seq)
 	}
-	for _, workers := range []int{2, 8} {
-		if par := study(workers); par != seq {
-			t.Errorf("study with %d workers differs from sequential:\nseq:\n%s\npar:\n%s", workers, seq, par)
+	for _, jobs := range []int{2, 8} {
+		if par := study(jobs); par != seq {
+			t.Errorf("study with %d workers differs from sequential:\nseq:\n%s\npar:\n%s", jobs, seq, par)
 		}
 	}
 }

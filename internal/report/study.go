@@ -57,11 +57,10 @@ type StudyConfig struct {
 	// SessionSeconds overrides every profile's session length when
 	// > 0 (used to scale the study down in tests).
 	SessionSeconds float64
-	// Sequential runs every worker pool (apps, sessions, and the
-	// analysis engine) at size 1. The results are identical either
-	// way — the engine's sharded classification merges
-	// deterministically — so this only trades wall-clock for a quiet
-	// machine.
+	// Sequential runs both worker pools (apps and sessions) at size
+	// 1. The results are identical either way — each app's analysis is
+	// a function of its sessions alone — so this only trades
+	// wall-clock for a quiet machine.
 	Sequential bool
 	// Progress, when non-nil, receives per-session and per-app
 	// progress lines with an ETA (lagreport points it at stderr).
@@ -181,38 +180,27 @@ func runPool(workers, n int, fn func(worker, i int)) {
 	wg.Wait()
 }
 
-// AppResult bundles everything the study computes for one application.
+// AppResult bundles everything the study computes for one application:
+// the engine's result — the Table III row (Overview), the pooled
+// patterns, Figure 2's episode, and the two panels of Figures 5-8 —
+// plus the pattern views of Figures 3 and 4.
 type AppResult struct {
+	App string
 	// Profile is the simulated application; nil when the suite was
 	// loaded from trace files instead of simulated.
 	Profile *sim.Profile
-	Suite   *trace.Suite
+	// Suite holds the analyzed sessions where a caller needs them
+	// (simulated studies, checkpoint hits, and distributed shards); nil
+	// when the sessions were folded as their traces loaded.
+	Suite *trace.Suite
 
-	// Overview is the application's Table III row.
-	Overview analysis.Overview
-
-	// Pooled classifies all the application's sessions together (the
-	// figures aggregate per application; Table III's pattern columns
-	// are per-session averages inside Overview).
-	Pooled *patterns.Set
+	engine.Result
 
 	// Occurrence counts patterns per occurrence class (Figure 4).
 	Occurrence map[patterns.Occurrence]int
 
 	// CDF is the cumulative episodes-into-patterns curve (Figure 3).
 	CDF []stats.CDFPoint
-
-	// TriggerAll and TriggerLong are Figure 5's two panels.
-	TriggerAll, TriggerLong analysis.TriggerShares
-
-	// LocationAll and LocationLong are Figure 6's two panels.
-	LocationAll, LocationLong analysis.LocationShares
-
-	// ConcurrencyAll and ConcurrencyLong are Figure 7's two panels.
-	ConcurrencyAll, ConcurrencyLong float64
-
-	// CausesAll and CausesLong are Figure 8's two panels.
-	CausesAll, CausesLong analysis.CauseShares
 }
 
 // StudyResult is a full characterization run.
@@ -235,7 +223,7 @@ func (r *StudyResult) Partial() bool { return r.Health.Partial() }
 // AppByName returns one application's results.
 func (r *StudyResult) AppByName(name string) (*AppResult, bool) {
 	for _, a := range r.Apps {
-		if a.Suite.App == name {
+		if a.App == name {
 			return a, true
 		}
 	}
@@ -247,18 +235,15 @@ func (r *StudyResult) AppByName(name string) (*AppResult, bool) {
 func (r *StudyResult) TotalEpisodes() int {
 	n := 0
 	for _, a := range r.Apps {
-		for _, s := range a.Suite.Sessions {
-			n += len(s.Episodes)
-		}
+		n += a.TriggerAll.Total
 	}
 	return n
 }
 
 // RunStudy simulates and analyzes the full study. The per-app fan-out
 // is bounded by a GOMAXPROCS-sized pool (one worker when Sequential);
-// results land in catalog order regardless of completion order, and
-// the engine's deterministic merge makes every row byte-identical to
-// a sequential run.
+// results land in catalog order regardless of completion order, so
+// every row is byte-identical to a sequential run.
 func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	return RunStudyContext(context.Background(), cfg)
 }
@@ -319,7 +304,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*StudyResult, error)
 			if suite, ok := store.Load(profiles[i].Name); ok {
 				// Resume: the expensive simulation is skipped; the
 				// deterministic engine re-derives the identical analysis.
-				if a, err := analyzeSuite(wctx, suite, cfg.threshold(), cfg.workers()); err == nil {
+				if a, err := analyzeSuite(wctx, suite, cfg.threshold()); err == nil {
 					a.Profile = profiles[i]
 					pr.skip(cfg.sessions(), "resume "+profiles[i].Name)
 					pr.step("analyze " + profiles[i].Name)
@@ -400,7 +385,7 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 			return nil, err
 		}
 		pr.skip(cfg.sessions(), "shard "+p.Name)
-		a, err := analyzeSuite(ctx, suite, cfg.threshold(), cfg.workers())
+		a, err := analyzeSuite(ctx, suite, cfg.threshold())
 		if err != nil {
 			return nil, err
 		}
@@ -449,7 +434,7 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 		}
 	}
 	suite := &trace.Suite{App: p.Name, Sessions: sessions}
-	a, err := analyzeSuite(ctx, suite, cfg.threshold(), cfg.workers())
+	a, err := analyzeSuite(ctx, suite, cfg.threshold())
 	if err != nil {
 		return nil, err
 	}
@@ -465,47 +450,41 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 // existing suite of sessions (simulated or loaded from trace files).
 // It runs the fused engine: one traversal per episode instead of nine
 // separate analysis passes over the suite. Like the engine's
-// error-free entry point, a contained worker panic resurfaces as a
-// panic here; use AnalyzeSuitesContext for graceful degradation.
+// error-free entry point, a contained panic resurfaces as a panic
+// here; use AnalyzeSuitesContext for graceful degradation.
 func AnalyzeSuite(suite *trace.Suite, threshold trace.Dur) *AppResult {
-	a, err := analyzeSuite(context.Background(), suite, threshold, 0)
-	if err != nil {
-		panic(err)
-	}
-	return a
+	return AnalyzeSuiteContext(context.Background(), suite, threshold)
 }
 
 // AnalyzeSuiteContext is AnalyzeSuite under a context that may carry
 // an obs.Trace for phase spans.
 func AnalyzeSuiteContext(ctx context.Context, suite *trace.Suite, threshold trace.Dur) *AppResult {
-	a, err := analyzeSuite(ctx, suite, threshold, 0)
+	a, err := analyzeSuite(ctx, suite, threshold)
 	if err != nil {
 		panic(err)
 	}
 	return a
 }
 
-func analyzeSuite(ctx context.Context, suite *trace.Suite, threshold trace.Dur, workers int) (*AppResult, error) {
-	r, err := engine.AnalyzeContextErr(ctx, suite, threshold, engine.Options{Workers: workers})
+func analyzeSuite(ctx context.Context, suite *trace.Suite, threshold trace.Dur) (*AppResult, error) {
+	r, err := engine.AnalyzeContextErr(ctx, suite, threshold, engine.Options{})
 	if err != nil {
 		return nil, err
 	}
+	a := appResult(suite.App, r)
+	a.Suite = suite
+	return a, nil
+}
+
+// appResult wraps an application's engine result with its pattern
+// views.
+func appResult(app string, r *engine.Result) *AppResult {
 	return &AppResult{
-		Suite:      suite,
-		Overview:   r.Overview,
-		Pooled:     r.Pooled,
+		App:        app,
+		Result:     *r,
 		Occurrence: r.Pooled.OccurrenceCounts(),
 		CDF:        r.Pooled.CDF(),
-
-		TriggerAll:      r.TriggerAll,
-		TriggerLong:     r.TriggerLong,
-		LocationAll:     r.LocationAll,
-		LocationLong:    r.LocationLong,
-		CausesAll:       r.CausesAll,
-		CausesLong:      r.CausesLong,
-		ConcurrencyAll:  r.ConcurrencyAll,
-		ConcurrencyLong: r.ConcurrencyLong,
-	}, nil
+	}
 }
 
 // OccurrenceFracs converts pattern occurrence counts into the
@@ -531,6 +510,6 @@ func (a *AppResult) OccurrenceFracs() map[patterns.Occurrence]float64 {
 func sortedApps(as []*AppResult) []*AppResult {
 	out := make([]*AppResult, len(as))
 	copy(out, as)
-	sort.Slice(out, func(i, j int) bool { return out[i].Suite.App < out[j].Suite.App })
+	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
 	return out
 }

@@ -70,7 +70,7 @@ func FormatFigure3(res *StudyResult) string {
 	}
 	fmt.Fprintln(&b, "   (episodes covered by top x% of patterns)")
 	for _, a := range res.Apps {
-		fmt.Fprintf(&b, "%-14s", a.Suite.App)
+		fmt.Fprintf(&b, "%-14s", a.App)
 		for _, x := range xs {
 			fmt.Fprintf(&b, " %5.1f%%", stats.ShareAt(a.CDF, x)*100)
 		}
@@ -86,7 +86,7 @@ func FormatFigure4(res *StudyResult) string {
 	order := []patterns.Occurrence{patterns.OccAlways, patterns.OccSometimes, patterns.OccOnce, patterns.OccNever}
 	for _, a := range res.Apps {
 		fr := a.OccurrenceFracs()
-		fmt.Fprintf(&b, "%-14s", a.Suite.App)
+		fmt.Fprintf(&b, "%-14s", a.App)
 		for _, occ := range order {
 			fmt.Fprintf(&b, " %7.1f%%", fr[occ]*100)
 		}
@@ -102,7 +102,7 @@ func FormatFigure5(res *StudyResult) string {
 		fmt.Fprintf(&b, "%s\n%-14s %7s %7s %7s %12s\n", title, "Benchmarks", "Input", "Output", "Async", "Unspecified")
 		for _, a := range res.Apps {
 			ts := pick(a)
-			fmt.Fprintf(&b, "%-14s %6.1f%% %6.1f%% %6.1f%% %11.1f%%\n", a.Suite.App,
+			fmt.Fprintf(&b, "%-14s %6.1f%% %6.1f%% %6.1f%% %11.1f%%\n", a.App,
 				ts.Frac(analysis.TriggerInput)*100, ts.Frac(analysis.TriggerOutput)*100,
 				ts.Frac(analysis.TriggerAsync)*100, ts.Frac(analysis.TriggerUnspecified)*100)
 		}
@@ -120,7 +120,7 @@ func FormatFigure6(res *StudyResult) string {
 		fmt.Fprintf(&b, "%s\n%-14s %9s %7s | %6s %7s\n", title, "Benchmarks", "RTLib", "App", "GC", "Native")
 		for _, a := range res.Apps {
 			loc := pick(a)
-			fmt.Fprintf(&b, "%-14s %8.1f%% %6.1f%% | %5.1f%% %6.1f%%\n", a.Suite.App,
+			fmt.Fprintf(&b, "%-14s %8.1f%% %6.1f%% | %5.1f%% %6.1f%%\n", a.App,
 				loc.Library*100, loc.App*100, loc.GC*100, loc.Native*100)
 		}
 	}
@@ -135,7 +135,7 @@ func FormatFigure7(res *StudyResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %12s %14s   (avg runnable threads)\n", "Benchmarks", "All episodes", ">=100ms")
 	for _, a := range res.Apps {
-		fmt.Fprintf(&b, "%-14s %12.2f %14.2f\n", a.Suite.App, a.ConcurrencyAll, a.ConcurrencyLong)
+		fmt.Fprintf(&b, "%-14s %12.2f %14.2f\n", a.App, a.ConcurrencyAll, a.ConcurrencyLong)
 	}
 	return b.String()
 }
@@ -147,7 +147,7 @@ func FormatFigure8(res *StudyResult) string {
 		fmt.Fprintf(&b, "%s\n%-14s %8s %8s %9s %9s\n", title, "Benchmarks", "Blocked", "Wait", "Sleeping", "Runnable")
 		for _, a := range res.Apps {
 			c := pick(a)
-			fmt.Fprintf(&b, "%-14s %7.1f%% %7.1f%% %8.1f%% %8.1f%%\n", a.Suite.App,
+			fmt.Fprintf(&b, "%-14s %7.1f%% %7.1f%% %8.1f%% %8.1f%%\n", a.App,
 				c.Blocked*100, c.Waiting*100, c.Sleeping*100, c.Runnable*100)
 		}
 	}

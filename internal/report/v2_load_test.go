@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -92,7 +93,7 @@ func TestCrossFormatByteIdenticalStudy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load %s: %v", dir, err)
 		}
-		res := AnalyzeSuites(suites, 0)
+		res := AnalyzeSuitesContext(context.Background(), suites, 0, nil)
 		return FormatAll(res), FormatHTML(res)
 	}
 	wantText, wantHTML := render(textDir, LoadOptions{Jobs: 1})

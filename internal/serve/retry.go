@@ -12,7 +12,7 @@ import (
 var (
 	// ErrWorkerPanic wraps a panic recovered inside a job attempt. It
 	// is retryable: panics in this codebase have historically come from
-	// data races and transient corruption, and the engine's chunk-level
+	// data races and transient corruption, and the engine's per-app
 	// containment means a retry runs from clean state.
 	ErrWorkerPanic = errors.New("serve: worker panic")
 	// ErrTransient marks an error as retryable by construction; wrap

@@ -752,16 +752,14 @@ func (s *Server) run(ctx context.Context, spec JobSpec) (*report.StudyResult, er
 		}
 		return report.RunStudyContext(ctx, cfg)
 	case "traces":
-		suites, health, err := report.LoadTraceDirContext(ctx, spec.Dir, report.LoadOptions{
+		res, err := report.AnalyzeTraceDirContext(ctx, spec.Dir, report.LoadOptions{
 			Salvage: spec.Salvage,
 			Limits:  s.cfg.Limits,
 			Jobs:    s.cfg.LoadJobs,
-		})
+		}, trace.DefaultPerceptibleThreshold, nil)
 		if err != nil {
 			return nil, err
 		}
-		res := report.AnalyzeSuitesContext(ctx, suites, trace.DefaultPerceptibleThreshold, nil)
-		res.Health.Merge(health)
 		if cerr := ctx.Err(); cerr != nil {
 			return res, cerr
 		}
