@@ -61,6 +61,20 @@ var benchStudy = sync.OnceValue(func() *report.StudyResult {
 	return res
 })
 
+// benchStudySuites simulates benchStudy's sessions held — one 60 s
+// session per catalog app at seed 7 — since a study keeps none.
+var benchStudySuites = sync.OnceValue(func() []*trace.Suite {
+	var suites []*trace.Suite
+	for _, p := range apps.Catalog() {
+		s, err := sim.Run(sim.Config{Profile: p, Seed: 7, SessionSeconds: 60})
+		if err != nil {
+			panic(err)
+		}
+		suites = append(suites, &trace.Suite{App: p.Name, Sessions: []*trace.Session{s}})
+	}
+	return suites
+})
+
 func BenchmarkTableII_Catalog(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -277,6 +291,32 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 				b.Fatalf("%s: checkpoint miss", su.App)
 			}
 		}
+	}
+}
+
+// BenchmarkStudyResume runs the paper_study workload's study over a
+// warm checkpoint store per iteration: every app a hit, its frame
+// decoded strictly through release-mode builds that fold each episode
+// as it closes — the critical path of a resumed lagreport -out before
+// rendering.
+func BenchmarkStudyResume(b *testing.B) {
+	b.ReportAllocs()
+	cfg := report.StudyConfig{Seed: 42, SessionsPerApp: 1, SessionSeconds: 240,
+		CheckpointDir: filepath.Join(b.TempDir(), "ckpt")}
+	if _, err := report.RunStudy(cfg); err != nil {
+		b.Fatal(err)
+	}
+	hits := obs.NewCounter("checkpoint_hits_total", "")
+	before := hits.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := report.RunStudy(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got, want := hits.Value()-before, int64(b.N*len(apps.Catalog())); got != want {
+		b.Fatalf("checkpoint hits = %d, want %d", got, want)
 	}
 }
 
@@ -731,17 +771,21 @@ func BenchmarkAblation_FingerprintSymbols(b *testing.B) {
 // asynchronous.
 func BenchmarkAblation_AsyncReclassify(b *testing.B) {
 	b.ReportAllocs()
-	res := benchStudy()
-	jmol, ok := res.AppByName("Jmol")
-	if !ok {
+	var jmol *trace.Suite
+	for _, su := range benchStudySuites() {
+		if su.App == "Jmol" {
+			jmol = su
+		}
+	}
+	if jmol == nil {
 		b.Fatal("no Jmol in study")
 	}
 	ablated := engine.Options{Trigger: analysis.TriggerOptions{NoAsyncReclassify: true}}
 	b.ResetTimer()
 	var with, without analysis.TriggerShares
 	for i := 0; i < b.N; i++ {
-		with = engine.Analyze(jmol.Suite, trace.DefaultPerceptibleThreshold, engine.Options{}).TriggerLong
-		without = engine.Analyze(jmol.Suite, trace.DefaultPerceptibleThreshold, ablated).TriggerLong
+		with = engine.Analyze(jmol, trace.DefaultPerceptibleThreshold, engine.Options{}).TriggerLong
+		without = engine.Analyze(jmol, trace.DefaultPerceptibleThreshold, ablated).TriggerLong
 	}
 	b.ReportMetric(with.Frac(analysis.TriggerOutput)*100, "output%(paper)")
 	b.ReportMetric(without.Frac(analysis.TriggerAsync)*100, "async%(ablated)")
@@ -899,8 +943,8 @@ func BenchmarkAnalyzeSuiteSelfProfiled(b *testing.B) {
 func BenchmarkClassifyParallel(b *testing.B) {
 	b.ReportAllocs()
 	var sessions []*trace.Session
-	for _, a := range benchStudy().Apps {
-		sessions = append(sessions, a.Suite.Sessions...)
+	for _, su := range benchStudySuites() {
+		sessions = append(sessions, su.Sessions...)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

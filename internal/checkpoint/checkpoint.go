@@ -8,7 +8,7 @@
 // The unit of checkpointing is one application's finished session
 // suite: the expensive phase of a study (simulation or ingest). The
 // analysis derived from a suite is a deterministic, cheap function of
-// it (the fused engine's byte-identical guarantee), so a resume loads
+// it (the fused engine's byte-identical guarantee), so a resume decodes
 // the suite and re-derives the analysis instead of persisting the
 // intertwined result graph. A study killed mid-run and restarted with
 // the same configuration therefore produces byte-identical output to
@@ -23,7 +23,9 @@
 // session as a length-prefixed raw LiLa v2 trace (what `lilasim
 // -format v2` writes). Loads decode it strictly (no salvage, no
 // lenient rebuild), so a payload is either the suite that was saved or
-// a miss.
+// a miss. Load returns the suite held; a caller that analyzes each
+// session as it decodes takes the verified frame from LoadFrame and
+// reports the outcome with Decoded.
 //
 // Consistency protocol: an app's payload file is written (and synced)
 // before the manifest references it, and both writes are atomic
@@ -209,6 +211,22 @@ func (s *Store) SaveFrame(app string, n int, frame []byte) error {
 // that does not decode strictly to exactly one suite for app. A miss
 // is never an error — the caller just re-runs the app.
 func (s *Store) Load(app string) (*trace.Suite, bool) {
+	data, ok := s.LoadFrame(app)
+	if !ok {
+		return nil, false
+	}
+	suite, rest, err := treebuild.ReadSuite(data)
+	if !s.Decoded(err == nil && len(rest) == 0 && suite.App == app) {
+		return nil, false
+	}
+	return suite, true
+}
+
+// LoadFrame returns app's payload, a suite frame whose digest matched
+// the manifest, or (nil, false) on a miss: no entry, an unreadable
+// payload, or a digest mismatch. A caller that decodes the frame
+// itself reports the outcome with Decoded.
+func (s *Store) LoadFrame(app string) ([]byte, bool) {
 	s.mu.Lock()
 	entry, ok := s.manifest.Apps[app]
 	s.mu.Unlock()
@@ -235,13 +253,18 @@ func (s *Store) Load(app string) (*trace.Suite, bool) {
 		mErrors.Inc()
 		return nil, false
 	}
-	suite, rest, err := treebuild.ReadSuite(data)
-	if err != nil || len(rest) != 0 || suite.App != app {
+	return data, true
+}
+
+// Decoded records the outcome of decoding a LoadFrame payload: a hit
+// when ok, else an error that made the load a miss. It returns ok.
+func (s *Store) Decoded(ok bool) bool {
+	if ok {
+		mHits.Inc()
+	} else {
 		mErrors.Inc()
-		return nil, false
 	}
-	mHits.Inc()
-	return suite, true
+	return ok
 }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }

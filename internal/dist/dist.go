@@ -312,31 +312,13 @@ func (c *Coordinator) degradeApp(ctx context.Context, cfg report.StudyConfig, p 
 	return suite, nil
 }
 
-// localSuite re-derives one app's suite on the coordinator by running
-// a single-app study through the ordinary local pipeline — the same
-// sim.Run calls, seeds, and session IDs a single-node run uses, so
-// the fallback suite is byte-identical to the one the worker would
+// localSuite re-derives one app's suite on the coordinator with the
+// simulator a single-node run uses — the same seeds and session IDs —
+// so the fallback suite is byte-identical to the one the worker would
 // have produced.
 func (c *Coordinator) localSuite(ctx context.Context, cfg report.StudyConfig, p *sim.Profile) (*trace.Suite, error) {
-	local := report.StudyConfig{
-		Apps:           []*sim.Profile{p},
-		SessionsPerApp: cfg.SessionsPerApp,
-		Seed:           cfg.Seed,
-		Threshold:      cfg.Threshold,
-		SessionSeconds: cfg.SessionSeconds,
-		Sequential:     true,
-	}
-	res, err := report.RunStudyContext(ctx, local)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Apps) == 0 {
-		if len(res.Health.Apps) > 0 {
-			return nil, fmt.Errorf("%s", res.Health.Apps[0].Error)
-		}
-		return nil, fmt.Errorf("local re-run produced nothing")
-	}
-	return res.Apps[0].Suite, nil
+	cfg.Sequential = true
+	return report.SimulateSuite(ctx, cfg, p, nil)
 }
 
 // TracesResult is a distributed corpus load: the merged suites and

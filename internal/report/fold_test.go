@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // writeMultiEDT writes a GanttProject trace in which two event dispatch
@@ -24,10 +27,31 @@ import (
 // EDT-A's, must win it.
 func writeMultiEDT(t *testing.T, path string) {
 	t.Helper()
+	h, recs := multiEDT()
+	var buf bytes.Buffer
+	w, err := lila.NewWriter(&buf, lila.FormatText, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := w.WriteRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// multiEDT returns the header and records of writeMultiEDT's trace.
+func multiEDT() (lila.Header, []*lila.Record) {
 	ms := func(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
 	h := lila.Header{App: "GanttProject", GUIThread: 1, FilterThreshold: trace.DefaultFilterThreshold,
 		SamplePeriod: 10 * trace.Millisecond}
-	recs := []*lila.Record{
+	return h, []*lila.Record{
 		{Type: lila.RecThread, Thread: 1, Name: "EDT-A"},
 		{Type: lila.RecThread, Thread: 2, Name: "EDT-B"},
 		{Type: lila.RecCall, Time: ms(0), Thread: 1, Kind: trace.KindDispatch},
@@ -47,22 +71,6 @@ func writeMultiEDT(t *testing.T, path string) {
 		{Type: lila.RecReturn, Time: ms(190), Thread: 1},
 		{Type: lila.RecReturn, Time: ms(200), Thread: 1},
 		{Type: lila.RecEnd, Time: ms(1000)},
-	}
-	var buf bytes.Buffer
-	w, err := lila.NewWriter(&buf, lila.FormatText, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := w.WriteRecord(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -178,5 +186,123 @@ func TestTraceDirSpans(t *testing.T) {
 	}
 	if counts["load"] != 1 {
 		t.Errorf("load span count = %d, want 1", counts["load"])
+	}
+}
+
+// multiEDTFrame is the checkpoint frame of a GanttProject suite of n
+// copies of writeMultiEDT's session, whose episodes close out of start
+// order: no simulated profile has a second event dispatch thread, so a
+// study meets such sessions only through a checkpoint hit.
+func multiEDTFrame(t *testing.T, n int) []byte {
+	t.Helper()
+	h, recs := multiEDT()
+	traces := make([][]byte, n)
+	for id := range traces {
+		h.SessionID = id
+		var buf bytes.Buffer
+		w := treebuild.NewTraceWriter(&buf, h)
+		for _, rec := range recs {
+			if err := w.WriteRecord(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		traces[id] = buf.Bytes()
+	}
+	return treebuild.AppendTraces(nil, h.App, traces)
+}
+
+// TestStudyFoldMatchesHeld is the simulated study's equivalence
+// guarantee: folding each episode as its simulated or checkpointed
+// session's release-mode build closes it renders byte for byte what
+// analyzing held sessions of the same configuration renders — text,
+// experiments.md, HTML, every figure, and the health ledger — fresh
+// and resumed, with the pools sequential or not, and for a resumed
+// app whose sessions close their episodes out of start order. No
+// locally run or resumed app keeps its sessions.
+func TestStudyFoldMatchesHeld(t *testing.T) {
+	ctx := context.Background()
+	cfg := StudyConfig{
+		Apps:           []*sim.Profile{apps.CrosswordSage(), apps.GanttProject()},
+		SessionsPerApp: 2,
+		Seed:           42,
+		SessionSeconds: 20,
+	}
+	suites := make([]*trace.Suite, len(cfg.Apps))
+	for i, p := range cfg.Apps {
+		suites[i] = &trace.Suite{App: p.Name}
+		for id := 0; id < cfg.SessionsPerApp; id++ {
+			s, err := sim.Run(sim.Config{Profile: p, SessionID: id, Seed: cfg.Seed, SessionSeconds: cfg.SessionSeconds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			suites[i].Sessions = append(suites[i].Sessions, s)
+		}
+	}
+	heldRender := func(suites []*trace.Suite) rendered {
+		held := AnalyzeSuitesContext(ctx, suites, 0, nil)
+		held.Config = cfg
+		return render(t, held)
+	}
+	check := func(name string, c StudyConfig, want rendered) {
+		t.Helper()
+		res, err := RunStudyContext(ctx, c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, a := range res.Apps {
+			if a.Suite != nil {
+				t.Errorf("%s: %s keeps its %d sessions", name, a.App, len(a.Suite.Sessions))
+			}
+		}
+		if got := render(t, res); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: study renders differently from the held sessions", name)
+			for fig, svg := range want.figures {
+				if got.figures[fig] != svg {
+					t.Errorf("  %s differs", fig)
+				}
+			}
+		}
+	}
+
+	want := heldRender(suites)
+	hits := obs.NewCounter("checkpoint_hits_total", "")
+	for _, seq := range []bool{true, false} {
+		c := cfg
+		c.Sequential = seq
+		check(fmt.Sprintf("sequential %v, no store", seq), c, want)
+		c.CheckpointDir = t.TempDir()
+		check(fmt.Sprintf("sequential %v, fresh", seq), c, want)
+		before := hits.Value()
+		check(fmt.Sprintf("sequential %v, resumed", seq), c, want)
+		if got := hits.Value() - before; got != 2 {
+			t.Errorf("sequential %v: resumed with %d checkpoint hits, want 2", seq, got)
+		}
+	}
+
+	frame := multiEDTFrame(t, cfg.SessionsPerApp)
+	gantt, _, err := treebuild.ReadSuite(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = heldRender([]*trace.Suite{suites[0], gantt})
+	if _, ok := want.figures["figure2_ganttproject_sketch.svg"]; !ok {
+		t.Fatal("no Figure 2 from the multi-EDT GanttProject sessions")
+	}
+	c := cfg
+	st, err := checkpoint.Open(t.TempDir(), c.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveFrame("GanttProject", cfg.SessionsPerApp, frame); err != nil {
+		t.Fatal(err)
+	}
+	c.Checkpoint = st
+	before := hits.Value()
+	check("multi-EDT resume", c, want)
+	if got := hits.Value() - before; got != 1 {
+		t.Errorf("multi-EDT resume: %d checkpoint hits, want 1", got)
 	}
 }

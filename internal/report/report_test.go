@@ -164,16 +164,16 @@ func TestSectionIVFindings(t *testing.T) {
 	// Concurrency: above 1 only for the three background-thread apps.
 	for _, a := range res.Apps {
 		above := a.ConcurrencyAll > 1.05
-		wantAbove := a.Suite.App == "Arabeske" || a.Suite.App == "FindBugs" || a.Suite.App == "NetBeans"
+		wantAbove := a.App == "Arabeske" || a.App == "FindBugs" || a.App == "NetBeans"
 		if above != wantAbove {
-			t.Errorf("%s concurrency %.2f: above-1 = %v, want %v", a.Suite.App, a.ConcurrencyAll, above, wantAbove)
+			t.Errorf("%s concurrency %.2f: above-1 = %v, want %v", a.App, a.ConcurrencyAll, above, wantAbove)
 		}
 	}
 	// The perceptible-panel GUI thread is runnable most of the time
 	// everywhere (the paper zooms Figure 8 to 60% for a reason).
 	for _, a := range res.Apps {
 		if a.CausesAll.Runnable < 0.80 {
-			t.Errorf("%s all-episode runnable share %.2f unexpectedly low", a.Suite.App, a.CausesAll.Runnable)
+			t.Errorf("%s all-episode runnable share %.2f unexpectedly low", a.App, a.CausesAll.Runnable)
 		}
 	}
 }
@@ -355,10 +355,10 @@ func TestCDFSharesAreParetoLike(t *testing.T) {
 		at20 := stats.ShareAt(a.CDF, 0.2)
 		at100 := stats.ShareAt(a.CDF, 1.0)
 		if math.Abs(at100-1) > 1e-9 {
-			t.Errorf("%s: CDF does not reach 1 (%.3f)", a.Suite.App, at100)
+			t.Errorf("%s: CDF does not reach 1 (%.3f)", a.App, at100)
 		}
 		if at20 < 0.2 {
-			t.Errorf("%s: top 20%% of patterns cover only %.1f%% of episodes", a.Suite.App, at20*100)
+			t.Errorf("%s: top 20%% of patterns cover only %.1f%% of episodes", a.App, at20*100)
 		}
 	}
 }
@@ -482,23 +482,23 @@ func TestRunStudySequentialParallelIdentical(t *testing.T) {
 	}
 	for i, sa := range seq.Apps {
 		pa := par.Apps[i]
-		if sa.Suite.App != pa.Suite.App {
-			t.Fatalf("app order differs at %d: %s vs %s", i, sa.Suite.App, pa.Suite.App)
+		if sa.App != pa.App {
+			t.Fatalf("app order differs at %d: %s vs %s", i, sa.App, pa.App)
 		}
 		if len(sa.Pooled.Patterns) != len(pa.Pooled.Patterns) {
 			t.Fatalf("%s: pattern counts differ: %d vs %d",
-				sa.Suite.App, len(sa.Pooled.Patterns), len(pa.Pooled.Patterns))
+				sa.App, len(sa.Pooled.Patterns), len(pa.Pooled.Patterns))
 		}
 		for j, sp := range sa.Pooled.Patterns {
 			pp := pa.Pooled.Patterns[j]
 			if sp.Canon != pp.Canon || sp.ID() != pp.ID() || sp.Count() != pp.Count() {
 				t.Fatalf("%s pattern %d differs: %s %q (n=%d) vs %s %q (n=%d)",
-					sa.Suite.App, j, sp.ID(), sp.Canon, sp.Count(), pp.ID(), pp.Canon, pp.Count())
+					sa.App, j, sp.ID(), sp.Canon, sp.Count(), pp.ID(), pp.Canon, pp.Count())
 			}
 		}
 		if sa.TriggerAll != pa.TriggerAll || sa.CausesAll != pa.CausesAll ||
 			sa.LocationAll != pa.LocationAll || sa.ConcurrencyAll != pa.ConcurrencyAll {
-			t.Errorf("%s: figure analyses differ between sequential and parallel", sa.Suite.App)
+			t.Errorf("%s: figure analyses differ between sequential and parallel", sa.App)
 		}
 	}
 }

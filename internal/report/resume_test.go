@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,6 +21,7 @@ import (
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 func resumeTestConfig(dir string) StudyConfig {
@@ -101,8 +103,12 @@ func TestTeedCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range fresh.Apps {
-		if err := saved.Save(a.Suite); err != nil {
+	for _, p := range cfg.Apps {
+		suite, err := SimulateSuite(context.Background(), cfg, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := saved.Save(suite); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +222,7 @@ func TestAppTimeoutRecordsTimedOutReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Apps) != 1 || res.Apps[0].Suite.App != "CrosswordSage" {
+	if len(res.Apps) != 1 || res.Apps[0].App != "CrosswordSage" {
 		t.Fatalf("surviving apps = %d, want only CrosswordSage", len(res.Apps))
 	}
 	if len(res.Health.Apps) != 1 {
@@ -273,7 +279,7 @@ func TestCancelReturnsPartialResult(t *testing.T) {
 	if res == nil {
 		t.Fatal("no partial result alongside the cancellation error")
 	}
-	if len(res.Apps) != 1 || res.Apps[0].Suite.App != "CrosswordSage" {
+	if len(res.Apps) != 1 || res.Apps[0].App != "CrosswordSage" {
 		t.Fatalf("partial result apps = %d, want only CrosswordSage", len(res.Apps))
 	}
 	var canceled []string
@@ -325,7 +331,10 @@ func TestCheckpointVersion1StoreReruns(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	cfg := resumeTestConfig(dir)
-	suite := fresh.Apps[0].Suite
+	suite, err := SimulateSuite(context.Background(), cfg, cfg.Apps[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(struct {
 		App      string
@@ -372,5 +381,117 @@ func TestCheckpointVersion1StoreReruns(t *testing.T) {
 	}
 	if a, b := FormatAll(fresh), FormatAll(resumed); a != b {
 		t.Error("report differs after re-running over a version-1 store")
+	}
+}
+
+// checkpointedFrame runs resumeTestConfig into a fresh store and
+// returns the config, the store, and app's stored frame.
+func checkpointedFrame(t *testing.T, app string) (StudyConfig, *checkpoint.Store, []byte) {
+	t.Helper()
+	cfg := resumeTestConfig(filepath.Join(t.TempDir(), "ckpt"))
+	if _, err := RunStudy(cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.Open(cfg.CheckpointDir, cfg.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, ok := st.LoadFrame(app)
+	if !ok {
+		t.Fatal("no checkpoint of " + app)
+	}
+	return cfg, st, frame
+}
+
+// TestCheckpointDamagedLaterSessionReruns: a frame whose digest
+// matches but whose second session is damaged fails as a whole after
+// its first session has folded. That fold is dropped, the app re-runs
+// from fresh folds, and the output is the fresh run's byte for byte.
+func TestCheckpointDamagedLaterSessionReruns(t *testing.T) {
+	const app = "GanttProject"
+	cfg, st, frame := checkpointedFrame(t, app)
+	fresh, err := RunStudy(resumeTestConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, traces, _, err := treebuild.SplitSuite(frame)
+	if err != nil || len(traces) != 2 {
+		t.Fatalf("frame: %d sessions, %v", len(traces), err)
+	}
+	traces[1] = faultinject.FlipBits(traces[1], 5, 4, len(traces[1])/2, 0)
+	if _, err := treebuild.DecodeSession(traces[1], treebuild.Options{}); err == nil {
+		t.Fatal("damaged session still decodes")
+	}
+	damaged := treebuild.AppendTraces(nil, app, traces)
+	if err := st.SaveFrame(app, 2, damaged); err != nil {
+		t.Fatal(err)
+	}
+
+	var folded [2]int
+	if _, err := foldFrame(context.Background(), st, damaged, app, 2, func(i int) func(*trace.Session, *trace.Episode) {
+		return func(*trace.Session, *trace.Episode) { folded[i]++ }
+	}); err == nil || folded[0] == 0 {
+		t.Fatalf("damaged frame: error %v after folding %d episodes of session 0, want an error after some", err, folded[0])
+	}
+
+	hits := obs.NewCounter("checkpoint_hits_total", "")
+	saves := obs.NewCounter("checkpoint_saves_total", "")
+	h0, s0 := hits.Value(), saves.Value()
+	cfg.Checkpoint = st
+	resumed, err := RunStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, s := hits.Value()-h0, saves.Value()-s0; h != 1 || s != 1 {
+		t.Errorf("checkpoint hits/saves delta = %d/%d, want 1/1 (%s re-run)", h, s, app)
+	}
+	if a, b := FormatAll(fresh), FormatAll(resumed); a != b {
+		t.Errorf("report differs after re-running a damaged later session:\n--- fresh ---\n%s\n--- resumed ---\n%s", a, b)
+	}
+	if a, b := FormatHTML(fresh), FormatHTML(resumed); a != b {
+		t.Error("HTML report differs after re-running a damaged later session")
+	}
+}
+
+// TestResumeFoldPanicContained: a panic while a checkpoint hit folds
+// fails that frame with an attributed error, counted with the other
+// contained panics, instead of taking the study down; RunStudyContext
+// then re-runs the app as on any failed hit.
+func TestResumeFoldPanicContained(t *testing.T) {
+	_, st, frame := checkpointedFrame(t, "CrosswordSage")
+	panics := obs.NewCounter("engine_panics_recovered_total", "")
+	before := panics.Value()
+	_, err := foldFrame(context.Background(), st, frame, "CrosswordSage", 2, func(i int) func(*trace.Session, *trace.Episode) {
+		return func(*trace.Session, *trace.Episode) {
+			if i == 1 {
+				panic("injected fault")
+			}
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "panic in checkpoint of CrosswordSage: injected fault") {
+		t.Errorf("error %v, want the contained panic", err)
+	}
+	if got := panics.Value() - before; got != 1 {
+		t.Errorf("engine_panics_recovered_total delta = %d, want 1", got)
+	}
+}
+
+// TestResumeCancelBetweenSessions: a context canceled while a
+// checkpoint hit folds its first session stops the hit before the
+// second session decodes.
+func TestResumeCancelBetweenSessions(t *testing.T) {
+	_, st, frame := checkpointedFrame(t, "CrosswordSage")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started [2]bool
+	_, err := foldFrame(ctx, st, frame, "CrosswordSage", 2, func(i int) func(*trace.Session, *trace.Episode) {
+		started[i] = true
+		return func(*trace.Session, *trace.Episode) { cancel() }
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("error %v, want context.Canceled", err)
+	}
+	if !started[0] || started[1] {
+		t.Errorf("sessions started = %v, want only the first", started)
 	}
 }

@@ -189,9 +189,10 @@ type AppResult struct {
 	// Profile is the simulated application; nil when the suite was
 	// loaded from trace files instead of simulated.
 	Profile *sim.Profile
-	// Suite holds the analyzed sessions where a caller needs them
-	// (simulated studies, checkpoint hits, and distributed shards); nil
-	// when the sessions were folded as their traces loaded.
+	// Suite holds the analyzed sessions where a caller needs them: only
+	// the distributed shapes fill it, for an app whose suite came from
+	// StudyConfig.SuiteSource. Nil when the sessions were folded as they
+	// were simulated, resumed, or loaded.
 	Suite *trace.Suite
 
 	engine.Result
@@ -301,20 +302,13 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*StudyResult, error)
 			defer cancel()
 		}
 		if store != nil {
-			if suite, ok := store.Load(profiles[i].Name); ok {
-				// Resume: the expensive simulation is skipped; the
-				// deterministic engine re-derives the identical analysis.
-				if a, err := analyzeSuite(wctx, suite, cfg.threshold()); err == nil {
-					a.Profile = profiles[i]
-					pr.skip(cfg.sessions(), "resume "+profiles[i].Name)
-					pr.step("analyze " + profiles[i].Name)
-					results[i] = a
-					return
-				}
-				// Analysis of the checkpointed suite failed (cancellation
-				// or contained panic): fall through to a fresh run, which
-				// will classify the error normally.
+			if a, ok := resumeApp(wctx, cfg, profiles[i], pr, store); ok {
+				results[i] = a
+				return
 			}
+			// A miss, or a resume that failed (damage, cancellation or a
+			// contained panic): its folds are dropped and the app runs
+			// fresh, which classifies any error normally.
 		}
 		results[i], errs[i] = runApp(wctx, cfg, profiles[i], pr, store)
 	})
@@ -371,7 +365,10 @@ func lossReason(ctx context.Context, cfg StudyConfig, err error) string {
 }
 
 // runApp produces, analyzes, and (with a store) checkpoints one app's
-// suite. Saves are best-effort: a failed save costs only resumability.
+// suite. Simulated sessions are built in release mode, each folding
+// its episodes into its own engine.AppFold as they close, so no
+// session is kept. Saves are best-effort: a failed save costs only
+// resumability.
 func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store) (*AppResult, error) {
 	ctx, endApp := obs.Span(ctx, "app:"+p.Name)
 	defer endApp()
@@ -397,6 +394,99 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 		return a, nil
 	}
 
+	folds := make([]*engine.AppFold, cfg.sessions())
+	sessions, err := simulate(ctx, cfg, p, pr, store, FoldHook(folds, cfg.threshold()))
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return finishApp(ctx, p, pr, folds, sessions), nil
+}
+
+// resumeApp analyzes p from its checkpointed frame: each session
+// decodes strictly through a release-mode build into a fold of its
+// own. ok is false when the frame misses or fails, and the folds are
+// dropped.
+func resumeApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store) (*AppResult, bool) {
+	frame, ok := store.LoadFrame(p.Name)
+	if !ok {
+		return nil, false
+	}
+	ctx, endApp := obs.Span(ctx, "app:"+p.Name)
+	defer endApp()
+	folds := make([]*engine.AppFold, cfg.sessions())
+	_, endResume := obs.Span(ctx, "resume")
+	sessions, err := foldFrame(ctx, store, frame, p.Name, len(folds), FoldHook(folds, cfg.threshold()))
+	endResume()
+	if err != nil {
+		return nil, false
+	}
+	pr.skip(len(folds), "resume "+p.Name)
+	return finishApp(ctx, p, pr, folds, sessions), true
+}
+
+// foldFrame decodes app's checkpointed frame of n sessions, building
+// session i in release mode with episode(i), and returns the closed
+// sessions. Damage anywhere — framing, a parse, checksum, or build
+// error, or a degraded build, in any session — fails the whole frame
+// and is recorded in store as a failed decode. A panic, which is
+// contained, and a context canceled between sessions fail it too.
+func foldFrame(ctx context.Context, store *checkpoint.Store, frame []byte, app string, n int,
+	episode func(i int) func(*trace.Session, *trace.Episode)) (sessions []*trace.Session, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			mPanicsRecovered.Add(1)
+			sessions, err = nil, fmt.Errorf("panic in checkpoint of %s: %v", app, r)
+		}
+	}()
+	name, traces, rest, err := treebuild.SplitSuite(frame)
+	if err == nil && (name != app || len(traces) != n || len(rest) != 0) {
+		err = fmt.Errorf("checkpoint of %s holds %d sessions of %q", app, len(traces), name)
+	}
+	sessions = make([]*trace.Session, len(traces))
+	for i := 0; err == nil && i < len(traces); i++ {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		sessions[i], err = treebuild.DecodeSession(traces[i], treebuild.Options{Episode: episode(i)})
+	}
+	if !store.Decoded(err == nil) {
+		return nil, err
+	}
+	return sessions, nil
+}
+
+// finishApp closes p's folds, whose builds finished as sessions, and
+// merges them into its result.
+func finishApp(ctx context.Context, p *sim.Profile, pr *progress, folds []*engine.AppFold, sessions []*trace.Session) *AppResult {
+	a := appResult(p.Name, engine.FinishSessions(ctx, p.Name, folds, sessions))
+	a.Profile = p
+	pr.step("analyze " + p.Name)
+	return a
+}
+
+// SimulateSuite simulates p's sessions as a study under cfg does and
+// returns them held, for callers that ship sessions: the distributed
+// coordinator's local fallback and the lagd shard worker. With a
+// non-nil store the sessions are checkpointed exactly as a study
+// saves them.
+func SimulateSuite(ctx context.Context, cfg StudyConfig, p *sim.Profile, store *checkpoint.Store) (*trace.Suite, error) {
+	sessions, err := simulate(ctx, cfg, p, nil, store, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &trace.Suite{App: p.Name, Sessions: sessions}, nil
+}
+
+// simulate runs p's sessions on the session pool, building session i
+// in release mode with episode(i) when episode is non-nil and in full
+// otherwise, and with a store saves the frame of the record streams it
+// teed. Each session is one progress step and one "simulate" span, in
+// which a release-mode build's per-episode engine work also runs.
+func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store,
+	episode func(i int) func(*trace.Session, *trace.Episode)) ([]*trace.Session, error) {
 	n := cfg.sessions()
 	sessions := make([]*trace.Session, n)
 	errs := make([]error, n)
@@ -414,12 +504,16 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 		}
 		_, endSim := obs.Span(obs.WithWorker(ctx, w), "simulate")
 		scfg := sim.Config{Profile: p, SessionID: i, Seed: cfg.Seed, SessionSeconds: cfg.SessionSeconds}
+		var bo treebuild.Options
+		if episode != nil {
+			bo.Episode = episode(i)
+		}
 		if store == nil {
-			sessions[i], errs[i] = sim.Run(scfg)
+			sessions[i], errs[i] = sim.RunTee(scfg, bo, nil)
 		} else {
 			var buf bytes.Buffer
 			tw := treebuild.NewTraceWriter(&buf, scfg.Header())
-			if sessions[i], errs[i] = sim.RunTee(scfg, tw); errs[i] == nil {
+			if sessions[i], errs[i] = sim.RunTee(scfg, bo, tw); errs[i] == nil {
 				errs[i] = tw.Close()
 			}
 			traces[i] = buf.Bytes()
@@ -433,17 +527,10 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 			return nil, err
 		}
 	}
-	suite := &trace.Suite{App: p.Name, Sessions: sessions}
-	a, err := analyzeSuite(ctx, suite, cfg.threshold())
-	if err != nil {
-		return nil, err
-	}
-	a.Profile = p
-	pr.step("analyze " + p.Name)
 	if store != nil {
 		_ = store.SaveFrame(p.Name, n, treebuild.AppendTraces(nil, p.Name, traces))
 	}
-	return a, nil
+	return sessions, nil
 }
 
 // AnalyzeSuite computes the full per-application result for an

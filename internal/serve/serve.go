@@ -21,11 +21,13 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/ingest"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
@@ -463,9 +465,12 @@ func validateSpec(spec JobSpec) error {
 // estimateMemory predicts a job's peak footprint for admission
 // control. Trace jobs sum their input file sizes (the session tree
 // costs a small multiple of the wire size; the lila session budget
-// caps any single file). Study jobs scale with simulated
-// app-session-seconds using a coarse per-second constant measured from
-// the simulator's output density.
+// caps any single file). A study job folds each session as it is
+// simulated, so it scales with the session-seconds of the apps in
+// flight (one per GOMAXPROCS): their builders, folds, and teed
+// checkpoint frames; every app's result adds a little more until the
+// study ends. A study-shaped shard ships its sessions, so it holds
+// them all.
 func estimateMemory(spec JobSpec, cfg Config) int64 {
 	switch spec.Kind {
 	case "traces":
@@ -490,28 +495,42 @@ func estimateMemory(spec JobSpec, cfg Config) int64 {
 			}
 			return total
 		}
-		// Study-shaped shard: same per-session-second constant as a
-		// study job, over the shard's explicit app list.
-		shard := spec
-		shard.Kind = "study"
-		return estimateMemory(shard, cfg)
+		const heldBytesPerSessionSecond = 64 << 10
+		nApps, sessionSeconds := studyShape(spec)
+		return int64(float64(nApps) * sessionSeconds * heldBytesPerSessionSecond)
 	case "study":
-		nApps := len(spec.Apps)
-		if nApps == 0 {
-			nApps = len(apps.Catalog())
-		}
-		sessions := spec.Sessions
-		if sessions == 0 {
-			sessions = 4
-		}
-		seconds := spec.Seconds
-		if seconds == 0 {
-			seconds = 300 // profiles default to minutes-long sessions
-		}
-		const bytesPerSessionSecond = 64 << 10
-		return int64(nApps) * int64(sessions) * int64(seconds*bytesPerSessionSecond)
+		// Measured on lagd study jobs (2 vCPUs, so two apps in flight):
+		// 7.8 MiB over the idle server for 2 apps × 1 session × 300 s,
+		// 15.6 MiB for 14 × 1 × 300 s, 41.9 MiB for 14 × 4 × 300 s, and
+		// 60.3 MiB for 14 × 4 × 600 s. These constants overestimate all
+		// four.
+		const (
+			foldBytesPerSessionSecond   = 16 << 10
+			resultBytesPerSessionSecond = 4 << 10
+		)
+		nApps, sessionSeconds := studyShape(spec)
+		inFlight := min(nApps, runtime.GOMAXPROCS(0))
+		return int64(sessionSeconds * float64(inFlight*foldBytesPerSessionSecond+nApps*resultBytesPerSessionSecond))
 	}
 	return 0
+}
+
+// studyShape resolves a study spec's app count and the session-seconds
+// simulated per app, defaults applied.
+func studyShape(spec JobSpec) (nApps int, sessionSeconds float64) {
+	nApps = len(spec.Apps)
+	if nApps == 0 {
+		nApps = len(apps.Catalog())
+	}
+	sessions := spec.Sessions
+	if sessions == 0 {
+		sessions = 4
+	}
+	seconds := spec.Seconds
+	if seconds == 0 {
+		seconds = 300 // profiles default to minutes-long sessions
+	}
+	return nApps, float64(sessions) * seconds
 }
 
 // worker pulls jobs until the queue closes. A job received after
@@ -776,10 +795,12 @@ func (s *Server) run(ctx context.Context, spec JobSpec) (*report.StudyResult, er
 // runShard executes one partition of a distributed study. A
 // study-shaped shard (explicit apps) runs the normal study pipeline —
 // simulation plus analysis, so a sick shard fails loudly here instead
-// of poisoning the coordinator's merge — and reuses the worker's own
-// checkpoint store under StateDir, which turns repeated dispatches of
-// the same shard (coordinator retries, hedges won elsewhere) into
-// cache hits. A traces-shaped shard (explicit files) only LOADS its
+// of poisoning the coordinator's merge — over held sessions, which its
+// state ships: its SuiteSource loads each app from the worker's own
+// checkpoint store under StateDir, or else simulates and saves it,
+// which turns repeated dispatches of the same shard (coordinator
+// retries, hedges won elsewhere) into cache hits. A traces-shaped
+// shard (explicit files) only LOADS its
 // files: the coordinator analyzes the merged per-app suites, because
 // an app's sessions may span shards and per-shard analysis of a
 // partial suite would diverge from the single-node result.
@@ -799,8 +820,19 @@ func (s *Server) runShard(ctx context.Context, spec JobSpec) (*report.StudyResul
 			Seed:           spec.Seed,
 			SessionSeconds: spec.Seconds,
 		}
+		var store *checkpoint.Store
 		if s.cfg.StateDir != "" {
-			cfg.CheckpointDir = filepath.Join(s.cfg.StateDir, "checkpoint", cfg.Hash())
+			// An unopenable store degrades the shard to uncached, as it
+			// does a study.
+			store, _ = checkpoint.Open(filepath.Join(s.cfg.StateDir, "checkpoint", cfg.Hash()), cfg.Hash())
+		}
+		cfg.SuiteSource = func(ctx context.Context, p *sim.Profile) (*trace.Suite, error) {
+			if store != nil {
+				if suite, ok := store.Load(p.Name); ok {
+					return suite, nil
+				}
+			}
+			return report.SimulateSuite(ctx, cfg, p, store)
 		}
 		return report.RunStudyContext(ctx, cfg)
 	}

@@ -19,16 +19,18 @@ const guiThreadID trace.ThreadID = 1
 
 // Run simulates one session and returns it rebuilt through the same
 // treebuild path real traces take, streaming each record to the builder.
-func Run(cfg Config) (*trace.Session, error) { return RunTee(cfg, nil) }
+func Run(cfg Config) (*trace.Session, error) { return RunTee(cfg, treebuild.Options{}, nil) }
 
-// RunTee is Run that also writes every record to tee when it is not
-// nil. The caller opens tee with cfg.Header() and closes it.
-func RunTee(cfg Config, tee lila.Writer) (*trace.Session, error) {
+// RunTee is Run building with o, which in release mode (o.Episode set)
+// hands each episode over as it closes and returns the session without
+// them, and also writing every record to tee when it is not nil. The
+// caller opens tee with cfg.Header() and closes it.
+func RunTee(cfg Config, o treebuild.Options, tee lila.Writer) (*trace.Session, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	s := newSimulation(cfg)
-	sess, _, err := treebuild.BuildFeed(cfg.Header(), s.end, treebuild.Options{}, func(feed func(*lila.Record) error) error {
+	sess, _, err := treebuild.BuildFeed(cfg.Header(), s.end, o, func(feed func(*lila.Record) error) error {
 		if tee == nil {
 			return s.run(feed)
 		}

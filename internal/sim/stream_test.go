@@ -63,7 +63,7 @@ func TestRunTeeWritesTheStream(t *testing.T) {
 	cfg := sim.Config{Profile: apps.JEdit(), SessionID: 1, Seed: 3, SessionSeconds: 20, MaterializeShort: true}
 	var teed bytes.Buffer
 	w := treebuild.NewTraceWriter(&teed, cfg.Header())
-	if _, err := sim.RunTee(cfg, w); err != nil {
+	if _, err := sim.RunTee(cfg, treebuild.Options{}, w); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -66,28 +66,40 @@ func AppendTraces(dst []byte, app string, traces [][]byte) []byte {
 // ReadSuite decodes the suite frame at the front of data and returns
 // the suite and the bytes after the frame.
 func ReadSuite(data []byte) (*trace.Suite, []byte, error) {
-	app, data, err := frameBytes(data)
+	app, traces, rest, err := SplitSuite(data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("treebuild: suite frame app: %w", err)
+		return nil, nil, err
+	}
+	suite := &trace.Suite{App: app, Sessions: make([]*trace.Session, len(traces))}
+	for i, v2 := range traces {
+		if suite.Sessions[i], err = DecodeSession(v2, Options{}); err != nil {
+			return nil, nil, fmt.Errorf("treebuild: suite frame %q session %d: %w", app, i, err)
+		}
+	}
+	return suite, rest, nil
+}
+
+// SplitSuite splits the suite frame at the front of data into its app
+// name and its sessions' v2 traces, undecoded, and returns the bytes
+// after the frame. A frame that overruns data is an error before any
+// session decodes.
+func SplitSuite(data []byte) (app string, traces [][]byte, rest []byte, err error) {
+	name, data, err := frameBytes(data)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("treebuild: suite frame app: %w", err)
 	}
 	n, k := binary.Uvarint(data)
 	if k <= 0 || n > uint64(len(data)) { // every session frame is at least one byte
-		return nil, nil, fmt.Errorf("treebuild: suite frame %q: bad session count", app)
+		return "", nil, nil, fmt.Errorf("treebuild: suite frame %q: bad session count", name)
 	}
 	data = data[k:]
-	suite := &trace.Suite{App: string(app), Sessions: make([]*trace.Session, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		var v2 []byte
-		if v2, data, err = frameBytes(data); err != nil {
-			return nil, nil, fmt.Errorf("treebuild: suite frame %q session %d: %w", app, i, err)
+	traces = make([][]byte, n)
+	for i := range traces {
+		if traces[i], data, err = frameBytes(data); err != nil {
+			return "", nil, nil, fmt.Errorf("treebuild: suite frame %q session %d: %w", name, i, err)
 		}
-		s, err := decodeStrict(v2)
-		if err != nil {
-			return nil, nil, fmt.Errorf("treebuild: suite frame %q session %d: %w", app, i, err)
-		}
-		suite.Sessions = append(suite.Sessions, s)
 	}
-	return suite, data, nil
+	return string(name), traces, data, nil
 }
 
 // frameBytes splits a uvarint length-prefixed byte string off data.
@@ -100,14 +112,16 @@ func frameBytes(data []byte) ([]byte, []byte, error) {
 	return data[:n], data[n:], nil
 }
 
-// decodeStrict rebuilds one session from a v2 trace, refusing any
-// damage instead of salvaging around it.
-func decodeStrict(v2 []byte) (*trace.Session, error) {
+// DecodeSession rebuilds one session of a suite frame from its v2
+// trace with o, refusing any damage instead of salvaging around it: a
+// parse, checksum or build error or a degraded build is an error. With
+// o.Episode set the build is in release mode and folds as it decodes.
+func DecodeSession(v2 []byte, o Options) (*trace.Session, error) {
 	v, err := lila.ParseV2(v2, lila.Limits{})
 	if err != nil {
 		return nil, err
 	}
-	s, diag, _, err := BuildV2(v, false, 1, Options{})
+	s, diag, _, err := BuildV2(v, false, 1, o)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func teedSuite(t *testing.T, p *sim.Profile, short bool) (*trace.Suite, []byte) 
 		cfg := sim.Config{Profile: p, SessionID: id, Seed: 42, SessionSeconds: 20, MaterializeShort: short}
 		var buf bytes.Buffer
 		w := treebuild.NewTraceWriter(&buf, cfg.Header())
-		s, err := sim.RunTee(cfg, w)
+		s, err := sim.RunTee(cfg, treebuild.Options{}, w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -292,5 +292,7 @@ type StudyConfig = report.StudyConfig
 type StudyResult = report.StudyResult
 
 // RunStudy simulates and analyzes the paper's full characterization
-// study (14 applications × 4 sessions by default).
+// study (14 applications × 4 sessions by default). Each episode is
+// analyzed as its session's simulation closes it, so the results keep
+// no session (AppResult.Suite is nil); Simulate returns one to browse.
 func RunStudy(cfg StudyConfig) (*StudyResult, error) { return report.RunStudy(cfg) }
