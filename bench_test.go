@@ -246,11 +246,20 @@ func BenchmarkCheckpointSave(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, su := range suites {
-			if err := st.Save(su); err != nil {
+			if err := saveSuite(st, su); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+}
+
+// saveSuite checkpoints su as its suite frame.
+func saveSuite(st *checkpoint.Store, su *trace.Suite) error {
+	frame, err := treebuild.AppendSuite(nil, su)
+	if err != nil {
+		return err
+	}
+	return st.SaveFrame(su.App, len(su.Sessions), frame)
 }
 
 // BenchmarkStudyCheckpointed runs the paper_study workload's study
@@ -280,15 +289,23 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, su := range suites {
-		if err := st.Save(su); err != nil {
+		if err := saveSuite(st, su); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, su := range suites {
-			if _, ok := st.Load(su.App); !ok {
+			frame, ok := st.LoadFrame(su.App)
+			if !ok {
 				b.Fatalf("%s: checkpoint miss", su.App)
+			}
+			_, traces, _, err := treebuild.SplitSuite(frame)
+			for j := 0; err == nil && j < len(traces); j++ {
+				_, err = treebuild.DecodeSession(traces[j], treebuild.Options{})
+			}
+			if err != nil {
+				b.Fatalf("%s: %v", su.App, err)
 			}
 		}
 	}

@@ -154,13 +154,7 @@ func run() int {
 			Jobs:    *jobs,
 		}
 		if coord != nil {
-			// Shards ship their sessions, so the coordinator analyzes
-			// the merged suites.
-			var tr *dist.TracesResult
-			if tr, err = coord.RunTraces(ctx, *traces, opts, 0); err == nil {
-				res = report.AnalyzeSuitesContext(ctx, tr.Suites, 0, progressW)
-				res.Health.Merge(tr.Health)
-			}
+			res, err = coord.RunTraces(ctx, *traces, opts, 0, progressW)
 		} else {
 			res, err = report.AnalyzeTraceDirContext(ctx, *traces, opts, 0, progressW)
 		}

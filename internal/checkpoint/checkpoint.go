@@ -21,11 +21,10 @@
 //
 // A payload is a treebuild suite frame: the app name, then each
 // session as a length-prefixed raw LiLa v2 trace (what `lilasim
-// -format v2` writes). Loads decode it strictly (no salvage, no
-// lenient rebuild), so a payload is either the suite that was saved or
-// a miss. Load returns the suite held; a caller that analyzes each
-// session as it decodes takes the verified frame from LoadFrame and
-// reports the outcome with Decoded.
+// -format v2` writes). The store verifies only the payload's digest;
+// the caller decodes each session strictly (no salvage, no lenient
+// rebuild) as it folds it, so a payload is either the suite that was
+// saved or a miss, and reports the outcome with Decoded.
 //
 // Consistency protocol: an app's payload file is written (and synced)
 // before the manifest references it, and both writes are atomic
@@ -49,8 +48,6 @@ import (
 	"sync"
 
 	"lagalyzer/internal/obs"
-	"lagalyzer/internal/trace"
-	"lagalyzer/internal/treebuild"
 )
 
 // Checkpoint metrics: hits are the re-runs avoided on resume; errors
@@ -172,17 +169,6 @@ func (s *Store) Apps() []string {
 	return names
 }
 
-// Save persists one completed app's session suite, encoding it as a
-// suite frame for SaveFrame.
-func (s *Store) Save(suite *trace.Suite) error {
-	data, err := treebuild.AppendSuite(nil, suite)
-	if err != nil {
-		mErrors.Inc()
-		return fmt.Errorf("checkpoint: encoding %s: %w", suite.App, err)
-	}
-	return s.SaveFrame(suite.App, len(suite.Sessions), data)
-}
-
 // SaveFrame persists app's suite of n sessions, already encoded as a
 // treebuild suite frame: payload first (atomic, synced), manifest
 // second (atomic), so a crash between the two never leaves a reference
@@ -206,26 +192,11 @@ func (s *Store) SaveFrame(app string, n int, frame []byte) error {
 	return nil
 }
 
-// Load returns the checkpointed suite for app, or (nil, false) on any
-// miss: no entry, unreadable payload, digest mismatch, or a payload
-// that does not decode strictly to exactly one suite for app. A miss
-// is never an error — the caller just re-runs the app.
-func (s *Store) Load(app string) (*trace.Suite, bool) {
-	data, ok := s.LoadFrame(app)
-	if !ok {
-		return nil, false
-	}
-	suite, rest, err := treebuild.ReadSuite(data)
-	if !s.Decoded(err == nil && len(rest) == 0 && suite.App == app) {
-		return nil, false
-	}
-	return suite, true
-}
-
 // LoadFrame returns app's payload, a suite frame whose digest matched
 // the manifest, or (nil, false) on a miss: no entry, an unreadable
-// payload, or a digest mismatch. A caller that decodes the frame
-// itself reports the outcome with Decoded.
+// payload, or a digest mismatch. A miss is never an error — the caller
+// just re-runs the app — and neither is a frame that then fails to
+// decode, which the caller reports with Decoded.
 func (s *Store) LoadFrame(app string) ([]byte, bool) {
 	s.mu.Lock()
 	entry, ok := s.manifest.Apps[app]

@@ -18,6 +18,7 @@ import (
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // testSuite simulates a small deterministic suite to checkpoint.
@@ -35,6 +36,35 @@ func testSuite(t *testing.T) *trace.Suite {
 	return &trace.Suite{App: p.Name, Sessions: sessions}
 }
 
+// save persists suite as a study does: its frame, through SaveFrame.
+func save(st *Store, suite *trace.Suite) error {
+	frame, err := treebuild.AppendSuite(nil, suite)
+	if err != nil {
+		return err
+	}
+	return st.SaveFrame(suite.App, len(suite.Sessions), frame)
+}
+
+// load is what a resume does with app's payload: take the verified
+// frame from LoadFrame, decode every session strictly, and report the
+// outcome with Decoded. It returns the suite, or (nil, false) on a
+// miss.
+func load(st *Store, app string) (*trace.Suite, bool) {
+	frame, ok := st.LoadFrame(app)
+	if !ok {
+		return nil, false
+	}
+	name, traces, rest, err := treebuild.SplitSuite(frame)
+	suite := &trace.Suite{App: name, Sessions: make([]*trace.Session, len(traces))}
+	for i := 0; err == nil && i < len(traces); i++ {
+		suite.Sessions[i], err = treebuild.DecodeSession(traces[i], treebuild.Options{})
+	}
+	if !st.Decoded(err == nil && len(rest) == 0 && name == app) {
+		return nil, false
+	}
+	return suite, true
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	suite := testSuite(t)
@@ -43,10 +73,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Load(suite.App); ok {
-		t.Fatal("Load hit on an empty store")
+	if _, ok := load(st, suite.App); ok {
+		t.Fatal("load hit on an empty store")
 	}
-	if err := st.Save(suite); err != nil {
+	if err := save(st, suite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,9 +87,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := st2.Load(suite.App)
+	got, ok := load(st2, suite.App)
 	if !ok {
-		t.Fatal("Load missed after Save + reopen")
+		t.Fatal("load missed after Save + reopen")
 	}
 	if got.App != suite.App || len(got.Sessions) != len(suite.Sessions) {
 		t.Fatalf("suite shape: got %s/%d sessions, want %s/%d",
@@ -82,7 +112,7 @@ func TestConfigHashMismatchInvalidatesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(suite); err != nil {
+	if err := save(st, suite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,8 +122,8 @@ func TestConfigHashMismatchInvalidatesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st2.Load(suite.App); ok {
-		t.Fatal("Load hit across a config-hash change")
+	if _, ok := load(st2, suite.App); ok {
+		t.Fatal("load hit across a config-hash change")
 	}
 	entries, err := os.ReadDir(filepath.Join(dir, "apps"))
 	if err != nil {
@@ -111,7 +141,7 @@ func TestCorruptPayloadIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(suite); err != nil {
+	if err := save(st, suite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,8 +163,8 @@ func TestCorruptPayloadIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st2.Load(suite.App); ok {
-		t.Fatal("Load hit on a corrupted payload")
+	if _, ok := load(st2, suite.App); ok {
+		t.Fatal("load hit on a corrupted payload")
 	}
 }
 
@@ -145,7 +175,7 @@ func TestTruncatedManifestResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(suite); err != nil {
+	if err := save(st, suite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,8 +194,8 @@ func TestTruncatedManifestResets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open failed on a torn manifest: %v", err)
 	}
-	if _, ok := st2.Load(suite.App); ok {
-		t.Fatal("Load hit through a torn manifest")
+	if _, ok := load(st2, suite.App); ok {
+		t.Fatal("load hit through a torn manifest")
 	}
 }
 
@@ -197,7 +227,7 @@ func TestFaultWrappedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(suite); err != nil {
+	if err := save(st, suite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,8 +242,8 @@ func TestFaultWrappedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := slow.Load(suite.App); !ok {
-		t.Fatal("Load missed under stall+short-read injection")
+	if _, ok := load(slow, suite.App); !ok {
+		t.Fatal("load missed under stall+short-read injection")
 	}
 
 	// A source that dies mid-transfer must degrade to a miss.
@@ -225,8 +255,8 @@ func TestFaultWrappedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cut.Load(suite.App); ok {
-		t.Fatal("Load hit through a truncated transfer")
+	if _, ok := load(cut, suite.App); ok {
+		t.Fatal("load hit through a truncated transfer")
 	}
 }
 
@@ -240,7 +270,7 @@ func TestTruncatedPayloadIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(suite); err != nil {
+	if err := save(st, suite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,14 +290,14 @@ func TestTruncatedPayloadIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st2.Load(suite.App); ok {
-		t.Fatal("Load hit on a truncated payload")
+	if _, ok := load(st2, suite.App); ok {
+		t.Fatal("load hit on a truncated payload")
 	}
 	// The store stays usable: a fresh Save repairs the entry.
-	if err := st2.Save(suite); err != nil {
+	if err := save(st2, suite); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st2.Load(suite.App); !ok {
+	if _, ok := load(st2, suite.App); !ok {
 		t.Fatal("re-saved entry does not load")
 	}
 }
@@ -282,7 +312,7 @@ func TestCorruptManifestResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(suite); err != nil {
+	if err := save(st, suite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -298,8 +328,8 @@ func TestCorruptManifestResets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open failed on a bit-flipped manifest: %v", err)
 	}
-	if _, ok := st2.Load(suite.App); ok {
-		t.Fatal("Load hit through a bit-flipped manifest")
+	if _, ok := load(st2, suite.App); ok {
+		t.Fatal("load hit through a bit-flipped manifest")
 	}
 }
 
@@ -415,7 +445,7 @@ func TestHostilePayloadIsMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Save(suite); err != nil {
+			if err := save(st, suite); err != nil {
 				t.Fatal(err)
 			}
 			tamperSession(t, dir, suite.App, 1, func(v2 []byte) []byte {
@@ -427,8 +457,8 @@ func TestHostilePayloadIsMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := mErrors.Value()
-			if got, ok := st2.Load(suite.App); ok {
-				t.Fatalf("Load hit on a damaged session (%d sessions returned)", len(got.Sessions))
+			if got, ok := load(st2, suite.App); ok {
+				t.Fatalf("load hit on a damaged session (%d sessions returned)", len(got.Sessions))
 			}
 			if d := mErrors.Value() - before; d != 1 {
 				t.Errorf("checkpoint_errors_total delta = %d, want 1", d)

@@ -2,22 +2,25 @@
 // nodes, merged back into a result byte-identical to a single-node
 // run.
 //
-// The partitioning is chosen so the merge is trivially deterministic:
+// Every shard ships suite frames, one per app in the checkpoint
+// store's payload encoding, and the coordinator folds each as a
+// checkpoint hit is folded. The partitioning is chosen so the merge
+// is trivially deterministic:
 //
 //   - A simulated study shards by application (one shard per app —
 //     the simulator derives each app's sessions independently from
-//     the seed). A worker runs the full single-node pipeline for its
-//     app and returns the session suite; the coordinator re-derives
-//     the analysis locally through the same deterministic engine a
-//     single-node run uses, via report.StudyConfig.SuiteSource. Merge
+//     the seed). A worker simulates its app into the frame, or ships
+//     the one its checkpoint store holds; the coordinator folds it in
+//     the single-node study (report.StudyConfig.FrameSource). Merge
 //     order is catalog order, exactly as a local run.
 //
 //   - A trace corpus shards into contiguous ranges of the sorted path
-//     list. Workers only LOAD their files (an app's sessions may span
-//     shards, so per-shard analysis would diverge); the coordinator
-//     concatenates per-app session lists in shard order — which, for
-//     contiguous ranges, is precisely sorted path order — then
-//     analyzes, reproducing the single-node scan byte for byte.
+//     list. Workers only LOAD their files and frame each app's
+//     sessions (an app's sessions may span shards, so per-shard
+//     analysis would diverge); the coordinator folds the frames in
+//     shard order — which, for contiguous ranges, is precisely sorted
+//     path order — and merges the folds per app, reproducing the
+//     single-node scan byte for byte.
 //
 // Robustness is layered around that core: per-attempt timeouts,
 // capped exponential backoff with deterministic jitter (Backoff),
@@ -26,8 +29,10 @@
 // and graceful degradation — a shard that exhausts every remote
 // attempt is re-run locally on the coordinator, or, when local
 // fallback is disabled or fails too, itemized in the StudyHealth
-// ledger with the LossShard reason. A shard is never silently
-// dropped.
+// ledger with the LossShard reason. A frame that passes the checksum
+// but fails to fold (worker skew or a bug) is never merged in part: a
+// trace shard degrades as an exhausted one does, and a study app is
+// itemized with LossShard. A shard is never silently dropped.
 package dist
 
 import (
@@ -226,25 +231,25 @@ func (e *ShardLostError) Unwrap() error { return e.Err }
 func (e *ShardLostError) LossReason() string { return report.LossShard }
 
 // RunStudy runs cfg as a distributed study: one shard per application,
-// remote suites merged through the single-node pipeline. The result —
+// remote frames folded through the single-node pipeline. The result —
 // rows, health, checkpoint payloads — is byte-identical to
 // report.RunStudyContext on one node, because it IS
-// report.RunStudyContext: only the suite producer is swapped for the
+// report.RunStudyContext: only the frame producer is swapped for the
 // shard client. cfg.Checkpoint / cfg.CheckpointDir double as a shared
 // result cache — a checkpointed app (same config hash) is never
 // dispatched, whether the checkpoint came from a local or a
 // distributed run.
 func (c *Coordinator) RunStudy(ctx context.Context, cfg report.StudyConfig) (*report.StudyResult, error) {
-	cfg.SuiteSource = func(ctx context.Context, p *sim.Profile) (*trace.Suite, error) {
-		return c.appSuite(ctx, cfg, p)
+	cfg.FrameSource = func(ctx context.Context, p *sim.Profile) ([]byte, error) {
+		return c.appFrame(ctx, cfg, p)
 	}
 	return report.RunStudyContext(ctx, cfg)
 }
 
-// appSuite fetches one app's session suite from a worker shard, with
-// the full recovery ladder: retries/hedging inside runShard, then
-// local re-run, then itemized loss.
-func (c *Coordinator) appSuite(ctx context.Context, cfg report.StudyConfig, p *sim.Profile) (*trace.Suite, error) {
+// appFrame fetches one app's suite frame from a worker shard, with the
+// full recovery ladder: retries/hedging inside runShard, then local
+// re-run, then itemized loss.
+func (c *Coordinator) appFrame(ctx context.Context, cfg report.StudyConfig, p *sim.Profile) ([]byte, error) {
 	spec := serve.JobSpec{
 		Kind:     "shard",
 		Apps:     []string{p.Name},
@@ -254,33 +259,21 @@ func (c *Coordinator) appSuite(ctx context.Context, cfg report.StudyConfig, p *s
 	}
 	st, attempts, rerr := c.runShard(ctx, p.Name, spec)
 	if rerr == nil {
-		for _, suite := range st.Suites {
-			if suite != nil && suite.App == p.Name {
-				return suite, nil
-			}
+		if len(st.Frames) == 1 {
+			return st.Frames[0], nil
 		}
-		// The worker ran but produced no suite: the app failed
-		// deterministically on the worker (its error is itemized in the
-		// shard health). Surface it and let the degradation ladder
-		// decide.
-		rerr = fmt.Errorf("dist: shard returned no suite for app %s%s", p.Name, shardHealthNote(st))
+		// A well-framed state without exactly one frame is worker skew:
+		// let the degradation ladder decide.
+		rerr = fmt.Errorf("dist: shard for app %s returned %d frames", p.Name, len(st.Frames))
 	}
 	return c.degradeApp(ctx, cfg, p, attempts, rerr)
 }
 
-// shardHealthNote summarizes a shard's health ledger for error text.
-func shardHealthNote(st *serve.ShardState) string {
-	if st == nil || st.Health == nil || len(st.Health.Apps) == 0 {
-		return ""
-	}
-	a := st.Health.Apps[0]
-	return fmt.Sprintf(" (worker: app %s failed: %s)", a.App, a.Error)
-}
-
 // degradeApp is the graceful-degradation tail for a study shard whose
-// remote budget is exhausted: re-run the app locally unless local
-// fallback is off, and itemize the loss if that fails too.
-func (c *Coordinator) degradeApp(ctx context.Context, cfg report.StudyConfig, p *sim.Profile, attempts int, rerr error) (*trace.Suite, error) {
+// remote budget is exhausted: re-simulate the app's frame locally,
+// with the seeds and session IDs a worker uses, unless local fallback
+// is off, and itemize the loss if that fails too.
+func (c *Coordinator) degradeApp(ctx context.Context, cfg report.StudyConfig, p *sim.Profile, attempts int, rerr error) ([]byte, error) {
 	if ctx.Err() != nil {
 		// The coordinator itself is shutting down: this is a
 		// cancellation (LossCanceled in the health ledger), not a
@@ -298,7 +291,8 @@ func (c *Coordinator) degradeApp(ctx context.Context, cfg report.StudyConfig, p 
 		return nil, &ShardLostError{Shard: p.Name, Attempts: attempts, Err: rerr}
 	}
 	c.log.Warn("dist: shard degraded to local re-run", "app", p.Name, "err", rerr)
-	suite, lerr := c.localSuite(ctx, cfg, p)
+	cfg.Sequential = true
+	frame, lerr := report.SimulateFrame(ctx, cfg, p, nil)
 	if lerr != nil {
 		c.mu.Lock()
 		c.stats.Lost++
@@ -309,35 +303,19 @@ func (c *Coordinator) degradeApp(ctx context.Context, cfg report.StudyConfig, p 
 	c.mu.Lock()
 	c.stats.LocalReruns++
 	c.mu.Unlock()
-	return suite, nil
+	return frame, nil
 }
 
-// localSuite re-derives one app's suite on the coordinator with the
-// simulator a single-node run uses — the same seeds and session IDs —
-// so the fallback suite is byte-identical to the one the worker would
-// have produced.
-func (c *Coordinator) localSuite(ctx context.Context, cfg report.StudyConfig, p *sim.Profile) (*trace.Suite, error) {
-	cfg.Sequential = true
-	return report.SimulateSuite(ctx, cfg, p, nil)
-}
-
-// TracesResult is a distributed corpus load: the merged suites and
-// health, in exactly the order and shape report.LoadTraceDirContext
-// would have produced on one node.
-type TracesResult struct {
-	Suites []*trace.Suite
-	Health *report.StudyHealth
-}
-
-// RunTraces loads the trace corpus under dir across the worker pool:
-// the sorted file list is carved into shards contiguous ranges
+// RunTraces characterizes the trace corpus under dir across the worker
+// pool: the sorted file list is carved into shards contiguous ranges
 // (0 means one per worker), each loaded remotely with the same
-// recovery ladder as study shards, and the per-app session lists are
-// concatenated in shard order — which for contiguous ranges is sorted
-// path order, so the merged suites and health ledger are
-// byte-identical to a single-node LoadTraceDirContext scan. Analysis
-// is the caller's (AnalyzeSuitesContext), as in the single-node flow.
-func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOptions, shards int) (*TracesResult, error) {
+// recovery ladder as study shards. Each shard's frames fold in shard
+// order, which for contiguous ranges is sorted path order, and the
+// folds merge per app in sorted app order, so the result — rows,
+// figures, and health ledger — is byte-identical to a single-node
+// report.AnalyzeTraceDirContext. progressW receives per-app progress
+// lines (nil = silent).
+func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOptions, shards int, progressW io.Writer) (*report.StudyResult, error) {
 	paths, err := report.ListTraceFiles(dir)
 	if err != nil {
 		return nil, err
@@ -352,15 +330,15 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 		shards = len(paths)
 	}
 
+	threshold := trace.DefaultPerceptibleThreshold
 	health := &report.StudyHealth{}
-	byApp := make(map[string]*trace.Suite)
-	var order []string
+	var folded []report.FoldedSession
 	for i := 0; i < shards; i++ {
 		// Contiguous range [lo, hi): shard boundaries in sorted path
 		// order, so in-order concatenation reproduces the full scan.
 		lo, hi := i*len(paths)/shards, (i+1)*len(paths)/shards
 		label := fmt.Sprintf("files[%d:%d]", lo, hi)
-		st, err := c.traceShard(ctx, dir, o, paths[lo:hi], label)
+		fs, h, err := c.traceShard(ctx, dir, o, paths[lo:hi], label, threshold)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -372,39 +350,38 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 			health.SessionsSkipped += hi - lo
 			continue
 		}
-		health.Merge(st.Health)
-		for _, suite := range st.Suites {
-			dst := byApp[suite.App]
-			if dst == nil {
-				dst = &trace.Suite{App: suite.App}
-				byApp[suite.App] = dst
-				order = append(order, suite.App)
-			}
-			dst.Sessions = append(dst.Sessions, suite.Sessions...)
-		}
+		health.Merge(h)
+		folded = append(folded, fs...)
 	}
-	if len(byApp) == 0 {
-		return &TracesResult{Health: health}, fmt.Errorf(
-			"report: no loadable trace sessions under %s (%d files failed)", dir, len(health.Files))
+	if len(folded) == 0 {
+		return nil, fmt.Errorf("report: no loadable trace sessions under %s (%d files failed)",
+			dir, len(health.Files))
 	}
-	sort.Strings(order)
-	res := &TracesResult{Health: health}
-	for _, app := range order {
-		res.Suites = append(res.Suites, byApp[app])
-	}
+	// Group by app as the single-node scan does; the stable sort keeps
+	// each app's sessions in path order.
+	sort.SliceStable(folded, func(a, b int) bool { return folded[a].Session.App < folded[b].Session.App })
+	res := report.AnalyzeFolds(ctx, folded, threshold, progressW)
+	res.Health.Merge(health)
 	return res, nil
 }
 
-// traceShard loads one contiguous file range remotely, degrading to a
-// coordinator-local load when the remote budget is exhausted.
-func (c *Coordinator) traceShard(ctx context.Context, dir string, o report.LoadOptions, files []string, label string) (*serve.ShardState, error) {
+// traceShard loads one contiguous file range remotely and folds its
+// frames, degrading to a coordinator-local load when the remote budget
+// is exhausted or a frame fails to fold. The local load is framed by
+// the worker's own code (serve.LoadTraceShard), so a degraded shard
+// folds exactly as a remote one.
+func (c *Coordinator) traceShard(ctx context.Context, dir string, o report.LoadOptions, files []string, label string, threshold trace.Dur) ([]report.FoldedSession, *report.StudyHealth, error) {
 	spec := serve.JobSpec{Kind: "shard", Dir: dir, Files: files, Salvage: o.Salvage}
 	st, attempts, err := c.runShard(ctx, label, spec)
 	if err == nil {
-		return st, nil
+		folded, ferr := foldShard(ctx, st, threshold)
+		if ferr == nil {
+			return folded, st.Health, nil
+		}
+		err = fmt.Errorf("dist: shard %s: %w", label, ferr)
 	}
 	if ctx.Err() != nil {
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	c.mu.Lock()
 	c.stats.Degraded++
@@ -414,24 +391,38 @@ func (c *Coordinator) traceShard(ctx context.Context, dir string, o report.LoadO
 		c.mu.Lock()
 		c.stats.Lost++
 		c.mu.Unlock()
-		return nil, &ShardLostError{Shard: label, Attempts: attempts, Err: err}
+		return nil, nil, &ShardLostError{Shard: label, Attempts: attempts, Err: err}
 	}
 	c.log.Warn("dist: trace shard degraded to local load", "shard", label, "err", err)
-	lo := o
-	lo.Paths = files
-	suites, health, lerr := report.LoadTraceDirContext(ctx, dir, lo)
-	if lerr != nil && health == nil {
+	o.Paths = files
+	st, lerr := serve.LoadTraceShard(ctx, dir, o)
+	var folded []report.FoldedSession
+	if lerr == nil {
+		folded, lerr = foldShard(ctx, st, threshold)
+	}
+	if lerr != nil {
 		c.mu.Lock()
 		c.stats.Lost++
 		c.mu.Unlock()
-		return nil, &ShardLostError{Shard: label, Attempts: attempts,
+		return nil, nil, &ShardLostError{Shard: label, Attempts: attempts,
 			Err: fmt.Errorf("remote: %v; local load: %w", err, lerr)}
 	}
 	c.mu.Lock()
 	c.stats.LocalReruns++
 	c.mu.Unlock()
-	// A local load with health (even all-files-failed) mirrors what a
-	// worker shard would have returned: itemized file damage, not a
-	// lost shard.
-	return &serve.ShardState{Suites: suites, Health: health}, nil
+	return folded, st.Health, nil
+}
+
+// foldShard folds a shard's frames in order. A frame that fails to
+// fold fails the whole shard, and none of its folds is returned.
+func foldShard(ctx context.Context, st *serve.ShardState, threshold trace.Dur) ([]report.FoldedSession, error) {
+	var folded []report.FoldedSession
+	for _, frame := range st.Frames {
+		fs, err := report.FoldFrame(ctx, frame, threshold)
+		if err != nil {
+			return nil, err
+		}
+		folded = append(folded, fs...)
+	}
+	return folded, nil
 }

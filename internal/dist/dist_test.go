@@ -31,7 +31,13 @@ import (
 
 // startWorkers spins up n worker lagd job servers and returns their
 // base URLs.
-func startWorkers(t *testing.T, n int) []string {
+func startWorkers(t testing.TB, n int) []string {
+	return startWorkersWith(t, n, func(h http.Handler) http.Handler { return h })
+}
+
+// startWorkersWith is startWorkers with each worker's handler passed
+// through wrap.
+func startWorkersWith(t testing.TB, n int, wrap func(http.Handler) http.Handler) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
@@ -39,7 +45,7 @@ func startWorkers(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(s.Handler())
+		ts := httptest.NewServer(wrap(s.Handler()))
 		t.Cleanup(ts.Close)
 		t.Cleanup(func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -53,7 +59,7 @@ func startWorkers(t *testing.T, n int) []string {
 
 // studyProfiles resolves the three-app study every golden subtest
 // shares.
-func studyProfiles(t *testing.T, names ...string) []*sim.Profile {
+func studyProfiles(t testing.TB, names ...string) []*sim.Profile {
 	t.Helper()
 	var ps []*sim.Profile
 	for _, name := range names {
@@ -66,7 +72,7 @@ func studyProfiles(t *testing.T, names ...string) []*sim.Profile {
 	return ps
 }
 
-func studyConfig(t *testing.T) report.StudyConfig {
+func studyConfig(t testing.TB) report.StudyConfig {
 	return report.StudyConfig{
 		Apps:           studyProfiles(t, "Arabeske", "CrosswordSage", "Euclide"),
 		SessionsPerApp: 2,
@@ -366,12 +372,12 @@ func TestDistStudyItemizedLoss(t *testing.T) {
 		t.Fatalf("surviving apps = %d, want 2", len(res.Apps))
 	}
 	for _, a := range res.Apps {
-		g, ok := golden.AppByName(a.Suite.App)
+		g, ok := golden.AppByName(a.App)
 		if !ok {
-			t.Fatalf("app %s missing from golden", a.Suite.App)
+			t.Fatalf("app %s missing from golden", a.App)
 		}
 		if !reflect.DeepEqual(a.Overview, g.Overview) {
-			t.Errorf("app %s row diverges from single-node", a.Suite.App)
+			t.Errorf("app %s row diverges from single-node", a.App)
 		}
 	}
 	if st := c.Stats(); st.Lost != 1 || st.Degraded != 1 {
@@ -417,9 +423,10 @@ func tracesCorpus(t *testing.T) string {
 	return dir
 }
 
-// TestDistTracesGolden: a corpus sharded over two workers merges —
-// suites, session order, health ledger, and the analysis derived from
-// them — byte-identically to a single-node scan, faults included.
+// TestDistTracesGolden: a corpus sharded over two workers folds —
+// session order, health ledger, and the analysis derived from them —
+// byte-identically to a single-node scan of held sessions, faults
+// included.
 func TestDistTracesGolden(t *testing.T) {
 	dir := tracesCorpus(t)
 	opts := report.LoadOptions{Salvage: true}
@@ -433,12 +440,10 @@ func TestDistTracesGolden(t *testing.T) {
 
 	check := func(t *testing.T, c *Coordinator) {
 		t.Helper()
-		got, err := c.RunTraces(context.Background(), dir, opts, 0)
+		res, err := c.RunTraces(context.Background(), dir, opts, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := report.AnalyzeSuitesContext(context.Background(), got.Suites, 0, nil)
-		res.Health.Merge(got.Health)
 		if text := formatted(res); text != want {
 			t.Errorf("distributed trace study diverges:\n--- got ---\n%s\n--- want ---\n%s", text, want)
 		}
@@ -521,7 +526,7 @@ func TestDistTracesItemizedLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.RunTraces(context.Background(), dir, report.LoadOptions{Salvage: true}, 2)
+	got, err := c.RunTraces(context.Background(), dir, report.LoadOptions{Salvage: true}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,25 +536,23 @@ func TestDistTracesItemizedLoss(t *testing.T) {
 	if got.Health.SessionsSkipped != 3 {
 		t.Errorf("sessions skipped = %d, want the lost shard's 3 files", got.Health.SessionsSkipped)
 	}
-	// The surviving shard contributes exactly what a local load of its
-	// files would.
+	// The surviving shard contributes exactly what a local analysis of
+	// its files would.
 	paths, err := report.ListTraceFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSuites, _, err := report.LoadTraceDirOptions(dir,
-		report.LoadOptions{Salvage: true, Paths: paths[3:]})
+	want, err := report.AnalyzeTraceDirContext(context.Background(), dir,
+		report.LoadOptions{Salvage: true, Paths: paths[3:]}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, sessions int
-	for _, s := range wantSuites {
-		want += len(s.Sessions)
+	var sessions int
+	for _, a := range got.Apps {
+		sessions += a.Overview.Sessions
 	}
-	for _, s := range got.Suites {
-		sessions += len(s.Sessions)
-	}
-	if sessions != want || sessions == 0 {
-		t.Errorf("surviving sessions = %d, want the local load's %d", sessions, want)
+	if sessions == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Errorf("surviving rows (%d sessions) differ from the local analysis of the shard's files:\n%s\nwant:\n%s",
+			sessions, report.FormatAll(got), report.FormatAll(want))
 	}
 }

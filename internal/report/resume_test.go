@@ -24,6 +24,21 @@ import (
 	"lagalyzer/internal/treebuild"
 )
 
+// simulatedSuite simulates p's sessions under cfg, held, as sim.Run
+// builds them.
+func simulatedSuite(t *testing.T, cfg StudyConfig, p *sim.Profile) *trace.Suite {
+	t.Helper()
+	suite := &trace.Suite{App: p.Name}
+	for id := 0; id < cfg.sessions(); id++ {
+		s, err := sim.Run(sim.Config{Profile: p, SessionID: id, Seed: cfg.Seed, SessionSeconds: cfg.SessionSeconds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite.Sessions = append(suite.Sessions, s)
+	}
+	return suite
+}
+
 func resumeTestConfig(dir string) StudyConfig {
 	return StudyConfig{
 		Apps:           []*sim.Profile{apps.CrosswordSage(), apps.GanttProject()},
@@ -87,10 +102,10 @@ func TestCheckpointResumeParallelMatchesSequential(t *testing.T) {
 
 // TestTeedCheckpointResume: the study checkpoints each app as the
 // frame of the record streams the simulator teed while building its
-// sessions. The payloads are byte-identical to the ones Save encodes
-// from the built suites, so stores written either way hit, and a study
-// resumed over the teed store renders the fresh run's reports byte for
-// byte.
+// sessions. The payloads are byte-identical to the frames AppendSuite
+// encodes from the built suites, so stores written either way hit, and
+// a study resumed over the teed store renders the fresh run's reports
+// byte for byte.
 func TestTeedCheckpointResume(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "teed")
 	cfg := resumeTestConfig(dir)
@@ -104,11 +119,12 @@ func TestTeedCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range cfg.Apps {
-		suite, err := SimulateSuite(context.Background(), cfg, p, nil)
+		suite := simulatedSuite(t, cfg, p)
+		frame, err := treebuild.AppendSuite(nil, suite)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := saved.Save(suite); err != nil {
+		if err := saved.SaveFrame(p.Name, len(suite.Sessions), frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,10 +347,7 @@ func TestCheckpointVersion1StoreReruns(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	cfg := resumeTestConfig(dir)
-	suite, err := SimulateSuite(context.Background(), cfg, cfg.Apps[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	suite := simulatedSuite(t, cfg, cfg.Apps[0])
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(struct {
 		App      string
@@ -364,8 +377,8 @@ func TestCheckpointVersion1StoreReruns(t *testing.T) {
 	if _, err := os.Stat(gobPath); !os.IsNotExist(err) {
 		t.Errorf("version-1 payload survived Open (stat err %v)", err)
 	}
-	if _, ok := st.Load(suite.App); ok {
-		t.Fatal("Load hit through a version-1 manifest")
+	if _, ok := st.LoadFrame(suite.App); ok {
+		t.Fatal("LoadFrame hit through a version-1 manifest")
 	}
 
 	hits := obs.NewCounter("checkpoint_hits_total", "")
@@ -468,7 +481,7 @@ func TestResumeFoldPanicContained(t *testing.T) {
 			}
 		}
 	})
-	if err == nil || !strings.Contains(err.Error(), "panic in checkpoint of CrosswordSage: injected fault") {
+	if err == nil || !strings.Contains(err.Error(), "panic in frame of CrosswordSage: injected fault") {
 		t.Errorf("error %v, want the contained panic", err)
 	}
 	if got := panics.Value() - before; got != 1 {

@@ -71,19 +71,18 @@ type StudyConfig struct {
 	// and is recorded in the study health with the LossTimedOut reason.
 	AppTimeout time.Duration
 
-	// SuiteSource, when non-nil, replaces local simulation as the
-	// producer of each app's session suite — the distributed
-	// coordinator's hook: it fetches the suite from a worker shard (or
-	// re-runs it locally as a fallback). Analysis, merge order,
-	// checkpointing, and health accounting are untouched, which is what
-	// makes a distributed study byte-identical to a single-node run. An
-	// error from SuiteSource is handled exactly like a simulation
-	// failure: classified by lossReason (errors exposing a
-	// LossReason() string method set the health Reason directly) and
-	// recorded in the study health. Like Sequential and Progress, it is
-	// an execution-shape knob excluded from Hash(), so distributed and
+	// FrameSource, when non-nil, replaces local simulation as the
+	// producer of each app's suite frame — the distributed coordinator's
+	// hook, fetching it from a worker shard. The frame folds exactly as
+	// a checkpoint hit does and is saved to the store as received, which
+	// is what makes a distributed study byte-identical to a single-node
+	// run. An error from FrameSource is recorded in the study health like
+	// a simulation failure, classified by lossReason (an error's
+	// LossReason() string method sets the Reason); a frame that fails
+	// to fold is recorded with LossShard, none of it merged. Like
+	// Sequential, it is excluded from Hash(), so distributed and
 	// single-node runs share checkpoint stores.
-	SuiteSource func(ctx context.Context, p *sim.Profile) (*trace.Suite, error)
+	FrameSource func(ctx context.Context, p *sim.Profile) ([]byte, error)
 
 	// CheckpointDir, when non-empty, makes the study crash-safe: each
 	// app's completed session suite is persisted to a content-addressed
@@ -189,11 +188,6 @@ type AppResult struct {
 	// Profile is the simulated application; nil when the suite was
 	// loaded from trace files instead of simulated.
 	Profile *sim.Profile
-	// Suite holds the analyzed sessions where a caller needs them: only
-	// the distributed shapes fill it, for an app whose suite came from
-	// StudyConfig.SuiteSource. Nil when the sessions were folded as they
-	// were simulated, resumed, or loaded.
-	Suite *trace.Suite
 
 	engine.Result
 
@@ -367,35 +361,34 @@ func lossReason(ctx context.Context, cfg StudyConfig, err error) string {
 // runApp produces, analyzes, and (with a store) checkpoints one app's
 // suite. Simulated sessions are built in release mode, each folding
 // its episodes into its own engine.AppFold as they close, so no
-// session is kept. Saves are best-effort: a failed save costs only
+// session is kept; a frame from cfg.FrameSource folds as a checkpoint
+// hit does. Saves are best-effort: a failed save costs only
 // resumability.
 func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store) (*AppResult, error) {
 	ctx, endApp := obs.Span(ctx, "app:"+p.Name)
 	defer endApp()
 
-	if cfg.SuiteSource != nil {
-		// Distributed path: the suite comes from a shard instead of the
-		// local simulator. Everything downstream — analysis, checkpoint
-		// save, health — is the single-node code.
-		suite, err := cfg.SuiteSource(ctx, p)
+	folds := make([]*engine.AppFold, cfg.sessions())
+	if cfg.FrameSource != nil {
+		frame, err := cfg.FrameSource(ctx, p)
 		if err != nil {
 			return nil, err
 		}
-		pr.skip(cfg.sessions(), "shard "+p.Name)
-		a, err := analyzeSuite(ctx, suite, cfg.threshold())
+		pr.skip(len(folds), "shard "+p.Name)
+		sessions, err := foldFrame(ctx, nil, frame, p.Name, len(folds), FoldHook(folds, cfg.threshold()))
 		if err != nil {
+			if ctx.Err() == nil {
+				err = &frameError{err}
+			}
 			return nil, err
 		}
-		a.Profile = p
-		pr.step("analyze " + p.Name)
 		if store != nil {
-			_ = store.Save(suite)
+			_ = store.SaveFrame(p.Name, len(folds), frame)
 		}
-		return a, nil
+		return finishApp(ctx, p, pr, folds, sessions), nil
 	}
 
-	folds := make([]*engine.AppFold, cfg.sessions())
-	sessions, err := simulate(ctx, cfg, p, pr, store, FoldHook(folds, cfg.threshold()))
+	sessions, _, err := simulate(ctx, cfg, p, pr, store, FoldHook(folds, cfg.threshold()))
 	if err != nil {
 		return nil, err
 	}
@@ -405,10 +398,17 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 	return finishApp(ctx, p, pr, folds, sessions), nil
 }
 
-// resumeApp analyzes p from its checkpointed frame: each session
-// decodes strictly through a release-mode build into a fold of its
-// own. ok is false when the frame misses or fails, and the folds are
-// dropped.
+// frameError marks a FrameSource frame that passed its producer's
+// framing checks but failed to fold, which only version skew or a bug
+// on the producing worker makes. The app is lost as a shard.
+type frameError struct{ err error }
+
+func (e *frameError) Error() string      { return e.err.Error() }
+func (e *frameError) Unwrap() error      { return e.err }
+func (e *frameError) LossReason() string { return LossShard }
+
+// resumeApp analyzes p from its checkpointed frame. ok is false when
+// the frame misses or fails to fold, and the folds are dropped.
 func resumeApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store) (*AppResult, bool) {
 	frame, ok := store.LoadFrame(p.Name)
 	if !ok {
@@ -427,23 +427,23 @@ func resumeApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progres
 	return finishApp(ctx, p, pr, folds, sessions), true
 }
 
-// foldFrame decodes app's checkpointed frame of n sessions, building
-// session i in release mode with episode(i), and returns the closed
-// sessions. Damage anywhere — framing, a parse, checksum, or build
-// error, or a degraded build, in any session — fails the whole frame
-// and is recorded in store as a failed decode. A panic, which is
-// contained, and a context canceled between sessions fail it too.
+// foldFrame decodes app's suite frame of n sessions, building session
+// i in release mode with episode(i), and returns the closed sessions.
+// Damage anywhere — framing, a parse, checksum, or build error, or a
+// degraded build, in any session — fails the whole frame, and with a
+// store is recorded as a failed decode. A panic, which is contained,
+// and a context canceled between sessions fail it too.
 func foldFrame(ctx context.Context, store *checkpoint.Store, frame []byte, app string, n int,
 	episode func(i int) func(*trace.Session, *trace.Episode)) (sessions []*trace.Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			mPanicsRecovered.Add(1)
-			sessions, err = nil, fmt.Errorf("panic in checkpoint of %s: %v", app, r)
+			sessions, err = nil, fmt.Errorf("panic in frame of %s: %v", app, r)
 		}
 	}()
 	name, traces, rest, err := treebuild.SplitSuite(frame)
 	if err == nil && (name != app || len(traces) != n || len(rest) != 0) {
-		err = fmt.Errorf("checkpoint of %s holds %d sessions of %q", app, len(traces), name)
+		err = fmt.Errorf("frame of %s holds %d sessions of %q", app, len(traces), name)
 	}
 	sessions = make([]*trace.Session, len(traces))
 	for i := 0; err == nil && i < len(traces); i++ {
@@ -452,10 +452,34 @@ func foldFrame(ctx context.Context, store *checkpoint.Store, frame []byte, app s
 		}
 		sessions[i], err = treebuild.DecodeSession(traces[i], treebuild.Options{Episode: episode(i)})
 	}
-	if !store.Decoded(err == nil) {
+	if store != nil {
+		store.Decoded(err == nil)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return sessions, nil
+}
+
+// FoldFrame folds a suite frame as a checkpoint hit does: each session
+// decodes strictly through a release-mode build into an engine.AppFold
+// of its own at threshold. Any damage fails the whole frame, and no
+// fold of it is returned.
+func FoldFrame(ctx context.Context, frame []byte, threshold trace.Dur) ([]FoldedSession, error) {
+	app, traces, _, err := treebuild.SplitSuite(frame)
+	if err != nil {
+		return nil, err
+	}
+	folds := make([]*engine.AppFold, len(traces))
+	sessions, err := foldFrame(ctx, nil, frame, app, len(folds), FoldHook(folds, threshold))
+	if err != nil {
+		return nil, err
+	}
+	folded := make([]FoldedSession, len(folds))
+	for i, s := range sessions {
+		folded[i] = FoldedSession{folds[i], s}
+	}
+	return folded, nil
 }
 
 // finishApp closes p's folds, whose builds finished as sessions, and
@@ -467,30 +491,32 @@ func finishApp(ctx context.Context, p *sim.Profile, pr *progress, folds []*engin
 	return a
 }
 
-// SimulateSuite simulates p's sessions as a study under cfg does and
-// returns them held, for callers that ship sessions: the distributed
-// coordinator's local fallback and the lagd shard worker. With a
-// non-nil store the sessions are checkpointed exactly as a study
-// saves them.
-func SimulateSuite(ctx context.Context, cfg StudyConfig, p *sim.Profile, store *checkpoint.Store) (*trace.Suite, error) {
-	sessions, err := simulate(ctx, cfg, p, nil, store, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &trace.Suite{App: p.Name, Sessions: sessions}, nil
+// SimulateFrame simulates p's sessions as a study under cfg does and
+// returns their suite frame — the payload a study checkpoints for p —
+// building no session: each record stream goes straight into the
+// frame. With a non-nil store the frame is saved exactly as a study
+// saves it.
+func SimulateFrame(ctx context.Context, cfg StudyConfig, p *sim.Profile, store *checkpoint.Store) ([]byte, error) {
+	_, frame, err := simulate(ctx, cfg, p, nil, store, nil)
+	return frame, err
 }
 
-// simulate runs p's sessions on the session pool, building session i
-// in release mode with episode(i) when episode is non-nil and in full
-// otherwise, and with a store saves the frame of the record streams it
-// teed. Each session is one progress step and one "simulate" span, in
-// which a release-mode build's per-episode engine work also runs.
+// simulate runs p's sessions on the session pool. With episode set,
+// session i builds in release mode with episode(i), and its record
+// stream is teed into the frame only with a store; with episode nil,
+// each record stream only goes into the frame, and no session is
+// built. A non-nil store saves the frame, which is nil when nothing
+// was teed. Each session is one progress step and one "simulate" span,
+// in which a release-mode build's per-episode engine work also runs.
 func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store,
-	episode func(i int) func(*trace.Session, *trace.Episode)) ([]*trace.Session, error) {
+	episode func(i int) func(*trace.Session, *trace.Episode)) ([]*trace.Session, []byte, error) {
 	n := cfg.sessions()
 	sessions := make([]*trace.Session, n)
 	errs := make([]error, n)
-	traces := make([][]byte, n) // with a store: each session's teed record stream
+	var traces [][]byte // each session's teed record stream
+	if store != nil || episode == nil {
+		traces = make([][]byte, n)
+	}
 	runPool(cfg.workers(), n, func(w, i int) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -504,16 +530,17 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 		}
 		_, endSim := obs.Span(obs.WithWorker(ctx, w), "simulate")
 		scfg := sim.Config{Profile: p, SessionID: i, Seed: cfg.Seed, SessionSeconds: cfg.SessionSeconds}
-		var bo treebuild.Options
-		if episode != nil {
-			bo.Episode = episode(i)
-		}
-		if store == nil {
-			sessions[i], errs[i] = sim.RunTee(scfg, bo, nil)
+		if traces == nil {
+			sessions[i], errs[i] = sim.RunTee(scfg, treebuild.Options{Episode: episode(i)}, nil)
 		} else {
 			var buf bytes.Buffer
 			tw := treebuild.NewTraceWriter(&buf, scfg.Header())
-			if sessions[i], errs[i] = sim.RunTee(scfg, bo, tw); errs[i] == nil {
+			if episode == nil {
+				errs[i] = sim.Stream(scfg, tw.WriteRecord)
+			} else {
+				sessions[i], errs[i] = sim.RunTee(scfg, treebuild.Options{Episode: episode(i)}, tw)
+			}
+			if errs[i] == nil {
 				errs[i] = tw.Close()
 			}
 			traces[i] = buf.Bytes()
@@ -524,13 +551,17 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 	mSessions.Add(int64(n))
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	if store != nil {
-		_ = store.SaveFrame(p.Name, n, treebuild.AppendTraces(nil, p.Name, traces))
+	var frame []byte
+	if traces != nil {
+		frame = treebuild.AppendTraces(nil, p.Name, traces)
 	}
-	return sessions, nil
+	if store != nil {
+		_ = store.SaveFrame(p.Name, n, frame)
+	}
+	return sessions, frame, nil
 }
 
 // AnalyzeSuite computes the full per-application result for an
@@ -558,9 +589,7 @@ func analyzeSuite(ctx context.Context, suite *trace.Suite, threshold trace.Dur) 
 	if err != nil {
 		return nil, err
 	}
-	a := appResult(suite.App, r)
-	a.Suite = suite
-	return a, nil
+	return appResult(suite.App, r), nil
 }
 
 // appResult wraps an application's engine result with its pattern

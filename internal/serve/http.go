@@ -163,8 +163,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.Kind == "shard" {
 		// A shard's deliverable is its mergeable partial state, not a
-		// rendered report (its result may hold bare suites with no
-		// analysis rows).
+		// rendered report: it ships frames and analyzes nothing.
 		http.Error(w, fmt.Sprintf("job %s is a shard; fetch /jobs/%s/state", id, id),
 			http.StatusConflict)
 		return

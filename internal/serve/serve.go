@@ -35,6 +35,7 @@ import (
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // Serve metrics (ISSUE 4): inflight is a gauge over running jobs; shed
@@ -106,7 +107,7 @@ type Job struct {
 	Attempts int
 	Err      string
 	// Result holds the (possibly partial) study outcome once the job
-	// ran; nil until then.
+	// ran; nil until then, and always for a shard job.
 	Result *report.StudyResult
 
 	estimate int64
@@ -131,8 +132,9 @@ type Status struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// Runner executes one job attempt. Tests substitute fakes; production
-// uses the server's built-in pipeline dispatch.
+// Runner executes one attempt of a study or traces job. Tests
+// substitute fakes; production uses the server's built-in pipeline
+// dispatch. A shard job always runs the built-in shard worker.
 type Runner func(ctx context.Context, spec JobSpec) (*report.StudyResult, error)
 
 // Config tunes the server. Zero fields take the documented defaults.
@@ -177,8 +179,8 @@ type Config struct {
 	// Logger receives structured job-lifecycle and HTTP access logs;
 	// nil disables logging (tests, embedded use).
 	Logger *slog.Logger
-	// Runner overrides job execution (tests); nil runs the real
-	// pipelines.
+	// Runner overrides study and traces job execution (tests); nil
+	// runs the real pipelines.
 	Runner Runner
 	// Ingest, when non-nil, mounts the live streaming ingestion
 	// surface (POST /ingest/{app}/{session}, GET /ingest/stats) on the
@@ -469,8 +471,8 @@ func validateSpec(spec JobSpec) error {
 // simulated, so it scales with the session-seconds of the apps in
 // flight (one per GOMAXPROCS): their builders, folds, and teed
 // checkpoint frames; every app's result adds a little more until the
-// study ends. A study-shaped shard ships its sessions, so it holds
-// them all.
+// study ends. A study-shaped shard builds no session, but holds the
+// frames it ships, so it scales with all of its session-seconds.
 func estimateMemory(spec JobSpec, cfg Config) int64 {
 	switch spec.Kind {
 	case "traces":
@@ -495,9 +497,15 @@ func estimateMemory(spec JobSpec, cfg Config) int64 {
 			}
 			return total
 		}
-		const heldBytesPerSessionSecond = 64 << 10
+		// Measured on lagd shard jobs (-workers 1, 2 vCPUs) over the
+		// idle server, sessions × seconds: Jmol 5.6 MiB for 1 × 300,
+		// 11.6 for 4 × 300, 41.8 for 16 × 300, 25.2 for 4 × 1200;
+		// NetBeans (the densest) 20.1 for 4 × 300, 45.2 for 16 × 300,
+		// 64.7 for 4 × 1200; 3 apps × 4 × 300 36.2; 14 apps × 1 × 300
+		// 29.1. This constant overestimates all nine.
+		const frameBytesPerSessionSecond = 24 << 10
 		nApps, sessionSeconds := studyShape(spec)
-		return int64(float64(nApps) * sessionSeconds * heldBytesPerSessionSecond)
+		return int64(float64(nApps) * sessionSeconds * frameBytesPerSessionSecond)
 	case "study":
 		// Measured on lagd study jobs (2 vCPUs, so two apps in flight):
 		// 7.8 MiB over the idle server for 2 apps × 1 session × 300 s,
@@ -669,17 +677,22 @@ func (s *Server) runOnce(job *Job, deadline time.Duration) (err error) {
 			err = fmt.Errorf("%w: %v", ErrWorkerPanic, r)
 		}
 	}()
-	runner := s.cfg.Runner
-	if runner == nil {
-		runner = s.run
-	}
-	res, err := runner(ctx, job.Spec)
+	var res *report.StudyResult
 	var state []byte
-	if job.Spec.Kind == "shard" && err == nil && res != nil {
-		// Freeze the mergeable partial state now, while the attempt owns
-		// the result: the coordinator fetches these exact bytes from
+	if job.Spec.Kind == "shard" {
+		// A shard's deliverable is its mergeable partial state, framed
+		// now: the coordinator fetches these exact bytes from
 		// GET /jobs/{id}/state and verifies their checksum end to end.
-		state, err = EncodeShardState(shardStateOf(res))
+		var st *ShardState
+		if st, err = s.runShard(ctx, job.Spec); err == nil {
+			state, err = EncodeShardState(st)
+		}
+	} else {
+		runner := s.cfg.Runner
+		if runner == nil {
+			runner = s.run
+		}
+		res, err = runner(ctx, job.Spec)
 	}
 	s.mu.Lock()
 	if res != nil {
@@ -786,39 +799,30 @@ func (s *Server) run(ctx context.Context, spec JobSpec) (*report.StudyResult, er
 			return res, errors.New("serve: no app survived analysis")
 		}
 		return res, nil
-	case "shard":
-		return s.runShard(ctx, spec)
 	}
 	return nil, fmt.Errorf("serve: unknown job kind %q", spec.Kind)
 }
 
-// runShard executes one partition of a distributed study. A
-// study-shaped shard (explicit apps) runs the normal study pipeline —
-// simulation plus analysis, so a sick shard fails loudly here instead
-// of poisoning the coordinator's merge — over held sessions, which its
-// state ships: its SuiteSource loads each app from the worker's own
-// checkpoint store under StateDir, or else simulates and saves it,
-// which turns repeated dispatches of the same shard (coordinator
-// retries, hedges won elsewhere) into cache hits. A traces-shaped
-// shard (explicit files) only LOADS its
-// files: the coordinator analyzes the merged per-app suites, because
-// an app's sessions may span shards and per-shard analysis of a
-// partial suite would diverge from the single-node result.
-func (s *Server) runShard(ctx context.Context, spec JobSpec) (*report.StudyResult, error) {
+// runShard executes one partition of a distributed study and returns
+// its partial state, analyzing nothing. A study-shaped shard (explicit
+// apps) ships each app's frame from the worker's own checkpoint store
+// under StateDir, undecoded, which turns repeated dispatches of the
+// same shard (coordinator retries, hedges won elsewhere) into cache
+// hits; a miss simulates straight into the frame and saves it. A
+// traces-shaped shard (explicit files) ships LoadTraceShard's frames.
+func (s *Server) runShard(ctx context.Context, spec JobSpec) (*ShardState, error) {
 	if len(spec.Apps) > 0 {
-		var profiles []*sim.Profile
+		cfg := report.StudyConfig{
+			SessionsPerApp: spec.Sessions,
+			Seed:           spec.Seed,
+			SessionSeconds: spec.Seconds,
+		}
 		for _, name := range spec.Apps {
 			p, err := apps.ByName(name)
 			if err != nil {
 				return nil, err
 			}
-			profiles = append(profiles, p)
-		}
-		cfg := report.StudyConfig{
-			Apps:           profiles,
-			SessionsPerApp: spec.Sessions,
-			Seed:           spec.Seed,
-			SessionSeconds: spec.Seconds,
+			cfg.Apps = append(cfg.Apps, p)
 		}
 		var store *checkpoint.Store
 		if s.cfg.StateDir != "" {
@@ -826,38 +830,51 @@ func (s *Server) runShard(ctx context.Context, spec JobSpec) (*report.StudyResul
 			// does a study.
 			store, _ = checkpoint.Open(filepath.Join(s.cfg.StateDir, "checkpoint", cfg.Hash()), cfg.Hash())
 		}
-		cfg.SuiteSource = func(ctx context.Context, p *sim.Profile) (*trace.Suite, error) {
+		st := &ShardState{}
+		for _, p := range cfg.Apps {
+			var frame []byte
+			ok := false
 			if store != nil {
-				if suite, ok := store.Load(p.Name); ok {
-					return suite, nil
+				frame, ok = store.LoadFrame(p.Name)
+			}
+			if !ok {
+				var err error
+				if frame, err = report.SimulateFrame(ctx, cfg, p, store); err != nil {
+					return nil, fmt.Errorf("serve: shard app %s: %w", p.Name, err)
 				}
 			}
-			return report.SimulateSuite(ctx, cfg, p, store)
+			st.Frames = append(st.Frames, frame)
 		}
-		return report.RunStudyContext(ctx, cfg)
+		return st, nil
 	}
-	suites, health, err := report.LoadTraceDirContext(ctx, spec.Dir, report.LoadOptions{
+	return LoadTraceShard(ctx, spec.Dir, report.LoadOptions{
 		Paths:   spec.Files,
 		Salvage: spec.Salvage,
 		Limits:  s.cfg.Limits,
 		Jobs:    s.cfg.LoadJobs,
 	})
-	if err != nil {
-		if health == nil {
-			return nil, err
-		}
-		// Every file in the shard failed to load. For a whole directory
-		// that is fatal, but for one partition it is legitimate partial
-		// state: the losses are itemized per file in the health ledger,
-		// and the coordinator merges them exactly as a single-node scan
-		// would have recorded them.
-		return &report.StudyResult{Health: health}, nil
+}
+
+// LoadTraceShard is a traces-shaped shard's state, which the
+// distributed coordinator's local fallback also builds: the files
+// o.Paths under dir load held, and each app's sessions are framed. The
+// coordinator folds the frames, because an app's sessions may span
+// shards. A shard whose every file failed is still state: its losses
+// are itemized per file, as a single-node scan records them.
+func LoadTraceShard(ctx context.Context, dir string, o report.LoadOptions) (*ShardState, error) {
+	suites, health, err := report.LoadTraceDirContext(ctx, dir, o)
+	if err != nil && health == nil {
+		return nil, err
 	}
-	res := &report.StudyResult{Health: health}
+	st := &ShardState{Health: health}
 	for _, suite := range suites {
-		res.Apps = append(res.Apps, &report.AppResult{Suite: suite})
+		frame, err := treebuild.AppendSuite(nil, suite)
+		if err != nil {
+			return nil, fmt.Errorf("serve: framing shard sessions: %w", err)
+		}
+		st.Frames = append(st.Frames, frame)
 	}
-	return res, nil
+	return st, nil
 }
 
 // Shutdown drains the server: stop admissions, collect still-queued

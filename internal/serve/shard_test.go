@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"io"
@@ -14,69 +16,94 @@ import (
 	"time"
 
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/sim"
+	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // TestShardJobStudy runs a study-shaped shard through the real
 // pipeline and checks the partial-state contract end to end: the
-// /state endpoint serves a decodable checksum-framed payload holding
-// exactly the app's session suite, and /result refuses the shard with
-// a pointer to /state.
+// /state endpoint serves a checksum-framed payload whose one frame is
+// byte for byte the payload a local study checkpoints for the app, a
+// second dispatch ships the frame the worker stored without simulating
+// again, and /result refuses the shard with a pointer to /state.
 func TestShardJobStudy(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{Workers: 1, StateDir: t.TempDir(), SelfProfile: true})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	job, err := s.Submit(JobSpec{
-		Kind: "shard", Apps: []string{"CrosswordSage"}, Sessions: 2, Seed: 7, Seconds: 20,
-	})
-	if err != nil {
-		t.Fatal(err)
+	spec := JobSpec{Kind: "shard", Apps: []string{"CrosswordSage"}, Sessions: 2, Seed: 7, Seconds: 20}
+	dispatch := func() (id string, frame []byte) {
+		t.Helper()
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, job.ID, StateDone)
+		resp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/state")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/state status = %s", resp.Status)
+		}
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := DecodeShardState(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Frames) != 1 {
+			t.Fatalf("shard frames = %d, want one", len(st.Frames))
+		}
+		return job.ID, st.Frames[0]
 	}
-	waitState(t, s, job.ID, StateDone)
+	first, frame := dispatch()
 
-	resp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/state status = %s", resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := DecodeShardState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Suites) != 1 || st.Suites[0].App != "CrosswordSage" {
-		t.Fatalf("shard suites = %+v, want one CrosswordSage suite", st.Suites)
-	}
-	if got := len(st.Suites[0].Sessions); got != 2 {
-		t.Errorf("sessions = %d, want 2", got)
-	}
-
-	// The suite must be the same sessions a single-node run derives:
-	// same seed, same session IDs.
+	// The frame is the payload a single-node study checkpoints for the
+	// app: same seed, same session IDs, same bytes.
 	p, err := apps.ByName("CrosswordSage")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(sim.Config{Profile: p, SessionID: 0, Seed: 7, SessionSeconds: 20})
+	cfg := report.StudyConfig{Apps: []*sim.Profile{p}, SessionsPerApp: 2, Seed: 7, SessionSeconds: 20,
+		CheckpointDir: t.TempDir()}
+	if _, err := report.RunStudy(cfg); err != nil {
+		t.Fatal(err)
+	}
+	local, err := checkpoint.Open(cfg.CheckpointDir, cfg.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Suites[0].Sessions[0]; len(got.Episodes) != len(want.Episodes) {
-		t.Errorf("shard session 0 has %d episodes, local sim has %d",
-			len(got.Episodes), len(want.Episodes))
+	want, ok := local.LoadFrame(p.Name)
+	if !ok {
+		t.Fatal("local study checkpointed no frame")
+	}
+	if sha256.Sum256(frame) != sha256.Sum256(want) {
+		t.Errorf("shipped frame (%d bytes) differs from the local checkpoint payload (%d bytes)", len(frame), len(want))
+	}
+
+	// A second dispatch hits the worker's store: the same bytes, and no
+	// simulate span in its self-trace.
+	second, again := dispatch()
+	if !bytes.Equal(again, frame) {
+		t.Error("second dispatch shipped a different frame")
+	}
+	if spans := spanNames(t, s, first); !spans["simulate"] {
+		t.Errorf("first dispatch spans %v, want a simulate span", spans)
+	}
+	if spans := spanNames(t, s, second); spans["simulate"] {
+		t.Errorf("second dispatch simulated again (spans %v)", spans)
 	}
 
 	// A shard has no rendered result; callers are pointed at /state.
-	rr, err := http.Get(ts.URL + "/jobs/" + job.ID + "/result")
+	rr, err := http.Get(ts.URL + "/jobs/" + first + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +115,55 @@ func TestShardJobStudy(t *testing.T) {
 	if !strings.Contains(string(body), "/state") {
 		t.Errorf("/result refusal %q does not point at /state", body)
 	}
+}
+
+// spanNames returns the names of the spans in job id's self-trace: the
+// methods its call records carry.
+func spanNames(t *testing.T, s *Server, id string) map[string]bool {
+	t.Helper()
+	data, ok := s.SelfTrace(id)
+	if !ok {
+		t.Fatalf("job %s has no self-trace", id)
+	}
+	lr, err := lila.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for {
+		rec, err := lr.Read()
+		if err == io.EOF {
+			return names
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == lila.RecCall {
+			names[rec.Method] = true
+		}
+	}
+}
+
+// shardSuites decodes every frame of st strictly into held suites.
+func shardSuites(t *testing.T, st *ShardState) []*trace.Suite {
+	t.Helper()
+	var suites []*trace.Suite
+	for _, frame := range st.Frames {
+		app, traces, rest, err := treebuild.SplitSuite(frame)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("frame: %v (%d trailing bytes)", err, len(rest))
+		}
+		suite := &trace.Suite{App: app}
+		for _, v2 := range traces {
+			sess, err := treebuild.DecodeSession(v2, treebuild.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			suite.Sessions = append(suite.Sessions, sess)
+		}
+		suites = append(suites, suite)
+	}
+	return suites
 }
 
 // shardCorpus writes a tiny two-app trace corpus and returns the dir
@@ -124,7 +200,7 @@ func shardCorpus(t *testing.T) (string, []string) {
 }
 
 // TestShardJobTraces: a traces-shaped shard loads exactly its file
-// slice — no analysis — and returns the sessions grouped by app.
+// slice — no analysis — and returns the sessions framed by app.
 func TestShardJobTraces(t *testing.T) {
 	dir, paths := shardCorpus(t)
 	s := newTestServer(t, Config{Workers: 1})
@@ -142,16 +218,17 @@ func TestShardJobTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Suites) != 1 || st.Suites[0].App != "CrosswordSage" {
-		t.Fatalf("suites = %+v, want one CrosswordSage suite", st.Suites)
+	suites := shardSuites(t, st)
+	if len(suites) != 1 || suites[0].App != "CrosswordSage" {
+		t.Fatalf("suites = %+v, want one CrosswordSage suite", suites)
 	}
-	if got := len(st.Suites[0].Sessions); got != 2 {
+	if got := len(suites[0].Sessions); got != 2 {
 		t.Errorf("sessions = %d, want 2", got)
 	}
 }
 
 // TestShardJobTracesAllBad: a shard whose every file fails to load is
-// legitimate partial state — itemized file health, zero suites — not
+// legitimate partial state — itemized file health, zero frames — not
 // a failed job.
 func TestShardJobTracesAllBad(t *testing.T) {
 	dir := t.TempDir()
@@ -170,8 +247,8 @@ func TestShardJobTracesAllBad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Suites) != 0 {
-		t.Errorf("suites = %d, want none", len(st.Suites))
+	if len(st.Frames) != 0 {
+		t.Errorf("frames = %d, want none", len(st.Frames))
 	}
 	if st.Health == nil || len(st.Health.Files) != 1 || st.Health.Files[0].Path != bad {
 		t.Errorf("health = %+v, want the bad file itemized", st.Health)

@@ -9,33 +9,34 @@ import (
 	"fmt"
 
 	"lagalyzer/internal/report"
-	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
 )
 
 // Shard partial state: the wire form a worker lagd returns for a
 // "shard" job, consumed by the distributed coordinator
-// (internal/dist). The payload is the mergeable part of a study — the
-// session suites plus the shard's health ledger — NOT the derived
-// analysis: the engine re-derives analysis deterministically at the
-// coordinator, which is what makes a distributed merge byte-identical
-// to a single-node run (the same argument that makes checkpoint
-// resume byte-identical).
+// (internal/dist). The payload is the mergeable part of a study — one
+// suite frame per app, in the checkpoint store's payload encoding,
+// plus the shard's health ledger — NOT the derived analysis: the
+// coordinator folds each frame as a checkpoint hit is folded, which is
+// what makes a distributed merge byte-identical to a single-node run
+// (the same argument that makes checkpoint resume byte-identical).
 //
 // Framing is paranoid by design, because this payload crosses a
 // network that the fault-injection suite is allowed to damage:
 //
 //	8 bytes  magic "LAGSHRD2"
 //	32 bytes SHA-256 of the payload
-//	N bytes  payload := uvarint(nsuites) suite* health
-//	         suite   := treebuild suite frame (sessions as raw LiLa v2)
+//	N bytes  payload := uvarint(nframes) frame* health
+//	         frame   := treebuild suite frame (sessions as raw LiLa v2)
 //	         health  := gob of the Health ledger, to the end
 //
-// The suites travel in the checkpoint store's encoding and decode
-// through the same strict path (treebuild.ReadSuite). Any truncation,
-// reset, or bit flip — in the header, checksum, or payload — surfaces
-// as ErrBadShardState, never as a silently wrong merge. The
-// coordinator treats ErrBadShardState as retryable wire damage.
+// The frames are carried undecoded: DecodeShardState checks their
+// framing (treebuild.SplitSuite), and each session decodes once, in
+// the coordinator's fold. Any truncation, reset, or bit flip — in the
+// header, checksum, or payload — surfaces as ErrBadShardState, which
+// the coordinator retries as wire damage. A session that fails its
+// strict decode under a good checksum is worker skew or a bug instead,
+// and the coordinator degrades the shard without merging its frame.
 
 // shardStateMagic identifies (and versions) the shard-state framing.
 const shardStateMagic = "LAGSHRD2"
@@ -47,11 +48,11 @@ var ErrBadShardState = errors.New("serve: shard state damaged in transit")
 
 // ShardState is one worker's contribution to a distributed study.
 type ShardState struct {
-	// Suites are the session suites the shard produced (simulated apps
-	// or loaded trace files), in the shard's deterministic order:
-	// profile order for study shards, sorted-app order for trace
-	// shards.
-	Suites []*trace.Suite
+	// Frames are the suite frames the shard produced, one per app
+	// (simulated apps or loaded trace files), in the shard's
+	// deterministic order: profile order for study shards, sorted-app
+	// order for trace shards.
+	Frames [][]byte
 	// Health itemizes everything the shard lost or worked around, in
 	// the same per-file/per-app shape the single-node pipeline uses, so
 	// the coordinator's merged ledger is indistinguishable from a local
@@ -68,12 +69,9 @@ type shardHealth struct {
 // EncodeShardState serializes st with checksum framing.
 func EncodeShardState(st *ShardState) ([]byte, error) {
 	header := len(shardStateMagic) + sha256.Size
-	out := binary.AppendUvarint(make([]byte, header), uint64(len(st.Suites)))
-	for _, suite := range st.Suites {
-		var err error
-		if out, err = treebuild.AppendSuite(out, suite); err != nil {
-			return nil, fmt.Errorf("serve: encoding shard state: %w", err)
-		}
+	out := binary.AppendUvarint(make([]byte, header), uint64(len(st.Frames)))
+	for _, frame := range st.Frames {
+		out = append(out, frame...)
 	}
 	buf := bytes.NewBuffer(out)
 	if err := gob.NewEncoder(buf).Encode(shardHealth{st.Health}); err != nil {
@@ -88,8 +86,8 @@ func EncodeShardState(st *ShardState) ([]byte, error) {
 
 // DecodeShardState parses and verifies a shard-state payload. Every
 // failure mode — short header, wrong magic, checksum mismatch, a
-// payload that does not decode strictly — returns an error wrapping
-// ErrBadShardState.
+// payload or frame that does not parse — returns an error wrapping
+// ErrBadShardState. No session is decoded.
 func DecodeShardState(data []byte) (*ShardState, error) {
 	header := len(shardStateMagic) + sha256.Size
 	if len(data) < header {
@@ -118,16 +116,17 @@ func DecodeShardState(data []byte) (*ShardState, error) {
 func decodeShardPayload(p []byte) (*ShardState, error) {
 	count, k := binary.Uvarint(p)
 	if k <= 0 || count > uint64(len(p)) {
-		return nil, errors.New("bad suite count")
+		return nil, errors.New("bad frame count")
 	}
 	p = p[k:]
 	st := &ShardState{}
 	for i := uint64(0); i < count; i++ {
-		suite, rest, err := treebuild.ReadSuite(p)
+		_, _, rest, err := treebuild.SplitSuite(p)
 		if err != nil {
 			return nil, err
 		}
-		st.Suites = append(st.Suites, suite)
+		n := len(p) - len(rest)
+		st.Frames = append(st.Frames, p[:n:n])
 		p = rest
 	}
 	r := bytes.NewReader(p)
@@ -140,14 +139,4 @@ func decodeShardPayload(p []byte) (*ShardState, error) {
 	}
 	st.Health = h.Health
 	return st, nil
-}
-
-// shardStateOf extracts the mergeable partial state from a finished
-// shard job's pipeline result.
-func shardStateOf(res *report.StudyResult) *ShardState {
-	st := &ShardState{Health: res.Health}
-	for _, a := range res.Apps {
-		st.Suites = append(st.Suites, a.Suite)
-	}
-	return st
 }

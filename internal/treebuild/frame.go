@@ -18,15 +18,17 @@ import (
 //	session := uvarint(len(trace)) trace      (LiLa v2, blocks raw)
 //
 // A study frames the traces its simulator streamed into NewTraceWriter
-// (AppendTraces); only a suite held solely in memory is flattened and
-// encoded (AppendSuite). Both give the same bytes unless the simulator
-// materialized sub-threshold episodes, which a built session drops.
+// (AppendTraces); only a suite held in memory, as a trace-directory
+// shard loads it, is flattened and encoded (AppendSuite). Both give the
+// same bytes unless the simulator materialized sub-threshold episodes,
+// which a built session drops.
 //
 // Blocks stay raw because flate costs more time than the bytes it
-// saves are worth on a local disk or a LAN. Decoding is strict: a v2
-// parse or block checksum error, a build error, a degraded build, or
-// a frame that overruns the data fails the whole suite, so a caller
-// never receives a salvaged, silently different suite.
+// saves are worth on a local disk or a LAN. SplitSuite checks only the
+// framing; each session then decodes strictly (DecodeSession): a v2
+// parse or block checksum error, a build error, or a degraded build
+// fails it, so a caller never receives a salvaged, silently different
+// session.
 
 var v2Raw = lila.WriteOptions{Format: lila.FormatV2, Compression: lila.CompressionNone}
 
@@ -61,22 +63,6 @@ func AppendTraces(dst []byte, app string, traces [][]byte) []byte {
 		dst = append(dst, t...)
 	}
 	return dst
-}
-
-// ReadSuite decodes the suite frame at the front of data and returns
-// the suite and the bytes after the frame.
-func ReadSuite(data []byte) (*trace.Suite, []byte, error) {
-	app, traces, rest, err := SplitSuite(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	suite := &trace.Suite{App: app, Sessions: make([]*trace.Session, len(traces))}
-	for i, v2 := range traces {
-		if suite.Sessions[i], err = DecodeSession(v2, Options{}); err != nil {
-			return nil, nil, fmt.Errorf("treebuild: suite frame %q session %d: %w", app, i, err)
-		}
-	}
-	return suite, rest, nil
 }
 
 // SplitSuite splits the suite frame at the front of data into its app

@@ -66,9 +66,17 @@ func TestTeedFrameKeepsShortEpisodes(t *testing.T) {
 			if len(teed) <= len(flat) {
 				t.Errorf("teed frame %d bytes, want more than the flattened %d", len(teed), len(flat))
 			}
-			got, rest, err := treebuild.ReadSuite(teed)
-			if err != nil || len(rest) != 0 {
-				t.Fatalf("ReadSuite: %v (%d trailing bytes)", err, len(rest))
+			app, traces, rest, err := treebuild.SplitSuite(teed)
+			if err != nil || len(rest) != 0 || app != p.Name {
+				t.Fatalf("SplitSuite: %v (app %q, %d trailing bytes)", err, app, len(rest))
+			}
+			got := &trace.Suite{App: app}
+			for i, v2 := range traces {
+				s, err := treebuild.DecodeSession(v2, treebuild.Options{})
+				if err != nil {
+					t.Fatalf("session %d: %v", i, err)
+				}
+				got.Sessions = append(got.Sessions, s)
 			}
 			round, err := treebuild.AppendSuite(nil, got)
 			if err != nil {

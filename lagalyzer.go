@@ -294,5 +294,5 @@ type StudyResult = report.StudyResult
 // RunStudy simulates and analyzes the paper's full characterization
 // study (14 applications × 4 sessions by default). Each episode is
 // analyzed as its session's simulation closes it, so the results keep
-// no session (AppResult.Suite is nil); Simulate returns one to browse.
+// no session; Simulate returns one to browse.
 func RunStudy(cfg StudyConfig) (*StudyResult, error) { return report.RunStudy(cfg) }
