@@ -12,8 +12,9 @@
 # over the ingest journal, budget eviction, and drain, and lagalyzer's
 # per-file panic containment) plus a fuzz smoke pass over the
 # decoders — the strict-reader target also drives the release-mode
-# stream path — and the streaming ingest endpoint, whose consumer is
-# the same release-mode builder run leniently. `make profile` runs the
+# stream path — and the streaming ingest endpoint, whose consumer runs
+# the same release-mode builder leniently and folds the engine's
+# analysis of each episode into its window. `make profile` runs the
 # engine benchmark under the CPU and heap profilers and prints the
 # top-10 hot spots from each. `make loc` prints the non-test and test
 # Go line counts outside the benchmark module (bench/), the size
@@ -45,7 +46,7 @@ chaos:
 	$(GO) test ./internal/checkpoint ./internal/serve \
 		-run 'Fault|Corrupt|Truncat|Orphan|Resume|Shed|Panic|Retry|Shutdown|Deadline|Shard|Drain' -race
 	$(GO) test ./internal/dist \
-		-run 'Golden|Hedge|Eject|Degrad|Itemized|Resume|Backoff|Pool|Metrics' -race
+		-run 'Golden|Hedge|Eject|Degrad|Itemized|Resume|Backoff|Pool|Metrics|Concurrent' -race
 	$(GO) test ./internal/ingest \
 		-run 'Chaos|Golden|Journal|Shed|Drain|Budget|Idle|Duplicate|Garbage|Degrad' -race
 	$(GO) test ./cmd/lagalyzer -run Panic

@@ -916,9 +916,10 @@ func BenchmarkSessionTimeline(b *testing.B) {
 func BenchmarkAnalyzeSuite(b *testing.B) {
 	b.ReportAllocs()
 	suite := benchSuite()
+	suites := []*trace.Suite{suite}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := report.AnalyzeSuite(suite, trace.DefaultPerceptibleThreshold)
+		a := report.AnalyzeSuitesContext(context.Background(), suites, trace.DefaultPerceptibleThreshold, nil).Apps[0]
 		if a.Overview.Traced == 0 || len(a.Pooled.Patterns) == 0 {
 			b.Fatal("empty analysis")
 		}
@@ -935,11 +936,12 @@ func BenchmarkAnalyzeSuite(b *testing.B) {
 func BenchmarkAnalyzeSuiteSelfProfiled(b *testing.B) {
 	b.ReportAllocs()
 	suite := benchSuite()
+	suites := []*trace.Suite{suite}
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := report.AnalyzeSuiteContext(ctx, suite, trace.DefaultPerceptibleThreshold)
+		a := report.AnalyzeSuitesContext(ctx, suites, trace.DefaultPerceptibleThreshold, nil).Apps[0]
 		if a.Overview.Traced == 0 || len(a.Pooled.Patterns) == 0 {
 			b.Fatal("empty analysis")
 		}

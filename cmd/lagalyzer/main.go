@@ -275,13 +275,13 @@ func noteDamage(path string, rep *lila.SalvageReport, diag *treebuild.Diagnostic
 
 // fileFold is one trace file's release-mode analysis, the per-file
 // fold stats and stream both print from: its statistics, the closed
-// session (no episodes, ticks, or GCs), and its episodes' durations.
+// session (no episodes, ticks, or GCs), and its threshold sweep.
 type fileFold struct {
-	a    *stream.Analyzer
-	st   *stream.Stats
-	s    *trace.Session
-	diag *treebuild.Diagnostics
-	durs []trace.Dur
+	a     *stream.Analyzer
+	st    *stream.Stats
+	s     *trace.Session
+	diag  *treebuild.Diagnostics
+	sweep *analysis.Sweep
 }
 
 // analyzeEpisode is the fold's per-episode step; a variable so tests
@@ -294,11 +294,11 @@ var analyzeEpisode = (*stream.Analyzer).Episode
 func foldFiles(paths []string, threshold trace.Dur) ([]*fileFold, error) {
 	folds := make([]*fileFold, len(paths))
 	loads, err := loadFiles(paths, func(i int) func(*trace.Session, *trace.Episode) {
-		ff := &fileFold{a: stream.NewAnalyzer(threshold)}
+		ff := &fileFold{a: stream.NewAnalyzer(threshold), sweep: analysis.NewSweep(nil)}
 		folds[i] = ff
 		return func(s *trace.Session, e *trace.Episode) {
 			analyzeEpisode(ff.a, s, e)
-			ff.durs = append(ff.durs, e.Dur())
+			ff.sweep.Add(e.Dur())
 		}
 	})
 	if err != nil {
@@ -334,7 +334,7 @@ func runStats(args []string) error {
 	// Every tally is integral, so merging in argument order gives the
 	// same output at any -jobs.
 	var pop [2]engine.Population
-	var durs []trace.Dur
+	sweep := analysis.NewSweep(nil)
 	for _, ff := range all {
 		s, st := ff.s, ff.st
 		inEps := 0.0
@@ -346,7 +346,7 @@ func runStats(args []string) error {
 			st.Episodes, th, st.Perceptible, ff.diag.GCs, ff.diag.Ticks)
 		pop[0].Merge(&st.All)
 		pop[1].Merge(&st.Long)
-		durs = append(durs, ff.durs...)
+		sweep.Merge(ff.sweep)
 	}
 
 	trigAll, trigLong := pop[0].Trigger, pop[1].Trigger
@@ -376,7 +376,7 @@ func runStats(args []string) error {
 	// The HCI literature disagrees on where "perceptible" begins;
 	// show the sensitivity.
 	fmt.Println("\nthreshold sensitivity (Shneiderman 100ms; Dabrowski/Munson 150/195ms; MacKenzie/Ware 225ms):")
-	for _, p := range analysis.SweepDurations(durs, nil) {
+	for _, p := range sweep.Points() {
 		fmt.Printf("  >=%-8v %6d episodes (%5.2f%%)  %6.1f per minute of in-episode time\n",
 			p.Threshold, p.Episodes, p.Frac*100, p.PerMin)
 	}

@@ -34,39 +34,65 @@ type ThresholdPoint struct {
 // disagreeing HCI literature. Thresholds nil means
 // LiteratureThresholds.
 func ThresholdSweep(sessions []*trace.Session, thresholds []trace.Dur) []ThresholdPoint {
-	var durs []trace.Dur
+	sw := NewSweep(thresholds)
 	for _, s := range sessions {
 		for _, e := range s.Episodes {
-			durs = append(durs, e.Dur())
+			sw.Add(e.Dur())
 		}
 	}
-	return SweepDurations(durs, thresholds)
+	return sw.Points()
 }
 
-// SweepDurations is ThresholdSweep over the durations of the traced
-// episodes, whose sum is the in-episode time.
-func SweepDurations(durs, thresholds []trace.Dur) []ThresholdPoint {
+// Sweep is a threshold sweep folded one traced episode at a time: the
+// episodes at or above each threshold, the episode total and the
+// in-episode time. Every tally is integral, so sweeps over the same
+// thresholds merge in any order.
+type Sweep struct {
+	Thresholds []trace.Dur
+	Counts     []int
+	Episodes   int
+	InEpisode  trace.Dur
+}
+
+// NewSweep starts an empty sweep; thresholds nil means
+// LiteratureThresholds.
+func NewSweep(thresholds []trace.Dur) *Sweep {
 	if thresholds == nil {
 		thresholds = LiteratureThresholds
 	}
-	var inEps trace.Dur
-	for _, d := range durs {
-		inEps += d
+	return &Sweep{Thresholds: thresholds, Counts: make([]int, len(thresholds))}
+}
+
+// Add folds one traced episode of duration d.
+func (sw *Sweep) Add(d trace.Dur) {
+	sw.Episodes++
+	sw.InEpisode += d
+	for i, th := range sw.Thresholds {
+		if d >= th {
+			sw.Counts[i]++
+		}
 	}
-	points := make([]ThresholdPoint, 0, len(thresholds))
-	for _, th := range thresholds {
-		n := 0
-		for _, d := range durs {
-			if d >= th {
-				n++
-			}
+}
+
+// Merge folds o, a sweep over the same thresholds, into sw.
+func (sw *Sweep) Merge(o *Sweep) {
+	sw.Episodes += o.Episodes
+	sw.InEpisode += o.InEpisode
+	for i, n := range o.Counts {
+		sw.Counts[i] += n
+	}
+}
+
+// Points evaluates the sweep at each threshold.
+func (sw *Sweep) Points() []ThresholdPoint {
+	points := make([]ThresholdPoint, 0, len(sw.Thresholds))
+	for i, th := range sw.Thresholds {
+		p := ThresholdPoint{Threshold: th, Episodes: sw.Counts[i]}
+		if sw.Episodes > 0 {
+			p.Frac = float64(p.Episodes) / float64(sw.Episodes)
 		}
-		p := ThresholdPoint{Threshold: th, Episodes: n}
-		if len(durs) > 0 {
-			p.Frac = float64(n) / float64(len(durs))
-		}
-		if inEps > 0 {
-			p.PerMin = float64(n) / (inEps.Seconds() / 60)
+		if sw.InEpisode > 0 {
+			p.PerMin = float64(p.Episodes) / (sw.InEpisode.Seconds() / 60)
 		}
 		points = append(points, p)
 	}

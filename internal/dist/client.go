@@ -107,11 +107,12 @@ func retryable(ctx context.Context, err error) bool {
 	return err != nil
 }
 
-// runShard runs one shard to completion against the pool: hedged
+// runShard runs one shard to completion against the pool, its
+// attempts rotating over the workers from home (see pick): hedged
 // attempts, unified backoff, ejection bookkeeping. It returns the
 // decoded state, or the attempt count and last error once the budget
 // is exhausted.
-func (c *Coordinator) runShard(ctx context.Context, label string, spec serve.JobSpec) (*serve.ShardState, int, error) {
+func (c *Coordinator) runShard(ctx context.Context, label string, home int, spec serve.JobSpec) (*serve.ShardState, int, error) {
 	mShards.Add(1)
 	c.mu.Lock()
 	c.stats.Shards++
@@ -120,7 +121,7 @@ func (c *Coordinator) runShard(ctx context.Context, label string, spec serve.Job
 	var lastErr error
 	maxAttempts := c.opt.maxAttempts()
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		w, hedge := c.pool.pick(label, attempt)
+		w, hedge := c.pool.pick(home, attempt)
 		if w == nil {
 			lastErr = fmt.Errorf("dist: no healthy workers (of %d): %w",
 				len(c.opt.Workers), errOr(lastErr, errAllEjected))

@@ -80,25 +80,25 @@ func TestPoolEjectionAndReadmission(t *testing.T) {
 		EjectCooldown: 5 * time.Millisecond,
 	}, http.DefaultClient, func(string, error) { ejected++ })
 
-	w, _ := p.pick("s", 1)
+	w, _ := p.pick(labelHome("s"), 1)
 	if w == nil {
 		t.Fatal("fresh pool has no workers")
 	}
 	p.record(w, errTest)
-	if w2, _ := p.pick("s", 2); w2 == nil {
+	if w2, _ := p.pick(labelHome("s"), 2); w2 == nil {
 		t.Fatal("one strike ejected the worker early")
 	}
 	p.record(w, errTest)
 	if ejected != 1 {
 		t.Fatalf("ejections = %d, want 1 after the strike limit", ejected)
 	}
-	if w2, _ := p.pick("s", 3); w2 != nil {
+	if w2, _ := p.pick(labelHome("s"), 3); w2 != nil {
 		t.Fatal("ejected worker still picked before cooldown")
 	}
 
 	// Cooldown elapses; the healthy probe re-admits.
 	time.Sleep(10 * time.Millisecond)
-	if w2, _ := p.pick("s", 4); w2 == nil {
+	if w2, _ := p.pick(labelHome("s"), 4); w2 == nil {
 		t.Fatal("healthy worker not re-admitted after cooldown")
 	}
 
@@ -111,7 +111,7 @@ func TestPoolEjectionAndReadmission(t *testing.T) {
 		t.Fatalf("ejections = %d, want 2", ejected)
 	}
 	time.Sleep(10 * time.Millisecond)
-	if w2, _ := p.pick("s", 5); w2 != nil {
+	if w2, _ := p.pick(labelHome("s"), 5); w2 != nil {
 		t.Fatal("draining worker re-admitted")
 	}
 }
@@ -126,12 +126,12 @@ func TestPoolDrainingEjectsImmediately(t *testing.T) {
 		EjectAfter:    5,
 		EjectCooldown: time.Hour,
 	}, http.DefaultClient, func(string, error) { ejected++ })
-	w, _ := p.pick("s", 1)
+	w, _ := p.pick(labelHome("s"), 1)
 	p.record(w, errDraining)
 	if ejected != 1 {
 		t.Fatalf("ejections = %d, want immediate ejection on draining", ejected)
 	}
-	if w2, _ := p.pick("s", 1); w2 == w {
+	if w2, _ := p.pick(labelHome("s"), 1); w2 == w {
 		t.Error("draining worker picked again")
 	}
 }

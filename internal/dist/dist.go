@@ -257,7 +257,7 @@ func (c *Coordinator) appFrame(ctx context.Context, cfg report.StudyConfig, p *s
 		Seed:     cfg.Seed,
 		Seconds:  cfg.SessionSeconds,
 	}
-	st, attempts, rerr := c.runShard(ctx, p.Name, spec)
+	st, attempts, rerr := c.runShard(ctx, p.Name, labelHome(p.Name), spec)
 	if rerr == nil {
 		if len(st.Frames) == 1 {
 			return st.Frames[0], nil
@@ -309,12 +309,15 @@ func (c *Coordinator) degradeApp(ctx context.Context, cfg report.StudyConfig, p 
 // RunTraces characterizes the trace corpus under dir across the worker
 // pool: the sorted file list is carved into shards contiguous ranges
 // (0 means one per worker), each loaded remotely with the same
-// recovery ladder as study shards. Each shard's frames fold in shard
-// order, which for contiguous ranges is sorted path order, and the
-// folds merge per app in sorted app order, so the result — rows,
-// figures, and health ledger — is byte-identical to a single-node
-// report.AnalyzeTraceDirContext. progressW receives per-app progress
-// lines (nil = silent).
+// recovery ladder as study shards. Shards run concurrently, one lane
+// per worker: shard i runs in lane i mod lanes, after the lane's
+// earlier shards, and its first attempt goes to the i-th healthy
+// worker. Each shard's frames fold into its own slot, and the slots
+// merge in shard order, which for contiguous ranges is sorted path
+// order; the folds then merge per app in sorted app order, so the
+// result — rows, figures, and health ledger — is byte-identical to a
+// single-node report.AnalyzeTraceDirContext. progressW receives
+// per-app progress lines (nil = silent).
 func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOptions, shards int, progressW io.Writer) (*report.StudyResult, error) {
 	paths, err := report.ListTraceFiles(dir)
 	if err != nil {
@@ -331,27 +334,44 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 	}
 
 	threshold := trace.DefaultPerceptibleThreshold
+	type slot struct {
+		folded []report.FoldedSession
+		health *report.StudyHealth
+	}
+	slots := make([]slot, shards)
+	lanes := min(shards, len(c.opt.Workers))
+	var wg sync.WaitGroup
+	for l := 0; l < lanes; l++ {
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			for i := l; i < shards; i += lanes {
+				// Contiguous range [lo, hi): shard boundaries in sorted
+				// path order, so in-order concatenation reproduces the
+				// full scan.
+				lo, hi := i*len(paths)/shards, (i+1)*len(paths)/shards
+				label := fmt.Sprintf("files[%d:%d]", lo, hi)
+				fs, h, err := c.traceShard(ctx, dir, o, paths[lo:hi], label, i, threshold)
+				if err != nil {
+					// Itemized loss: the shard's files are recorded, never
+					// silently dropped.
+					h = &report.StudyHealth{SessionsSkipped: hi - lo, Apps: []report.AppHealth{
+						{App: label, Error: err.Error(), Reason: report.LossShard}}}
+				}
+				slots[i] = slot{fs, h}
+			}
+		}(l)
+	}
+	wg.Wait()
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+
 	health := &report.StudyHealth{}
 	var folded []report.FoldedSession
-	for i := 0; i < shards; i++ {
-		// Contiguous range [lo, hi): shard boundaries in sorted path
-		// order, so in-order concatenation reproduces the full scan.
-		lo, hi := i*len(paths)/shards, (i+1)*len(paths)/shards
-		label := fmt.Sprintf("files[%d:%d]", lo, hi)
-		fs, h, err := c.traceShard(ctx, dir, o, paths[lo:hi], label, threshold)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			// Itemized loss: the shard's files are recorded, never
-			// silently dropped.
-			health.Apps = append(health.Apps, report.AppHealth{
-				App: label, Error: err.Error(), Reason: report.LossShard})
-			health.SessionsSkipped += hi - lo
-			continue
-		}
-		health.Merge(h)
-		folded = append(folded, fs...)
+	for _, s := range slots {
+		health.Merge(s.health)
+		folded = append(folded, s.folded...)
 	}
 	if len(folded) == 0 {
 		return nil, fmt.Errorf("report: no loadable trace sessions under %s (%d files failed)",
@@ -370,9 +390,9 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 // is exhausted or a frame fails to fold. The local load is framed by
 // the worker's own code (serve.LoadTraceShard), so a degraded shard
 // folds exactly as a remote one.
-func (c *Coordinator) traceShard(ctx context.Context, dir string, o report.LoadOptions, files []string, label string, threshold trace.Dur) ([]report.FoldedSession, *report.StudyHealth, error) {
+func (c *Coordinator) traceShard(ctx context.Context, dir string, o report.LoadOptions, files []string, label string, home int, threshold trace.Dur) ([]report.FoldedSession, *report.StudyHealth, error) {
 	spec := serve.JobSpec{Kind: "shard", Dir: dir, Files: files, Salvage: o.Salvage}
-	st, attempts, err := c.runShard(ctx, label, spec)
+	st, attempts, err := c.runShard(ctx, label, home, spec)
 	if err == nil {
 		folded, ferr := foldShard(ctx, st, threshold)
 		if ferr == nil {

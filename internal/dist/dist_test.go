@@ -496,6 +496,60 @@ func TestDistTracesGolden(t *testing.T) {
 	})
 }
 
+// TestDistTracesConcurrentDispatch: trace shards run at once, one per
+// worker. Each worker holds a shard submission until the other worker
+// has received one too, so a coordinator that dispatched one shard at
+// a time would lose both; the result stays byte-identical to the
+// single-node scan.
+func TestDistTracesConcurrentDispatch(t *testing.T) {
+	dir := tracesCorpus(t)
+	opts := report.LoadOptions{Salvage: true}
+	want, err := report.AnalyzeTraceDirContext(context.Background(), dir, opts, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	received := map[string]bool{}
+	both := make(chan struct{})
+	workers := startWorkersWith(t, 2, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == "POST" && r.URL.Path == "/jobs" {
+				mu.Lock()
+				received[r.Host] = true
+				if len(received) == 2 {
+					select {
+					case <-both:
+					default:
+						close(both)
+					}
+				}
+				mu.Unlock()
+				select {
+				case <-both:
+				case <-time.After(5 * time.Second):
+					http.Error(w, "the other worker never received a shard", http.StatusInternalServerError)
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	c, err := New(Options{Workers: workers, MaxAttempts: 1, NoLocalFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunTraces(context.Background(), dir, opts, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := formatted(res), formatted(want); got != want {
+		t.Errorf("concurrent trace study diverges:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if st := c.Stats(); st.Shards != 2 || st.Degraded != 0 {
+		t.Errorf("stats = %+v, want 2 clean shards", st)
+	}
+}
+
 // TestDistTracesItemizedLoss: a lost trace shard is itemized (files
 // counted, reason recorded), and the surviving shard still analyzes.
 func TestDistTracesItemizedLoss(t *testing.T) {

@@ -57,7 +57,7 @@ func TestDistMetricsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := serve.JobSpec{Kind: "shard", Apps: []string{"CrosswordSage"}, Sessions: 1}
-	_, _, rerr := c.runShard(context.Background(), "probe", spec)
+	_, _, rerr := c.runShard(context.Background(), "probe", labelHome("probe"), spec)
 	if rerr == nil {
 		t.Fatal("shard against a dead address succeeded")
 	}

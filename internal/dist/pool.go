@@ -52,12 +52,20 @@ func newWorkerPool(opt Options, client *http.Client, onEject func(string, error)
 	return p
 }
 
-// pick chooses the primary worker for (label, attempt) and a distinct
-// hedge candidate, by deterministic rotation over the healthy set:
-// the same shard and attempt always land on the same workers, so
-// fault plans keyed by host reproduce exactly. Returns (nil, nil)
-// when no worker is healthy even after re-admission probes.
-func (p *workerPool) pick(label string, attempt int) (primary, hedge *worker) {
+// labelHome is a study shard's home: the hash of its label.
+func labelHome(label string) int {
+	h := fnv.New32a()
+	h.Write([]byte(label))
+	return int(h.Sum32())
+}
+
+// pick chooses the primary worker for a shard's attempt and a distinct
+// hedge candidate, by deterministic rotation over the healthy set from
+// the shard's home (a label hash, or a trace shard's index): the same
+// shard and attempt always land on the same workers, so fault plans
+// keyed by host reproduce exactly. Returns (nil, nil) when no worker
+// is healthy even after re-admission probes.
+func (p *workerPool) pick(home, attempt int) (primary, hedge *worker) {
 	p.readmit()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -70,9 +78,7 @@ func (p *workerPool) pick(label string, attempt int) (primary, hedge *worker) {
 	if len(healthy) == 0 {
 		return nil, nil
 	}
-	h := fnv.New32a()
-	h.Write([]byte(label))
-	start := (int(h.Sum32()) + attempt - 1) % len(healthy)
+	start := (home + attempt - 1) % len(healthy)
 	if start < 0 {
 		start += len(healthy)
 	}

@@ -1,10 +1,11 @@
 // Package ingest is lagd's live streaming ingestion surface: many
 // concurrent LiLa record streams arrive over chunked HTTP, each is
 // consumed incrementally by a lenient release-mode treebuild builder
-// whose episode hook is internal/stream's analyzer — so a session holds
-// only its open episodes and the ticks they can reach — and everything
-// folds into mergeable per-window aggregate state that is queryable
-// mid-session.
+// — so a session holds only its open episodes and the ticks they can
+// reach — whose episode hook runs the engine's per-episode analysis
+// once and folds it into the episode's window: the engine's population
+// pair plus a lag histogram and a pattern tally. Windows merge, and
+// are queryable mid-session.
 //
 // The package is built hostile-client-first: per-session and global
 // memory budgets with 429/Retry-After shedding and a degraded
@@ -18,7 +19,6 @@ package ingest
 import (
 	"sort"
 
-	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/trace"
 )
@@ -54,7 +54,9 @@ type WindowKey struct {
 	Window int64  `json:"window"`
 }
 
-// PatternTally is one pattern's contribution to a window.
+// PatternTally is one pattern's contribution to a window. Its lag
+// sums are integers, so a window's pattern map is the same whatever
+// order its episodes close or its parts merge in.
 type PatternTally struct {
 	Hash        uint64    `json:"hash"`
 	Count       int       `json:"count"`
@@ -67,174 +69,90 @@ func (p *PatternTally) merge(o *PatternTally) {
 	p.Count += o.Count
 	p.Perceptible += o.Perceptible
 	p.LagTotal += o.LagTotal
-	if o.LagMax > p.LagMax {
-		p.LagMax = o.LagMax
-	}
+	p.LagMax = max(p.LagMax, o.LagMax)
 }
 
-// Aggregate is the mergeable per-window state. Every field is an
-// integral tally (counts and duration sums), so merging is
-// commutative and associative and the streamed result is identical to
-// folding the same episodes in any other order — the property the
-// streamed-vs-batch golden test pins.
-//
-// The tick-derived fields (States/Samples/App/Lib/Runnable/Ticks) sum
-// the engine's per-episode tick tallies, so a tick spanning two
-// overlapping episodes counts once per episode, exactly as the engine
-// tallies it.
+// Aggregate is the mergeable per-window state: the engine's population
+// pair over the window's episodes, plus what the engine does not
+// tally. Every field is integral, so merging is commutative and
+// associative, and the streamed result equals the batch fold of the
+// same episodes in any order.
 type Aggregate struct {
-	Episodes    int `json:"episodes"`
-	Perceptible int `json:"perceptible"`
+	// Pop holds every episode of the window, and the perceptible ones:
+	// triggers, episode/GC/native time, and the tick tallies behind
+	// causes, location and concurrency. A tick inside two overlapping
+	// episodes counts once for each, exactly as the engine tallies it.
+	Pop [2]engine.Population
 	// Unstructured counts episodes excluded from pattern
 	// classification (no retained non-GC child below the dispatch).
-	Unstructured int `json:"unstructured,omitempty"`
+	Unstructured int
 	// Treeless counts episodes whose interval tree was dropped by the
 	// degraded stats-only mode; they are absent from Patterns but
 	// present in every other tally.
-	Treeless int `json:"treeless,omitempty"`
+	Treeless int
 
-	Triggers     [analysis.NumTriggers]int `json:"triggers"`
-	TriggersLong [analysis.NumTriggers]int `json:"triggers_long"`
-
-	EpisodeTime trace.Dur `json:"episode_time_ns"`
-	GCTime      trace.Dur `json:"gc_time_ns"`
-	NativeTime  trace.Dur `json:"native_time_ns"`
-
-	// Cause/location/concurrency basis over all episodes.
-	States     [4]int `json:"states"`
-	Samples    int    `json:"samples"`
-	AppSamples int    `json:"app_samples"`
-	LibSamples int    `json:"lib_samples"`
-	Runnable   int    `json:"runnable"`
-	Ticks      int    `json:"ticks"`
-
-	LagHist  [NumLagBuckets]int `json:"lag_hist"`
-	LagTotal trace.Dur          `json:"lag_total_ns"`
-	LagMax   trace.Dur          `json:"lag_max_ns"`
+	LagHist [NumLagBuckets]int
+	LagMax  trace.Dur
 
 	// Patterns tallies structured episodes by canonical form.
-	Patterns map[string]*PatternTally `json:"-"`
+	Patterns map[string]*PatternTally
 }
 
-// epContribution is one finished episode, normalized so the streaming
-// consumer and the batch reference fold through the same code path.
-type epContribution struct {
-	dur        trace.Dur
-	trigger    analysis.Trigger
-	gc, native trace.Dur
-
-	ticks engine.TickTally
-
-	structured bool
-	canon      []byte // valid only during the call
-	hash       uint64
-	treeless   bool
-}
-
-func (a *Aggregate) addEpisode(ec *epContribution, threshold trace.Dur) {
-	a.Episodes++
-	a.Triggers[ec.trigger]++
-	perceptible := ec.dur >= threshold
-	if perceptible {
-		a.Perceptible++
-		a.TriggersLong[ec.trigger]++
-	}
-	a.EpisodeTime += ec.dur
-	a.GCTime += ec.gc
-	a.NativeTime += ec.native
-	for i, n := range ec.ticks.States {
-		a.States[i] += n
-	}
-	a.Samples += ec.ticks.Samples
-	a.AppSamples += ec.ticks.App
-	a.LibSamples += ec.ticks.Lib
-	a.Runnable += ec.ticks.Runnable
-	a.Ticks += ec.ticks.Ticks
-	a.LagHist[lagBucket(ec.dur)]++
-	a.LagTotal += ec.dur
-	if ec.dur > a.LagMax {
-		a.LagMax = ec.dur
-	}
+// add folds one analyzed episode; treeless marks an episode the
+// stats-only mode took out of pattern classification. It reports
+// whether the episode opened a pattern the window had not seen.
+func (a *Aggregate) add(e *trace.Episode, info *engine.EpisodeInfo, threshold trace.Dur, treeless bool) (newPattern bool) {
+	engine.Fold(&a.Pop, e, info, threshold)
+	d := e.Dur()
+	a.LagHist[lagBucket(d)]++
+	a.LagMax = max(a.LagMax, d)
 	switch {
-	case ec.treeless:
+	case treeless:
 		a.Treeless++
-	case !ec.structured:
+	case !info.Structured:
 		a.Unstructured++
 	default:
-		if a.Patterns == nil {
-			a.Patterns = make(map[string]*PatternTally)
-		}
-		pt := a.Patterns[string(ec.canon)]
+		pt := a.Patterns[string(info.Print.Canon)]
 		if pt == nil {
-			pt = &PatternTally{Hash: ec.hash}
-			a.Patterns[string(ec.canon)] = pt
+			newPattern = true
+			pt = a.pattern(string(info.Print.Canon), info.Print.Hash)
 		}
-		pt.Count++
-		if perceptible {
-			pt.Perceptible++
+		one := PatternTally{Count: 1, LagTotal: d, LagMax: d}
+		if e.Perceptible(threshold) {
+			one.Perceptible = 1
 		}
-		pt.LagTotal += ec.dur
-		if ec.dur > pt.LagMax {
-			pt.LagMax = ec.dur
-		}
+		pt.merge(&one)
 	}
+	return newPattern
+}
+
+// pattern returns the window's tally for canon, creating it.
+func (a *Aggregate) pattern(canon string, hash uint64) *PatternTally {
+	if a.Patterns == nil {
+		a.Patterns = make(map[string]*PatternTally)
+	}
+	pt := a.Patterns[canon]
+	if pt == nil {
+		pt = &PatternTally{Hash: hash}
+		a.Patterns[canon] = pt
+	}
+	return pt
 }
 
 // Merge folds o into a.
 func (a *Aggregate) Merge(o *Aggregate) {
-	a.Episodes += o.Episodes
-	a.Perceptible += o.Perceptible
+	for i := range a.Pop {
+		a.Pop[i].Merge(&o.Pop[i])
+	}
 	a.Unstructured += o.Unstructured
 	a.Treeless += o.Treeless
-	for i, n := range o.Triggers {
-		a.Triggers[i] += n
-	}
-	for i, n := range o.TriggersLong {
-		a.TriggersLong[i] += n
-	}
-	a.EpisodeTime += o.EpisodeTime
-	a.GCTime += o.GCTime
-	a.NativeTime += o.NativeTime
-	for i, n := range o.States {
-		a.States[i] += n
-	}
-	a.Samples += o.Samples
-	a.AppSamples += o.AppSamples
-	a.LibSamples += o.LibSamples
-	a.Runnable += o.Runnable
-	a.Ticks += o.Ticks
 	for i, n := range o.LagHist {
 		a.LagHist[i] += n
 	}
-	a.LagTotal += o.LagTotal
-	if o.LagMax > a.LagMax {
-		a.LagMax = o.LagMax
-	}
+	a.LagMax = max(a.LagMax, o.LagMax)
 	for canon, pt := range o.Patterns {
-		if a.Patterns == nil {
-			a.Patterns = make(map[string]*PatternTally)
-		}
-		mine := a.Patterns[canon]
-		if mine == nil {
-			mine = &PatternTally{Hash: pt.Hash}
-			a.Patterns[canon] = mine
-		}
-		mine.merge(pt)
+		a.pattern(canon, pt.Hash).merge(pt)
 	}
-}
-
-// Clone deep-copies the aggregate.
-func (a *Aggregate) Clone() *Aggregate {
-	cp := *a
-	cp.Patterns = nil
-	if a.Patterns != nil {
-		cp.Patterns = make(map[string]*PatternTally, len(a.Patterns))
-		for canon, pt := range a.Patterns {
-			v := *pt
-			cp.Patterns[canon] = &v
-		}
-	}
-	return &cp
 }
 
 // AppTally is the per-application session-level state that has no

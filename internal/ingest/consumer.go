@@ -4,7 +4,6 @@ import (
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/patterns"
-	"lagalyzer/internal/stream"
 	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
 )
@@ -32,14 +31,14 @@ type flushEntry struct {
 }
 
 // Consumer feeds one session's record stream to a lenient release-mode
-// session builder whose episode hook is the streaming analyzer, folding
-// each episode into per-window aggregates as it closes. A window is
+// session builder whose episode hook analyzes each episode once, as it
+// closes, and folds it into its window's aggregate. A window is
 // emitted as soon as it lies wholly below the builder's watermark: no
 // episode closing later can start inside it. Not safe for concurrent
 // use — one consumer lives on one session's receive goroutine.
 type Consumer struct {
 	b         *treebuild.Builder
-	an        *stream.Analyzer
+	ea        *engine.EpisodeAnalyzer
 	diag      *treebuild.Diagnostics // set by Finish
 	app       string
 	windowDur trace.Dur
@@ -48,6 +47,7 @@ type Consumer struct {
 	local        map[int64]*Aggregate
 	flushedBelow int64 // windows < this have been emitted
 	patternBytes int64 // retained canon bytes, for memory estimates
+	episodes     int
 	treeless     int
 	degraded     bool
 }
@@ -63,21 +63,27 @@ func NewConsumer(app string, h lila.Header, cfg ConsumerConfig) *Consumer {
 		threshold = trace.DefaultPerceptibleThreshold
 	}
 	c := &Consumer{
-		an:        stream.NewAnalyzer(threshold),
+		ea:        newEpisodeAnalyzer(threshold),
 		app:       app,
 		windowDur: cfg.WindowDur,
 		threshold: threshold,
 		local:     make(map[int64]*Aggregate),
 	}
-	c.b = treebuild.NewBuilder(h, treebuild.Options{Lenient: true, Episode: c.an.Episode})
-	c.an.Observe(c.onEpisode)
+	c.b = treebuild.NewBuilder(h, treebuild.Options{Lenient: true, Episode: c.episode})
 	return c
 }
 
-func (c *Consumer) onEpisode(_ *trace.Session, e *trace.Episode, info *engine.EpisodeInfo) {
-	ec := contribution(e, info)
+// newEpisodeAnalyzer is the engine analysis both the consumer and the
+// batch reference fold: the pattern fingerprint at threshold.
+func newEpisodeAnalyzer(threshold trace.Dur) *engine.EpisodeAnalyzer {
+	return engine.NewEpisodeAnalyzer(engine.Options{Patterns: patterns.Options{Threshold: threshold}})
+}
+
+// episode is the builder's release-mode hook.
+func (c *Consumer) episode(s *trace.Session, e *trace.Episode) {
+	info := c.ea.Analyze(s, e)
+	c.episodes++
 	if c.degraded {
-		ec.treeless, ec.structured = true, false
 		c.treeless++
 	}
 	w := int64(e.Start()) / int64(c.windowDur)
@@ -86,10 +92,8 @@ func (c *Consumer) onEpisode(_ *trace.Session, e *trace.Episode, info *engine.Ep
 		agg = &Aggregate{}
 		c.local[w] = agg
 	}
-	before := agg.Patterns[string(ec.canon)] == nil
-	agg.addEpisode(&ec, c.threshold)
-	if ec.structured && before {
-		c.patternBytes += int64(len(ec.canon)) + 96
+	if agg.add(e, &info, c.threshold, c.degraded) {
+		c.patternBytes += int64(len(info.Print.Canon)) + 96
 	}
 }
 
@@ -149,7 +153,7 @@ func (c *Consumer) CompletedWindows() []flushEntry {
 // never finished contribute nothing — salvage-what-arrived), every
 // remaining window is drained, and the session's app tally is taken
 // from the closed session.
-func (c *Consumer) Finish() (entries []flushEntry, app AppTally, st *stream.Stats) {
+func (c *Consumer) Finish() (entries []flushEntry, app AppTally) {
 	s, diag, err := c.b.Finish()
 	if err != nil {
 		// Only an end record before the session start fails a lenient
@@ -157,42 +161,28 @@ func (c *Consumer) Finish() (entries []flushEntry, app AppTally, st *stream.Stat
 		s, diag = &trace.Session{}, &treebuild.Diagnostics{}
 	}
 	c.diag = diag
-	st = c.an.Stats(s, diag)
 	for w, agg := range c.local {
 		entries = append(entries, flushEntry{Window: w, Agg: agg})
 		delete(c.local, w)
 	}
-	app = AppTally{Sessions: 1, Short: s.ShortCount, E2E: s.E2E()}
-	return entries, app, st
-}
-
-// contribution normalizes one analyzed episode for Aggregate.addEpisode.
-func contribution(e *trace.Episode, info *engine.EpisodeInfo) epContribution {
-	return epContribution{
-		dur:        e.Dur(),
-		trigger:    info.Trigger,
-		gc:         info.GC,
-		native:     info.Native,
-		ticks:      info.Ticks,
-		structured: info.Structured,
-		canon:      info.Print.Canon,
-		hash:       info.Print.Hash,
-	}
+	return entries, AppTally{Sessions: 1, Short: s.ShortCount, E2E: s.E2E()}
 }
 
 // App returns the aggregation key.
 func (c *Consumer) App() string { return c.app }
+
+// Episodes returns the episodes analyzed so far.
+func (c *Consumer) Episodes() int { return c.episodes }
 
 // Treeless returns the episodes that lost their tree to degradation.
 func (c *Consumer) Treeless() int { return c.treeless }
 
 // FoldSessions is the batch reference: it folds fully-materialized
 // sessions (from LoadTraceDir + treebuild) into the same Tables shape
-// the streaming consumer produces, using the engine's fused
-// per-episode walk and tick fold. The golden
-// equivalence test pins streamed == FoldSessions over identical
-// (salvaged) records; both sides share Aggregate.addEpisode, so any
-// divergence is in per-episode math, not folding.
+// the streaming consumer produces. The golden equivalence test pins
+// streamed == FoldSessions over identical (salvaged) records; both
+// sides run the same engine analysis into Aggregate.add, so any
+// divergence is in what the builders close, not in folding.
 func FoldSessions(t *Tables, app string, sessions []*trace.Session, windowDur, threshold trace.Dur) {
 	if windowDur <= 0 {
 		windowDur = DefaultWindowDur
@@ -200,15 +190,11 @@ func FoldSessions(t *Tables, app string, sessions []*trace.Session, windowDur, t
 	if threshold == 0 {
 		threshold = trace.DefaultPerceptibleThreshold
 	}
-	ea := engine.NewEpisodeAnalyzer(engine.Options{
-		Patterns: patterns.Options{Threshold: threshold},
-	})
+	ea := newEpisodeAnalyzer(threshold)
 	for _, s := range sessions {
 		for _, e := range s.Episodes {
 			info := ea.Analyze(s, e)
-			ec := contribution(e, &info)
-			w := int64(e.Start()) / int64(windowDur)
-			t.window(WindowKey{App: app, Window: w}).addEpisode(&ec, threshold)
+			t.window(WindowKey{App: app, Window: int64(e.Start()) / int64(windowDur)}).add(e, &info, threshold, false)
 		}
 		t.app(app).merge(&AppTally{Sessions: 1, Short: s.ShortCount, E2E: s.E2E()})
 	}

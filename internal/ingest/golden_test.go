@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,10 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
+	"lagalyzer/internal/stream"
 	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
 )
@@ -126,7 +130,7 @@ func compareTables(t *testing.T, got, want *Tables) {
 			continue
 		}
 		if !reflect.DeepEqual(ga, wa) {
-			gc, wc := ga.Clone(), wa.Clone()
+			gc, wc := *ga, *wa
 			gc.Patterns, wc.Patterns = nil, nil
 			if !reflect.DeepEqual(gc, wc) {
 				t.Errorf("window %+v tallies:\n  streamed %+v\n  batch    %+v", k, gc, wc)
@@ -338,4 +342,254 @@ func (r *oneByteReader) Read(p []byte) (int, error) {
 	p[0] = r.data[r.off]
 	r.off++
 	return 1, nil
+}
+
+// buildSessions rebuilds each delivery as the batch reference does:
+// salvage decode, lenient treebuild.
+func buildSessions(t *testing.T, deliveries []delivery) []*trace.Session {
+	t.Helper()
+	var out []*trace.Session
+	for _, d := range deliveries {
+		r, err := newSalvageReader(d.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := treebuild.BuildOptions(r, treebuild.Options{Lenient: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestGoldenMergeOrderIndependent: window folds merge in any order. A
+// multi-app corpus folded one session at a time in a shuffled order,
+// its windows and app tallies then merged in a shuffled order, equals
+// the in-order fold.
+func TestGoldenMergeOrderIndependent(t *testing.T) {
+	var deliveries []delivery
+	for i, app := range []string{"Jmol", "CrosswordSage", "Arabeske", "Jmol", "CrosswordSage"} {
+		deliveries = append(deliveries, delivery{app: app, body: encodeSession(t, lila.FormatText, app, uint64(41+i), 20)})
+	}
+	sessions := buildSessions(t, deliveries)
+	want := NewTables()
+	for i, s := range sessions {
+		FoldSessions(want, deliveries[i].app, []*trace.Session{s}, goldenWindow, 0)
+	}
+
+	rng := rand.New(rand.NewPCG(24, 7))
+	var entries []journalEntry
+	for _, i := range rng.Perm(len(sessions)) {
+		one := NewTables()
+		FoldSessions(one, deliveries[i].app, sessions[i:i+1], goldenWindow, 0)
+		for _, k := range one.SortedWindows() {
+			entries = append(entries, journalEntry{Key: k, Agg: one.Windows[k]})
+		}
+		entries = append(entries, journalEntry{AppName: deliveries[i].app, App: one.Apps[deliveries[i].app]})
+	}
+	rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	got := NewTables()
+	for i := range entries {
+		foldEntry(got, &entries[i])
+	}
+	if len(want.Windows) < 8 {
+		t.Fatalf("corpus folds into %d windows; too few to shuffle", len(want.Windows))
+	}
+	if !reflect.DeepEqual(got, want) {
+		compareTables(t, got, want)
+		t.Fatal("shuffled fold differs from the in-order fold")
+	}
+}
+
+// TestGoldenWindowsMatchStreamPopulations: one session's windows,
+// merged, hold exactly the population pair the streaming analyzer
+// folds over the same records.
+func TestGoldenWindowsMatchStreamPopulations(t *testing.T) {
+	profile, err := apps.ByName("Jmol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, h, err := sim.Records(sim.Config{Profile: profile, Seed: 21, SessionSeconds: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := stream.AnalyzeRecords(h, recs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cons := NewConsumer("Jmol", h, ConsumerConfig{WindowDur: goldenWindow})
+	var merged Aggregate
+	windows := 0
+	for _, rec := range recs {
+		if err := cons.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, fe := range cons.CompletedWindows() {
+			merged.Merge(fe.Agg)
+			windows++
+		}
+	}
+	entries, _ := cons.Finish()
+	for _, fe := range entries {
+		merged.Merge(fe.Agg)
+		windows++
+	}
+	if windows < 2 {
+		t.Fatalf("session folded into %d windows", windows)
+	}
+	if merged.Pop[0] != st.All || merged.Pop[1] != st.Long {
+		t.Errorf("merged windows:\n  all  %+v\n  long %+v\nstream:\n  all  %+v\n  long %+v",
+			merged.Pop[0], merged.Pop[1], st.All, st.Long)
+	}
+	if cons.Episodes() != st.Episodes || st.Episodes == 0 {
+		t.Errorf("consumer analyzed %d episodes, stream %d", cons.Episodes(), st.Episodes)
+	}
+}
+
+// servedWindow is one /ingest/stats window: every key the endpoint
+// serves, with the meaning each value has always had.
+type servedWindow struct {
+	App          string                    `json:"app"`
+	Window       int64                     `json:"window"`
+	StartSec     float64                   `json:"start_sec"`
+	Episodes     int                       `json:"episodes"`
+	Perceptible  int                       `json:"perceptible"`
+	Unstructured int                       `json:"unstructured,omitempty"`
+	Treeless     int                       `json:"treeless,omitempty"`
+	Triggers     [analysis.NumTriggers]int `json:"triggers"`
+	TriggersLong [analysis.NumTriggers]int `json:"triggers_long"`
+	EpisodeTime  trace.Dur                 `json:"episode_time_ns"`
+	GCTime       trace.Dur                 `json:"gc_time_ns"`
+	NativeTime   trace.Dur                 `json:"native_time_ns"`
+	States       [4]int                    `json:"states"`
+	Samples      int                       `json:"samples"`
+	AppSamples   int                       `json:"app_samples"`
+	LibSamples   int                       `json:"lib_samples"`
+	Runnable     int                       `json:"runnable"`
+	Ticks        int                       `json:"ticks"`
+	LagHist      [NumLagBuckets]int        `json:"lag_hist"`
+	LagTotal     trace.Dur                 `json:"lag_total_ns"`
+	LagMax       trace.Dur                 `json:"lag_max_ns"`
+	PatternCount int                       `json:"pattern_count"`
+	TopPatterns  []patternDigest           `json:"top_patterns,omitempty"`
+}
+
+// add tallies one analyzed episode, field by field.
+func (w *servedWindow) add(e *trace.Episode, info *engine.EpisodeInfo, threshold trace.Dur) {
+	d := e.Dur()
+	w.Episodes++
+	w.Triggers[info.Trigger]++
+	if d >= threshold {
+		w.Perceptible++
+		w.TriggersLong[info.Trigger]++
+	}
+	w.EpisodeTime += d
+	w.GCTime += info.GC
+	w.NativeTime += info.Native
+	for i, n := range info.Ticks.States {
+		w.States[i] += n
+	}
+	w.Samples += info.Ticks.Samples
+	w.AppSamples += info.Ticks.App
+	w.LibSamples += info.Ticks.Lib
+	w.Runnable += info.Ticks.Runnable
+	w.Ticks += info.Ticks.Ticks
+	w.LagHist[lagBucket(d)]++
+	w.LagTotal += d
+	w.LagMax = max(w.LagMax, d)
+	if !info.Structured {
+		w.Unstructured++
+	}
+}
+
+// TestGoldenStatsWindowsMatchBatch pins GET /ingest/stats: each
+// window serves exactly servedWindow's keys (an omitempty key only
+// when nonzero), and each value equals a field-by-field tally of the
+// engine's analysis of the batch-built episodes in that window; the
+// pattern digest equals the batch reference's.
+func TestGoldenStatsWindowsMatchBatch(t *testing.T) {
+	deliveries := []delivery{{app: "Jmol", session: "s1"}, {app: "CrosswordSage", session: "s1"}, {app: "Jmol", session: "s2"}}
+	for i := range deliveries {
+		deliveries[i].body = encodeSession(t, lila.FormatText, deliveries[i].app, uint64(61+i), 25)
+	}
+	_, hs := newIngestFixture(t, Config{WindowDur: goldenWindow})
+	for _, d := range deliveries {
+		if resp, _, err := postDelivery(t, hs.Client(), hs.URL, d); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("post %s/%s: %v (%v)", d.app, d.session, err, resp)
+		}
+	}
+	resp, err := hs.Client().Get(hs.URL + "/ingest/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var served struct {
+		Windows []map[string]json.RawMessage `json:"windows"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
+		t.Fatal(err)
+	}
+
+	ref := batchReference(t, deliveries, goldenWindow)
+	want := make(map[WindowKey]*servedWindow)
+	ea := newEpisodeAnalyzer(trace.DefaultPerceptibleThreshold)
+	for i, s := range buildSessions(t, deliveries) {
+		for _, e := range s.Episodes {
+			k := WindowKey{App: deliveries[i].app, Window: int64(e.Start()) / int64(goldenWindow)}
+			if want[k] == nil {
+				want[k] = &servedWindow{App: k.App, Window: k.Window,
+					StartSec:     (time.Duration(k.Window) * time.Duration(goldenWindow)).Seconds(),
+					PatternCount: len(ref.Windows[k].Patterns), TopPatterns: topPatterns(ref.Windows[k])}
+			}
+			info := ea.Analyze(s, e)
+			want[k].add(e, &info, trace.DefaultPerceptibleThreshold)
+		}
+	}
+	if len(served.Windows) != len(want) || len(want) < 8 {
+		t.Fatalf("served %d windows, batch folds %d", len(served.Windows), len(want))
+	}
+	for _, sw := range served.Windows {
+		var k WindowKey
+		if err := json.Unmarshal(sw["app"], &k.App); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(sw["window"], &k.Window); err != nil {
+			t.Fatal(err)
+		}
+		if want[k] == nil {
+			t.Fatalf("served window %+v is not in the batch fold", k)
+		}
+		wantJSON, err := json.Marshal(want[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantKeys map[string]json.RawMessage
+		if err := json.Unmarshal(wantJSON, &wantKeys); err != nil {
+			t.Fatal(err)
+		}
+		for key, v := range wantKeys {
+			if got, ok := sw[key]; !ok || !jsonEqual(t, got, v) {
+				t.Errorf("window %+v key %q: served %s, want %s", k, key, got, v)
+			}
+		}
+		for key := range sw {
+			if _, ok := wantKeys[key]; !ok {
+				t.Errorf("window %+v serves key %q, which it never did", k, key)
+			}
+		}
+	}
+}
+
+func jsonEqual(t *testing.T, a, b json.RawMessage) bool {
+	t.Helper()
+	var av, bv any
+	if err := json.Unmarshal(a, &av); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &bv); err != nil {
+		t.Fatal(err)
+	}
+	return reflect.DeepEqual(av, bv)
 }

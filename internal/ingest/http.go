@@ -10,10 +10,11 @@ import (
 	"sort"
 	"time"
 
+	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/report"
-	"lagalyzer/internal/stream"
+	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
 )
 
@@ -83,7 +84,7 @@ func (s *Server) HandleIngest(w http.ResponseWriter, r *http.Request) {
 		// Not even a sniffable header arrived; nothing to salvage.
 		fh.Error = err.Error()
 		s.recordHealth(fh)
-		s.finishResponse(w, ss, nil, &fh, nil, err)
+		s.finishResponse(w, ss, 0, 0, &fh, nil, err)
 		return
 	}
 	h := reader.Header()
@@ -132,14 +133,14 @@ func (s *Server) HandleIngest(w http.ResponseWriter, r *http.Request) {
 
 	// Salvage-what-arrived: whatever ended the stream, the consumer's
 	// finished windows are real data and get committed.
-	entries, at, st := cons.Finish()
+	entries, at := cons.Finish()
 	if err := s.commit(cons.App(), entries, &at); err != nil {
 		s.logger.Error("ingest commit", "session", key, "err", err)
 	}
 
 	fh.Salvage = lila.SalvageOf(reader)
-	fh.StreamRecords = st.Records
-	fh.StreamEpisodes = st.Episodes
+	fh.StreamRecords = cons.diag.Records
+	fh.StreamEpisodes = cons.Episodes()
 	fh.DegradedToStream = cons.Degraded()
 	var diags []string
 	if skipped := cons.diag.SkippedRecords; skipped > 0 {
@@ -159,7 +160,7 @@ func (s *Server) HandleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordHealth(fh)
 	s.logSession(key, ss, readErr)
-	s.finishResponse(w, ss, st, &fh, diags, readErr)
+	s.finishResponse(w, ss, cons.Episodes(), at.Short, &fh, diags, readErr)
 }
 
 // flushAndPolice commits completed windows and enforces the memory
@@ -220,21 +221,19 @@ type sessionSummary struct {
 // 408, drain is a successful 200 carrying drained=true, and anything
 // salvaged — including mid-stream disconnects, where writing the
 // response is itself best-effort — is a 200 with the salvage report.
-func (s *Server) finishResponse(w http.ResponseWriter, ss *session, st *stream.Stats, fh *report.FileHealth, diags []string, readErr error) {
+func (s *Server) finishResponse(w http.ResponseWriter, ss *session, episodes, short int, fh *report.FileHealth, diags []string, readErr error) {
 	ss.mu.Lock()
 	sum := sessionSummary{
 		Session:  ss.key,
 		App:      ss.app,
 		Records:  ss.records,
 		Bytes:    ss.bytes,
+		Episodes: episodes,
+		Short:    short,
 		Evicted:  ss.evict,
 		Degraded: ss.degraded,
 	}
 	ss.mu.Unlock()
-	if st != nil {
-		sum.Episodes = st.Episodes
-		sum.Short = st.ShortCount
-	}
 	sum.Salvage = fh.Salvage
 	sum.Diags = diags
 
@@ -271,14 +270,33 @@ func (s *Server) finishResponse(w http.ResponseWriter, ss *session, st *stream.S
 	json.NewEncoder(w).Encode(&sum)
 }
 
-// windowView is one window's JSON projection: the aggregate's tallies
-// plus a bounded pattern digest (full pattern maps stay server-side).
+// windowView is one window's JSON projection: the tallies of its
+// population pair, histogram and pattern map under the keys the
+// endpoint has always served, plus a bounded pattern digest (full
+// pattern maps stay server-side).
 type windowView struct {
 	WindowKey
-	StartSec float64 `json:"start_sec"`
-	*Aggregate
-	PatternCount int             `json:"pattern_count"`
-	TopPatterns  []patternDigest `json:"top_patterns,omitempty"`
+	StartSec     float64                   `json:"start_sec"`
+	Episodes     int                       `json:"episodes"`
+	Perceptible  int                       `json:"perceptible"`
+	Unstructured int                       `json:"unstructured,omitempty"`
+	Treeless     int                       `json:"treeless,omitempty"`
+	Triggers     [analysis.NumTriggers]int `json:"triggers"`
+	TriggersLong [analysis.NumTriggers]int `json:"triggers_long"`
+	EpisodeTime  trace.Dur                 `json:"episode_time_ns"`
+	GCTime       trace.Dur                 `json:"gc_time_ns"`
+	NativeTime   trace.Dur                 `json:"native_time_ns"`
+	States       [4]int                    `json:"states"`
+	Samples      int                       `json:"samples"`
+	AppSamples   int                       `json:"app_samples"`
+	LibSamples   int                       `json:"lib_samples"`
+	Runnable     int                       `json:"runnable"`
+	Ticks        int                       `json:"ticks"`
+	LagHist      [NumLagBuckets]int        `json:"lag_hist"`
+	LagTotal     trace.Dur                 `json:"lag_total_ns"`
+	LagMax       trace.Dur                 `json:"lag_max_ns"`
+	PatternCount int                       `json:"pattern_count"`
+	TopPatterns  []patternDigest           `json:"top_patterns,omitempty"`
 }
 
 type patternDigest struct {
@@ -341,17 +359,34 @@ func (s *Server) Stats() *StatsResponse {
 	s.mu.Unlock()
 	sort.Slice(resp.Sessions, func(i, j int) bool { return resp.Sessions[i].Session < resp.Sessions[j].Session })
 
-	windowDur := s.cfg.windowDur()
+	// The tick tallies, like the time sums, are over every episode.
 	for _, k := range tables.SortedWindows() {
 		agg := tables.Windows[k]
-		wv := windowView{
-			WindowKey: k,
-			StartSec:  (time.Duration(k.Window) * time.Duration(windowDur)).Seconds(),
-			Aggregate: agg,
-		}
-		wv.PatternCount = len(agg.Patterns)
-		wv.TopPatterns = topPatterns(agg)
-		resp.Windows = append(resp.Windows, wv)
+		all, long := &agg.Pop[0], &agg.Pop[1]
+		resp.Windows = append(resp.Windows, windowView{
+			WindowKey:    k,
+			StartSec:     (time.Duration(k.Window) * time.Duration(s.cfg.windowDur())).Seconds(),
+			Episodes:     all.Trigger.Total,
+			Perceptible:  long.Trigger.Total,
+			Unstructured: agg.Unstructured,
+			Treeless:     agg.Treeless,
+			Triggers:     all.Trigger.Counts,
+			TriggersLong: long.Trigger.Counts,
+			EpisodeTime:  all.EpisodeTime,
+			GCTime:       all.GC,
+			NativeTime:   all.Native,
+			States:       all.States,
+			Samples:      all.Samples,
+			AppSamples:   all.App,
+			LibSamples:   all.Lib,
+			Runnable:     all.Runnable,
+			Ticks:        all.Ticks,
+			LagHist:      agg.LagHist,
+			LagTotal:     all.EpisodeTime,
+			LagMax:       agg.LagMax,
+			PatternCount: len(agg.Patterns),
+			TopPatterns:  topPatterns(agg),
+		})
 	}
 	resp.Apps = tables.Apps
 	if h := s.Health(); len(h.Files) > 0 {

@@ -201,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 		reaperDone: make(chan struct{}),
 	}
 	if cfg.JournalDir != "" {
-		j, recovered, err := OpenJournal(cfg.JournalDir)
+		j, recovered, err := OpenJournal(cfg.JournalDir, s.logger)
 		if err != nil {
 			return nil, err
 		}

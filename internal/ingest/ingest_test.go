@@ -250,7 +250,7 @@ func TestStatsOnlyDegradationKeepsAggregates(t *testing.T) {
 			got.window(WindowKey{App: "Jmol", Window: fe.Window}).Merge(fe.Agg)
 		}
 	}
-	entries, at, _ := cons.Finish()
+	entries, at := cons.Finish()
 	for _, fe := range entries {
 		got.window(WindowKey{App: "Jmol", Window: fe.Window}).Merge(fe.Agg)
 	}
@@ -269,10 +269,10 @@ func TestStatsOnlyDegradationKeepsAggregates(t *testing.T) {
 			t.Fatalf("window %+v missing", k)
 		}
 		gotTreeless += ga.Treeless
-		wc, gc := wa.Clone(), ga.Clone()
+		wc, gc := *wa, *ga
 		wc.Unstructured, gc.Unstructured = 0, 0
 		wc.Treeless, gc.Treeless = 0, 0
-		if !equalAggregates(wc, gc) {
+		if !equalAggregates(&wc, &gc) {
 			t.Errorf("window %+v tallies diverged:\n  degraded %+v\n  batch    %+v", k, gc, wc)
 		}
 	}
@@ -499,7 +499,7 @@ func TestConsumerWindowPartition(t *testing.T) {
 			total.window(WindowKey{App: "CrosswordSage", Window: fe.Window}).Merge(fe.Agg)
 		}
 	}
-	entries, at, _ := cons.Finish()
+	entries, at := cons.Finish()
 	for _, fe := range entries {
 		total.window(WindowKey{App: "CrosswordSage", Window: fe.Window}).Merge(fe.Agg)
 	}

@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"lagalyzer/internal/obs"
 )
@@ -28,16 +30,28 @@ import (
 //
 // On-disk layout (JournalDir):
 //
-//	manifest.json          {"snapshot","sha256","gen"} — written
-//	                       atomically (payload before manifest, the
-//	                       checkpoint discipline)
+//	manifest.json          {"version","snapshot","sha256","gen"} —
+//	                       written atomically (payload before
+//	                       manifest, the checkpoint discipline)
 //	snap-<sha>.gob         gob(Tables) at the last graceful shutdown
-//	journal-<gen>.wal      framed entries appended since the snapshot
+//	journal-v2-<gen>.wal   framed entries appended since the snapshot
 //
 // Each frame is [u32 length][u32 crc32(payload)][gob payload]. A torn
 // tail (partial frame or checksum mismatch, the normal result of
 // SIGKILL mid-write) is truncated on open; everything before it is
 // intact because appends are fsynced.
+//
+// gob matches fields by name, so an entry of another shape would
+// decode with its tallies silently zeroed. The format is therefore
+// versioned, in the manifest and in the WAL's name. Version 1 (a
+// manifest without a version, WALs named journal-<gen>.wal) stored
+// each window's tallies field by field; version 2 stores the engine's
+// population pair. A journal of any other version is moved aside
+// whole on open and logged, and the server starts empty: its files
+// are kept, never replayed and never deleted.
+
+// journalVersion is the on-disk format of manifest, snapshot and WAL.
+const journalVersion = 2
 
 // journalEntry is one WAL record: a completed window's aggregate or a
 // finished session's app tally (exactly one of Agg/App is set).
@@ -49,6 +63,7 @@ type journalEntry struct {
 }
 
 type manifest struct {
+	Version  int    `json:"version"`
 	Snapshot string `json:"snapshot"`
 	SHA256   string `json:"sha256"`
 	Gen      uint64 `json:"gen"`
@@ -70,48 +85,48 @@ const (
 	maxFrameBytes = 64 << 20 // sanity bound on replay
 )
 
-func journalName(gen uint64) string { return fmt.Sprintf("journal-%d.wal", gen) }
+func journalName(gen uint64) string { return fmt.Sprintf("journal-v%d-%d.wal", journalVersion, gen) }
 
 // OpenJournal recovers the durable state under dir (creating it if
 // needed) and returns the journal ready for appends plus the
 // recovered tables: the last snapshot with the current WAL segment
 // replayed on top. A torn WAL tail is truncated; a corrupt or missing
 // snapshot is an error (the manifest names it, so losing it is real
-// data loss, not a fresh start).
-func OpenJournal(dir string) (*Journal, *Tables, error) {
+// data loss, not a fresh start). A journal of another format version
+// is renamed to dir.v<version>-<unix time> and logged to log, and the
+// journal starts empty.
+func OpenJournal(dir string, log *slog.Logger) (*Journal, *Tables, error) {
+	m, err := readManifest(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if m.Version != journalVersion {
+		aside := fmt.Sprintf("%s.v%d-%d", filepath.Clean(dir), m.Version, time.Now().Unix())
+		if err := os.Rename(dir, aside); err != nil {
+			return nil, nil, fmt.Errorf("ingest journal: moving aside a version %d journal: %w", m.Version, err)
+		}
+		log.Warn("ingest journal: moved aside a journal of another format version; starting with empty tables",
+			"version", m.Version, "want", journalVersion, "moved_to", aside)
+		m = manifest{Version: journalVersion}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
+
 	tables := NewTables()
-	var gen uint64
-
-	mf, err := os.ReadFile(filepath.Join(dir, manifestName))
-	switch {
-	case err == nil:
-		var m manifest
-		if err := json.Unmarshal(mf, &m); err != nil {
-			return nil, nil, fmt.Errorf("ingest journal: bad manifest: %w", err)
+	if m.Snapshot != "" {
+		data, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
+		if err != nil {
+			return nil, nil, fmt.Errorf("ingest journal: snapshot: %w", err)
 		}
-		gen = m.Gen
-		if m.Snapshot != "" {
-			data, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
-			if err != nil {
-				return nil, nil, fmt.Errorf("ingest journal: snapshot: %w", err)
-			}
-			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != m.SHA256 {
-				return nil, nil, fmt.Errorf("ingest journal: snapshot %s checksum mismatch", m.Snapshot)
-			}
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(tables); err != nil {
-				return nil, nil, fmt.Errorf("ingest journal: snapshot decode: %w", err)
-			}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != m.SHA256 {
+			return nil, nil, fmt.Errorf("ingest journal: snapshot %s checksum mismatch", m.Snapshot)
 		}
-	case os.IsNotExist(err):
-		// Fresh directory: gen 0, empty tables.
-	default:
-		return nil, nil, err
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(tables); err != nil {
+			return nil, nil, fmt.Errorf("ingest journal: snapshot decode: %w", err)
+		}
 	}
-
-	walPath := filepath.Join(dir, journalName(gen))
+	walPath := filepath.Join(dir, journalName(m.Gen))
 	if err := replayWAL(walPath, tables); err != nil {
 		return nil, nil, err
 	}
@@ -119,7 +134,28 @@ func OpenJournal(dir string) (*Journal, *Tables, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Journal{dir: dir, f: f, gen: gen}, tables, nil
+	return &Journal{dir: dir, f: f, gen: m.Gen}, tables, nil
+}
+
+// readManifest returns dir's manifest. Before the first rotation there
+// is none, and the version is 1 if version 1's generation-0 WAL
+// exists, else the current one.
+func readManifest(dir string) (manifest, error) {
+	m := manifest{Version: 1} // version 1 manifests carry no version
+	mf, err := os.ReadFile(filepath.Join(dir, manifestName))
+	switch {
+	case os.IsNotExist(err):
+		if _, err := os.Stat(filepath.Join(dir, "journal-0.wal")); err != nil {
+			m.Version = journalVersion
+		}
+		return m, nil
+	case err != nil:
+		return m, err
+	}
+	if err := json.Unmarshal(mf, &m); err != nil {
+		return m, fmt.Errorf("ingest journal: bad manifest: %w", err)
+	}
+	return m, nil
 }
 
 // replayWAL folds every intact frame of path into tables and
@@ -223,7 +259,7 @@ func (j *Journal) Rotate(tables *Tables) error {
 		return err
 	}
 	oldGen := j.gen
-	m := manifest{Snapshot: snapName, SHA256: sha, Gen: oldGen + 1}
+	m := manifest{Version: journalVersion, Snapshot: snapName, SHA256: sha, Gen: oldGen + 1}
 	mb, err := json.Marshal(&m)
 	if err != nil {
 		return err

@@ -278,8 +278,9 @@ func TestTextRenderings(t *testing.T) {
 }
 
 func TestAnalyzeSuiteOnLoadedSessions(t *testing.T) {
-	// AnalyzeSuite must work for suites not produced by RunStudy
-	// (e.g. loaded from trace files): build a tiny synthetic suite.
+	// AnalyzeSuitesContext must work for suites not produced by
+	// RunStudy (e.g. loaded from trace files): build a tiny synthetic
+	// suite.
 	root := trace.NewInterval(trace.KindDispatch, "", "", 0, trace.Ms(150))
 	root.AddChild(trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(100)))
 	s := &trace.Session{
@@ -289,7 +290,11 @@ func TestAnalyzeSuiteOnLoadedSessions(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := AnalyzeSuite(&trace.Suite{App: "Loaded", Sessions: []*trace.Session{s}}, 0)
+	res := AnalyzeSuitesContext(context.Background(), []*trace.Suite{{App: "Loaded", Sessions: []*trace.Session{s}}}, 0, nil)
+	if len(res.Apps) != 1 {
+		t.Fatalf("analyzed %d apps, want 1 (health %+v)", len(res.Apps), res.Health)
+	}
+	a := res.Apps[0]
 	if a.Profile != nil {
 		t.Error("loaded suite should have no profile")
 	}

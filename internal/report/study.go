@@ -564,26 +564,6 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 	return sessions, frame, nil
 }
 
-// AnalyzeSuite computes the full per-application result for an
-// existing suite of sessions (simulated or loaded from trace files).
-// It runs the fused engine: one traversal per episode instead of nine
-// separate analysis passes over the suite. Like the engine's
-// error-free entry point, a contained panic resurfaces as a panic
-// here; use AnalyzeSuitesContext for graceful degradation.
-func AnalyzeSuite(suite *trace.Suite, threshold trace.Dur) *AppResult {
-	return AnalyzeSuiteContext(context.Background(), suite, threshold)
-}
-
-// AnalyzeSuiteContext is AnalyzeSuite under a context that may carry
-// an obs.Trace for phase spans.
-func AnalyzeSuiteContext(ctx context.Context, suite *trace.Suite, threshold trace.Dur) *AppResult {
-	a, err := analyzeSuite(ctx, suite, threshold)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 func analyzeSuite(ctx context.Context, suite *trace.Suite, threshold trace.Dur) (*AppResult, error) {
 	r, err := engine.AnalyzeContextErr(ctx, suite, threshold, engine.Options{})
 	if err != nil {

@@ -103,7 +103,6 @@ type Analyzer struct {
 	threshold trace.Dur
 	pop       [2]engine.Population
 	durs      stats.Summary
-	observe   func(*trace.Session, *trace.Episode, *engine.EpisodeInfo)
 }
 
 // NewAnalyzer builds a streaming analyzer. threshold 0 means the
@@ -118,21 +117,11 @@ func NewAnalyzer(threshold trace.Dur) *Analyzer {
 	}
 }
 
-// Observe installs a hook called with each episode after it is folded,
-// with the engine's analysis of it. The episode and info are valid only
-// during the call, as Options.Episode's arguments are.
-func (a *Analyzer) Observe(fn func(s *trace.Session, e *trace.Episode, info *engine.EpisodeInfo)) {
-	a.observe = fn
-}
-
 // Episode is the release-mode hook: it analyzes e once and folds it.
 func (a *Analyzer) Episode(s *trace.Session, e *trace.Episode) {
 	info := a.ea.Analyze(s, e)
 	engine.Fold(&a.pop, e, &info, a.threshold)
 	a.durs.Add(e.Dur().Ms())
-	if a.observe != nil {
-		a.observe(s, e, &info)
-	}
 }
 
 // Stats returns the statistics of the finished release-mode build s,

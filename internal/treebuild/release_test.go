@@ -92,7 +92,11 @@ func (r *releaser) summary(s *trace.Session, diag *treebuild.Diagnostics) summar
 		sum.Causes[i] = r.pop[i].Causes()
 		sum.Concurrency[i], sum.ConcurrencyTicks[i] = r.pop[i].Concurrency()
 	}
-	sum.Sweep = analysis.SweepDurations(r.durs, nil)
+	sweep := analysis.NewSweep(nil)
+	for _, d := range r.durs {
+		sweep.Add(d)
+	}
+	sum.Sweep = sweep.Points()
 	return sum
 }
 
