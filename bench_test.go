@@ -367,7 +367,7 @@ func benchLoadTraceDir(b *testing.B, dir string, files int, o report.LoadOptions
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		suites, _, err := report.LoadTraceDirOptions(dir, o)
+		suites, _, err := report.LoadTraceDirContext(context.Background(), dir, o)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -400,13 +400,14 @@ func runReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	var sessions []report.FoldedSession
+	var closed []*engine.AppFold
 	for i, l := range loads {
 		if l.Session != nil {
-			sessions = append(sessions, report.FoldedSession{Fold: folds[i], Session: l.Session})
+			folds[i].CloseSession(l.Session)
+			closed = append(closed, folds[i])
 		}
 	}
-	res := report.AnalyzeFolds(runCtx, sessions, th, nil)
+	res := report.AnalyzeFolds(runCtx, closed, th, nil)
 	fmt.Print(report.FormatAll(res))
 	fmt.Printf("analyzed %d traced episodes across %d application(s)\n", res.TotalEpisodes(), len(res.Apps))
 	if *outDir == "" {

@@ -114,9 +114,7 @@ func retryable(ctx context.Context, err error) bool {
 // is exhausted.
 func (c *Coordinator) runShard(ctx context.Context, label string, home int, spec serve.JobSpec) (*serve.ShardState, int, error) {
 	mShards.Add(1)
-	c.mu.Lock()
-	c.stats.Shards++
-	c.mu.Unlock()
+	c.bump(&c.stats.Shards)
 
 	var lastErr error
 	maxAttempts := c.opt.maxAttempts()
@@ -139,9 +137,7 @@ func (c *Coordinator) runShard(ctx context.Context, label string, home int, spec
 			break
 		}
 		mRetries.Add(1)
-		c.mu.Lock()
-		c.stats.Retries++
-		c.mu.Unlock()
+		c.bump(&c.stats.Retries)
 		delay := Backoff(c.opt.backoffBase(), attempt, label, hintOf(err), c.opt.backoffMax())
 		c.log.Info("dist: shard retry", "shard", label, "attempt", attempt,
 			"delay", delay.String(), "err", err)
@@ -202,9 +198,7 @@ func (c *Coordinator) attemptHedged(ctx context.Context, label string, spec serv
 			// The primary is straggling: race a second attempt. The
 			// primary keeps running — whichever finishes first wins.
 			mHedges.Add(1)
-			c.mu.Lock()
-			c.stats.Hedges++
-			c.mu.Unlock()
+			c.bump(&c.stats.Hedges)
 			c.log.Info("dist: hedging straggler", "shard", label,
 				"primary", primary.url, "hedge", hedge.url)
 			inFlight++
@@ -213,9 +207,7 @@ func (c *Coordinator) attemptHedged(ctx context.Context, label string, spec serv
 			if out.err == nil {
 				c.pool.record(out.w, nil)
 				if out.hedged {
-					c.mu.Lock()
-					c.stats.HedgeWins++
-					c.mu.Unlock()
+					c.bump(&c.stats.HedgeWins)
 				}
 				cancel() // release the loser
 				return out.st, nil

@@ -2,10 +2,7 @@
 // nodes, merged back into a result byte-identical to a single-node
 // run.
 //
-// Every shard ships suite frames, one per app in the checkpoint
-// store's payload encoding, and the coordinator folds each as a
-// checkpoint hit is folded. The partitioning is chosen so the merge
-// is trivially deterministic:
+// The partitioning is chosen so the merge is trivially deterministic:
 //
 //   - A simulated study shards by application (one shard per app —
 //     the simulator derives each app's sessions independently from
@@ -15,11 +12,11 @@
 //     order is catalog order, exactly as a local run.
 //
 //   - A trace corpus shards into contiguous ranges of the sorted path
-//     list. Workers only LOAD their files and frame each app's
-//     sessions (an app's sessions may span shards, so per-shard
-//     analysis would diverge); the coordinator folds the frames in
-//     shard order — which, for contiguous ranges, is precisely sorted
-//     path order — and merges the folds per app, reproducing the
+//     list. A worker folds its files exactly as a single-node
+//     trace-directory load does (report.FoldTraceDirContext) and ships
+//     the closed one-session folds; the coordinator concatenates them
+//     in shard order — which, for contiguous ranges, is precisely
+//     sorted path order — and merges them per app, reproducing the
 //     single-node scan byte for byte.
 //
 // Robustness is layered around that core: per-attempt timeouts,
@@ -30,9 +27,10 @@
 // attempt is re-run locally on the coordinator, or, when local
 // fallback is disabled or fails too, itemized in the StudyHealth
 // ledger with the LossShard reason. A frame that passes the checksum
-// but fails to fold (worker skew or a bug) is never merged in part: a
-// trace shard degrades as an exhausted one does, and a study app is
-// itemized with LossShard. A shard is never silently dropped.
+// but fails to fold, or a fold tallied at another threshold (worker
+// skew or a bug), is never merged in part: a trace shard degrades as
+// an exhausted one does, and a study app is itemized with LossShard. A
+// shard is never silently dropped.
 package dist
 
 import (
@@ -41,10 +39,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/serve"
@@ -192,11 +192,16 @@ func (c *Coordinator) httpClient() *http.Client {
 }
 
 func (c *Coordinator) onEject(url string, err error) {
-	c.mu.Lock()
-	c.stats.Ejected++
-	c.mu.Unlock()
+	c.bump(&c.stats.Ejected)
 	mEjected.Add(1)
 	c.log.Warn("dist: worker ejected", "worker", url, "err", err)
+}
+
+// bump adds one to the count n of c.stats.
+func (c *Coordinator) bump(n *int) {
+	c.mu.Lock()
+	*n++
+	c.mu.Unlock()
 }
 
 // Stats returns a snapshot of the coordinator's counts.
@@ -266,44 +271,39 @@ func (c *Coordinator) appFrame(ctx context.Context, cfg report.StudyConfig, p *s
 		// let the degradation ladder decide.
 		rerr = fmt.Errorf("dist: shard for app %s returned %d frames", p.Name, len(st.Frames))
 	}
-	return c.degradeApp(ctx, cfg, p, attempts, rerr)
+	// Re-simulate the frame locally, with the seeds and session IDs a
+	// worker uses.
+	var frame []byte
+	err := c.degrade(ctx, p.Name, attempts, rerr, func() (err error) {
+		cfg.Sequential = true
+		frame, err = report.SimulateFrame(ctx, cfg, p, nil)
+		return err
+	})
+	return frame, err
 }
 
-// degradeApp is the graceful-degradation tail for a study shard whose
-// remote budget is exhausted: re-simulate the app's frame locally,
-// with the seeds and session IDs a worker uses, unless local fallback
-// is off, and itemize the loss if that fails too.
-func (c *Coordinator) degradeApp(ctx context.Context, cfg report.StudyConfig, p *sim.Profile, attempts int, rerr error) ([]byte, error) {
+// degrade re-runs a shard whose remote attempts ended in rerr with
+// local, unless local fallback is off, and itemizes the loss as a
+// ShardLostError if that fails too. Under a canceled ctx the
+// coordinator is shutting down: a cancellation, not a degraded shard.
+func (c *Coordinator) degrade(ctx context.Context, shard string, attempts int, rerr error, local func() error) error {
 	if ctx.Err() != nil {
-		// The coordinator itself is shutting down: this is a
-		// cancellation (LossCanceled in the health ledger), not a
-		// degraded shard.
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	c.mu.Lock()
-	c.stats.Degraded++
-	c.mu.Unlock()
+	c.bump(&c.stats.Degraded)
 	mDegraded.Add(1)
 	if c.opt.NoLocalFallback {
-		c.mu.Lock()
-		c.stats.Lost++
-		c.mu.Unlock()
-		return nil, &ShardLostError{Shard: p.Name, Attempts: attempts, Err: rerr}
+		c.bump(&c.stats.Lost)
+		return &ShardLostError{Shard: shard, Attempts: attempts, Err: rerr}
 	}
-	c.log.Warn("dist: shard degraded to local re-run", "app", p.Name, "err", rerr)
-	cfg.Sequential = true
-	frame, lerr := report.SimulateFrame(ctx, cfg, p, nil)
-	if lerr != nil {
-		c.mu.Lock()
-		c.stats.Lost++
-		c.mu.Unlock()
-		return nil, &ShardLostError{Shard: p.Name, Attempts: attempts,
+	c.log.Warn("dist: shard degraded to a local re-run", "shard", shard, "err", rerr)
+	if lerr := local(); lerr != nil {
+		c.bump(&c.stats.Lost)
+		return &ShardLostError{Shard: shard, Attempts: attempts,
 			Err: fmt.Errorf("remote: %v; local re-run: %w", rerr, lerr)}
 	}
-	c.mu.Lock()
-	c.stats.LocalReruns++
-	c.mu.Unlock()
-	return frame, nil
+	c.bump(&c.stats.LocalReruns)
+	return nil
 }
 
 // RunTraces characterizes the trace corpus under dir across the worker
@@ -312,19 +312,16 @@ func (c *Coordinator) degradeApp(ctx context.Context, cfg report.StudyConfig, p 
 // recovery ladder as study shards. Shards run concurrently, one lane
 // per worker: shard i runs in lane i mod lanes, after the lane's
 // earlier shards, and its first attempt goes to the i-th healthy
-// worker. Each shard's frames fold into its own slot, and the slots
-// merge in shard order, which for contiguous ranges is sorted path
-// order; the folds then merge per app in sorted app order, so the
+// worker. Each shard's folds land in its own slot, and the slots
+// concatenate in shard order, which for contiguous ranges is sorted
+// path order; the folds then merge per app in sorted app order, so the
 // result — rows, figures, and health ledger — is byte-identical to a
 // single-node report.AnalyzeTraceDirContext. progressW receives
 // per-app progress lines (nil = silent).
 func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOptions, shards int, progressW io.Writer) (*report.StudyResult, error) {
-	paths, err := report.ListTraceFiles(dir)
+	paths, err := report.TracePaths(dir, report.LoadOptions{})
 	if err != nil {
 		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("report: no trace files under %s", dir)
 	}
 	if shards <= 0 {
 		shards = len(c.opt.Workers)
@@ -334,11 +331,8 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 	}
 
 	threshold := trace.DefaultPerceptibleThreshold
-	type slot struct {
-		folded []report.FoldedSession
-		health *report.StudyHealth
-	}
-	slots := make([]slot, shards)
+	shardFolds := make([][]*engine.AppFold, shards)
+	health := make([]*report.StudyHealth, shards)
 	lanes := min(shards, len(c.opt.Workers))
 	var wg sync.WaitGroup
 	for l := 0; l < lanes; l++ {
@@ -351,14 +345,14 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 				// full scan.
 				lo, hi := i*len(paths)/shards, (i+1)*len(paths)/shards
 				label := fmt.Sprintf("files[%d:%d]", lo, hi)
-				fs, h, err := c.traceShard(ctx, dir, o, paths[lo:hi], label, i, threshold)
+				var err error
+				shardFolds[i], health[i], err = c.traceShard(ctx, dir, o, paths[lo:hi], label, i, threshold)
 				if err != nil {
 					// Itemized loss: the shard's files are recorded, never
 					// silently dropped.
-					h = &report.StudyHealth{SessionsSkipped: hi - lo, Apps: []report.AppHealth{
+					health[i] = &report.StudyHealth{SessionsSkipped: hi - lo, Apps: []report.AppHealth{
 						{App: label, Error: err.Error(), Reason: report.LossShard}}}
 				}
-				slots[i] = slot{fs, h}
 			}
 		}(l)
 	}
@@ -367,82 +361,46 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 		return nil, ctx.Err()
 	}
 
-	health := &report.StudyHealth{}
-	var folded []report.FoldedSession
-	for _, s := range slots {
-		health.Merge(s.health)
-		folded = append(folded, s.folded...)
+	merged := &report.StudyHealth{}
+	for _, h := range health {
+		merged.Merge(h)
 	}
-	if len(folded) == 0 {
+	folds := slices.Concat(shardFolds...)
+	if len(folds) == 0 {
 		return nil, fmt.Errorf("report: no loadable trace sessions under %s (%d files failed)",
-			dir, len(health.Files))
+			dir, len(merged.Files))
 	}
 	// Group by app as the single-node scan does; the stable sort keeps
-	// each app's sessions in path order.
-	sort.SliceStable(folded, func(a, b int) bool { return folded[a].Session.App < folded[b].Session.App })
-	res := report.AnalyzeFolds(ctx, folded, threshold, progressW)
-	res.Health.Merge(health)
+	// each app's folds in path order.
+	sort.SliceStable(folds, func(a, b int) bool { return folds[a].App() < folds[b].App() })
+	res := report.AnalyzeFolds(ctx, folds, threshold, progressW)
+	res.Health.Merge(merged)
 	return res, nil
 }
 
-// traceShard loads one contiguous file range remotely and folds its
-// frames, degrading to a coordinator-local load when the remote budget
-// is exhausted or a frame fails to fold. The local load is framed by
-// the worker's own code (serve.LoadTraceShard), so a degraded shard
-// folds exactly as a remote one.
-func (c *Coordinator) traceShard(ctx context.Context, dir string, o report.LoadOptions, files []string, label string, home int, threshold trace.Dur) ([]report.FoldedSession, *report.StudyHealth, error) {
+// traceShard folds one contiguous file range remotely, degrading to
+// the worker's own fold (report.FoldTraceDirContext) run locally when
+// the remote budget is exhausted or a shipped fold was tallied at
+// another threshold.
+func (c *Coordinator) traceShard(ctx context.Context, dir string, o report.LoadOptions, files []string, label string, home int, threshold trace.Dur) ([]*engine.AppFold, *report.StudyHealth, error) {
 	spec := serve.JobSpec{Kind: "shard", Dir: dir, Files: files, Salvage: o.Salvage}
 	st, attempts, err := c.runShard(ctx, label, home, spec)
 	if err == nil {
-		folded, ferr := foldShard(ctx, st, threshold)
-		if ferr == nil {
-			return folded, st.Health, nil
+		i := slices.IndexFunc(st.Folds, func(f *engine.AppFold) bool { return f.Threshold() != threshold })
+		if i < 0 {
+			return st.Folds, st.Health, nil
 		}
-		err = fmt.Errorf("dist: shard %s: %w", label, ferr)
+		err = fmt.Errorf("dist: shard %s: fold of %s at threshold %v, want %v", label, st.Folds[i].App(), st.Folds[i].Threshold(), threshold)
 	}
-	if ctx.Err() != nil {
-		return nil, nil, ctx.Err()
-	}
-	c.mu.Lock()
-	c.stats.Degraded++
-	c.mu.Unlock()
-	mDegraded.Add(1)
-	if c.opt.NoLocalFallback {
-		c.mu.Lock()
-		c.stats.Lost++
-		c.mu.Unlock()
-		return nil, nil, &ShardLostError{Shard: label, Attempts: attempts, Err: err}
-	}
-	c.log.Warn("dist: trace shard degraded to local load", "shard", label, "err", err)
-	o.Paths = files
-	st, lerr := serve.LoadTraceShard(ctx, dir, o)
-	var folded []report.FoldedSession
-	if lerr == nil {
-		folded, lerr = foldShard(ctx, st, threshold)
-	}
-	if lerr != nil {
-		c.mu.Lock()
-		c.stats.Lost++
-		c.mu.Unlock()
-		return nil, nil, &ShardLostError{Shard: label, Attempts: attempts,
-			Err: fmt.Errorf("remote: %v; local load: %w", err, lerr)}
-	}
-	c.mu.Lock()
-	c.stats.LocalReruns++
-	c.mu.Unlock()
-	return folded, st.Health, nil
-}
-
-// foldShard folds a shard's frames in order. A frame that fails to
-// fold fails the whole shard, and none of its folds is returned.
-func foldShard(ctx context.Context, st *serve.ShardState, threshold trace.Dur) ([]report.FoldedSession, error) {
-	var folded []report.FoldedSession
-	for _, frame := range st.Frames {
-		fs, err := report.FoldFrame(ctx, frame, threshold)
-		if err != nil {
-			return nil, err
+	var folds []*engine.AppFold
+	var health *report.StudyHealth
+	err = c.degrade(ctx, label, attempts, err, func() (lerr error) {
+		o.Paths = files
+		if folds, health, lerr = report.FoldTraceDirContext(ctx, dir, o, threshold); health != nil {
+			// A shard whose every file failed is still health.
+			return nil
 		}
-		folded = append(folded, fs...)
-	}
-	return folded, nil
+		return lerr
+	})
+	return folds, health, err
 }

@@ -38,10 +38,16 @@ func startWorkers(t testing.TB, n int) []string {
 // startWorkersWith is startWorkers with each worker's handler passed
 // through wrap.
 func startWorkersWith(t testing.TB, n int, wrap func(http.Handler) http.Handler) []string {
+	return startWorkersConfig(t, n, serve.Config{Workers: 1}, wrap)
+}
+
+// startWorkersConfig is startWorkersWith with each worker configured
+// by cfg.
+func startWorkersConfig(t testing.TB, n int, cfg serve.Config, wrap func(http.Handler) http.Handler) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
-		s, err := serve.New(serve.Config{Workers: 1})
+		s, err := serve.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +393,7 @@ func TestDistStudyItemizedLoss(t *testing.T) {
 
 // tracesCorpus writes a six-file corpus (two apps, one file damaged)
 // for the distributed loader tests.
-func tracesCorpus(t *testing.T) string {
+func tracesCorpus(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()
 	write := func(name, app string, id int, corrupt func([]byte) []byte) {
@@ -430,7 +436,7 @@ func tracesCorpus(t *testing.T) string {
 func TestDistTracesGolden(t *testing.T) {
 	dir := tracesCorpus(t)
 	opts := report.LoadOptions{Salvage: true}
-	wantSuites, wantHealth, err := report.LoadTraceDirOptions(dir, opts)
+	wantSuites, wantHealth, err := report.LoadTraceDirContext(context.Background(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,6 +498,38 @@ func TestDistTracesGolden(t *testing.T) {
 		check(t, c)
 		if st := c.Stats(); st.Degraded != 2 || st.LocalReruns != 2 {
 			t.Errorf("stats = %+v, want both shards degraded to local loads", st)
+		}
+	})
+
+	t.Run("workers under a session budget", func(t *testing.T) {
+		// Every session but the damaged one outgrows a held build's
+		// 64 KiB budget; a fold keeps only its open episodes, so the
+		// workers analyze each one, as a local fold does.
+		limits := lila.Limits{MaxSessionBytes: 64 << 10}
+		local, err := report.AnalyzeTraceDirContext(context.Background(), dir,
+			report.LoadOptions{Salvage: true, Limits: limits}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(Options{Workers: startWorkersConfig(t, 2, serve.Config{Workers: 1, Limits: limits},
+			func(h http.Handler) http.Handler { return h })})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.RunTraces(context.Background(), dir, opts, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text := formatted(res); text != formatted(local) {
+			t.Errorf("budgeted workers diverge from a local fold:\n--- got ---\n%s\n--- want ---\n%s", text, formatted(local))
+		}
+		if res.Health.SessionsSkipped != 0 {
+			t.Errorf("sessions skipped = %d, want 0", res.Health.SessionsSkipped)
+		}
+		for _, fh := range res.Health.Files {
+			if fh.DegradedToStream {
+				t.Errorf("%s degraded_to_stream on a worker", fh.Path)
+			}
 		}
 	})
 }

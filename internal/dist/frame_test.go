@@ -10,17 +10,21 @@ import (
 	"time"
 
 	"lagalyzer/internal/checkpoint"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/serve"
+	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
 )
 
 // damagingWorkers starts n worker lagd job servers whose /state
-// answers damage the last session of app's frames that hold more than
-// one session, then re-frame and re-checksum the state: the checksum
-// and the framing pass, and only the strict decode of that session
-// fails — the state worker skew or a worker bug makes.
+// answers damage app's share of the state, then re-frame and
+// re-checksum it: the last session of each of app's frames that hold
+// more than one session is bit-flipped, so that only its strict decode
+// fails, and in a state that holds more than one of app's folds the
+// last is swapped for one tallied at another threshold. The checksum and the framing pass — the state worker skew
+// or a worker bug makes.
 func damagingWorkers(t *testing.T, n int, app string) []string {
 	return startWorkersWith(t, n, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -48,6 +52,18 @@ func damagingWorkers(t *testing.T, n int, app string) []string {
 				}
 				st.Frames[i] = treebuild.AppendTraces(nil, name, traces)
 			}
+			var mine []int
+			for i, f := range st.Folds {
+				if f.App() == app {
+					mine = append(mine, i)
+				}
+			}
+			if len(mine) > 1 {
+				last := mine[len(mine)-1]
+				skewed := engine.NewAppFold(st.Folds[last].Threshold()/2, engine.Options{})
+				skewed.CloseSession(&trace.Session{App: app})
+				st.Folds[last] = skewed
+			}
 			data, err := serve.EncodeShardState(st)
 			if err != nil {
 				t.Error(err)
@@ -58,12 +74,12 @@ func damagingWorkers(t *testing.T, n int, app string) []string {
 }
 
 // TestDistDamagedFrameDegrades: a shard state that passes its checksum
-// and framing while a later session of one frame fails strict decode
-// is never merged half-folded and never dropped silently. It is not
-// retried, since the damage is the worker's own: a study app is
-// itemized with LossShard (and not checkpointed), and a trace shard
-// degrades to a local re-run, or is itemized with LossShard without
-// local fallback.
+// and framing while a later session of one frame fails strict decode,
+// or one of its folds was tallied at another threshold, is never
+// merged in part and never dropped silently. It is not retried, since
+// the damage is the worker's own: a study app is itemized with
+// LossShard (and not checkpointed), and a trace shard degrades to a
+// local re-run, or is itemized with LossShard without local fallback.
 func TestDistDamagedFrameDegrades(t *testing.T) {
 	t.Run("study app itemized", func(t *testing.T) {
 		_, golden := localGolden(t)

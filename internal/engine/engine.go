@@ -25,7 +25,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 
 	"lagalyzer/internal/analysis"
@@ -93,6 +95,7 @@ type sessionTally struct {
 // appends another fold's sessions. Not safe for concurrent use; a
 // parallel load gives each file its own AppFold.
 type AppFold struct {
+	app       string // the app of the last closed session
 	threshold trace.Dur
 	ea        *EpisodeAnalyzer
 	pop       [2]Population // [0] all episodes, [1] perceptible only
@@ -158,8 +161,9 @@ func copyEpisode(s *trace.Session, e *trace.Episode) *trace.Session {
 }
 
 // CloseSession ends the open session, whose build finished as s, and
-// records its Table III tally.
+// records its app and Table III tally.
 func (f *AppFold) CloseSession(s *trace.Session) {
+	f.app = s.App
 	t := f.open
 	t.E2E, t.Short = s.E2E(), s.ShortCount
 	for p, n := range f.openCount {
@@ -197,18 +201,52 @@ func (f *AppFold) Merge(o *AppFold) {
 	f.keepDeepest(o.deepest, o.deepSize)
 }
 
-// FinishSessions closes each fold's open session — fold i's build
-// finished as sessions[i] — then merges the folds in order and derives
-// the result, consuming them. Its engine phase span has AnalyzeContext's
-// children; classify covers only the closes.
-func FinishSessions(ctx context.Context, app string, folds []*AppFold, sessions []*trace.Session) *Result {
+// foldWire is a closed AppFold on the wire: every tally, bit for bit.
+type foldWire struct {
+	App       string
+	Threshold trace.Dur
+	Pop       [2]Population
+	Patterns  *patterns.Builder
+	Sessions  []sessionTally
+	Deepest   *trace.Session
+	DeepSize  int
+}
+
+// GobEncode encodes a closed fold, so that the decoded fold merges and
+// finishes exactly as f would (a distributed trace shard ships it).
+func (f *AppFold) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(foldWire{f.app, f.threshold, f.pop, f.patterns, f.sessions, f.deepest, f.deepSize})
+	return buf.Bytes(), err
+}
+
+// GobDecode decodes a fold GobEncode encoded. The fold is closed: it
+// merges and finishes, but takes no further episode.
+func (f *AppFold) GobDecode(data []byte) error {
+	var w foldWire
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return err
+	}
+	if w.Patterns == nil {
+		return fmt.Errorf("engine: fold of %q carries no patterns", w.App)
+	}
+	*f = AppFold{app: w.App, threshold: w.Threshold, pop: w.Pop, patterns: w.Patterns,
+		sessions: w.Sessions, deepest: w.Deepest, deepSize: w.DeepSize}
+	return nil
+}
+
+// App returns the application of the fold's closed sessions.
+func (f *AppFold) App() string { return f.app }
+
+// Threshold returns the perceptibility threshold the fold tallies at.
+func (f *AppFold) Threshold() trace.Dur { return f.threshold }
+
+// Finish merges closed folds in order and derives app's result,
+// consuming them, under an engine phase span with merge and overview
+// children.
+func Finish(ctx context.Context, app string, folds []*AppFold) *Result {
 	ctx, endEngine := obs.PhaseSpan(ctx, "engine")
 	defer endEngine()
-	_, endClassify := obs.Span(ctx, "classify")
-	for i, f := range folds {
-		f.CloseSession(sessions[i])
-	}
-	endClassify()
 	return finish(ctx, app, folds)
 }
 
@@ -277,27 +315,22 @@ func (f *AppFold) overview(app string) analysis.Overview {
 // overview (report passes a resolved, non-zero value; 0 means every
 // episode is perceptible).
 func Analyze(suite *trace.Suite, threshold trace.Dur, opts Options) *Result {
-	return AnalyzeContext(context.Background(), suite, threshold, opts)
-}
-
-// AnalyzeContext is Analyze with observability: when the context
-// carries an obs.Trace, the run records an "engine" phase span (with
-// alloc delta) with classify, merge, and overview children. With no
-// trace installed the span calls are allocation-free no-ops.
-func AnalyzeContext(ctx context.Context, suite *trace.Suite, threshold trace.Dur, opts Options) *Result {
-	r, err := AnalyzeContextErr(ctx, suite, threshold, opts)
+	r, err := AnalyzeContextErr(context.Background(), suite, threshold, opts)
 	if err != nil {
 		// The error-free signature predates panic containment; its
-		// callers have no error channel, so a contained panic (or a
-		// cancelled context) surfaces the old way.
+		// callers have no error channel, so a contained panic surfaces
+		// the old way.
 		panic(err)
 	}
 	return r
 }
 
-// AnalyzeContextErr is AnalyzeContext with fault containment: a panic
-// is recovered, counted, and returned as an error attributed to its
-// session, and context cancellation stops the fold within 64 episodes.
+// AnalyzeContextErr is Analyze with observability and fault
+// containment: when the context carries an obs.Trace, the run records
+// an "engine" phase span (with alloc delta) with classify, merge, and
+// overview children; a panic is recovered, counted, and returned as an
+// error attributed to its session; and context cancellation stops the
+// fold within 64 episodes.
 func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.Dur, opts Options) (*Result, error) {
 	ctx, endEngine := obs.PhaseSpan(ctx, "engine")
 	defer endEngine()

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"sync"
@@ -174,9 +176,55 @@ func TestEngineFoldSplitInvariance(t *testing.T) {
 				}
 				f.Episode(s, s.Episodes[i])
 			}
+			f.CloseSession(s)
 			folds = append(folds, f)
 		}
-		sameResult(t, base, FinishSessions(context.Background(), suite.App, folds, suite.Sessions))
+		sameResult(t, base, Finish(context.Background(), suite.App, folds))
+	}
+}
+
+// TestEngineFoldGobRoundTrip: a closed fold encoded and decoded
+// finishes to a result deeply equal to the original fold's — every
+// tally bit for bit, the pattern lag summaries' running moments and
+// Figure 2's copied episode included — alone and merged with others.
+func TestEngineFoldGobRoundTrip(t *testing.T) {
+	suite := testSuite()
+	fold := func() []*AppFold {
+		var folds []*AppFold
+		for _, s := range suite.Sessions {
+			f := NewAppFold(threshold, Options{})
+			for _, e := range s.Episodes {
+				f.Episode(s, e)
+			}
+			f.CloseSession(s)
+			folds = append(folds, f)
+		}
+		return folds
+	}
+	roundTrip := func(folds []*AppFold) []*AppFold {
+		out := make([]*AppFold, len(folds))
+		for i, f := range folds {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = new(AppFold)
+			if err := gob.NewDecoder(&buf).Decode(out[i]); err != nil {
+				t.Fatal(err)
+			}
+			if out[i].App() != suite.App || out[i].Threshold() != threshold {
+				t.Errorf("decoded fold of %q at %v", out[i].App(), out[i].Threshold())
+			}
+		}
+		return out
+	}
+	ctx := context.Background()
+	want := Finish(ctx, suite.App, fold())
+	if got := Finish(ctx, suite.App, roundTrip(fold())); !reflect.DeepEqual(want, got) {
+		t.Error("decoded folds finish differently from the originals")
+	}
+	if got := Finish(ctx, suite.App, []*AppFold{fold()[0], roundTrip(fold())[1]}); !reflect.DeepEqual(want, got) {
+		t.Error("a decoded fold merges differently from the original")
 	}
 }
 

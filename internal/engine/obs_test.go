@@ -16,8 +16,8 @@ func TestEngineInstrumentedDeterminism(t *testing.T) {
 	suite := testSuite()
 	plain := Analyze(suite, threshold, Options{})
 	ctx := obs.WithTrace(context.Background(), obs.NewTrace())
-	if r := AnalyzeContext(ctx, suite, threshold, Options{}); !reflect.DeepEqual(plain, r) {
-		t.Fatal("traced result differs from untraced")
+	if r, err := AnalyzeContextErr(ctx, suite, threshold, Options{}); err != nil || !reflect.DeepEqual(plain, r) {
+		t.Fatalf("traced result differs from untraced (err %v)", err)
 	}
 }
 
@@ -28,7 +28,9 @@ func TestEngineSpans(t *testing.T) {
 	suite := testSuite()
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
-	AnalyzeContext(ctx, suite, threshold, Options{})
+	if _, err := AnalyzeContextErr(ctx, suite, threshold, Options{}); err != nil {
+		t.Fatal(err)
+	}
 
 	rows := tr.Summary()
 	byPath := map[string]int{}

@@ -31,10 +31,10 @@ func TestEnginePanicContained(t *testing.T) {
 func TestEngineLegacyAPIPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("error-free AnalyzeContext swallowed the failure")
+			t.Error("error-free Analyze swallowed the failure")
 		}
 	}()
-	engine.AnalyzeContext(context.Background(), brokenSuite(), 0, engine.Options{})
+	engine.Analyze(brokenSuite(), 0, engine.Options{})
 }
 
 func TestEngineCancellation(t *testing.T) {

@@ -17,6 +17,8 @@
 package patterns
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -483,6 +485,49 @@ func (b *Builder) Merge(o *Builder) {
 		p.lag.Merge(q.lag)
 	}
 	b.unstructured += o.unstructured
+}
+
+// patternWire is a builder-fed pattern's tallies on the wire.
+type patternWire struct {
+	Canon                  string
+	Hash                   uint64
+	Descendants, Depth     int
+	Count, Perceptible, GC int
+	Threshold              trace.Dur
+	Lag                    stats.Summary
+}
+
+type builderWire struct {
+	Options      Options
+	Patterns     []patternWire
+	Unstructured int
+}
+
+// GobEncode encodes the patterns in encounter order with every tally,
+// so that the decoded builder merges and finishes exactly as b would.
+func (b *Builder) GobEncode() ([]byte, error) {
+	w := builderWire{Options: b.opt, Patterns: make([]patternWire, len(b.patterns)), Unstructured: b.unstructured}
+	for i, p := range b.patterns {
+		w.Patterns[i] = patternWire{p.Canon, p.Hash, p.Descendants, p.Depth, p.count, p.perceptible, p.gc, p.threshold, p.lag}
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(w)
+	return buf.Bytes(), err
+}
+
+// GobDecode decodes a builder GobEncode encoded.
+func (b *Builder) GobDecode(data []byte) error {
+	var w builderWire
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return err
+	}
+	*b = *NewBuilder(w.Options)
+	b.unstructured = w.Unstructured
+	for _, q := range w.Patterns {
+		b.insert(&Pattern{Canon: q.Canon, Hash: q.Hash, Descendants: q.Descendants, Depth: q.Depth,
+			count: q.Count, perceptible: q.Perceptible, gc: q.GC, threshold: q.Threshold, lag: q.Lag})
+	}
+	return nil
 }
 
 // Finish sorts the patterns (descending episode count, ties broken by

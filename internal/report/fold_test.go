@@ -149,7 +149,7 @@ func TestTraceDirFoldAnalyzesOverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := LoadOptions{Limits: lila.Limits{MaxSessionBytes: 1 << 20}}
-	if _, health, _ := LoadTraceDirOptions(dir, o); health == nil || len(health.Files) != 1 || !health.Files[0].DegradedToStream {
+	if _, health, _ := LoadTraceDirContext(context.Background(), dir, o); health == nil || len(health.Files) != 1 || !health.Files[0].DegradedToStream {
 		t.Fatalf("keep-sessions load: health %+v, want the session degraded to counts", health)
 	}
 	res, err := AnalyzeTraceDirContext(context.Background(), dir, o, 0, nil)
@@ -164,9 +164,10 @@ func TestTraceDirFoldAnalyzesOverBudget(t *testing.T) {
 	}
 }
 
-// TestTraceDirSpans checks that the fold path records the study span
-// shape of the held path: one app span per application with the
-// engine phase and its classify, merge, and overview children.
+// TestTraceDirSpans checks the fold path's span shape: one app span
+// per application with the engine phase and its merge and overview
+// children. Classification ran in the load's file spans, as each
+// episode closed, so the engine phase has no classify child.
 func TestTraceDirSpans(t *testing.T) {
 	tr := obs.NewTrace()
 	if _, err := AnalyzeTraceDirContext(obs.WithTrace(context.Background(), tr), damagedCorpus(t),
@@ -178,9 +179,9 @@ func TestTraceDirSpans(t *testing.T) {
 		counts[r.Path] += r.Count
 	}
 	for _, app := range []string{"CrosswordSage", "JEdit"} {
-		for _, span := range []string{"engine", "engine/classify", "engine/merge", "engine/overview"} {
-			if path := "study/app:" + app + "/" + span; counts[path] != 1 {
-				t.Errorf("span %q count = %d, want 1 (all: %v)", path, counts[path], counts)
+		for span, want := range map[string]int{"engine": 1, "engine/classify": 0, "engine/merge": 1, "engine/overview": 1} {
+			if path := "study/app:" + app + "/" + span; counts[path] != want {
+				t.Errorf("span %q count = %d, want %d (all: %v)", path, counts[path], want, counts)
 			}
 		}
 	}

@@ -73,27 +73,21 @@ func (o LoadOptions) blockJobs(files int) int {
 	return 1
 }
 
-// LoadTraceDirOptions reads every LiLa trace under dir (recursively;
-// both encodings, sniffed), groups the sessions into suites by
-// application name, and returns the suites ordered by name, keeping
-// every session (AnalyzeTraceDirContext analyzes the same traces
-// without keeping any). A file that fails to load is skipped unless
-// o.Strict; the scan errors only when no session loads at all. The
+// LoadTraceDirContext reads every LiLa trace under dir (recursively;
+// both encodings, sniffed) with LoadFiles, groups the sessions into
+// suites by application name, and returns the suites ordered by name,
+// keeping every session (AnalyzeTraceDirContext analyzes the same
+// traces without keeping any). A file that fails to load is skipped
+// unless o.Strict; the scan errors only when no session loads at all,
+// and a canceled context aborts it with the context's error. The
 // returned health is non-nil whenever the scan ran, including
 // alongside a no-sessions error; its Files list (ordered by path,
-// damaged files only) feeds the study's Health section.
-func LoadTraceDirOptions(dir string, o LoadOptions) ([]*trace.Suite, *StudyHealth, error) {
-	return LoadTraceDirContext(context.Background(), dir, o)
-}
-
-// LoadTraceDirContext is LoadTraceDirOptions with cancellation and
-// observability: it lists the files and loads them with LoadFiles, then
-// groups the sessions into suites. A canceled context aborts the scan
-// with the context's error. Results are merged in sorted path order
-// regardless of completion order, so suites, session order, and the
-// health ledger are byte-identical whatever the worker count.
+// damaged files only) feeds the study's Health section. Results are
+// merged in sorted path order regardless of completion order, so
+// suites, session order, and the health ledger are byte-identical
+// whatever the worker count.
 func LoadTraceDirContext(ctx context.Context, dir string, o LoadOptions) ([]*trace.Suite, *StudyHealth, error) {
-	paths, err := tracePaths(dir, o)
+	paths, err := TracePaths(dir, o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,36 +109,51 @@ func LoadTraceDirContext(ctx context.Context, dir string, o LoadOptions) ([]*tra
 
 // AnalyzeTraceDirContext characterizes the traces under dir (or
 // o.Paths) as LoadTraceDirContext then AnalyzeSuitesContext would, the
-// load's health merged in, but keeps no session: each file builds in
-// release mode, folding each episode into the file's engine.AppFold as
-// it closes, and the folds merge per app in path order. Memory is the
-// open episodes of the files in flight plus per-pattern tallies, so a
-// session over a full build's memory budget is analyzed, not degraded.
+// load's health merged in, but keeps no session: it analyzes the folds
+// of FoldTraceDirContext.
 func AnalyzeTraceDirContext(ctx context.Context, dir string, o LoadOptions, threshold trace.Dur, progressW io.Writer) (*StudyResult, error) {
-	paths, err := tracePaths(dir, o)
+	if threshold == 0 {
+		threshold = trace.DefaultPerceptibleThreshold
+	}
+	folds, health, err := FoldTraceDirContext(ctx, dir, o, threshold)
 	if err != nil {
 		return nil, err
 	}
-	if threshold == 0 {
-		threshold = trace.DefaultPerceptibleThreshold
+	res := AnalyzeFolds(ctx, folds, threshold, progressW)
+	res.Health.Merge(health)
+	return res, nil
+}
+
+// FoldTraceDirContext folds the traces under dir (or o.Paths) at
+// threshold, keeping no session: each file builds in release mode into
+// its own engine.AppFold, which closes with the session its build
+// finished as. It returns the closed folds in (app, path) order and
+// the health, which also comes with the error of a load where no
+// session survived. A session over a full build's memory budget is
+// analyzed, not degraded. A distributed trace shard is this load over
+// its path range.
+func FoldTraceDirContext(ctx context.Context, dir string, o LoadOptions, threshold trace.Dur) ([]*engine.AppFold, *StudyHealth, error) {
+	paths, err := TracePaths(dir, o)
+	if err != nil {
+		return nil, nil, err
 	}
 	folds := make([]*engine.AppFold, len(paths))
 	loads := LoadFiles(ctx, paths, o, FoldHook(folds, threshold))
 	order, health, err := sortLoads(ctx, dir, o, loads)
 	if err != nil {
-		return nil, err
+		return nil, health, err
 	}
-	sessions := make([]FoldedSession, len(order))
+	closed := make([]*engine.AppFold, len(order))
 	for k, i := range order {
-		sessions[k] = FoldedSession{folds[i], loads[i].Session}
+		folds[i].CloseSession(loads[i].Session)
+		closed[k] = folds[i]
 	}
-	res := AnalyzeFolds(ctx, sessions, threshold, progressW)
-	res.Health.Merge(health)
-	return res, nil
+	return closed, health, nil
 }
 
-// tracePaths returns o.Paths, or else every file under dir.
-func tracePaths(dir string, o LoadOptions) ([]string, error) {
+// TracePaths returns o.Paths, or else every file under dir, and an
+// error when there is none.
+func TracePaths(dir string, o LoadOptions) ([]string, error) {
 	paths := o.Paths
 	if len(paths) == 0 {
 		var err error
@@ -372,43 +381,39 @@ func AnalyzeSuitesContext(ctx context.Context, suites []*trace.Suite, threshold 
 	})
 }
 
-// FoldedSession is one session's release-mode fold and the session
-// its build closed.
-type FoldedSession struct {
-	Fold    *engine.AppFold
-	Session *trace.Session
-}
+// foldEpisode is FoldHook's per-episode step; a variable so tests can
+// inject a fault.
+var foldEpisode = (*engine.AppFold).Episode
 
 // FoldHook returns the LoadFiles episode hook that folds file i's
 // episodes into a new folds[i] at threshold.
 func FoldHook(folds []*engine.AppFold, threshold trace.Dur) func(i int) func(*trace.Session, *trace.Episode) {
 	return func(i int) func(*trace.Session, *trace.Episode) {
-		folds[i] = engine.NewAppFold(threshold, engine.Options{})
-		return folds[i].Episode
+		f := engine.NewAppFold(threshold, engine.Options{})
+		folds[i] = f
+		return func(s *trace.Session, e *trace.Episode) { foldEpisode(f, s, e) }
 	}
 }
 
-// AnalyzeFolds is AnalyzeSuitesContext for sessions folded as they
-// loaded: one application per app name in first-seen order, merging
-// its sessions in order. threshold must be the one the folds were
-// built at.
-func AnalyzeFolds(ctx context.Context, sessions []FoldedSession, threshold trace.Dur, progressW io.Writer) *StudyResult {
+// AnalyzeFolds is AnalyzeSuitesContext for closed one-session folds:
+// one application per app name in first-seen order, merging its folds
+// in order. threshold must be the one the folds were built at.
+func AnalyzeFolds(ctx context.Context, folds []*engine.AppFold, threshold trace.Dur, progressW io.Writer) *StudyResult {
 	var apps []string
-	var folds [][]*engine.AppFold
-	var closed [][]*trace.Session
+	var groups [][]*engine.AppFold
 	byApp := make(map[string]int)
-	for _, fs := range sessions {
-		g, ok := byApp[fs.Session.App]
+	for _, f := range folds {
+		g, ok := byApp[f.App()]
 		if !ok {
 			g = len(apps)
-			byApp[fs.Session.App] = g
-			apps, folds, closed = append(apps, fs.Session.App), append(folds, nil), append(closed, nil)
+			byApp[f.App()] = g
+			apps, groups = append(apps, f.App()), append(groups, nil)
 		}
-		folds[g], closed[g] = append(folds[g], fs.Fold), append(closed[g], fs.Session)
+		groups[g] = append(groups[g], f)
 	}
 	return analyzeApps(ctx, apps, threshold, progressW, func(ctx context.Context, i int) (*AppResult, error) {
-		mSessions.Add(int64(len(closed[i])))
-		return appResult(apps[i], engine.FinishSessions(ctx, apps[i], folds[i], closed[i])), nil
+		mSessions.Add(int64(len(groups[i])))
+		return appResult(apps[i], engine.Finish(ctx, apps[i], groups[i])), nil
 	})
 }
 

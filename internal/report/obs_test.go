@@ -120,7 +120,9 @@ func TestSelfProfileDoesNotPerturb(t *testing.T) {
 
 // TestStudySpans checks the study trace shape: a study phase span,
 // one app span per application, simulate spans per session, and the
-// engine spans nested beneath each app.
+// engine spans nested beneath each app. Each episode is classified in
+// its session's simulate span, so the engine phase only merges and
+// derives.
 func TestStudySpans(t *testing.T) {
 	tr := obs.NewTrace()
 	_, err := RunStudyContext(obs.WithTrace(context.Background(), tr), StudyConfig{
@@ -142,8 +144,9 @@ func TestStudySpans(t *testing.T) {
 		"study/app:CrosswordSage":                 1,
 		"study/app:CrosswordSage/simulate":        2,
 		"study/app:CrosswordSage/engine":          1,
-		"study/app:CrosswordSage/engine/classify": 1,
+		"study/app:CrosswordSage/engine/classify": 0,
 		"study/app:CrosswordSage/engine/merge":    1,
+		"study/app:CrosswordSage/engine/overview": 1,
 	}
 	for path, n := range want {
 		if counts[path] != n {

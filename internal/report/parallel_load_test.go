@@ -20,7 +20,7 @@ func TestParallelLoadByteIdentical(t *testing.T) {
 
 	render := func(jobs int) (text, html, health string) {
 		t.Helper()
-		suites, lh, err := LoadTraceDirOptions(dir, LoadOptions{Salvage: true, Jobs: jobs})
+		suites, lh, err := LoadTraceDirContext(context.Background(), dir, LoadOptions{Salvage: true, Jobs: jobs})
 		if err != nil {
 			t.Fatalf("salvage load with jobs=%d: %v", jobs, err)
 		}
@@ -58,12 +58,12 @@ func TestParallelLoadByteIdentical(t *testing.T) {
 func TestParallelStrictPathOrderError(t *testing.T) {
 	dir := damagedCorpus(t)
 
-	_, _, seqErr := LoadTraceDirOptions(dir, LoadOptions{Strict: true, Jobs: 1})
+	_, _, seqErr := LoadTraceDirContext(context.Background(), dir, LoadOptions{Strict: true, Jobs: 1})
 	if seqErr == nil {
 		t.Fatal("strict sequential load over damaged corpus succeeded")
 	}
 	for _, jobs := range []int{0, 2, 7} {
-		_, _, parErr := LoadTraceDirOptions(dir, LoadOptions{Strict: true, Jobs: jobs})
+		_, _, parErr := LoadTraceDirContext(context.Background(), dir, LoadOptions{Strict: true, Jobs: jobs})
 		if parErr == nil {
 			t.Fatalf("strict load with jobs=%d succeeded", jobs)
 		}

@@ -409,7 +409,7 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 	write("cs1.lila", "CrosswordSage", 1, lila.FormatText)
 	write("je0.lila", "JEdit", 0, lila.FormatV2)
 
-	suites, _, err := LoadTraceDirOptions(dir, LoadOptions{})
+	suites, _, err := LoadTraceDirContext(context.Background(), dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,11 +438,11 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 		t.Error("Table III missing loaded app")
 	}
 
-	if _, _, err := LoadTraceDirOptions(filepath.Join(dir, "nonexistent"), LoadOptions{}); err == nil {
+	if _, _, err := LoadTraceDirContext(context.Background(), filepath.Join(dir, "nonexistent"), LoadOptions{}); err == nil {
 		t.Error("missing directory accepted")
 	}
 	empty := t.TempDir()
-	if _, _, err := LoadTraceDirOptions(empty, LoadOptions{}); err == nil {
+	if _, _, err := LoadTraceDirContext(context.Background(), empty, LoadOptions{}); err == nil {
 		t.Error("empty directory accepted")
 	}
 	// A non-trace file fails cleanly.
@@ -450,7 +450,7 @@ func TestLoadTraceDirAndAnalyzeSuites(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(bad, "junk.txt"), []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadTraceDirOptions(bad, LoadOptions{}); err == nil {
+	if _, _, err := LoadTraceDirContext(context.Background(), bad, LoadOptions{}); err == nil {
 		t.Error("junk file accepted")
 	}
 }

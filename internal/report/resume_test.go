@@ -17,6 +17,7 @@ import (
 
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/checkpoint"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/sim"
@@ -440,11 +441,9 @@ func TestCheckpointDamagedLaterSessionReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var folded [2]int
-	if _, err := foldFrame(context.Background(), st, damaged, app, 2, func(i int) func(*trace.Session, *trace.Episode) {
-		return func(*trace.Session, *trace.Episode) { folded[i]++ }
-	}); err == nil || folded[0] == 0 {
-		t.Fatalf("damaged frame: error %v after folding %d episodes of session 0, want an error after some", err, folded[0])
+	folds := make([]*engine.AppFold, 2)
+	if err := foldFrame(context.Background(), st, damaged, app, folds, cfg.threshold()); err == nil || folds[0] == nil || folds[0].App() != app {
+		t.Fatalf("damaged frame: error %v with session 0 folded to %v, want an error after session 0 closed", err, folds[0])
 	}
 
 	hits := obs.NewCounter("checkpoint_hits_total", "")
@@ -474,13 +473,14 @@ func TestResumeFoldPanicContained(t *testing.T) {
 	_, st, frame := checkpointedFrame(t, "CrosswordSage")
 	panics := obs.NewCounter("engine_panics_recovered_total", "")
 	before := panics.Value()
-	_, err := foldFrame(context.Background(), st, frame, "CrosswordSage", 2, func(i int) func(*trace.Session, *trace.Episode) {
-		return func(*trace.Session, *trace.Episode) {
-			if i == 1 {
-				panic("injected fault")
-			}
+	foldEpisode = func(f *engine.AppFold, s *trace.Session, e *trace.Episode) {
+		if s.ID == 1 {
+			panic("injected fault")
 		}
-	})
+		f.Episode(s, e)
+	}
+	defer func() { foldEpisode = (*engine.AppFold).Episode }()
+	err := foldFrame(context.Background(), st, frame, "CrosswordSage", make([]*engine.AppFold, 2), 0)
 	if err == nil || !strings.Contains(err.Error(), "panic in frame of CrosswordSage: injected fault") {
 		t.Errorf("error %v, want the contained panic", err)
 	}
@@ -496,15 +496,17 @@ func TestResumeCancelBetweenSessions(t *testing.T) {
 	_, st, frame := checkpointedFrame(t, "CrosswordSage")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var started [2]bool
-	_, err := foldFrame(ctx, st, frame, "CrosswordSage", 2, func(i int) func(*trace.Session, *trace.Episode) {
-		started[i] = true
-		return func(*trace.Session, *trace.Episode) { cancel() }
-	})
+	foldEpisode = func(f *engine.AppFold, s *trace.Session, e *trace.Episode) {
+		cancel()
+		f.Episode(s, e)
+	}
+	defer func() { foldEpisode = (*engine.AppFold).Episode }()
+	folds := make([]*engine.AppFold, 2)
+	err := foldFrame(ctx, st, frame, "CrosswordSage", folds, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v, want context.Canceled", err)
 	}
-	if !started[0] || started[1] {
-		t.Errorf("sessions started = %v, want only the first", started)
+	if folds[0] == nil || folds[1] != nil {
+		t.Errorf("sessions started = %v, want only the first", folds)
 	}
 }

@@ -56,7 +56,7 @@ func damagedCorpus(t *testing.T) string {
 func TestLoadTraceDirDamagedDefaults(t *testing.T) {
 	dir := damagedCorpus(t)
 
-	suites, health, err := LoadTraceDirOptions(dir, LoadOptions{})
+	suites, health, err := LoadTraceDirContext(context.Background(), dir, LoadOptions{})
 	if err != nil {
 		t.Fatalf("default load over damaged dir: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestLoadTraceDirDamagedDefaults(t *testing.T) {
 		t.Errorf("intact JEdit session lost; suites = %v", suites)
 	}
 
-	if _, _, err := LoadTraceDirOptions(dir, LoadOptions{Strict: true}); err == nil {
+	if _, _, err := LoadTraceDirContext(context.Background(), dir, LoadOptions{Strict: true}); err == nil {
 		t.Error("Strict load over damaged dir succeeded")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +17,7 @@ import (
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/engine"
+	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/sim"
@@ -375,8 +375,7 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 			return nil, err
 		}
 		pr.skip(len(folds), "shard "+p.Name)
-		sessions, err := foldFrame(ctx, nil, frame, p.Name, len(folds), FoldHook(folds, cfg.threshold()))
-		if err != nil {
+		if err := foldFrame(ctx, nil, frame, p.Name, folds, cfg.threshold()); err != nil {
 			if ctx.Err() == nil {
 				err = &frameError{err}
 			}
@@ -385,17 +384,16 @@ func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, 
 		if store != nil {
 			_ = store.SaveFrame(p.Name, len(folds), frame)
 		}
-		return finishApp(ctx, p, pr, folds, sessions), nil
+		return finishApp(ctx, p, pr, folds), nil
 	}
 
-	sessions, _, err := simulate(ctx, cfg, p, pr, store, FoldHook(folds, cfg.threshold()))
-	if err != nil {
+	if _, err := simulate(ctx, cfg, p, pr, store, folds); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return finishApp(ctx, p, pr, folds, sessions), nil
+	return finishApp(ctx, p, pr, folds), nil
 }
 
 // frameError marks a FrameSource frame that passed its producer's
@@ -418,74 +416,51 @@ func resumeApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progres
 	defer endApp()
 	folds := make([]*engine.AppFold, cfg.sessions())
 	_, endResume := obs.Span(ctx, "resume")
-	sessions, err := foldFrame(ctx, store, frame, p.Name, len(folds), FoldHook(folds, cfg.threshold()))
+	err := foldFrame(ctx, store, frame, p.Name, folds, cfg.threshold())
 	endResume()
 	if err != nil {
 		return nil, false
 	}
 	pr.skip(len(folds), "resume "+p.Name)
-	return finishApp(ctx, p, pr, folds, sessions), true
+	return finishApp(ctx, p, pr, folds), true
 }
 
-// foldFrame decodes app's suite frame of n sessions, building session
-// i in release mode with episode(i), and returns the closed sessions.
-// Damage anywhere — framing, a parse, checksum, or build error, or a
-// degraded build, in any session — fails the whole frame, and with a
-// store is recorded as a failed decode. A panic, which is contained,
-// and a context canceled between sessions fail it too.
-func foldFrame(ctx context.Context, store *checkpoint.Store, frame []byte, app string, n int,
-	episode func(i int) func(*trace.Session, *trace.Episode)) (sessions []*trace.Session, err error) {
+// foldFrame decodes app's suite frame of len(folds) sessions, building
+// session i in release mode into a new folds[i] at threshold and
+// closing it. Damage anywhere — framing, a parse, checksum, or build
+// error, or a degraded build, in any session — fails the whole frame,
+// and with a store is recorded as a failed decode. A panic, which is
+// contained, and a context canceled between sessions fail it too.
+func foldFrame(ctx context.Context, store *checkpoint.Store, frame []byte, app string, folds []*engine.AppFold, threshold trace.Dur) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			mPanicsRecovered.Add(1)
-			sessions, err = nil, fmt.Errorf("panic in frame of %s: %v", app, r)
+			err = fmt.Errorf("panic in frame of %s: %v", app, r)
 		}
 	}()
 	name, traces, rest, err := treebuild.SplitSuite(frame)
-	if err == nil && (name != app || len(traces) != n || len(rest) != 0) {
+	if err == nil && (name != app || len(traces) != len(folds) || len(rest) != 0) {
 		err = fmt.Errorf("frame of %s holds %d sessions of %q", app, len(traces), name)
 	}
-	sessions = make([]*trace.Session, len(traces))
+	episode := FoldHook(folds, threshold)
 	for i := 0; err == nil && i < len(traces); i++ {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return cerr
 		}
-		sessions[i], err = treebuild.DecodeSession(traces[i], treebuild.Options{Episode: episode(i)})
+		var s *trace.Session
+		if s, err = treebuild.DecodeSession(traces[i], treebuild.Options{Episode: episode(i)}); err == nil {
+			folds[i].CloseSession(s)
+		}
 	}
 	if store != nil {
 		store.Decoded(err == nil)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return sessions, nil
+	return err
 }
 
-// FoldFrame folds a suite frame as a checkpoint hit does: each session
-// decodes strictly through a release-mode build into an engine.AppFold
-// of its own at threshold. Any damage fails the whole frame, and no
-// fold of it is returned.
-func FoldFrame(ctx context.Context, frame []byte, threshold trace.Dur) ([]FoldedSession, error) {
-	app, traces, _, err := treebuild.SplitSuite(frame)
-	if err != nil {
-		return nil, err
-	}
-	folds := make([]*engine.AppFold, len(traces))
-	sessions, err := foldFrame(ctx, nil, frame, app, len(folds), FoldHook(folds, threshold))
-	if err != nil {
-		return nil, err
-	}
-	folded := make([]FoldedSession, len(folds))
-	for i, s := range sessions {
-		folded[i] = FoldedSession{folds[i], s}
-	}
-	return folded, nil
-}
-
-// finishApp closes p's folds, whose builds finished as sessions, and
-// merges them into its result.
-func finishApp(ctx context.Context, p *sim.Profile, pr *progress, folds []*engine.AppFold, sessions []*trace.Session) *AppResult {
-	a := appResult(p.Name, engine.FinishSessions(ctx, p.Name, folds, sessions))
+// finishApp merges p's closed folds into its result.
+func finishApp(ctx context.Context, p *sim.Profile, pr *progress, folds []*engine.AppFold) *AppResult {
+	a := appResult(p.Name, engine.Finish(ctx, p.Name, folds))
 	a.Profile = p
 	pr.step("analyze " + p.Name)
 	return a
@@ -497,24 +472,24 @@ func finishApp(ctx context.Context, p *sim.Profile, pr *progress, folds []*engin
 // frame. With a non-nil store the frame is saved exactly as a study
 // saves it.
 func SimulateFrame(ctx context.Context, cfg StudyConfig, p *sim.Profile, store *checkpoint.Store) ([]byte, error) {
-	_, frame, err := simulate(ctx, cfg, p, nil, store, nil)
-	return frame, err
+	return simulate(ctx, cfg, p, nil, store, nil)
 }
 
-// simulate runs p's sessions on the session pool. With episode set,
-// session i builds in release mode with episode(i), and its record
-// stream is teed into the frame only with a store; with episode nil,
-// each record stream only goes into the frame, and no session is
-// built. A non-nil store saves the frame, which is nil when nothing
-// was teed. Each session is one progress step and one "simulate" span,
-// in which a release-mode build's per-episode engine work also runs.
+// simulate runs p's sessions on the session pool. With folds set,
+// session i builds in release mode into a new folds[i], which closes
+// when the build ends, and its record stream is teed into the frame
+// only with a store; with folds nil, each record stream only goes into
+// the frame, and no session is built. A non-nil store saves the frame,
+// which is nil when nothing was teed. Each session is one progress
+// step and one "simulate" span, in which a release-mode build's
+// per-episode engine work also runs.
 func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store,
-	episode func(i int) func(*trace.Session, *trace.Episode)) ([]*trace.Session, []byte, error) {
+	folds []*engine.AppFold) ([]byte, error) {
 	n := cfg.sessions()
-	sessions := make([]*trace.Session, n)
 	errs := make([]error, n)
+	episode := FoldHook(folds, cfg.threshold())
 	var traces [][]byte // each session's teed record stream
-	if store != nil || episode == nil {
+	if store != nil || folds == nil {
 		traces = make([][]byte, n)
 	}
 	runPool(cfg.workers(), n, func(w, i int) {
@@ -530,15 +505,22 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 		}
 		_, endSim := obs.Span(obs.WithWorker(ctx, w), "simulate")
 		scfg := sim.Config{Profile: p, SessionID: i, Seed: cfg.Seed, SessionSeconds: cfg.SessionSeconds}
+		fold := func(tee lila.Writer) error {
+			s, err := sim.RunTee(scfg, treebuild.Options{Episode: episode(i)}, tee)
+			if err == nil {
+				folds[i].CloseSession(s)
+			}
+			return err
+		}
 		if traces == nil {
-			sessions[i], errs[i] = sim.RunTee(scfg, treebuild.Options{Episode: episode(i)}, nil)
+			errs[i] = fold(nil)
 		} else {
 			var buf bytes.Buffer
 			tw := treebuild.NewTraceWriter(&buf, scfg.Header())
-			if episode == nil {
+			if folds == nil {
 				errs[i] = sim.Stream(scfg, tw.WriteRecord)
 			} else {
-				sessions[i], errs[i] = sim.RunTee(scfg, treebuild.Options{Episode: episode(i)}, tw)
+				errs[i] = fold(tw)
 			}
 			if errs[i] == nil {
 				errs[i] = tw.Close()
@@ -551,7 +533,7 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 	mSessions.Add(int64(n))
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	var frame []byte
@@ -561,7 +543,7 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 	if store != nil {
 		_ = store.SaveFrame(p.Name, n, frame)
 	}
-	return sessions, frame, nil
+	return frame, nil
 }
 
 func analyzeSuite(ctx context.Context, suite *trace.Suite, threshold trace.Dur) (*AppResult, error) {
@@ -599,13 +581,4 @@ func (a *AppResult) OccurrenceFracs() map[patterns.Occurrence]float64 {
 		fr[occ] = float64(n) / float64(total)
 	}
 	return fr
-}
-
-// sortedApps returns results ordered by profile name (stable for
-// rendering regardless of run order).
-func sortedApps(as []*AppResult) []*AppResult {
-	out := make([]*AppResult, len(as))
-	copy(out, as)
-	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
-	return out
 }

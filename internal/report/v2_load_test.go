@@ -89,7 +89,7 @@ func TestCrossFormatByteIdenticalStudy(t *testing.T) {
 
 	render := func(dir string, o LoadOptions) (string, string) {
 		t.Helper()
-		suites, _, err := LoadTraceDirOptions(dir, o)
+		suites, _, err := LoadTraceDirContext(context.Background(), dir, o)
 		if err != nil {
 			t.Fatalf("load %s: %v", dir, err)
 		}
@@ -190,7 +190,7 @@ func testV2BlockLossItemized(t *testing.T, comp lila.Compression) {
 		t.Fatal(err)
 	}
 
-	suites, health, err := LoadTraceDirOptions(dir, LoadOptions{Salvage: true, Jobs: 1})
+	suites, health, err := LoadTraceDirContext(context.Background(), dir, LoadOptions{Salvage: true, Jobs: 1})
 	if err != nil {
 		t.Fatalf("salvage load: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestV2OverBudgetDegradesToStream(t *testing.T) {
 		o := LoadOptions{Jobs: jobs, Limits: lila.Limits{MaxSessionBytes: 1 << 20}}
 		// The only session degrades, so the load reports no loadable
 		// session; the health ledger still comes back.
-		_, health, _ := LoadTraceDirOptions(dir, o)
+		_, health, _ := LoadTraceDirContext(context.Background(), dir, o)
 		if health == nil || len(health.Files) != 1 || !health.Files[0].DegradedToStream || health.Files[0].Error != "" {
 			t.Fatalf("jobs %d: health %+v, want one file degraded to stream", jobs, health)
 		}

@@ -35,7 +35,6 @@ import (
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
-	"lagalyzer/internal/treebuild"
 )
 
 // Serve metrics (ISSUE 4): inflight is a gauge over running jobs; shed
@@ -465,38 +464,30 @@ func validateSpec(spec JobSpec) error {
 }
 
 // estimateMemory predicts a job's peak footprint for admission
-// control. Trace jobs sum their input file sizes (the session tree
-// costs a small multiple of the wire size; the lila session budget
-// caps any single file). A study job folds each session as it is
+// control. Trace jobs, trace-shaped shards included, sum their input
+// file sizes: a release-mode fold holds far less than its file, so the
+// sum safely overestimates, and the lila session budget caps any
+// single file. A study job folds each session as it is
 // simulated, so it scales with the session-seconds of the apps in
 // flight (one per GOMAXPROCS): their builders, folds, and teed
 // checkpoint frames; every app's result adds a little more until the
 // study ends. A study-shaped shard builds no session, but holds the
 // frames it ships, so it scales with all of its session-seconds.
 func estimateMemory(spec JobSpec, cfg Config) int64 {
-	switch spec.Kind {
-	case "traces":
+	if paths := spec.Files; spec.Kind == "traces" || len(paths) > 0 {
+		if spec.Kind == "traces" {
+			paths, _ = report.ListTraceFiles(spec.Dir)
+		}
 		var total int64
-		filepath.WalkDir(spec.Dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return nil
-			}
-			if info, err := d.Info(); err == nil {
+		for _, path := range paths {
+			if info, err := os.Stat(path); err == nil {
 				total += info.Size()
 			}
-			return nil
-		})
-		return total
-	case "shard":
-		if len(spec.Files) > 0 {
-			var total int64
-			for _, path := range spec.Files {
-				if info, err := os.Stat(path); err == nil {
-					total += info.Size()
-				}
-			}
-			return total
 		}
+		return total
+	}
+	switch spec.Kind {
+	case "shard":
 		// Measured on lagd shard jobs (-workers 1, 2 vCPUs) over the
 		// idle server, sessions × seconds: Jmol 5.6 MiB for 1 × 300,
 		// 11.6 for 4 × 300, 41.8 for 16 × 300, 25.2 for 4 × 1200;
@@ -784,11 +775,7 @@ func (s *Server) run(ctx context.Context, spec JobSpec) (*report.StudyResult, er
 		}
 		return report.RunStudyContext(ctx, cfg)
 	case "traces":
-		res, err := report.AnalyzeTraceDirContext(ctx, spec.Dir, report.LoadOptions{
-			Salvage: spec.Salvage,
-			Limits:  s.cfg.Limits,
-			Jobs:    s.cfg.LoadJobs,
-		}, trace.DefaultPerceptibleThreshold, nil)
+		res, err := report.AnalyzeTraceDirContext(ctx, spec.Dir, s.loadOptions(nil, spec.Salvage), trace.DefaultPerceptibleThreshold, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -803,13 +790,20 @@ func (s *Server) run(ctx context.Context, spec JobSpec) (*report.StudyResult, er
 	return nil, fmt.Errorf("serve: unknown job kind %q", spec.Kind)
 }
 
+// loadOptions is a trace load of paths (nil: the whole directory)
+// under the server's limits.
+func (s *Server) loadOptions(paths []string, salvage bool) report.LoadOptions {
+	return report.LoadOptions{Paths: paths, Salvage: salvage, Limits: s.cfg.Limits, Jobs: s.cfg.LoadJobs}
+}
+
 // runShard executes one partition of a distributed study and returns
-// its partial state, analyzing nothing. A study-shaped shard (explicit
-// apps) ships each app's frame from the worker's own checkpoint store
-// under StateDir, undecoded, which turns repeated dispatches of the
-// same shard (coordinator retries, hedges won elsewhere) into cache
-// hits; a miss simulates straight into the frame and saves it. A
-// traces-shaped shard (explicit files) ships LoadTraceShard's frames.
+// its partial state. A study-shaped shard (explicit apps) ships each
+// app's frame from the worker's own checkpoint store under StateDir,
+// undecoded, which turns repeated dispatches of the same shard
+// (coordinator retries, hedges won elsewhere) into cache hits; a miss
+// simulates straight into the frame and saves it. A traces-shaped
+// shard (explicit files) ships the closed folds of a single-node load
+// of its files; one whose every file failed still ships its health.
 func (s *Server) runShard(ctx context.Context, spec JobSpec) (*ShardState, error) {
 	if len(spec.Apps) > 0 {
 		cfg := report.StudyConfig{
@@ -847,34 +841,11 @@ func (s *Server) runShard(ctx context.Context, spec JobSpec) (*ShardState, error
 		}
 		return st, nil
 	}
-	return LoadTraceShard(ctx, spec.Dir, report.LoadOptions{
-		Paths:   spec.Files,
-		Salvage: spec.Salvage,
-		Limits:  s.cfg.Limits,
-		Jobs:    s.cfg.LoadJobs,
-	})
-}
-
-// LoadTraceShard is a traces-shaped shard's state, which the
-// distributed coordinator's local fallback also builds: the files
-// o.Paths under dir load held, and each app's sessions are framed. The
-// coordinator folds the frames, because an app's sessions may span
-// shards. A shard whose every file failed is still state: its losses
-// are itemized per file, as a single-node scan records them.
-func LoadTraceShard(ctx context.Context, dir string, o report.LoadOptions) (*ShardState, error) {
-	suites, health, err := report.LoadTraceDirContext(ctx, dir, o)
+	folds, health, err := report.FoldTraceDirContext(ctx, spec.Dir, s.loadOptions(spec.Files, spec.Salvage), trace.DefaultPerceptibleThreshold)
 	if err != nil && health == nil {
 		return nil, err
 	}
-	st := &ShardState{Health: health}
-	for _, suite := range suites {
-		frame, err := treebuild.AppendSuite(nil, suite)
-		if err != nil {
-			return nil, fmt.Errorf("serve: framing shard sessions: %w", err)
-		}
-		st.Frames = append(st.Frames, frame)
-	}
-	return st, nil
+	return &ShardState{Folds: folds, Health: health}, nil
 }
 
 // Shutdown drains the server: stop admissions, collect still-queued

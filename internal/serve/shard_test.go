@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"io"
@@ -21,7 +22,6 @@ import (
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
-	"lagalyzer/internal/treebuild"
 )
 
 // TestShardJobStudy runs a study-shaped shard through the real
@@ -144,28 +144,6 @@ func spanNames(t *testing.T, s *Server, id string) map[string]bool {
 	}
 }
 
-// shardSuites decodes every frame of st strictly into held suites.
-func shardSuites(t *testing.T, st *ShardState) []*trace.Suite {
-	t.Helper()
-	var suites []*trace.Suite
-	for _, frame := range st.Frames {
-		app, traces, rest, err := treebuild.SplitSuite(frame)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("frame: %v (%d trailing bytes)", err, len(rest))
-		}
-		suite := &trace.Suite{App: app}
-		for _, v2 := range traces {
-			sess, err := treebuild.DecodeSession(v2, treebuild.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			suite.Sessions = append(suite.Sessions, sess)
-		}
-		suites = append(suites, suite)
-	}
-	return suites
-}
-
 // shardCorpus writes a tiny two-app trace corpus and returns the dir
 // and its sorted file list.
 func shardCorpus(t *testing.T) (string, []string) {
@@ -199,8 +177,9 @@ func shardCorpus(t *testing.T) (string, []string) {
 	return dir, paths
 }
 
-// TestShardJobTraces: a traces-shaped shard loads exactly its file
-// slice — no analysis — and returns the sessions framed by app.
+// TestShardJobTraces: a traces-shaped shard folds exactly its file
+// slice and ships one closed fold per file and no frame, which analyze
+// byte for byte as a local trace-directory analysis of the slice.
 func TestShardJobTraces(t *testing.T) {
 	dir, paths := shardCorpus(t)
 	s := newTestServer(t, Config{Workers: 1})
@@ -218,17 +197,26 @@ func TestShardJobTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suites := shardSuites(t, st)
-	if len(suites) != 1 || suites[0].App != "CrosswordSage" {
-		t.Fatalf("suites = %+v, want one CrosswordSage suite", suites)
+	if len(st.Frames) != 0 || len(st.Folds) != 2 {
+		t.Fatalf("state has %d frames and %d folds, want none and 2", len(st.Frames), len(st.Folds))
 	}
-	if got := len(suites[0].Sessions); got != 2 {
-		t.Errorf("sessions = %d, want 2", got)
+	for _, f := range st.Folds {
+		if f.App() != "CrosswordSage" || f.Threshold() != trace.DefaultPerceptibleThreshold {
+			t.Errorf("fold of %q at %v, want CrosswordSage at the default threshold", f.App(), f.Threshold())
+		}
+	}
+	want, err := report.AnalyzeTraceDirContext(context.Background(), dir, report.LoadOptions{Paths: paths[:2]}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := report.AnalyzeFolds(context.Background(), st.Folds, trace.DefaultPerceptibleThreshold, nil)
+	if g, w := report.FormatAll(got), report.FormatAll(want); g != w {
+		t.Errorf("shipped folds analyze differently:\n--- got ---\n%s\n--- want ---\n%s", g, w)
 	}
 }
 
 // TestShardJobTracesAllBad: a shard whose every file fails to load is
-// legitimate partial state — itemized file health, zero frames — not
+// legitimate partial state — itemized file health, zero folds — not
 // a failed job.
 func TestShardJobTracesAllBad(t *testing.T) {
 	dir := t.TempDir()
@@ -247,8 +235,8 @@ func TestShardJobTracesAllBad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Frames) != 0 {
-		t.Errorf("frames = %d, want none", len(st.Frames))
+	if len(st.Folds) != 0 || len(st.Frames) != 0 {
+		t.Errorf("folds, frames = %d, %d, want none", len(st.Folds), len(st.Frames))
 	}
 	if st.Health == nil || len(st.Health.Files) != 1 || st.Health.Files[0].Path != bad {
 		t.Errorf("health = %+v, want the bad file itemized", st.Health)
@@ -285,12 +273,32 @@ func TestShardStateDamage(t *testing.T) {
 		"bad magic":    append([]byte("WRONGMAG"), data[8:]...),
 		"payload flip": flipByte(data, len(data)-1),
 		"sum flip":     flipByte(data, 12),
+		"old worker":   oldShardState(t, st.Health),
 	}
 	for name, d := range damage {
 		if _, err := DecodeShardState(d); !errors.Is(err, ErrBadShardState) {
 			t.Errorf("%s: err = %v, want ErrBadShardState", name, err)
 		}
 	}
+}
+
+// oldShardState frames health as a worker of the previous framing
+// version ships a trace shard's state: magic "LAGSHRD2", a valid
+// checksum, no frame, and a gob tail holding only the ledger, which
+// this version's tail decoder would otherwise read as zero folds.
+func oldShardState(t *testing.T, health *report.StudyHealth) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(make([]byte, len("LAGSHRD2")+sha256.Size))
+	buf.WriteByte(0) // uvarint(0) frames
+	if err := gob.NewEncoder(&buf).Encode(struct{ Health *report.StudyHealth }{health}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Bytes()
+	copy(out, "LAGSHRD2")
+	sum := sha256.Sum256(out[len("LAGSHRD2")+sha256.Size:])
+	copy(out[len("LAGSHRD2"):], sum[:])
+	return out
 }
 
 func flipByte(data []byte, i int) []byte {

@@ -8,38 +8,40 @@ import (
 	"errors"
 	"fmt"
 
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/treebuild"
 )
 
 // Shard partial state: the wire form a worker lagd returns for a
 // "shard" job, consumed by the distributed coordinator
-// (internal/dist). The payload is the mergeable part of a study — one
-// suite frame per app, in the checkpoint store's payload encoding,
-// plus the shard's health ledger — NOT the derived analysis: the
-// coordinator folds each frame as a checkpoint hit is folded, which is
-// what makes a distributed merge byte-identical to a single-node run
-// (the same argument that makes checkpoint resume byte-identical).
+// (internal/dist). The payload is the mergeable part of a study plus
+// the shard's health ledger, NOT the derived analysis: a study shard's
+// suite frames (the checkpoint store's payloads), which the coordinator
+// folds as a checkpoint hit, or a trace shard's closed per-file
+// engine.AppFolds, which it merges as a single-node load does. Either
+// way the merge is byte-identical to a single-node run.
 //
 // Framing is paranoid by design, because this payload crosses a
 // network that the fault-injection suite is allowed to damage:
 //
-//	8 bytes  magic "LAGSHRD2"
+//	8 bytes  magic "LAGSHRD3"
 //	32 bytes SHA-256 of the payload
-//	N bytes  payload := uvarint(nframes) frame* health
+//	N bytes  payload := uvarint(nframes) frame* tail
 //	         frame   := treebuild suite frame (sessions as raw LiLa v2)
-//	         health  := gob of the Health ledger, to the end
+//	         tail    := gob of the Health ledger and the Folds, to the end
 //
 // The frames are carried undecoded: DecodeShardState checks their
 // framing (treebuild.SplitSuite), and each session decodes once, in
 // the coordinator's fold. Any truncation, reset, or bit flip — in the
 // header, checksum, or payload — surfaces as ErrBadShardState, which
-// the coordinator retries as wire damage. A session that fails its
-// strict decode under a good checksum is worker skew or a bug instead,
-// and the coordinator degrades the shard without merging its frame.
+// the coordinator retries as wire damage, as it does a payload of
+// another framing version. A session that fails its strict decode, or
+// a fold at another threshold, under a good checksum is worker skew or
+// a bug instead: the coordinator degrades the shard, merging none of it.
 
 // shardStateMagic identifies (and versions) the shard-state framing.
-const shardStateMagic = "LAGSHRD2"
+const shardStateMagic = "LAGSHRD3"
 
 // ErrBadShardState marks a shard-state payload that failed its framing
 // or checksum validation: the bytes on the wire are not the bytes the
@@ -48,11 +50,12 @@ var ErrBadShardState = errors.New("serve: shard state damaged in transit")
 
 // ShardState is one worker's contribution to a distributed study.
 type ShardState struct {
-	// Frames are the suite frames the shard produced, one per app
-	// (simulated apps or loaded trace files), in the shard's
-	// deterministic order: profile order for study shards, sorted-app
-	// order for trace shards.
+	// Frames are a study shard's suite frames, one per app in profile
+	// order.
 	Frames [][]byte
+	// Folds are a trace shard's closed one-session folds, in (app,
+	// path) order.
+	Folds []*engine.AppFold
 	// Health itemizes everything the shard lost or worked around, in
 	// the same per-file/per-app shape the single-node pipeline uses, so
 	// the coordinator's merged ledger is indistinguishable from a local
@@ -60,10 +63,11 @@ type ShardState struct {
 	Health *report.StudyHealth
 }
 
-// shardHealth is the gob wire form of the health ledger; the wrapper
-// lets a nil ledger round-trip.
-type shardHealth struct {
+// shardTail is the gob tail of the payload; the wrapper lets a nil
+// ledger round-trip.
+type shardTail struct {
 	Health *report.StudyHealth
+	Folds  []*engine.AppFold
 }
 
 // EncodeShardState serializes st with checksum framing.
@@ -74,8 +78,8 @@ func EncodeShardState(st *ShardState) ([]byte, error) {
 		out = append(out, frame...)
 	}
 	buf := bytes.NewBuffer(out)
-	if err := gob.NewEncoder(buf).Encode(shardHealth{st.Health}); err != nil {
-		return nil, fmt.Errorf("serve: encoding shard health: %w", err)
+	if err := gob.NewEncoder(buf).Encode(shardTail{st.Health, st.Folds}); err != nil {
+		return nil, fmt.Errorf("serve: encoding shard tail: %w", err)
 	}
 	out = buf.Bytes()
 	copy(out, shardStateMagic)
@@ -130,13 +134,13 @@ func decodeShardPayload(p []byte) (*ShardState, error) {
 		p = rest
 	}
 	r := bytes.NewReader(p)
-	var h shardHealth
-	if err := gob.NewDecoder(r).Decode(&h); err != nil {
+	var tail shardTail
+	if err := gob.NewDecoder(r).Decode(&tail); err != nil {
 		return nil, err
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", r.Len())
 	}
-	st.Health = h.Health
+	st.Health, st.Folds = tail.Health, tail.Folds
 	return st, nil
 }

@@ -37,15 +37,6 @@ func (pn *planNode) total() trace.Dur {
 	return d
 }
 
-// plannedDur returns the episode's full planned duration.
-func (p *plan) plannedDur() trace.Dur {
-	d := p.dispatchSelf
-	for _, r := range p.roots {
-		d += r.total()
-	}
-	return d
-}
-
 // planArena recycles planNode storage across episodes. A plan only
 // lives for the one runEpisode call that plays it, but a session runs
 // thousands of episodes; reusing the node slots — and, crucially, the

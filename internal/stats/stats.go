@@ -9,6 +9,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -66,6 +68,29 @@ func (s *Summary) Merge(o Summary) {
 	s.mean = (n1*s.mean + n2*o.mean) / (n1 + n2)
 	s.N += o.N
 	s.Total += o.Total
+}
+
+// GobEncode encodes every field, the running mean and squared
+// deviations too, so a decoded summary merges bit-exactly as s would.
+func (s Summary) GobEncode() ([]byte, error) {
+	b := binary.AppendVarint(nil, int64(s.N))
+	for _, x := range [...]float64{s.Min, s.Max, s.Total, s.mean, s.m2} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b, nil
+}
+
+// GobDecode decodes a summary GobEncode encoded.
+func (s *Summary) GobDecode(b []byte) error {
+	n, k := binary.Varint(b)
+	if k <= 0 || len(b) != k+40 {
+		return errors.New("stats: bad summary encoding")
+	}
+	s.N = int(n)
+	for i, x := range [...]*float64{&s.Min, &s.Max, &s.Total, &s.mean, &s.m2} {
+		*x = math.Float64frombits(binary.LittleEndian.Uint64(b[k+8*i:]))
+	}
+	return nil
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty summary.

@@ -11,17 +11,17 @@ import (
 )
 
 // Suite frames are the one serialization of session suites that leave
-// the process: the checkpoint store's payloads and the distributed
-// shard state. Each session travels as a raw LiLa v2 trace:
+// the process: the checkpoint store's payloads and a distributed study
+// shard's state. Each session travels as a raw LiLa v2 trace:
 //
 //	suite   := uvarint(len(app)) app uvarint(nsessions) session*
 //	session := uvarint(len(trace)) trace      (LiLa v2, blocks raw)
 //
 // A study frames the traces its simulator streamed into NewTraceWriter
-// (AppendTraces); only a suite held in memory, as a trace-directory
-// shard loads it, is flattened and encoded (AppendSuite). Both give the
-// same bytes unless the simulator materialized sub-threshold episodes,
-// which a built session drops.
+// (AppendTraces); AppendSuite flattens and encodes a suite held in
+// memory, the reference the streamed frames are tested against. Both
+// give the same bytes unless the simulator materialized sub-threshold
+// episodes, which a built session drops.
 //
 // Blocks stay raw because flate costs more time than the bytes it
 // saves are worth on a local disk or a LAN. SplitSuite checks only the
