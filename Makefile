@@ -5,8 +5,8 @@
 # -traces and lagalyzer share)
 # under the race detector. `make chaos` is the robustness
 # tier: the fault-injection suites (salvage decoding, lenient rebuild,
-# engine panic containment, checkpoint-store corruption and stalled
-# reads, service shedding/retry/shutdown, CLI kill-and-resume, and the
+# engine panic containment, checkpoint-store corruption, hostile
+# payloads and stalled reads, service shedding/retry/shutdown, CLI kill-and-resume, and the
 # multi-node distributed-study suite under network fault injection,
 # the live-ingest chaos suite: flaky upload swarms, kill-and-resume
 # over the ingest journal, budget eviction, and drain, and lagalyzer's
@@ -44,7 +44,7 @@ chaos:
 		-run 'Salvage|Lenient|Robust|Fault|Panic|Budget'
 	$(GO) test ./internal/engine ./internal/report -run 'Robust|Panic|Cancel|Damaged|Salvaged|Resume|TimedOut' -race
 	$(GO) test ./internal/checkpoint ./internal/serve \
-		-run 'Fault|Corrupt|Truncat|Orphan|Resume|Shed|Panic|Retry|Shutdown|Deadline|Shard|Drain' -race
+		-run 'Fault|Corrupt|Truncat|Orphan|Hostile|Resume|Shed|Panic|Retry|Shutdown|Deadline|Shard|Drain' -race
 	$(GO) test ./internal/dist \
 		-run 'Golden|Hedge|Eject|Degrad|Itemized|Resume|Backoff|Pool|Metrics|Concurrent' -race
 	$(GO) test ./internal/ingest \

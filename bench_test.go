@@ -219,107 +219,90 @@ func BenchmarkStudy_EndToEnd(b *testing.B) {
 	}
 }
 
-// checkpointSuites simulates the benchmark's paper_study workload once:
-// the 14 catalog applications, one 240 s session each at seed 42.
-var checkpointSuites = sync.OnceValue(func() []*trace.Suite {
-	var suites []*trace.Suite
+// paperStudy is the benchmark's paper_study workload: the 14 catalog
+// applications, one 240 s session each at seed 42.
+var paperStudy = report.StudyConfig{Seed: 42, SessionsPerApp: 1, SessionSeconds: 240}
+
+// checkpointFolds simulates paperStudy once into the merged, closed
+// folds its checkpoint payloads hold.
+var checkpointFolds = sync.OnceValue(func() []*engine.AppFold {
+	var folds []*engine.AppFold
 	for _, p := range apps.Catalog() {
-		s, err := sim.Run(sim.Config{Profile: p, Seed: 42, SessionSeconds: 240})
+		f, err := report.StudyFold(context.Background(), paperStudy, p, nil)
 		if err != nil {
 			panic(err)
 		}
-		suites = append(suites, &trace.Suite{App: p.Name, Sessions: []*trace.Session{s}})
+		folds = append(folds, f)
 	}
-	return suites
+	return folds
 })
 
-// BenchmarkCheckpointSave persists the 14-app suite set to a fresh
-// checkpoint store per iteration: the study's critical-path cost of
-// -out (Flatten, the v2 writer, SHA-256, atomic writes).
+// BenchmarkCheckpointSave persists paperStudy's 14 folds to a fresh
+// checkpoint store per iteration: the study's cost of -out beyond the
+// study itself (gob encoding, SHA-256, atomic writes of the payloads
+// and the manifest).
 func BenchmarkCheckpointSave(b *testing.B) {
 	b.ReportAllocs()
-	suites := checkpointSuites()
+	folds := checkpointFolds()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := checkpoint.Open(filepath.Join(b.TempDir(), "ckpt"), "bench")
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, su := range suites {
-			if err := saveSuite(st, su); err != nil {
+		for _, f := range folds {
+			if err := st.Save(f.App(), f); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 }
 
-// saveSuite checkpoints su as its suite frame.
-func saveSuite(st *checkpoint.Store, su *trace.Suite) error {
-	frame, err := treebuild.AppendSuite(nil, su)
-	if err != nil {
-		return err
-	}
-	return st.SaveFrame(su.App, len(su.Sessions), frame)
-}
-
-// BenchmarkStudyCheckpointed runs the paper_study workload's study
-// into a fresh checkpoint store per iteration: the 14 catalog apps, one
-// 240 s session each at seed 42, simulated, analyzed, and saved as
-// checkpoint payloads — the critical path of lagreport -out before
-// rendering.
+// BenchmarkStudyCheckpointed runs paperStudy into a fresh checkpoint
+// store per iteration: simulated, analyzed, and saved as checkpoint
+// payloads — the critical path of lagreport -out before rendering.
 func BenchmarkStudyCheckpointed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := report.RunStudy(report.StudyConfig{Seed: 42, SessionsPerApp: 1, SessionSeconds: 240,
-			CheckpointDir: filepath.Join(b.TempDir(), "ckpt")})
-		if err != nil {
+		cfg := paperStudy
+		cfg.CheckpointDir = filepath.Join(b.TempDir(), "ckpt")
+		if _, err := report.RunStudy(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCheckpointLoad restores the 14-app suite set from a store
-// per iteration: the resume path (read, SHA-256, strict v2 decode,
-// treebuild).
+// BenchmarkCheckpointLoad restores paperStudy's 14 folds from a store
+// per iteration: the resume path up to the analysis (read, SHA-256,
+// gob decoding, and the fold check a study runs on a hit).
 func BenchmarkCheckpointLoad(b *testing.B) {
 	b.ReportAllocs()
-	suites := checkpointSuites()
 	st, err := checkpoint.Open(filepath.Join(b.TempDir(), "ckpt"), "bench")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, su := range suites {
-		if err := saveSuite(st, su); err != nil {
+	for _, f := range checkpointFolds() {
+		if err := st.Save(f.App(), f); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, su := range suites {
-			frame, ok := st.LoadFrame(su.App)
-			if !ok {
-				b.Fatalf("%s: checkpoint miss", su.App)
-			}
-			_, traces, _, err := treebuild.SplitSuite(frame)
-			for j := 0; err == nil && j < len(traces); j++ {
-				_, err = treebuild.DecodeSession(traces[j], treebuild.Options{})
-			}
-			if err != nil {
-				b.Fatalf("%s: %v", su.App, err)
+		for _, p := range apps.Catalog() {
+			if _, ok := st.Load(p.Name, func(f *engine.AppFold) error { return paperStudy.CheckFold(p.Name, f) }); !ok {
+				b.Fatalf("%s: checkpoint miss", p.Name)
 			}
 		}
 	}
 }
 
-// BenchmarkStudyResume runs the paper_study workload's study over a
-// warm checkpoint store per iteration: every app a hit, its frame
-// decoded strictly through release-mode builds that fold each episode
-// as it closes — the critical path of a resumed lagreport -out before
-// rendering.
+// BenchmarkStudyResume runs paperStudy over a warm checkpoint store per
+// iteration: every app a hit, its fold decoded, checked and finished —
+// the critical path of a resumed lagreport -out before rendering.
 func BenchmarkStudyResume(b *testing.B) {
 	b.ReportAllocs()
-	cfg := report.StudyConfig{Seed: 42, SessionsPerApp: 1, SessionSeconds: 240,
-		CheckpointDir: filepath.Join(b.TempDir(), "ckpt")}
+	cfg := paperStudy
+	cfg.CheckpointDir = filepath.Join(b.TempDir(), "ckpt")
 	if _, err := report.RunStudy(cfg); err != nil {
 		b.Fatal(err)
 	}

@@ -5,34 +5,36 @@
 // store either without an entry or with a complete, verified one,
 // never with a torn file.
 //
-// The unit of checkpointing is one application's finished session
-// suite: the expensive phase of a study (simulation or ingest). The
-// analysis derived from a suite is a deterministic, cheap function of
-// it (the fused engine's byte-identical guarantee), so a resume decodes
-// the suite and re-derives the analysis instead of persisting the
-// intertwined result graph. A study killed mid-run and restarted with
-// the same configuration therefore produces byte-identical output to
-// an uninterrupted run, skipping the work already checkpointed.
+// The unit of checkpointing is one application's merged, closed
+// engine.AppFold: every tally the study's analysis derives its result
+// from, and nothing else. The configuration hash pins the seed, session
+// count, session length and threshold, so a payload is only ever read
+// back under the configuration that made it, and a resume finishes the
+// fold instead of re-running the app. A study killed mid-run and
+// restarted with the same configuration therefore produces
+// byte-identical output to an uninterrupted run, skipping the work
+// already checkpointed. The sessions themselves are not stored: the
+// simulator regenerates session i of app A at seed S and length T
+// with `lilasim -app A -session i -seed S -seconds T`.
 //
 // Layout under the store directory (lagreport uses <out>/.checkpoint):
 //
 //	manifest.json       config hash, git SHA, app name → entry digest
-//	apps/<digest>.lila  one app's session suite, named by content
+//	apps/<digest>.fold  one app's fold, named by content
 //
-// A payload is a treebuild suite frame: the app name, then each
-// session as a length-prefixed raw LiLa v2 trace (what `lilasim
-// -format v2` writes). The store verifies only the payload's digest;
-// the caller decodes each session strictly (no salvage, no lenient
-// rebuild) as it folds it, so a payload is either the suite that was
-// saved or a miss, and reports the outcome with Decoded.
+// A payload is the fold's GobEncode form. Gob assigns its wire type
+// ids per process in first-use order, so equal folds may encode to
+// different bytes in different processes: digests identify a payload,
+// not a fold. Load verifies the payload's digest, decodes it, and
+// runs the caller's check of the fold (its app, threshold and session
+// count); a payload that fails any of the three is a counted miss, so
+// a hit is always a fold that was saved under this configuration.
 //
 // Consistency protocol: an app's payload file is written (and synced)
 // before the manifest references it, and both writes are atomic
 // renames. A crash between the two leaves an unreferenced payload —
 // garbage, collected on the next Open — never a dangling reference.
-// Loads verify the payload's SHA-256 against the manifest digest; any
-// mismatch (bit rot, partial copy) is treated as a miss, and the app
-// is simply re-run.
+// Any miss (bit rot, partial copy, skew) simply re-runs the app.
 package checkpoint
 
 import (
@@ -47,6 +49,7 @@ import (
 	"sort"
 	"sync"
 
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/obs"
 )
 
@@ -57,15 +60,16 @@ var (
 	mHits = obs.NewCounter("checkpoint_hits_total",
 		"apps restored from the checkpoint store instead of re-run")
 	mSaves = obs.NewCounter("checkpoint_saves_total",
-		"app suites persisted to the checkpoint store")
+		"app folds persisted to the checkpoint store")
 	mErrors = obs.NewCounter("checkpoint_errors_total",
 		"checkpoint store failures degraded to a miss or skipped save")
 )
 
 // manifestVersion is bumped whenever the payload encoding changes; a
 // version mismatch invalidates the whole store. Version 1 stored gob
-// payloads (apps/<digest>.gob); version 2 stores LiLa v2 suite frames.
-const manifestVersion = 2
+// session suites (apps/<digest>.gob), version 2 LiLa v2 suite frames
+// (apps/<digest>.lila); version 3 stores closed folds.
+const manifestVersion = 3
 
 // Entry references one checkpointed app in the manifest.
 type Entry struct {
@@ -73,7 +77,7 @@ type Entry struct {
 	// payload file is named after it (content addressing), and loads
 	// re-verify it.
 	Digest string `json:"digest"`
-	// Sessions is the suite's session count (informational).
+	// Sessions is the fold's session count (informational).
 	Sessions int `json:"sessions"`
 }
 
@@ -169,21 +173,25 @@ func (s *Store) Apps() []string {
 	return names
 }
 
-// SaveFrame persists app's suite of n sessions, already encoded as a
-// treebuild suite frame: payload first (atomic, synced), manifest
-// second (atomic), so a crash between the two never leaves a reference
-// to a missing or partial file.
-func (s *Store) SaveFrame(app string, n int, frame []byte) error {
-	sum := sha256.Sum256(frame)
+// Save persists app's merged, closed fold: payload first (atomic,
+// synced), manifest second (atomic), so a crash between the two never
+// leaves a reference to a missing or partial file.
+func (s *Store) Save(app string, f *engine.AppFold) error {
+	payload, err := f.GobEncode()
+	if err != nil {
+		mErrors.Inc()
+		return fmt.Errorf("checkpoint: encoding %s: %w", app, err)
+	}
+	sum := sha256.Sum256(payload)
 	digest := hex.EncodeToString(sum[:])
-	if err := obs.WriteFileAtomic(s.payloadPath(digest), frame, 0o644); err != nil {
+	if err := obs.WriteFileAtomic(s.payloadPath(digest), payload, 0o644); err != nil {
 		mErrors.Inc()
 		return fmt.Errorf("checkpoint: writing %s: %w", app, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.manifest.Apps[app] = Entry{Digest: digest, Sessions: n}
+	s.manifest.Apps[app] = Entry{Digest: digest, Sessions: f.Sessions()}
 	if err := s.writeManifest(); err != nil {
 		mErrors.Inc()
 		return err
@@ -192,56 +200,59 @@ func (s *Store) SaveFrame(app string, n int, frame []byte) error {
 	return nil
 }
 
-// LoadFrame returns app's payload, a suite frame whose digest matched
-// the manifest, or (nil, false) on a miss: no entry, an unreadable
-// payload, or a digest mismatch. A miss is never an error — the caller
-// just re-runs the app — and neither is a frame that then fails to
-// decode, which the caller reports with Decoded.
-func (s *Store) LoadFrame(app string) ([]byte, bool) {
+// Load returns app's fold, or (nil, false) on a miss: no entry, an
+// unreadable payload, a digest mismatch, a payload that fails to
+// decode, or a fold that check rejects. A miss with an entry counts as
+// a checkpoint error, and a returned fold as a hit. A miss is never an
+// error to the caller, which just re-runs the app.
+func (s *Store) Load(app string, check func(*engine.AppFold) error) (*engine.AppFold, bool) {
 	s.mu.Lock()
 	entry, ok := s.manifest.Apps[app]
 	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	f, err := os.Open(s.payloadPath(entry.Digest))
+	f, err := s.read(entry.Digest)
+	if err == nil {
+		err = check(f)
+	}
 	if err != nil {
 		mErrors.Inc()
 		return nil, false
 	}
-	defer f.Close()
-	var r io.Reader = f
+	mHits.Inc()
+	return f, true
+}
+
+// read decodes the payload of the given digest, verifying the digest.
+func (s *Store) read(digest string) (*engine.AppFold, error) {
+	file, err := os.Open(s.payloadPath(digest))
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	var r io.Reader = file
 	if s.opts.WrapReader != nil {
 		r = s.opts.WrapReader(r)
 	}
-	data, err := io.ReadAll(r)
+	payload, err := io.ReadAll(r)
 	if err != nil {
-		mErrors.Inc()
-		return nil, false
+		return nil, err
 	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != entry.Digest {
-		mErrors.Inc()
-		return nil, false
+	if sum := sha256.Sum256(payload); hex.EncodeToString(sum[:]) != digest {
+		return nil, fmt.Errorf("checkpoint: payload digest mismatch")
 	}
-	return data, true
-}
-
-// Decoded records the outcome of decoding a LoadFrame payload: a hit
-// when ok, else an error that made the load a miss. It returns ok.
-func (s *Store) Decoded(ok bool) bool {
-	if ok {
-		mHits.Inc()
-	} else {
-		mErrors.Inc()
+	f := new(engine.AppFold)
+	if err := f.GobDecode(payload); err != nil {
+		return nil, err
 	}
-	return ok
+	return f, nil
 }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
 
 func (s *Store) payloadPath(digest string) string {
-	return filepath.Join(s.dir, "apps", digest+".lila")
+	return filepath.Join(s.dir, "apps", digest+".fold")
 }
 
 // writeManifest serializes the manifest atomically. Callers hold s.mu
@@ -260,7 +271,7 @@ func (s *Store) writeManifest() error {
 // collectGarbage removes payload files the manifest does not
 // reference: leftovers from a crash between payload and manifest
 // writes, from a discarded stale store, or from an older payload
-// encoding (version-1 *.gob files). Best-effort.
+// encoding. Best-effort.
 func (s *Store) collectGarbage() {
 	referenced := map[string]bool{}
 	for _, e := range s.manifest.Apps {
@@ -290,9 +301,8 @@ func (s *Store) removeAllPayloads() {
 
 // vcsRevision returns the git revision embedded by the Go build, or
 // "" when unavailable (e.g. test binaries). Informational only: the
-// revision never participates in hit/miss decisions, because the
-// checkpointed payload is raw simulated/ingested data whose validity
-// is governed by the configuration hash alone.
+// revision never participates in hit/miss decisions, which the
+// configuration hash, the manifest version and the fold check govern.
 func vcsRevision() string {
 	info, ok := debug.ReadBuildInfo()
 	if !ok {

@@ -1,11 +1,9 @@
 package checkpoint
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
+	"context"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,105 +12,101 @@ import (
 	"time"
 
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/faultinject"
-	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
-	"lagalyzer/internal/treebuild"
 )
 
-// testSuite simulates a small deterministic suite to checkpoint.
-func testSuite(t *testing.T) *trace.Suite {
+// testFold folds a small deterministic suite as a study does: each
+// session into its own fold, merged in session order.
+func testFold(t *testing.T) *engine.AppFold {
 	t.Helper()
-	p := apps.CrosswordSage()
-	var sessions []*trace.Session
+	var f *engine.AppFold
 	for i := 0; i < 2; i++ {
-		s, err := sim.Run(sim.Config{Profile: p, SessionID: i, Seed: 7, SessionSeconds: 20})
+		s, err := sim.Run(sim.Config{Profile: apps.CrosswordSage(), SessionID: i, Seed: 7, SessionSeconds: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sessions = append(sessions, s)
+		g := engine.NewAppFold(trace.DefaultPerceptibleThreshold, engine.Options{})
+		for _, e := range s.Episodes {
+			g.Episode(s, e)
+		}
+		g.CloseSession(s)
+		if f == nil {
+			f = g
+		} else {
+			f.Merge(g)
+		}
 	}
-	return &trace.Suite{App: p.Name, Sessions: sessions}
+	return f
 }
 
-// save persists suite as a study does: its frame, through SaveFrame.
-func save(st *Store, suite *trace.Suite) error {
-	frame, err := treebuild.AppendSuite(nil, suite)
-	if err != nil {
-		return err
-	}
-	return st.SaveFrame(suite.App, len(suite.Sessions), frame)
-}
+// save persists f as a study does.
+func save(st *Store, f *engine.AppFold) error { return st.Save(f.App(), f) }
 
-// load is what a resume does with app's payload: take the verified
-// frame from LoadFrame, decode every session strictly, and report the
-// outcome with Decoded. It returns the suite, or (nil, false) on a
-// miss.
-func load(st *Store, app string) (*trace.Suite, bool) {
-	frame, ok := st.LoadFrame(app)
-	if !ok {
-		return nil, false
-	}
-	name, traces, rest, err := treebuild.SplitSuite(frame)
-	suite := &trace.Suite{App: name, Sessions: make([]*trace.Session, len(traces))}
-	for i := 0; err == nil && i < len(traces); i++ {
-		suite.Sessions[i], err = treebuild.DecodeSession(traces[i], treebuild.Options{})
-	}
-	if !st.Decoded(err == nil && len(rest) == 0 && name == app) {
-		return nil, false
-	}
-	return suite, true
+// load is what a resume does with app's payload: Load it, accepting
+// only a fold of app. It returns the fold, or (nil, false) on a miss.
+func load(st *Store, app string) (*engine.AppFold, bool) {
+	return st.Load(app, func(f *engine.AppFold) error {
+		if f.App() != app {
+			return fmt.Errorf("fold of %q", f.App())
+		}
+		return nil
+	})
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	suite := testSuite(t)
+	fold := testFold(t)
+	app := fold.App()
 
 	st, err := Open(dir, "hash-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := load(st, suite.App); ok {
+	if _, ok := load(st, app); ok {
 		t.Fatal("load hit on an empty store")
 	}
-	if err := save(st, suite); err != nil {
+	if err := save(st, fold); err != nil {
 		t.Fatal(err)
 	}
 
-	// A reopened store (the resume path) must reproduce the suite
-	// exactly: same sessions, structurally equal down to the episode
-	// trees and sampling ticks.
+	// A reopened store (the resume path) must reproduce the fold
+	// exactly: it finishes to a result deeply equal to the original's,
+	// down to the pattern tallies and Figure 2's episode.
 	st2, err := Open(dir, "hash-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := load(st2, suite.App)
+	got, ok := load(st2, app)
 	if !ok {
 		t.Fatal("load missed after Save + reopen")
 	}
-	if got.App != suite.App || len(got.Sessions) != len(suite.Sessions) {
-		t.Fatalf("suite shape: got %s/%d sessions, want %s/%d",
-			got.App, len(got.Sessions), suite.App, len(suite.Sessions))
+	if got.Sessions() != 2 {
+		t.Fatalf("decoded fold has %d sessions, want 2", got.Sessions())
 	}
-	for i := range suite.Sessions {
-		if !reflect.DeepEqual(got.Sessions[i], suite.Sessions[i]) {
-			t.Errorf("session %d differs after round trip", i)
-		}
+	ctx := context.Background()
+	want := engine.Finish(ctx, app, []*engine.AppFold{testFold(t)})
+	if !reflect.DeepEqual(engine.Finish(ctx, app, []*engine.AppFold{got}), want) {
+		t.Error("fold finishes differently after the round trip")
 	}
-	if apps := st2.Apps(); len(apps) != 1 || apps[0] != suite.App {
-		t.Errorf("Apps() = %v, want [%s]", apps, suite.App)
+	if apps := st2.Apps(); len(apps) != 1 || apps[0] != app {
+		t.Errorf("Apps() = %v, want [%s]", apps, app)
+	}
+	if _, ok := st2.Load(app, func(*engine.AppFold) error { return errors.New("rejected") }); ok {
+		t.Error("load hit on a fold its check rejects")
 	}
 }
 
 func TestConfigHashMismatchInvalidatesStore(t *testing.T) {
 	dir := t.TempDir()
-	suite := testSuite(t)
+	fold := testFold(t)
 	st, err := Open(dir, "hash-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := save(st, suite); err != nil {
+	if err := save(st, fold); err != nil {
 		t.Fatal(err)
 	}
 
@@ -122,7 +116,7 @@ func TestConfigHashMismatchInvalidatesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := load(st2, suite.App); ok {
+	if _, ok := load(st2, fold.App()); ok {
 		t.Fatal("load hit across a config-hash change")
 	}
 	entries, err := os.ReadDir(filepath.Join(dir, "apps"))
@@ -136,12 +130,12 @@ func TestConfigHashMismatchInvalidatesStore(t *testing.T) {
 
 func TestCorruptPayloadIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	suite := testSuite(t)
+	fold := testFold(t)
 	st, err := Open(dir, "h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := save(st, suite); err != nil {
+	if err := save(st, fold); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,19 +157,19 @@ func TestCorruptPayloadIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := load(st2, suite.App); ok {
+	if _, ok := load(st2, fold.App()); ok {
 		t.Fatal("load hit on a corrupted payload")
 	}
 }
 
 func TestTruncatedManifestResets(t *testing.T) {
 	dir := t.TempDir()
-	suite := testSuite(t)
+	fold := testFold(t)
 	st, err := Open(dir, "h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := save(st, suite); err != nil {
+	if err := save(st, fold); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,7 +188,7 @@ func TestTruncatedManifestResets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open failed on a torn manifest: %v", err)
 	}
-	if _, ok := load(st2, suite.App); ok {
+	if _, ok := load(st2, fold.App()); ok {
 		t.Fatal("load hit through a torn manifest")
 	}
 }
@@ -222,12 +216,12 @@ func TestOrphanPayloadGarbageCollected(t *testing.T) {
 
 func TestFaultWrappedReaders(t *testing.T) {
 	dir := t.TempDir()
-	suite := testSuite(t)
+	fold := testFold(t)
 	st, err := Open(dir, "h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := save(st, suite); err != nil {
+	if err := save(st, fold); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,7 +236,7 @@ func TestFaultWrappedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := load(slow, suite.App); !ok {
+	if _, ok := load(slow, fold.App()); !ok {
 		t.Fatal("load missed under stall+short-read injection")
 	}
 
@@ -255,22 +249,22 @@ func TestFaultWrappedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := load(cut, suite.App); ok {
+	if _, ok := load(cut, fold.App()); ok {
 		t.Fatal("load hit through a truncated transfer")
 	}
 }
 
 // TestTruncatedPayloadIsMiss: a payload cut short on disk (torn
 // write, full filesystem) must degrade to a re-run miss — never a
-// partial suite or a crash.
+// partial fold or a crash.
 func TestTruncatedPayloadIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	suite := testSuite(t)
+	fold := testFold(t)
 	st, err := Open(dir, "h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := save(st, suite); err != nil {
+	if err := save(st, fold); err != nil {
 		t.Fatal(err)
 	}
 
@@ -290,14 +284,14 @@ func TestTruncatedPayloadIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := load(st2, suite.App); ok {
+	if _, ok := load(st2, fold.App()); ok {
 		t.Fatal("load hit on a truncated payload")
 	}
 	// The store stays usable: a fresh Save repairs the entry.
-	if err := save(st2, suite); err != nil {
+	if err := save(st2, fold); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := load(st2, suite.App); !ok {
+	if _, ok := load(st2, fold.App()); !ok {
 		t.Fatal("re-saved entry does not load")
 	}
 }
@@ -307,12 +301,12 @@ func TestTruncatedPayloadIsMiss(t *testing.T) {
 // loading under a wrong configuration or crashing.
 func TestCorruptManifestResets(t *testing.T) {
 	dir := t.TempDir()
-	suite := testSuite(t)
+	fold := testFold(t)
 	st, err := Open(dir, "h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := save(st, suite); err != nil {
+	if err := save(st, fold); err != nil {
 		t.Fatal(err)
 	}
 
@@ -328,141 +322,7 @@ func TestCorruptManifestResets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open failed on a bit-flipped manifest: %v", err)
 	}
-	if _, ok := load(st2, suite.App); ok {
+	if _, ok := load(st2, fold.App()); ok {
 		t.Fatal("load hit through a bit-flipped manifest")
-	}
-}
-
-// tamperSession rewrites session i of app's checkpointed payload with
-// damage(v2 trace), then re-addresses the payload (new digest, file
-// name, and manifest entry) so the SHA-256 check passes and only the
-// strict decode stands between the damage and the caller.
-func tamperSession(t *testing.T, dir, app string, i int, damage func([]byte) []byte) {
-	t.Helper()
-	mp := filepath.Join(dir, "manifest.json")
-	raw, err := os.ReadFile(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	old := filepath.Join(dir, "apps", m.Apps[app].Digest+".lila")
-	data, err := os.ReadFile(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Walk the suite frame: app name, session count, then
-	// length-prefixed v2 traces.
-	var out []byte
-	rest := data
-	next := func() []byte {
-		n, k := binary.Uvarint(rest)
-		field := rest[k : k+int(n)]
-		rest = rest[k+int(n):]
-		return field
-	}
-	name := next()
-	out = binary.AppendUvarint(out, uint64(len(name)))
-	out = append(out, name...)
-	count, k := binary.Uvarint(rest)
-	rest = rest[k:]
-	out = binary.AppendUvarint(out, count)
-	for j := 0; j < int(count); j++ {
-		v2 := next()
-		if j == i {
-			v2 = damage(append([]byte(nil), v2...))
-		}
-		out = binary.AppendUvarint(out, uint64(len(v2)))
-		out = append(out, v2...)
-	}
-
-	sum := sha256.Sum256(out)
-	digest := hex.EncodeToString(sum[:])
-	if err := os.WriteFile(filepath.Join(dir, "apps", digest+".lila"), out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(old)
-	m.Apps[app] = Entry{Digest: digest, Sessions: int(count)}
-	if raw, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mp, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHostilePayloadIsMiss: a payload whose digest is right but whose
-// v2 content is damaged — a flipped byte inside a block (checksum
-// failure) or a session cut short (no end record, which a lenient
-// build would patch over) — must be a counted miss, never a salvaged
-// suite that differs from the one saved.
-func TestHostilePayloadIsMiss(t *testing.T) {
-	suite := testSuite(t)
-	for _, tc := range []struct {
-		name   string
-		damage func(t *testing.T, s *trace.Session, v2 []byte) []byte
-	}{
-		{"block byte flip", func(t *testing.T, _ *trace.Session, v2 []byte) []byte {
-			v, err := lila.ParseV2(v2, lila.Limits{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := v.Blocks()[len(v.Blocks())/2]
-			v2[b.Offset+b.Length-3] ^= 0x40 // inside the stored payload
-			return v2
-		}},
-		{"truncated session", func(t *testing.T, s *trace.Session, v2 []byte) []byte {
-			v, err := lila.ParseV2(v2, lila.Limits{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs, _, err := v.Records(nil, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			w, err := lila.NewV2Writer(&buf, lila.HeaderOf(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs[:len(recs)/2] {
-				if err := w.WriteRecord(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			st, err := Open(dir, "h")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := save(st, suite); err != nil {
-				t.Fatal(err)
-			}
-			tamperSession(t, dir, suite.App, 1, func(v2 []byte) []byte {
-				return tc.damage(t, suite.Sessions[1], v2)
-			})
-
-			st2, err := Open(dir, "h")
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := mErrors.Value()
-			if got, ok := load(st2, suite.App); ok {
-				t.Fatalf("load hit on a damaged session (%d sessions returned)", len(got.Sessions))
-			}
-			if d := mErrors.Value() - before; d != 1 {
-				t.Errorf("checkpoint_errors_total delta = %d, want 1", d)
-			}
-		})
 	}
 }

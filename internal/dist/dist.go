@@ -6,10 +6,12 @@
 //
 //   - A simulated study shards by application (one shard per app —
 //     the simulator derives each app's sessions independently from
-//     the seed). A worker simulates its app into the frame, or ships
-//     the one its checkpoint store holds; the coordinator folds it in
-//     the single-node study (report.StudyConfig.FrameSource). Merge
-//     order is catalog order, exactly as a local run.
+//     the seed). A worker ships its app's merged, closed fold, the
+//     one its checkpoint store holds or a fresh simulation's
+//     (report.StudyFold); the coordinator finishes it in the
+//     single-node study as a checkpoint hit
+//     (report.StudyConfig.FoldSource). Apps land in catalog order,
+//     exactly as a local run.
 //
 //   - A trace corpus shards into contiguous ranges of the sorted path
 //     list. A worker folds its files exactly as a single-node
@@ -26,10 +28,10 @@
 // and graceful degradation — a shard that exhausts every remote
 // attempt is re-run locally on the coordinator, or, when local
 // fallback is disabled or fails too, itemized in the StudyHealth
-// ledger with the LossShard reason. A frame that passes the checksum
-// but fails to fold, or a fold tallied at another threshold (worker
-// skew or a bug), is never merged in part: a trace shard degrades as
-// an exhausted one does, and a study app is itemized with LossShard. A
+// ledger with the LossShard reason. A fold that passes the checksum
+// but is not the one asked for (report.StudyConfig.CheckFold for a
+// study app, its threshold for a trace shard: worker skew or a bug) is
+// never merged in part: the shard degrades as an exhausted one does. A
 // shard is never silently dropped.
 package dist
 
@@ -236,25 +238,26 @@ func (e *ShardLostError) Unwrap() error { return e.Err }
 func (e *ShardLostError) LossReason() string { return report.LossShard }
 
 // RunStudy runs cfg as a distributed study: one shard per application,
-// remote frames folded through the single-node pipeline. The result —
-// rows, health, checkpoint payloads — is byte-identical to
+// remote folds finished through the single-node pipeline. The result —
+// rows, health, checkpointed folds — is byte-identical to
 // report.RunStudyContext on one node, because it IS
-// report.RunStudyContext: only the frame producer is swapped for the
+// report.RunStudyContext: only the fold producer is swapped for the
 // shard client. cfg.Checkpoint / cfg.CheckpointDir double as a shared
 // result cache — a checkpointed app (same config hash) is never
 // dispatched, whether the checkpoint came from a local or a
 // distributed run.
 func (c *Coordinator) RunStudy(ctx context.Context, cfg report.StudyConfig) (*report.StudyResult, error) {
-	cfg.FrameSource = func(ctx context.Context, p *sim.Profile) ([]byte, error) {
-		return c.appFrame(ctx, cfg, p)
+	cfg.FoldSource = func(ctx context.Context, p *sim.Profile) (*engine.AppFold, error) {
+		return c.appFold(ctx, cfg, p)
 	}
 	return report.RunStudyContext(ctx, cfg)
 }
 
-// appFrame fetches one app's suite frame from a worker shard, with the
-// full recovery ladder: retries/hedging inside runShard, then local
-// re-run, then itemized loss.
-func (c *Coordinator) appFrame(ctx context.Context, cfg report.StudyConfig, p *sim.Profile) ([]byte, error) {
+// appFold fetches one app's merged, closed fold from a worker shard,
+// with the full recovery ladder: retries/hedging inside runShard, then
+// local re-run, then itemized loss. A shipped fold that fails
+// cfg.CheckFold degrades the shard as an exhausted one does.
+func (c *Coordinator) appFold(ctx context.Context, cfg report.StudyConfig, p *sim.Profile) (*engine.AppFold, error) {
 	spec := serve.JobSpec{
 		Kind:     "shard",
 		Apps:     []string{p.Name},
@@ -262,24 +265,22 @@ func (c *Coordinator) appFrame(ctx context.Context, cfg report.StudyConfig, p *s
 		Seed:     cfg.Seed,
 		Seconds:  cfg.SessionSeconds,
 	}
-	st, attempts, rerr := c.runShard(ctx, p.Name, labelHome(p.Name), spec)
-	if rerr == nil {
-		if len(st.Frames) == 1 {
-			return st.Frames[0], nil
+	st, attempts, err := c.runShard(ctx, p.Name, labelHome(p.Name), spec)
+	if err == nil {
+		if len(st.Folds) != 1 {
+			err = fmt.Errorf("dist: shard for app %s returned %d folds", p.Name, len(st.Folds))
+		} else if err = cfg.CheckFold(p.Name, st.Folds[0]); err == nil {
+			return st.Folds[0], nil
 		}
-		// A well-framed state without exactly one frame is worker skew:
-		// let the degradation ladder decide.
-		rerr = fmt.Errorf("dist: shard for app %s returned %d frames", p.Name, len(st.Frames))
 	}
-	// Re-simulate the frame locally, with the seeds and session IDs a
-	// worker uses.
-	var frame []byte
-	err := c.degrade(ctx, p.Name, attempts, rerr, func() (err error) {
+	// Re-simulate locally, with the seeds and session IDs a worker uses.
+	var f *engine.AppFold
+	err = c.degrade(ctx, p.Name, attempts, err, func() (lerr error) {
 		cfg.Sequential = true
-		frame, err = report.SimulateFrame(ctx, cfg, p, nil)
-		return err
+		f, lerr = report.StudyFold(ctx, cfg, p, nil)
+		return lerr
 	})
-	return frame, err
+	return f, err
 }
 
 // degrade re-runs a shard whose remote attempts ended in rerr with

@@ -11,20 +11,18 @@ import (
 
 	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/engine"
-	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/serve"
 	"lagalyzer/internal/trace"
-	"lagalyzer/internal/treebuild"
 )
 
 // damagingWorkers starts n worker lagd job servers whose /state
-// answers damage app's share of the state, then re-frame and
-// re-checksum it: the last session of each of app's frames that hold
-// more than one session is bit-flipped, so that only its strict decode
-// fails, and in a state that holds more than one of app's folds the
-// last is swapped for one tallied at another threshold. The checksum and the framing pass — the state worker skew
-// or a worker bug makes.
+// answers swap one of app's folds for one tallied at half the
+// threshold, then re-encode and re-checksum the state: the last of
+// app's folds in a state that holds more than one of them (a trace
+// shard's), or app's only fold in a state that holds nothing else (a
+// study shard's). The checksum and the framing pass — the state worker
+// skew or a worker bug makes.
 func damagingWorkers(t *testing.T, n int, app string) []string {
 	return startWorkersWith(t, n, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -40,25 +38,13 @@ func damagingWorkers(t *testing.T, n int, app string) []string {
 				w.Write(rec.Body.Bytes())
 				return
 			}
-			for i, frame := range st.Frames {
-				name, traces, _, err := treebuild.SplitSuite(frame)
-				if err != nil || name != app || len(traces) < 2 {
-					continue
-				}
-				last := len(traces) - 1
-				traces[last] = faultinject.FlipBits(traces[last], 5, 4, len(traces[last])/2, 0)
-				if _, err := treebuild.DecodeSession(traces[last], treebuild.Options{}); err == nil {
-					t.Error("damaged session still decodes")
-				}
-				st.Frames[i] = treebuild.AppendTraces(nil, name, traces)
-			}
 			var mine []int
 			for i, f := range st.Folds {
 				if f.App() == app {
 					mine = append(mine, i)
 				}
 			}
-			if len(mine) > 1 {
+			if len(mine) > 1 || len(mine) == 1 && len(st.Folds) == 1 {
 				last := mine[len(mine)-1]
 				skewed := engine.NewAppFold(st.Folds[last].Threshold()/2, engine.Options{})
 				skewed.CloseSession(&trace.Session{App: app})
@@ -74,18 +60,46 @@ func damagingWorkers(t *testing.T, n int, app string) []string {
 }
 
 // TestDistDamagedFrameDegrades: a shard state that passes its checksum
-// and framing while a later session of one frame fails strict decode,
-// or one of its folds was tallied at another threshold, is never
-// merged in part and never dropped silently. It is not retried, since
-// the damage is the worker's own: a study app is itemized with
-// LossShard (and not checkpointed), and a trace shard degrades to a
-// local re-run, or is itemized with LossShard without local fallback.
+// and framing while one of its folds is not the one asked for — here,
+// tallied at another threshold — is never merged in part and never
+// dropped silently. It is not retried, since the damage is the
+// worker's own: the shard degrades to a local re-run, or is itemized
+// with LossShard without local fallback, whether it is a study app or
+// a trace shard.
 func TestDistDamagedFrameDegrades(t *testing.T) {
+	t.Run("study app degraded to local re-run", func(t *testing.T) {
+		want, _ := localGolden(t)
+		cfg := studyConfig(t)
+		cfg.CheckpointDir = t.TempDir()
+		c, err := New(Options{Workers: damagingWorkers(t, 2, "Arabeske"), BackoffBase: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.RunStudy(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := formatted(res); got != want {
+			t.Errorf("degraded study diverges from single-node:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		}
+		st, err := checkpoint.Open(cfg.CheckpointDir, cfg.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Apps(); !reflect.DeepEqual(got, []string{"Arabeske", "CrosswordSage", "Euclide"}) {
+			t.Errorf("checkpointed apps = %v, want all three", got)
+		}
+		if s := c.Stats(); s.Degraded != 1 || s.LocalReruns != 1 || s.Retries != 0 {
+			t.Errorf("stats = %+v, want one app degraded to a local re-run, no retry", s)
+		}
+	})
+
 	t.Run("study app itemized", func(t *testing.T) {
 		_, golden := localGolden(t)
 		cfg := studyConfig(t)
 		cfg.CheckpointDir = t.TempDir()
-		c, err := New(Options{Workers: damagingWorkers(t, 2, "Arabeske"), BackoffBase: time.Millisecond})
+		c, err := New(Options{Workers: damagingWorkers(t, 2, "Arabeske"), BackoffBase: time.Millisecond,
+			NoLocalFallback: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +125,10 @@ func TestDistDamagedFrameDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := st.Apps(); !reflect.DeepEqual(got, []string{"CrosswordSage", "Euclide"}) {
-			t.Errorf("checkpointed apps = %v, want the two that folded", got)
+			t.Errorf("checkpointed apps = %v, want the two that survived", got)
 		}
-		if s := c.Stats(); s.Retries != 0 {
-			t.Errorf("stats = %+v, want no retry of a well-framed state", s)
+		if s := c.Stats(); s.Lost != 1 || s.Retries != 0 {
+			t.Errorf("stats = %+v, want one lost app, no retry", s)
 		}
 	})
 

@@ -213,7 +213,8 @@ type foldWire struct {
 }
 
 // GobEncode encodes a closed fold, so that the decoded fold merges and
-// finishes exactly as f would (a distributed trace shard ships it).
+// finishes exactly as f would: a checkpoint payload, and what a
+// distributed shard ships.
 func (f *AppFold) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(foldWire{f.app, f.threshold, f.pop, f.patterns, f.sessions, f.deepest, f.deepSize})
@@ -240,6 +241,9 @@ func (f *AppFold) App() string { return f.app }
 
 // Threshold returns the perceptibility threshold the fold tallies at.
 func (f *AppFold) Threshold() trace.Dur { return f.threshold }
+
+// Sessions returns the number of the fold's closed sessions.
+func (f *AppFold) Sessions() int { return len(f.sessions) }
 
 // Finish merges closed folds in order and derives app's result,
 // consuming them, under an engine phase span with merge and overview

@@ -186,7 +186,8 @@ func TestEngineFoldSplitInvariance(t *testing.T) {
 // TestEngineFoldGobRoundTrip: a closed fold encoded and decoded
 // finishes to a result deeply equal to the original fold's — every
 // tally bit for bit, the pattern lag summaries' running moments and
-// Figure 2's copied episode included — alone and merged with others.
+// Figure 2's copied episode included — alone, merged with others, and
+// merged before it was encoded.
 func TestEngineFoldGobRoundTrip(t *testing.T) {
 	suite := testSuite()
 	fold := func() []*AppFold {
@@ -225,6 +226,19 @@ func TestEngineFoldGobRoundTrip(t *testing.T) {
 	}
 	if got := Finish(ctx, suite.App, []*AppFold{fold()[0], roundTrip(fold())[1]}); !reflect.DeepEqual(want, got) {
 		t.Error("a decoded fold merges differently from the original")
+	}
+	// A checkpoint holds an app's folds merged in session order, which
+	// is the left fold Finish does.
+	merged := fold()
+	for _, o := range merged[1:] {
+		merged[0].Merge(o)
+	}
+	decoded := roundTrip(merged[:1])
+	if n := decoded[0].Sessions(); n != len(suite.Sessions) {
+		t.Errorf("decoded pre-merged fold has %d sessions, want %d", n, len(suite.Sessions))
+	}
+	if got := Finish(ctx, suite.App, decoded); !reflect.DeepEqual(want, got) {
+		t.Error("a decoded pre-merged fold finishes differently from its session folds")
 	}
 }
 

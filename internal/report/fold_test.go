@@ -12,6 +12,7 @@ import (
 
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/checkpoint"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/sim"
@@ -190,38 +191,44 @@ func TestTraceDirSpans(t *testing.T) {
 	}
 }
 
-// multiEDTFrame is the checkpoint frame of a GanttProject suite of n
-// copies of writeMultiEDT's session, whose episodes close out of start
-// order: no simulated profile has a second event dispatch thread, so a
-// study meets such sessions only through a checkpoint hit.
-func multiEDTFrame(t *testing.T, n int) []byte {
+// multiEDTSuite builds a GanttProject suite of n copies of
+// writeMultiEDT's session, whose episodes close out of start order, and
+// returns it held and as the merged, closed fold a study checkpoints:
+// no simulated profile has a second event dispatch thread, so a study
+// meets such sessions only through a checkpoint hit.
+func multiEDTSuite(t *testing.T, n int) (*trace.Suite, *engine.AppFold) {
 	t.Helper()
 	h, recs := multiEDT()
-	traces := make([][]byte, n)
-	for id := range traces {
+	suite := &trace.Suite{App: h.App}
+	folds := make([]*engine.AppFold, n)
+	episode := FoldHook(folds, trace.DefaultPerceptibleThreshold)
+	for id := range folds {
 		h.SessionID = id
-		var buf bytes.Buffer
-		w := treebuild.NewTraceWriter(&buf, h)
-		for _, rec := range recs {
-			if err := w.WriteRecord(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
+		held, _, err := treebuild.BuildRecords(h, recs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		traces[id] = buf.Bytes()
+		suite.Sessions = append(suite.Sessions, held)
+		s, _, err := treebuild.BuildRecordsOptions(h, recs, treebuild.Options{Episode: episode(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		folds[id].CloseSession(s)
+		if id > 0 {
+			folds[0].Merge(folds[id])
+		}
 	}
-	return treebuild.AppendTraces(nil, h.App, traces)
+	return suite, folds[0]
 }
 
 // TestStudyFoldMatchesHeld is the simulated study's equivalence
-// guarantee: folding each episode as its simulated or checkpointed
-// session's release-mode build closes it renders byte for byte what
-// analyzing held sessions of the same configuration renders — text,
-// experiments.md, HTML, every figure, and the health ledger — fresh
-// and resumed, with the pools sequential or not, and for a resumed
-// app whose sessions close their episodes out of start order.
+// guarantee: folding each episode as its simulated session's
+// release-mode build closes it, or finishing the checkpointed fold of
+// those sessions, renders byte for byte what analyzing held sessions
+// of the same configuration renders — text, experiments.md, HTML,
+// every figure, and the health ledger — fresh and resumed, with the
+// pools sequential or not, and for a resumed app whose sessions closed
+// their episodes out of start order.
 func TestStudyFoldMatchesHeld(t *testing.T) {
 	ctx := context.Background()
 	cfg := StudyConfig{
@@ -277,19 +284,7 @@ func TestStudyFoldMatchesHeld(t *testing.T) {
 		}
 	}
 
-	frame := multiEDTFrame(t, cfg.SessionsPerApp)
-	_, traces, _, err := treebuild.SplitSuite(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gantt := &trace.Suite{App: "GanttProject"}
-	for _, v2 := range traces {
-		s, err := treebuild.DecodeSession(v2, treebuild.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gantt.Sessions = append(gantt.Sessions, s)
-	}
+	gantt, fold := multiEDTSuite(t, cfg.SessionsPerApp)
 	want = heldRender([]*trace.Suite{suites[0], gantt})
 	if _, ok := want.figures["figure2_ganttproject_sketch.svg"]; !ok {
 		t.Fatal("no Figure 2 from the multi-EDT GanttProject sessions")
@@ -299,7 +294,7 @@ func TestStudyFoldMatchesHeld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveFrame("GanttProject", cfg.SessionsPerApp, frame); err != nil {
+	if err := st.Save("GanttProject", fold); err != nil {
 		t.Fatal(err)
 	}
 	c.Checkpoint = st

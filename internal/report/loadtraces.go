@@ -381,17 +381,13 @@ func AnalyzeSuitesContext(ctx context.Context, suites []*trace.Suite, threshold 
 	})
 }
 
-// foldEpisode is FoldHook's per-episode step; a variable so tests can
-// inject a fault.
-var foldEpisode = (*engine.AppFold).Episode
-
 // FoldHook returns the LoadFiles episode hook that folds file i's
 // episodes into a new folds[i] at threshold.
 func FoldHook(folds []*engine.AppFold, threshold trace.Dur) func(i int) func(*trace.Session, *trace.Episode) {
 	return func(i int) func(*trace.Session, *trace.Episode) {
 		f := engine.NewAppFold(threshold, engine.Options{})
 		folds[i] = f
-		return func(s *trace.Session, e *trace.Episode) { foldEpisode(f, s, e) }
+		return f.Episode
 	}
 }
 

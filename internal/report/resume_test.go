@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,10 +19,10 @@ import (
 	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/faultinject"
+	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
-	"lagalyzer/internal/treebuild"
 )
 
 // simulatedSuite simulates p's sessions under cfg, held, as sim.Run
@@ -98,69 +98,6 @@ func TestCheckpointResumeParallelMatchesSequential(t *testing.T) {
 	}
 	if a, b := FormatAll(first), FormatAll(second); a != b {
 		t.Error("parallel resume differs from sequential original")
-	}
-}
-
-// TestTeedCheckpointResume: the study checkpoints each app as the
-// frame of the record streams the simulator teed while building its
-// sessions. The payloads are byte-identical to the frames AppendSuite
-// encodes from the built suites, so stores written either way hit, and
-// a study resumed over the teed store renders the fresh run's reports
-// byte for byte.
-func TestTeedCheckpointResume(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "teed")
-	cfg := resumeTestConfig(dir)
-	fresh, err := RunStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	savedDir := filepath.Join(t.TempDir(), "saved")
-	saved, err := checkpoint.Open(savedDir, cfg.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range cfg.Apps {
-		suite := simulatedSuite(t, cfg, p)
-		frame, err := treebuild.AppendSuite(nil, suite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := saved.SaveFrame(p.Name, len(suite.Sessions), frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	payloads := func(dir string) []string {
-		entries, err := os.ReadDir(filepath.Join(dir, "apps"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		return names
-	}
-	if a, b := payloads(dir), payloads(savedDir); len(a) != 2 || fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Errorf("teed payloads %v, saved payloads %v", a, b)
-	}
-
-	hits := obs.NewCounter("checkpoint_hits_total", "")
-	before := hits.Value()
-	resumed, err := RunStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hits.Value() - before; got != 2 {
-		t.Errorf("checkpoint_hits_total delta = %d, want 2", got)
-	}
-	if a, b := FormatAll(fresh), FormatAll(resumed); a != b {
-		t.Error("text report differs after resuming over the teed store")
-	}
-	if a, b := FormatExperimentsMarkdown(fresh), FormatExperimentsMarkdown(resumed); a != b {
-		t.Error("experiments.md differs after resuming over the teed store")
-	}
-	if a, b := FormatHTML(fresh), FormatHTML(resumed); a != b {
-		t.Error("HTML report differs after resuming over the teed store")
 	}
 }
 
@@ -336,177 +273,89 @@ func TestAnalyzeSuitesContextCancelMarksRemaining(t *testing.T) {
 	}
 }
 
-// TestCheckpointVersion1StoreReruns: a store left by the gob payload
-// encoding (manifest version 1, apps/<digest>.gob) is stale as a
-// whole. Open removes its payload, the app misses, and the study
-// re-runs it with output identical to a fresh run.
+// TestCheckpointVersion1StoreReruns: a store left by an older payload
+// encoding is stale as a whole — version 1's gob session suites
+// (apps/<digest>.gob) and version 2's LiLa v2 suite frames
+// (apps/<digest>.lila). Open removes the payload, the app misses, and
+// the study re-runs every app with output byte-identical to a fresh
+// run.
 func TestCheckpointVersion1StoreReruns(t *testing.T) {
 	fresh, err := RunStudy(resumeTestConfig(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	cfg := resumeTestConfig(dir)
+	cfg := resumeTestConfig("")
 	suite := simulatedSuite(t, cfg, cfg.Apps[0])
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(struct {
+	var gobSuite bytes.Buffer
+	if err := gob.NewEncoder(&gobSuite).Encode(struct {
 		App      string
 		Sessions []*trace.Session
 	}{suite.App, suite.Sessions}); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(payload.Bytes())
-	digest := hex.EncodeToString(sum[:])
-	gobPath := filepath.Join(dir, "apps", digest+".gob")
-	if err := os.MkdirAll(filepath.Dir(gobPath), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(gobPath, payload.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	manifest := fmt.Sprintf(`{"version": 1, "config_hash": %q, "apps": {%q: {"digest": %q, "sessions": %d}}}`,
-		cfg.Hash(), suite.App, digest, len(suite.Sessions))
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := checkpoint.Open(dir, cfg.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(gobPath); !os.IsNotExist(err) {
-		t.Errorf("version-1 payload survived Open (stat err %v)", err)
-	}
-	if _, ok := st.LoadFrame(suite.App); ok {
-		t.Fatal("LoadFrame hit through a version-1 manifest")
-	}
-
-	hits := obs.NewCounter("checkpoint_hits_total", "")
-	saves := obs.NewCounter("checkpoint_saves_total", "")
-	h0, s0 := hits.Value(), saves.Value()
-	cfg.Checkpoint = st
-	resumed, err := RunStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, s := hits.Value()-h0, saves.Value()-s0; h != 0 || s != 2 {
-		t.Errorf("checkpoint hits/saves delta = %d/%d, want 0/2 (both apps re-run)", h, s)
-	}
-	if a, b := FormatAll(fresh), FormatAll(resumed); a != b {
-		t.Error("report differs after re-running over a version-1 store")
-	}
-}
-
-// checkpointedFrame runs resumeTestConfig into a fresh store and
-// returns the config, the store, and app's stored frame.
-func checkpointedFrame(t *testing.T, app string) (StudyConfig, *checkpoint.Store, []byte) {
-	t.Helper()
-	cfg := resumeTestConfig(filepath.Join(t.TempDir(), "ckpt"))
-	if _, err := RunStudy(cfg); err != nil {
-		t.Fatal(err)
-	}
-	st, err := checkpoint.Open(cfg.CheckpointDir, cfg.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, ok := st.LoadFrame(app)
-	if !ok {
-		t.Fatal("no checkpoint of " + app)
-	}
-	return cfg, st, frame
-}
-
-// TestCheckpointDamagedLaterSessionReruns: a frame whose digest
-// matches but whose second session is damaged fails as a whole after
-// its first session has folded. That fold is dropped, the app re-runs
-// from fresh folds, and the output is the fresh run's byte for byte.
-func TestCheckpointDamagedLaterSessionReruns(t *testing.T) {
-	const app = "GanttProject"
-	cfg, st, frame := checkpointedFrame(t, app)
-	fresh, err := RunStudy(resumeTestConfig(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, traces, _, err := treebuild.SplitSuite(frame)
-	if err != nil || len(traces) != 2 {
-		t.Fatalf("frame: %d sessions, %v", len(traces), err)
-	}
-	traces[1] = faultinject.FlipBits(traces[1], 5, 4, len(traces[1])/2, 0)
-	if _, err := treebuild.DecodeSession(traces[1], treebuild.Options{}); err == nil {
-		t.Fatal("damaged session still decodes")
-	}
-	damaged := treebuild.AppendTraces(nil, app, traces)
-	if err := st.SaveFrame(app, 2, damaged); err != nil {
-		t.Fatal(err)
-	}
-
-	folds := make([]*engine.AppFold, 2)
-	if err := foldFrame(context.Background(), st, damaged, app, folds, cfg.threshold()); err == nil || folds[0] == nil || folds[0].App() != app {
-		t.Fatalf("damaged frame: error %v with session 0 folded to %v, want an error after session 0 closed", err, folds[0])
-	}
-
-	hits := obs.NewCounter("checkpoint_hits_total", "")
-	saves := obs.NewCounter("checkpoint_saves_total", "")
-	h0, s0 := hits.Value(), saves.Value()
-	cfg.Checkpoint = st
-	resumed, err := RunStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, s := hits.Value()-h0, saves.Value()-s0; h != 1 || s != 1 {
-		t.Errorf("checkpoint hits/saves delta = %d/%d, want 1/1 (%s re-run)", h, s, app)
-	}
-	if a, b := FormatAll(fresh), FormatAll(resumed); a != b {
-		t.Errorf("report differs after re-running a damaged later session:\n--- fresh ---\n%s\n--- resumed ---\n%s", a, b)
-	}
-	if a, b := FormatHTML(fresh), FormatHTML(resumed); a != b {
-		t.Error("HTML report differs after re-running a damaged later session")
-	}
-}
-
-// TestResumeFoldPanicContained: a panic while a checkpoint hit folds
-// fails that frame with an attributed error, counted with the other
-// contained panics, instead of taking the study down; RunStudyContext
-// then re-runs the app as on any failed hit.
-func TestResumeFoldPanicContained(t *testing.T) {
-	_, st, frame := checkpointedFrame(t, "CrosswordSage")
-	panics := obs.NewCounter("engine_panics_recovered_total", "")
-	before := panics.Value()
-	foldEpisode = func(f *engine.AppFold, s *trace.Session, e *trace.Episode) {
-		if s.ID == 1 {
-			panic("injected fault")
+	// A version-2 payload: the app name, the session count, then each
+	// session as a length-prefixed raw LiLa v2 trace.
+	frame := binary.AppendUvarint(nil, uint64(len(suite.App)))
+	frame = append(frame, suite.App...)
+	frame = binary.AppendUvarint(frame, uint64(len(suite.Sessions)))
+	for _, s := range suite.Sessions {
+		var v2 bytes.Buffer
+		if err := lila.WriteSession(&v2, lila.FormatV2, s); err != nil {
+			t.Fatal(err)
 		}
-		f.Episode(s, e)
+		frame = binary.AppendUvarint(frame, uint64(v2.Len()))
+		frame = append(frame, v2.Bytes()...)
 	}
-	defer func() { foldEpisode = (*engine.AppFold).Episode }()
-	err := foldFrame(context.Background(), st, frame, "CrosswordSage", make([]*engine.AppFold, 2), 0)
-	if err == nil || !strings.Contains(err.Error(), "panic in frame of CrosswordSage: injected fault") {
-		t.Errorf("error %v, want the contained panic", err)
-	}
-	if got := panics.Value() - before; got != 1 {
-		t.Errorf("engine_panics_recovered_total delta = %d, want 1", got)
-	}
-}
 
-// TestResumeCancelBetweenSessions: a context canceled while a
-// checkpoint hit folds its first session stops the hit before the
-// second session decodes.
-func TestResumeCancelBetweenSessions(t *testing.T) {
-	_, st, frame := checkpointedFrame(t, "CrosswordSage")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	foldEpisode = func(f *engine.AppFold, s *trace.Session, e *trace.Episode) {
-		cancel()
-		f.Episode(s, e)
-	}
-	defer func() { foldEpisode = (*engine.AppFold).Episode }()
-	folds := make([]*engine.AppFold, 2)
-	err := foldFrame(ctx, st, frame, "CrosswordSage", folds, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v, want context.Canceled", err)
-	}
-	if folds[0] == nil || folds[1] != nil {
-		t.Errorf("sessions started = %v, want only the first", folds)
+	for _, old := range []struct {
+		version int
+		ext     string
+		payload []byte
+	}{{1, ".gob", gobSuite.Bytes()}, {2, ".lila", frame}} {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		cfg := resumeTestConfig(dir)
+		sum := sha256.Sum256(old.payload)
+		digest := hex.EncodeToString(sum[:])
+		path := filepath.Join(dir, "apps", digest+old.ext)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, old.payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		manifest := fmt.Sprintf(`{"version": %d, "config_hash": %q, "apps": {%q: {"digest": %q, "sessions": %d}}}`,
+			old.version, cfg.Hash(), suite.App, digest, len(suite.Sessions))
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		st, err := checkpoint.Open(dir, cfg.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("version-%d payload survived Open (stat err %v)", old.version, err)
+		}
+		if _, ok := st.Load(suite.App, func(*engine.AppFold) error { return nil }); ok {
+			t.Fatalf("Load hit through a version-%d manifest", old.version)
+		}
+
+		hits := obs.NewCounter("checkpoint_hits_total", "")
+		saves := obs.NewCounter("checkpoint_saves_total", "")
+		h0, s0 := hits.Value(), saves.Value()
+		cfg.Checkpoint = st
+		resumed, err := RunStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, s := hits.Value()-h0, saves.Value()-s0; h != 0 || s != 2 {
+			t.Errorf("version %d: checkpoint hits/saves delta = %d/%d, want 0/2 (both apps re-run)", old.version, h, s)
+		}
+		if a, b := FormatAll(fresh), FormatAll(resumed); a != b {
+			t.Errorf("report differs after re-running over a version-%d store", old.version)
+		}
+		if a, b := FormatExperimentsMarkdown(fresh), FormatExperimentsMarkdown(resumed); a != b {
+			t.Errorf("experiments.md differs after re-running over a version-%d store", old.version)
+		}
 	}
 }

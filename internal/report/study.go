@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -17,7 +16,6 @@ import (
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/engine"
-	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/sim"
@@ -71,26 +69,26 @@ type StudyConfig struct {
 	// and is recorded in the study health with the LossTimedOut reason.
 	AppTimeout time.Duration
 
-	// FrameSource, when non-nil, replaces local simulation as the
-	// producer of each app's suite frame — the distributed coordinator's
-	// hook, fetching it from a worker shard. The frame folds exactly as
-	// a checkpoint hit does and is saved to the store as received, which
-	// is what makes a distributed study byte-identical to a single-node
-	// run. An error from FrameSource is recorded in the study health like
-	// a simulation failure, classified by lossReason (an error's
-	// LossReason() string method sets the Reason); a frame that fails
-	// to fold is recorded with LossShard, none of it merged. Like
-	// Sequential, it is excluded from Hash(), so distributed and
-	// single-node runs share checkpoint stores.
-	FrameSource func(ctx context.Context, p *sim.Profile) ([]byte, error)
+	// FoldSource, when non-nil, replaces local simulation as the
+	// producer of each app's merged, closed fold — the distributed
+	// coordinator's hook, fetching it from a worker shard. The fold
+	// finishes exactly as a checkpoint hit does and is saved to the
+	// store as received, which is what makes a distributed study
+	// byte-identical to a single-node run. The source checks the fold
+	// (CheckFold); an error from it is recorded in the study health
+	// like a simulation failure, classified by lossReason (an error's
+	// LossReason() string method sets the Reason). Like Sequential, it
+	// is excluded from Hash(), so distributed and single-node runs share
+	// checkpoint stores.
+	FoldSource func(ctx context.Context, p *sim.Profile) (*engine.AppFold, error)
 
 	// CheckpointDir, when non-empty, makes the study crash-safe: each
-	// app's completed session suite is persisted to a content-addressed
+	// app's merged, closed fold is persisted to a content-addressed
 	// store rooted there (lagreport uses <out>/.checkpoint), and a
-	// restart with an identical configuration (same Hash) loads
-	// checkpointed apps instead of re-running them. Because the engine's
-	// analysis is a deterministic function of the sessions, a resumed
-	// study's output is byte-identical to an uninterrupted run.
+	// restart with an identical configuration (same Hash) finishes the
+	// checkpointed folds instead of re-running their apps. A result is
+	// a deterministic function of its fold, so a resumed study's output
+	// is byte-identical to an uninterrupted run.
 	CheckpointDir string
 	// Checkpoint supplies a pre-opened store (tests use it to inject
 	// fault-wrapped readers); it takes precedence over CheckpointDir.
@@ -133,6 +131,19 @@ func (c StudyConfig) threshold() trace.Dur {
 		return c.Threshold
 	}
 	return trace.DefaultPerceptibleThreshold
+}
+
+// CheckFold returns an error unless f is what a study under c makes of
+// app: a fold of app's sessions, c's session count of them, at c's
+// threshold. A checkpoint hit and a fold a worker ships both pass it
+// before they are finished; a fold that fails came from another
+// configuration, version skew, or a bug.
+func (c StudyConfig) CheckFold(app string, f *engine.AppFold) error {
+	if f.App() != app || f.Threshold() != c.threshold() || f.Sessions() != c.sessions() {
+		return fmt.Errorf("report: fold of %d %q sessions at threshold %v, want %d of %q at %v",
+			f.Sessions(), f.App(), f.Threshold(), c.sessions(), app, c.threshold())
+	}
+	return nil
 }
 
 func (c StudyConfig) workers() int {
@@ -295,15 +306,6 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*StudyResult, error)
 			wctx, cancel = context.WithTimeout(wctx, cfg.AppTimeout)
 			defer cancel()
 		}
-		if store != nil {
-			if a, ok := resumeApp(wctx, cfg, profiles[i], pr, store); ok {
-				results[i] = a
-				return
-			}
-			// A miss, or a resume that failed (damage, cancellation or a
-			// contained panic): its folds are dropped and the app runs
-			// fresh, which classifies any error normally.
-		}
 		results[i], errs[i] = runApp(wctx, cfg, profiles[i], pr, store)
 	})
 	mApps.Add(int64(len(profiles)))
@@ -359,139 +361,74 @@ func lossReason(ctx context.Context, cfg StudyConfig, err error) string {
 }
 
 // runApp produces, analyzes, and (with a store) checkpoints one app's
-// suite. Simulated sessions are built in release mode, each folding
-// its episodes into its own engine.AppFold as they close, so no
-// session is kept; a frame from cfg.FrameSource folds as a checkpoint
-// hit does. Saves are best-effort: a failed save costs only
-// resumability.
+// merged, closed fold (studyFold).
 func runApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store) (*AppResult, error) {
 	ctx, endApp := obs.Span(ctx, "app:"+p.Name)
 	defer endApp()
-
-	folds := make([]*engine.AppFold, cfg.sessions())
-	if cfg.FrameSource != nil {
-		frame, err := cfg.FrameSource(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		pr.skip(len(folds), "shard "+p.Name)
-		if err := foldFrame(ctx, nil, frame, p.Name, folds, cfg.threshold()); err != nil {
-			if ctx.Err() == nil {
-				err = &frameError{err}
-			}
-			return nil, err
-		}
-		if store != nil {
-			_ = store.SaveFrame(p.Name, len(folds), frame)
-		}
-		return finishApp(ctx, p, pr, folds), nil
-	}
-
-	if _, err := simulate(ctx, cfg, p, pr, store, folds); err != nil {
+	f, err := studyFold(ctx, cfg, p, pr, store)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return finishApp(ctx, p, pr, folds), nil
-}
-
-// frameError marks a FrameSource frame that passed its producer's
-// framing checks but failed to fold, which only version skew or a bug
-// on the producing worker makes. The app is lost as a shard.
-type frameError struct{ err error }
-
-func (e *frameError) Error() string      { return e.err.Error() }
-func (e *frameError) Unwrap() error      { return e.err }
-func (e *frameError) LossReason() string { return LossShard }
-
-// resumeApp analyzes p from its checkpointed frame. ok is false when
-// the frame misses or fails to fold, and the folds are dropped.
-func resumeApp(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store) (*AppResult, bool) {
-	frame, ok := store.LoadFrame(p.Name)
-	if !ok {
-		return nil, false
-	}
-	ctx, endApp := obs.Span(ctx, "app:"+p.Name)
-	defer endApp()
-	folds := make([]*engine.AppFold, cfg.sessions())
-	_, endResume := obs.Span(ctx, "resume")
-	err := foldFrame(ctx, store, frame, p.Name, folds, cfg.threshold())
-	endResume()
-	if err != nil {
-		return nil, false
-	}
-	pr.skip(len(folds), "resume "+p.Name)
-	return finishApp(ctx, p, pr, folds), true
-}
-
-// foldFrame decodes app's suite frame of len(folds) sessions, building
-// session i in release mode into a new folds[i] at threshold and
-// closing it. Damage anywhere — framing, a parse, checksum, or build
-// error, or a degraded build, in any session — fails the whole frame,
-// and with a store is recorded as a failed decode. A panic, which is
-// contained, and a context canceled between sessions fail it too.
-func foldFrame(ctx context.Context, store *checkpoint.Store, frame []byte, app string, folds []*engine.AppFold, threshold trace.Dur) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			mPanicsRecovered.Add(1)
-			err = fmt.Errorf("panic in frame of %s: %v", app, r)
-		}
-	}()
-	name, traces, rest, err := treebuild.SplitSuite(frame)
-	if err == nil && (name != app || len(traces) != len(folds) || len(rest) != 0) {
-		err = fmt.Errorf("frame of %s holds %d sessions of %q", app, len(traces), name)
-	}
-	episode := FoldHook(folds, threshold)
-	for i := 0; err == nil && i < len(traces); i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		var s *trace.Session
-		if s, err = treebuild.DecodeSession(traces[i], treebuild.Options{Episode: episode(i)}); err == nil {
-			folds[i].CloseSession(s)
-		}
-	}
-	if store != nil {
-		store.Decoded(err == nil)
-	}
-	return err
-}
-
-// finishApp merges p's closed folds into its result.
-func finishApp(ctx context.Context, p *sim.Profile, pr *progress, folds []*engine.AppFold) *AppResult {
-	a := appResult(p.Name, engine.Finish(ctx, p.Name, folds))
+	a := appResult(p.Name, engine.Finish(ctx, p.Name, []*engine.AppFold{f}))
 	a.Profile = p
 	pr.step("analyze " + p.Name)
-	return a
+	return a, nil
 }
 
-// SimulateFrame simulates p's sessions as a study under cfg does and
-// returns their suite frame — the payload a study checkpoints for p —
-// building no session: each record stream goes straight into the
-// frame. With a non-nil store the frame is saved exactly as a study
-// saves it.
-func SimulateFrame(ctx context.Context, cfg StudyConfig, p *sim.Profile, store *checkpoint.Store) ([]byte, error) {
-	return simulate(ctx, cfg, p, nil, store, nil)
+// StudyFold returns p's merged, closed fold under cfg: the store's,
+// when it holds one that passes cfg.CheckFold, or else p's sessions
+// simulated and folded, which a non-nil store then saves. It never
+// consults cfg.FoldSource: this is what a worker shard ships and what
+// the coordinator re-runs locally when a shard is lost.
+func StudyFold(ctx context.Context, cfg StudyConfig, p *sim.Profile, store *checkpoint.Store) (*engine.AppFold, error) {
+	cfg.FoldSource = nil
+	return studyFold(ctx, cfg, p, nil, store)
 }
 
-// simulate runs p's sessions on the session pool. With folds set,
-// session i builds in release mode into a new folds[i], which closes
-// when the build ends, and its record stream is teed into the frame
-// only with a store; with folds nil, each record stream only goes into
-// the frame, and no session is built. A non-nil store saves the frame,
-// which is nil when nothing was teed. Each session is one progress
-// step and one "simulate" span, in which a release-mode build's
-// per-episode engine work also runs.
-func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store,
-	folds []*engine.AppFold) ([]byte, error) {
+// studyFold is StudyFold with cfg.FoldSource, when set, producing a
+// fold the store misses in place of the simulation. Saves are
+// best-effort: a failed save costs only resumability.
+func studyFold(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress, store *checkpoint.Store) (*engine.AppFold, error) {
+	if store != nil {
+		_, endResume := obs.Span(ctx, "resume")
+		f, ok := store.Load(p.Name, func(f *engine.AppFold) error { return cfg.CheckFold(p.Name, f) })
+		endResume()
+		if ok {
+			pr.skip(cfg.sessions(), "resume "+p.Name)
+			return f, nil
+		}
+	}
+	var f *engine.AppFold
+	var err error
+	if cfg.FoldSource != nil {
+		if f, err = cfg.FoldSource(ctx, p); err == nil {
+			pr.skip(cfg.sessions(), "shard "+p.Name)
+		}
+	} else {
+		f, err = simulate(ctx, cfg, p, pr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if store != nil {
+		_ = store.Save(p.Name, f)
+	}
+	return f, nil
+}
+
+// simulate runs p's sessions on the session pool, session i building
+// in release mode into its own fold, which closes when the build ends,
+// and merges the folds in session order: the left fold engine.Finish
+// does. Each session is one progress step and one "simulate" span, in
+// which the build's per-episode engine work also runs.
+func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress) (*engine.AppFold, error) {
 	n := cfg.sessions()
+	folds := make([]*engine.AppFold, n)
 	errs := make([]error, n)
 	episode := FoldHook(folds, cfg.threshold())
-	var traces [][]byte // each session's teed record stream
-	if store != nil || folds == nil {
-		traces = make([][]byte, n)
-	}
 	runPool(cfg.workers(), n, func(w, i int) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -505,28 +442,11 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 		}
 		_, endSim := obs.Span(obs.WithWorker(ctx, w), "simulate")
 		scfg := sim.Config{Profile: p, SessionID: i, Seed: cfg.Seed, SessionSeconds: cfg.SessionSeconds}
-		fold := func(tee lila.Writer) error {
-			s, err := sim.RunTee(scfg, treebuild.Options{Episode: episode(i)}, tee)
-			if err == nil {
-				folds[i].CloseSession(s)
-			}
-			return err
+		s, err := sim.RunOptions(scfg, treebuild.Options{Episode: episode(i)})
+		if err == nil {
+			folds[i].CloseSession(s)
 		}
-		if traces == nil {
-			errs[i] = fold(nil)
-		} else {
-			var buf bytes.Buffer
-			tw := treebuild.NewTraceWriter(&buf, scfg.Header())
-			if folds == nil {
-				errs[i] = sim.Stream(scfg, tw.WriteRecord)
-			} else {
-				errs[i] = fold(tw)
-			}
-			if errs[i] == nil {
-				errs[i] = tw.Close()
-			}
-			traces[i] = buf.Bytes()
-		}
+		errs[i] = err
 		endSim()
 		pr.step(fmt.Sprintf("sim %s/%d", p.Name, i))
 	})
@@ -536,14 +456,10 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 			return nil, err
 		}
 	}
-	var frame []byte
-	if traces != nil {
-		frame = treebuild.AppendTraces(nil, p.Name, traces)
+	for _, o := range folds[1:] {
+		folds[0].Merge(o)
 	}
-	if store != nil {
-		_ = store.SaveFrame(p.Name, n, frame)
-	}
-	return frame, nil
+	return folds[0], nil
 }
 
 func analyzeSuite(ctx context.Context, suite *trace.Suite, threshold trace.Dur) (*AppResult, error) {

@@ -163,7 +163,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.Kind == "shard" {
 		// A shard's deliverable is its mergeable partial state, not a
-		// rendered report: it ships frames and analyzes nothing.
+		// rendered report: it ships closed folds, which the
+		// coordinator finishes.
 		http.Error(w, fmt.Sprintf("job %s is a shard; fetch /jobs/%s/state", id, id),
 			http.StatusConflict)
 		return

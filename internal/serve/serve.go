@@ -467,12 +467,11 @@ func validateSpec(spec JobSpec) error {
 // control. Trace jobs, trace-shaped shards included, sum their input
 // file sizes: a release-mode fold holds far less than its file, so the
 // sum safely overestimates, and the lila session budget caps any
-// single file. A study job folds each session as it is
-// simulated, so it scales with the session-seconds of the apps in
-// flight (one per GOMAXPROCS): their builders, folds, and teed
-// checkpoint frames; every app's result adds a little more until the
-// study ends. A study-shaped shard builds no session, but holds the
-// frames it ships, so it scales with all of its session-seconds.
+// single file. A study job, and a study-shaped shard, which is a study
+// of its apps, folds each session as it is simulated, so it scales
+// with the session-seconds of the apps in flight (one per GOMAXPROCS):
+// their builders and folds; every app's result or shipped fold adds a
+// little more until the job ends.
 func estimateMemory(spec JobSpec, cfg Config) int64 {
 	if paths := spec.Files; spec.Kind == "traces" || len(paths) > 0 {
 		if spec.Kind == "traces" {
@@ -487,22 +486,15 @@ func estimateMemory(spec JobSpec, cfg Config) int64 {
 		return total
 	}
 	switch spec.Kind {
-	case "shard":
-		// Measured on lagd shard jobs (-workers 1, 2 vCPUs) over the
-		// idle server, sessions × seconds: Jmol 5.6 MiB for 1 × 300,
-		// 11.6 for 4 × 300, 41.8 for 16 × 300, 25.2 for 4 × 1200;
-		// NetBeans (the densest) 20.1 for 4 × 300, 45.2 for 16 × 300,
-		// 64.7 for 4 × 1200; 3 apps × 4 × 300 36.2; 14 apps × 1 × 300
-		// 29.1. This constant overestimates all nine.
-		const frameBytesPerSessionSecond = 24 << 10
-		nApps, sessionSeconds := studyShape(spec)
-		return int64(float64(nApps) * sessionSeconds * frameBytesPerSessionSecond)
-	case "study":
-		// Measured on lagd study jobs (2 vCPUs, so two apps in flight):
-		// 7.8 MiB over the idle server for 2 apps × 1 session × 300 s,
-		// 15.6 MiB for 14 × 1 × 300 s, 41.9 MiB for 14 × 4 × 300 s, and
-		// 60.3 MiB for 14 × 4 × 600 s. These constants overestimate all
-		// four.
+	case "study", "shard":
+		// Measured over the idle server on lagd -workers 1 (2 vCPUs,
+		// seed 42), apps × sessions × seconds. Shards: Jmol 4.3 MiB for
+		// 1 × 1 × 300, 5.8 for 1 × 4 × 300, 7.1 for 1 × 16 × 300, 6.0
+		// for 1 × 4 × 1200; NetBeans (the densest) 9.1 for 1 × 4 × 300,
+		// 15.0 for 1 × 16 × 300, 12.0 for 1 × 4 × 1200; 8.1 for 3 × 4 ×
+		// 300; 16.2 for 14 × 1 × 300. Studies: 5.5 for 2 × 1 × 300, 9.2
+		// for 14 × 1 × 300, 18.7 for 14 × 4 × 300, 28.0 for 14 × 4 ×
+		// 600. These constants overestimate all thirteen.
 		const (
 			foldBytesPerSessionSecond   = 16 << 10
 			resultBytesPerSessionSecond = 4 << 10
@@ -798,12 +790,12 @@ func (s *Server) loadOptions(paths []string, salvage bool) report.LoadOptions {
 
 // runShard executes one partition of a distributed study and returns
 // its partial state. A study-shaped shard (explicit apps) ships each
-// app's frame from the worker's own checkpoint store under StateDir,
-// undecoded, which turns repeated dispatches of the same shard
-// (coordinator retries, hedges won elsewhere) into cache hits; a miss
-// simulates straight into the frame and saves it. A traces-shaped
-// shard (explicit files) ships the closed folds of a single-node load
-// of its files; one whose every file failed still ships its health.
+// app's merged, closed fold from report.StudyFold over the worker's
+// own checkpoint store under StateDir, which turns repeated dispatches
+// of the same shard (coordinator retries, hedges won elsewhere) into
+// cache hits. A traces-shaped shard (explicit files) ships the closed
+// folds of a single-node load of its files; one whose every file
+// failed still ships its health.
 func (s *Server) runShard(ctx context.Context, spec JobSpec) (*ShardState, error) {
 	if len(spec.Apps) > 0 {
 		cfg := report.StudyConfig{
@@ -826,18 +818,11 @@ func (s *Server) runShard(ctx context.Context, spec JobSpec) (*ShardState, error
 		}
 		st := &ShardState{}
 		for _, p := range cfg.Apps {
-			var frame []byte
-			ok := false
-			if store != nil {
-				frame, ok = store.LoadFrame(p.Name)
+			f, err := report.StudyFold(ctx, cfg, p, store)
+			if err != nil {
+				return nil, fmt.Errorf("serve: shard app %s: %w", p.Name, err)
 			}
-			if !ok {
-				var err error
-				if frame, err = report.SimulateFrame(ctx, cfg, p, store); err != nil {
-					return nil, fmt.Errorf("serve: shard app %s: %w", p.Name, err)
-				}
-			}
-			st.Frames = append(st.Frames, frame)
+			st.Folds = append(st.Folds, f)
 		}
 		return st, nil
 	}

@@ -12,12 +12,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/checkpoint"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/sim"
@@ -26,17 +28,26 @@ import (
 
 // TestShardJobStudy runs a study-shaped shard through the real
 // pipeline and checks the partial-state contract end to end: the
-// /state endpoint serves a checksum-framed payload whose one frame is
-// byte for byte the payload a local study checkpoints for the app, a
-// second dispatch ships the frame the worker stored without simulating
-// again, and /result refuses the shard with a pointer to /state.
+// /state endpoint serves a checksum-framed payload whose one fold
+// finishes exactly as a resume from a local study's checkpoint of the
+// app does, a second dispatch ships the fold the worker stored without
+// simulating again, and /result refuses the shard with a pointer to
+// /state. Folds are compared finished, not as bytes: gob numbers its
+// wire types per process, in first-use order.
 func TestShardJobStudy(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, StateDir: t.TempDir(), SelfProfile: true})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	spec := JobSpec{Kind: "shard", Apps: []string{"CrosswordSage"}, Sessions: 2, Seed: 7, Seconds: 20}
-	dispatch := func() (id string, frame []byte) {
+	p, err := apps.ByName("CrosswordSage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := report.StudyConfig{Apps: []*sim.Profile{p}, SessionsPerApp: 2, Seed: 7, SessionSeconds: 20,
+		CheckpointDir: t.TempDir()}
+	check := func(f *engine.AppFold) error { return cfg.CheckFold(p.Name, f) }
+	spec := JobSpec{Kind: "shard", Apps: []string{p.Name}, Sessions: 2, Seed: 7, Seconds: 20}
+	dispatch := func() (id string, result *engine.Result) {
 		t.Helper()
 		job, err := s.Submit(spec)
 		if err != nil {
@@ -59,21 +70,18 @@ func TestShardJobStudy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(st.Frames) != 1 {
-			t.Fatalf("shard frames = %d, want one", len(st.Frames))
+		if len(st.Folds) != 1 {
+			t.Fatalf("shard folds = %d, want one", len(st.Folds))
 		}
-		return job.ID, st.Frames[0]
+		if err := check(st.Folds[0]); err != nil {
+			t.Fatal(err)
+		}
+		return job.ID, engine.Finish(context.Background(), p.Name, st.Folds)
 	}
-	first, frame := dispatch()
+	first, shipped := dispatch()
 
-	// The frame is the payload a single-node study checkpoints for the
-	// app: same seed, same session IDs, same bytes.
-	p, err := apps.ByName("CrosswordSage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := report.StudyConfig{Apps: []*sim.Profile{p}, SessionsPerApp: 2, Seed: 7, SessionSeconds: 20,
-		CheckpointDir: t.TempDir()}
+	// The fold is the one a single-node study checkpoints for the app:
+	// same seed, same session IDs, same tallies.
 	if _, err := report.RunStudy(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +89,19 @@ func TestShardJobStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, ok := local.LoadFrame(p.Name)
+	resumed, ok := local.Load(p.Name, check)
 	if !ok {
-		t.Fatal("local study checkpointed no frame")
+		t.Fatal("local study checkpointed no fold")
 	}
-	if sha256.Sum256(frame) != sha256.Sum256(want) {
-		t.Errorf("shipped frame (%d bytes) differs from the local checkpoint payload (%d bytes)", len(frame), len(want))
+	if want := engine.Finish(context.Background(), p.Name, []*engine.AppFold{resumed}); !reflect.DeepEqual(shipped, want) {
+		t.Error("shipped fold finishes differently from a resume of the local checkpoint")
 	}
 
-	// A second dispatch hits the worker's store: the same bytes, and no
+	// A second dispatch hits the worker's store: the same fold, and no
 	// simulate span in its self-trace.
 	second, again := dispatch()
-	if !bytes.Equal(again, frame) {
-		t.Error("second dispatch shipped a different frame")
+	if !reflect.DeepEqual(again, shipped) {
+		t.Error("second dispatch shipped a different fold")
 	}
 	if spans := spanNames(t, s, first); !spans["simulate"] {
 		t.Errorf("first dispatch spans %v, want a simulate span", spans)
@@ -178,7 +186,7 @@ func shardCorpus(t *testing.T) (string, []string) {
 }
 
 // TestShardJobTraces: a traces-shaped shard folds exactly its file
-// slice and ships one closed fold per file and no frame, which analyze
+// slice and ships one closed fold per file, which analyze
 // byte for byte as a local trace-directory analysis of the slice.
 func TestShardJobTraces(t *testing.T) {
 	dir, paths := shardCorpus(t)
@@ -197,8 +205,8 @@ func TestShardJobTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Frames) != 0 || len(st.Folds) != 2 {
-		t.Fatalf("state has %d frames and %d folds, want none and 2", len(st.Frames), len(st.Folds))
+	if len(st.Folds) != 2 {
+		t.Fatalf("state has %d folds, want 2", len(st.Folds))
 	}
 	for _, f := range st.Folds {
 		if f.App() != "CrosswordSage" || f.Threshold() != trace.DefaultPerceptibleThreshold {
@@ -235,8 +243,8 @@ func TestShardJobTracesAllBad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Folds) != 0 || len(st.Frames) != 0 {
-		t.Errorf("folds, frames = %d, %d, want none", len(st.Folds), len(st.Frames))
+	if len(st.Folds) != 0 {
+		t.Errorf("folds = %d, want none", len(st.Folds))
 	}
 	if st.Health == nil || len(st.Health.Files) != 1 || st.Health.Files[0].Path != bad {
 		t.Errorf("health = %+v, want the bad file itemized", st.Health)
@@ -283,21 +291,24 @@ func TestShardStateDamage(t *testing.T) {
 }
 
 // oldShardState frames health as a worker of the previous framing
-// version ships a trace shard's state: magic "LAGSHRD2", a valid
-// checksum, no frame, and a gob tail holding only the ledger, which
-// this version's tail decoder would otherwise read as zero folds.
+// version ships a trace shard's state: magic "LAGSHRD3", a valid
+// checksum, a count of zero suite frames, and a gob tail holding the
+// ledger and no folds.
 func oldShardState(t *testing.T, health *report.StudyHealth) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	buf.Write(make([]byte, len("LAGSHRD2")+sha256.Size))
+	buf.Write(make([]byte, len("LAGSHRD3")+sha256.Size))
 	buf.WriteByte(0) // uvarint(0) frames
-	if err := gob.NewEncoder(&buf).Encode(struct{ Health *report.StudyHealth }{health}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		Health *report.StudyHealth
+		Folds  []*engine.AppFold
+	}{health, nil}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.Bytes()
-	copy(out, "LAGSHRD2")
-	sum := sha256.Sum256(out[len("LAGSHRD2")+sha256.Size:])
-	copy(out[len("LAGSHRD2"):], sum[:])
+	copy(out, "LAGSHRD3")
+	sum := sha256.Sum256(out[len("LAGSHRD3")+sha256.Size:])
+	copy(out[len("LAGSHRD3"):], sum[:])
 	return out
 }
 

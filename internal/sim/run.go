@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -19,23 +18,17 @@ const guiThreadID trace.ThreadID = 1
 
 // Run simulates one session and returns it rebuilt through the same
 // treebuild path real traces take, streaming each record to the builder.
-func Run(cfg Config) (*trace.Session, error) { return RunTee(cfg, treebuild.Options{}, nil) }
+func Run(cfg Config) (*trace.Session, error) { return RunOptions(cfg, treebuild.Options{}) }
 
-// RunTee is Run building with o, which in release mode (o.Episode set)
-// hands each episode over as it closes and returns the session without
-// them, and also writing every record to tee when it is not nil. The
-// caller opens tee with cfg.Header() and closes it.
-func RunTee(cfg Config, o treebuild.Options, tee lila.Writer) (*trace.Session, error) {
+// RunOptions is Run building with o, which in release mode (o.Episode
+// set) hands each episode over as it closes and returns the session
+// without them.
+func RunOptions(cfg Config, o treebuild.Options) (*trace.Session, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	s := newSimulation(cfg)
-	sess, _, err := treebuild.BuildFeed(cfg.Header(), s.end, o, func(feed func(*lila.Record) error) error {
-		if tee == nil {
-			return s.run(feed)
-		}
-		return s.run(func(r *lila.Record) error { return errors.Join(tee.WriteRecord(r), feed(r)) })
-	})
+	sess, _, err := treebuild.BuildFeed(cfg.Header(), s.end, o, s.run)
 	return sess, err
 }
 

@@ -12,15 +12,15 @@ import (
 	"lagalyzer/internal/treebuild"
 )
 
-// suiteBytes encodes one session as a checkpoint suite frame, the
+// sessionBytes encodes one session as a LiLa v2 trace, the
 // byte-level identity the equivalence tests compare.
-func suiteBytes(t *testing.T, s *trace.Session) []byte {
+func sessionBytes(t *testing.T, s *trace.Session) []byte {
 	t.Helper()
-	b, err := treebuild.AppendSuite(nil, &trace.Suite{App: s.App, Sessions: []*trace.Session{s}})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := lila.WriteSession(&buf, lila.FormatV2, s); err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return buf.Bytes()
 }
 
 // TestRunMatchesRecords: the session Run streams into the builder
@@ -48,37 +48,12 @@ func TestRunMatchesRecords(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(suiteBytes(t, streamed), suiteBytes(t, slab)) {
+					if !bytes.Equal(sessionBytes(t, streamed), sessionBytes(t, slab)) {
 						t.Error("streamed session differs from the one built from Records")
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestRunTeeWritesTheStream: the trace RunTee writes is the record
-// stream Records collects, record for record.
-func TestRunTeeWritesTheStream(t *testing.T) {
-	cfg := sim.Config{Profile: apps.JEdit(), SessionID: 1, Seed: 3, SessionSeconds: 20, MaterializeShort: true}
-	var teed bytes.Buffer
-	w := treebuild.NewTraceWriter(&teed, cfg.Header())
-	if _, err := sim.RunTee(cfg, treebuild.Options{}, w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, h, err := sim.Records(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := lila.EncodeV2(h, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(teed.Bytes(), want) {
-		t.Errorf("teed trace (%d bytes) differs from the encoded record stream (%d bytes)", teed.Len(), len(want))
 	}
 }
 
