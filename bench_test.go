@@ -139,7 +139,7 @@ func BenchmarkFigure3_PatternCDF(b *testing.B) {
 	suite := benchSuite()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set := patterns.Classify(suite.Sessions, patterns.Options{})
+		set := engine.Classify(suite.Sessions, patterns.Options{})
 		if len(set.CDF()) == 0 {
 			b.Fatal("empty CDF")
 		}
@@ -148,7 +148,7 @@ func BenchmarkFigure3_PatternCDF(b *testing.B) {
 
 func BenchmarkFigure4_Occurrence(b *testing.B) {
 	b.ReportAllocs()
-	set := patterns.Classify(benchSuite().Sessions, patterns.Options{})
+	set := engine.Classify(benchSuite().Sessions, patterns.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(set.OccurrenceCounts()) == 0 {
@@ -416,6 +416,36 @@ func BenchmarkAnalyzeTraceDir(b *testing.B) {
 		}
 		if n := res.Rows[0].Sessions + res.Rows[1].Sessions; n != files || len(res.Apps) != 2 {
 			b.Fatalf("analyzed %d sessions of %d apps, want %d of 2", n, len(res.Apps), files)
+		}
+	}
+	b.ReportMetric(float64(files), "files")
+}
+
+// BenchmarkPatternsFold is `lagalyzer patterns` without rendering,
+// over the v2 corpus: every file folds in release mode through
+// report.FoldHook, and the closed folds' patterns pool in
+// engine.Finish. Compare against BenchmarkClassifyParallel, which
+// classifies held sessions.
+func BenchmarkPatternsFold(b *testing.B) {
+	b.ReportAllocs()
+	dir, files := benchTraceDir(b, func(int) lila.WriteOptions { return lila.WriteOptions{Format: lila.FormatV2} })
+	paths, err := filepath.Glob(filepath.Join(dir, "*.lila"))
+	if err != nil || len(paths) != files {
+		b.Fatalf("corpus: %d of %d files (%v)", len(paths), files, err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		folds := make([]*engine.AppFold, len(paths))
+		loads := report.LoadFiles(ctx, paths, report.LoadOptions{}, report.FoldHook(folds, trace.DefaultPerceptibleThreshold))
+		for j, l := range loads {
+			if l.Session == nil {
+				b.Fatalf("%s: %s", paths[j], l.Health.Error)
+			}
+			folds[j].CloseSession(l.Session)
+		}
+		if set := engine.Finish(ctx, "", folds).Pooled; len(set.Patterns) == 0 {
+			b.Fatal("no patterns")
 		}
 	}
 	b.ReportMetric(float64(files), "files")
@@ -736,8 +766,8 @@ func BenchmarkAblation_FingerprintGC(b *testing.B) {
 	b.ResetTimer()
 	var withGC, withoutGC int
 	for i := 0; i < b.N; i++ {
-		withoutGC = len(patterns.Classify(sessions, patterns.Options{}).Patterns)
-		withGC = len(patterns.Classify(sessions, patterns.Options{IncludeGC: true}).Patterns)
+		withoutGC = len(engine.Classify(sessions, patterns.Options{}).Patterns)
+		withGC = len(engine.Classify(sessions, patterns.Options{IncludeGC: true}).Patterns)
 	}
 	b.ReportMetric(float64(withoutGC), "patterns(paper)")
 	b.ReportMetric(float64(withGC), "patterns(include-gc)")
@@ -755,8 +785,8 @@ func BenchmarkAblation_FingerprintSymbols(b *testing.B) {
 	b.ResetTimer()
 	var full, kindOnly int
 	for i := 0; i < b.N; i++ {
-		full = len(patterns.Classify(sessions, patterns.Options{}).Patterns)
-		kindOnly = len(patterns.Classify(sessions, patterns.Options{KindOnly: true}).Patterns)
+		full = len(engine.Classify(sessions, patterns.Options{}).Patterns)
+		kindOnly = len(engine.Classify(sessions, patterns.Options{KindOnly: true}).Patterns)
 	}
 	b.ReportMetric(float64(full), "patterns(symbols)")
 	b.ReportMetric(float64(kindOnly), "patterns(kind-only)")
@@ -950,7 +980,7 @@ func BenchmarkClassifyParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set := patterns.Classify(sessions, patterns.Options{})
+		set := engine.Classify(sessions, patterns.Options{})
 		if len(set.Patterns) == 0 {
 			b.Fatal("no patterns")
 		}

@@ -394,20 +394,11 @@ func runReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	outDir := fs.String("out", "", "directory for SVG figures (empty = text only)")
 	fs.Parse(args)
-	th := trace.DefaultPerceptibleThreshold
-	folds := make([]*engine.AppFold, len(fs.Args()))
-	loads, err := loadFiles(fs.Args(), report.FoldHook(folds, th))
+	closed, err := foldApps(fs.Args())
 	if err != nil {
 		return err
 	}
-	var closed []*engine.AppFold
-	for i, l := range loads {
-		if l.Session != nil {
-			folds[i].CloseSession(l.Session)
-			closed = append(closed, folds[i])
-		}
-	}
-	res := report.AnalyzeFolds(runCtx, closed, th, nil)
+	res := report.AnalyzeFolds(runCtx, closed, trace.DefaultPerceptibleThreshold, nil)
 	fmt.Print(report.FormatAll(res))
 	fmt.Printf("analyzed %d traced episodes across %d application(s)\n", res.TotalEpisodes(), len(res.Apps))
 	if *outDir == "" {
@@ -424,6 +415,36 @@ func runReport(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "lagalyzer: wrote %d figures to %s\n", len(figs), *outDir)
 	return nil
+}
+
+// foldApps loads each trace in release mode into its own engine fold
+// at the paper's threshold, the per-file fold lagreport -traces runs,
+// and returns the closed folds of the usable files in argument order.
+func foldApps(paths []string) ([]*engine.AppFold, error) {
+	folds := make([]*engine.AppFold, len(paths))
+	loads, err := loadFiles(paths, report.FoldHook(folds, trace.DefaultPerceptibleThreshold))
+	if err != nil {
+		return nil, err
+	}
+	var closed []*engine.AppFold
+	for i, l := range loads {
+		if l.Session != nil {
+			folds[i].CloseSession(l.Session)
+			closed = append(closed, folds[i])
+		}
+	}
+	return closed, nil
+}
+
+// foldPatterns pools the patterns of the traces' folds. Every pattern
+// tally is an integer, so the set is the one classifying the held
+// sessions gives, less the member episodes.
+func foldPatterns(paths []string) (*patterns.Set, error) {
+	closed, err := foldApps(paths)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Finish(runCtx, "", closed).Pooled, nil
 }
 
 func runTimeline(args []string) error {
@@ -586,15 +607,14 @@ func runPatterns(args []string) error {
 	sortKey := fs.String("sort", "count", "sort key: count, total, max, or avg")
 	perceptibleOnly := fs.Bool("perceptible", false, "elide patterns without perceptible episodes")
 	fs.Parse(args)
-	sessions, err := loadSessions(fs.Args())
-	if err != nil {
-		return err
-	}
 	key, err := browser.ParseSortKey(*sortKey)
 	if err != nil {
 		return err
 	}
-	set := patterns.Classify(sessions, patterns.Options{})
+	set, err := foldPatterns(fs.Args())
+	if err != nil {
+		return err
+	}
 	b := browser.New(set, 0)
 	b.SetSort(key)
 	b.SetPerceptibleOnly(*perceptibleOnly)
@@ -648,16 +668,14 @@ func runDiff(args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("diff needs exactly two traces (old, new)")
 	}
-	oldSessions, err := loadSessions(fs.Args()[:1])
+	oldSet, err := foldPatterns(fs.Args()[:1])
 	if err != nil {
 		return err
 	}
-	newSessions, err := loadSessions(fs.Args()[1:])
+	newSet, err := foldPatterns(fs.Args()[1:])
 	if err != nil {
 		return err
 	}
-	oldSet := patterns.Classify(oldSessions, patterns.Options{})
-	newSet := patterns.Classify(newSessions, patterns.Options{})
 	res, err := diff.Compare(oldSet, newSet, diff.Options{})
 	if err != nil {
 		return err
@@ -770,7 +788,7 @@ func runBrowse(args []string) error {
 	if err != nil {
 		return err
 	}
-	set := patterns.Classify(sessions, patterns.Options{})
+	set := engine.Classify(sessions, patterns.Options{})
 	b := browser.New(set, 0)
 	fmt.Print(b.Table(20))
 	fmt.Println(`commands: list [n] | sort count|total|max|avg | filter on|off | sel <i> | eps | next | prev | sketch | svg <file> | quit`)

@@ -219,6 +219,51 @@ func TestCLIStatsStreamGolden(t *testing.T) {
 	}
 }
 
+// TestCLIPatternsDiffGolden pins `lagalyzer patterns -n 0` under each
+// sort key and with -perceptible, and `lagalyzer diff -n 0`, over two
+// seeded CrosswordSage sessions (the second DEFLATE-compressed), byte
+// for byte at one and at four workers.
+func TestCLIPatternsDiffGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	lagBin := tool(t, "lagalyzer")
+	dir := t.TempDir()
+	cs0, cs1 := filepath.Join(dir, "cs0.lila"), filepath.Join(dir, "cs1.lila")
+	run(t, tool(t, "lilasim"), "",
+		"-app", "CrosswordSage", "-seconds", "60", "-seed", "3", "-format", "v2", "-o", cs0)
+	run(t, tool(t, "lilasim"), "",
+		"-app", "CrosswordSage", "-session", "1", "-seconds", "60", "-seed", "3", "-format", "v2", "-compress", "-o", cs1)
+
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"patterns_crosswordsage_count.golden", []string{"patterns", "-n", "0", "-sort", "count", cs0, cs1}},
+		{"patterns_crosswordsage_total.golden", []string{"patterns", "-n", "0", "-sort", "total", cs0, cs1}},
+		{"patterns_crosswordsage_max.golden", []string{"patterns", "-n", "0", "-sort", "max", cs0, cs1}},
+		{"patterns_crosswordsage_avg.golden", []string{"patterns", "-n", "0", "-sort", "avg", cs0, cs1}},
+		{"patterns_crosswordsage_perceptible.golden", []string{"patterns", "-n", "0", "-perceptible", cs0, cs1}},
+		{"diff_crosswordsage.golden", []string{"diff", "-n", "0", cs0, cs1}},
+	}
+	for _, c := range cases {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jobs := range []string{"1", "4"} {
+			args := append([]string{"-jobs", jobs}, c.args...)
+			got, err := exec.Command(lagBin, args...).Output()
+			if err != nil {
+				t.Fatalf("lagalyzer %v: %v", args, err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("lagalyzer %v:\n%s\nwant (%s):\n%s", args, got, c.golden, want)
+			}
+		}
+	}
+}
+
 func TestCLILagreport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/trace"
 )
@@ -31,7 +32,7 @@ func testSet() *patterns.Set {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	return patterns.Classify([]*trace.Session{s}, patterns.Options{})
+	return engine.Classify([]*trace.Session{s}, patterns.Options{})
 }
 
 func TestTableSortAndFilter(t *testing.T) {

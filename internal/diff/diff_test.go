@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/trace"
 )
@@ -30,7 +31,7 @@ func build(spec map[string][]float64) *patterns.Set {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	return patterns.Classify([]*trace.Session{s}, patterns.Options{})
+	return engine.Classify([]*trace.Session{s}, patterns.Options{})
 }
 
 func TestCompareVerdicts(t *testing.T) {
@@ -107,7 +108,7 @@ func TestCompareRejectsMismatchedOptions(t *testing.T) {
 	root.AddChild(trace.NewInterval(trace.KindListener, "app.A", "on", 0, trace.Ms(5)))
 	eps = append(eps, &trace.Episode{Index: 0, Thread: 1, Root: root})
 	s := &trace.Session{App: "d", GUIThread: 1, Start: 0, End: trace.Time(trace.Second), Episodes: eps}
-	b := patterns.Classify([]*trace.Session{s}, patterns.Options{KindOnly: true})
+	b := engine.Classify([]*trace.Session{s}, patterns.Options{KindOnly: true})
 	if _, err := Compare(a, b, Options{}); err == nil {
 		t.Error("mismatched classification options accepted")
 	}

@@ -17,11 +17,13 @@
 // per-pattern counts, one Table III tally per session, and a copy of
 // Figure 2's candidate. A release-mode build (treebuild.Options.Episode)
 // feeds it as each episode closes, so no session is kept; Analyze feeds
-// it from held sessions. Every tally but a pattern's lag summary is
-// integral, and the figures are derived per session in session order
-// once the folds are merged, so no rendered result depends on the
-// order episodes close in or on how the sessions were split across
-// folds.
+// it from held sessions. Every tally is integral, and the figures are
+// derived per session in session order once the folds are merged, so
+// no rendered result depends on the order episodes close in or on how
+// the sessions were split across folds.
+//
+// walk.go holds the one tree walk behind a pattern: the fold's, and
+// Classify's and Fingerprint's for callers that hold sessions.
 package engine
 
 import (

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"lagalyzer/internal/analysis"
-	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/trace"
 )
 
@@ -168,12 +167,59 @@ func oracleOverview(suite *trace.Suite, threshold trace.Dur) analysis.Overview {
 			o.LongPerMin += float64(perceptible) / (inEps.Seconds() / 60) / n
 		}
 
-		set := patterns.Classify([]*trace.Session{s}, patterns.Options{Threshold: threshold})
-		o.Dist += float64(len(set.Patterns)) / n
-		o.CoveredEps += float64(set.Covered()) / n
-		o.OneEpFrac += set.SingletonFrac() / n
-		o.Descs += set.MeanDescendants() / n
-		o.Depth += set.MeanDepth() / n
+		count := make(map[string]int)
+		var descs, depth int
+		for _, e := range s.Episodes {
+			canon, d, dep := oracleShape(e.Root)
+			if d == 0 {
+				continue // unstructured
+			}
+			if count[canon] == 0 {
+				descs += d
+				depth += dep
+			}
+			count[canon]++
+		}
+		if len(count) == 0 {
+			continue
+		}
+		covered, singletons := 0, 0
+		for _, c := range count {
+			covered += c
+			if c == 1 {
+				singletons++
+			}
+		}
+		dist := float64(len(count))
+		o.Dist += dist / n
+		o.CoveredEps += float64(covered) / n
+		o.OneEpFrac += float64(singletons) / dist / n
+		o.Descs += float64(descs) / dist / n
+		o.Depth += float64(depth) / dist / n
 	}
 	return o
+}
+
+// oracleShape returns the paper's structural form of iv's tree with
+// every GC subtree pruned — kinds and symbols, no timing — with the
+// pruned tree's descendant count and height.
+func oracleShape(iv *trace.Interval) (canon string, descs, depth int) {
+	canon = iv.Kind.String()
+	if iv.Class != "" || iv.Method != "" {
+		canon += "[" + iv.Class + "." + iv.Method + "]"
+	}
+	var kids []string
+	for _, c := range iv.Children {
+		if c.Kind == trace.KindGC {
+			continue
+		}
+		k, d, dep := oracleShape(c)
+		kids = append(kids, k)
+		descs += 1 + d
+		depth = max(depth, dep)
+	}
+	if len(kids) > 0 {
+		canon += "(" + strings.Join(kids, ",") + ")"
+	}
+	return canon, descs, depth + 1
 }

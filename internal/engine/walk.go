@@ -14,8 +14,7 @@ type walker struct {
 	popt patterns.Options
 	topt analysis.TriggerOptions
 
-	// canon emission + incremental FNV-1a hash, shared with
-	// patterns.Classify
+	// canon emission + incremental FNV-1a hash
 	canon patterns.Canon
 
 	trigger TriggerRule
@@ -40,32 +39,36 @@ func newWalker(opts Options) *walker {
 // size; then it folds the episode's sampling ticks. The returned Print
 // is valid until the next analyze call.
 func (w *walker) analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
-	w.canon.Reset()
-	w.trigger = NewTriggerRule(w.topt)
-	w.gc, w.native, w.hasGC = 0, 0, false
-	w.nodes, w.level, w.height = 0, 0, 0
-
-	structured := patterns.Classifiable(e, w.popt)
-	descs, depth := w.visit(e.Root, structured)
-
-	info := EpisodeInfo{
+	pr, structured := w.fingerprint(e)
+	return EpisodeInfo{
 		Structured: structured,
+		Print:      pr,
 		Trigger:    w.trigger.Trigger(),
 		GC:         w.gc,
 		Native:     w.native,
 		Ticks:      tallyTicks(s, e),
 		Size:       (w.nodes - 1) * w.height,
 	}
-	if structured {
-		info.Print = w.canon.Print(descs, depth, w.hasGC)
-	}
-	return info
+}
+
+// fingerprint walks e's tree once and returns its print. The episode
+// is structured, and takes part in classification, when the walk
+// retains a node below the dispatch interval.
+func (w *walker) fingerprint(e *trace.Episode) (pr patterns.Print, structured bool) {
+	w.canon.Reset()
+	w.trigger = NewTriggerRule(w.topt)
+	w.gc, w.native, w.hasGC = 0, 0, false
+	w.nodes, w.level, w.height = 0, 0, 0
+	descs, depth := w.visit(e.Root, true)
+	return w.canon.Print(descs, depth, w.hasGC), descs > 0
 }
 
 // visit recurses over the full tree in preorder (the trigger and
 // kind-time accountings need every node, including excluded GC
 // subtrees); canon gates which nodes also emit canonical bytes and
-// count toward the structural metrics.
+// count toward the structural metrics. It is the one statement of the
+// retained-node rule: a GC child and its subtree are retained only
+// under Options.IncludeGC.
 func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 	w.trigger.Enter(iv.Kind)
 	w.nodes++
@@ -110,4 +113,34 @@ func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 	w.level--
 	w.trigger.Exit()
 	return descs, maxChild + 1
+}
+
+// Classify groups the episodes of the given sessions into patterns,
+// keeping each pattern's member episodes in encounter order. Each
+// episode is fingerprinted in one walk of its tree (hash computed
+// inline, canonical string materialized only once per new pattern).
+func Classify(sessions []*trace.Session, opt patterns.Options) *patterns.Set {
+	w := newWalker(Options{Patterns: opt})
+	b := patterns.NewBuilder(opt)
+	for _, s := range sessions {
+		for _, e := range s.Episodes {
+			pr, ok := w.fingerprint(e)
+			if !ok {
+				b.AddUnstructured()
+				continue
+			}
+			p := b.Add(pr, e.Dur())
+			p.Episodes = append(p.Episodes, patterns.EpisodeRef{Session: s, Episode: e})
+		}
+	}
+	return b.Finish()
+}
+
+// Fingerprint returns the canonical structural form of an episode's
+// tree under the given options. Two episodes belong to the same
+// pattern iff their fingerprints are equal. It materializes a fresh
+// string and does not require structure.
+func Fingerprint(e *trace.Episode, opt patterns.Options) string {
+	pr, _ := newWalker(Options{Patterns: opt}).fingerprint(e)
+	return string(pr.Canon)
 }

@@ -14,6 +14,10 @@
 // Episodes whose dispatch interval has no non-GC children carry no
 // structure to classify and are excluded from pattern mining (they
 // remain visible to the trigger analysis as "unspecified" episodes).
+//
+// The package holds a pattern's integer tallies and their merge; the
+// tree walk that fingerprints an episode is the engine's
+// (internal/engine: Classify, Fingerprint, and the per-app fold).
 package patterns
 
 import (
@@ -125,9 +129,9 @@ type Pattern struct {
 	// stable display identifiers.
 	Hash uint64
 	// Episodes lists the member episodes in encounter order (session
-	// order within a session, sessions in input order). Only Classify
-	// keeps them; a Builder fed by the engine's fold keeps the tallies
-	// below and no episode.
+	// order within a session, sessions in input order). Only the
+	// engine's Classify keeps them; a Builder fed by the engine's fold
+	// keeps the tallies below and no episode.
 	Episodes []EpisodeRef
 	// Descendants and Depth describe the fingerprinted structure
 	// (excluding whatever Options excluded): the number of
@@ -137,26 +141,33 @@ type Pattern struct {
 	Depth       int
 
 	// The member tallies: episodes, those perceptible at threshold,
-	// those holding a GC interval, and their lag in milliseconds.
+	// those holding a GC interval, and their lag. All are integers, so
+	// merging tallies in any order gives the same pattern.
 	count, perceptible, gc int
 	threshold              trace.Dur
-	lag                    stats.Summary
+	minLag, maxLag, total  trace.Dur
 }
 
 // Count returns the number of member episodes.
 func (p *Pattern) Count() int { return p.count }
 
 // MinLag, AvgLag, MaxLag, and TotalLag are the lag statistics the
-// pattern browser shows per pattern.
-func (p *Pattern) MinLag() trace.Dur   { return trace.Ms(p.lag.Min) }
-func (p *Pattern) AvgLag() trace.Dur   { return trace.Ms(p.lag.Mean()) }
-func (p *Pattern) MaxLag() trace.Dur   { return trace.Ms(p.lag.Max) }
-func (p *Pattern) TotalLag() trace.Dur { return trace.Ms(p.lag.Total) }
+// pattern browser shows per pattern. AvgLag is TotalLag over Count,
+// truncated to the nanosecond.
+func (p *Pattern) MinLag() trace.Dur   { return p.minLag }
+func (p *Pattern) MaxLag() trace.Dur   { return p.maxLag }
+func (p *Pattern) TotalLag() trace.Dur { return p.total }
+func (p *Pattern) AvgLag() trace.Dur {
+	if p.count == 0 {
+		return 0
+	}
+	return p.total / trace.Dur(p.count)
+}
 
 // PerceptibleCount returns how many member episodes meet the
 // threshold. The pattern tallies them at its builder's threshold; any
-// other threshold counts the member episodes, which only Classify
-// keeps.
+// other threshold counts the member episodes, which only the engine's
+// Classify keeps.
 func (p *Pattern) PerceptibleCount(threshold trace.Dur) int {
 	if threshold == p.threshold {
 		return p.perceptible
@@ -226,8 +237,6 @@ type Set struct {
 	Unstructured int
 	// Options echoes the classification options used.
 	Options Options
-
-	byCanon map[string]*Pattern
 }
 
 // FNV-1a 64-bit parameters. Pattern.Hash is the FNV-1a hash of the
@@ -240,8 +249,7 @@ const (
 
 // Canon is the one writer of the canonical form: it accumulates the
 // bytes and their FNV-1a hash as they are emitted, in a buffer reused
-// across episodes. Classify's fingerprints and the engine's fused walk
-// emit through it.
+// across episodes. The engine's walk emits through it.
 type Canon struct {
 	buf  []byte
 	hash uint64
@@ -285,16 +293,6 @@ func (c *Canon) Print(descs, depth int, gc bool) Print {
 	return Print{Canon: c.buf, Hash: c.hash, Descendants: descs, Depth: depth, GC: gc}
 }
 
-// fingerprinter computes canonical forms without per-episode
-// allocations: the canon bytes land in a reused buffer, and the FNV-1a
-// hash plus the structural metrics (descendants, depth) are computed
-// during the same single tree walk.
-type fingerprinter struct {
-	opt Options
-	c   Canon
-	gc  bool
-}
-
 // Print is the result of fingerprinting one episode. Canon aliases the
 // emitting buffer and is only valid until the next fingerprint;
 // Builder.Add copies it when (and only when) the pattern is new.
@@ -308,73 +306,12 @@ type Print struct {
 	GC bool
 }
 
-// fingerprint computes the episode's canonical form, hash, and
-// structural metrics in one walk. ok is false for unstructured
-// episodes (no retained child below the dispatch interval), which are
-// excluded from classification.
-func (f *fingerprinter) fingerprint(e *trace.Episode) (pr Print, ok bool) {
-	if !Classifiable(e, f.opt) {
-		return Print{}, false
-	}
-	f.c.Reset()
-	f.gc = false
-	descs, depth := f.walk(e.Root)
-	return f.c.Print(descs, depth, f.gc), true
-}
-
-// walk emits iv's canonical form and returns the retained descendant
-// count and tree height (1 for a retained leaf). Depth includes the
-// dispatch root: a bare dispatch would have depth 1, but bare
-// dispatches are unstructured and never get here. An excluded GC child
-// is not walked, but it is the topmost GC on its path, so seeing it
-// here is enough to flag the tree.
-func (f *fingerprinter) walk(iv *trace.Interval) (descs, depth int) {
-	f.c.Node(iv, f.opt.KindOnly)
-	wrote := false
-	maxChild := 0
-	for _, c := range iv.Children {
-		if c.Kind == trace.KindGC {
-			f.gc = true
-			if !f.opt.IncludeGC {
-				continue
-			}
-		}
-		if !wrote {
-			f.c.Byte('(')
-			wrote = true
-		} else {
-			f.c.Byte(',')
-		}
-		d, dep := f.walk(c)
-		descs += 1 + d
-		if dep > maxChild {
-			maxChild = dep
-		}
-	}
-	if wrote {
-		f.c.Byte(')')
-	}
-	return descs, maxChild + 1
-}
-
-// Fingerprint returns the canonical structural form of an episode's
-// tree under the given options. Two episodes belong to the same
-// pattern iff their fingerprints are equal. It materializes a fresh
-// string and does not require structure.
-func Fingerprint(e *trace.Episode, opt Options) string {
-	f := fingerprinter{opt: opt}
-	f.c.Reset()
-	f.walk(e.Root)
-	return string(f.c.buf)
-}
-
 // Builder accumulates episodes with precomputed fingerprints into
 // patterns, keeping per-pattern tallies rather than the episodes. It
-// is the shared backend of Classify and of the engine's per-app fold
-// (internal/engine): lookups are hash-first (canonical strings are
-// compared only to confirm a hash hit, and materialized only once per
-// new pattern), and builders merge in a fixed order to combine the
-// folds of several sessions.
+// is the backend of the engine's Classify and of its per-app fold:
+// lookups are hash-first (canonical strings are compared only to
+// confirm a hash hit, and materialized only once per new pattern), and
+// builders merge in any order and shape to the same finished Set.
 type Builder struct {
 	opt          Options
 	patterns     []*Pattern
@@ -400,6 +337,8 @@ func (b *Builder) Add(pr Print, dur trace.Dur) *Pattern {
 			Descendants: pr.Descendants,
 			Depth:       pr.Depth,
 			threshold:   b.opt.threshold(),
+			minLag:      dur,
+			maxLag:      dur,
 		}
 		b.insert(p)
 	}
@@ -410,15 +349,14 @@ func (b *Builder) Add(pr Print, dur trace.Dur) *Pattern {
 	if pr.GC {
 		p.gc++
 	}
-	p.lag.Add(dur.Ms())
+	p.minLag = min(p.minLag, dur)
+	p.maxLag = max(p.maxLag, dur)
+	p.total += dur
 	return p
 }
 
 // AddUnstructured counts an episode excluded from classification.
 func (b *Builder) AddUnstructured() { b.unstructured++ }
-
-// Patterns returns the patterns built so far, in encounter order.
-func (b *Builder) Patterns() []*Pattern { return b.patterns }
 
 // findBytes looks a pattern up by hash, confirming the hit (and
 // resolving 64-bit collisions) by canon comparison. The string(canon)
@@ -469,9 +407,10 @@ func (b *Builder) insert(p *Pattern) {
 }
 
 // Merge folds another builder's pattern tallies and unstructured count
-// into the receiver, preserving o's encounter order for new patterns;
-// o must not be used afterwards. Member episodes are not merged: only
-// Classify keeps them, in one builder.
+// into the receiver; o must not be used afterwards. Every tally is an
+// integer sum, min, or max, so merges commute and associate. Member
+// episodes are not merged: only the engine's Classify keeps them, in
+// one builder.
 func (b *Builder) Merge(o *Builder) {
 	for _, q := range o.patterns {
 		p := b.findString(q.Hash, q.Canon)
@@ -482,7 +421,9 @@ func (b *Builder) Merge(o *Builder) {
 		p.count += q.count
 		p.perceptible += q.perceptible
 		p.gc += q.gc
-		p.lag.Merge(q.lag)
+		p.minLag = min(p.minLag, q.minLag)
+		p.maxLag = max(p.maxLag, q.maxLag)
+		p.total += q.total
 	}
 	b.unstructured += o.unstructured
 }
@@ -494,7 +435,7 @@ type patternWire struct {
 	Descendants, Depth     int
 	Count, Perceptible, GC int
 	Threshold              trace.Dur
-	Lag                    stats.Summary
+	MinLag, MaxLag, Total  trace.Dur
 }
 
 type builderWire struct {
@@ -508,7 +449,7 @@ type builderWire struct {
 func (b *Builder) GobEncode() ([]byte, error) {
 	w := builderWire{Options: b.opt, Patterns: make([]patternWire, len(b.patterns)), Unstructured: b.unstructured}
 	for i, p := range b.patterns {
-		w.Patterns[i] = patternWire{p.Canon, p.Hash, p.Descendants, p.Depth, p.count, p.perceptible, p.gc, p.threshold, p.lag}
+		w.Patterns[i] = patternWire{p.Canon, p.Hash, p.Descendants, p.Depth, p.count, p.perceptible, p.gc, p.threshold, p.minLag, p.maxLag, p.total}
 	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(w)
@@ -525,20 +466,21 @@ func (b *Builder) GobDecode(data []byte) error {
 	b.unstructured = w.Unstructured
 	for _, q := range w.Patterns {
 		b.insert(&Pattern{Canon: q.Canon, Hash: q.Hash, Descendants: q.Descendants, Depth: q.Depth,
-			count: q.Count, perceptible: q.Perceptible, gc: q.GC, threshold: q.Threshold, lag: q.Lag})
+			count: q.Count, perceptible: q.Perceptible, gc: q.GC, threshold: q.Threshold,
+			minLag: q.MinLag, maxLag: q.MaxLag, total: q.Total})
 	}
 	return nil
 }
 
 // Finish sorts the patterns (descending episode count, ties broken by
-// canonical form) and returns the Set. The builder must not be used
-// afterwards.
+// canonical form, which no two patterns share) and returns the Set, so
+// the order does not depend on the order episodes or builders were
+// folded in. The builder must not be used afterwards.
 func (b *Builder) Finish() *Set {
 	set := &Set{
 		Options:      b.opt,
 		Patterns:     b.patterns,
 		Unstructured: b.unstructured,
-		byCanon:      make(map[string]*Pattern, len(b.patterns)),
 	}
 	sort.SliceStable(set.Patterns, func(i, j int) bool {
 		a, b := set.Patterns[i], set.Patterns[j]
@@ -547,52 +489,10 @@ func (b *Builder) Finish() *Set {
 		}
 		return a.Canon < b.Canon
 	})
-	for _, p := range set.Patterns {
-		set.byCanon[p.Canon] = p
-	}
 	mPatternsUnique.Add(int64(len(set.Patterns)))
 	mEpisodesDeduped.Add(int64(set.Covered() - len(set.Patterns)))
 	mUnstructured.Add(int64(set.Unstructured))
 	return set
-}
-
-// Classify groups the episodes of the given sessions into patterns,
-// keeping each pattern's member episodes in encounter order. Each
-// episode is fingerprinted in one tree walk (hash computed inline,
-// canonical string materialized only once per new pattern).
-func Classify(sessions []*trace.Session, opt Options) *Set {
-	b := NewBuilder(opt)
-	f := &fingerprinter{opt: opt}
-	for _, s := range sessions {
-		for _, e := range s.Episodes {
-			pr, ok := f.fingerprint(e)
-			if !ok {
-				b.AddUnstructured()
-				continue
-			}
-			p := b.Add(pr, e.Dur())
-			p.Episodes = append(p.Episodes, EpisodeRef{Session: s, Episode: e})
-		}
-	}
-	return b.Finish()
-}
-
-// Classifiable reports whether the episode participates in
-// classification under opt: it must have at least one child that the
-// fingerprint would retain. Exported so the fused analysis engine can
-// apply the same exclusion rule without re-deriving it.
-func Classifiable(e *trace.Episode, opt Options) bool {
-	if opt.IncludeGC {
-		return len(e.Root.Children) > 0
-	}
-	return e.Structured()
-}
-
-// Lookup returns the pattern an episode belongs to within this set, if
-// the episode was classified.
-func (s *Set) Lookup(e *trace.Episode) (*Pattern, bool) {
-	p, ok := s.byCanon[Fingerprint(e, s.Options)]
-	return p, ok
 }
 
 // Covered returns the total number of episodes covered by patterns

@@ -1,9 +1,15 @@
-package patterns
+package patterns_test
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"lagalyzer/internal/apps"
+	"lagalyzer/internal/engine"
+	"lagalyzer/internal/patterns"
+	"lagalyzer/internal/sim"
 	"lagalyzer/internal/stats"
 	"lagalyzer/internal/trace"
 )
@@ -44,13 +50,13 @@ func TestFingerprintShapes(t *testing.T) {
 			trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(10), trace.Ms(20))),
 		trace.NewInterval(trace.KindPaint, "x.Q", "paint", ms(70), trace.Ms(20)))
 
-	got := Fingerprint(e, Options{})
+	got := engine.Fingerprint(e, patterns.Options{})
 	want := "dispatch(listener[app.B.on](paint[x.P.paint]),paint[x.Q.paint])"
 	if got != want {
 		t.Errorf("Fingerprint = %q, want %q", got, want)
 	}
 
-	kindOnly := Fingerprint(e, Options{KindOnly: true})
+	kindOnly := engine.Fingerprint(e, patterns.Options{KindOnly: true})
 	if kindOnly != "dispatch(listener(paint),paint)" {
 		t.Errorf("kind-only fingerprint = %q", kindOnly)
 	}
@@ -61,7 +67,7 @@ func TestFingerprintExcludesTiming(t *testing.T) {
 		trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(5)))
 	slow := ep(ms(1000), trace.Ms(900),
 		trace.NewInterval(trace.KindListener, "a.B", "on", ms(1000), trace.Ms(900)))
-	if Fingerprint(fast, Options{}) != Fingerprint(slow, Options{}) {
+	if engine.Fingerprint(fast, patterns.Options{}) != engine.Fingerprint(slow, patterns.Options{}) {
 		t.Error("episodes differing only in timing must share a fingerprint")
 	}
 }
@@ -73,13 +79,13 @@ func TestFingerprintExcludesGCByDefault(t *testing.T) {
 	withoutGC := ep(ms(1000), trace.Ms(100),
 		trace.NewInterval(trace.KindListener, "a.B", "on", ms(1000), trace.Ms(50)))
 
-	if Fingerprint(withGC, Options{}) != Fingerprint(withoutGC, Options{}) {
+	if engine.Fingerprint(withGC, patterns.Options{}) != engine.Fingerprint(withoutGC, patterns.Options{}) {
 		t.Error("GC intervals must not affect default fingerprints")
 	}
-	if Fingerprint(withGC, Options{IncludeGC: true}) == Fingerprint(withoutGC, Options{IncludeGC: true}) {
+	if engine.Fingerprint(withGC, patterns.Options{IncludeGC: true}) == engine.Fingerprint(withoutGC, patterns.Options{IncludeGC: true}) {
 		t.Error("IncludeGC ablation must distinguish the trees")
 	}
-	if !strings.Contains(Fingerprint(withGC, Options{IncludeGC: true}), "gc") {
+	if !strings.Contains(engine.Fingerprint(withGC, patterns.Options{IncludeGC: true}), "gc") {
 		t.Error("IncludeGC fingerprint should mention gc")
 	}
 }
@@ -98,7 +104,7 @@ func TestClassifyGroupsAndSorts(t *testing.T) {
 		ep(ms(300), trace.Ms(40), paint(ms(300), trace.Ms(5))),
 		ep(ms(400), trace.Ms(50)), // unstructured
 	)
-	set := Classify([]*trace.Session{s}, Options{})
+	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
 	if len(set.Patterns) != 2 {
 		t.Fatalf("patterns = %d, want 2", len(set.Patterns))
 	}
@@ -123,54 +129,47 @@ func TestClassifyGroupsAndSorts(t *testing.T) {
 	if p.Descendants != 1 || p.Depth != 2 {
 		t.Errorf("structure: descs=%d depth=%d, want 1,2", p.Descendants, p.Depth)
 	}
-
-	// Lookup maps an equivalent episode back to its pattern.
-	probe := ep(ms(999), trace.Ms(1), listener(ms(999), trace.Ms(1)))
-	found, ok := set.Lookup(probe)
-	if !ok || found != p {
-		t.Error("Lookup failed to find the listener pattern")
-	}
 }
 
 func TestGCOnlyEpisodeIsUnstructured(t *testing.T) {
 	s := sessionWith(
 		ep(ms(0), trace.Ms(500), trace.NewGC(ms(10), trace.Ms(400), true)),
 	)
-	set := Classify([]*trace.Session{s}, Options{})
+	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
 	if len(set.Patterns) != 0 || set.Unstructured != 1 {
 		t.Errorf("GC-only episode should be unstructured: %d patterns, %d unstructured",
 			len(set.Patterns), set.Unstructured)
 	}
 	// Under the IncludeGC ablation it becomes classifiable.
-	set = Classify([]*trace.Session{s}, Options{IncludeGC: true})
+	set = engine.Classify([]*trace.Session{s}, patterns.Options{IncludeGC: true})
 	if len(set.Patterns) != 1 || set.Unstructured != 0 {
 		t.Errorf("IncludeGC should classify the GC-only episode")
 	}
 }
 
 func TestOccurrenceClassification(t *testing.T) {
-	mk := func(durs ...float64) *Pattern {
+	mk := func(durs ...float64) *patterns.Pattern {
 		var eps []*trace.Episode
 		var start trace.Time
 		for _, d := range durs {
 			eps = append(eps, ep(start, trace.Ms(d), trace.NewInterval(trace.KindListener, "a.B", "on", start, trace.Ms(d/2))))
 			start = start.Add(trace.Ms(d) + trace.Second)
 		}
-		return Classify([]*trace.Session{sessionWith(eps...)}, Options{}).Patterns[0]
+		return engine.Classify([]*trace.Session{sessionWith(eps...)}, patterns.Options{}).Patterns[0]
 	}
 	th := trace.DefaultPerceptibleThreshold
 	cases := []struct {
 		name string
-		p    *Pattern
-		want Occurrence
+		p    *patterns.Pattern
+		want patterns.Occurrence
 	}{
-		{"all fast", mk(10, 20, 30), OccNever},
-		{"all slow", mk(200, 300), OccAlways},
-		{"perceptible singleton", mk(150), OccAlways},
-		{"fast singleton", mk(50), OccNever},
-		{"one of many", mk(500, 10, 10), OccOnce},
-		{"some", mk(500, 400, 10), OccSometimes},
-		{"exactly at threshold", mk(100), OccAlways},
+		{"all fast", mk(10, 20, 30), patterns.OccNever},
+		{"all slow", mk(200, 300), patterns.OccAlways},
+		{"perceptible singleton", mk(150), patterns.OccAlways},
+		{"fast singleton", mk(50), patterns.OccNever},
+		{"one of many", mk(500, 10, 10), patterns.OccOnce},
+		{"some", mk(500, 400, 10), patterns.OccSometimes},
+		{"exactly at threshold", mk(100), patterns.OccAlways},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,8 +184,8 @@ func TestOccurrenceCounts(t *testing.T) {
 	listener := func(start trace.Time, dur trace.Dur, cls string) *trace.Interval {
 		return trace.NewInterval(trace.KindListener, cls, "on", start, dur)
 	}
-	// Pattern A: two slow episodes (always). Pattern B: one fast
-	// (never). Pattern C: slow then fast (once).
+	// patterns.Pattern A: two slow episodes (always). patterns.Pattern B: one fast
+	// (never). patterns.Pattern C: slow then fast (once).
 	s := sessionWith(
 		ep(ms(0), trace.Ms(200), listener(ms(0), trace.Ms(100), "a.A")),
 		ep(ms(1000), trace.Ms(300), listener(ms(1000), trace.Ms(100), "a.A")),
@@ -194,9 +193,9 @@ func TestOccurrenceCounts(t *testing.T) {
 		ep(ms(3000), trace.Ms(400), listener(ms(3000), trace.Ms(100), "c.C")),
 		ep(ms(4000), trace.Ms(10), listener(ms(4000), trace.Ms(5), "c.C")),
 	)
-	set := Classify([]*trace.Session{s}, Options{})
+	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
 	counts := set.OccurrenceCounts()
-	if counts[OccAlways] != 1 || counts[OccNever] != 1 || counts[OccOnce] != 1 || counts[OccSometimes] != 0 {
+	if counts[patterns.OccAlways] != 1 || counts[patterns.OccNever] != 1 || counts[patterns.OccOnce] != 1 || counts[patterns.OccSometimes] != 0 {
 		t.Errorf("counts = %v", counts)
 	}
 	perceptible := set.Perceptible()
@@ -220,7 +219,7 @@ func TestCDFEndpointsAndMonotonicity(t *testing.T) {
 	add("a.A", 8)
 	add("b.B", 1)
 	add("c.C", 1)
-	set := Classify([]*trace.Session{sessionWith(eps...)}, Options{})
+	set := engine.Classify([]*trace.Session{sessionWith(eps...)}, patterns.Options{})
 	curve := set.CDF()
 	if curve[0].X != 0 || curve[0].Y != 0 {
 		t.Errorf("curve starts at %+v", curve[0])
@@ -242,7 +241,7 @@ func TestMeanStructureMetrics(t *testing.T) {
 				trace.NewInterval(trace.KindPaint, "c.C", "paint", ms(2), trace.Ms(20)))))
 	flat := ep(ms(1000), trace.Ms(50),
 		trace.NewInterval(trace.KindListener, "l.L", "on", ms(1000), trace.Ms(40)))
-	set := Classify([]*trace.Session{sessionWith(deep, flat)}, Options{})
+	set := engine.Classify([]*trace.Session{sessionWith(deep, flat)}, patterns.Options{})
 	if got := set.MeanDescendants(); got != 2 { // (3+1)/2
 		t.Errorf("MeanDescendants = %v, want 2", got)
 	}
@@ -252,7 +251,7 @@ func TestMeanStructureMetrics(t *testing.T) {
 }
 
 func TestEmptySet(t *testing.T) {
-	set := Classify(nil, Options{})
+	set := engine.Classify(nil, patterns.Options{})
 	if set.SingletonFrac() != 0 || set.MeanDepth() != 0 || set.MeanDescendants() != 0 || set.Covered() != 0 {
 		t.Error("empty set metrics should be zero")
 	}
@@ -263,9 +262,9 @@ func TestEmptySet(t *testing.T) {
 
 func TestPatternIDStable(t *testing.T) {
 	e := ep(0, trace.Ms(10), trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(5)))
-	s1 := Classify([]*trace.Session{sessionWith(e)}, Options{})
+	s1 := engine.Classify([]*trace.Session{sessionWith(e)}, patterns.Options{})
 	e2 := ep(0, trace.Ms(10), trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(5)))
-	s2 := Classify([]*trace.Session{sessionWith(e2)}, Options{})
+	s2 := engine.Classify([]*trace.Session{sessionWith(e2)}, patterns.Options{})
 	if s1.Patterns[0].ID() != s2.Patterns[0].ID() {
 		t.Error("identical structures must have identical IDs")
 	}
@@ -275,14 +274,14 @@ func TestPatternIDStable(t *testing.T) {
 }
 
 func TestOccurrenceStringAndList(t *testing.T) {
-	if OccAlways.String() != "always" || OccNever.String() != "never" ||
-		OccOnce.String() != "once" || OccSometimes.String() != "sometimes" {
+	if patterns.OccAlways.String() != "always" || patterns.OccNever.String() != "never" ||
+		patterns.OccOnce.String() != "once" || patterns.OccSometimes.String() != "sometimes" {
 		t.Error("occurrence names wrong")
 	}
-	if Occurrence(9).String() != "occurrence(9)" {
+	if patterns.Occurrence(9).String() != "occurrence(9)" {
 		t.Error("out-of-range occurrence name")
 	}
-	if len(Occurrences()) != 4 {
+	if len(patterns.Occurrences()) != 4 {
 		t.Error("Occurrences should list 4 classes")
 	}
 }
@@ -296,7 +295,7 @@ func TestMultiSessionClassification(t *testing.T) {
 			trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(5))))
 	}
 	a, b := mk(), mk()
-	set := Classify([]*trace.Session{a, b}, Options{})
+	set := engine.Classify([]*trace.Session{a, b}, patterns.Options{})
 	if len(set.Patterns) != 1 || set.Patterns[0].Count() != 2 {
 		t.Fatalf("cross-session grouping failed: %d patterns", len(set.Patterns))
 	}
@@ -323,7 +322,7 @@ func TestPerceptibleCountMonotoneInThreshold(t *testing.T) {
 		eps = append(eps, ep(start, trace.Ms(d), listener(start, trace.Ms(d/2))))
 		start = start.Add(trace.Ms(d) + trace.Second)
 	}
-	set := Classify([]*trace.Session{sessionWith(eps...)}, Options{})
+	set := engine.Classify([]*trace.Session{sessionWith(eps...)}, patterns.Options{})
 	p := set.Patterns[0]
 	prev := p.Count() + 1
 	for _, thMs := range []float64{50, 100, 150, 200, 300, 1000} {
@@ -333,21 +332,21 @@ func TestPerceptibleCountMonotoneInThreshold(t *testing.T) {
 			t.Fatalf("perceptible count increased from %d to %d at %v", prev, k, th)
 		}
 		prev = k
-		// Occurrence consistency with the count.
+		// patterns.Occurrence consistency with the count.
 		switch p.Occurrence(th) {
-		case OccAlways:
+		case patterns.OccAlways:
 			if k != p.Count() {
 				t.Fatalf("always with %d of %d perceptible", k, p.Count())
 			}
-		case OccNever:
+		case patterns.OccNever:
 			if k != 0 {
 				t.Fatalf("never with %d perceptible", k)
 			}
-		case OccOnce:
+		case patterns.OccOnce:
 			if k != 1 {
 				t.Fatalf("once with %d perceptible", k)
 			}
-		case OccSometimes:
+		case patterns.OccSometimes:
 			if k <= 1 || k >= p.Count() {
 				t.Fatalf("sometimes with %d of %d perceptible", k, p.Count())
 			}
@@ -378,13 +377,13 @@ func TestFingerprintDeterminesPattern(t *testing.T) {
 		eps = append(eps, &trace.Episode{Index: i, Thread: 1, Root: root})
 		start = start.Add(dur + trace.Second)
 	}
-	set := Classify([]*trace.Session{sessionWith(eps...)}, Options{})
+	set := engine.Classify([]*trace.Session{sessionWith(eps...)}, patterns.Options{})
 
 	covered := 0
 	for _, p := range set.Patterns {
 		covered += p.Count()
 		for _, ref := range p.Episodes {
-			if got := Fingerprint(ref.Episode, Options{}); got != p.Canon {
+			if got := engine.Fingerprint(ref.Episode, patterns.Options{}); got != p.Canon {
 				t.Fatalf("episode fingerprint %q in pattern %q", got, p.Canon)
 			}
 		}
@@ -417,7 +416,7 @@ func TestPatternGCCoOccurrence(t *testing.T) {
 		ep(ms(1000), trace.Ms(80), listener(ms(1000), trace.Ms(50))),
 		withGC(ms(2000)),
 	)
-	set := Classify([]*trace.Session{s}, Options{})
+	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
 	if len(set.Patterns) != 1 {
 		t.Fatalf("GC exclusion should merge the episodes: %d patterns", len(set.Patterns))
 	}
@@ -428,7 +427,7 @@ func TestPatternGCCoOccurrence(t *testing.T) {
 	if got := p.GCFrac(); got < 0.66 || got > 0.67 {
 		t.Errorf("GCFrac = %v, want 2/3", got)
 	}
-	if (&Pattern{}).GCFrac() != 0 {
+	if (&patterns.Pattern{}).GCFrac() != 0 {
 		t.Error("empty pattern GCFrac should be 0")
 	}
 }
@@ -440,7 +439,7 @@ func TestPatternGCCoOccurrence(t *testing.T) {
 func TestPatternHashPinned(t *testing.T) {
 	cases := []struct {
 		eps   []*trace.Episode
-		opt   Options
+		opt   patterns.Options
 		canon string
 		hash  uint64
 		id    string
@@ -466,14 +465,14 @@ func TestPatternHashPinned(t *testing.T) {
 				trace.NewInterval(trace.KindListener, "app.B", "on", 0, trace.Ms(60),
 					trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(10), trace.Ms(20))),
 				trace.NewInterval(trace.KindPaint, "x.Q", "paint", ms(70), trace.Ms(20)))},
-			opt:   Options{KindOnly: true},
+			opt:   patterns.Options{KindOnly: true},
 			canon: "dispatch(listener(paint),paint)",
 			hash:  187986442237767471,
 			id:    "pdcac582bef2f",
 		},
 	}
 	for _, tc := range cases {
-		set := Classify([]*trace.Session{sessionWith(tc.eps...)}, tc.opt)
+		set := engine.Classify([]*trace.Session{sessionWith(tc.eps...)}, tc.opt)
 		if len(set.Patterns) != 1 {
 			t.Fatalf("want 1 pattern, got %d", len(set.Patterns))
 		}
@@ -488,4 +487,87 @@ func TestPatternHashPinned(t *testing.T) {
 			t.Errorf("ID(%q) = %q, want %q", tc.canon, p.ID(), tc.id)
 		}
 	}
+}
+
+// TestBuilderMergeOrderFree is the builder's merge property: two
+// sessions cut into four pieces (one fed in reverse) give four
+// builders that, merged in every order and in a tree shape, finish
+// deeply equal to each other and to Classify's set less its member
+// episodes.
+func TestBuilderMergeOrderFree(t *testing.T) {
+	opt := patterns.Options{Threshold: trace.DefaultPerceptibleThreshold}
+	var sessions []*trace.Session
+	for id := 0; id < 2; id++ {
+		s, err := sim.Run(sim.Config{Profile: apps.JEdit(), SessionID: id, Seed: 11, SessionSeconds: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	type piece struct {
+		s       *trace.Session
+		eps     []*trace.Episode
+		reverse bool
+	}
+	var pieces []piece
+	for _, s := range sessions {
+		half := len(s.Episodes) / 2
+		pieces = append(pieces, piece{s, s.Episodes[:half], false}, piece{s, s.Episodes[half:], s.ID == 0})
+	}
+	build := func() []*patterns.Builder {
+		ea := engine.NewEpisodeAnalyzer(engine.Options{Patterns: opt})
+		bs := make([]*patterns.Builder, len(pieces))
+		for i, pc := range pieces {
+			bs[i] = patterns.NewBuilder(opt)
+			for j := range pc.eps {
+				if pc.reverse {
+					j = len(pc.eps) - 1 - j
+				}
+				e := pc.eps[j]
+				if info := ea.Analyze(pc.s, e); info.Structured {
+					bs[i].Add(info.Print, e.Dur())
+				} else {
+					bs[i].AddUnstructured()
+				}
+			}
+		}
+		return bs
+	}
+
+	want := engine.Classify(sessions, opt)
+	for _, p := range want.Patterns {
+		p.Episodes = nil
+	}
+	if len(want.Patterns) < 20 {
+		t.Fatalf("only %d patterns: too few to exercise merging", len(want.Patterns))
+	}
+	check := func(name string, got *patterns.Set) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: merged builders finish differently from Classify", name)
+		}
+	}
+	var permute func(order, rest []int)
+	permute = func(order, rest []int) {
+		if len(rest) == 0 {
+			bs := build()
+			b := bs[order[0]]
+			for _, i := range order[1:] {
+				b.Merge(bs[i])
+			}
+			check(fmt.Sprint("order ", order), b.Finish())
+			return
+		}
+		for k := range rest {
+			next := append(append([]int(nil), rest[:k]...), rest[k+1:]...)
+			permute(append(order, rest[k]), next)
+		}
+	}
+	permute(nil, []int{0, 1, 2, 3})
+
+	bs := build()
+	bs[3].Merge(bs[0])
+	bs[1].Merge(bs[2])
+	bs[1].Merge(bs[3])
+	check("tree (1+2)+(3+0)", bs[1].Finish())
 }

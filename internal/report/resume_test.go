@@ -275,10 +275,12 @@ func TestAnalyzeSuitesContextCancelMarksRemaining(t *testing.T) {
 
 // TestCheckpointVersion1StoreReruns: a store left by an older payload
 // encoding is stale as a whole — version 1's gob session suites
-// (apps/<digest>.gob) and version 2's LiLa v2 suite frames
-// (apps/<digest>.lila). Open removes the payload, the app misses, and
-// the study re-runs every app with output byte-identical to a fresh
-// run.
+// (apps/<digest>.gob), version 2's LiLa v2 suite frames
+// (apps/<digest>.lila), and version 3's closed folds
+// (apps/<digest>.fold), whose patterns carried a float lag summary
+// that today's pattern wire would decode as zero lag. Open removes the
+// payload, the app misses, and the study re-runs every app with output
+// byte-identical to a fresh run.
 func TestCheckpointVersion1StoreReruns(t *testing.T) {
 	fresh, err := RunStudy(resumeTestConfig(""))
 	if err != nil {
@@ -306,12 +308,22 @@ func TestCheckpointVersion1StoreReruns(t *testing.T) {
 		frame = binary.AppendUvarint(frame, uint64(v2.Len()))
 		frame = append(frame, v2.Bytes()...)
 	}
+	// A version-3 payload: the app's closed fold. Its bytes decode
+	// today, so only the manifest version can reject it.
+	f, err := StudyFold(context.Background(), cfg, cfg.Apps[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold, err := f.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, old := range []struct {
 		version int
 		ext     string
 		payload []byte
-	}{{1, ".gob", gobSuite.Bytes()}, {2, ".lila", frame}} {
+	}{{1, ".gob", gobSuite.Bytes()}, {2, ".lila", frame}, {3, ".fold", fold}} {
 		dir := filepath.Join(t.TempDir(), "ckpt")
 		cfg := resumeTestConfig(dir)
 		sum := sha256.Sum256(old.payload)

@@ -282,6 +282,7 @@ func TestShardStateDamage(t *testing.T) {
 		"payload flip": flipByte(data, len(data)-1),
 		"sum flip":     flipByte(data, 12),
 		"old worker":   oldShardState(t, st.Health),
+		"LAGSHRD4":     withMagic(data, "LAGSHRD4"),
 	}
 	for name, d := range damage {
 		if _, err := DecodeShardState(d); !errors.Is(err, ErrBadShardState) {
@@ -309,6 +310,16 @@ func oldShardState(t *testing.T, health *report.StudyHealth) []byte {
 	copy(out, "LAGSHRD3")
 	sum := sha256.Sum256(out[len("LAGSHRD3")+sha256.Size:])
 	copy(out[len("LAGSHRD3"):], sum[:])
+	return out
+}
+
+// withMagic reframes data under another magic with its checksum
+// intact: a "LAGSHRD4" worker framed its state as today's, but its
+// patterns' lag was a float summary that today's pattern wire would
+// decode as zero lag.
+func withMagic(data []byte, magic string) []byte {
+	out := append([]byte(nil), data...)
+	copy(out, magic)
 	return out
 }
 

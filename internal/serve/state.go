@@ -24,20 +24,21 @@ import (
 // Framing is paranoid by design, because this payload crosses a
 // network that the fault-injection suite is allowed to damage:
 //
-//	8 bytes  magic "LAGSHRD4"
+//	8 bytes  magic "LAGSHRD5"
 //	32 bytes SHA-256 of the payload
 //	N bytes  payload := gob of the Health ledger and the Folds
 //
 // Any truncation, reset, or bit flip — in the header, checksum, or
 // payload — surfaces as ErrBadShardState, which the coordinator
 // retries as wire damage, as it does a payload of another framing
-// version (an older worker's "LAGSHRD3" state carried suite frames).
+// version (an older worker's "LAGSHRD3" state carried suite frames,
+// and a "LAGSHRD4" state's patterns a float lag summary).
 // A fold of another app, threshold or session count under a good
 // checksum is worker skew or a bug instead: the coordinator degrades
 // the shard, merging none of it.
 
 // shardStateMagic identifies (and versions) the shard-state framing.
-const shardStateMagic = "LAGSHRD4"
+const shardStateMagic = "LAGSHRD5"
 
 // ErrBadShardState marks a shard-state payload that failed its framing
 // or checksum validation: the bytes on the wire are not the bytes the

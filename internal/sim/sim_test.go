@@ -246,7 +246,7 @@ func TestEpisodeStructures(t *testing.T) {
 
 func TestPatternsEmergeFromSimulation(t *testing.T) {
 	s := runTest(t, Config{Profile: testProfile(), Seed: 13})
-	set := patterns.Classify([]*trace.Session{s}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
 	if len(set.Patterns) < 2 {
 		t.Fatalf("only %d patterns", len(set.Patterns))
 	}
@@ -366,9 +366,10 @@ func TestExplicitGCEpisodes(t *testing.T) {
 	}}
 	s := runTest(t, Config{Profile: p, Seed: 29})
 	unspecifiedWithGC := 0
+	ea := engine.NewEpisodeAnalyzer(engine.Options{})
 	for _, e := range s.Episodes {
 		hasGC := e.Root.HasKind(trace.KindGC)
-		if !e.Structured() && hasGC {
+		if !ea.Analyze(s, e).Structured && hasGC {
 			unspecifiedWithGC++
 		}
 		if tr := engine.TriggerOf(e, analysis.TriggerOptions{}); tr != analysis.TriggerUnspecified {

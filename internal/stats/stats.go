@@ -9,23 +9,20 @@
 package stats
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 )
 
-// Summary holds the order statistics LagAlyzer's pattern browser shows
-// per pattern (count, min, mean, max, total) plus the standard
-// deviation for reporting.
+// Summary holds the running count, min, mean, max, and total of a
+// stream of observations (the streaming analyzer's episode
+// durations).
 type Summary struct {
 	N     int
 	Min   float64
 	Max   float64
 	Total float64
 	mean  float64
-	m2    float64 // sum of squared deviations (Welford)
 }
 
 // Add folds one observation into the summary.
@@ -42,73 +39,11 @@ func (s *Summary) Add(x float64) {
 	}
 	s.N++
 	s.Total += x
-	delta := x - s.mean
-	s.mean += delta / float64(s.N)
-	s.m2 += delta * (x - s.mean)
-}
-
-// Merge folds another summary into the receiver.
-func (s *Summary) Merge(o Summary) {
-	if o.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = o
-		return
-	}
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	n1, n2 := float64(s.N), float64(o.N)
-	delta := o.mean - s.mean
-	s.m2 += o.m2 + delta*delta*n1*n2/(n1+n2)
-	s.mean = (n1*s.mean + n2*o.mean) / (n1 + n2)
-	s.N += o.N
-	s.Total += o.Total
-}
-
-// GobEncode encodes every field, the running mean and squared
-// deviations too, so a decoded summary merges bit-exactly as s would.
-func (s Summary) GobEncode() ([]byte, error) {
-	b := binary.AppendVarint(nil, int64(s.N))
-	for _, x := range [...]float64{s.Min, s.Max, s.Total, s.mean, s.m2} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return b, nil
-}
-
-// GobDecode decodes a summary GobEncode encoded.
-func (s *Summary) GobDecode(b []byte) error {
-	n, k := binary.Varint(b)
-	if k <= 0 || len(b) != k+40 {
-		return errors.New("stats: bad summary encoding")
-	}
-	s.N = int(n)
-	for i, x := range [...]*float64{&s.Min, &s.Max, &s.Total, &s.mean, &s.m2} {
-		*x = math.Float64frombits(binary.LittleEndian.Uint64(b[k+8*i:]))
-	}
-	return nil
+	s.mean += (x - s.mean) / float64(s.N)
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.mean
-}
-
-// StdDev returns the population standard deviation, or 0 for fewer
-// than two observations.
-func (s *Summary) StdDev() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.N))
-}
+func (s *Summary) Mean() float64 { return s.mean }
 
 // String renders the summary in a compact human-readable form.
 func (s *Summary) String() string {

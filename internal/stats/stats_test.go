@@ -23,58 +23,12 @@ func TestSummaryBasics(t *testing.T) {
 	if got, want := s.Mean(), 31.0/8; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Mean = %v, want %v", got, want)
 	}
-	// Population stddev: sqrt(52.875/8).
-	if got := s.StdDev(); math.Abs(got-2.5708705) > 1e-4 {
-		t.Errorf("StdDev = %v, want ≈2.571", got)
-	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 {
-		t.Errorf("empty summary: Mean=%v StdDev=%v, want 0/0", s.Mean(), s.StdDev())
-	}
-}
-
-func TestSummaryMergeMatchesSequentialAdds(t *testing.T) {
-	f := func(raw []float64, split uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				xs = append(xs, x)
-			}
-		}
-		k := 0
-		if len(xs) > 0 {
-			k = int(split) % (len(xs) + 1)
-		}
-		var whole, a, b Summary
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		for _, x := range xs[:k] {
-			a.Add(x)
-		}
-		for _, x := range xs[k:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if whole.N != a.N {
-			return false
-		}
-		if whole.N == 0 {
-			return true
-		}
-		closeEnough := func(x, y float64) bool {
-			return math.Abs(x-y) <= 1e-6*(1+math.Abs(x)+math.Abs(y))
-		}
-		return whole.Min == a.Min && whole.Max == a.Max &&
-			closeEnough(whole.Total, a.Total) &&
-			closeEnough(whole.Mean(), a.Mean()) &&
-			closeEnough(whole.StdDev(), a.StdDev())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if s.Mean() != 0 {
+		t.Errorf("empty summary: Mean=%v, want 0", s.Mean())
 	}
 }
 

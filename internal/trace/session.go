@@ -42,19 +42,6 @@ func (e *Episode) Dur() Dur { return e.Root.Dur() }
 // threshold (DefaultPerceptibleThreshold in the paper's study).
 func (e *Episode) Perceptible(threshold Dur) bool { return e.Dur() >= threshold }
 
-// Structured reports whether the episode has any internal structure
-// beyond incidental garbage collections: at least one non-GC child
-// below the dispatch interval. Only structured episodes participate in
-// pattern classification (paper, Section IV-A, column "#Eps").
-func (e *Episode) Structured() bool {
-	for _, c := range e.Root.Children {
-		if c.Kind != KindGC {
-			return true
-		}
-	}
-	return false
-}
-
 // ThreadInfo describes one thread observed in a session.
 type ThreadInfo struct {
 	ID   ThreadID

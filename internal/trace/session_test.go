@@ -72,24 +72,6 @@ func TestPerceptibleEpisodes(t *testing.T) {
 	}
 }
 
-func TestStructured(t *testing.T) {
-	childless := &Episode{Root: NewInterval(KindDispatch, "", "", 0, Ms(200))}
-	if childless.Structured() {
-		t.Error("childless episode should not be structured")
-	}
-	gcOnly := &Episode{Root: NewInterval(KindDispatch, "", "", 0, Ms(500),
-		NewGC(Ms(10).asTime(), Ms(400), true))}
-	if gcOnly.Structured() {
-		t.Error("episode with only a GC child should not be structured (paper §IV-A)")
-	}
-	mixed := &Episode{Root: NewInterval(KindDispatch, "", "", 0, Ms(500),
-		NewGC(Ms(10).asTime(), Ms(100), false),
-		NewInterval(KindPaint, "a.B", "paint", Ms(200).asTime(), Ms(100)))}
-	if !mixed.Structured() {
-		t.Error("episode with a non-GC child should be structured")
-	}
-}
-
 func TestTicksInUsesHalfOpenWindow(t *testing.T) {
 	s := testSession()
 	got := s.TicksIn(Time(Second), Time(Second).Add(Ms(300)))

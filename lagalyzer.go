@@ -182,11 +182,11 @@ const (
 
 // Classify groups the sessions' episodes into structural patterns.
 func Classify(sessions []*Session, opt PatternOptions) *PatternSet {
-	return patterns.Classify(sessions, opt)
+	return engine.Classify(sessions, opt)
 }
 
 // Fingerprint returns an episode's canonical structural form.
-func Fingerprint(e *Episode, opt PatternOptions) string { return patterns.Fingerprint(e, opt) }
+func Fingerprint(e *Episode, opt PatternOptions) string { return engine.Fingerprint(e, opt) }
 
 // --- Characterization analyses (Section IV) ---
 
