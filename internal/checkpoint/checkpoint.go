@@ -68,10 +68,9 @@ var (
 // manifestVersion is bumped whenever the payload encoding changes; a
 // version mismatch invalidates the whole store. Version 1 stored gob
 // session suites (apps/<digest>.gob), version 2 LiLa v2 suite frames
-// (apps/<digest>.lila), version 3 closed folds whose patterns carried a
-// float lag summary; version 4 stores closed folds with integer pattern
-// lag.
-const manifestVersion = 4
+// (apps/<digest>.lila), version 3 closed folds with float pattern lag,
+// version 4 without session IDs; version 5 stores today's closed folds.
+const manifestVersion = 5
 
 // Entry references one checkpointed app in the manifest.
 type Entry struct {

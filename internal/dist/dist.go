@@ -16,10 +16,10 @@
 //   - A trace corpus shards into contiguous ranges of the sorted path
 //     list. A worker folds its files exactly as a single-node
 //     trace-directory load does (report.FoldTraceDirContext) and ships
-//     the closed one-session folds; the coordinator concatenates them
-//     in shard order — which, for contiguous ranges, is precisely
-//     sorted path order — and merges them per app, reproducing the
-//     single-node scan byte for byte.
+//     one closed fold per app; the coordinator merges each into its
+//     app's fold as the shard lands. Folds merge in any order, so the
+//     result reproduces the single-node scan byte for byte whatever
+//     order the shards land in.
 //
 // Robustness is layered around that core: per-attempt timeouts,
 // capped exponential backoff with deterministic jitter (Backoff),
@@ -42,7 +42,7 @@ import (
 	"log/slog"
 	"net/http"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -313,10 +313,10 @@ func (c *Coordinator) degrade(ctx context.Context, shard string, attempts int, r
 // recovery ladder as study shards. Shards run concurrently, one lane
 // per worker: shard i runs in lane i mod lanes, after the lane's
 // earlier shards, and its first attempt goes to the i-th healthy
-// worker. Each shard's folds land in its own slot, and the slots
-// concatenate in shard order, which for contiguous ranges is sorted
-// path order; the folds then merge per app in sorted app order, so the
-// result — rows, figures, and health ledger — is byte-identical to a
+// worker. Each shard's folds merge into their apps' folds as the shard
+// lands, and its health lands in its own slot, merged in shard order,
+// which for contiguous ranges is sorted path order; so the result —
+// rows, figures, and health ledger — is byte-identical to a
 // single-node report.AnalyzeTraceDirContext. progressW receives
 // per-app progress lines (nil = silent).
 func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOptions, shards int, progressW io.Writer) (*report.StudyResult, error) {
@@ -332,7 +332,8 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 	}
 
 	threshold := trace.DefaultPerceptibleThreshold
-	shardFolds := make([][]*engine.AppFold, shards)
+	var mu sync.Mutex
+	var folds []*engine.AppFold // one per app
 	health := make([]*report.StudyHealth, shards)
 	lanes := min(shards, len(c.opt.Workers))
 	var wg sync.WaitGroup
@@ -341,19 +342,19 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 		go func(l int) {
 			defer wg.Done()
 			for i := l; i < shards; i += lanes {
-				// Contiguous range [lo, hi): shard boundaries in sorted
-				// path order, so in-order concatenation reproduces the
-				// full scan.
 				lo, hi := i*len(paths)/shards, (i+1)*len(paths)/shards
 				label := fmt.Sprintf("files[%d:%d]", lo, hi)
-				var err error
-				shardFolds[i], health[i], err = c.traceShard(ctx, dir, o, paths[lo:hi], label, i, threshold)
+				shard, h, err := c.traceShard(ctx, dir, o, paths[lo:hi], label, i, threshold)
 				if err != nil {
 					// Itemized loss: the shard's files are recorded, never
 					// silently dropped.
-					health[i] = &report.StudyHealth{SessionsSkipped: hi - lo, Apps: []report.AppHealth{
+					h = &report.StudyHealth{SessionsSkipped: hi - lo, Apps: []report.AppHealth{
 						{App: label, Error: err.Error(), Reason: report.LossShard}}}
 				}
+				health[i] = h
+				mu.Lock()
+				folds = engine.MergeByApp(append(folds, shard...))
+				mu.Unlock()
 			}
 		}(l)
 	}
@@ -366,14 +367,12 @@ func (c *Coordinator) RunTraces(ctx context.Context, dir string, o report.LoadOp
 	for _, h := range health {
 		merged.Merge(h)
 	}
-	folds := slices.Concat(shardFolds...)
 	if len(folds) == 0 {
 		return nil, fmt.Errorf("report: no loadable trace sessions under %s (%d files failed)",
 			dir, len(merged.Files))
 	}
-	// Group by app as the single-node scan does; the stable sort keeps
-	// each app's folds in path order.
-	sort.SliceStable(folds, func(a, b int) bool { return folds[a].App() < folds[b].App() })
+	// Apps are analyzed in name order, as a single-node scan's are.
+	slices.SortFunc(folds, func(a, b *engine.AppFold) int { return strings.Compare(a.App(), b.App()) })
 	res := report.AnalyzeFolds(ctx, folds, threshold, progressW)
 	res.Health.Merge(merged)
 	return res, nil

@@ -17,12 +17,11 @@ import (
 )
 
 // damagingWorkers starts n worker lagd job servers whose /state
-// answers swap one of app's folds for one tallied at half the
-// threshold, then re-encode and re-checksum the state: the last of
-// app's folds in a state that holds more than one of them (a trace
-// shard's), or app's only fold in a state that holds nothing else (a
-// study shard's). The checksum and the framing pass — the state worker
-// skew or a worker bug makes.
+// answers swap app's fold for one tallied at half the threshold, then
+// re-encode and re-checksum the state: in a state that holds nothing
+// else (a study shard's), or where the fold holds more than one session
+// (a trace shard's with two of app's files). The checksum and the
+// framing pass — the state worker skew or a worker bug makes.
 func damagingWorkers(t *testing.T, n int, app string) []string {
 	return startWorkersWith(t, n, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -38,17 +37,12 @@ func damagingWorkers(t *testing.T, n int, app string) []string {
 				w.Write(rec.Body.Bytes())
 				return
 			}
-			var mine []int
 			for i, f := range st.Folds {
-				if f.App() == app {
-					mine = append(mine, i)
+				if f.App() == app && (len(st.Folds) == 1 || f.Sessions() > 1) {
+					skewed := engine.NewAppFold(f.Threshold()/2, engine.Options{})
+					skewed.CloseSession(&trace.Session{App: app})
+					st.Folds[i] = skewed
 				}
-			}
-			if len(mine) > 1 || len(mine) == 1 && len(st.Folds) == 1 {
-				last := mine[len(mine)-1]
-				skewed := engine.NewAppFold(st.Folds[last].Threshold()/2, engine.Options{})
-				skewed.CloseSession(&trace.Session{App: app})
-				st.Folds[last] = skewed
 			}
 			data, err := serve.EncodeShardState(st)
 			if err != nil {

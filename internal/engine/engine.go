@@ -17,10 +17,10 @@
 // per-pattern counts, one Table III tally per session, and a copy of
 // Figure 2's candidate. A release-mode build (treebuild.Options.Episode)
 // feeds it as each episode closes, so no session is kept; Analyze feeds
-// it from held sessions. Every tally is integral, and the figures are
-// derived per session in session order once the folds are merged, so
-// no rendered result depends on the order episodes close in or on how
-// the sessions were split across folds.
+// it from held sessions. Every tally is integral, and Table III's sums
+// and Figure 2's pick go by keys, so no rendered result depends on the
+// order episodes close in, on how sessions were split across folds, or
+// on the order folds merge in.
 //
 // walk.go holds the one tree walk behind a pattern: the fold's, and
 // Classify's and Fingerprint's for callers that hold sessions.
@@ -28,9 +28,11 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/obs"
@@ -66,10 +68,10 @@ type Result struct {
 	Overview analysis.Overview
 	Pooled   *patterns.Set
 	// Deepest holds Figure 2's episode, Episodes[0], and its ticks: the
-	// episode with the largest EpisodeInfo.Size — on a tie the first
-	// session's, and within it the earliest-starting one — copied so
-	// that it outlives the build that released it. Nil when no session
-	// had an episode.
+	// episode with the largest EpisodeInfo.Size — on a tie the one of
+	// the lower session ID, then the earlier start, then the lower
+	// episode index — copied so that it outlives the build that
+	// released it. Nil when no session had an episode.
 	Deepest *trace.Session
 
 	TriggerAll, TriggerLong   analysis.TriggerShares
@@ -82,8 +84,10 @@ type Result struct {
 	TicksAll, TicksLong int
 }
 
-// sessionTally is one session's Table III inputs.
+// sessionTally is one session's Table III inputs; its key is ID, then
+// every other field in order.
 type sessionTally struct {
+	ID                         int
 	E2E, InEpisode             trace.Dur
 	Short, Traced, Perceptible int
 	// Dist counts the session's distinct patterns, Covered the
@@ -93,9 +97,9 @@ type sessionTally struct {
 }
 
 // AppFold is the mergeable per-application fold. Episode takes the
-// episodes of one open session, CloseSession ends it, and Merge
-// appends another fold's sessions. Not safe for concurrent use; a
-// parallel load gives each file its own AppFold.
+// episodes of one open session, CloseSession ends it, and Merge adds
+// another fold's sessions. Not safe for concurrent use; a parallel load
+// gives each file its own AppFold.
 type AppFold struct {
 	app       string // the app of the last closed session
 	threshold trace.Dur
@@ -106,12 +110,9 @@ type AppFold struct {
 	deepest   *trace.Session // Figure 2's candidate (see Result.Deepest)
 	deepSize  int
 
-	// The open session: its tally so far, its episodes per pattern,
-	// and its Figure 2 candidate.
+	// The open session: its tally so far and its episodes per pattern.
 	open      sessionTally
 	openCount map[*patterns.Pattern]int
-	openBest  *trace.Session
-	openSize  int
 }
 
 // NewAppFold returns an empty fold. threshold is the raw perceptibility
@@ -142,9 +143,17 @@ func (f *AppFold) Episode(s *trace.Session, e *trace.Episode) {
 	if e.Perceptible(f.threshold) {
 		f.open.Perceptible++
 	}
-	if b := f.openBest; b == nil || info.Size > f.openSize || info.Size == f.openSize && e.Start() < b.Episodes[0].Start() {
-		f.openBest, f.openSize = copyEpisode(s, e), info.Size
+	if f.deepest == nil || deeper(info.Size, s.ID, e, f.deepSize, f.deepest) {
+		f.deepest, f.deepSize = copyEpisode(s, e), info.Size
 	}
+}
+
+// deeper reports whether episode e of size, in session id, beats
+// Figure 2's candidate d of dsize: the larger size wins, then the lower
+// session ID, the earlier start, the lower episode index.
+func deeper(size, id int, e *trace.Episode, dsize int, d *trace.Session) bool {
+	de := d.Episodes[0]
+	return cmp.Or(cmp.Compare(dsize, size), cmp.Compare(id, d.ID), cmp.Compare(e.Start(), de.Start()), cmp.Compare(e.Index, de.Index)) < 0
 }
 
 // copyEpisode deep-copies e and the ticks of s inside it into a
@@ -167,7 +176,7 @@ func copyEpisode(s *trace.Session, e *trace.Episode) *trace.Session {
 func (f *AppFold) CloseSession(s *trace.Session) {
 	f.app = s.App
 	t := f.open
-	t.E2E, t.Short = s.E2E(), s.ShortCount
+	t.ID, t.E2E, t.Short = s.ID, s.E2E(), s.ShortCount
 	for p, n := range f.openCount {
 		t.Dist++
 		t.Covered += n
@@ -178,29 +187,38 @@ func (f *AppFold) CloseSession(s *trace.Session) {
 		t.Depth += p.Depth
 	}
 	f.sessions = append(f.sessions, t)
-	f.keepDeepest(f.openBest, f.openSize)
-	f.open, f.openBest = sessionTally{}, nil
+	f.open = sessionTally{}
 	clear(f.openCount)
 	mEpisodes.Add(int64(t.Traced))
 }
 
-// keepDeepest makes d, of the given size, Figure 2's candidate if it
-// beats the current one, which on a tie comes from an earlier session
-// and stays.
-func (f *AppFold) keepDeepest(d *trace.Session, size int) {
-	if d != nil && (f.deepest == nil || size > f.deepSize) {
-		f.deepest, f.deepSize = d, size
-	}
-}
-
-// Merge appends o's closed sessions after f's; o must not be used
-// afterwards.
+// Merge adds o's closed sessions to f's; merges commute and associate.
+// o must not be used afterwards.
 func (f *AppFold) Merge(o *AppFold) {
+	f.app = cmp.Or(f.app, o.app)
 	f.pop[0].Merge(&o.pop[0])
 	f.pop[1].Merge(&o.pop[1])
 	f.patterns.Merge(o.patterns)
 	f.sessions = append(f.sessions, o.sessions...)
-	f.keepDeepest(o.deepest, o.deepSize)
+	if d := o.deepest; d != nil && (f.deepest == nil || deeper(o.deepSize, d.ID, d.Episodes[0], f.deepSize, f.deepest)) {
+		f.deepest, f.deepSize = d, o.deepSize
+	}
+}
+
+// MergeByApp merges closed folds into one per app, consuming them, in
+// the order the apps first appear.
+func MergeByApp(folds []*AppFold) []*AppFold {
+	var out []*AppFold
+	byApp := make(map[string]*AppFold)
+	for _, f := range folds {
+		if m := byApp[f.app]; m != nil {
+			m.Merge(f)
+			continue
+		}
+		byApp[f.app] = f
+		out = append(out, f)
+	}
+	return out
 }
 
 // foldWire is a closed AppFold on the wire: every tally, bit for bit.
@@ -247,17 +265,16 @@ func (f *AppFold) Threshold() trace.Dur { return f.threshold }
 // Sessions returns the number of the fold's closed sessions.
 func (f *AppFold) Sessions() int { return len(f.sessions) }
 
-// Finish merges closed folds in order and derives app's result,
-// consuming them, under an engine phase span with merge and overview
-// children.
+// Finish merges closed folds and derives app's result, consuming
+// them, under an engine phase span with merge and overview children.
 func Finish(ctx context.Context, app string, folds []*AppFold) *Result {
 	ctx, endEngine := obs.PhaseSpan(ctx, "engine")
 	defer endEngine()
 	return finish(ctx, app, folds)
 }
 
-// finish merges closed folds in order and derives the result, under
-// merge and overview spans.
+// finish merges closed folds and derives the result, under merge and
+// overview spans.
 func finish(ctx context.Context, app string, folds []*AppFold) *Result {
 	_, endMerge := obs.Span(ctx, "merge")
 	f := folds[0]
@@ -287,8 +304,15 @@ func finish(ctx context.Context, app string, folds []*AppFold) *Result {
 }
 
 // overview derives the Table III row: per-session averages, summed in
-// session order.
+// key order, so equal keys mean equal tallies and the order the
+// sessions were folded in cannot show.
 func (f *AppFold) overview(app string) analysis.Overview {
+	slices.SortFunc(f.sessions, func(a, b sessionTally) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.E2E, b.E2E), cmp.Compare(a.InEpisode, b.InEpisode),
+			cmp.Compare(a.Short, b.Short), cmp.Compare(a.Traced, b.Traced), cmp.Compare(a.Perceptible, b.Perceptible),
+			cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Covered, b.Covered), cmp.Compare(a.Singletons, b.Singletons),
+			cmp.Compare(a.Descendants, b.Descendants), cmp.Compare(a.Depth, b.Depth))
+	})
 	o := analysis.Overview{App: app, Sessions: len(f.sessions)}
 	n := float64(len(f.sessions))
 	for _, t := range f.sessions {

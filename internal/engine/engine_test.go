@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -147,28 +148,74 @@ func TestFingerprintMatchesOracle(t *testing.T) {
 }
 
 // TestEngineFoldSplitInvariance is the fold's determinism guarantee:
-// one fold over the whole suite and one fold per session merged in
-// session order give deeply equal results, with each session's
-// episodes fed in start order or in reverse.
+// folds merge in any order and shape. Four sessions, whose IDs are not
+// in feed order and two of which tie on Figure 2's size, finish deeply
+// equal to one fold over all of them when folded one per session, with
+// each session's episodes fed in start order or in reverse, and merged
+// in every order and in a tree.
 func TestEngineFoldSplitInvariance(t *testing.T) {
-	suite := testSuite()
-	base := Analyze(suite, threshold, Options{})
+	base := testSuite()
+	extra, err := sim.Run(sim.Config{Profile: apps.GanttProject(), SessionID: 2, Seed: 7, SessionSeconds: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := []*trace.Session{base.Sessions[0], base.Sessions[1], extra}
+	// A copy of the session holding Figure 2's episode, under a higher
+	// ID, ties with it on size.
+	deepest := Analyze(&trace.Suite{App: base.App, Sessions: sessions}, threshold, Options{}).Deepest
+	twin := *sessions[deepest.ID]
+	twin.ID = 3
+	suite := &trace.Suite{App: base.App, Sessions: []*trace.Session{extra, &twin, base.Sessions[1], base.Sessions[0]}}
+	want := Analyze(suite, threshold, Options{})
+	if want.Deepest.ID != deepest.ID {
+		t.Fatalf("Figure 2's episode comes from session %d, want the lower ID %d of the tie", want.Deepest.ID, deepest.ID)
+	}
+
 	for _, reverse := range []bool{false, true} {
-		var folds []*AppFold
-		for _, s := range suite.Sessions {
-			f := NewAppFold(threshold, Options{})
-			for i := range s.Episodes {
-				if reverse {
-					i = len(s.Episodes) - 1 - i
+		fold := func() []*AppFold {
+			var folds []*AppFold
+			for _, s := range suite.Sessions {
+				f := NewAppFold(threshold, Options{})
+				for i := range s.Episodes {
+					if reverse {
+						i = len(s.Episodes) - 1 - i
+					}
+					f.Episode(s, s.Episodes[i])
 				}
-				f.Episode(s, s.Episodes[i])
+				f.CloseSession(s)
+				folds = append(folds, f)
 			}
-			f.CloseSession(s)
-			folds = append(folds, f)
+			return folds
 		}
-		if got := Finish(context.Background(), suite.App, folds); !reflect.DeepEqual(base, got) {
-			t.Errorf("reverse=%v: the per-session folds finish differently from one fold", reverse)
+		check := func(name string, f *AppFold) {
+			t.Helper()
+			if got := Finish(context.Background(), suite.App, []*AppFold{f}); !reflect.DeepEqual(want, got) {
+				t.Errorf("reverse=%v, %s: the merged folds finish differently from one fold", reverse, name)
+			}
 		}
+		var permute func(order, rest []int)
+		permute = func(order, rest []int) {
+			if len(rest) == 0 {
+				folds := fold()
+				f := folds[order[0]]
+				for _, i := range order[1:] {
+					f.Merge(folds[i])
+				}
+				check(fmt.Sprint("order ", order), f)
+				return
+			}
+			for k := range rest {
+				next := append(append([]int(nil), rest[:k]...), rest[k+1:]...)
+				permute(append(order, rest[k]), next)
+			}
+		}
+		permute(nil, []int{0, 1, 2, 3})
+
+		folds := fold()
+		folds[3].Merge(folds[0])
+		folds[1].Merge(folds[2])
+		folds[1].Merge(folds[3])
+		check("tree (1+2)+(3+0)", folds[1])
 	}
 }
 

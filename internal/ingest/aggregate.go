@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"lagalyzer/internal/engine"
+	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/trace"
 )
 
@@ -54,24 +55,6 @@ type WindowKey struct {
 	Window int64  `json:"window"`
 }
 
-// PatternTally is one pattern's contribution to a window. Its lag
-// sums are integers, so a window's pattern map is the same whatever
-// order its episodes close or its parts merge in.
-type PatternTally struct {
-	Hash        uint64    `json:"hash"`
-	Count       int       `json:"count"`
-	Perceptible int       `json:"perceptible"`
-	LagTotal    trace.Dur `json:"lag_total_ns"`
-	LagMax      trace.Dur `json:"lag_max_ns"`
-}
-
-func (p *PatternTally) merge(o *PatternTally) {
-	p.Count += o.Count
-	p.Perceptible += o.Perceptible
-	p.LagTotal += o.LagTotal
-	p.LagMax = max(p.LagMax, o.LagMax)
-}
-
 // Aggregate is the mergeable per-window state: the engine's population
 // pair over the window's episodes, plus what the engine does not
 // tally. Every field is integral, so merging is commutative and
@@ -83,9 +66,6 @@ type Aggregate struct {
 	// causes, location and concurrency. A tick inside two overlapping
 	// episodes counts once for each, exactly as the engine tallies it.
 	Pop [2]engine.Population
-	// Unstructured counts episodes excluded from pattern
-	// classification (no retained non-GC child below the dispatch).
-	Unstructured int
 	// Treeless counts episodes whose interval tree was dropped by the
 	// degraded stats-only mode; they are absent from Patterns but
 	// present in every other tally.
@@ -94,8 +74,10 @@ type Aggregate struct {
 	LagHist [NumLagBuckets]int
 	LagMax  trace.Dur
 
-	// Patterns tallies structured episodes by canonical form.
-	Patterns map[string]*PatternTally
+	// Patterns tallies structured episodes by canonical form and counts
+	// the unstructured ones (no retained non-GC child below the
+	// dispatch); every window that has an episode has one.
+	Patterns *patterns.Builder
 }
 
 // add folds one analyzed episode; treeless marks an episode the
@@ -106,52 +88,35 @@ func (a *Aggregate) add(e *trace.Episode, info *engine.EpisodeInfo, threshold tr
 	d := e.Dur()
 	a.LagHist[lagBucket(d)]++
 	a.LagMax = max(a.LagMax, d)
+	if a.Patterns == nil {
+		a.Patterns = patterns.NewBuilder(patterns.Options{Threshold: threshold})
+	}
 	switch {
 	case treeless:
 		a.Treeless++
 	case !info.Structured:
-		a.Unstructured++
+		a.Patterns.AddUnstructured()
 	default:
-		pt := a.Patterns[string(info.Print.Canon)]
-		if pt == nil {
-			newPattern = true
-			pt = a.pattern(string(info.Print.Canon), info.Print.Hash)
-		}
-		one := PatternTally{Count: 1, LagTotal: d, LagMax: d}
-		if e.Perceptible(threshold) {
-			one.Perceptible = 1
-		}
-		pt.merge(&one)
+		return a.Patterns.Add(info.Print, d).Count() == 1
 	}
-	return newPattern
+	return false
 }
 
-// pattern returns the window's tally for canon, creating it.
-func (a *Aggregate) pattern(canon string, hash uint64) *PatternTally {
-	if a.Patterns == nil {
-		a.Patterns = make(map[string]*PatternTally)
-	}
-	pt := a.Patterns[canon]
-	if pt == nil {
-		pt = &PatternTally{Hash: hash}
-		a.Patterns[canon] = pt
-	}
-	return pt
-}
-
-// Merge folds o into a.
+// Merge folds o into a; o stays intact.
 func (a *Aggregate) Merge(o *Aggregate) {
 	for i := range a.Pop {
 		a.Pop[i].Merge(&o.Pop[i])
 	}
-	a.Unstructured += o.Unstructured
 	a.Treeless += o.Treeless
 	for i, n := range o.LagHist {
 		a.LagHist[i] += n
 	}
 	a.LagMax = max(a.LagMax, o.LagMax)
-	for canon, pt := range o.Patterns {
-		a.pattern(canon, pt.Hash).merge(pt)
+	if o.Patterns != nil {
+		if a.Patterns == nil {
+			a.Patterns = patterns.NewBuilder(o.Patterns.Options())
+		}
+		a.Patterns.Merge(o.Patterns)
 	}
 }
 

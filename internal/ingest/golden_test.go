@@ -135,15 +135,11 @@ func compareTables(t *testing.T, got, want *Tables) {
 			if !reflect.DeepEqual(gc, wc) {
 				t.Errorf("window %+v tallies:\n  streamed %+v\n  batch    %+v", k, gc, wc)
 			}
-			for canon, pt := range wa.Patterns {
-				if g := ga.Patterns[canon]; g == nil || *g != *pt {
-					t.Errorf("window %+v pattern %q: streamed %+v, batch %+v", k, canon, ga.Patterns[canon], pt)
-				}
+			if g, w := ga.Patterns.Unstructured(), wa.Patterns.Unstructured(); g != w {
+				t.Errorf("window %+v unstructured: streamed %d, batch %d", k, g, w)
 			}
-			for canon := range ga.Patterns {
-				if wa.Patterns[canon] == nil {
-					t.Errorf("window %+v pattern %q: streamed has it, batch does not", k, canon)
-				}
+			if g, w := ga.Patterns.Patterns(), wa.Patterns.Patterns(); !reflect.DeepEqual(g, w) {
+				t.Errorf("window %+v patterns: streamed %d, batch %d, or their tallies differ", k, len(g), len(w))
 			}
 		}
 	}
@@ -541,7 +537,8 @@ func TestGoldenStatsWindowsMatchBatch(t *testing.T) {
 			if want[k] == nil {
 				want[k] = &servedWindow{App: k.App, Window: k.Window,
 					StartSec:     (time.Duration(k.Window) * time.Duration(goldenWindow)).Seconds(),
-					PatternCount: len(ref.Windows[k].Patterns), TopPatterns: topPatterns(ref.Windows[k])}
+					PatternCount: len(ref.Windows[k].Patterns.Patterns()),
+					TopPatterns:  topPatterns(ref.Windows[k].Patterns.Patterns(), trace.DefaultPerceptibleThreshold)}
 			}
 			info := ea.Analyze(s, e)
 			want[k].add(e, &info, trace.DefaultPerceptibleThreshold)

@@ -13,6 +13,7 @@ import (
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
+	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
@@ -300,8 +301,12 @@ type windowView struct {
 }
 
 type patternDigest struct {
-	Canon string `json:"canon"`
-	PatternTally
+	Canon       string    `json:"canon"`
+	Hash        uint64    `json:"hash"`
+	Count       int       `json:"count"`
+	Perceptible int       `json:"perceptible"`
+	LagTotal    trace.Dur `json:"lag_total_ns"`
+	LagMax      trace.Dur `json:"lag_max_ns"`
 }
 
 const topPatternsPerWindow = 5
@@ -363,12 +368,13 @@ func (s *Server) Stats() *StatsResponse {
 	for _, k := range tables.SortedWindows() {
 		agg := tables.Windows[k]
 		all, long := &agg.Pop[0], &agg.Pop[1]
+		ps := agg.Patterns.Patterns()
 		resp.Windows = append(resp.Windows, windowView{
 			WindowKey:    k,
 			StartSec:     (time.Duration(k.Window) * time.Duration(s.cfg.windowDur())).Seconds(),
 			Episodes:     all.Trigger.Total,
 			Perceptible:  long.Trigger.Total,
-			Unstructured: agg.Unstructured,
+			Unstructured: agg.Patterns.Unstructured(),
 			Treeless:     agg.Treeless,
 			Triggers:     all.Trigger.Counts,
 			TriggersLong: long.Trigger.Counts,
@@ -384,8 +390,8 @@ func (s *Server) Stats() *StatsResponse {
 			LagHist:      agg.LagHist,
 			LagTotal:     all.EpisodeTime,
 			LagMax:       agg.LagMax,
-			PatternCount: len(agg.Patterns),
-			TopPatterns:  topPatterns(agg),
+			PatternCount: len(ps),
+			TopPatterns:  topPatterns(ps, s.cfg.threshold()),
 		})
 	}
 	resp.Apps = tables.Apps
@@ -395,13 +401,15 @@ func (s *Server) Stats() *StatsResponse {
 	return resp
 }
 
-func topPatterns(agg *Aggregate) []patternDigest {
-	if len(agg.Patterns) == 0 {
+// topPatterns digests the patterns with the largest total lag.
+func topPatterns(ps []*patterns.Pattern, threshold trace.Dur) []patternDigest {
+	if len(ps) == 0 {
 		return nil
 	}
-	out := make([]patternDigest, 0, len(agg.Patterns))
-	for canon, pt := range agg.Patterns {
-		out = append(out, patternDigest{Canon: canon, PatternTally: *pt})
+	out := make([]patternDigest, len(ps))
+	for i, p := range ps {
+		out[i] = patternDigest{Canon: p.Canon, Hash: p.Hash, Count: p.Count(),
+			Perceptible: p.PerceptibleCount(threshold), LagTotal: p.TotalLag(), LagMax: p.MaxLag()}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].LagTotal != out[j].LagTotal {

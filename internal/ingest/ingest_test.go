@@ -270,7 +270,6 @@ func TestStatsOnlyDegradationKeepsAggregates(t *testing.T) {
 		}
 		gotTreeless += ga.Treeless
 		wc, gc := *wa, *ga
-		wc.Unstructured, gc.Unstructured = 0, 0
 		wc.Treeless, gc.Treeless = 0, 0
 		if !equalAggregates(&wc, &gc) {
 			t.Errorf("window %+v tallies diverged:\n  degraded %+v\n  batch    %+v", k, gc, wc)
@@ -281,6 +280,27 @@ func TestStatsOnlyDegradationKeepsAggregates(t *testing.T) {
 	}
 	if got.Apps["Jmol"] == nil || want.Apps["Jmol"] == nil || *got.Apps["Jmol"] != *want.Apps["Jmol"] {
 		t.Errorf("app tally: degraded %+v, batch %+v", got.Apps["Jmol"], want.Apps["Jmol"])
+	}
+}
+
+// TestTablesCloneIsDeep: /ingest/stats reads a clone of the server's
+// tables, so folding more episodes into a clone — into patterns it
+// shares with the original, too — leaves the original as it was.
+func TestTablesCloneIsDeep(t *testing.T) {
+	sessions := buildSessions(t, []delivery{{app: "Jmol", body: encodeSession(t, lila.FormatText, "Jmol", 31, 20)}})
+	orig, want := NewTables(), NewTables()
+	FoldSessions(orig, "Jmol", sessions, goldenWindow, 0)
+	FoldSessions(want, "Jmol", sessions, goldenWindow, 0)
+	clone := orig.Clone()
+	if !reflect.DeepEqual(clone, orig) {
+		t.Fatal("a clone differs from its original")
+	}
+	FoldSessions(clone, "Jmol", sessions, goldenWindow, 0)
+	if reflect.DeepEqual(clone, orig) {
+		t.Fatal("folding into the clone changed nothing")
+	}
+	if !reflect.DeepEqual(orig, want) {
+		t.Error("folding into a clone changed the original")
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 //	                       written atomically (payload before
 //	                       manifest, the checkpoint discipline)
 //	snap-<sha>.gob         gob(Tables) at the last graceful shutdown
-//	journal-v2-<gen>.wal   framed entries appended since the snapshot
+//	journal-v3-<gen>.wal   framed entries appended since the snapshot
 //
 // Each frame is [u32 length][u32 crc32(payload)][gob payload]. A torn
 // tail (partial frame or checksum mismatch, the normal result of
@@ -45,13 +45,14 @@ import (
 // decode with its tallies silently zeroed. The format is therefore
 // versioned, in the manifest and in the WAL's name. Version 1 (a
 // manifest without a version, WALs named journal-<gen>.wal) stored
-// each window's tallies field by field; version 2 stores the engine's
-// population pair. A journal of any other version is moved aside
-// whole on open and logged, and the server starts empty: its files
-// are kept, never replayed and never deleted.
+// each window's tallies field by field, version 2 the engine's
+// population pair and a map of pattern tallies; version 3 stores the
+// patterns as a patterns.Builder. A journal of any other version is
+// moved aside whole on open and logged, and the server starts empty:
+// its files are kept, never replayed and never deleted.
 
 // journalVersion is the on-disk format of manifest, snapshot and WAL.
-const journalVersion = 2
+const journalVersion = 3
 
 // journalEntry is one WAL record: a completed window's aggregate or a
 // finished session's app tally (exactly one of Agg/App is set).
@@ -138,17 +139,19 @@ func OpenJournal(dir string, log *slog.Logger) (*Journal, *Tables, error) {
 }
 
 // readManifest returns dir's manifest. Before the first rotation there
-// is none, and the version is 1 if version 1's generation-0 WAL
-// exists, else the current one.
+// is none, and the version is that of an older version's generation-0
+// WAL in dir, else the current one.
 func readManifest(dir string) (manifest, error) {
 	m := manifest{Version: 1} // version 1 manifests carry no version
 	mf, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case os.IsNotExist(err):
-		if _, err := os.Stat(filepath.Join(dir, "journal-0.wal")); err != nil {
-			m.Version = journalVersion
+		for v, wal := range []string{"journal-0.wal", "journal-v2-0.wal"} {
+			if _, err := os.Stat(filepath.Join(dir, wal)); err == nil {
+				return manifest{Version: v + 1}, nil
+			}
 		}
-		return m, nil
+		return manifest{Version: journalVersion}, nil
 	case err != nil:
 		return m, err
 	}

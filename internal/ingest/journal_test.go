@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"lagalyzer/internal/analysis"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/trace"
 )
@@ -197,8 +198,18 @@ func TestJournalCorruptSnapshotRefused(t *testing.T) {
 	}
 }
 
-// v1Aggregate and v1Entry are a window aggregate and a WAL entry as a
-// version 1 journal stored them: each tally field by field.
+// oldPatternTally is one pattern's tallies as journal versions 1 and
+// 2 stored them, in a map keyed by canonical form.
+type oldPatternTally struct {
+	Hash        uint64
+	Count       int
+	Perceptible int
+	LagTotal    trace.Dur
+	LagMax      trace.Dur
+}
+
+// v1Aggregate is a window aggregate as a version 1 journal stored it:
+// each tally field by field.
 type v1Aggregate struct {
 	Episodes, Perceptible, Unstructured, Treeless int
 
@@ -210,61 +221,96 @@ type v1Aggregate struct {
 
 	LagHist          [NumLagBuckets]int
 	LagTotal, LagMax trace.Dur
-	Patterns         map[string]*PatternTally
+	Patterns         map[string]*oldPatternTally
 }
 
-type v1Entry struct {
+// v2Aggregate is a window aggregate as a version 2 journal stored it:
+// the population pair, and the patterns as a tally map.
+type v2Aggregate struct {
+	Pop          [2]engine.Population
+	Unstructured int
+	Treeless     int
+	LagHist      [NumLagBuckets]int
+	LagMax       trace.Dur
+	Patterns     map[string]*oldPatternTally
+}
+
+// oldEntry is a WAL entry of an older version, its aggregate a
+// *v1Aggregate or a *v2Aggregate.
+type oldEntry[A any] struct {
 	Key     WindowKey
-	Agg     *v1Aggregate
+	Agg     A
 	AppName string
 	App     *AppTally
 }
 
-// TestJournalVersion1MovedAside: a journal written in version 1's
-// format, before and after a graceful rotation, is detected on open
-// and moved aside whole with its bytes intact, the event is logged,
-// and the server starts with empty tables — never zero-filled
-// populations decoded from the old entries.
-func TestJournalVersion1MovedAside(t *testing.T) {
-	agg := &v1Aggregate{Episodes: 7, Perceptible: 2, EpisodeTime: trace.Ms(900), LagTotal: trace.Ms(900),
-		LagMax: trace.Ms(400), Samples: 30, Ticks: 40, Patterns: map[string]*PatternTally{"(d(l))": {Hash: 1, Count: 5}}}
-	agg.Triggers[analysis.TriggerInput] = 7
-	agg.LagHist[4] = 7
-	entries := []v1Entry{
-		{Key: WindowKey{App: "Jmol", Window: 3}, Agg: agg},
-		{AppName: "Jmol", App: &AppTally{Sessions: 1, Short: 9, E2E: trace.Ms(20000)}},
+// oldWAL names generation gen's WAL in a journal of an older version.
+func oldWAL(version int, gen uint64) string {
+	if version == 1 {
+		return fmt.Sprintf("journal-%d.wal", gen)
 	}
-	wal := func(t *testing.T) []byte {
-		var out []byte
-		for i := range entries {
-			var payload bytes.Buffer
-			if err := gob.NewEncoder(&payload).Encode(&entries[i]); err != nil {
-				t.Fatal(err)
-			}
-			out = binary.LittleEndian.AppendUint32(out, uint32(payload.Len()))
-			out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload.Bytes()))
-			out = append(out, payload.Bytes()...)
+	return fmt.Sprintf("journal-v%d-%d.wal", version, gen)
+}
+
+// oldJournal returns the files of a journal of an older version
+// holding one window and one app tally: its WAL alone when killed
+// before any rotation, or else a snapshot, its manifest and the next
+// generation's WAL, as a graceful rotation leaves them.
+func oldJournal[A any](t *testing.T, version int, agg A, rotated bool) map[string][]byte {
+	t.Helper()
+	key, app := WindowKey{App: "Jmol", Window: 3}, &AppTally{Sessions: 1, Short: 9, E2E: trace.Ms(20000)}
+	var wal []byte
+	for _, e := range []oldEntry[A]{{Key: key, Agg: agg}, {AppName: "Jmol", App: app}} {
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&e); err != nil {
+			t.Fatal(err)
 		}
-		return out
+		wal = binary.LittleEndian.AppendUint32(wal, uint32(payload.Len()))
+		wal = binary.LittleEndian.AppendUint32(wal, crc32.ChecksumIEEE(payload.Bytes()))
+		wal = append(wal, payload.Bytes()...)
 	}
-	layouts := map[string]func(t *testing.T) map[string][]byte{
-		"killed before any rotation": func(t *testing.T) map[string][]byte {
-			return map[string][]byte{"journal-0.wal": wal(t)}
-		},
-		"rotated at shutdown": func(t *testing.T) map[string][]byte {
-			var snap bytes.Buffer
-			v1Tables := struct {
-				Windows map[WindowKey]*v1Aggregate
-				Apps    map[string]*AppTally
-			}{map[WindowKey]*v1Aggregate{entries[0].Key: agg}, map[string]*AppTally{"Jmol": entries[1].App}}
-			if err := gob.NewEncoder(&snap).Encode(&v1Tables); err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(snap.Bytes())
-			sha := hex.EncodeToString(sum[:])
-			mf := fmt.Sprintf(`{"snapshot":"snap-%s.gob","sha256":"%s","gen":1}`, sha[:16], sha)
-			return map[string][]byte{"manifest.json": []byte(mf), "snap-" + sha[:16] + ".gob": snap.Bytes(), "journal-1.wal": wal(t)}
-		},
+	if !rotated {
+		return map[string][]byte{oldWAL(version, 0): wal}
+	}
+	var snap bytes.Buffer
+	tables := struct {
+		Windows map[WindowKey]A
+		Apps    map[string]*AppTally
+	}{map[WindowKey]A{key: agg}, map[string]*AppTally{"Jmol": app}}
+	if err := gob.NewEncoder(&snap).Encode(&tables); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(snap.Bytes())
+	sha := hex.EncodeToString(sum[:])
+	mf := fmt.Sprintf(`{"snapshot":"snap-%s.gob","sha256":"%s","gen":1}`, sha[:16], sha)
+	if version > 1 {
+		mf = fmt.Sprintf(`{"version":%d,"snapshot":"snap-%s.gob","sha256":"%s","gen":1}`, version, sha[:16], sha)
+	}
+	return map[string][]byte{"manifest.json": []byte(mf), "snap-" + sha[:16] + ".gob": snap.Bytes(), oldWAL(version, 1): wal}
+}
+
+// TestJournalVersion1MovedAside: a journal written in version 1's or
+// version 2's format, before and after a graceful rotation, is
+// detected on open and moved aside whole with its bytes intact, the
+// event is logged, and the server starts with empty tables — never
+// zero-filled tallies decoded from the old entries.
+func TestJournalVersion1MovedAside(t *testing.T) {
+	patterns := map[string]*oldPatternTally{"(d(l))": {Hash: 1, Count: 5}}
+	v1 := &v1Aggregate{Episodes: 7, Perceptible: 2, EpisodeTime: trace.Ms(900), LagTotal: trace.Ms(900),
+		LagMax: trace.Ms(400), Samples: 30, Ticks: 40, Patterns: patterns}
+	v1.Triggers[analysis.TriggerInput] = 7
+	v1.LagHist[4] = 7
+	v2 := &v2Aggregate{Unstructured: 2, LagMax: trace.Ms(400), Patterns: patterns}
+	v2.Pop[0].Trigger.Total = 7
+	v2.LagHist[4] = 7
+	layouts := map[string]struct {
+		version int
+		files   func(t *testing.T) map[string][]byte
+	}{
+		"killed before any rotation":           {1, func(t *testing.T) map[string][]byte { return oldJournal(t, 1, v1, false) }},
+		"rotated at shutdown":                  {1, func(t *testing.T) map[string][]byte { return oldJournal(t, 1, v1, true) }},
+		"version 2 killed before any rotation": {2, func(t *testing.T) map[string][]byte { return oldJournal(t, 2, v2, false) }},
+		"version 2 rotated at shutdown":        {2, func(t *testing.T) map[string][]byte { return oldJournal(t, 2, v2, true) }},
 	}
 	for name, layout := range layouts {
 		t.Run(name, func(t *testing.T) {
@@ -272,7 +318,7 @@ func TestJournalVersion1MovedAside(t *testing.T) {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			files := layout(t)
+			files := layout.files(t)
 			for f, data := range files {
 				if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
 					t.Fatal(err)
@@ -285,12 +331,12 @@ func TestJournalVersion1MovedAside(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := srv.Tables(); len(got.Windows) != 0 || len(got.Apps) != 0 {
-				t.Errorf("server recovered %d windows and %d apps from a version 1 journal", len(got.Windows), len(got.Apps))
+				t.Errorf("server recovered %d windows and %d apps from a version %d journal", len(got.Windows), len(got.Apps), layout.version)
 			}
-			if !strings.Contains(log.String(), "moved aside") || !strings.Contains(log.String(), "version=1") {
+			if !strings.Contains(log.String(), "moved aside") || !strings.Contains(log.String(), fmt.Sprintf("version=%d", layout.version)) {
 				t.Errorf("the move was not logged: %q", log.String())
 			}
-			aside, err := filepath.Glob(dir + ".v1-*")
+			aside, err := filepath.Glob(fmt.Sprintf("%s.v%d-*", dir, layout.version))
 			if err != nil || len(aside) != 1 {
 				t.Fatalf("moved-aside journals: %v (%v)", aside, err)
 			}

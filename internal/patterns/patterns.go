@@ -22,9 +22,11 @@ package patterns
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/stats"
@@ -314,7 +316,6 @@ type Print struct {
 // builders merge in any order and shape to the same finished Set.
 type Builder struct {
 	opt          Options
-	patterns     []*Pattern
 	byHash       map[uint64]*Pattern
 	collisions   map[string]*Pattern // only populated on 64-bit hash collisions
 	unstructured int
@@ -329,7 +330,7 @@ func NewBuilder(opt Options) *Builder {
 // and returns its pattern. pr.Canon may alias a reusable buffer; it is
 // copied only when the pattern is new.
 func (b *Builder) Add(pr Print, dur trace.Dur) *Pattern {
-	p := b.findBytes(pr.Hash, pr.Canon)
+	p := find(b, pr.Hash, pr.Canon)
 	if p == nil {
 		p = &Pattern{
 			Canon:       string(pr.Canon),
@@ -358,11 +359,11 @@ func (b *Builder) Add(pr Print, dur trace.Dur) *Pattern {
 // AddUnstructured counts an episode excluded from classification.
 func (b *Builder) AddUnstructured() { b.unstructured++ }
 
-// findBytes looks a pattern up by hash, confirming the hit (and
-// resolving 64-bit collisions) by canon comparison. The string(canon)
+// find looks a pattern up by hash, confirming the hit (and resolving
+// 64-bit collisions) by canon comparison. The string(canon)
 // conversions below are comparison/index expressions the compiler
 // performs without allocating.
-func (b *Builder) findBytes(hash uint64, canon []byte) *Pattern {
+func find[C string | []byte](b *Builder, hash uint64, canon C) *Pattern {
 	p, ok := b.byHash[hash]
 	if !ok {
 		return nil
@@ -370,28 +371,7 @@ func (b *Builder) findBytes(hash uint64, canon []byte) *Pattern {
 	if string(canon) == p.Canon {
 		return p
 	}
-	if b.collisions != nil {
-		if p, ok := b.collisions[string(canon)]; ok {
-			return p
-		}
-	}
-	return nil
-}
-
-func (b *Builder) findString(hash uint64, canon string) *Pattern {
-	p, ok := b.byHash[hash]
-	if !ok {
-		return nil
-	}
-	if canon == p.Canon {
-		return p
-	}
-	if b.collisions != nil {
-		if p, ok := b.collisions[canon]; ok {
-			return p
-		}
-	}
-	return nil
+	return b.collisions[string(canon)]
 }
 
 func (b *Builder) insert(p *Pattern) {
@@ -403,19 +383,19 @@ func (b *Builder) insert(p *Pattern) {
 	} else {
 		b.byHash[p.Hash] = p
 	}
-	b.patterns = append(b.patterns, p)
 }
 
 // Merge folds another builder's pattern tallies and unstructured count
-// into the receiver; o must not be used afterwards. Every tally is an
-// integer sum, min, or max, so merges commute and associate. Member
-// episodes are not merged: only the engine's Classify keeps them, in
-// one builder.
+// into the receiver, copying each pattern it inserts, so o stays
+// intact. Every tally is an integer sum, min, or max, so merges commute
+// and associate. Member episodes are not merged: only the engine's
+// Classify keeps them, in one builder.
 func (b *Builder) Merge(o *Builder) {
-	for _, q := range o.patterns {
-		p := b.findString(q.Hash, q.Canon)
+	for _, q := range o.all() {
+		p := find(b, q.Hash, q.Canon)
 		if p == nil {
-			b.insert(q)
+			c := *q
+			b.insert(&c)
 			continue
 		}
 		p.count += q.count
@@ -427,6 +407,35 @@ func (b *Builder) Merge(o *Builder) {
 	}
 	b.unstructured += o.unstructured
 }
+
+// all returns the builder's patterns, those keyed by hash first.
+func (b *Builder) all() []*Pattern {
+	var ps []*Pattern
+	for _, p := range b.byHash {
+		ps = append(ps, p)
+	}
+	for _, p := range b.collisions {
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// Patterns returns the builder's patterns in Finish's order; the
+// builder keeps them.
+func (b *Builder) Patterns() []*Pattern {
+	ps := b.all()
+	slices.SortFunc(ps, func(p, q *Pattern) int {
+		return cmp.Or(cmp.Compare(q.count, p.count), strings.Compare(p.Canon, q.Canon))
+	})
+	return ps
+}
+
+// Unstructured returns the number of episodes counted by
+// AddUnstructured.
+func (b *Builder) Unstructured() int { return b.unstructured }
+
+// Options returns the options the builder was made with.
+func (b *Builder) Options() Options { return b.opt }
 
 // patternWire is a builder-fed pattern's tallies on the wire.
 type patternWire struct {
@@ -444,11 +453,12 @@ type builderWire struct {
 	Unstructured int
 }
 
-// GobEncode encodes the patterns in encounter order with every tally,
+// GobEncode encodes the patterns in Finish's order with every tally,
 // so that the decoded builder merges and finishes exactly as b would.
 func (b *Builder) GobEncode() ([]byte, error) {
-	w := builderWire{Options: b.opt, Patterns: make([]patternWire, len(b.patterns)), Unstructured: b.unstructured}
-	for i, p := range b.patterns {
+	ps := b.Patterns()
+	w := builderWire{Options: b.opt, Patterns: make([]patternWire, len(ps)), Unstructured: b.unstructured}
+	for i, p := range ps {
 		w.Patterns[i] = patternWire{p.Canon, p.Hash, p.Descendants, p.Depth, p.count, p.perceptible, p.gc, p.threshold, p.minLag, p.maxLag, p.total}
 	}
 	var buf bytes.Buffer
@@ -472,23 +482,16 @@ func (b *Builder) GobDecode(data []byte) error {
 	return nil
 }
 
-// Finish sorts the patterns (descending episode count, ties broken by
-// canonical form, which no two patterns share) and returns the Set, so
+// Finish returns the Set with the patterns sorted by descending episode
+// count, ties broken by canonical form, which no two patterns share, so
 // the order does not depend on the order episodes or builders were
 // folded in. The builder must not be used afterwards.
 func (b *Builder) Finish() *Set {
 	set := &Set{
 		Options:      b.opt,
-		Patterns:     b.patterns,
+		Patterns:     b.Patterns(),
 		Unstructured: b.unstructured,
 	}
-	sort.SliceStable(set.Patterns, func(i, j int) bool {
-		a, b := set.Patterns[i], set.Patterns[j]
-		if a.count != b.count {
-			return a.count > b.count
-		}
-		return a.Canon < b.Canon
-	})
 	mPatternsUnique.Add(int64(len(set.Patterns)))
 	mEpisodesDeduped.Add(int64(set.Covered() - len(set.Patterns)))
 	mUnstructured.Add(int64(set.Unstructured))

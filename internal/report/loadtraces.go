@@ -127,11 +127,11 @@ func AnalyzeTraceDirContext(ctx context.Context, dir string, o LoadOptions, thre
 // FoldTraceDirContext folds the traces under dir (or o.Paths) at
 // threshold, keeping no session: each file builds in release mode into
 // its own engine.AppFold, which closes with the session its build
-// finished as. It returns the closed folds in (app, path) order and
-// the health, which also comes with the error of a load where no
-// session survived. A session over a full build's memory budget is
-// analyzed, not degraded. A distributed trace shard is this load over
-// its path range.
+// finished as. It returns the closed folds in (app, path) order, so
+// apps first appear in name order, and the health, which also comes
+// with the error of a load where no session survived. A session over a
+// full build's memory budget is analyzed, not degraded. A distributed
+// trace shard is this load over its path range.
 func FoldTraceDirContext(ctx context.Context, dir string, o LoadOptions, threshold trace.Dur) ([]*engine.AppFold, *StudyHealth, error) {
 	paths, err := TracePaths(dir, o)
 	if err != nil {
@@ -391,25 +391,19 @@ func FoldHook(folds []*engine.AppFold, threshold trace.Dur) func(i int) func(*tr
 	}
 }
 
-// AnalyzeFolds is AnalyzeSuitesContext for closed one-session folds:
-// one application per app name in first-seen order, merging its folds
-// in order. threshold must be the one the folds were built at.
+// AnalyzeFolds is AnalyzeSuitesContext for closed folds: one
+// application per app name in first-seen order, finishing its folds
+// merged (engine.MergeByApp). threshold must be the one the folds were
+// built at.
 func AnalyzeFolds(ctx context.Context, folds []*engine.AppFold, threshold trace.Dur, progressW io.Writer) *StudyResult {
-	var apps []string
-	var groups [][]*engine.AppFold
-	byApp := make(map[string]int)
-	for _, f := range folds {
-		g, ok := byApp[f.App()]
-		if !ok {
-			g = len(apps)
-			byApp[f.App()] = g
-			apps, groups = append(apps, f.App()), append(groups, nil)
-		}
-		groups[g] = append(groups[g], f)
+	folds = engine.MergeByApp(folds)
+	apps := make([]string, len(folds))
+	for i, f := range folds {
+		apps[i] = f.App()
 	}
 	return analyzeApps(ctx, apps, threshold, progressW, func(ctx context.Context, i int) (*AppResult, error) {
-		mSessions.Add(int64(len(groups[i])))
-		return appResult(apps[i], engine.Finish(ctx, apps[i], groups[i])), nil
+		mSessions.Add(int64(folds[i].Sessions()))
+		return appResult(apps[i], engine.Finish(ctx, apps[i], folds[i:i+1])), nil
 	})
 }
 

@@ -276,9 +276,10 @@ func TestAnalyzeSuitesContextCancelMarksRemaining(t *testing.T) {
 // TestCheckpointVersion1StoreReruns: a store left by an older payload
 // encoding is stale as a whole — version 1's gob session suites
 // (apps/<digest>.gob), version 2's LiLa v2 suite frames
-// (apps/<digest>.lila), and version 3's closed folds
-// (apps/<digest>.fold), whose patterns carried a float lag summary
-// that today's pattern wire would decode as zero lag. Open removes the
+// (apps/<digest>.lila), version 3's closed folds (apps/<digest>.fold),
+// whose patterns carried a float lag summary that today's pattern wire
+// would decode as zero lag, and version 4's, whose session tallies
+// carried no ID that today's would decode as session 0. Open removes the
 // payload, the app misses, and the study re-runs every app with output
 // byte-identical to a fresh run.
 func TestCheckpointVersion1StoreReruns(t *testing.T) {
@@ -308,8 +309,8 @@ func TestCheckpointVersion1StoreReruns(t *testing.T) {
 		frame = binary.AppendUvarint(frame, uint64(v2.Len()))
 		frame = append(frame, v2.Bytes()...)
 	}
-	// A version-3 payload: the app's closed fold. Its bytes decode
-	// today, so only the manifest version can reject it.
+	// A version-3 or version-4 payload: the app's closed fold. Its
+	// bytes decode today, so only the manifest version can reject it.
 	f, err := StudyFold(context.Background(), cfg, cfg.Apps[0], nil)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +324,7 @@ func TestCheckpointVersion1StoreReruns(t *testing.T) {
 		version int
 		ext     string
 		payload []byte
-	}{{1, ".gob", gobSuite.Bytes()}, {2, ".lila", frame}, {3, ".fold", fold}} {
+	}{{1, ".gob", gobSuite.Bytes()}, {2, ".lila", frame}, {3, ".fold", fold}, {4, ".fold", fold}} {
 		dir := filepath.Join(t.TempDir(), "ckpt")
 		cfg := resumeTestConfig(dir)
 		sum := sha256.Sum256(old.payload)

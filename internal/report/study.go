@@ -419,17 +419,19 @@ func studyFold(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progres
 	return f, nil
 }
 
-// simulate runs p's sessions on the session pool, session i building
-// in release mode into its own fold, which closes when the build ends,
-// and merges the folds in session order: the left fold engine.Finish
-// does. Each session is one progress step and one "simulate" span, in
-// which the build's per-episode engine work also runs.
+// simulate runs p's sessions on the session pool, each building in
+// release mode into its pool worker's fold and closing there when the
+// build ends, and merges the worker folds. Each session is one progress
+// step and one "simulate" span, in which the build's per-episode engine
+// work also runs.
 func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress) (*engine.AppFold, error) {
 	n := cfg.sessions()
-	folds := make([]*engine.AppFold, n)
+	folds := make([]*engine.AppFold, min(cfg.workers(), n))
+	for w := range folds {
+		folds[w] = engine.NewAppFold(cfg.threshold(), engine.Options{})
+	}
 	errs := make([]error, n)
-	episode := FoldHook(folds, cfg.threshold())
-	runPool(cfg.workers(), n, func(w, i int) {
+	runPool(len(folds), n, func(w, i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				mPanicsRecovered.Add(1)
@@ -442,9 +444,9 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 		}
 		_, endSim := obs.Span(obs.WithWorker(ctx, w), "simulate")
 		scfg := sim.Config{Profile: p, SessionID: i, Seed: cfg.Seed, SessionSeconds: cfg.SessionSeconds}
-		s, err := sim.RunOptions(scfg, treebuild.Options{Episode: episode(i)})
+		s, err := sim.RunOptions(scfg, treebuild.Options{Episode: folds[w].Episode})
 		if err == nil {
-			folds[i].CloseSession(s)
+			folds[w].CloseSession(s)
 		}
 		errs[i] = err
 		endSim()

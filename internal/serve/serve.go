@@ -28,6 +28,7 @@ import (
 
 	"lagalyzer/internal/apps"
 	"lagalyzer/internal/checkpoint"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/ingest"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
@@ -794,8 +795,8 @@ func (s *Server) loadOptions(paths []string, salvage bool) report.LoadOptions {
 // own checkpoint store under StateDir, which turns repeated dispatches
 // of the same shard (coordinator retries, hedges won elsewhere) into
 // cache hits. A traces-shaped shard (explicit files) ships the closed
-// folds of a single-node load of its files; one whose every file
-// failed still ships its health.
+// folds of a single-node load of its files, merged per app; one whose
+// every file failed still ships its health.
 func (s *Server) runShard(ctx context.Context, spec JobSpec) (*ShardState, error) {
 	if len(spec.Apps) > 0 {
 		cfg := report.StudyConfig{
@@ -830,7 +831,7 @@ func (s *Server) runShard(ctx context.Context, spec JobSpec) (*ShardState, error
 	if err != nil && health == nil {
 		return nil, err
 	}
-	return &ShardState{Folds: folds, Health: health}, nil
+	return &ShardState{Folds: engine.MergeByApp(folds), Health: health}, nil
 }
 
 // Shutdown drains the server: stop admissions, collect still-queued

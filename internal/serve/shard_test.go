@@ -186,8 +186,8 @@ func shardCorpus(t *testing.T) (string, []string) {
 }
 
 // TestShardJobTraces: a traces-shaped shard folds exactly its file
-// slice and ships one closed fold per file, which analyze
-// byte for byte as a local trace-directory analysis of the slice.
+// slice and ships one closed fold per app, which analyzes byte for
+// byte as a local trace-directory analysis of the slice.
 func TestShardJobTraces(t *testing.T) {
 	dir, paths := shardCorpus(t)
 	s := newTestServer(t, Config{Workers: 1})
@@ -205,13 +205,11 @@ func TestShardJobTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Folds) != 2 {
-		t.Fatalf("state has %d folds, want 2", len(st.Folds))
+	if len(st.Folds) != 1 {
+		t.Fatalf("state has %d folds, want 1", len(st.Folds))
 	}
-	for _, f := range st.Folds {
-		if f.App() != "CrosswordSage" || f.Threshold() != trace.DefaultPerceptibleThreshold {
-			t.Errorf("fold of %q at %v, want CrosswordSage at the default threshold", f.App(), f.Threshold())
-		}
+	if f := st.Folds[0]; f.App() != "CrosswordSage" || f.Sessions() != 2 || f.Threshold() != trace.DefaultPerceptibleThreshold {
+		t.Errorf("fold of %d %q sessions at %v, want 2 CrosswordSage ones at the default threshold", f.Sessions(), f.App(), f.Threshold())
 	}
 	want, err := report.AnalyzeTraceDirContext(context.Background(), dir, report.LoadOptions{Paths: paths[:2]}, 0, nil)
 	if err != nil {
@@ -283,6 +281,7 @@ func TestShardStateDamage(t *testing.T) {
 		"sum flip":     flipByte(data, 12),
 		"old worker":   oldShardState(t, st.Health),
 		"LAGSHRD4":     withMagic(data, "LAGSHRD4"),
+		"LAGSHRD5":     withMagic(data, "LAGSHRD5"),
 	}
 	for name, d := range damage {
 		if _, err := DecodeShardState(d); !errors.Is(err, ErrBadShardState) {
@@ -314,9 +313,10 @@ func oldShardState(t *testing.T, health *report.StudyHealth) []byte {
 }
 
 // withMagic reframes data under another magic with its checksum
-// intact: a "LAGSHRD4" worker framed its state as today's, but its
-// patterns' lag was a float summary that today's pattern wire would
-// decode as zero lag.
+// intact: a "LAGSHRD4" or "LAGSHRD5" worker framed its state as
+// today's, but its patterns' lag was a float summary that today's
+// pattern wire would decode as zero lag, or its session tallies had no
+// ID, which today's would decode as session 0.
 func withMagic(data []byte, magic string) []byte {
 	out := append([]byte(nil), data...)
 	copy(out, magic)

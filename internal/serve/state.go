@@ -15,30 +15,31 @@ import (
 // "shard" job, consumed by the distributed coordinator
 // (internal/dist). The payload is the mergeable part of a study plus
 // the shard's health ledger, NOT the derived analysis: closed
-// engine.AppFolds, one per app for a study shard (the checkpoint
-// store's payloads), which the coordinator finishes as a checkpoint
-// hit, or one per file for a trace shard, which it merges as a
-// single-node load does. Either way the result is byte-identical to a
-// single-node run.
+// engine.AppFolds, one merged fold per app: a study shard's is the
+// checkpoint store's payload, which the coordinator finishes as a
+// checkpoint hit, and a trace shard's merges into the app's fold when
+// the shard lands. Folds merge in any order, so the result is
+// byte-identical to a single-node run.
 //
 // Framing is paranoid by design, because this payload crosses a
 // network that the fault-injection suite is allowed to damage:
 //
-//	8 bytes  magic "LAGSHRD5"
+//	8 bytes  magic "LAGSHRD6"
 //	32 bytes SHA-256 of the payload
 //	N bytes  payload := gob of the Health ledger and the Folds
 //
 // Any truncation, reset, or bit flip — in the header, checksum, or
 // payload — surfaces as ErrBadShardState, which the coordinator
 // retries as wire damage, as it does a payload of another framing
-// version (an older worker's "LAGSHRD3" state carried suite frames,
-// and a "LAGSHRD4" state's patterns a float lag summary).
+// version (an older worker's "LAGSHRD3" state carried suite frames, a
+// "LAGSHRD4" state's patterns a float lag summary, and a "LAGSHRD5"
+// state's session tallies no session ID).
 // A fold of another app, threshold or session count under a good
 // checksum is worker skew or a bug instead: the coordinator degrades
 // the shard, merging none of it.
 
 // shardStateMagic identifies (and versions) the shard-state framing.
-const shardStateMagic = "LAGSHRD5"
+const shardStateMagic = "LAGSHRD6"
 
 // ErrBadShardState marks a shard-state payload that failed its framing
 // or checksum validation: the bytes on the wire are not the bytes the
@@ -47,9 +48,8 @@ var ErrBadShardState = errors.New("serve: shard state damaged in transit")
 
 // ShardState is one worker's contribution to a distributed study.
 type ShardState struct {
-	// Folds are closed folds: a study shard's merged one per app, in
-	// profile order, or a trace shard's one-session one per file, in
-	// (app, path) order.
+	// Folds are closed folds, one merged fold per app: a study shard's
+	// in profile order, a trace shard's in app order.
 	Folds []*engine.AppFold
 	// Health itemizes everything the shard lost or worked around, in
 	// the same per-file/per-app shape the single-node pipeline uses, so
