@@ -3,7 +3,10 @@ package lila_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"lagalyzer/internal/faultinject"
@@ -97,9 +100,11 @@ func compressibleRecords() []*lila.Record {
 
 // drain reads everything the parser will give, feeding both downstream
 // consumers: a full session build and the streaming analyzer's
-// release-mode build. The property under test is "no panic, no hang"
-// on arbitrary input.
-func drain(data []byte) {
+// release-mode build. The properties under test are "no panic, no
+// hang" on arbitrary input and, when both builds succeed, that the
+// release build (which recycles what it drops) folds the same
+// statistics as the full build's episodes.
+func drain(t testing.TB, data []byte) {
 	r, err := lila.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return
@@ -112,8 +117,43 @@ func drain(data []byte) {
 		}
 		recs = append(recs, rec)
 	}
-	_, _, _ = treebuild.BuildRecords(r.Header(), recs) // errors fine; panics not
-	_, _ = stream.AnalyzeRecords(r.Header(), recs, 0)
+	full, diag, ferr := treebuild.BuildRecords(r.Header(), recs) // errors fine; panics not
+	st, err := stream.AnalyzeRecords(r.Header(), recs, 0)
+	if ferr == nil && err == nil {
+		sameStats(t, st, foldFull(full, diag, len(recs)))
+	}
+}
+
+// foldFull folds the full build s's episodes into a streaming analyzer
+// in close order, as a release build hands them over; records is the
+// count of records fed, which a release build's diagnostics carry.
+func foldFull(s *trace.Session, diag *treebuild.Diagnostics, records int) *stream.Stats {
+	eps := slices.Clone(s.Episodes)
+	sort.SliceStable(eps, func(i, j int) bool { return eps[i].End() < eps[j].End() })
+	a := stream.NewAnalyzer(0)
+	for _, e := range eps {
+		a.Episode(s, e)
+	}
+	d := *diag
+	d.Records = records
+	return a.Stats(s, &d)
+}
+
+// sameStats fails t unless got, a release build's statistics, equals
+// want, the full build's. Two episodes closing at one instant on different
+// threads may fold in either order, so the duration sum and mean only
+// agree to rounding.
+func sameStats(t testing.TB, got, want *stream.Stats) {
+	t.Helper()
+	g, w := *got, *want
+	g.Elapsed = 0
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	if near(g.Durations.Total, w.Durations.Total) && near(g.Durations.Mean(), w.Durations.Mean()) {
+		g.Durations = w.Durations
+	}
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("release build folds\n%+v\nfull build's episodes fold\n%+v", g, w)
+	}
 }
 
 // FuzzReader throws arbitrary bytes at the format sniffer, both
@@ -125,7 +165,7 @@ func FuzzReader(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		drain(data)
+		drain(t, data)
 	})
 }
 
@@ -155,7 +195,12 @@ func drainSalvage(t *testing.T, data []byte) {
 	if rep.BytesSkipped < 0 || rep.BytesSkipped > int64(len(data)) {
 		t.Fatalf("skipped %d bytes of a %d-byte input", rep.BytesSkipped, len(data))
 	}
-	_, _, _ = treebuild.BuildRecordsOptions(r.Header(), recs, treebuild.Options{Lenient: true})
+	full, diag, ferr := treebuild.BuildRecordsOptions(r.Header(), recs, treebuild.Options{Lenient: true})
+	a := stream.NewAnalyzer(0)
+	s, rdiag, err := treebuild.BuildRecordsOptions(r.Header(), recs, treebuild.Options{Lenient: true, Episode: a.Episode})
+	if ferr == nil && err == nil {
+		sameStats(t, a.Stats(s, rdiag), foldFull(full, diag, len(recs)))
+	}
 }
 
 // salvageSeeds augments the shared corpus with faultinject-damaged
@@ -250,11 +295,11 @@ func TestParsersSurviveMutations(t *testing.T) {
 			for i := stride; i < len(mutated); i += 13 {
 				mutated[i] ^= byte(0x5a + stride)
 			}
-			drain(mutated)
+			drain(t, mutated)
 		}
 		// Truncations at every eighth offset.
 		for cut := 0; cut < len(seed); cut += 8 {
-			drain(seed[:cut])
+			drain(t, seed[:cut])
 		}
 	}
 }

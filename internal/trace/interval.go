@@ -209,10 +209,12 @@ func (iv *Interval) FindKind(k Kind) *Interval {
 // (including the receiver).
 func (iv *Interval) HasKind(k Kind) bool { return iv.FindKind(k) != nil }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a deep copy of the tree. A childless node's copy has
+// nil Children, whatever capacity the original's held.
 func (iv *Interval) Clone() *Interval {
 	cp := *iv
-	if iv.Children != nil {
+	cp.Children = nil
+	if len(iv.Children) > 0 {
 		cp.Children = make([]*Interval, len(iv.Children))
 		for i, c := range iv.Children {
 			cp.Children[i] = c.Clone()

@@ -23,7 +23,13 @@
 // time-ordered, so the hook sees every tick in the episode's
 // [Start, End), as EpisodeTicks would. What release mode keeps — the
 // open episodes and the ticks they can reach — is what its memory
-// guard charges.
+// guard charges. What it drops it reuses: once the hook returns, the
+// episode's tree goes back to the builder's trace.Slab, as do the
+// trees of orphan top-level intervals, filtered short dispatches and
+// before-start roots, and each counted GC bracket; the hook gets one
+// reused Episode, and a sample chunk is reused once every tick in it
+// is dropped. A release-mode build thus allocates for what is open,
+// not for the whole session.
 package treebuild
 
 import (
@@ -111,8 +117,10 @@ type Options struct {
 	Limits lila.Limits
 	// Episode, when set, is release mode: it gets each traced episode
 	// as it closes (Index counts close order) with the session so far,
-	// End not yet known; neither e nor s.Ticks may be kept. The built
-	// session has no episodes, ticks, or GCs.
+	// End not yet known; neither e nor s.Ticks may be kept. Once it
+	// returns, the builder reuses e, every node of e.Root's tree, and
+	// the sample chunks of the ticks it drops. The built session has no
+	// episodes, ticks, or GCs.
 	Episode func(s *trace.Session, e *trace.Episode)
 }
 
@@ -193,7 +201,8 @@ type Builder struct {
 	h      lila.Header
 	opts   Options
 	s      *trace.Session
-	slab   trace.Slab // arena behind every Interval/Episode/tick the build creates
+	slab   trace.Slab    // arena behind every Interval/Episode/tick the build creates
+	ep     trace.Episode // the one Episode release mode hands its hook
 	diag   Diagnostics
 	stacks map[trace.ThreadID]*threadStack
 	known  map[trace.ThreadID]bool
@@ -374,23 +383,27 @@ func (b *Builder) add(rec *lila.Record) error {
 		stk.nodes = 0
 		if iv.Kind != trace.KindDispatch {
 			b.diag.OrphanTopLevel++
+			b.drop(iv)
 			return nil
 		}
 		b.open--
 		if iv.Dur() < b.h.FilterThreshold {
 			b.diag.FilteredEpisodes++
 			b.s.ShortCount++
+			b.drop(iv)
 			return nil
 		}
 		if b.beforeStart(iv) {
+			b.drop(iv)
 			return nil
+		}
+		if b.opts.Episode != nil {
+			b.ep = trace.Episode{Thread: rec.Thread, Root: iv}
+			return b.release(&b.ep)
 		}
 		ep := b.slab.Episode()
 		ep.Thread = rec.Thread
 		ep.Root = iv
-		if b.opts.Episode != nil {
-			return b.release(ep)
-		}
 		b.s.Episodes = append(b.s.Episodes, ep)
 
 	case lila.RecGCStart:
@@ -422,16 +435,16 @@ func (b *Builder) add(rec *lila.Record) error {
 				continue
 			}
 			top := stk.ivs[len(stk.ivs)-1]
-			// The open bracket is childless, so a shallow slab copy is a
-			// full clone.
+			// Field by field: a recycled bracket's empty Children must
+			// not be shared.
 			cp := b.slab.Interval()
-			*cp = *b.gc
+			cp.Kind, cp.Start, cp.End, cp.Major = trace.KindGC, b.gc.Start, b.gc.End, b.gc.Major
 			top.Children = append(top.Children, cp)
 			stk.nodes++
 			copies++
 		}
-		// Release mode counts the bracket (a kept slab interval would pin
-		// its chunk); time order already guarantees End >= Start.
+		// Release mode counts the bracket and reuses it; time order
+		// already guarantees End >= Start.
 		switch {
 		case b.beforeStart(b.gc):
 		case b.opts.Episode == nil:
@@ -440,6 +453,7 @@ func (b *Builder) add(rec *lila.Record) error {
 			b.diag.GCs++
 			copies--
 		}
+		b.drop(b.gc)
 		b.gc = nil
 		if err := b.charge(copies * estIntervalBytes); err != nil {
 			return err
@@ -518,6 +532,14 @@ func (b *Builder) beforeStart(iv *trace.Interval) bool {
 	return false
 }
 
+// drop hands a finished tree that nothing keeps back to the slab in
+// release mode; a full build's slab only batches allocations.
+func (b *Builder) drop(iv *trace.Interval) {
+	if b.opts.Episode != nil {
+		b.slab.Recycle(iv)
+	}
+}
+
 // Watermark returns the earlier of the last record's time and the
 // start of the earliest open top-level dispatch. No episode that closes
 // later starts before it, so everything before it is final; release
@@ -536,8 +558,8 @@ func (b *Builder) Watermark() trace.Time {
 // retains.
 func (b *Builder) EstimatedBytes() int64 { return b.est }
 
-// release applies Validate's episode rules, hands e to the hook, and
-// drops the ticks before the watermark.
+// release applies Validate's episode rules, hands e to the hook,
+// recycles its tree, and drops the ticks before the watermark.
 func (b *Builder) release(e *trace.Episode) error {
 	if err := b.s.CheckEpisode(b.released, e, b.prevEnd, math.MaxInt64); err != nil {
 		return fmt.Errorf("%w: %w", errInvalid, err)
@@ -545,13 +567,15 @@ func (b *Builder) release(e *trace.Episode) error {
 	e.Index = b.released
 	b.released++
 	b.opts.Episode(b.s, e)
+	b.slab.Recycle(e.Root)
 	cut := b.Watermark()
 	b.dropTicks(sort.Search(len(b.s.Ticks), func(i int) bool { return b.s.Ticks[i].Time >= cut }))
 	return nil
 }
 
-// dropTicks releases the first k ticks and their charge. It compacts in
-// place: a resliced window would keep the dropped samples live.
+// dropTicks releases the first k ticks, their charge, and the sample
+// chunks only they used. It compacts in place: a resliced window would
+// keep the dropped samples live.
 func (b *Builder) dropTicks(k int) {
 	ticks := b.s.Ticks
 	cost := b.ticks
@@ -568,6 +592,7 @@ func (b *Builder) dropTicks(k int) {
 	n := copy(ticks, ticks[k:])
 	clear(ticks[n:])
 	b.s.Ticks = ticks[:n]
+	b.slab.DropTicks(k)
 	b.diag.Ticks += k
 }
 

@@ -35,10 +35,11 @@ func newSVG(w, h float64) *svgDoc {
 
 func (d *svgDoc) String() string { return d.b.String() + "</svg>\n" }
 
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// escaper is shared: a Replacer builds its lookup tables on first use
+// and is safe for concurrent use.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func esc(s string) string { return escaper.Replace(s) }
 
 // rect draws a rectangle; title, when non-empty, becomes a hover
 // tooltip.
