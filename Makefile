@@ -36,7 +36,7 @@ check: build test
 
 race:
 	$(GO) test -race ./internal/engine ./internal/report ./internal/patterns ./internal/obs \
-		./internal/serve ./internal/checkpoint ./internal/intern ./internal/lila ./internal/dist \
+		./internal/serve ./internal/checkpoint ./internal/lila ./internal/dist \
 		./internal/ingest ./internal/treebuild ./internal/sim ./cmd/lagalyzer
 
 chaos:

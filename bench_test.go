@@ -366,8 +366,8 @@ func benchLoadTraceDir(b *testing.B, dir string, files int, o report.LoadOptions
 }
 
 // BenchmarkLoadTraceDir measures the on-disk ingestion path end to
-// end: directory scan, format sniffing, concurrent decode (interner,
-// record arenas, stack dedup), session rebuild, and the deterministic
+// end: directory scan, format sniffing, concurrent decode (per-read
+// symbol tables, record arenas, stack dedup), session rebuild, and the deterministic
 // suite merge. The corpus — two applications, eight sessions, all
 // text — is written once outside the timed loop.
 func BenchmarkLoadTraceDir(b *testing.B) {
@@ -379,7 +379,7 @@ func BenchmarkLoadTraceDir(b *testing.B) {
 }
 
 // BenchmarkLoadTraceDirV2 is the same corpus stored block-indexed: the
-// mmap + pre-interned-table decode path, no per-record interning and no
+// mmap + table-once decode path, no per-record symbol lookup and no
 // stream framing. Compare against BenchmarkLoadTraceDir for the v2
 // ingestion win.
 func BenchmarkLoadTraceDirV2(b *testing.B) {

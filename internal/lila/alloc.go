@@ -3,7 +3,6 @@ package lila
 import (
 	"hash/maphash"
 
-	"lagalyzer/internal/intern"
 	"lagalyzer/internal/trace"
 )
 
@@ -66,8 +65,9 @@ func (a *recArena) reset() {
 // decoder, the v2 writer, or the simulator builds each stack in a
 // scratch buffer, and the table either returns the shared slice of an
 // identical earlier stack or copies the scratch into a fresh canonical
-// slice. Interned frame strings make equality checks usually
-// short-circuit on identical string data pointers.
+// slice. A reader's equal frame strings share one backing (its symbol
+// table), so equality checks usually short-circuit on identical string
+// data pointers.
 type StackTab struct {
 	m map[uint64][][]trace.Frame
 }
@@ -116,10 +116,3 @@ func framesEqual(a, b []trace.Frame) bool {
 	}
 	return true
 }
-
-// internBytes is intern.Bytes; aliased here so the decoders read as
-// one layer.
-func internBytes(b []byte) string { return intern.Bytes(b) }
-
-// internString is intern.String for the text decoder's tokens.
-func internString(s string) string { return intern.String(s) }

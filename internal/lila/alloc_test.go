@@ -3,7 +3,11 @@ package lila
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"lagalyzer/internal/trace"
 )
@@ -84,5 +88,116 @@ func TestSampleStackDedup(t *testing.T) {
 				t.Errorf("stack %s decoded onto distinct backing arrays", leaf)
 			}
 		}
+	}
+}
+
+// TestSymbolsSharedPerRead: within one read, text or v2, equal symbols
+// decode onto one string backing; the table that shares them belongs
+// to the read. A v2 read copies its table out of the file, so a
+// session built through OpenV2File keeps its symbols after Close
+// unmaps the file.
+func TestSymbolsSharedPerRead(t *testing.T) {
+	data := allocTestTrace(t, 10)
+	v, err := ParseV2(data, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := v.Records(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	tw, err := NewTextWriter(&text, v.Header())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := tw.WriteRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, enc := range map[string][]byte{"v2": data, "text": text.Bytes()} {
+		r, err := NewReader(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkShared(t, name, drainReader(t, r))
+	}
+
+	path := filepath.Join(t.TempDir(), "alloc.lila")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mv, err := OpenV2File(f, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(&mv.d.data[0]))
+	hi := lo + uintptr(len(mv.d.data))
+	// What a session keeps of a record: its strings and its stack.
+	var kept []Record
+	if _, err := mv.Each(false, 1, func(r *Record) error {
+		kept = append(kept, Record{Class: r.Class, Method: r.Method, Name: r.Name, Stack: r.Stack})
+		for _, s := range symbols(r) {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= lo && p < hi {
+				t.Fatalf("symbol %q points into the file's data", s)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range kept {
+		if got, want := symbols(&kept[i]), symbols(recs[i]); !slices.Equal(got, want) {
+			t.Fatalf("record %d after Close: symbols %q, want %q", i, got, want)
+		}
+	}
+}
+
+// symbols lists r's non-empty strings: class, method, thread name, and
+// every frame's class and method.
+func symbols(r *Record) []string {
+	var out []string
+	for _, s := range []string{r.Class, r.Method, r.Name} {
+		if s != "" {
+			out = append(out, s)
+		}
+	}
+	for _, f := range r.Stack {
+		out = append(out, f.Class, f.Method)
+	}
+	return out
+}
+
+// checkShared fails t unless equal symbols across recs share one
+// string backing.
+func checkShared(t *testing.T, name string, recs []*Record) {
+	t.Helper()
+	first := make(map[string]*byte)
+	uses := 0
+	for _, r := range recs {
+		for _, s := range symbols(r) {
+			p := unsafe.StringData(s)
+			if q, ok := first[s]; !ok {
+				first[s] = p
+			} else if p != q {
+				t.Errorf("%s read: symbol %q has two backings", name, s)
+			}
+			uses++
+		}
+	}
+	if len(first) < 8 || uses < 4*len(first) {
+		t.Fatalf("%s read: %d distinct symbols in %d uses; the trace should repeat a few", name, len(first), uses)
 	}
 }

@@ -9,15 +9,18 @@ import (
 	"sort"
 	"testing"
 
+	"lagalyzer/internal/apps"
 	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/lila"
+	"lagalyzer/internal/sim"
 	"lagalyzer/internal/stream"
 	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
 )
 
-// corpus returns seed inputs for the parser fuzzers: one valid trace
-// per format plus a handful of near-valid mutations.
+// corpus returns seed inputs for the parser fuzzers: one small valid
+// trace per format, one simulated session per format, and a handful of
+// near-valid mutations.
 func corpus(t testing.TB) [][]byte {
 	var out [][]byte
 	h := lila.Header{App: "fuzz", GUIThread: 1, FilterThreshold: trace.Ms(3), SamplePeriod: trace.Ms(10)}
@@ -68,6 +71,32 @@ func corpus(t testing.TB) [][]byte {
 		}
 		out = append(out, buf.Bytes())
 	}
+	// A simulated session seeds them where release-mode builds recycle:
+	// traced episodes that nest, GCs inside them, and samples.
+	recs, sh, err := sim.Records(sim.Config{Profile: apps.Jmol(), Seed: 5, SessionSeconds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []lila.WriteOptions{
+		{Format: lila.FormatText},
+		{Format: lila.FormatV2},
+		{Format: lila.FormatV2, Compression: lila.CompressionFlate},
+	} {
+		var buf bytes.Buffer
+		w, err := lila.NewWriterOptions(&buf, sh, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := w.WriteRecord(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
 	out = append(out,
 		[]byte(""),
 		[]byte("#lila text 1\n"),
@@ -101,9 +130,9 @@ func compressibleRecords() []*lila.Record {
 // drain reads everything the parser will give, feeding both downstream
 // consumers: a full session build and the streaming analyzer's
 // release-mode build. The properties under test are "no panic, no
-// hang" on arbitrary input and, when both builds succeed, that the
-// release build (which recycles what it drops) folds the same
-// statistics as the full build's episodes.
+// hang" on arbitrary input and, when the full build succeeds, that the
+// release build (which recycles what it drops) succeeds too and folds
+// the same statistics as the full build's episodes.
 func drain(t testing.TB, data []byte) {
 	r, err := lila.NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -119,7 +148,10 @@ func drain(t testing.TB, data []byte) {
 	}
 	full, diag, ferr := treebuild.BuildRecords(r.Header(), recs) // errors fine; panics not
 	st, err := stream.AnalyzeRecords(r.Header(), recs, 0)
-	if ferr == nil && err == nil {
+	if ferr == nil {
+		if err != nil {
+			t.Fatalf("full build succeeds, release build fails: %v", err)
+		}
 		sameStats(t, st, foldFull(full, diag, len(recs)))
 	}
 }
@@ -198,7 +230,10 @@ func drainSalvage(t *testing.T, data []byte) {
 	full, diag, ferr := treebuild.BuildRecordsOptions(r.Header(), recs, treebuild.Options{Lenient: true})
 	a := stream.NewAnalyzer(0)
 	s, rdiag, err := treebuild.BuildRecordsOptions(r.Header(), recs, treebuild.Options{Lenient: true, Episode: a.Episode})
-	if ferr == nil && err == nil {
+	if ferr == nil {
+		if err != nil {
+			t.Fatalf("lenient full build succeeds, release build fails: %v", err)
+		}
 		sameStats(t, a.Stats(s, rdiag), foldFull(full, diag, len(recs)))
 	}
 }
@@ -297,8 +332,9 @@ func TestParsersSurviveMutations(t *testing.T) {
 			}
 			drain(t, mutated)
 		}
-		// Truncations at every eighth offset.
-		for cut := 0; cut < len(seed); cut += 8 {
+		// Truncations at every eighth offset, or at about 256 offsets
+		// of a seed over 2 KiB (a simulated session's).
+		for cut := 0; cut < len(seed); cut += max(8, len(seed)/256) {
 			drain(t, seed[:cut])
 		}
 	}

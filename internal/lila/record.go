@@ -157,7 +157,10 @@ type Writer interface {
 }
 
 // Reader yields trace records. Read returns io.EOF after the RecEnd
-// record has been delivered.
+// record has been delivered. A record Read returns stays valid after
+// later reads: a caller may keep every record of a stream. (Records
+// that V2File.Each passes to its fn are recycled instead, valid only
+// during that call.)
 type Reader interface {
 	Header() Header
 	Read() (*Record, error)

@@ -141,6 +141,15 @@ type SalvageReport struct {
 	LastError  string `json:"last_error,omitempty"`
 }
 
+// newReport is a salvage-mode reader's empty report; a strict reader
+// has none.
+func newReport(salvage bool) *SalvageReport {
+	if salvage {
+		return &SalvageReport{}
+	}
+	return nil
+}
+
 // Damaged reports whether the reader had to drop or skip anything.
 func (r *SalvageReport) Damaged() bool {
 	return r != nil && (r.RecordsDropped > 0 || r.BytesSkipped > 0 || r.TruncatedTail || r.FirstError != "")

@@ -159,8 +159,8 @@ func formatStack(stack []trace.Frame) (string, error) {
 }
 
 // parseStack parses a ';'-separated stack into the reader's scratch
-// buffer, interning every symbol, and returns the session-canonical
-// shared slice for that exact stack (see StackTab).
+// buffer, each symbol through the reader's table, and returns the
+// session-canonical shared slice for that exact stack (see StackTab).
 func (tr *TextReader) parseStack(s string) ([]trace.Frame, error) {
 	if s == "-" {
 		return nil, nil
@@ -182,16 +182,16 @@ func (tr *TextReader) parseStack(s string) ([]trace.Frame, error) {
 		if !ok || class == "" || method == "" {
 			return nil, fmt.Errorf("lila: malformed stack frame %q", p)
 		}
-		f.Class, f.Method = internString(class), internString(method)
+		f.Class, f.Method = tr.sym(class), tr.sym(method)
 		tr.frameBuf = append(tr.frameBuf, f)
 	}
 	return tr.stacks.Canon(tr.frameBuf), nil
 }
 
 // TextReader reads a trace in the text format. Like the v2 reader,
-// decoding is allocation-lean: records come from a chunked
-// arena, symbol tokens are interned process-wide, and identical
-// sampled stacks share one canonical []Frame per session.
+// decoding is allocation-lean: records come from a chunked arena,
+// equal symbols share one string per reader, and identical sampled
+// stacks share one canonical []Frame per session.
 type TextReader struct {
 	s            *bufio.Scanner
 	h            Header
@@ -205,8 +205,23 @@ type TextReader struct {
 	flushed      bool
 
 	arena    recArena
+	syms     map[string]string // symbol table: each distinct token, copied once
 	stacks   StackTab
 	frameBuf []trace.Frame // per-sample parse scratch, reused
+}
+
+// sym returns the reader's one copy of the token s. The copy does not
+// pin the line s was cut from, and the table dies with the reader.
+func (tr *TextReader) sym(s string) string {
+	if c, ok := tr.syms[s]; ok {
+		return c
+	}
+	if tr.syms == nil {
+		tr.syms = make(map[string]string)
+	}
+	c := strings.Clone(s)
+	tr.syms[c] = c
+	return c
 }
 
 // NewTextReader parses the header from r and returns a reader for the
@@ -224,7 +239,7 @@ func NewTextReader(r io.Reader) (*TextReader, error) {
 func NewTextReaderOptions(r io.Reader, o ReaderOptions) (*TextReader, error) {
 	s := bufio.NewScanner(r)
 	s.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	tr := &TextReader{s: s, limits: o.Limits.WithDefaults()}
+	tr := &TextReader{s: s, limits: o.Limits.WithDefaults(), report: newReport(o.Salvage)}
 	// Track whether the stream's final line lost its newline: a
 	// truncation can cut a record mid-line yet leave a shorter,
 	// still-parseable prefix (a sample line minus half its stack), so
@@ -237,9 +252,6 @@ func NewTextReaderOptions(r io.Reader, o ReaderOptions) (*TextReader, error) {
 		}
 		return adv, tok, err
 	})
-	if o.Salvage {
-		tr.report = &SalvageReport{}
-	}
 	if err := tr.readHeader(); err != nil {
 		return nil, err
 	}
@@ -428,7 +440,7 @@ func (tr *TextReader) parseLine(line string) (*Record, error) {
 		if rec.Name, err = strconv.Unquote(quoted); err != nil {
 			return nil, fmt.Errorf("thread name %q: %w", quoted, err)
 		}
-		rec.Name = internString(rec.Name)
+		rec.Name = tr.sym(rec.Name)
 		rec.Daemon = args[len(args)-1] == "1"
 	case "C":
 		if err = need(5); err != nil {
@@ -447,8 +459,8 @@ func (tr *TextReader) parseLine(line string) (*Record, error) {
 		if len(args[3]) > tr.limits.MaxStringLen || len(args[4]) > tr.limits.MaxStringLen {
 			return nil, limitErrf("symbol exceeds string limit %d", tr.limits.MaxStringLen)
 		}
-		rec.Class = internString(dashEmpty(args[3]))
-		rec.Method = internString(dashEmpty(args[4]))
+		rec.Class = tr.sym(dashEmpty(args[3]))
+		rec.Method = tr.sym(dashEmpty(args[4]))
 	case "R":
 		if err = need(2); err != nil {
 			return nil, err

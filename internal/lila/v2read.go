@@ -29,8 +29,13 @@ import (
 //     contract for sniffed io.Reader inputs (pipes, network, the
 //     convert pass); it buffers the input, bounded by MaxTraceBytes,
 //     and pulls the same block list — the footer index, or the
-//     header scan when the index is damaged — so a stream read and a
-//     file read of the same bytes agree, salvage accounting included.
+//     header scan when the index is damaged — through the same
+//     cursor (v2cursor), so a stream read and a file read of the same
+//     bytes agree, salvage accounting included.
+//
+// The decoders keep no state that outlives a read: string-table
+// entries are copied out of the data once per file, and every table
+// dies with its V2File.
 
 // Decode-path metrics: how many compressed blocks readers inflate, and
 // the worker count of the most recent intra-file parallel decode.
@@ -135,7 +140,9 @@ func parseV2Prefix(data []byte, limits Limits) (*v2data, error) {
 		if err != nil {
 			return "", err
 		}
-		return internBytes(b), nil
+		// A copy, not a view into data: a mapped file is unmapped on
+		// Close, and the session built from it outlives that.
+		return string(b), nil
 	}
 
 	if d.h.App, err = readString(); err != nil {
@@ -693,7 +700,7 @@ func (d *v2data) decodeRecord(c *v2cur, lastTime *trace.Time, arena *recArena) (
 
 // V2File is a v2 trace opened for random access: the footer index is
 // parsed once, and blocks decode independently, so workers can decode
-// them in parallel ahead of an in-order merge.
+// them in parallel ahead of the in-order cursor.
 type V2File struct {
 	d      *v2data
 	blocks []V2BlockInfo
@@ -791,151 +798,186 @@ const v2ReadAheadPerWorker = 2 // decoded blocks a worker may hold unfed
 // and itemized in the returned SalvageReport (non-nil exactly then, its
 // metrics flushed once per call), as are a torn tail and a missing end
 // record. Up to jobs workers (≤0 takes GOMAXPROCS, 1 decodes inline)
-// decode blocks ahead of the merge, which walks the blocks in index
+// decode blocks ahead of the cursor, which walks the blocks in index
 // order and feeds fn, so records, salvage accounting, and errors are
 // identical at every worker count: the first failure in stream order
 // wins.
 func (v *V2File) Each(salvage bool, jobs int, fn func(*Record) error) (*SalvageReport, error) {
-	_, report, err := v.each(salvage, jobs, fn)
-	return report, err
-}
-
-// Records is Each at one worker, collecting the records into slots
-// that are never recycled, so they stay valid after the call. Every
-// block decodes; filter (nil = everything) then keeps the records its
-// record-level rule selects.
-func (v *V2File) Records(filter *RecordFilter, salvage bool) ([]*Record, *SalvageReport, error) {
-	recs, report, err := v.each(salvage, 1, nil)
-	if err != nil || filter.All() {
-		return recs, report, err
+	c, err := v.cursor(newReport(salvage))
+	if err != nil {
+		return nil, err
 	}
-	return filter.apply(recs), report, nil
-}
-
-// each is Each; a nil fn collects instead: decode is inline and never
-// recycles, each block's records stay in place after the previous
-// block's, and each returns them all.
-func (v *V2File) each(salvage bool, jobs int, fn func(*Record) error) ([]*Record, *SalvageReport, error) {
-	var report *SalvageReport
-	if salvage {
-		report = &SalvageReport{}
-		defer report.flushMetrics()
-	}
-	if err := v.begin(report); err != nil {
-		return nil, nil, err
-	}
+	defer c.finish(nil)
+	c.own.arena.recycle = true
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	p := v.newPipe(jobs, fn == nil)
-	defer p.stop()
-	// buf takes inline decodes: reused per block, or, collecting, the
-	// records so far. Kept in a local, not the heap scratch: the
-	// latter measurably raises the collecting path's GC cycle count.
-	var buf []*Record
-	if fn == nil {
-		buf = make([]*Record, 0, min(v.NumRecords(), v.d.limits.MaxRecords))
+	c.pipe.start(v, jobs)
+	defer c.pipe.stop()
+	for {
+		block, err := c.next()
+		if block == nil || err != nil {
+			return c.report, err
+		}
+		for _, rec := range block {
+			if err := fn(rec); err != nil {
+				return c.report, err
+			}
+		}
 	}
-	sawEnd := false
-	total := 0
-	for i := range v.blocks {
-		b := &v.blocks[i]
-		if sawEnd {
+}
+
+// Records reads every block inline into one slice whose records are
+// never recycled, so they stay valid after the call. filter (nil =
+// everything) then keeps the records its record-level rule selects.
+func (v *V2File) Records(filter *RecordFilter, salvage bool) ([]*Record, *SalvageReport, error) {
+	c, err := v.cursor(newReport(salvage))
+	if err != nil {
+		return nil, nil, err
+	}
+	c.keep = true
+	c.recs = make([]*Record, 0, min(v.NumRecords(), v.d.limits.MaxRecords))
+	for {
+		block, err := c.next()
+		if err != nil {
+			return nil, c.report, err
+		}
+		if block == nil {
 			break
 		}
-		if total += b.Records; total > v.d.limits.MaxRecords {
-			return nil, report, limitErrf("lila: record limit %d exceeded", v.d.limits.MaxRecords)
+	}
+	if filter.All() {
+		return c.recs, c.report, nil
+	}
+	return filter.apply(c.recs), c.report, nil
+}
+
+// v2cursor is the one block loop of a V2File read: Each, Records and
+// the V2Reader all pull blocks through next, so each salvage rule is
+// stated once, here. A nil report is a strict read.
+type v2cursor struct {
+	v      *V2File
+	report *SalvageReport
+	own    v2scratch  // inline decodes; its arena recycles only under Each
+	pipe   v2pipe     // read-ahead; the zero pipe decodes every block inline
+	held   *v2scratch // the read-ahead scratch behind the last block
+	keep   bool       // append every block to recs, never reuse it
+	recs   []*Record  // inline decodes: the kept records, or the last block
+	block  int        // next block to read
+	total  int        // records the blocks so far declare
+	done   bool
+}
+
+// cursor opens a read of v: a strict one fails on a damaged index or
+// tables, a salvage one itemizes what they cost.
+func (v *V2File) cursor(report *SalvageReport) (*v2cursor, error) {
+	if v.indexErr != nil {
+		if report == nil {
+			return nil, v.indexErr
 		}
-		sc := p.take(i)
-		mark := len(buf) // records collected so far; 0 when feeding fn
-		var recs []*Record
-		var err error
-		if sc != nil {
-			recs, err = sc.recs, sc.err
-		} else if recs, err = p.own.decode(v.d, b, buf[:mark]); err == nil {
-			buf = recs
+		report.note(v.indexErr)
+		report.RecordsDropped += v.torn.records
+		report.BytesSkipped += v.torn.bytes
+	}
+	return &v2cursor{v: v, report: report}, nil
+}
+
+// next returns the records of the next block that survives, cut at
+// the end record; nil means the read is over. Unless the cursor keeps,
+// they are valid until the following call. It charges the record
+// limit, drops a bad block under salvage (a strict read fails on it),
+// and counts what it keeps; past the end record, or out of blocks, it
+// closes the read.
+func (c *v2cursor) next() ([]*Record, error) {
+	if !c.keep {
+		c.recs = c.recs[:0]
+	}
+	for !c.done {
+		c.pipe.release(c.held)
+		c.held = nil
+		if c.block == len(c.v.blocks) {
+			return nil, c.finish(endOfBlocks(c.report))
 		}
+		i := c.block
+		c.block++
+		b := &c.v.blocks[i]
+		if c.total += b.Records; c.total > c.v.d.limits.MaxRecords {
+			return nil, c.finish(limitErrf("lila: record limit %d exceeded", c.v.d.limits.MaxRecords))
+		}
+		mark := len(c.recs)
+		recs, err := c.decode(i)
 		if err != nil {
-			p.release(sc)
-			if err := v.drop(i, err, report); err != nil {
-				return nil, nil, err
+			if err := c.drop(i, err); err != nil {
+				return nil, c.finish(err)
 			}
 			continue
 		}
 		block := recs[mark:]
-		if report != nil {
-			report.RecordsKept += len(block)
+		if c.report != nil {
+			c.report.RecordsKept += len(block)
 		}
-		// Stop at the end record; anything a malformed block encodes
-		// after RecEnd is discarded.
+		// Anything a malformed block encodes after RecEnd is discarded.
 		for j, rec := range block {
 			if rec.Type == RecEnd {
 				block = block[:j+1]
-				sawEnd = true
+				if c.keep {
+					c.recs = c.recs[:mark+j+1]
+				}
+				c.finish(nil)
 				break
 			}
 		}
-		if fn == nil {
-			buf = buf[:mark+len(block)]
-		} else {
-			buf = buf[:0]
-		}
-		for j := 0; fn != nil && j < len(block) && err == nil; j++ {
-			err = fn(block[j])
-		}
-		p.release(sc)
-		if err != nil {
-			return nil, report, err
+		if len(block) > 0 {
+			return block, nil
 		}
 	}
-	if err := endOfBlocks(sawEnd, report); err != nil {
-		return nil, nil, err
-	}
-	return buf, report, nil
+	return nil, nil
 }
 
-// The steps every read of a V2File shares — Each's merge and the
-// V2Reader's pull loop — so both account for damage identically. A
-// nil report is a strict read.
+// decode returns block i's records after the inline ones kept so far:
+// taken from the read-ahead, or decoded inline.
+func (c *v2cursor) decode(i int) ([]*Record, error) {
+	if sc := c.pipe.take(i); sc != nil {
+		c.held = sc
+		return sc.recs, sc.err
+	}
+	recs, err := c.own.decode(c.v.d, &c.v.blocks[i], c.recs)
+	if err == nil {
+		c.recs = recs
+	}
+	return recs, err
+}
 
-// begin opens a read: a strict one fails on a damaged index or
-// tables, a salvage one itemizes what they cost.
-func (v *V2File) begin(report *SalvageReport) error {
-	if v.indexErr == nil {
-		return nil
+// finish ends the read, flushing the salvage metrics once, and
+// passes err through.
+func (c *v2cursor) finish(err error) error {
+	if !c.done && c.report != nil {
+		c.report.flushMetrics()
 	}
-	if report == nil {
-		return v.indexErr
-	}
-	report.note(v.indexErr)
-	report.RecordsDropped += v.torn.records
-	report.BytesSkipped += v.torn.bytes
-	return nil
+	c.done = true
+	return err
 }
 
 // drop handles block i failing to decode: a strict read fails with
 // the error, a salvage read itemizes the block and carries on.
-func (v *V2File) drop(i int, err error, report *SalvageReport) error {
+func (c *v2cursor) drop(i int, err error) error {
 	err = fmt.Errorf("lila: v2 block %d: %w", i, err)
-	if report == nil {
+	if c.report == nil {
 		return err
 	}
-	report.note(err)
-	report.RecordsDropped += v.blocks[i].Records
-	report.BytesSkipped += v.blocks[i].Length
-	if i < len(v.blocks)-1 {
-		report.Resyncs++
+	c.report.note(err)
+	c.report.RecordsDropped += c.v.blocks[i].Records
+	c.report.BytesSkipped += c.v.blocks[i].Length
+	if i < len(c.v.blocks)-1 {
+		c.report.Resyncs++
 	}
 	return nil
 }
 
-// endOfBlocks closes a read that ran out of blocks: without the end
-// record, a strict read fails and a salvage read marks the tail
+// endOfBlocks closes a read that ran out of blocks before the end
+// record: a strict read fails and a salvage read marks the tail
 // truncated.
-func endOfBlocks(sawEnd bool, report *SalvageReport) error {
-	if sawEnd {
-		return nil
-	}
+func endOfBlocks(report *SalvageReport) error {
 	if report == nil {
 		return fmt.Errorf("lila: truncated trace: no end record")
 	}
@@ -946,37 +988,31 @@ func endOfBlocks(sawEnd bool, report *SalvageReport) error {
 	return nil
 }
 
-// v2pipe hands decoded blocks to Each's merge: inline into own, or
-// read ahead by workers that decode blocks 0..ahead-1 in order, each
-// into a scratch from a pool of v2ReadAheadPerWorker×workers that the
-// merge hands back once the block is fed. Block k arrives on
-// done[k%len(done)]; the ring cannot overflow, since every block the
-// merge has not received holds a pool scratch.
+// v2pipe reads blocks ahead of Each's cursor: workers decode blocks
+// 0..ahead-1 in order, each into a scratch from a pool of
+// v2ReadAheadPerWorker×workers that the cursor hands back once the
+// block is fed. Block k arrives on done[k%len(done)]; the ring cannot
+// overflow, since every block the cursor has not received holds a pool
+// scratch. The zero pipe reads nothing ahead.
 type v2pipe struct {
-	own   v2scratch
 	ahead int // blocks read ahead: those before the record limit trips
 	done  []chan *v2scratch
 	free  chan *v2scratch // closed by stop
 	wg    sync.WaitGroup
 }
 
-// newPipe starts the decode pipeline for one Each call; the caller
-// must stop it.
-func (v *V2File) newPipe(jobs int, collect bool) *v2pipe {
-	p := &v2pipe{}
-	p.own.arena.recycle = !collect
-	if collect || jobs <= 1 {
-		return p
-	}
+// start reads v's blocks ahead with up to jobs workers, if more than
+// one is worth starting; the caller must stop the pipe.
+func (p *v2pipe) start(v *V2File, jobs int) {
 	ahead := 0
 	for total := 0; ahead < len(v.blocks); ahead++ {
 		if total += v.blocks[ahead].Records; total > v.d.limits.MaxRecords {
-			break // the merge stops with a limit error at this block
+			break // the cursor stops with a limit error at this block
 		}
 	}
 	workers := min(jobs, ahead)
 	if workers <= 1 {
-		return p
+		return
 	}
 	mDecodeWorkers.Set(int64(workers))
 	p.ahead = ahead
@@ -1001,12 +1037,11 @@ func (v *V2File) newPipe(jobs int, collect bool) *v2pipe {
 			}
 		}()
 	}
-	return p
 }
 
 // take waits for block i if it was read ahead and returns its
-// scratch, decoded; nil means the merge decodes it inline. The merge
-// takes blocks in order, and every scratch taken is released.
+// scratch, decoded; nil means the cursor decodes it inline. The cursor
+// takes blocks in order, and releases every scratch it takes.
 func (p *v2pipe) take(i int) *v2scratch {
 	if i >= p.ahead {
 		return nil
@@ -1015,7 +1050,7 @@ func (p *v2pipe) take(i int) *v2scratch {
 }
 
 func (p *v2pipe) release(sc *v2scratch) {
-	if sc != nil && sc != &p.own {
+	if sc != nil {
 		p.free <- sc
 	}
 }
@@ -1050,19 +1085,12 @@ func readAllLimited(r io.Reader, max int64) ([]byte, error) {
 // sniffed io.Reader inputs. The input is buffered (bounded by
 // Limits.MaxTraceBytes) because the tables that records reference sit
 // between the header and the blocks, and opened with ParseV2; Read then
-// decodes that file's block list one block per pull, with Each's
-// damage accounting, so the records and the SalvageReport equal a file
-// read's. A salvage read cut off by a transport error keeps the blocks
-// that arrived before it.
+// pulls that file's blocks through the cursor Each uses, so the records
+// and the SalvageReport equal a file read's. A salvage read cut off by
+// a transport error keeps the blocks that arrived before it.
 type V2Reader struct {
-	v       *V2File
-	report  *SalvageReport // nil outside salvage mode
-	scratch v2scratch
-	queue   []*Record
-	qi      int
-	block   int // next block to decode
-	total   int // records the blocks so far declare
-	done    bool
+	c     *v2cursor
+	queue []*Record // the rest of the current block
 }
 
 // NewV2Reader buffers r and returns a streaming reader for its record
@@ -1084,82 +1112,38 @@ func NewV2Reader(r io.Reader, o ReaderOptions) (*V2Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	vr := &V2Reader{v: v}
-	if o.Salvage {
-		vr.report = &SalvageReport{}
-		if readErr != nil {
-			vr.report.note(readErr)
-			vr.report.TruncatedTail = true
-		}
+	report := newReport(o.Salvage)
+	if readErr != nil {
+		report.note(readErr)
+		report.TruncatedTail = true
 	}
-	if err := v.begin(vr.report); err != nil {
+	c, err := v.cursor(report)
+	if err != nil {
 		return nil, err
 	}
-	return vr, nil
+	return &V2Reader{c: c}, nil
 }
 
 // Header implements Reader.
-func (vr *V2Reader) Header() Header { return vr.v.Header() }
+func (vr *V2Reader) Header() Header { return vr.c.v.Header() }
 
 // Salvage implements SalvageReporter; it returns nil unless the
 // reader was opened in salvage mode.
-func (vr *V2Reader) Salvage() *SalvageReport { return vr.report }
+func (vr *V2Reader) Salvage() *SalvageReport { return vr.c.report }
 
 // Read implements Reader. It returns io.EOF after the end record.
 func (vr *V2Reader) Read() (*Record, error) {
-	for vr.qi == len(vr.queue) {
-		if vr.done {
-			return nil, io.EOF
-		}
-		if err := vr.nextBlock(); err != nil {
-			vr.finish()
+	for len(vr.queue) == 0 {
+		block, err := vr.c.next()
+		if err != nil {
 			return nil, err
 		}
+		if block == nil {
+			return nil, io.EOF
+		}
+		vr.queue = block
 	}
-	rec := vr.queue[vr.qi]
-	vr.qi++
-	if rec.Type == RecEnd {
-		// Anything a malformed block encodes after the end record is
-		// discarded, as Each discards it.
-		vr.queue = vr.queue[:vr.qi]
-		vr.finish()
-	}
+	rec := vr.queue[0]
+	vr.queue = vr.queue[1:]
 	return rec, nil
-}
-
-// nextBlock decodes the next block that survives into the queue; out
-// of blocks, it finishes the stream.
-func (vr *V2Reader) nextBlock() error {
-	vr.queue, vr.qi = vr.queue[:0], 0
-	for vr.block < len(vr.v.blocks) {
-		i := vr.block
-		vr.block++
-		b := &vr.v.blocks[i]
-		if vr.total += b.Records; vr.total > vr.v.d.limits.MaxRecords {
-			return limitErrf("lila: record limit %d exceeded", vr.v.d.limits.MaxRecords)
-		}
-		recs, err := vr.scratch.decode(vr.v.d, b, vr.queue)
-		if err != nil {
-			if err := vr.v.drop(i, err, vr.report); err != nil {
-				return err
-			}
-			continue
-		}
-		if vr.report != nil {
-			vr.report.RecordsKept += len(recs)
-		}
-		vr.queue = recs
-		return nil
-	}
-	err := endOfBlocks(false, vr.report)
-	vr.finish()
-	return err
-}
-
-// finish ends the stream, flushing the salvage metrics once.
-func (vr *V2Reader) finish() {
-	if !vr.done && vr.report != nil {
-		vr.report.flushMetrics()
-	}
-	vr.done = true
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"lagalyzer/internal/analysis"
-	"lagalyzer/internal/engine"
 	"lagalyzer/internal/patterns"
-	"lagalyzer/internal/sim"
 	"lagalyzer/internal/trace"
 	"lagalyzer/internal/viz"
 )
@@ -69,22 +67,6 @@ func Figure1Episode() (*trace.Session, *trace.Episode) {
 func Figure1SVG() string {
 	s, e := Figure1Episode()
 	return viz.Sketch(s, e, viz.SketchOptions{Title: "Figure 1 — episode sketch: paint cascade with native DrawLine holding a major GC"})
-}
-
-// Figure2Episode simulates a GanttProject session and returns its
-// structurally richest episode — the deeply nested recursive paint of
-// the paper's Figure 2, picked as the study's Figure 2 is — with a
-// session holding that episode and its ticks.
-func Figure2Episode(p *sim.Profile, seed uint64) (*trace.Session, *trace.Episode, error) {
-	s, err := sim.Run(sim.Config{Profile: p, Seed: seed, SessionSeconds: 60})
-	if err != nil {
-		return nil, nil, err
-	}
-	d := engine.Analyze(&trace.Suite{App: s.App, Sessions: []*trace.Session{s}}, 0, engine.Options{}).Deepest
-	if d == nil {
-		return nil, nil, fmt.Errorf("report: simulated session has no episodes")
-	}
-	return d, d.Episodes[0], nil
 }
 
 // triggerRows converts per-app trigger shares into chart rows.

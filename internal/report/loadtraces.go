@@ -351,7 +351,7 @@ func loadText(f *os.File, o LoadOptions, bo treebuild.Options) (*trace.Session, 
 
 // loadV2 is the v2 fast path: the file is mapped, and its blocks
 // decode on up to blockJobs workers straight into the session build,
-// from tables interned once up front.
+// from tables read once up front.
 func loadV2(f *os.File, o LoadOptions, blockJobs int, bo treebuild.Options) (*trace.Session, *treebuild.Diagnostics, *lila.SalvageReport, error) {
 	v, err := lila.OpenV2File(f, o.Limits)
 	if err != nil {

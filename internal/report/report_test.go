@@ -10,10 +10,12 @@ import (
 	"testing"
 
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/stats"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // fullStudy runs the study once (one session per app to keep tests
@@ -239,11 +241,22 @@ func TestFigure1SketchReproducesThePaper(t *testing.T) {
 	}
 }
 
+// TestFigure2DeepNesting takes Figure 2 the way the study does: a
+// release-mode GanttProject session folds into an engine.AppFold, and
+// the finished fold's Deepest holds the episode.
 func TestFigure2DeepNesting(t *testing.T) {
-	s, e, err := Figure2Episode(apps.GanttProject(), 7)
+	fold := engine.NewAppFold(0, engine.Options{})
+	cfg := sim.Config{Profile: apps.GanttProject(), Seed: 7, SessionSeconds: 60}
+	held, err := sim.RunOptions(cfg, treebuild.Options{Episode: fold.Episode})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fold.CloseSession(held)
+	s := engine.Finish(context.Background(), held.App, []*engine.AppFold{fold}).Deepest
+	if s == nil {
+		t.Fatal("the fold has no figure 2 episode")
+	}
+	e := s.Episodes[0]
 	if e.Root.Depth() < 9 {
 		t.Errorf("figure 2 episode depth = %d, want >= 9 (deep paint nesting)", e.Root.Depth())
 	}

@@ -144,7 +144,7 @@ type simulation struct {
 	filter trace.Dur
 
 	// Allocation reuse. A session samples only a few hundred distinct
-	// stacks: each tick's GUI stack is built in scratch and interned.
+	// stacks: each tick's GUI stack is built in scratch and deduplicated.
 	stacks      lila.StackTab
 	tickBuf     []trace.Frame // per-tick stack scratch, reused
 	plans       planArena     // episode plan nodes, reused per episode

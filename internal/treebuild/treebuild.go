@@ -230,7 +230,7 @@ type threadStack struct {
 // sessions that would balloon to gigabytes, not to meter allocations.
 const (
 	estIntervalBytes = 160 // Interval struct + child slice slot + episode overhead
-	estFrameBytes    = 48  // Frame struct + interned string headers
+	estFrameBytes    = 48  // Frame struct + table-shared string headers
 	estSampleBytes   = 96  // ThreadSample + tick bookkeeping
 	estThreadBytes   = 128 // ThreadInfo + map entries
 )
