@@ -44,9 +44,9 @@ chaos:
 		-run 'Salvage|Lenient|Robust|Fault|Panic|Budget'
 	$(GO) test ./internal/engine ./internal/report -run 'Robust|Panic|Cancel|Damaged|Salvaged|Resume|TimedOut' -race
 	$(GO) test ./internal/checkpoint ./internal/serve \
-		-run 'Fault|Corrupt|Truncat|Orphan|Hostile|Resume|Shed|Panic|Retry|Shutdown|Deadline|Shard|Drain' -race
+		-run 'Fault|Corrupt|Truncat|Orphan|Hostile|Resume|Shed|Panic|Retry|Backoff|Shutdown|Deadline|Shard|Drain' -race
 	$(GO) test ./internal/dist \
-		-run 'Golden|Hedge|Eject|Degrad|Itemized|Resume|Backoff|Pool|Metrics|Concurrent' -race
+		-run 'Golden|Hedge|Eject|Degrad|Itemized|Resume|Pool|Metrics|Concurrent' -race
 	$(GO) test ./internal/ingest \
 		-run 'Chaos|Golden|Journal|Shed|Drain|Budget|Idle|Duplicate|Garbage|Degrad' -race
 	$(GO) test ./cmd/lagalyzer -run Panic
@@ -54,9 +54,9 @@ chaos:
 	$(GO) test -run TestCLICheckpointKillResume .
 	$(GO) test -run TestCLIConvertGolden .
 	$(GO) test -run TestCLISelfProfile .
-	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageText -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageBinaryV2 -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lila -run '^$$' -fuzz 'FuzzReader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageText -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageBinaryV2 -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/lila -run '^$$' -fuzz 'FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzIngestStream -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 
 vet:

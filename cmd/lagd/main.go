@@ -1,19 +1,21 @@
 // Command lagd is the supervised LagAlyzer analysis service: a
 // long-lived HTTP daemon that accepts analysis jobs (simulated profile
 // studies or recorded trace directories), runs them on a bounded
-// worker pool with per-job deadlines, retries transient failures with
-// exponential backoff, sheds load with 429 + Retry-After when the
-// queue or memory budget fills, isolates worker panics, and on
-// SIGINT/SIGTERM drains in-flight jobs and checkpoints the rest so a
-// restarted daemon picks up where it left off. While draining,
-// /healthz answers 503 with a "draining" body so load balancers and
-// distributed-study coordinators stop routing new work here.
+// worker pool with per-job deadlines, retries transient study and
+// traces job failures with capped exponential backoff, sheds load with
+// 429 + Retry-After when the queue or memory budget fills, isolates
+// worker panics, and on SIGINT/SIGTERM drains in-flight jobs and
+// checkpoints the rest so a restarted daemon picks up where it left
+// off. While draining, /healthz answers 503 with a "draining" body so
+// load balancers and distributed-study coordinators stop routing new
+// work here.
 //
 // lagd nodes also serve as workers for distributed studies: a "shard"
 // job runs one application (or loads one slice of a trace corpus) and
 // exposes its mergeable partial state — checksum-framed — at
 // /jobs/{id}/state for the coordinator (lagreport -workers) to
-// collect.
+// collect. lagd runs a shard job once, whatever -retries says: the
+// coordinator owns every further attempt.
 //
 // With -ingest (the default) lagd also accepts live LiLa record
 // streams: POST /ingest/{app}/{session} consumes a chunked stream
@@ -89,7 +91,7 @@ func run() int {
 		workers     = flag.Int("workers", 2, "job worker pool size")
 		queue       = flag.Int("queue", 16, "pending-job queue depth (full queue sheds with 429)")
 		deadline    = flag.Duration("deadline", 2*time.Minute, "default per-job execution deadline")
-		retries     = flag.Int("retries", 2, "retries granted to retryable job failures")
+		retries     = flag.Int("retries", 2, "retries granted to retryable study and traces job failures (0 = none); shard jobs run once, their coordinator owns every further attempt")
 		grace       = flag.Duration("grace", 5*time.Second, "shutdown grace for in-flight jobs before their contexts are canceled")
 		stateDir    = flag.String("state", "", "state directory for checkpoints and pending jobs (empty = no persistence)")
 		memMB       = flag.Int64("mem-budget-mb", 0, "admission-control memory budget in MiB (0 = lila default)")
@@ -150,7 +152,7 @@ func run() int {
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		DefaultDeadline: *deadline,
-		MaxRetries:      *retries,
+		MaxRetries:      maxRetries(*retries),
 		ShutdownGrace:   *grace,
 		StateDir:        *stateDir,
 		MemoryBudget:    *memMB << 20,
@@ -213,4 +215,13 @@ func run() int {
 func fatal(err error) int {
 	fmt.Fprintln(os.Stderr, "lagd:", err)
 	return 1
+}
+
+// maxRetries maps -retries onto serve.Config.MaxRetries, whose zero
+// value is the default: -retries 0 means none.
+func maxRetries(retries int) int {
+	if retries == 0 {
+		return -1
+	}
+	return retries
 }

@@ -2,11 +2,16 @@ package dist
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/report"
 )
 
@@ -26,6 +31,65 @@ func BenchmarkDistStudy(b *testing.B) {
 		if _, err := c.RunStudy(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDistFaults prices each resilience mechanism: the
+// BenchmarkDistStudy study over three workers, one of which stalls
+// every request past the attempt deadline, with all mechanisms on and
+// with each one off. Every iteration is one fresh coordinator's run, as
+// one lagreport -workers run is. It reports the median and the highest
+// percentile with at least 10 runs above it (from 21 iterations on) of
+// the run's wall time, and the hedges, retries and ejections per run.
+func BenchmarkDistFaults(b *testing.B) {
+	workers := startWorkers(b, 3)
+	ft := &faultinject.FlakyTransport{
+		Plan:  faultinject.HostPlan(hostOf(workers[primaryIndex("Arabeske", 1, 3)]), faultinject.FaultStall),
+		Stall: time.Second,
+	}
+	all := Options{
+		Workers:        workers,
+		HTTPClient:     &http.Client{Transport: ft},
+		AttemptTimeout: 250 * time.Millisecond,
+		HedgeAfter:     50 * time.Millisecond,
+	}
+	noHedge, noEject, noRetry := all, all, all
+	noHedge.HedgeAfter = 0
+	noEject.EjectAfter = math.MaxInt32
+	noRetry.MaxAttempts = 1
+	cfg := studyConfig(b)
+	for _, sub := range []struct {
+		name string
+		opt  Options
+	}{{"all", all}, {"no-hedge", noHedge}, {"no-eject", noEject}, {"no-retry", noRetry}} {
+		b.Run(sub.name, func(b *testing.B) {
+			walls := make([]time.Duration, b.N)
+			var sum Stats
+			for i := range walls {
+				c, err := New(sub.opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				if _, err := c.RunStudy(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+				walls[i] = time.Since(start)
+				st := c.Stats()
+				sum.Hedges += st.Hedges
+				sum.Retries += st.Retries
+				sum.Ejected += st.Ejected
+			}
+			slices.Sort(walls)
+			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+			b.ReportMetric(ms(walls[b.N/2]), "median-ms")
+			if k := b.N - 10; 2*k > b.N {
+				b.ReportMetric(ms(walls[k-1]), fmt.Sprintf("p%d-ms", 100*k/b.N))
+			}
+			b.ReportMetric(float64(sum.Hedges)/float64(b.N), "hedges/op")
+			b.ReportMetric(float64(sum.Retries)/float64(b.N), "retries/op")
+			b.ReportMetric(float64(sum.Ejected)/float64(b.N), "ejections/op")
+		})
 	}
 }
 

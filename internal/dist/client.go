@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
@@ -22,21 +21,29 @@ import (
 //   - hedging: a straggling attempt races a second attempt on a
 //     different worker (attemptHedged);
 //   - retry: failed attempts are re-submitted to the next healthy
-//     worker, after a capped exponential backoff with deterministic
-//     jitter that honors any server Retry-After hint (runShard,
-//     Backoff);
+//     worker after serve.Backoff — capped at 2s, honoring any server
+//     Retry-After hint — when serve.Retryable accepts them (runShard);
 //   - ejection: consecutive failures eject a worker from the pool
 //     until a /healthz probe re-admits it (workerPool).
 //
-// Every transport-shaped failure — refused connection, mid-body
-// reset, stall past the attempt deadline, truncated or corrupted
-// shard state (serve.ErrBadShardState), shed submissions, a draining
-// worker, a server-side retryable failure — is retryable. Only the
-// coordinator's own context ending is permanent.
+// The coordinator owns every attempt of a shard (lagd runs a shard job
+// once), and attemptOnce maps the wire onto serve.Retryable: every
+// transport-shaped failure — refused connection, reset, 5xx, shed,
+// draining, a job lost to a worker restart (404 while polling), damaged
+// shard state, a stall past the attempt deadline, a retryable failure
+// on the worker — is serve.ErrTransient. Only the coordinator's context
+// ending and errPermanent are permanent; those degrade at once.
 
 // errDraining marks a worker that answered 503: it is shutting down
 // and must not receive further shards.
 var errDraining = errors.New("dist: worker draining")
+
+// errPermanent marks a shard no worker can run: a submission refused
+// as a bad job spec (400), or a job that failed with Status.Permanent.
+var errPermanent = errors.New("dist: shard fails permanently")
+
+// backoffMax caps the delay between a shard's attempts.
+const backoffMax = 2 * time.Second
 
 // retryAfterError carries a server's Retry-After hint (a shed 429)
 // into the backoff computation.
@@ -57,72 +64,22 @@ func hintOf(err error) time.Duration {
 	return 0
 }
 
-// Backoff is the single backoff path for every retryable condition —
-// shed submissions and transport failures alike. It returns the delay
-// before retry number attempt (1-based): exponential from base,
-// raised to any server Retry-After hint, jittered deterministically
-// from (key, attempt) so reruns reproduce the exact schedule, and
-// always capped at max — a server cannot stretch the shard's retry
-// budget by hinting a huge Retry-After.
-func Backoff(base time.Duration, attempt int, key string, hint, max time.Duration) time.Duration {
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if hint > d {
-		d = hint
-	}
-	if d > max {
-		d = max
-	}
-	// Deterministic jitter in [0.75, 1.25): the same (key, attempt)
-	// always waits the same amount, but distinct shards desynchronize
-	// instead of thundering back together.
-	h := fnv.New64a()
-	io.WriteString(h, key)
-	fmt.Fprintf(h, "/%d", attempt)
-	frac := float64(h.Sum64()%1000) / 1000
-	d = time.Duration(float64(d) * (0.75 + 0.5*frac))
-	if d > max {
-		d = max
-	}
-	return d
-}
-
-// retryable reports whether a shard attempt failure is worth another
-// attempt. The parent context ending is the only permanent condition:
-// everything else — refused, reset, stalled past the attempt
-// deadline, damaged state, shed, draining, server-side failure — may
-// succeed on another worker or a later try.
-func retryable(ctx context.Context, err error) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	return err != nil
-}
-
 // runShard runs one shard to completion against the pool, its
 // attempts rotating over the workers from home (see pick): hedged
-// attempts, unified backoff, ejection bookkeeping. It returns the
-// decoded state, or the attempt count and last error once the budget
-// is exhausted.
+// attempts, serve.Backoff between them, ejection bookkeeping. It
+// returns the decoded state, or the attempt count and last error once
+// the budget is exhausted or an attempt failed permanently.
 func (c *Coordinator) runShard(ctx context.Context, label string, home int, spec serve.JobSpec) (*serve.ShardState, int, error) {
 	mShards.Add(1)
 	c.bump(&c.stats.Shards)
 
-	var lastErr error
+	lastErr := errAllEjected
 	maxAttempts := c.opt.maxAttempts()
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		w, hedge := c.pool.pick(home, attempt)
 		if w == nil {
 			lastErr = fmt.Errorf("dist: no healthy workers (of %d): %w",
-				len(c.opt.Workers), errOr(lastErr, errAllEjected))
+				len(c.opt.Workers), lastErr)
 			break
 		}
 		st, err := c.attemptHedged(ctx, label, spec, w, hedge)
@@ -130,7 +87,7 @@ func (c *Coordinator) runShard(ctx context.Context, label string, home int, spec
 			return st, attempt, nil
 		}
 		lastErr = err
-		if !retryable(ctx, err) {
+		if !serve.Retryable(err) {
 			return nil, attempt, err
 		}
 		if attempt == maxAttempts {
@@ -138,7 +95,7 @@ func (c *Coordinator) runShard(ctx context.Context, label string, home int, spec
 		}
 		mRetries.Add(1)
 		c.bump(&c.stats.Retries)
-		delay := Backoff(c.opt.backoffBase(), attempt, label, hintOf(err), c.opt.backoffMax())
+		delay := serve.Backoff(c.opt.backoffBase(), attempt, label, hintOf(err), backoffMax)
 		c.log.Info("dist: shard retry", "shard", label, "attempt", attempt,
 			"delay", delay.String(), "err", err)
 		select {
@@ -155,13 +112,6 @@ func (c *Coordinator) runShard(ctx context.Context, label string, home int, spec
 }
 
 var errAllEjected = errors.New("all workers ejected")
-
-func errOr(err, fallback error) error {
-	if err != nil {
-		return err
-	}
-	return fallback
-}
 
 // attemptHedged runs one attempt on primary; if it has not finished
 // within Options.HedgeAfter and a second healthy worker exists, a
@@ -234,19 +184,30 @@ func (c *Coordinator) attemptHedged(ctx context.Context, label string, spec serv
 
 // attemptOnce is one complete remote attempt against worker w:
 // submit the shard job, poll it to a terminal state, fetch and decode
-// the partial state. The whole attempt shares one deadline.
+// the partial state. The whole attempt shares one deadline. A failure
+// is marked serve.ErrTransient unless ctx ended or it is errPermanent.
 func (c *Coordinator) attemptOnce(ctx context.Context, spec serve.JobSpec, w *worker) (*serve.ShardState, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opt.attemptTimeout())
+	actx, cancel := context.WithTimeout(ctx, c.opt.attemptTimeout())
 	defer cancel()
 
-	id, err := c.submit(ctx, w, spec)
-	if err != nil {
-		return nil, err
+	id, err := c.submit(actx, w, spec)
+	if err == nil {
+		err = c.await(actx, w, id)
 	}
-	if err := c.await(ctx, w, id); err != nil {
-		return nil, err
+	var st *serve.ShardState
+	if err == nil {
+		st, err = c.fetchState(actx, w, id)
 	}
-	return c.fetchState(ctx, w, id)
+	switch {
+	case err == nil, ctx.Err() != nil, errors.Is(err, errPermanent):
+		return st, err
+	case actx.Err() != nil:
+		// Past the attempt deadline: the context error is flattened,
+		// not wrapped, because Retryable calls it permanent.
+		return nil, fmt.Errorf("%w: attempt on %s ran past %s: %v",
+			serve.ErrTransient, w.url, c.opt.attemptTimeout(), err)
+	}
+	return nil, fmt.Errorf("%w: %w", serve.ErrTransient, err)
 }
 
 // submit POSTs the job spec, mapping the server's back-pressure
@@ -279,6 +240,8 @@ func (c *Coordinator) submit(ctx context.Context, w *worker, spec serve.JobSpec)
 			err: fmt.Errorf("dist: %s shed the job: %s", w.url, readError(resp.Body))}
 	case http.StatusServiceUnavailable:
 		return "", fmt.Errorf("%w: %s: %s", errDraining, w.url, readError(resp.Body))
+	case http.StatusBadRequest:
+		return "", fmt.Errorf("%w: %s refused the job spec: %s", errPermanent, w.url, readError(resp.Body))
 	default:
 		return "", fmt.Errorf("dist: submit to %s: %s: %s", w.url, resp.Status, readError(resp.Body))
 	}
@@ -304,6 +267,9 @@ func (c *Coordinator) await(ctx context.Context, w *worker, id string) error {
 		case serve.StateDone:
 			return nil
 		case serve.StateFailed:
+			if st.Permanent {
+				return fmt.Errorf("%w: job %s on %s: %s", errPermanent, id, w.url, st.Error)
+			}
 			return fmt.Errorf("dist: shard job %s failed on %s: %s", id, w.url, st.Error)
 		case serve.StateCheckpointed:
 			// The worker parked the job for its own restart; this

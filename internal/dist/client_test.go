@@ -7,54 +7,6 @@ import (
 	"time"
 )
 
-func TestBackoffDeterministicJitter(t *testing.T) {
-	base, max := 10*time.Millisecond, time.Second
-	for attempt := 1; attempt <= 5; attempt++ {
-		a := Backoff(base, attempt, "shard-a", 0, max)
-		b := Backoff(base, attempt, "shard-a", 0, max)
-		if a != b {
-			t.Errorf("attempt %d: %s vs %s — jitter is not deterministic", attempt, a, b)
-		}
-		// Jitter stays inside [0.75, 1.25) of the exponential step.
-		exp := base << (attempt - 1)
-		if a < exp*3/4 || a > exp*5/4 {
-			t.Errorf("attempt %d: %s outside jitter window of %s", attempt, a, exp)
-		}
-	}
-	// Distinct shards desynchronize.
-	same := true
-	for attempt := 1; attempt <= 5; attempt++ {
-		if Backoff(base, attempt, "shard-a", 0, max) != Backoff(base, attempt, "shard-b", 0, max) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different shards share an identical backoff schedule")
-	}
-}
-
-func TestBackoffRetryAfterHint(t *testing.T) {
-	base, max := 10*time.Millisecond, 500*time.Millisecond
-	// A modest hint raises the floor above the exponential step.
-	if d := Backoff(base, 1, "s", 200*time.Millisecond, max); d < 150*time.Millisecond {
-		t.Errorf("hinted backoff = %s, want at least 0.75×hint", d)
-	}
-	// A hostile hint cannot stretch past the cap: the retry budget
-	// wins over the server's Retry-After.
-	if d := Backoff(base, 1, "s", time.Hour, max); d > max {
-		t.Errorf("hinted backoff = %s exceeds cap %s", d, max)
-	}
-}
-
-func TestBackoffCap(t *testing.T) {
-	max := 100 * time.Millisecond
-	for attempt := 1; attempt <= 20; attempt++ {
-		if d := Backoff(50*time.Millisecond, attempt, "s", 0, max); d > max {
-			t.Errorf("attempt %d: %s exceeds cap %s", attempt, d, max)
-		}
-	}
-}
-
 // TestPoolEjectionAndReadmission: consecutive failures eject a
 // worker; after the cooldown a healthy /healthz probe re-admits it,
 // and a draining one keeps it out.

@@ -22,17 +22,18 @@
 //     order the shards land in.
 //
 // Robustness is layered around that core: per-attempt timeouts,
-// capped exponential backoff with deterministic jitter (Backoff),
-// Retry-After-aware re-submission, hedged requests for stragglers,
-// worker health probing with ejection and re-admission (workerPool),
-// and graceful degradation — a shard that exhausts every remote
-// attempt is re-run locally on the coordinator, or, when local
-// fallback is disabled or fails too, itemized in the StudyHealth
-// ledger with the LossShard reason. A fold that passes the checksum
-// but is not the one asked for (report.StudyConfig.CheckFold for a
-// study app, its threshold for a trace shard: worker skew or a bug) is
-// never merged in part: the shard degrades as an exhausted one does. A
-// shard is never silently dropped.
+// retries by lagd's own policy (serve.Retryable, serve.Backoff; lagd
+// runs a shard job once, the coordinator owns its attempts), hedged
+// requests for stragglers, worker health probing with ejection and
+// re-admission (workerPool), and graceful degradation — a shard that
+// exhausts every remote attempt, or fails permanently, is re-run
+// locally on the coordinator, or, when local fallback is disabled or
+// fails too, itemized in the StudyHealth ledger with the LossShard
+// reason. A fold that passes the checksum but is not the one asked
+// for (report.StudyConfig.CheckFold for a study app, its threshold for
+// a trace shard: worker skew or a bug) is never merged in part: the
+// shard degrades as an exhausted one does. A shard is never silently
+// dropped.
 package dist
 
 import (
@@ -66,7 +67,7 @@ var (
 	mEjected = obs.NewCounter("dist_workers_ejected_total",
 		"workers ejected from the pool after consecutive failures")
 	mDegraded = obs.NewCounter("dist_shards_degraded_total",
-		"shards that exhausted remote attempts and degraded to a local re-run or an itemized loss")
+		"shards that exhausted remote attempts or failed permanently, and degraded to a local re-run or an itemized loss")
 )
 
 // Options configure a Coordinator.
@@ -83,12 +84,9 @@ type Options struct {
 	// MaxAttempts is the remote-attempt budget per shard (hedges
 	// count as part of the attempt that launched them); 0 means 3.
 	MaxAttempts int
-	// BackoffBase seeds the exponential backoff between attempts;
-	// 0 means 25ms.
+	// BackoffBase seeds serve.Backoff between attempts, which is
+	// capped at 2s; 0 means 25ms.
 	BackoffBase time.Duration
-	// BackoffMax caps the backoff, including any server Retry-After
-	// hint; 0 means 2s.
-	BackoffMax time.Duration
 	// HedgeAfter launches a second attempt on another worker when the
 	// first has not finished within this duration; 0 disables hedging.
 	HedgeAfter time.Duration
@@ -129,13 +127,6 @@ func (o Options) backoffBase() time.Duration {
 	return 25 * time.Millisecond
 }
 
-func (o Options) backoffMax() time.Duration {
-	if o.BackoffMax > 0 {
-		return o.BackoffMax
-	}
-	return 2 * time.Second
-}
-
 func (o Options) pollInterval() time.Duration {
 	if o.PollInterval > 0 {
 		return o.PollInterval
@@ -155,8 +146,8 @@ type Stats struct {
 	Hedges, HedgeWins int
 	// Ejected workers (re-admissions do not decrement).
 	Ejected int
-	// Degraded shards: exhausted remotely, handled by local re-run or
-	// itemized loss.
+	// Degraded shards: exhausted remotely or failed permanently,
+	// handled by local re-run or itemized loss.
 	Degraded int
 	// LocalReruns and Lost split Degraded by outcome.
 	LocalReruns, Lost int
@@ -214,8 +205,8 @@ func (c *Coordinator) Stats() Stats {
 }
 
 // ShardLostError marks a shard the coordinator could not recover: the
-// remote budget is exhausted and the local fallback was disabled or
-// failed too. It implements LossReason(), so the report layer's
+// remote budget is exhausted, or an attempt failed permanently, and
+// the local fallback was disabled or failed too. It implements LossReason(), so the report layer's
 // health ledger records the app with the LossShard reason instead of
 // dropping it silently.
 type ShardLostError struct {

@@ -244,6 +244,96 @@ func TestDistStudyGolden(t *testing.T) {
 			t.Errorf("stats = %+v, want a retry off the ejected worker", st)
 		}
 	})
+
+	t.Run("retries a stall past the attempt deadline", func(t *testing.T) {
+		// The first app's first attempt stalls on its worker until the
+		// attempt deadline; that deadline is transient, so the shard is
+		// retried on the next worker instead of degrading.
+		workers := startWorkers(t, 3)
+		bad := primaryIndex("Arabeske", 1, 3)
+		ft := &faultinject.FlakyTransport{
+			Plan:  faultinject.HostPlan(hostOf(workers[bad]), faultinject.FaultStall),
+			Stall: 10 * time.Second,
+		}
+		_, c := run(t, Options{
+			Workers:        workers,
+			HTTPClient:     &http.Client{Transport: ft},
+			AttemptTimeout: 500 * time.Millisecond,
+			BackoffBase:    time.Millisecond,
+			EjectCooldown:  time.Hour,
+		})
+		if st := c.Stats(); st.Retries < 1 || st.Degraded != 0 {
+			t.Errorf("stats = %+v, want a retry off the stalled worker and no degraded shard", st)
+		}
+	})
+}
+
+// TestDistPermanentFailureDegrades: a shard no worker can run — its
+// job spec refused with 400, or its job failed with Status.Permanent —
+// reaches one worker only and degrades at once to the local re-run,
+// whose output is the single-node run's.
+func TestDistPermanentFailureDegrades(t *testing.T) {
+	cfg := report.StudyConfig{
+		Apps:           studyProfiles(t, "CrosswordSage"),
+		SessionsPerApp: 1,
+		Seed:           3,
+		SessionSeconds: 20,
+		Sequential:     true,
+	}
+	local, err := report.RunStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := map[string]func(w http.ResponseWriter, r *http.Request){
+		"submit answered 400": func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "serve: unknown job kind", http.StatusBadRequest)
+		},
+		"job failed permanently": func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == "POST" {
+				w.WriteHeader(http.StatusAccepted)
+				io.WriteString(w, `{"id":"job-1"}`)
+				return
+			}
+			io.WriteString(w, `{"id":"job-1","kind":"shard","state":"failed","attempts":1,"error":"no such file","permanent":true}`)
+		},
+	}
+	for name, answer := range answers {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			posted := map[string]int{}
+			workers := startWorkersWith(t, 2, func(h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if !strings.HasPrefix(r.URL.Path, "/jobs") {
+						h.ServeHTTP(w, r)
+						return
+					}
+					if r.Method == "POST" {
+						mu.Lock()
+						posted[r.Host]++
+						mu.Unlock()
+					}
+					answer(w, r)
+				})
+			})
+			c, err := New(Options{Workers: workers, BackoffBase: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.RunStudy(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := formatted(res), formatted(local); got != want {
+				t.Errorf("degraded output diverges:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+			if len(posted) != 1 {
+				t.Errorf("POST /jobs per worker = %v, want one worker", posted)
+			}
+			if st := c.Stats(); st.Retries != 0 || st.Degraded != 1 || st.LocalReruns != 1 {
+				t.Errorf("stats = %+v, want no retry and one local re-run", st)
+			}
+		})
+	}
 }
 
 // TestDistStudyHedgeWin: a stalling primary is out-raced by a hedge

@@ -48,7 +48,6 @@ func TestDistMetricsCount(t *testing.T) {
 		Workers:         []string{"http://127.0.0.1:1"}, // nothing listens
 		MaxAttempts:     2,
 		BackoffBase:     time.Nanosecond,
-		BackoffMax:      time.Nanosecond,
 		EjectAfter:      1,
 		EjectCooldown:   time.Hour,
 		NoLocalFallback: true,

@@ -50,9 +50,9 @@ func (f *FileHealth) Damaged() bool {
 
 // Loss reasons distinguish why an app failed in the health ledger.
 // Generic failures (panic, ingest error) leave Reason empty; the
-// constants mark the two execution-control causes, which callers like
-// the serve retry classifier and the report's Health section treat
-// differently from data-dependent failures.
+// constants mark the execution-control causes, which the report's
+// Health section itemizes apart from data-dependent failures (and
+// dist.ShardLostError sets LossShard through its LossReason).
 const (
 	// LossTimedOut marks an app that exceeded StudyConfig.AppTimeout
 	// while the study as a whole kept running.

@@ -3,7 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"io"
 	"io/fs"
+	"time"
 
 	"lagalyzer/internal/treebuild"
 )
@@ -21,8 +25,8 @@ var (
 	ErrTransient = errors.New("serve: transient failure")
 )
 
-// Retryable classifies a job-attempt error for the retry loop,
-// following the PR 3 health-ledger taxonomy: damage that is a
+// Retryable classifies a failed attempt, of a lagd job or a dist
+// shard, following the health-ledger taxonomy: damage that is a
 // deterministic function of the input (too-large sessions, missing or
 // unreadable files, canceled or expired contexts) will fail the same
 // way every time, so retrying only burns queue time. What remains —
@@ -51,4 +55,26 @@ func Retryable(err error) bool {
 		return temp.Temporary()
 	}
 	return false
+}
+
+// Backoff is the delay before retry number attempt (1-based) of a lagd
+// job (100ms base, 30s limit) or a dist shard (25ms, 2s): doubling from
+// base, raised to any server Retry-After hint, jittered
+// deterministically from (key, attempt) so reruns reproduce the exact
+// schedule, and always capped at limit — a server cannot stretch a
+// retry budget by hinting a huge Retry-After.
+func Backoff(base time.Duration, attempt int, key string, hint, limit time.Duration) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < limit; i++ {
+		d *= 2
+	}
+	d = min(max(d, hint), limit)
+	// Deterministic jitter in [0.75, 1.25): the same (key, attempt)
+	// always waits the same amount, but distinct keys desynchronize
+	// instead of thundering back together.
+	h := fnv.New64a()
+	io.WriteString(h, key)
+	fmt.Fprintf(h, "/%d", attempt)
+	frac := float64(h.Sum64()%1000) / 1000
+	return min(time.Duration(float64(d)*(0.75+0.5*frac)), limit)
 }

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -38,17 +37,17 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// Serve metrics (ISSUE 4): inflight is a gauge over running jobs; shed
-// counts admissions refused by load control; retries counts re-runs of
-// retryable failures. checkpoint_hits_total lives in the checkpoint
-// package.
+// Serve metrics: inflight is a gauge over running jobs; shed counts
+// admissions refused by load control; retries counts re-runs of
+// retryable study and traces job failures. checkpoint_hits_total lives
+// in the checkpoint package.
 var (
 	mInflight = obs.NewGauge("serve_jobs_inflight",
 		"jobs currently executing on a worker")
 	mShed = obs.NewCounter("serve_jobs_shed_total",
 		"job submissions refused by admission control (queue full or memory budget)")
 	mRetries = obs.NewCounter("serve_retries_total",
-		"job attempts re-run after a retryable failure")
+		"study and traces job attempts re-run after a retryable failure (shard jobs run once and are not counted)")
 	mAccepted = obs.NewCounter("serve_jobs_accepted_total",
 		"job submissions admitted to the queue")
 	mPanics = obs.NewCounter("engine_panics_recovered_total",
@@ -106,6 +105,8 @@ type Job struct {
 	State    JobState
 	Attempts int
 	Err      string
+	// permanent is Status.Permanent.
+	permanent bool
 	// Result holds the (possibly partial) study outcome once the job
 	// ran; nil until then, and always for a shard job.
 	Result *report.StudyResult
@@ -130,6 +131,10 @@ type Status struct {
 	// Partial marks a done job whose study lost whole units of work
 	// (the HTTP analogue of exit code 3).
 	Partial bool `json:"partial,omitempty"`
+	// Permanent marks a failed job whose error Retryable refuses: no
+	// worker would run it differently, so a coordinator degrades such a
+	// shard at once. Absent (an older worker), a failure is retryable.
+	Permanent bool `json:"permanent,omitempty"`
 }
 
 // Runner executes one attempt of a study or traces job. Tests
@@ -147,10 +152,11 @@ type Config struct {
 	// DefaultDeadline bounds each job attempt when the spec does not
 	// (default 2 minutes).
 	DefaultDeadline time.Duration
-	// MaxRetries is the number of re-runs granted to retryable
-	// failures (default 2; 3 attempts total).
+	// MaxRetries is the number of re-runs granted to retryable study
+	// and traces job failures (default 2; negative means none). A shard
+	// job runs once: its coordinator owns every further attempt.
 	MaxRetries int
-	// RetryBase scales the exponential backoff (default 100ms; tests
+	// RetryBase scales Backoff, capped at 30s (default 100ms; tests
 	// shrink it).
 	RetryBase time.Duration
 	// ShutdownGrace is how long Shutdown lets in-flight jobs finish
@@ -211,10 +217,10 @@ func (c Config) defaultDeadline() time.Duration {
 }
 
 func (c Config) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
+	if c.MaxRetries == 0 {
+		return 2
 	}
-	return 2
+	return max(c.MaxRetries, 0)
 }
 
 func (c Config) retryBase() time.Duration {
@@ -271,6 +277,8 @@ type Server struct {
 	pending []*Job
 	// idle is signalled whenever inflight drops to zero.
 	idle chan struct{}
+	// shard runs a shard job: runShard, or a test's fake.
+	shard func(context.Context, JobSpec) (*ShardState, error)
 }
 
 // discardHandler drops every record; it stands in for a nil
@@ -297,6 +305,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:  map[string]*Job{},
 		idle:  make(chan struct{}, 1),
 	}
+	s.shard = s.runShard
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	if err := s.restorePending(); err != nil {
 		return nil, err
@@ -392,11 +401,12 @@ func (s *Server) Result(id string) (*report.StudyResult, bool) {
 
 func statusOf(job *Job) Status {
 	st := Status{
-		ID:       job.ID,
-		Kind:     job.Spec.Kind,
-		State:    job.State,
-		Attempts: job.Attempts,
-		Error:    job.Err,
+		ID:        job.ID,
+		Kind:      job.Spec.Kind,
+		State:     job.State,
+		Attempts:  job.Attempts,
+		Error:     job.Err,
+		Permanent: job.permanent,
 	}
 	if job.Result != nil {
 		st.Partial = job.Result.Partial()
@@ -552,9 +562,10 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob supervises one job: deadline per attempt, retry with
-// exponential backoff and deterministic jitter for retryable errors,
-// panic isolation, and checkpointing when shutdown cuts it off.
+// runJob supervises one job: deadline per attempt, retry with Backoff
+// for errors Retryable accepts (never for a shard job, whose
+// coordinator owns its attempts), panic isolation, and checkpointing
+// when shutdown cuts it off.
 func (s *Server) runJob(job *Job) {
 	defer func() {
 		mInflight.Add(-1)
@@ -573,6 +584,10 @@ func (s *Server) runJob(job *Job) {
 	deadline := s.cfg.defaultDeadline()
 	if job.Spec.DeadlineMS > 0 {
 		deadline = time.Duration(job.Spec.DeadlineMS) * time.Millisecond
+	}
+	retries := s.cfg.maxRetries()
+	if job.Spec.Kind == "shard" {
+		retries = 0
 	}
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
@@ -601,9 +616,10 @@ func (s *Server) runJob(job *Job) {
 			s.logLifecycle(job, StateCheckpointed, queued, err)
 			return
 		}
-		if !Retryable(err) || attempt >= s.cfg.maxRetries() {
+		if !Retryable(err) || attempt >= retries {
 			job.State = StateFailed
 			job.Err = err.Error()
+			job.permanent = !Retryable(err)
 			s.mu.Unlock()
 			s.logLifecycle(job, StateFailed, queued, err)
 			return
@@ -616,7 +632,7 @@ func (s *Server) runJob(job *Job) {
 			"queue", queued, "attempt", attempt+1, "err", err.Error(),
 			"elapsed", time.Since(job.started).Round(time.Millisecond).String())
 		select {
-		case <-time.After(backoff(s.cfg.retryBase(), attempt, job.ID)):
+		case <-time.After(Backoff(s.cfg.retryBase(), attempt+1, job.ID, 0, 30*time.Second)):
 		case <-s.runCtx.Done():
 			// Keep looping: the next runOnce fails fast with the
 			// cancellation, and the draining branch checkpoints the job.
@@ -668,7 +684,7 @@ func (s *Server) runOnce(job *Job, deadline time.Duration) (err error) {
 		// now: the coordinator fetches these exact bytes from
 		// GET /jobs/{id}/state and verifies their checksum end to end.
 		var st *ShardState
-		if st, err = s.runShard(ctx, job.Spec); err == nil {
+		if st, err = s.shard(ctx, job.Spec); err == nil {
 			state, err = EncodeShardState(st)
 		}
 	} else {
@@ -951,21 +967,4 @@ func (s *Server) restorePending() error {
 		}
 	}
 	return nil
-}
-
-// backoff computes the delay before retry attempt+1: exponential in
-// the attempt with a deterministic jitter derived from the job ID, so
-// a thundering herd of same-shaped jobs still spreads out while tests
-// stay reproducible.
-func backoff(base time.Duration, attempt int, jobID string) time.Duration {
-	d := base << uint(attempt)
-	const maxBackoff = 30 * time.Second
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	h := fnv.New64a()
-	h.Write([]byte(jobID))
-	h.Write([]byte{byte(attempt)})
-	jitter := time.Duration(h.Sum64() % uint64(base))
-	return d + jitter
 }

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -190,8 +192,8 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := waitState(t, s, job.ID, StateFailed)
-	if st.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (no retry for permanent errors)", st.Attempts)
+	if st.Attempts != 1 || !st.Permanent {
+		t.Errorf("status = %+v, want one permanent attempt (no retry for permanent errors)", st)
 	}
 }
 
@@ -224,6 +226,26 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, job2.ID, StateDone)
+}
+
+// TestShardPanicNotRetried: a panicking shard job fails after one
+// attempt — its coordinator owns every further attempt — and stays
+// retryable there.
+func TestShardPanicNotRetried(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, RetryBase: time.Millisecond})
+	s.shard = func(context.Context, JobSpec) (*ShardState, error) { panic("corrupted shard") }
+	retriesBefore := mRetries.Value()
+	job, err := s.Submit(JobSpec{Kind: "shard", Apps: []string{"CrosswordSage"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitState(t, s, job.ID, StateFailed)
+	if st.Attempts != 1 || st.Permanent || !strings.Contains(st.Error, "corrupted shard") {
+		t.Errorf("status = %+v, want one retryable attempt dead on the panic", st)
+	}
+	if d := mRetries.Value() - retriesBefore; d != 0 {
+		t.Errorf("serve_retries_total delta = %d, want 0", d)
+	}
 }
 
 // TestJobDeadline: an attempt that outlives its per-job deadline fails
@@ -452,27 +474,64 @@ func TestHTTPShed429(t *testing.T) {
 	}
 }
 
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	base := 10 * time.Millisecond
-	if backoff(base, 0, "job-1") != backoff(base, 0, "job-1") {
-		t.Error("backoff not deterministic for identical inputs")
-	}
-	if backoff(base, 0, "job-1") == backoff(base, 0, "job-2") &&
-		backoff(base, 0, "job-3") == backoff(base, 0, "job-4") {
-		t.Error("jitter never varies across job IDs")
-	}
-	for attempt := 0; attempt < 40; attempt++ {
-		if d := backoff(base, attempt, "j"); d > 31*time.Second {
-			t.Fatalf("backoff(%d) = %s, exceeds cap", attempt, d)
+func TestBackoffDeterministicJitter(t *testing.T) {
+	base, max := 10*time.Millisecond, time.Second
+	for attempt := 1; attempt <= 5; attempt++ {
+		a := Backoff(base, attempt, "shard-a", 0, max)
+		b := Backoff(base, attempt, "shard-a", 0, max)
+		if a != b {
+			t.Errorf("attempt %d: %s vs %s — jitter is not deterministic", attempt, a, b)
+		}
+		// Jitter stays inside [0.75, 1.25) of the exponential step.
+		exp := base << (attempt - 1)
+		if a < exp*3/4 || a > exp*5/4 {
+			t.Errorf("attempt %d: %s outside jitter window of %s", attempt, a, exp)
 		}
 	}
-	prev := backoff(base, 0, "j")
-	for attempt := 1; attempt < 5; attempt++ {
-		d := backoff(base, attempt, "j")
-		if d <= prev {
-			t.Errorf("backoff not growing: attempt %d %s ≤ %s", attempt, d, prev)
+	// Distinct keys desynchronize.
+	same := true
+	for attempt := 1; attempt <= 5; attempt++ {
+		if Backoff(base, attempt, "shard-a", 0, max) != Backoff(base, attempt, "shard-b", 0, max) {
+			same = false
 		}
-		prev = d
+	}
+	if same {
+		t.Error("different keys share an identical backoff schedule")
+	}
+}
+
+func TestBackoffRetryAfterHint(t *testing.T) {
+	base, max := 10*time.Millisecond, 500*time.Millisecond
+	// A modest hint raises the floor above the exponential step.
+	if d := Backoff(base, 1, "s", 200*time.Millisecond, max); d < 150*time.Millisecond {
+		t.Errorf("hinted backoff = %s, want at least 0.75×hint", d)
+	}
+	// A hostile hint cannot stretch past the cap: the retry budget
+	// wins over the server's Retry-After.
+	if d := Backoff(base, 1, "s", time.Hour, max); d > max {
+		t.Errorf("hinted backoff = %s exceeds cap %s", d, max)
+	}
+}
+
+// TestBackoffCap: no delay passes the cap, and lagd's schedule (100ms
+// base, 30s cap) stays positive and within [0.75 × cap, cap] once it
+// reaches the cap, up to retries where base << attempt overflows.
+func TestBackoffCap(t *testing.T) {
+	max := 100 * time.Millisecond
+	for attempt := 1; attempt <= 20; attempt++ {
+		if d := Backoff(50*time.Millisecond, attempt, "s", 0, max); d > max {
+			t.Errorf("attempt %d: %s exceeds cap %s", attempt, d, max)
+		}
+	}
+	base, max := 100*time.Millisecond, 30*time.Second
+	capped := false
+	for attempt := 1; attempt <= 64; attempt++ {
+		d := Backoff(base, attempt, "job-1", 0, max)
+		capped = capped || base<<(attempt-1) >= max
+		if d <= 0 || d > max || capped && d < max*3/4 {
+			t.Errorf("lagd retry %d: backoff %s, want in (0, %s], and at least %s once capped",
+				attempt, d, max, max*3/4)
+		}
 	}
 }
 
@@ -492,6 +551,20 @@ func TestRetryableClassification(t *testing.T) {
 		{fmt.Errorf("%w: boom", ErrWorkerPanic), true},
 		{ErrTransient, true},
 		{fmt.Errorf("io hiccup: %w", ErrTransient), true},
+		// What a distributed coordinator sees of a shard attempt.
+		{fmt.Errorf("%w: %w", ErrTransient, &net.OpError{Op: "dial", Err: syscall.ECONNREFUSED}), true},
+		{fmt.Errorf("%w: %w", ErrTransient, &net.OpError{Op: "read", Err: syscall.ECONNRESET}), true},
+		{fmt.Errorf("%w: submit: 500 Internal Server Error", ErrTransient), true},
+		{fmt.Errorf("%w: polling job-1: 404 Not Found", ErrTransient), true},
+		{fmt.Errorf("%w: %w", ErrTransient, ErrShed), true},
+		{fmt.Errorf("%w: %w", ErrTransient, ErrDraining), true},
+		{fmt.Errorf("%w: state of job-1: %w", ErrTransient, ErrBadShardState), true},
+		// An attempt past its deadline is transient only with the
+		// context error flattened: wrapped, it reads as permanent.
+		{fmt.Errorf("%w: attempt ran past 1s: %v", ErrTransient, context.DeadlineExceeded), true},
+		{fmt.Errorf("%w: %w", ErrTransient, context.DeadlineExceeded), false},
+		// A job spec refused with 400, and a job failed permanently.
+		{errors.New("dist: shard fails permanently: refused the job spec"), false},
 	}
 	for _, c := range cases {
 		if got := Retryable(c.err); got != c.want {
