@@ -15,8 +15,9 @@
 # stream path — and the streaming ingest endpoint, whose consumer runs
 # the same release-mode builder leniently and folds the engine's
 # analysis of each episode into its window. `make profile` runs the
-# engine benchmark under the CPU and heap profilers and prints the
-# top-10 hot spots from each. `make loc` prints the non-test and test
+# paper_study command (`lagreport -seed 42 -sessions 1 -seconds 240
+# -out`) under the CPU and heap profilers and prints the top-10 hot
+# spots from each. `make loc` prints the non-test and test
 # Go line counts outside the benchmark module (bench/), the size
 # ROADMAP.md tracks.
 
@@ -73,10 +74,11 @@ bench:
 
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench BenchmarkAnalyzeSuite -benchtime 2s \
-		-cpuprofile $(PROFILE_DIR)/cpu.out -memprofile $(PROFILE_DIR)/mem.out \
-		-o $(PROFILE_DIR)/bench.test .
+	rm -rf $(PROFILE_DIR)/study # a checkpoint left there would profile a resume
+	$(GO) build -o $(PROFILE_DIR)/lagreport ./cmd/lagreport
+	$(PROFILE_DIR)/lagreport -seed 42 -sessions 1 -seconds 240 -out $(PROFILE_DIR)/study \
+		-cpuprofile $(PROFILE_DIR)/cpu.out -memprofile $(PROFILE_DIR)/mem.out > $(PROFILE_DIR)/study.txt
 	@echo "== top-10 CPU =="
-	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.out
+	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/lagreport $(PROFILE_DIR)/cpu.out
 	@echo "== top-10 allocations (alloc_space) =="
-	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space $(PROFILE_DIR)/lagreport $(PROFILE_DIR)/mem.out

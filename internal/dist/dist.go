@@ -170,7 +170,7 @@ func New(opt Options) (*Coordinator, error) {
 	}
 	log := opt.Logger
 	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		log = obs.DiscardLogger()
 	}
 	c := &Coordinator{opt: opt, log: log}
 	c.pool = newWorkerPool(opt, c.httpClient(), c.onEject)

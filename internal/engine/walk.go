@@ -14,7 +14,7 @@ type walker struct {
 	popt patterns.Options
 	topt analysis.TriggerOptions
 
-	// canon emission + incremental FNV-1a hash
+	// canonical-form emission (the builder keys patterns by it)
 	canon patterns.Canon
 
 	trigger TriggerRule
@@ -33,8 +33,8 @@ func newWalker(opts Options) *walker {
 
 // analyze traverses the episode's interval tree exactly once,
 // simultaneously computing the structural fingerprint (canonical
-// bytes, FNV-1a hash, descendants, depth — GC nodes excluded unless
-// the options include them), the trigger class (TriggerRule driven in
+// bytes, descendants, depth — GC nodes excluded unless the options
+// include them), the trigger class (TriggerRule driven in
 // preorder), the exclusive GC and native time, and the whole tree's
 // size; then it folds the episode's sampling ticks. The returned Print
 // is valid until the next analyze call.
@@ -117,8 +117,8 @@ func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 
 // Classify groups the episodes of the given sessions into patterns,
 // keeping each pattern's member episodes in encounter order. Each
-// episode is fingerprinted in one walk of its tree (hash computed
-// inline, canonical string materialized only once per new pattern).
+// episode is fingerprinted in one walk of its tree (canonical string
+// materialized, and hashed, only once per new pattern).
 func Classify(sessions []*trace.Session, opt patterns.Options) *patterns.Set {
 	w := newWalker(Options{Patterns: opt})
 	b := patterns.NewBuilder(opt)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lagalyzer/internal/lila"
+	"lagalyzer/internal/obs"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/trace"
 )
@@ -190,7 +191,7 @@ const healthRingCap = 64
 // cfg.JournalDir is set, and starts the idle reaper.
 func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(discardHandler{})
+		cfg.Logger = obs.DiscardLogger()
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -211,13 +212,6 @@ func New(cfg Config) (*Server, error) {
 	go s.reaper()
 	return s, nil
 }
-
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // reaper periodically evicts sessions that have gone idle — the
 // defense against clients that park a connection without ever

@@ -127,8 +127,8 @@ type Pattern struct {
 	// e.g. "dispatch(listener[app.B.on](paint[x.P.paint]))". Patterns
 	// are equal iff their canonical forms are equal.
 	Canon string
-	// Hash is a 64-bit FNV-1a hash of Canon, for cheap map keys and
-	// stable display identifiers.
+	// Hash is the 64-bit FNV-1a hash of Canon, the stable display
+	// identifier (ID) that checkpoints and shard states carry too.
 	Hash uint64
 	// Episodes lists the member episodes in encounter order (session
 	// order within a session, sessions in input order). Only the
@@ -241,58 +241,37 @@ type Set struct {
 	Options Options
 }
 
-// FNV-1a 64-bit parameters. Pattern.Hash is the FNV-1a hash of the
-// canonical form, computed incrementally while the canon bytes are
-// emitted (no per-episode hasher or string allocation).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
 // Canon is the one writer of the canonical form: it accumulates the
-// bytes and their FNV-1a hash as they are emitted, in a buffer reused
-// across episodes. The engine's walk emits through it.
+// bytes as they are emitted, in a buffer reused across episodes. The
+// engine's walk emits through it.
 type Canon struct {
-	buf  []byte
-	hash uint64
+	buf []byte
 }
 
 // Reset starts a new canonical form.
-func (c *Canon) Reset() { c.buf, c.hash = c.buf[:0], fnvOffset64 }
+func (c *Canon) Reset() { c.buf = c.buf[:0] }
 
 // Node emits iv's label: its kind, then [class.method] unless kindOnly
 // or both names are empty.
 func (c *Canon) Node(iv *trace.Interval, kindOnly bool) {
-	c.str(iv.Kind.String())
+	c.buf = append(c.buf, iv.Kind.String()...)
 	if !kindOnly && (iv.Class != "" || iv.Method != "") {
-		c.Byte('[')
-		c.str(iv.Class)
-		c.Byte('.')
-		c.str(iv.Method)
-		c.Byte(']')
+		c.buf = append(c.buf, '[')
+		c.buf = append(c.buf, iv.Class...)
+		c.buf = append(c.buf, '.')
+		c.buf = append(c.buf, iv.Method...)
+		c.buf = append(c.buf, ']')
 	}
 }
 
 // Byte emits one structural byte: '(' before the first retained
 // child, ',' between children, ')' after the last.
-func (c *Canon) Byte(b byte) {
-	c.buf = append(c.buf, b)
-	c.hash = (c.hash ^ uint64(b)) * fnvPrime64
-}
-
-func (c *Canon) str(s string) {
-	c.buf = append(c.buf, s...)
-	h := c.hash
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	c.hash = h
-}
+func (c *Canon) Byte(b byte) { c.buf = append(c.buf, b) }
 
 // Print returns the form emitted since Reset with the structure's
 // metrics; its Canon aliases the buffer until the next Reset.
 func (c *Canon) Print(descs, depth int, gc bool) Print {
-	return Print{Canon: c.buf, Hash: c.hash, Descendants: descs, Depth: depth, GC: gc}
+	return Print{Canon: c.buf, Descendants: descs, Depth: depth, GC: gc}
 }
 
 // Print is the result of fingerprinting one episode. Canon aliases the
@@ -300,7 +279,6 @@ func (c *Canon) Print(descs, depth int, gc bool) Print {
 // Builder.Add copies it when (and only when) the pattern is new.
 type Print struct {
 	Canon       []byte
-	Hash        uint64
 	Descendants int
 	Depth       int
 	// GC reports whether the episode's tree holds a GC interval,
@@ -308,40 +286,51 @@ type Print struct {
 	GC bool
 }
 
+// fnv64a is the 64-bit FNV-1a hash of a canonical form: Pattern.Hash,
+// computed once, when a pattern is born.
+func fnv64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
 // Builder accumulates episodes with precomputed fingerprints into
 // patterns, keeping per-pattern tallies rather than the episodes. It
 // is the backend of the engine's Classify and of its per-app fold:
-// lookups are hash-first (canonical strings are compared only to
-// confirm a hash hit, and materialized only once per new pattern), and
+// patterns are keyed by their canonical form (an episode's form is
+// materialized, and hashed, only when its pattern is new), and
 // builders merge in any order and shape to the same finished Set.
 type Builder struct {
 	opt          Options
-	byHash       map[uint64]*Pattern
-	collisions   map[string]*Pattern // only populated on 64-bit hash collisions
+	byCanon      map[string]*Pattern
 	unstructured int
 }
 
 // NewBuilder returns an empty Builder for the given options.
 func NewBuilder(opt Options) *Builder {
-	return &Builder{opt: opt, byHash: make(map[uint64]*Pattern)}
+	return &Builder{opt: opt, byCanon: make(map[string]*Pattern)}
 }
 
 // Add folds one structured episode of duration dur into the builder
 // and returns its pattern. pr.Canon may alias a reusable buffer; it is
-// copied only when the pattern is new.
+// copied only when the pattern is new (the string(pr.Canon) index does
+// not allocate).
 func (b *Builder) Add(pr Print, dur trace.Dur) *Pattern {
-	p := find(b, pr.Hash, pr.Canon)
+	p := b.byCanon[string(pr.Canon)]
 	if p == nil {
+		canon := string(pr.Canon)
 		p = &Pattern{
-			Canon:       string(pr.Canon),
-			Hash:        pr.Hash,
+			Canon:       canon,
+			Hash:        fnv64a(canon),
 			Descendants: pr.Descendants,
 			Depth:       pr.Depth,
 			threshold:   b.opt.threshold(),
 			minLag:      dur,
 			maxLag:      dur,
 		}
-		b.insert(p)
+		b.byCanon[canon] = p
 	}
 	p.count++
 	if dur >= p.threshold {
@@ -359,43 +348,17 @@ func (b *Builder) Add(pr Print, dur trace.Dur) *Pattern {
 // AddUnstructured counts an episode excluded from classification.
 func (b *Builder) AddUnstructured() { b.unstructured++ }
 
-// find looks a pattern up by hash, confirming the hit (and resolving
-// 64-bit collisions) by canon comparison. The string(canon)
-// conversions below are comparison/index expressions the compiler
-// performs without allocating.
-func find[C string | []byte](b *Builder, hash uint64, canon C) *Pattern {
-	p, ok := b.byHash[hash]
-	if !ok {
-		return nil
-	}
-	if string(canon) == p.Canon {
-		return p
-	}
-	return b.collisions[string(canon)]
-}
-
-func (b *Builder) insert(p *Pattern) {
-	if _, taken := b.byHash[p.Hash]; taken {
-		if b.collisions == nil {
-			b.collisions = make(map[string]*Pattern)
-		}
-		b.collisions[p.Canon] = p
-	} else {
-		b.byHash[p.Hash] = p
-	}
-}
-
 // Merge folds another builder's pattern tallies and unstructured count
 // into the receiver, copying each pattern it inserts, so o stays
 // intact. Every tally is an integer sum, min, or max, so merges commute
 // and associate. Member episodes are not merged: only the engine's
 // Classify keeps them, in one builder.
 func (b *Builder) Merge(o *Builder) {
-	for _, q := range o.all() {
-		p := find(b, q.Hash, q.Canon)
+	for _, q := range o.byCanon {
+		p := b.byCanon[q.Canon]
 		if p == nil {
 			c := *q
-			b.insert(&c)
+			b.byCanon[c.Canon] = &c
 			continue
 		}
 		p.count += q.count
@@ -408,22 +371,13 @@ func (b *Builder) Merge(o *Builder) {
 	b.unstructured += o.unstructured
 }
 
-// all returns the builder's patterns, those keyed by hash first.
-func (b *Builder) all() []*Pattern {
-	var ps []*Pattern
-	for _, p := range b.byHash {
-		ps = append(ps, p)
-	}
-	for _, p := range b.collisions {
-		ps = append(ps, p)
-	}
-	return ps
-}
-
 // Patterns returns the builder's patterns in Finish's order; the
 // builder keeps them.
 func (b *Builder) Patterns() []*Pattern {
-	ps := b.all()
+	ps := make([]*Pattern, 0, len(b.byCanon))
+	for _, p := range b.byCanon {
+		ps = append(ps, p)
+	}
 	slices.SortFunc(ps, func(p, q *Pattern) int {
 		return cmp.Or(cmp.Compare(q.count, p.count), strings.Compare(p.Canon, q.Canon))
 	})
@@ -475,9 +429,9 @@ func (b *Builder) GobDecode(data []byte) error {
 	*b = *NewBuilder(w.Options)
 	b.unstructured = w.Unstructured
 	for _, q := range w.Patterns {
-		b.insert(&Pattern{Canon: q.Canon, Hash: q.Hash, Descendants: q.Descendants, Depth: q.Depth,
+		b.byCanon[q.Canon] = &Pattern{Canon: q.Canon, Hash: q.Hash, Descendants: q.Descendants, Depth: q.Depth,
 			count: q.Count, perceptible: q.Perceptible, gc: q.GC, threshold: q.Threshold,
-			minLag: q.MinLag, maxLag: q.MaxLag, total: q.Total})
+			minLag: q.MinLag, maxLag: q.MaxLag, total: q.Total}
 	}
 	return nil
 }

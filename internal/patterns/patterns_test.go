@@ -572,14 +572,14 @@ func TestBuilderMergeOrderFree(t *testing.T) {
 	check("tree (1+2)+(3+0)", bs[1].Finish())
 }
 
-// TestBuilderHashCollision: two forms under one 64-bit hash stay two
-// patterns through Add and Merge, in either insertion order, and a
-// merge leaves its source builder as it was.
-func TestBuilderHashCollision(t *testing.T) {
+// TestBuilderDistinctCanons: two forms stay two patterns through Add
+// and Merge, in either insertion order, and a merge leaves its source
+// builder as it was.
+func TestBuilderDistinctCanons(t *testing.T) {
 	build := func(canons ...string) *patterns.Builder {
 		b := patterns.NewBuilder(patterns.Options{})
 		for i, c := range canons {
-			b.Add(patterns.Print{Canon: []byte(c), Hash: 7}, trace.Ms(float64(10*(i+1))))
+			b.Add(patterns.Print{Canon: []byte(c)}, trace.Ms(float64(10*(i+1))))
 		}
 		return b
 	}
@@ -588,7 +588,7 @@ func TestBuilderHashCollision(t *testing.T) {
 	merged.Merge(ab)
 	merged.Merge(ba)
 	if got := ab.Patterns(); len(got) != 2 || got[0].Canon != "a" || got[0].Count() != 2 || got[1].Count() != 1 {
-		t.Fatalf("colliding patterns: %+v", got)
+		t.Fatalf("distinct patterns: %+v", got)
 	}
 	if !reflect.DeepEqual(ab.Patterns(), build("a", "b", "a").Patterns()) {
 		t.Error("a merge changed its source builder")
@@ -596,6 +596,6 @@ func TestBuilderHashCollision(t *testing.T) {
 	got := merged.Finish().Patterns
 	if len(got) != 2 || got[0].Canon != "a" || got[0].Count() != 4 || got[0].MaxLag() != trace.Ms(30) ||
 		got[1].Canon != "b" || got[1].Count() != 2 || got[1].MinLag() != trace.Ms(10) {
-		t.Errorf("merged colliding patterns: %+v %+v", *got[0], *got[1])
+		t.Errorf("merged distinct patterns: %+v %+v", *got[0], *got[1])
 	}
 }

@@ -281,23 +281,12 @@ type Server struct {
 	shard func(context.Context, JobSpec) (*ShardState, error)
 }
 
-// discardHandler drops every record; it stands in for a nil
-// Config.Logger so call sites never nil-check. (The stdlib gained an
-// equivalent in go1.24; this stays compatible with the module's go
-// directive.)
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
 // New starts a server: spawns the worker pool and, when cfg.StateDir
 // holds a pending.json from a previous shutdown, restores and
 // re-queues those jobs.
 func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(discardHandler{})
+		cfg.Logger = obs.DiscardLogger()
 	}
 	s := &Server{
 		cfg:   cfg,

@@ -24,17 +24,10 @@ type planNode struct {
 	// a class per expanded instance).
 	class, method string
 	self          trace.Dur
-	children      []*planNode
-}
-
-// total returns the node's full planned duration: self time plus all
-// descendants'.
-func (pn *planNode) total() trace.Dur {
-	d := pn.self
-	for _, c := range pn.children {
-		d += c.total()
-	}
-	return d
+	// total is the node's full planned duration: self time plus all
+	// descendants', summed once by assignSelf.
+	total    trace.Dur
+	children []*planNode
 }
 
 // planArena recycles planNode storage across episodes. A plan only
@@ -67,7 +60,7 @@ func (a *planArena) new(n *Node, class, method string) *planNode {
 	pn.node = n
 	pn.class = class
 	pn.method = method
-	pn.self = 0
+	pn.self, pn.total = 0, 0
 	pn.children = pn.children[:0]
 	return pn
 }
@@ -131,10 +124,14 @@ func expandNode(n *Node, r *rand.Rand, totalWeight *float64, a *planArena, dst *
 	}
 }
 
+// assignSelf sets the self time of pn and its descendants, and sums
+// their totals in post-order.
 func assignSelf(pn *planNode, dur trace.Dur, totalWeight float64) {
 	pn.self = scaleDur(dur, pn.node.Weight, totalWeight)
+	pn.total = pn.self
 	for _, c := range pn.children {
 		assignSelf(c, dur, totalWeight)
+		pn.total += c.total
 	}
 }
 

@@ -144,11 +144,13 @@ type simulation struct {
 	filter trace.Dur
 
 	// Allocation reuse. A session samples only a few hundred distinct
-	// stacks: each tick's GUI stack is built in scratch and deduplicated.
+	// stacks: a GUI stack is built in scratch and deduplicated the
+	// first time its path, state and leaf come up, then reused.
 	stacks      lila.StackTab
-	tickBuf     []trace.Frame // per-tick stack scratch, reused
+	paths       []guiPath     // by path id; paths[0] is the root
+	tickBuf     []trace.Frame // stack-build scratch, reused
 	plans       planArena     // episode plan nodes, reused per episode
-	appLeaves   []trace.Frame // synthLeaf app pool with AppPackage applied
+	leaves      []trace.Frame // pickLeaf's pools, AppPackage applied
 	workerStack []trace.Frame // defaultWorkerStack, computed once
 	userWeights []float64     // UserBehaviors weights for stats.Pick
 }
@@ -177,6 +179,7 @@ func newSimulation(cfg Config) *simulation {
 		end:          trace.Time(secs * float64(trace.Second)),
 		samplePeriod: cfg.samplePeriod(),
 		filter:       cfg.filterThreshold(),
+		paths:        make([]guiPath, 1),
 	}
 	s.nextTick = trace.Time(s.samplePeriod / 2) // avoid boundary coincidences
 
@@ -198,7 +201,7 @@ func newSimulation(cfg Config) *simulation {
 	} else {
 		s.nextShort = s.end
 	}
-	s.appLeaves = appLeafFrames(p.AppPackage)
+	s.leaves = leafFrames(p.AppPackage)
 	s.workerStack = defaultWorkerStack(p.AppPackage)
 	if len(p.UserBehaviors) > 1 {
 		s.userWeights = make([]float64, len(p.UserBehaviors))
@@ -216,6 +219,18 @@ func (s *simulation) emit(rec lila.Record) {
 		s.rec = rec
 		s.err = s.sink(&s.rec)
 	}
+}
+
+// sample hands the sink a sample record written in place into s.rec,
+// every field reset: the most frequent record skips emit's copies.
+func (s *simulation) sample(at trace.Time, th trace.ThreadID, st trace.ThreadState, stack []trace.Frame) {
+	if s.err != nil {
+		return
+	}
+	r := &s.rec
+	*r = lila.Record{}
+	r.Type, r.Time, r.Thread, r.State, r.Stack = lila.RecSample, at, th, st, stack
+	s.err = s.sink(r)
 }
 
 func (s *simulation) sampleThink(from trace.Time) trace.Time {
@@ -507,15 +522,13 @@ func (s *simulation) advanceTicksInState(to trace.Time, state trace.ThreadState)
 }
 
 func (s *simulation) emitTick(at trace.Time, guiState trace.ThreadState) {
-	var guiStackFrames []trace.Frame
+	guiStackFrames := idleGUIStack
 	if len(s.edtStack) == 0 {
 		guiState = trace.StateWaiting
-		guiStackFrames = idleGUIStack
 	} else {
-		s.tickBuf = buildGUIStack(s.tickBuf[:0], s.r, guiState, s.edtStack, s.appLeaves)
-		guiStackFrames = s.stacks.Canon(s.tickBuf)
+		guiStackFrames = s.guiStack(guiState)
 	}
-	s.emit(lila.Record{Type: lila.RecSample, Time: at, Thread: guiThreadID, State: guiState, Stack: guiStackFrames})
+	s.sample(at, guiThreadID, guiState, guiStackFrames)
 
 	for i, bg := range s.prof.Background {
 		st := bg.stateAt(at, s.end)
@@ -528,13 +541,7 @@ func (s *simulation) emitTick(at trace.Time, guiState trace.ThreadState) {
 		} else {
 			stack = parkedWorkerStack
 		}
-		s.emit(lila.Record{
-			Type:   lila.RecSample,
-			Time:   at,
-			Thread: guiThreadID + 1 + trace.ThreadID(i),
-			State:  st,
-			Stack:  stack,
-		})
+		s.sample(at, guiThreadID+1+trace.ThreadID(i), st, stack)
 	}
 }
 
@@ -603,14 +610,15 @@ func (s *simulation) playNode(pn *planNode) {
 		libFrac:     s.effectiveLibFrac(nodeLibFrac(n)),
 		allocFactor: n.allocFactor(),
 	}
-	if pn.total() < s.filter {
-		s.advanceWork(pn.total(), ctx)
+	if pn.total < s.filter {
+		s.advanceWork(pn.total, ctx)
 		return
 	}
 
 	s.emit(lila.Record{Type: lila.RecCall, Time: s.now, Thread: guiThreadID,
 		Kind: n.Kind, Class: pn.class, Method: pn.method})
 	s.edtStack = append(s.edtStack, stackCtx{
+		node:    n,
 		frame:   trace.Frame{Class: pn.class, Method: pn.method, Native: n.Kind == trace.KindNative},
 		extra:   n.ExtraFrames,
 		libFrac: ctx.libFrac,

@@ -73,30 +73,31 @@ var parkedWorkerStack = []trace.Frame{
 
 // stackCtx is one open interval on the executor's shadow stack.
 type stackCtx struct {
+	node    *Node // nil for the dispatch interval
 	frame   trace.Frame
 	extra   []trace.Frame
 	libFrac float64 // effective library fraction for runnable leaves
+	path    int32   // guiPath id; 0 until a tick resolves it
 }
 
-// appLeafFrames resolves the application leaf pool against a concrete
-// AppPackage once per simulation, so per-sample leaf synthesis is a
-// table lookup rather than a string concatenation.
-func appLeafFrames(appPackage string) []trace.Frame {
-	fs := make([]trace.Frame, len(appLeafMethods))
-	for i, m := range appLeafMethods {
-		fs[i] = trace.Frame{Class: appPackage + "." + m.Class, Method: m.Method}
+// leafFrames returns the library leaf pool followed by the application
+// pool resolved against a concrete AppPackage, once per simulation, so
+// per-sample leaf synthesis is a table lookup rather than a string
+// concatenation.
+func leafFrames(appPackage string) []trace.Frame {
+	fs := append([]trace.Frame(nil), libraryLeaves...)
+	for _, m := range appLeafMethods {
+		fs = append(fs, trace.Frame{Class: appPackage + "." + m.Class, Method: m.Method})
 	}
 	return fs
 }
 
 // buildGUIStack synthesizes the GUI thread's sampled stack for the
-// given state with the given open-interval contexts (outermost first),
-// appending the frames to dst. The caller owns dst and copies the
-// result out before reusing it.
-func buildGUIStack(dst []trace.Frame, r *rand.Rand, state trace.ThreadState, ctxs []stackCtx, appLeaves []trace.Frame) []trace.Frame {
-	if len(ctxs) == 0 {
-		return append(dst, idleGUIStack...)
-	}
+// given state with the given open-interval contexts (outermost first,
+// at least one), appending the frames to dst. leaf is the synthesized
+// leaf, used where drawsLeaf says the stack has one. The caller owns
+// dst and copies the result out before reusing it.
+func buildGUIStack(dst []trace.Frame, state trace.ThreadState, ctxs []stackCtx, leaf trace.Frame) []trace.Frame {
 	top := ctxs[len(ctxs)-1]
 
 	switch state {
@@ -113,14 +114,14 @@ func buildGUIStack(dst []trace.Frame, r *rand.Rand, state trace.ThreadState, ctx
 		if len(top.extra) > 0 {
 			dst = append(dst, top.extra...)
 		} else {
-			dst = append(dst, synthLeaf(r, top.libFrac, appLeaves))
+			dst = append(dst, leaf)
 		}
 	default: // runnable
 		if top.frame.Native {
 			// Executing native code: the native frame itself leads.
 		} else {
 			// The executing method leads; context frames follow.
-			dst = append(dst, synthLeaf(r, top.libFrac, appLeaves))
+			dst = append(dst, leaf)
 			dst = append(dst, top.extra...)
 		}
 	}
@@ -131,11 +132,95 @@ func buildGUIStack(dst []trace.Frame, r *rand.Rand, state trace.ThreadState, ctx
 	return append(dst, edtBaseFrames...)
 }
 
-// synthLeaf draws a leaf frame: library code with probability libFrac,
-// application code otherwise.
-func synthLeaf(r *rand.Rand, libFrac float64, appLeaves []trace.Frame) trace.Frame {
-	if r.Float64() < libFrac {
-		return libraryLeaves[r.IntN(len(libraryLeaves))]
+// drawsLeaf reports whether buildGUIStack synthesizes the leaf of a
+// sample in state under the open interval top: when blocked without
+// context frames, or runnable in a non-native frame.
+func drawsLeaf(state trace.ThreadState, top *stackCtx) bool {
+	switch state {
+	case trace.StateBlocked:
+		return len(top.extra) == 0
+	case trace.StateRunnable:
+		return !top.frame.Native
 	}
-	return appLeaves[r.IntN(len(appLeaves))]
+	return false
+}
+
+// pickLeaf draws an index into leafFrames' n leaves: a library leaf
+// with probability libFrac, an application leaf otherwise.
+func pickLeaf(r *rand.Rand, libFrac float64, n int) int {
+	if r.Float64() < libFrac {
+		return r.IntN(len(libraryLeaves))
+	}
+	return len(libraryLeaves) + r.IntN(n-len(libraryLeaves))
+}
+
+// guiPath is one distinct chain of open intervals, resolved from its
+// parent path, the interval's Node and its class: everything else a
+// stackCtx holds follows from the Node. It caches the canonical GUI
+// stacks sampled under it, so a tick that repeats a stack neither
+// builds nor hashes it.
+type guiPath struct {
+	children []pathChild
+	// stacks holds the canonical stacks by state, then by leaf index
+	// (one slot when the state draws no leaf), allocated on first use.
+	stacks [trace.StateSleeping + 1][][]trace.Frame
+}
+
+// pathChild is one resolved child path of a guiPath.
+type pathChild struct {
+	node  *Node
+	class string
+	id    int32
+}
+
+// childPath returns the id of parent's child path for (n, class),
+// adding it on first sight. Path 0 is the root every dispatch
+// interval's path hangs from.
+func (s *simulation) childPath(parent int32, n *Node, class string) int32 {
+	for _, c := range s.paths[parent].children {
+		if c.node == n && c.class == class {
+			return c.id
+		}
+	}
+	id := int32(len(s.paths))
+	s.paths = append(s.paths, guiPath{})
+	s.paths[parent].children = append(s.paths[parent].children, pathChild{n, class, id})
+	return id
+}
+
+// pathOf resolves the path id of the open interval s.edtStack[i], and
+// of those under it, at the first tick that needs it.
+func (s *simulation) pathOf(i int) int32 {
+	if i < 0 {
+		return 0
+	}
+	c := &s.edtStack[i]
+	if c.path == 0 {
+		c.path = s.childPath(s.pathOf(i-1), c.node, c.frame.Class)
+	}
+	return c.path
+}
+
+// guiStack returns the canonical GUI stack of a tick in state with at
+// least one interval open. The leaf is drawn before the lookup, so the
+// PRNG sees the same draws whether or not the stack is cached; the
+// stack is built and canonicalized only the first time its path,
+// state and leaf come up.
+func (s *simulation) guiStack(state trace.ThreadState) []trace.Frame {
+	top := &s.edtStack[len(s.edtStack)-1]
+	leaf, slots := 0, 1
+	if drawsLeaf(state, top) {
+		leaf, slots = pickLeaf(s.r, top.libFrac, len(s.leaves)), len(s.leaves)
+	}
+	p := &s.paths[s.pathOf(len(s.edtStack)-1)]
+	if p.stacks[state] == nil {
+		p.stacks[state] = make([][]trace.Frame, slots)
+	}
+	if st := p.stacks[state][leaf]; st != nil {
+		return st
+	}
+	s.tickBuf = buildGUIStack(s.tickBuf[:0], state, s.edtStack, s.leaves[leaf])
+	st := s.stacks.Canon(s.tickBuf)
+	p.stacks[state][leaf] = st
+	return st
 }

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -116,5 +118,47 @@ func TestRunAllocs(t *testing.T) {
 	})
 	if limit := float64(len(recs)) / 4; allocs > limit {
 		t.Errorf("sim.Run: %.0f allocations for %d records, want at most %.0f", allocs, len(recs), limit)
+	}
+}
+
+// TestStreamDigestPinned pins the simulator's bytes: the SHA-256 of
+// the text and v2 encodings of Stream's records for three catalog
+// apps. Any change to a record, a stack or the PRNG draws that make
+// them shows here, not only in the figures built from them.
+func TestStreamDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		p        *sim.Profile
+		text, v2 string
+	}{
+		{apps.ArgoUML(),
+			"8eb8c01634593f8d3664b936cc8bb048f1d86f4d8f5bc1ac4db8648f28338b8a",
+			"8bc55560a8bb562de2b12afe0ba589974edf969b57409c5e322a30170d6f7485"},
+		{apps.GanttProject(),
+			"e3b7ac527c85461de5ec760a3ced72921869c2aa806fb9506496ba2b546aff0c",
+			"47a85667efd043b686e5716f8b58706cbeab4d9594a9d3f998a60d20b7bed27a"},
+		{apps.Jmol(),
+			"0624410c96fb980110f5ba4bcd1ead40cec73504ea4661db3bb178225bb42285",
+			"7d148e711f346dfeef154c5cc88cb5333a309193138bdb718749d5ac2d5f67c1"},
+	} {
+		cfg := sim.Config{Profile: tc.p, Seed: 7, SessionSeconds: 60}
+		for _, f := range []struct {
+			format lila.Format
+			want   string
+		}{{lila.FormatText, tc.text}, {lila.FormatV2, tc.v2}} {
+			h := sha256.New()
+			w, err := lila.NewWriter(h, f.format, cfg.Header())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Stream(cfg, w.WriteRecord); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != f.want {
+				t.Errorf("%s %s: sha256 %s, want %s", tc.p.Name, f.format, got, f.want)
+			}
+		}
 	}
 }
