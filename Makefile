@@ -14,10 +14,14 @@
 # decoders — the strict-reader target also drives the release-mode
 # stream path — and the streaming ingest endpoint, whose consumer runs
 # the same release-mode builder leniently and folds the engine's
-# analysis of each episode into its window. `make profile` runs the
-# paper_study command (`lagreport -seed 42 -sessions 1 -seconds 240
-# -out`) under the CPU and heap profilers and prints the top-10 hot
-# spots from each. `make loc` prints the non-test and test
+# analysis of each episode into its window. `make profile` runs three
+# commands under the CPU and heap profilers and prints the top-10 hot
+# spots from each profile: the paper_study command (`lagreport -seed 42
+# -sessions 1 -seconds 240 -out`), `lagreport -traces` over a 28-file
+# corpus (the 14 apps, session 0 v2-flate and session 1 raw v2, seed
+# 42), and `lagalyzer stats` on a 2-hour GanttProject v2-flate trace;
+# the corpus and the trace are written with lilasim on the first run
+# and kept in $(PROFILE_DIR). `make loc` prints the non-test and test
 # Go line counts outside the benchmark module (bench/), the size
 # ROADMAP.md tracks.
 
@@ -72,13 +76,44 @@ loc:
 bench:
 	./scripts/bench.sh
 
-profile:
+PROFILE_APPS = Arabeske ArgoUML CrosswordSage Euclide FindBugs FreeMind GanttProject \
+	JEdit JFreeChart JHotDraw Jmol Laoe NetBeans SwingSet
+
+$(PROFILE_DIR)/lilasim:
 	mkdir -p $(PROFILE_DIR)
-	rm -rf $(PROFILE_DIR)/study # a checkpoint left there would profile a resume
+	$(GO) build -o $(PROFILE_DIR)/lilasim ./cmd/lilasim
+
+$(PROFILE_DIR)/corpus: | $(PROFILE_DIR)/lilasim
+	rm -rf $@.tmp && mkdir -p $@.tmp
+	for app in $(PROFILE_APPS); do \
+		$(PROFILE_DIR)/lilasim -app $$app -session 0 -seed 42 -compress -o $@.tmp/$$app-0.lila && \
+		$(PROFILE_DIR)/lilasim -app $$app -session 1 -seed 42 -o $@.tmp/$$app-1.lila || exit 1; \
+	done
+	mv $@.tmp $@
+
+$(PROFILE_DIR)/GanttProject-2h.lila: | $(PROFILE_DIR)/lilasim
+	$(PROFILE_DIR)/lilasim -app GanttProject -seconds 7200 -seed 42 -compress -o $@.tmp
+	mv $@.tmp $@
+
+profile: $(PROFILE_DIR)/corpus $(PROFILE_DIR)/GanttProject-2h.lila
+	rm -rf $(PROFILE_DIR)/study $(PROFILE_DIR)/traces # a checkpoint left there would profile a resume
 	$(GO) build -o $(PROFILE_DIR)/lagreport ./cmd/lagreport
+	$(GO) build -o $(PROFILE_DIR)/lagalyzer ./cmd/lagalyzer
 	$(PROFILE_DIR)/lagreport -seed 42 -sessions 1 -seconds 240 -out $(PROFILE_DIR)/study \
 		-cpuprofile $(PROFILE_DIR)/cpu.out -memprofile $(PROFILE_DIR)/mem.out > $(PROFILE_DIR)/study.txt
-	@echo "== top-10 CPU =="
+	$(PROFILE_DIR)/lagreport -traces $(PROFILE_DIR)/corpus -out $(PROFILE_DIR)/traces \
+		-cpuprofile $(PROFILE_DIR)/traces-cpu.out -memprofile $(PROFILE_DIR)/traces-mem.out > $(PROFILE_DIR)/traces.txt
+	$(PROFILE_DIR)/lagalyzer -cpuprofile $(PROFILE_DIR)/stats-cpu.out -memprofile $(PROFILE_DIR)/stats-mem.out \
+		stats $(PROFILE_DIR)/GanttProject-2h.lila > $(PROFILE_DIR)/stats.txt
+	@echo "== study: top-10 CPU =="
 	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/lagreport $(PROFILE_DIR)/cpu.out
-	@echo "== top-10 allocations (alloc_space) =="
+	@echo "== study: top-10 allocations (alloc_space) =="
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space $(PROFILE_DIR)/lagreport $(PROFILE_DIR)/mem.out
+	@echo "== lagreport -traces: top-10 CPU =="
+	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/lagreport $(PROFILE_DIR)/traces-cpu.out
+	@echo "== lagreport -traces: top-10 allocations (alloc_space) =="
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space $(PROFILE_DIR)/lagreport $(PROFILE_DIR)/traces-mem.out
+	@echo "== lagalyzer stats: top-10 CPU =="
+	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/lagalyzer $(PROFILE_DIR)/stats-cpu.out
+	@echo "== lagalyzer stats: top-10 allocations (alloc_space) =="
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space $(PROFILE_DIR)/lagalyzer $(PROFILE_DIR)/stats-mem.out

@@ -671,8 +671,8 @@ func BenchmarkTraceDecode_V2Compressed(b *testing.B) {
 }
 
 // BenchmarkTraceDecode_V2ParallelBlocks streams the compressed trace
-// through Each with one decode worker per GOMAXPROCS, records recycled
-// per block — run with -cpu 1,4 to see the intra-file scaling (output
+// through Each with one decode worker per GOMAXPROCS, one Record
+// refilled per call — run with -cpu 1,4 to see the intra-file scaling (output
 // is pinned byte-identical across worker counts by
 // TestV2ParallelDecodeDeterminism).
 func BenchmarkTraceDecode_V2ParallelBlocks(b *testing.B) {

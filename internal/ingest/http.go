@@ -53,13 +53,22 @@ func (s *Server) HandleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	// A session can end while its client is still sending: evicted,
+	// drained, or cut by a decode error. Closing the connection then
+	// leaves request bytes unread, and the reset the kernel answers them
+	// with can fail the client's upload before it reads the summary.
+	// Full duplex lets the summary go out before the body is done
+	// (HTTP/2 is full duplex already), and lingerDiscard holds the
+	// connection open until the client has had time to read it.
+	rc := http.NewResponseController(w)
+	_ = rc.EnableFullDuplex()
+	defer lingerDiscard(rc, r.Body)
 	defer s.release(ss)
 
 	// Read deadlines: every arriving chunk pushes the deadline out by
 	// ReadTimeout, so a slow-loris client trips it while a healthy
 	// trickle never does. Best-effort — transports without deadline
 	// support (httptest recorders) fall back to the idle reaper.
-	rc := http.NewResponseController(w)
 	readTimeout := s.cfg.readTimeout()
 	setDeadline := func(t time.Time) error { return rc.SetReadDeadline(t) }
 	if err := setDeadline(time.Now().Add(readTimeout)); err != nil {
@@ -215,6 +224,28 @@ type sessionSummary struct {
 	Salvage  *lila.SalvageReport `json:"salvage,omitempty"`
 	Diags    []string            `json:"diagnostics,omitempty"`
 	Error    string              `json:"error,omitempty"`
+}
+
+// responseLinger is how long lingerDiscard keeps a connection open
+// after the response went out while its client may still be sending;
+// it matches the delay net/http waits between its own FIN and close.
+const responseLinger = 500 * time.Millisecond
+
+// lingerDiscard flushes the response, then reads and discards what is
+// left of body until the client ends it. A body that will not end
+// within responseLinger, or that can no longer be read (a deadline
+// poke leaves a chunked body's error sticky), still holds the
+// connection open until then, so the client reads the response before
+// the reset. A transport without read deadlines is left alone, since
+// the wait could not be bounded.
+func lingerDiscard(rc *http.ResponseController, body io.Reader) {
+	until := time.Now().Add(responseLinger)
+	if rc.Flush() != nil || rc.SetReadDeadline(until) != nil {
+		return
+	}
+	if _, err := io.Copy(io.Discard, body); err != nil {
+		time.Sleep(time.Until(until))
+	}
 }
 
 // finishResponse maps how the stream ended to a status code: budget

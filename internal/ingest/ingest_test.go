@@ -126,17 +126,23 @@ func TestDrainRefusesAndFlushes(t *testing.T) {
 	srv, hs := newIngestFixture(t, Config{WindowDur: goldenWindow, IdleTimeout: time.Minute})
 
 	pr, pw := io.Pipe()
-	sums := make(chan sessionSummary, 1)
+	type answer struct {
+		sum       sessionSummary
+		status    int
+		err       error // from Post
+		decodeErr error
+	}
+	answers := make(chan answer, 1)
 	go func() {
 		resp, err := hs.Client().Post(hs.URL+"/ingest/Jmol/drainee", "application/octet-stream", pr)
 		if err != nil {
-			sums <- sessionSummary{}
+			answers <- answer{err: err}
 			return
 		}
 		defer resp.Body.Close()
-		var sum sessionSummary
-		json.NewDecoder(resp.Body).Decode(&sum)
-		sums <- sum
+		a := answer{status: resp.StatusCode}
+		a.decodeErr = json.NewDecoder(resp.Body).Decode(&a.sum)
+		answers <- a
 	}()
 	body := encodeSession(t, lila.FormatText, "Jmol", 21, 30)
 	pw.Write(body[:len(body)/2])
@@ -171,9 +177,10 @@ func TestDrainRefusesAndFlushes(t *testing.T) {
 
 	// The live session is evicted with reason drain; its summary says
 	// drained, and whatever it salvaged was committed.
-	sum := <-sums
-	if !sum.Drained {
-		t.Errorf("drained session summary: %+v, want drained=true", sum)
+	a := <-answers
+	if a.err != nil || a.decodeErr != nil || a.status != http.StatusOK || !a.sum.Drained {
+		t.Errorf("drained session: post error %v, status %d, decode error %v, summary %+v; want status 200 and drained=true",
+			a.err, a.status, a.decodeErr, a.sum)
 	}
 	pw.Close()
 	waitFor(t, func() bool { return srv.Sessions() == 0 })

@@ -9,56 +9,34 @@ import (
 // Allocation-lean decode plumbing shared by the text and v2
 // readers. A multi-hundred-thousand-record session used to
 // cost one heap allocation per record plus one per sampled stack;
-// the arenas below amortize the former to one allocation per chunk
-// and the dedup table collapses the latter onto one shared slice per
-// distinct stack, which matters because real samplers see the same
-// few stacks (the idle EDT stack, parked workers) tens of thousands
-// of times per session.
+// the arena below amortizes the former to one allocation per chunk
+// for readers whose records outlive a call (the text reader, and the
+// v2 Records and V2Reader), and the dedup table collapses the latter
+// onto one shared slice per distinct stack, which matters because
+// real samplers see the same few stacks (the idle EDT stack, parked
+// workers) tens of thousands of times per session. V2File.Each needs
+// no arena: a v2 block decodes to pointer-free compact records, and
+// Each refills one Record from them for every call of its fn.
 
 // recChunkSize is the records-per-allocation granularity of recArena.
 // The only cost of a larger chunk is tail waste on the final one.
 const recChunkSize = 1024
 
-// recArena hands out Record slots from chunked slabs. The zero value
-// never recycles: records stay valid for the life of the session
-// being built. A recycling arena is per-block scratch: after reset,
-// the next block's records overwrite this one's. Not safe for
-// concurrent use; every reader or decode worker owns its own arena.
+// recArena hands out Record slots from chunked slabs; records stay
+// valid for the life of the session being built. Not safe for
+// concurrent use; every reader owns its own arena.
 type recArena struct {
-	chunk   []Record // unused tail of the current chunk
-	recycle bool
-	held    [][]Record // a recycling arena's chunks; held[next] is reused next
-	next    int
+	chunk []Record // unused tail of the current chunk
 }
 
-// new returns a pointer to a zeroed Record, valid until reset.
+// new returns a pointer to a zeroed Record.
 func (a *recArena) new() *Record {
 	if len(a.chunk) == 0 {
-		a.chunk = a.grow()
+		a.chunk = make([]Record, recChunkSize)
 	}
 	r := &a.chunk[0]
 	a.chunk = a.chunk[1:]
 	return r
-}
-
-func (a *recArena) grow() []Record {
-	if !a.recycle {
-		return make([]Record, recChunkSize)
-	}
-	if a.next == len(a.held) {
-		a.held = append(a.held, make([]Record, recChunkSize))
-	}
-	a.next++
-	c := a.held[a.next-1]
-	clear(c)
-	return c
-}
-
-// reset rewinds a recycling arena to its first chunk.
-func (a *recArena) reset() {
-	if a.recycle {
-		a.chunk, a.next = nil, 0
-	}
 }
 
 // StackTab deduplicates sampled call stacks within one session: a
@@ -69,7 +47,8 @@ func (a *recArena) reset() {
 // table), so equality checks usually short-circuit on identical string
 // data pointers.
 type StackTab struct {
-	m map[uint64][][]trace.Frame
+	first map[uint64][]trace.Frame   // the first stack seen with each hash
+	more  map[uint64][][]trace.Frame // later stacks sharing a hash; made on the first such stack
 }
 
 // stackSeed seeds StackTab's frame hash; the hash only picks buckets,
@@ -91,17 +70,30 @@ func (t *StackTab) Canon(scratch []trace.Frame) []trace.Frame {
 			h ^= 1
 		}
 	}
-	if t.m == nil {
-		t.m = make(map[uint64][][]trace.Frame)
+	if t.first == nil {
+		t.first = make(map[uint64][]trace.Frame)
 	}
-	for _, cand := range t.m[h] {
-		if framesEqual(cand, scratch) {
-			return cand
+	first, seen := t.first[h]
+	if seen {
+		if framesEqual(first, scratch) {
+			return first
+		}
+		for _, cand := range t.more[h] {
+			if framesEqual(cand, scratch) {
+				return cand
+			}
 		}
 	}
 	cp := make([]trace.Frame, len(scratch))
 	copy(cp, scratch)
-	t.m[h] = append(t.m[h], cp)
+	switch {
+	case !seen:
+		t.first[h] = cp
+	case t.more == nil:
+		t.more = map[uint64][][]trace.Frame{h: {cp}}
+	default:
+		t.more[h] = append(t.more[h], cp)
+	}
 	return cp
 }
 

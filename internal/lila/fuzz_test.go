@@ -274,9 +274,11 @@ func FuzzSalvageText(f *testing.F) {
 // index recovery, per-block checksum drops, and the sequential
 // re-framing scan. Seeds are the v2 members of the damaged corpus
 // (magic "LILA\x02"); the sniffing entry point is shared, so crossover
-// mutations exercise the other formats too. Its property pins the two
-// v2 read paths together: every input that both the stream reader and
-// ParseV2 open yields the same records and the same salvage report.
+// mutations exercise the other formats too. Its property pins the v2
+// read paths together: every input that ParseV2 opens yields the same
+// records, salvage report and error from Each, at one and at four
+// workers, as from Records, and from the stream reader too when it
+// opens the input.
 func FuzzSalvageBinaryV2(f *testing.F) {
 	for _, seed := range salvageSeeds(f) {
 		if len(seed) >= 5 && bytes.HasPrefix(seed, []byte("LILA\x02")) {
@@ -293,6 +295,21 @@ func FuzzSalvageBinaryV2(f *testing.F) {
 		recs, rep, err := v.Records(nil, true)
 		if err == nil && rep.RecordsKept < len(recs) {
 			t.Fatalf("report kept %d < yielded %d", rep.RecordsKept, len(recs))
+		}
+		for _, jobs := range []int{1, 4} {
+			var each []*lila.Record
+			erep, eerr := v.Each(true, jobs, func(rec *lila.Record) error {
+				cp := *rec // valid only during this call
+				each = append(each, &cp)
+				return nil
+			})
+			if (eerr == nil) != (err == nil) || (err != nil && eerr.Error() != err.Error()) {
+				t.Fatalf("Each at %d jobs: error %v, Records error %v", jobs, eerr, err)
+			}
+			if !reflect.DeepEqual(erep, rep) || (err == nil && !sameRecords(each, recs)) {
+				t.Fatalf("Each at %d jobs kept %d records, report %+v; Records kept %d, report %+v",
+					jobs, len(each), erep, len(recs), rep)
+			}
 		}
 		r, serr := lila.NewReaderOptions(bytes.NewReader(data), lila.ReaderOptions{Salvage: true})
 		if serr != nil {

@@ -123,26 +123,33 @@ type Record struct {
 // Validate checks that the record is internally consistent for its
 // type (e.g. a call carries a valid non-GC kind).
 func (r *Record) Validate() error {
-	switch r.Type {
+	return validate(r.Type, r.Thread, r.Name, r.Kind, r.State)
+}
+
+// validate states Validate's per-type rules once, for the fields they
+// read; the v2 block decoder checks its compact records with it before
+// any of them becomes a Record.
+func validate(typ RecType, thread trace.ThreadID, name string, kind trace.Kind, state trace.ThreadState) error {
+	switch typ {
 	case RecThread:
-		if r.Name == "" {
-			return fmt.Errorf("lila: thread record for %d without a name", r.Thread)
+		if name == "" {
+			return fmt.Errorf("lila: thread record for %d without a name", thread)
 		}
 	case RecCall:
-		if !r.Kind.Valid() {
-			return fmt.Errorf("lila: call record with invalid kind %d", r.Kind)
+		if !kind.Valid() {
+			return fmt.Errorf("lila: call record with invalid kind %d", kind)
 		}
-		if r.Kind == trace.KindGC {
+		if kind == trace.KindGC {
 			return fmt.Errorf("lila: GC intervals use gcstart/gcend records, not calls")
 		}
 	case RecReturn, RecGCStart, RecGCEnd, RecEnd:
 		// No per-type constraints beyond field zero-ness.
 	case RecSample:
-		if !r.State.Valid() {
-			return fmt.Errorf("lila: sample record with invalid state %d", r.State)
+		if !state.Valid() {
+			return fmt.Errorf("lila: sample record with invalid state %d", state)
 		}
 	default:
-		return fmt.Errorf("lila: unknown record type %d", r.Type)
+		return fmt.Errorf("lila: unknown record type %d", typ)
 	}
 	return nil
 }
@@ -158,9 +165,9 @@ type Writer interface {
 
 // Reader yields trace records. Read returns io.EOF after the RecEnd
 // record has been delivered. A record Read returns stays valid after
-// later reads: a caller may keep every record of a stream. (Records
-// that V2File.Each passes to its fn are recycled instead, valid only
-// during that call.)
+// later reads: a caller may keep every record of a stream. (V2File.Each
+// instead passes its fn one Record that it refills for every record,
+// valid only during that call.)
 type Reader interface {
 	Header() Header
 	Read() (*Record, error)

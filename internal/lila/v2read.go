@@ -72,12 +72,18 @@ func (c *v2cur) varint() (int64, error) {
 
 func (c *v2cur) byte() (byte, error) {
 	if c.off >= len(c.data) {
-		return 0, fmt.Errorf("truncated byte at offset %d", c.off)
+		return 0, &truncatedByte{c.off}
 	}
 	b := c.data[c.off]
 	c.off++
 	return b, nil
 }
+
+// truncatedByte is byte's error. A type of its own, not fmt.Errorf,
+// keeps byte cheap enough to inline into the per-record decode.
+type truncatedByte struct{ off int }
+
+func (e *truncatedByte) Error() string { return fmt.Sprintf("truncated byte at offset %d", e.off) }
 
 func (c *v2cur) bytes(n int) ([]byte, error) {
 	if n < 0 || c.remaining() < n {
@@ -100,13 +106,18 @@ type v2data struct {
 }
 
 func (d *v2data) str(ref uint64) (string, error) {
-	if ref == 0 {
-		return "", nil
-	}
 	if ref > uint64(len(d.strings)) {
 		return "", fmt.Errorf("string ref %d beyond table size %d", ref, len(d.strings))
 	}
-	return d.strings[ref-1], nil
+	return d.ref(uint32(ref)), nil
+}
+
+// ref resolves a string ref already checked against the table.
+func (d *v2data) ref(ref uint32) string {
+	if ref == 0 {
+		return ""
+	}
+	return d.strings[ref-1]
 }
 
 // parseV2Prefix parses magic, header, string table, and stack table.
@@ -176,7 +187,9 @@ func (d *v2data) parseTables(c *v2cur, readString func() (string, error)) error 
 	if err != nil {
 		return fmt.Errorf("lila: v2 string table: %w", err)
 	}
-	if nstr > uint64(limits.MaxStringTable) {
+	// Records hold refs as uint32s, which bounds a table however
+	// high the limit is set.
+	if nstr > uint64(limits.MaxStringTable) || nstr > math.MaxUint32 {
 		return limitErrf("lila: v2 string table exceeds limit %d", limits.MaxStringTable)
 	}
 	d.strings = make([]string, nstr)
@@ -190,7 +203,7 @@ func (d *v2data) parseTables(c *v2cur, readString func() (string, error)) error 
 	if err != nil {
 		return fmt.Errorf("lila: v2 stack table: %w", err)
 	}
-	if nstk > uint64(limits.MaxStringTable) {
+	if nstk > uint64(limits.MaxStringTable) || nstk > math.MaxUint32 {
 		return limitErrf("lila: v2 stack table exceeds limit %d", limits.MaxStringTable)
 	}
 	d.stacks = make([][]trace.Frame, nstk)
@@ -451,24 +464,16 @@ func readV2Frame(c *v2cur) (plen, count, rawLen, flags uint64, err error) {
 	return
 }
 
-// v2scratch bundles the per-goroutine decode state: the record arena,
-// the reusable inflate machinery for compressed blocks, and a read-ahead
-// worker's last decoded block (or err). Not safe for concurrent use;
-// every decoding goroutine owns one.
+// v2scratch bundles the per-goroutine decode state: the reusable
+// inflate machinery for compressed blocks, and the compact records of
+// the last block decoded into it (or its err). Not safe for concurrent
+// use; every decoding goroutine owns one.
 type v2scratch struct {
-	arena    recArena
 	br       bytes.Reader
 	fr       io.ReadCloser // flate reader, Reset per block
 	inflated []byte        // reusable inflated-payload buffer
-	recs     []*Record
+	recs     []v2rec       // the last block's records, overwritten by the next
 	err      error
-}
-
-// decode resets the arena (a recycling one then overwrites the
-// previous block) and decodes block b, appending its records to dst.
-func (s *v2scratch) decode(d *v2data, b *V2BlockInfo, dst []*Record) ([]*Record, error) {
-	s.arena.reset()
-	return d.decodeV2Block(b, s, dst)
 }
 
 // inflate decompresses stored into the scratch buffer, insisting on
@@ -496,206 +501,237 @@ func (s *v2scratch) inflate(stored []byte, rawLen int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeV2Block verifies and decodes one block, appending its records
-// to dst. The block header is re-read from b's frame (it carries the
-// base time and, for compressed blocks, the inflated length); the
-// checksum over the stored bytes is verified before any inflation or
-// record materialization. On error dst is unchanged at its original
-// length (appended capacity may hold dead pointers; callers must not
-// read past len).
-func (d *v2data) decodeV2Block(b *V2BlockInfo, sc *v2scratch, dst []*Record) ([]*Record, error) {
+// v2rec is one decoded v2 record in compact form: 24 bytes holding no
+// pointer, so a block's records fill a slab the GC does not scan. Its
+// refs were bounds-checked against the tables when it was decoded, and
+// fill turns it into a Record.
+type v2rec struct {
+	time trace.Time // all but RecThread
+	// a and b are RecCall's class and method refs, RecThread's name
+	// ref and RecSample's stack ref, or RecEnd's count, low half first.
+	a, b   uint32
+	thread trace.ThreadID // RecThread, RecCall, RecReturn, RecSample
+	typ    RecType
+	flag   uint8 // RecCall kind, RecSample state, RecGCStart major, RecThread daemon byte
+}
+
+// decodeV2Block verifies and decodes block b into sc.recs. The block
+// header is re-read from b's frame (it carries the base time and, for
+// compressed blocks, the inflated length); the checksum over the
+// stored bytes is verified before any inflation or record decode. A
+// block decodes whole or not at all: on error sc.recs holds nothing
+// the caller may read.
+func (d *v2data) decodeV2Block(b *V2BlockInfo, sc *v2scratch) error {
 	c := &v2cur{data: d.data[:b.Offset+b.Length], off: int(b.Offset)}
 	plen, err := c.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	count, err := c.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	compressed := false
 	rawLen := int(plen)
 	if count == 0 { // escape into the compressed framing
 		compressed = true
 		if count, err = c.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		rl, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if rl == 0 || rl > maxInflatedLen(plen, d.limits) {
-			return nil, fmt.Errorf("implausible inflated length %d for %d stored bytes", rl, plen)
+			return fmt.Errorf("implausible inflated length %d for %d stored bytes", rl, plen)
 		}
 		rawLen = int(rl)
 	}
 	base, err := c.varint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	crcb, err := c.bytes(4)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	stored, err := c.bytes(int(plen))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if c.remaining() != 0 || int(count) != b.Records {
-		return nil, fmt.Errorf("block header disagrees with index (payload %d, records %d vs %d)",
+		return fmt.Errorf("block header disagrees with index (payload %d, records %d vs %d)",
 			plen, count, b.Records)
 	}
 	if crc32.Checksum(stored, v2CRC) != binary.LittleEndian.Uint32(crcb) {
-		return nil, fmt.Errorf("block checksum mismatch (%d records lost)", count)
+		return fmt.Errorf("block checksum mismatch (%d records lost)", count)
 	}
 	payload := stored
 	if compressed {
 		if payload, err = sc.inflate(stored, rawLen); err != nil {
-			return nil, fmt.Errorf("%w (%d records lost)", err, count)
+			return fmt.Errorf("%w (%d records lost)", err, count)
 		}
 		mBlocksInflated.Inc()
 	}
 
 	pc := &v2cur{data: payload}
 	lastTime := trace.Time(base)
-	dst = slices.Grow(dst, min(int(count), len(payload))) // a record takes at least one byte
+	recs := slices.Grow(sc.recs[:0], min(int(count), len(payload))) // a record takes at least one byte
 	for i := 0; i < int(count); i++ {
-		rec, err := d.decodeRecord(pc, &lastTime, &sc.arena)
-		if err != nil {
-			return nil, fmt.Errorf("record %d of block: %w", i, err)
+		recs = append(recs, v2rec{})
+		if err := d.decodeRecord(pc, &lastTime, &recs[i]); err != nil {
+			return fmt.Errorf("record %d of block: %w", i, err)
 		}
-		dst = append(dst, rec)
 	}
+	sc.recs = recs
 	if pc.remaining() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after %d records", pc.remaining(), count)
+		return fmt.Errorf("%d trailing bytes after %d records", pc.remaining(), count)
 	}
-	return dst, nil
+	return nil
 }
 
-// decodeRecord decodes one record from the payload cursor.
-func (d *v2data) decodeRecord(c *v2cur, lastTime *trace.Time, arena *recArena) (*Record, error) {
+// decodeRecord decodes one record from the payload cursor into the
+// zero compact record r, checking its refs against the tables and the
+// record against the rules Record.Validate states.
+func (d *v2data) decodeRecord(c *v2cur, lastTime *trace.Time, r *v2rec) error {
 	tb, err := c.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int(tb) >= numRecTypes {
-		return nil, fmt.Errorf("unknown record type %d", tb)
+		return fmt.Errorf("unknown record type %d", tb)
 	}
-	rec := arena.new()
-	rec.Type = RecType(tb)
-	readTime := func() error {
+	r.typ = RecType(tb)
+	if r.typ != RecThread {
 		dt, err := c.varint()
 		if err != nil {
 			return err
 		}
 		*lastTime += trace.Time(dt)
-		rec.Time = *lastTime
-		return nil
+		r.time = *lastTime
 	}
-	readTID := func() error {
-		v, err := c.varint()
-		rec.Thread = trace.ThreadID(v)
-		return err
-	}
-	switch rec.Type {
-	case RecThread:
-		if err := readTID(); err != nil {
-			return nil, err
+	switch r.typ {
+	case RecThread, RecCall, RecReturn, RecSample:
+		tid, err := c.varint()
+		if err != nil {
+			return err
 		}
+		r.thread = trace.ThreadID(tid)
+	}
+	var name string
+	switch r.typ {
+	case RecThread:
 		ref, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if rec.Name, err = d.str(ref); err != nil {
-			return nil, err
+		if name, err = d.str(ref); err != nil {
+			return err
 		}
-		db, err := c.byte()
-		if err != nil {
-			return nil, err
+		r.a = uint32(ref)
+		if r.flag, err = c.byte(); err != nil {
+			return err
 		}
-		rec.Daemon = db == 1
 	case RecCall:
-		if err := readTime(); err != nil {
-			return nil, err
+		if r.flag, err = c.byte(); err != nil {
+			return err
 		}
-		if err := readTID(); err != nil {
-			return nil, err
-		}
-		k, err := c.byte()
-		if err != nil {
-			return nil, err
-		}
-		rec.Kind = trace.Kind(k)
 		cr, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mr, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if rec.Class, err = d.str(cr); err != nil {
-			return nil, err
+		if _, err := d.str(cr); err != nil {
+			return err
 		}
-		if rec.Method, err = d.str(mr); err != nil {
-			return nil, err
+		if _, err := d.str(mr); err != nil {
+			return err
 		}
-	case RecReturn:
-		if err := readTime(); err != nil {
-			return nil, err
-		}
-		if err := readTID(); err != nil {
-			return nil, err
-		}
+		r.a, r.b = uint32(cr), uint32(mr)
 	case RecGCStart:
-		if err := readTime(); err != nil {
-			return nil, err
-		}
-		mb, err := c.byte()
-		if err != nil {
-			return nil, err
-		}
-		rec.Major = mb == 1
-	case RecGCEnd:
-		if err := readTime(); err != nil {
-			return nil, err
+		if r.flag, err = c.byte(); err != nil {
+			return err
 		}
 	case RecSample:
-		if err := readTime(); err != nil {
-			return nil, err
+		if r.flag, err = c.byte(); err != nil {
+			return err
 		}
-		if err := readTID(); err != nil {
-			return nil, err
-		}
-		st, err := c.byte()
-		if err != nil {
-			return nil, err
-		}
-		rec.State = trace.ThreadState(st)
 		ref, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ref > uint64(len(d.stacks)) {
-			return nil, fmt.Errorf("stack ref %d beyond table size %d", ref, len(d.stacks))
+			return fmt.Errorf("stack ref %d beyond table size %d", ref, len(d.stacks))
 		}
-		if ref > 0 {
-			rec.Stack = d.stacks[ref-1]
-		}
+		r.a = uint32(ref)
 	case RecEnd:
-		if err := readTime(); err != nil {
-			return nil, err
-		}
 		n, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rec.Count = int(n)
+		r.a, r.b = uint32(n), uint32(n>>32)
 	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
+	return validate(r.typ, r.thread, name, trace.Kind(r.flag), trace.ThreadState(r.flag))
+}
+
+// fill sets rec to the record r encodes, resolving its refs in d's
+// tables. Only the fields of rec's current type can be set (a zero
+// Record is a thread without a name), so fill clears those when the
+// type changes, a pointer field only when it is set, and writes the
+// fields r's type uses: Each refills one Record for every record of a
+// read, and a whole-struct store would zero every pointer word
+// through the write barrier.
+func (d *v2data) fill(rec *Record, r *v2rec) {
+	if rec.Type != r.typ {
+		switch rec.Type {
+		case RecThread:
+			if rec.Name != "" {
+				rec.Name = ""
+			}
+			rec.Daemon = false
+		case RecCall:
+			rec.Kind = 0
+			if rec.Class != "" {
+				rec.Class = ""
+			}
+			if rec.Method != "" {
+				rec.Method = ""
+			}
+		case RecGCStart:
+			rec.Major = false
+		case RecSample:
+			rec.State = 0
+			if rec.Stack != nil {
+				rec.Stack = nil
+			}
+		case RecEnd:
+			rec.Count = 0
+		}
+		rec.Type = r.typ
 	}
-	return rec, nil
+	rec.Time, rec.Thread = r.time, r.thread
+	switch r.typ {
+	case RecThread:
+		rec.Name = d.strings[r.a-1] // Validate refuses a thread without a name
+		rec.Daemon = r.flag == 1
+	case RecCall:
+		rec.Kind = trace.Kind(r.flag)
+		rec.Class, rec.Method = d.ref(r.a), d.ref(r.b)
+	case RecGCStart:
+		rec.Major = r.flag == 1
+	case RecSample:
+		rec.State = trace.ThreadState(r.flag)
+		if r.a > 0 {
+			rec.Stack = d.stacks[r.a-1]
+		} else if rec.Stack != nil {
+			rec.Stack = nil
+		}
+	case RecEnd:
+		rec.Count = int(uint64(r.a) | uint64(r.b)<<32)
+	}
 }
 
 // V2File is a v2 trace opened for random access: the footer index is
@@ -792,7 +828,8 @@ func (v *V2File) Close() error {
 const v2ReadAheadPerWorker = 2 // decoded blocks a worker may hold unfed
 
 // Each decodes every block and calls fn with every record, in stream
-// order. A record is valid only during its fn call; an error from fn
+// order. fn gets one Record that Each refills for every record, so a
+// record is valid only during its fn call; an error from fn
 // stops the decode and is returned. With salvage false a damaged index
 // or block is an error; with salvage true a bad block is dropped whole
 // and itemized in the returned SalvageReport (non-nil exactly then, its
@@ -808,7 +845,6 @@ func (v *V2File) Each(salvage bool, jobs int, fn func(*Record) error) (*SalvageR
 		return nil, err
 	}
 	defer c.finish(nil)
-	c.own.arena.recycle = true
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
@@ -819,24 +855,25 @@ func (v *V2File) Each(salvage bool, jobs int, fn func(*Record) error) (*SalvageR
 		if block == nil || err != nil {
 			return c.report, err
 		}
-		for _, rec := range block {
-			if err := fn(rec); err != nil {
+		for i := range block {
+			v.d.fill(&c.rec, &block[i])
+			if err := fn(&c.rec); err != nil {
 				return c.report, err
 			}
 		}
 	}
 }
 
-// Records reads every block inline into one slice whose records are
-// never recycled, so they stay valid after the call. filter (nil =
-// everything) then keeps the records its record-level rule selects.
+// Records reads every block inline and fills its records into an
+// arena, so they stay valid after the call. filter (nil = everything)
+// then keeps the records its record-level rule selects.
 func (v *V2File) Records(filter *RecordFilter, salvage bool) ([]*Record, *SalvageReport, error) {
 	c, err := v.cursor(newReport(salvage))
 	if err != nil {
 		return nil, nil, err
 	}
-	c.keep = true
-	c.recs = make([]*Record, 0, min(v.NumRecords(), v.d.limits.MaxRecords))
+	var arena recArena
+	recs := make([]*Record, 0, min(v.NumRecords(), v.d.limits.MaxRecords))
 	for {
 		block, err := c.next()
 		if err != nil {
@@ -845,11 +882,16 @@ func (v *V2File) Records(filter *RecordFilter, salvage bool) ([]*Record, *Salvag
 		if block == nil {
 			break
 		}
+		for i := range block {
+			rec := arena.new()
+			v.d.fill(rec, &block[i])
+			recs = append(recs, rec)
+		}
 	}
 	if filter.All() {
-		return c.recs, c.report, nil
+		return recs, c.report, nil
 	}
-	return filter.apply(c.recs), c.report, nil
+	return filter.apply(recs), c.report, nil
 }
 
 // v2cursor is the one block loop of a V2File read: Each, Records and
@@ -858,11 +900,10 @@ func (v *V2File) Records(filter *RecordFilter, salvage bool) ([]*Record, *Salvag
 type v2cursor struct {
 	v      *V2File
 	report *SalvageReport
-	own    v2scratch  // inline decodes; its arena recycles only under Each
+	own    v2scratch  // inline decodes
 	pipe   v2pipe     // read-ahead; the zero pipe decodes every block inline
 	held   *v2scratch // the read-ahead scratch behind the last block
-	keep   bool       // append every block to recs, never reuse it
-	recs   []*Record  // inline decodes: the kept records, or the last block
+	rec    Record     // the one Record Each hands its fn
 	block  int        // next block to read
 	total  int        // records the blocks so far declare
 	done   bool
@@ -882,16 +923,12 @@ func (v *V2File) cursor(report *SalvageReport) (*v2cursor, error) {
 	return &v2cursor{v: v, report: report}, nil
 }
 
-// next returns the records of the next block that survives, cut at
-// the end record; nil means the read is over. Unless the cursor keeps,
-// they are valid until the following call. It charges the record
-// limit, drops a bad block under salvage (a strict read fails on it),
-// and counts what it keeps; past the end record, or out of blocks, it
-// closes the read.
-func (c *v2cursor) next() ([]*Record, error) {
-	if !c.keep {
-		c.recs = c.recs[:0]
-	}
+// next returns the compact records of the next block that survives,
+// cut at the end record; nil means the read is over. They are valid
+// until the following call. It charges the record limit, drops a bad
+// block under salvage (a strict read fails on it), and counts what it
+// keeps; past the end record, or out of blocks, it closes the read.
+func (c *v2cursor) next() ([]v2rec, error) {
 	for !c.done {
 		c.pipe.release(c.held)
 		c.held = nil
@@ -904,25 +941,20 @@ func (c *v2cursor) next() ([]*Record, error) {
 		if c.total += b.Records; c.total > c.v.d.limits.MaxRecords {
 			return nil, c.finish(limitErrf("lila: record limit %d exceeded", c.v.d.limits.MaxRecords))
 		}
-		mark := len(c.recs)
-		recs, err := c.decode(i)
+		block, err := c.decode(i)
 		if err != nil {
 			if err := c.drop(i, err); err != nil {
 				return nil, c.finish(err)
 			}
 			continue
 		}
-		block := recs[mark:]
 		if c.report != nil {
 			c.report.RecordsKept += len(block)
 		}
 		// Anything a malformed block encodes after RecEnd is discarded.
-		for j, rec := range block {
-			if rec.Type == RecEnd {
+		for j := range block {
+			if block[j].typ == RecEnd {
 				block = block[:j+1]
-				if c.keep {
-					c.recs = c.recs[:mark+j+1]
-				}
 				c.finish(nil)
 				break
 			}
@@ -934,18 +966,17 @@ func (c *v2cursor) next() ([]*Record, error) {
 	return nil, nil
 }
 
-// decode returns block i's records after the inline ones kept so far:
-// taken from the read-ahead, or decoded inline.
-func (c *v2cursor) decode(i int) ([]*Record, error) {
-	if sc := c.pipe.take(i); sc != nil {
+// decode returns block i's compact records: taken from the
+// read-ahead, or decoded inline.
+func (c *v2cursor) decode(i int) ([]v2rec, error) {
+	sc := c.pipe.take(i)
+	if sc != nil {
 		c.held = sc
-		return sc.recs, sc.err
+	} else {
+		sc = &c.own
+		sc.err = c.v.d.decodeV2Block(&c.v.blocks[i], sc)
 	}
-	recs, err := c.own.decode(c.v.d, &c.v.blocks[i], c.recs)
-	if err == nil {
-		c.recs = recs
-	}
-	return recs, err
+	return sc.recs, sc.err
 }
 
 // finish ends the read, flushing the salvage metrics once, and
@@ -1020,7 +1051,7 @@ func (p *v2pipe) start(v *V2File, jobs int) {
 	p.free = make(chan *v2scratch, len(p.done))
 	for k := range p.done {
 		p.done[k] = make(chan *v2scratch, 1)
-		p.free <- &v2scratch{arena: recArena{recycle: true}}
+		p.free <- &v2scratch{}
 	}
 	var claimed atomic.Int64
 	for w := 0; w < workers; w++ {
@@ -1032,7 +1063,7 @@ func (p *v2pipe) start(v *V2File, jobs int) {
 				if k >= ahead {
 					return
 				}
-				sc.recs, sc.err = sc.decode(v.d, &v.blocks[k], sc.recs[:0])
+				sc.err = v.d.decodeV2Block(&v.blocks[k], sc)
 				p.done[k%len(p.done)] <- sc
 			}
 		}()
@@ -1090,7 +1121,8 @@ func readAllLimited(r io.Reader, max int64) ([]byte, error) {
 // a transport error keeps the blocks that arrived before it.
 type V2Reader struct {
 	c     *v2cursor
-	queue []*Record // the rest of the current block
+	arena recArena // the Records Read returns
+	queue []v2rec  // the rest of the current block
 }
 
 // NewV2Reader buffers r and returns a streaming reader for its record
@@ -1143,7 +1175,8 @@ func (vr *V2Reader) Read() (*Record, error) {
 		}
 		vr.queue = block
 	}
-	rec := vr.queue[0]
+	rec := vr.arena.new()
+	vr.c.v.d.fill(rec, &vr.queue[0])
 	vr.queue = vr.queue[1:]
 	return rec, nil
 }
