@@ -12,7 +12,8 @@
 # over the ingest journal, budget eviction, and drain, and lagalyzer's
 # per-file panic containment) plus a fuzz smoke pass over the
 # decoders — the strict-reader target also drives the release-mode
-# stream path — and the streaming ingest endpoint, whose consumer runs
+# stream path, and the block inflate runs against compress/flate — and
+# the streaming ingest endpoint, whose consumer runs
 # the same release-mode builder leniently and folds the engine's
 # analysis of each episode into its window. `make profile` runs three
 # commands under the CPU and heap profilers and prints the top-10 hot
@@ -62,6 +63,7 @@ chaos:
 	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageText -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageBinaryV2 -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/lila -run '^$$' -fuzz 'FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzInflate -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzIngestStream -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 
 vet:

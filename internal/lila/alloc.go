@@ -16,7 +16,10 @@ import (
 // real samplers see the same few stacks (the idle EDT stack, parked
 // workers) tens of thousands of times per session. V2File.Each needs
 // no arena: a v2 block decodes to pointer-free compact records, and
-// Each refills one Record from them for every call of its fn.
+// Each refills one Record from them for every call of its fn. A
+// compressed block inflates into its decode scratch's reused buffer
+// through Huffman tables the scratch keeps (inflate.go), so a warm
+// scratch decodes a block without allocating.
 
 // recChunkSize is the records-per-allocation granularity of recArena.
 // The only cost of a larger chunk is tail waste on the final one.

@@ -2,8 +2,13 @@ package lila
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lagalyzer/internal/trace"
@@ -192,6 +197,141 @@ func TestV2CompressedSalvage(t *testing.T) {
 	srep := SalvageOf(r)
 	if srep == nil || srep.RecordsDropped != info.Records {
 		t.Errorf("streaming salvage report = %+v, want %d dropped", srep, info.Records)
+	}
+}
+
+// TestV2InflateFailures reaches the inflate step of a v2 read, which
+// TestV2CompressedSalvage cannot: one compressed block is patched in
+// place so that its checksum still holds (recomputed where the stored
+// bytes change) but inflating it fails. The stream is cut short, its
+// declared inflated length is one too large or one too small, or its
+// Huffman header is oversubscribed. Each at one worker and at four,
+// Records and the V2Reader must all lose exactly that block under
+// salvage and fail at it when strict.
+func TestV2InflateFailures(t *testing.T) {
+	all := v2LongRecords(1000)
+	const blockRecords = 512
+	data := writeV2C(t, all, blockRecords, CompressionFlate)
+	v, err := ParseV2(data, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := len(v.Blocks()) / 2
+	info := v.Blocks()[target]
+	if !info.Compressed() {
+		t.Fatalf("block %d not compressed; corpus too small for the test", target)
+	}
+	// The compressed frame: payload length, the 0 escape, record
+	// count, inflated length, base time, CRC, stored bytes.
+	c := &v2cur{data: data[:info.Offset+info.Length], off: int(info.Offset)}
+	plen, _ := c.uvarint()
+	c.uvarint()
+	c.uvarint()
+	rawLenOff := c.off
+	rawLen, _ := c.uvarint()
+	c.varint()
+	crcOff := c.off
+	storedOff := crcOff + 4
+	stored := data[storedOff : storedOff+int(plen)]
+	if stored[0]>>1&3 != 2 {
+		t.Fatalf("block %d starts with block type %d, want a dynamic block", target, stored[0]>>1&3)
+	}
+	payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(stored)))
+	if err != nil || len(payload) != int(rawLen) || rawLen > 0xffff {
+		t.Fatalf("block %d inflates to %d bytes (%v), want %d < 65536", target, len(payload), err, rawLen)
+	}
+
+	setRawLen := func(n uint64) func([]byte) {
+		return func(d []byte) {
+			if binary.PutUvarint(d[rawLenOff:], n) != binary.PutUvarint(make([]byte, 10), rawLen) {
+				t.Fatalf("inflated length %d does not fit the frame in place", n)
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		patch func(d []byte) // d is the whole file
+		cause string
+	}{
+		{"truncated-stream", func(d []byte) {
+			// A final stored block that declares the whole payload
+			// but holds only as much of it as the frame has room for.
+			s := d[storedOff : storedOff+int(plen)]
+			s[0] = 1
+			binary.LittleEndian.PutUint16(s[1:], uint16(rawLen))
+			binary.LittleEndian.PutUint16(s[3:], ^uint16(rawLen))
+			copy(s[5:], payload)
+		}, "inflating block payload: unexpected EOF"},
+		{"raw-len-one-too-large", setRawLen(rawLen + 1), "inflating block payload: unexpected EOF"},
+		{"raw-len-one-too-small", setRawLen(rawLen - 1), fmt.Sprintf("inflated payload exceeds declared length %d", rawLen-1)},
+		{"oversubscribed-header", func(d []byte) {
+			// The first three code length code lengths (for the
+			// repeat symbols 16, 17 and 18) become 1 bit each: three
+			// one-bit codes.
+			s := d[storedOff:]
+			for k := 0; k < 3; k++ {
+				for b := 0; b < 3; b++ {
+					pos := 17 + 3*k + b
+					s[pos/8] &^= 1 << (pos % 8)
+					if b == 0 {
+						s[pos/8] |= 1 << (pos % 8)
+					}
+				}
+			}
+		}, "inflating block payload: "},
+	}
+	want := append(append([]*Record{}, all[:target*blockRecords]...), all[(target+1)*blockRecords:]...)
+	blockErr := fmt.Sprintf("v2 block %d: ", target)
+	for _, tc := range cases {
+		bad := bytes.Clone(data)
+		tc.patch(bad)
+		binary.LittleEndian.PutUint32(bad[crcOff:], crc32.Checksum(bad[storedOff:storedOff+int(plen)], v2CRC))
+		vb, err := ParseV2(bad, Limits{})
+		if err != nil {
+			t.Fatalf("%s: ParseV2: %v", tc.name, err)
+		}
+		checkSalvage := func(label string, got []*Record, rep *SalvageReport, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s %s: salvage read: %v", tc.name, label, err)
+			}
+			recordsEqual(t, got, want, tc.name+" "+label)
+			if rep == nil || rep.RecordsKept != len(want) || rep.RecordsDropped != info.Records ||
+				rep.BytesSkipped != info.Length || !strings.Contains(rep.FirstError, blockErr+tc.cause) {
+				t.Errorf("%s %s: report %+v, want %d kept, %d dropped, %d bytes skipped, cause %q",
+					tc.name, label, rep, len(want), info.Records, info.Length, blockErr+tc.cause)
+			}
+		}
+		checkStrict := func(label string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), blockErr+tc.cause) {
+				t.Errorf("%s %s: strict read error %v, want %q", tc.name, label, err, blockErr+tc.cause)
+			}
+		}
+		for _, jobs := range []int{1, 4} {
+			got, rep, err := collectEach(vb, true, jobs)
+			checkSalvage(fmt.Sprintf("Each jobs=%d", jobs), got, rep, err)
+			_, err = vb.Each(false, jobs, func(*Record) error { return nil })
+			checkStrict(fmt.Sprintf("Each jobs=%d", jobs), err)
+		}
+		got, rep, err := vb.Records(nil, true)
+		checkSalvage("Records", got, rep, err)
+		_, _, err = vb.Records(nil, false)
+		checkStrict("Records", err)
+
+		r, err := NewV2Reader(bytes.NewReader(bad), ReaderOptions{Salvage: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSalvage("V2Reader", drainReader(t, r), r.Salvage(), nil)
+		r, err = NewV2Reader(bytes.NewReader(bad), ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			_, err = r.Read()
+		}
+		checkStrict("V2Reader", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package lila
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -464,15 +462,14 @@ func readV2Frame(c *v2cur) (plen, count, rawLen, flags uint64, err error) {
 	return
 }
 
-// v2scratch bundles the per-goroutine decode state: the reusable
-// inflate machinery for compressed blocks, and the compact records of
+// v2scratch bundles the per-goroutine decode state: the inflater and
+// the inflate buffer for compressed blocks, and the compact records of
 // the last block decoded into it (or its err). Not safe for concurrent
 // use; every decoding goroutine owns one.
 type v2scratch struct {
-	br       bytes.Reader
-	fr       io.ReadCloser // flate reader, Reset per block
-	inflated []byte        // reusable inflated-payload buffer
-	recs     []v2rec       // the last block's records, overwritten by the next
+	fl       *inflater // made on the first compressed block
+	inflated []byte    // reusable inflated-payload buffer
+	recs     []v2rec   // the last block's records, overwritten by the next
 	err      error
 }
 
@@ -481,22 +478,18 @@ type v2scratch struct {
 // call; record decode never retains payload bytes (strings and stacks
 // live in the up-front tables), so reuse is safe.
 func (s *v2scratch) inflate(stored []byte, rawLen int) ([]byte, error) {
-	s.br.Reset(stored)
-	if s.fr == nil {
-		s.fr = flate.NewReader(&s.br)
-	} else if err := s.fr.(flate.Resetter).Reset(&s.br, nil); err != nil {
-		return nil, fmt.Errorf("inflating block payload: %w", err)
+	if s.fl == nil {
+		s.fl = new(inflater)
 	}
 	if cap(s.inflated) < rawLen {
 		s.inflated = make([]byte, rawLen)
 	}
 	buf := s.inflated[:rawLen]
-	if _, err := io.ReadFull(s.fr, buf); err != nil {
-		return nil, fmt.Errorf("inflating block payload: %w", err)
-	}
-	var tail [1]byte
-	if n, _ := s.fr.Read(tail[:]); n != 0 {
+	switch err := s.fl.inflate(buf, stored); {
+	case err == errInflateExceeds:
 		return nil, fmt.Errorf("inflated payload exceeds declared length %d", rawLen)
+	case err != nil:
+		return nil, fmt.Errorf("inflating block payload: %w", err)
 	}
 	return buf, nil
 }
