@@ -24,7 +24,7 @@
 # the corpus and the trace are written with lilasim on the first run
 # and kept in $(PROFILE_DIR). `make loc` prints the non-test and test
 # Go line counts outside the benchmark module (bench/), the size
-# ROADMAP.md tracks.
+# ROADMAP.md tracks, and the README.md and DESIGN.md line counts.
 
 GO ?= go
 PROFILE_DIR ?= profiles
@@ -74,6 +74,8 @@ GO_SOURCES = find . -name '*.go' -not -path './bench/*' -not -path './.bench_bui
 loc:
 	@printf 'non-test Go lines: %s\n' "$$($(GO_SOURCES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@printf 'test Go lines:     %s\n' "$$($(GO_SOURCES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'README.md lines:   %s\n' "$$(wc -l < README.md)"
+	@printf 'DESIGN.md lines:   %s\n' "$$(wc -l < DESIGN.md)"
 
 bench:
 	./scripts/bench.sh

@@ -28,7 +28,6 @@ import (
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/obs/selftrace"
-	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/sim"
 	"lagalyzer/internal/stream"
@@ -139,7 +138,7 @@ func BenchmarkFigure3_PatternCDF(b *testing.B) {
 	suite := benchSuite()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set := engine.Classify(suite.Sessions, patterns.Options{})
+		set := engine.Classify(suite.Sessions)
 		if len(set.CDF()) == 0 {
 			b.Fatal("empty CDF")
 		}
@@ -148,7 +147,7 @@ func BenchmarkFigure3_PatternCDF(b *testing.B) {
 
 func BenchmarkFigure4_Occurrence(b *testing.B) {
 	b.ReportAllocs()
-	set := engine.Classify(benchSuite().Sessions, patterns.Options{})
+	set := engine.Classify(benchSuite().Sessions)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(set.OccurrenceCounts()) == 0 {
@@ -712,7 +711,7 @@ func BenchmarkLoadV2BigSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, _, _, err := treebuild.BuildV2(v, false, runtime.GOMAXPROCS(0), treebuild.Options{})
+		s, _, _, err := treebuild.BuildV2(v, runtime.GOMAXPROCS(0), treebuild.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -739,13 +738,13 @@ func BenchmarkStatsBigSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ea := engine.NewEpisodeAnalyzer(engine.Options{})
+		ea := engine.NewEpisodeAnalyzer()
 		var pop [2]engine.Population
 		fold := func(s *trace.Session, e *trace.Episode) {
 			info := ea.Analyze(s, e)
 			engine.Fold(&pop, e, &info, trace.DefaultPerceptibleThreshold)
 		}
-		if _, _, _, err := treebuild.BuildV2(v, false, runtime.GOMAXPROCS(0), treebuild.Options{Episode: fold}); err != nil {
+		if _, _, _, err := treebuild.BuildV2(v, runtime.GOMAXPROCS(0), treebuild.Options{Episode: fold}); err != nil {
 			b.Fatal(err)
 		}
 		if pop[0].Trigger.Total == 0 {
@@ -756,18 +755,56 @@ func BenchmarkStatsBigSession(b *testing.B) {
 
 // --- Ablations (design decisions of Section II) ---
 
+// The paper's rules take no options, so each ablation below states the
+// rule it drops as a transform of a copy of its input: the engine then
+// sees, under the paper's rules, what the dropped rule would have
+// seen.
+
+// ablate returns a copy of sessions in which relabel has visited every
+// interval of every episode tree in preorder; underAsync reports
+// whether an async interval lies above the visited one. Ticks and
+// everything but the trees are shared with the input.
+func ablate(sessions []*trace.Session, relabel func(iv *trace.Interval, underAsync bool)) []*trace.Session {
+	var visit func(iv *trace.Interval, underAsync bool)
+	visit = func(iv *trace.Interval, underAsync bool) {
+		relabel(iv, underAsync)
+		for _, c := range iv.Children {
+			visit(c, underAsync || iv.Kind == trace.KindAsync)
+		}
+	}
+	out := make([]*trace.Session, len(sessions))
+	for i, s := range sessions {
+		c := *s
+		c.Episodes = make([]*trace.Episode, len(s.Episodes))
+		for j, e := range s.Episodes {
+			ce := *e
+			ce.Root = e.Root.Clone()
+			visit(ce.Root, false)
+			c.Episodes[j] = &ce
+		}
+		out[i] = &c
+	}
+	return out
+}
+
 // BenchmarkAblation_FingerprintGC compares pattern counts with and
 // without GC exclusion. Including GC nodes splits classes that differ
 // only by an incidental collection (the paper's §II-D rationale for
-// excluding them).
+// excluding them); the ablation relabels each GC interval as a native
+// one with a symbol no traced interval carries, so the fingerprint
+// keeps it.
 func BenchmarkAblation_FingerprintGC(b *testing.B) {
 	b.ReportAllocs()
 	sessions := benchSuite().Sessions
 	b.ResetTimer()
 	var withGC, withoutGC int
 	for i := 0; i < b.N; i++ {
-		withoutGC = len(engine.Classify(sessions, patterns.Options{}).Patterns)
-		withGC = len(engine.Classify(sessions, patterns.Options{IncludeGC: true}).Patterns)
+		withoutGC = len(engine.Classify(sessions).Patterns)
+		withGC = len(engine.Classify(ablate(sessions, func(iv *trace.Interval, _ bool) {
+			if iv.Kind == trace.KindGC {
+				iv.Kind, iv.Class, iv.Method = trace.KindNative, "<gc>", "collect"
+			}
+		})).Patterns)
 	}
 	b.ReportMetric(float64(withoutGC), "patterns(paper)")
 	b.ReportMetric(float64(withGC), "patterns(include-gc)")
@@ -777,16 +814,19 @@ func BenchmarkAblation_FingerprintGC(b *testing.B) {
 }
 
 // BenchmarkAblation_FingerprintSymbols compares pattern counts with
-// and without symbolic information. Kind-only trees collapse distinct
-// behaviours into one class, losing the browser's diagnostic value.
+// and without symbolic information. Kind-only trees, here trees with
+// every class and method name cleared, collapse distinct behaviours
+// into one class, losing the browser's diagnostic value.
 func BenchmarkAblation_FingerprintSymbols(b *testing.B) {
 	b.ReportAllocs()
 	sessions := benchSuite().Sessions
 	b.ResetTimer()
 	var full, kindOnly int
 	for i := 0; i < b.N; i++ {
-		full = len(engine.Classify(sessions, patterns.Options{}).Patterns)
-		kindOnly = len(engine.Classify(sessions, patterns.Options{KindOnly: true}).Patterns)
+		full = len(engine.Classify(sessions).Patterns)
+		kindOnly = len(engine.Classify(ablate(sessions, func(iv *trace.Interval, _ bool) {
+			iv.Class, iv.Method = "", ""
+		})).Patterns)
 	}
 	b.ReportMetric(float64(full), "patterns(symbols)")
 	b.ReportMetric(float64(kindOnly), "patterns(kind-only)")
@@ -797,7 +837,8 @@ func BenchmarkAblation_FingerprintSymbols(b *testing.B) {
 
 // BenchmarkAblation_AsyncReclassify measures the repaint-manager
 // special case (§IV-C footnote) on Jmol: with the reclassification
-// the animation's episodes are output; without it they count as
+// the animation's episodes are output; without it, here with every
+// paint below an async interval relabelled native, they count as
 // asynchronous.
 func BenchmarkAblation_AsyncReclassify(b *testing.B) {
 	b.ReportAllocs()
@@ -810,12 +851,16 @@ func BenchmarkAblation_AsyncReclassify(b *testing.B) {
 	if jmol == nil {
 		b.Fatal("no Jmol in study")
 	}
-	ablated := engine.Options{Trigger: analysis.TriggerOptions{NoAsyncReclassify: true}}
 	b.ResetTimer()
 	var with, without analysis.TriggerShares
 	for i := 0; i < b.N; i++ {
-		with = engine.Analyze(jmol, trace.DefaultPerceptibleThreshold, engine.Options{}).TriggerLong
-		without = engine.Analyze(jmol, trace.DefaultPerceptibleThreshold, ablated).TriggerLong
+		with = engine.Analyze(jmol, trace.DefaultPerceptibleThreshold).TriggerLong
+		ablated := &trace.Suite{App: jmol.App, Sessions: ablate(jmol.Sessions, func(iv *trace.Interval, underAsync bool) {
+			if underAsync && iv.Kind == trace.KindPaint {
+				iv.Kind = trace.KindNative
+			}
+		})}
+		without = engine.Analyze(ablated, trace.DefaultPerceptibleThreshold).TriggerLong
 	}
 	b.ReportMetric(with.Frac(analysis.TriggerOutput)*100, "output%(paper)")
 	b.ReportMetric(without.Frac(analysis.TriggerAsync)*100, "async%(ablated)")
@@ -902,7 +947,7 @@ func BenchmarkFullRebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold, engine.Options{})
+		engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold)
 	}
 }
 
@@ -912,7 +957,7 @@ func BenchmarkSessionTimeline(b *testing.B) {
 	s := benchSuite().Sessions[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(viz.Timeline(s, viz.TimelineOptions{})) == 0 {
+		if len(viz.Timeline(s)) == 0 {
 			b.Fatal("empty timeline")
 		}
 	}
@@ -980,7 +1025,7 @@ func BenchmarkClassifyParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set := engine.Classify(sessions, patterns.Options{})
+		set := engine.Classify(sessions)
 		if len(set.Patterns) == 0 {
 			b.Fatal("no patterns")
 		}

@@ -458,7 +458,7 @@ func runTimeline(args []string) error {
 	}
 	for _, s := range sessions {
 		if *svgOut != "" {
-			if err := obs.WriteFileAtomic(*svgOut, []byte(viz.Timeline(s, viz.TimelineOptions{})), 0o644); err != nil {
+			if err := obs.WriteFileAtomic(*svgOut, []byte(viz.Timeline(s)), 0o644); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *svgOut)
@@ -615,7 +615,7 @@ func runPatterns(args []string) error {
 	if err != nil {
 		return err
 	}
-	b := browser.New(set, 0)
+	b := browser.New(set)
 	b.SetSort(key)
 	b.SetPerceptibleOnly(*perceptibleOnly)
 	fmt.Print(b.Table(*rows))
@@ -788,8 +788,8 @@ func runBrowse(args []string) error {
 	if err != nil {
 		return err
 	}
-	set := engine.Classify(sessions, patterns.Options{})
-	b := browser.New(set, 0)
+	set := engine.Classify(sessions)
+	b := browser.New(set)
 	fmt.Print(b.Table(20))
 	fmt.Println(`commands: list [n] | sort count|total|max|avg | filter on|off | sel <i> | eps | next | prev | sketch | svg <file> | quit`)
 

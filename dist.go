@@ -85,7 +85,7 @@ const (
 
 // ComparePatterns aligns two pattern sets by structural fingerprint
 // and reports regressions, improvements, and appearing/disappearing
-// patterns. Both sets must be classified with identical options.
+// patterns. Both sets must have been built at the same threshold.
 func ComparePatterns(oldSet, newSet *PatternSet, opt DiffOptions) (*DiffResult, error) {
 	return diff.Compare(oldSet, newSet, opt)
 }

@@ -43,10 +43,10 @@ func buildSession() *lagalyzer.Session {
 // the pattern browser's key statistics.
 func ExampleClassify() {
 	s := buildSession()
-	set := lagalyzer.Classify([]*lagalyzer.Session{s}, lagalyzer.PatternOptions{})
+	set := lagalyzer.Classify([]*lagalyzer.Session{s})
 	for _, p := range set.Patterns {
 		fmt.Printf("%d episode(s), %s, gc in %.0f%%: %s\n",
-			p.Count(), p.Occurrence(lagalyzer.PerceptibleThreshold), p.GCFrac()*100, p.Canon)
+			p.Count(), p.Occurrence(), p.GCFrac()*100, p.Canon)
 	}
 	// Output:
 	// 1 episode(s), never, gc in 0%: dispatch(listener[app.Button.onClick])
@@ -90,12 +90,14 @@ func ExampleThresholdSweep() {
 }
 
 // ExampleFingerprint shows the canonical structural form behind
-// pattern equality: timing and GC intervals are excluded.
+// pattern equality: timing and GC intervals are excluded, so the paint
+// episode's collection does not show.
 func ExampleFingerprint() {
 	s := buildSession()
-	fmt.Println(lagalyzer.Fingerprint(s.Episodes[1], lagalyzer.PatternOptions{}))
-	fmt.Println(lagalyzer.Fingerprint(s.Episodes[1], lagalyzer.PatternOptions{IncludeGC: true}))
+	e := s.Episodes[1]
+	fmt.Println(lagalyzer.Fingerprint(e))
+	fmt.Println("holds a GC interval:", e.Root.HasKind(lagalyzer.KindGC))
 	// Output:
 	// dispatch(paint[app.Canvas.paint])
-	// dispatch(paint[app.Canvas.paint](gc))
+	// holds a GC interval: true
 }

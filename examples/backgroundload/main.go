@@ -52,8 +52,8 @@ func main() {
 	// Find the progress-update pattern in the browser and show its
 	// lag statistics — the paper notes GCs regularly land inside
 	// these episodes.
-	set := lagalyzer.Classify(sessions, lagalyzer.PatternOptions{})
-	b := lagalyzer.NewBrowser(set, 0)
+	set := lagalyzer.Classify(sessions)
+	b := lagalyzer.NewBrowser(set)
 	b.SetPerceptibleOnly(true)
 	for i, p := range b.Patterns() {
 		if !strings.Contains(p.Canon, "ProgressUpdateEvent") {

@@ -39,14 +39,14 @@ func main() {
 
 	// 3. Mine patterns: equivalence classes on interval-tree
 	// structure, ignoring timing and incidental GCs.
-	set := lagalyzer.Classify([]*lagalyzer.Session{session}, lagalyzer.PatternOptions{})
+	set := lagalyzer.Classify([]*lagalyzer.Session{session})
 	fmt.Printf("patterns: %d (covering %d episodes)\n", len(set.Patterns), set.Covered())
 	for i, p := range set.Patterns {
 		if i == 5 {
 			break
 		}
 		fmt.Printf("  %-14s ×%-4d min %-8v avg %-8v max %-8v  %s\n",
-			p.ID(), p.Count(), p.MinLag(), p.AvgLag(), p.MaxLag(), p.Occurrence(lagalyzer.PerceptibleThreshold))
+			p.ID(), p.Count(), p.MinLag(), p.AvgLag(), p.MaxLag(), p.Occurrence())
 	}
 
 	// 4. Characterize: what triggered the episodes, and where did the

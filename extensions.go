@@ -20,7 +20,7 @@ import (
 // episode as a bar (log-duration height, trigger color) on the session
 // time axis, with GC marks and the perceptibility threshold line.
 func TimelineSVG(s *Session) string {
-	return viz.Timeline(s, viz.TimelineOptions{})
+	return viz.Timeline(s)
 }
 
 // TimelineText renders the terminal form of the session timeline.

@@ -15,7 +15,7 @@ import (
 
 // analyze runs the engine over the sessions as one suite.
 func analyze(sessions []*trace.Session) *engine.Result {
-	return engine.Analyze(&trace.Suite{App: "t", Sessions: sessions}, th, engine.Options{})
+	return engine.Analyze(&trace.Suite{App: "t", Sessions: sessions}, th)
 }
 
 func ms(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
@@ -79,22 +79,27 @@ func TestTriggerOf(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := engine.TriggerOf(tc.e, analysis.TriggerOptions{}); got != tc.want {
+			if got := engine.TriggerOf(tc.e); got != tc.want {
 				t.Errorf("TriggerOf = %v, want %v", got, tc.want)
 			}
 		})
 	}
 }
 
-func TestTriggerAsyncReclassifyAblation(t *testing.T) {
+// TestTriggerAsyncReclassify: an async interval that paints is output
+// (the repaint-manager case); one that does not stays async.
+func TestTriggerAsyncReclassify(t *testing.T) {
 	e := ep(0, trace.Ms(100),
 		trace.NewInterval(trace.KindAsync, "q.E", "dispatch", ms(0), trace.Ms(90),
 			trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(5), trace.Ms(80))))
-	if got := engine.TriggerOf(e, analysis.TriggerOptions{}); got != analysis.TriggerOutput {
-		t.Errorf("default = %v, want output", got)
+	if got := engine.TriggerOf(e); got != analysis.TriggerOutput {
+		t.Errorf("async holding a paint = %v, want output", got)
 	}
-	if got := engine.TriggerOf(e, analysis.TriggerOptions{NoAsyncReclassify: true}); got != analysis.TriggerAsync {
-		t.Errorf("ablation = %v, want async", got)
+	e = ep(0, trace.Ms(100),
+		trace.NewInterval(trace.KindAsync, "q.E", "dispatch", ms(0), trace.Ms(90),
+			trace.NewInterval(trace.KindNative, "x.N", "draw", ms(5), trace.Ms(80))))
+	if got := engine.TriggerOf(e); got != analysis.TriggerAsync {
+		t.Errorf("async without a paint = %v, want async", got)
 	}
 }
 
@@ -272,7 +277,7 @@ func TestOverviewOf(t *testing.T) {
 		return s
 	}
 	suite := &trace.Suite{App: "TestApp", Sessions: []*trace.Session{mkSession(0), mkSession(1)}}
-	o := engine.Analyze(suite, th, engine.Options{}).Overview
+	o := engine.Analyze(suite, th).Overview
 
 	if o.App != "TestApp" || o.Sessions != 2 {
 		t.Errorf("identity: %+v", o)
@@ -305,7 +310,7 @@ func TestOverviewOf(t *testing.T) {
 }
 
 func TestOverviewEmptySuite(t *testing.T) {
-	o := engine.Analyze(&trace.Suite{App: "Empty"}, th, engine.Options{}).Overview
+	o := engine.Analyze(&trace.Suite{App: "Empty"}, th).Overview
 	if o.Sessions != 0 || o.Traced != 0 {
 		t.Errorf("empty suite overview = %+v", o)
 	}

@@ -15,8 +15,10 @@ const (
 	// first significant interval is a listener notification.
 	TriggerInput Trigger = iota
 	// TriggerOutput: the episode renders to the screen — its first
-	// significant interval is a paint (or a repaint-manager async
-	// wrapping a paint; see Options.NoAsyncReclassify).
+	// significant interval is a paint, or an async interval wrapping a
+	// paint: the toolkit's repaint manager enqueues paint requests
+	// through the event queue even on the GUI thread, so such an
+	// episode is really output.
 	TriggerOutput
 	// TriggerAsync: the episode handles an event posted by a
 	// background thread.
@@ -54,19 +56,6 @@ func Triggers() []Trigger {
 		ts[i] = Trigger(i)
 	}
 	return ts
-}
-
-// TriggerOptions tune the trigger classification; the zero value is
-// the paper's configuration.
-type TriggerOptions struct {
-	// NoAsyncReclassify disables the Swing repaint-manager special
-	// case. The paper observes that the toolkit's repaint manager
-	// enqueues paint requests through the event queue even on the GUI
-	// thread, producing episodes with an "async" interval containing
-	// a "paint" interval; those are really output episodes and are
-	// reclassified as such. Setting this flag keeps them async — the
-	// ablation measured by BenchmarkAblation_AsyncReclassify.
-	NoAsyncReclassify bool
 }
 
 // TriggerShares is the per-class episode fraction for one population

@@ -270,7 +270,7 @@ func TestTriggerMixPerApp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold, engine.Options{}).TriggerLong
+		ts := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold).TriggerLong
 		best, bestF := analysis.TriggerInput, -1.0
 		for _, tr := range analysis.Triggers() {
 			if f := ts.Frac(tr); f > bestF {

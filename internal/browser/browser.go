@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"lagalyzer/internal/patterns"
-	"lagalyzer/internal/trace"
 	"lagalyzer/internal/viz"
 )
 
@@ -64,8 +63,7 @@ func ParseSortKey(s string) (SortKey, error) {
 // Browser is the pattern-browser model: a view over a pattern set with
 // sorting, perceptibility filtering, and a selection cursor.
 type Browser struct {
-	set       *patterns.Set
-	threshold trace.Dur
+	set *patterns.Set
 
 	sortKey         SortKey
 	perceptibleOnly bool
@@ -75,17 +73,10 @@ type Browser struct {
 	episode  int                 // index into the selected pattern's episodes
 }
 
-// New builds a browser over a classified pattern set. The threshold is
-// the perceptibility threshold used for filtering and occurrence
-// display; 0 means the set's own option (or the paper's 100 ms).
-func New(set *patterns.Set, threshold trace.Dur) *Browser {
-	if threshold == 0 {
-		threshold = set.Options.Threshold
-	}
-	if threshold == 0 {
-		threshold = trace.DefaultPerceptibleThreshold
-	}
-	b := &Browser{set: set, threshold: threshold, selected: -1}
+// New builds a browser over a classified pattern set; filtering and
+// occurrence display use the set's threshold.
+func New(set *patterns.Set) *Browser {
+	b := &Browser{set: set, selected: -1}
 	b.rebuild()
 	return b
 }
@@ -93,7 +84,7 @@ func New(set *patterns.Set, threshold trace.Dur) *Browser {
 func (b *Browser) rebuild() {
 	b.view = b.view[:0]
 	for _, p := range b.set.Patterns {
-		if b.perceptibleOnly && p.PerceptibleCount(b.threshold) == 0 {
+		if b.perceptibleOnly && p.PerceptibleCount() == 0 {
 			continue
 		}
 		b.view = append(b.view, p)
@@ -186,7 +177,7 @@ func (b *Browser) EpisodeIndex() int { return b.episode }
 func (b *Browser) Table(limit int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "patterns: %d shown / %d total   sort=%s   perceptible-only=%v   threshold=%v\n",
-		len(b.view), len(b.set.Patterns), b.sortKey, b.perceptibleOnly, b.threshold)
+		len(b.view), len(b.set.Patterns), b.sortKey, b.perceptibleOnly, b.set.Threshold)
 	fmt.Fprintf(&sb, "%4s %-14s %6s %6s %5s | %9s %9s %9s %11s | %-9s %s\n",
 		"#", "id", "eps", ">=thr", "gc%", "min", "avg", "max", "total", "occurs", "structure")
 	n := len(b.view)
@@ -204,9 +195,9 @@ func (b *Browser) Table(limit int) string {
 			canon = canon[:45] + "..."
 		}
 		fmt.Fprintf(&sb, "%s%3d %-14s %6d %6d %4.0f%% | %9v %9v %9v %11v | %-9s %s\n",
-			marker, i, p.ID(), p.Count(), p.PerceptibleCount(b.threshold), p.GCFrac()*100,
+			marker, i, p.ID(), p.Count(), p.PerceptibleCount(), p.GCFrac()*100,
 			p.MinLag(), p.AvgLag(), p.MaxLag(), p.TotalLag(),
-			p.Occurrence(b.threshold), canon)
+			p.Occurrence(), canon)
 	}
 	if n < len(b.view) {
 		fmt.Fprintf(&sb, "... %d more\n", len(b.view)-n)
@@ -228,7 +219,7 @@ func (b *Browser) EpisodeList() string {
 			marker = ">"
 		}
 		perceptible := ""
-		if ref.Episode.Perceptible(b.threshold) {
+		if ref.Episode.Perceptible(b.set.Threshold) {
 			perceptible = "  PERCEPTIBLE"
 		}
 		session := "?"

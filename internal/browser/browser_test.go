@@ -32,11 +32,11 @@ func testSet() *patterns.Set {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	return engine.Classify([]*trace.Session{s}, patterns.Options{})
+	return engine.Classify([]*trace.Session{s})
 }
 
 func TestTableSortAndFilter(t *testing.T) {
-	b := New(testSet(), 0)
+	b := New(testSet())
 	if b.Len() != 3 {
 		t.Fatalf("view has %d patterns, want 3", b.Len())
 	}
@@ -63,7 +63,7 @@ func TestTableSortAndFilter(t *testing.T) {
 		t.Fatalf("perceptible-only view has %d patterns, want 2", b.Len())
 	}
 	for _, p := range b.Patterns() {
-		if p.PerceptibleCount(trace.DefaultPerceptibleThreshold) == 0 {
+		if p.PerceptibleCount() == 0 {
 			t.Error("imperceptible pattern survived the filter")
 		}
 	}
@@ -74,7 +74,7 @@ func TestTableSortAndFilter(t *testing.T) {
 }
 
 func TestSelectionAndEpisodeCursor(t *testing.T) {
-	b := New(testSet(), 0)
+	b := New(testSet())
 	if b.Selected() != nil {
 		t.Error("fresh browser should have no selection")
 	}
@@ -109,13 +109,13 @@ func TestSelectionAndEpisodeCursor(t *testing.T) {
 		t.Errorf("prev from 0 should wrap to 2, index = %d", b.EpisodeIndex())
 	}
 	// Cursor moves without selection are no-ops.
-	b2 := New(testSet(), 0)
+	b2 := New(testSet())
 	b2.NextEpisode()
 	b2.PrevEpisode()
 }
 
 func TestTableRendering(t *testing.T) {
-	b := New(testSet(), 0)
+	b := New(testSet())
 	if err := b.Select(0); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestEpisodeListAndSketches(t *testing.T) {
-	b := New(testSet(), 0)
+	b := New(testSet())
 	if got := b.EpisodeList(); !strings.Contains(got, "no pattern selected") {
 		t.Errorf("unselected episode list = %q", got)
 	}

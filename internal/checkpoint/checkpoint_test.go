@@ -28,7 +28,7 @@ func testFold(t *testing.T) *engine.AppFold {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := engine.NewAppFold(trace.DefaultPerceptibleThreshold, engine.Options{})
+		g := engine.NewAppFold(trace.DefaultPerceptibleThreshold)
 		for _, e := range s.Episodes {
 			g.Episode(s, e)
 		}

@@ -81,8 +81,6 @@ type Options struct {
 	// pattern counts as unchanged regardless of the relative change;
 	// 0 means 2 ms. It keeps micro-patterns from flapping.
 	AbsTolerance trace.Dur
-	// Threshold is the perceptibility threshold; 0 means 100 ms.
-	Threshold trace.Dur
 }
 
 func (o Options) relTol() float64 {
@@ -99,13 +97,6 @@ func (o Options) absTol() trace.Dur {
 	return 2 * trace.Millisecond
 }
 
-func (o Options) threshold() trace.Dur {
-	if o.Threshold > 0 {
-		return o.Threshold
-	}
-	return trace.DefaultPerceptibleThreshold
-}
-
 // Result is a full comparison of two pattern sets.
 type Result struct {
 	// Entries holds every pattern of either side, ordered by severity:
@@ -120,15 +111,13 @@ type Result struct {
 	OldPerceptible, NewPerceptible int
 }
 
-// Compare aligns two pattern sets by canonical fingerprint. Both sets
-// should come from classifications with identical options, or the
-// fingerprints will not align; Compare rejects mismatched options.
+// Compare aligns two pattern sets by canonical fingerprint and counts
+// perceptible episodes at the sets' threshold, which must be the same.
 func Compare(oldSet, newSet *patterns.Set, opt Options) (*Result, error) {
-	if oldSet.Options != newSet.Options {
-		return nil, fmt.Errorf("diff: pattern sets classified with different options (%+v vs %+v)",
-			oldSet.Options, newSet.Options)
+	if oldSet.Threshold != newSet.Threshold {
+		return nil, fmt.Errorf("diff: pattern sets at different thresholds (%v vs %v)",
+			oldSet.Threshold, newSet.Threshold)
 	}
-	th := opt.threshold()
 
 	oldBy := make(map[string]*patterns.Pattern, len(oldSet.Patterns))
 	for _, p := range oldSet.Patterns {
@@ -143,7 +132,7 @@ func Compare(oldSet, newSet *patterns.Set, opt Options) (*Result, error) {
 		if op, ok := oldBy[np.Canon]; ok {
 			e.Old = op
 			e.DeltaAvg = np.AvgLag() - op.AvgLag()
-			e.DeltaPerceptible = np.PerceptibleCount(th) - op.PerceptibleCount(th)
+			e.DeltaPerceptible = np.PerceptibleCount() - op.PerceptibleCount()
 			switch {
 			case absDur(e.DeltaAvg) <= opt.absTol(),
 				op.AvgLag() > 0 && absDur(e.DeltaAvg) <= trace.Dur(float64(op.AvgLag())*opt.relTol()):
@@ -155,7 +144,7 @@ func Compare(oldSet, newSet *patterns.Set, opt Options) (*Result, error) {
 			}
 		} else {
 			e.Verdict = Appeared
-			e.DeltaPerceptible = np.PerceptibleCount(th)
+			e.DeltaPerceptible = np.PerceptibleCount()
 		}
 		res.Entries = append(res.Entries, e)
 	}
@@ -165,15 +154,15 @@ func Compare(oldSet, newSet *patterns.Set, opt Options) (*Result, error) {
 		}
 		res.Entries = append(res.Entries, Entry{
 			Canon: op.Canon, Old: op, Verdict: Disappeared,
-			DeltaPerceptible: -op.PerceptibleCount(th),
+			DeltaPerceptible: -op.PerceptibleCount(),
 		})
 	}
 
 	for _, p := range oldSet.Patterns {
-		res.OldPerceptible += p.PerceptibleCount(th)
+		res.OldPerceptible += p.PerceptibleCount()
 	}
 	for _, p := range newSet.Patterns {
-		res.NewPerceptible += p.PerceptibleCount(th)
+		res.NewPerceptible += p.PerceptibleCount()
 	}
 	for _, e := range res.Entries {
 		res.Counts[e.Verdict]++

@@ -31,7 +31,7 @@ func build(spec map[string][]float64) *patterns.Set {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	return engine.Classify([]*trace.Session{s}, patterns.Options{})
+	return engine.Classify([]*trace.Session{s})
 }
 
 func TestCompareVerdicts(t *testing.T) {
@@ -101,16 +101,22 @@ func TestCompareTolerances(t *testing.T) {
 	}
 }
 
-func TestCompareRejectsMismatchedOptions(t *testing.T) {
-	a := build(map[string][]float64{"app.A": {10}})
+// TestCompareRejectsMismatchedThresholds: sets built at different
+// thresholds do not compare; a fold's set at 100 ms compares with
+// Classify's.
+func TestCompareRejectsMismatchedThresholds(t *testing.T) {
 	var eps []*trace.Episode
 	root := trace.NewInterval(trace.KindDispatch, "", "", 0, trace.Ms(10))
 	root.AddChild(trace.NewInterval(trace.KindListener, "app.A", "on", 0, trace.Ms(5)))
 	eps = append(eps, &trace.Episode{Index: 0, Thread: 1, Root: root})
 	s := &trace.Session{App: "d", GUIThread: 1, Start: 0, End: trace.Time(trace.Second), Episodes: eps}
-	b := engine.Classify([]*trace.Session{s}, patterns.Options{KindOnly: true})
-	if _, err := Compare(a, b, Options{}); err == nil {
-		t.Error("mismatched classification options accepted")
+	suite := &trace.Suite{App: "d", Sessions: []*trace.Session{s}}
+	a := engine.Classify(suite.Sessions)
+	if _, err := Compare(a, engine.Analyze(suite, trace.Ms(50)).Pooled, Options{}); err == nil {
+		t.Error("sets at 100 ms and 50 ms compared")
+	}
+	if _, err := Compare(a, engine.Analyze(suite, trace.DefaultPerceptibleThreshold).Pooled, Options{}); err != nil {
+		t.Errorf("sets at the same threshold: %v", err)
 	}
 }
 

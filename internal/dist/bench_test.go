@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"lagalyzer/internal/apps"
 	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/report"
 )
@@ -34,13 +35,19 @@ func BenchmarkDistStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkDistFaults prices each resilience mechanism: the
-// BenchmarkDistStudy study over three workers, one of which stalls
-// every request past the attempt deadline, with all mechanisms on and
-// with each one off. Every iteration is one fresh coordinator's run, as
-// one lagreport -workers run is. It reports the median and the highest
-// percentile with at least 10 runs above it (from 21 iterations on) of
-// the run's wall time, and the hedges, retries and ejections per run.
+// BenchmarkDistFaults prices each resilience mechanism: a study over
+// three workers, one of which stalls every request past the attempt
+// deadline. The first four variants run the BenchmarkDistStudy study
+// with all mechanisms on and with each one off. The catalog variants
+// price ejection at a study's shard count: the 14 apps, one 2 s
+// session each, with hedging off (lagreport hedges only under
+// -hedge-after), the stalled worker home to 4 of the 14 shards. They
+// run the apps one shard at a time (seq) and on the study's default
+// lanes, one per GOMAXPROCS (lanes), each with ejection on and off.
+// Every iteration is one fresh coordinator's run, as one lagreport
+// -workers run is. It reports the median and the highest percentile
+// with at least 10 runs above it (from 21 iterations on) of the run's
+// wall time, and the hedges, retries and ejections per run.
 func BenchmarkDistFaults(b *testing.B) {
 	workers := startWorkers(b, 3)
 	ft := &faultinject.FlakyTransport{
@@ -57,11 +64,21 @@ func BenchmarkDistFaults(b *testing.B) {
 	noHedge.HedgeAfter = 0
 	noEject.EjectAfter = math.MaxInt32
 	noRetry.MaxAttempts = 1
+	noHedgeEject := noHedge
+	noHedgeEject.EjectAfter = math.MaxInt32
 	cfg := studyConfig(b)
+	catalog := report.StudyConfig{Apps: apps.Catalog(), SessionsPerApp: 1, Seed: 7, SessionSeconds: 2, Sequential: true}
+	lanes := catalog
+	lanes.Sequential = false
 	for _, sub := range []struct {
 		name string
 		opt  Options
-	}{{"all", all}, {"no-hedge", noHedge}, {"no-eject", noEject}, {"no-retry", noRetry}} {
+		cfg  report.StudyConfig
+	}{
+		{"all", all, cfg}, {"no-hedge", noHedge, cfg}, {"no-eject", noEject, cfg}, {"no-retry", noRetry, cfg},
+		{"catalog-seq-eject", noHedge, catalog}, {"catalog-seq-no-eject", noHedgeEject, catalog},
+		{"catalog-lanes-eject", noHedge, lanes}, {"catalog-lanes-no-eject", noHedgeEject, lanes},
+	} {
 		b.Run(sub.name, func(b *testing.B) {
 			walls := make([]time.Duration, b.N)
 			var sum Stats
@@ -71,7 +88,7 @@ func BenchmarkDistFaults(b *testing.B) {
 					b.Fatal(err)
 				}
 				start := time.Now()
-				if _, err := c.RunStudy(context.Background(), cfg); err != nil {
+				if _, err := c.RunStudy(context.Background(), sub.cfg); err != nil {
 					b.Fatal(err)
 				}
 				walls[i] = time.Since(start)

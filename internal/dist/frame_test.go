@@ -39,7 +39,7 @@ func damagingWorkers(t *testing.T, n int, app string) []string {
 			}
 			for i, f := range st.Folds {
 				if f.App() == app && (len(st.Folds) == 1 || f.Sessions() > 1) {
-					skewed := engine.NewAppFold(f.Threshold()/2, engine.Options{})
+					skewed := engine.NewAppFold(f.Threshold() / 2)
 					skewed.CloseSession(&trace.Session{App: app})
 					st.Folds[i] = skewed
 				}

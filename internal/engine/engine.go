@@ -50,17 +50,6 @@ var (
 		"worker panics contained and converted to attributed errors")
 )
 
-// Options configure an engine run. The zero value reproduces the
-// study's configuration.
-type Options struct {
-	// Patterns configures the structural fingerprint. The fold stores
-	// the perceptibility threshold into Patterns.Threshold, so callers
-	// only set the structural knobs (IncludeGC, KindOnly).
-	Patterns patterns.Options
-	// Trigger configures the trigger classification.
-	Trigger analysis.TriggerOptions
-}
-
 // Result is everything a report needs for one application. The
 // All/Long pairs are the two populations of the paper's figures: every
 // traced episode, and only the perceptible (≥ threshold) ones.
@@ -117,13 +106,12 @@ type AppFold struct {
 
 // NewAppFold returns an empty fold. threshold is the raw perceptibility
 // threshold of the Long population and the overview (0 makes every
-// episode perceptible).
-func NewAppFold(threshold trace.Dur, opts Options) *AppFold {
-	opts.Patterns.Threshold = threshold
+// episode perceptible); the pattern set resolves 0 to 100 ms.
+func NewAppFold(threshold trace.Dur) *AppFold {
 	return &AppFold{
 		threshold: threshold,
-		ea:        NewEpisodeAnalyzer(opts),
-		patterns:  patterns.NewBuilder(opts.Patterns),
+		ea:        NewEpisodeAnalyzer(),
+		patterns:  patterns.NewBuilder(threshold),
 		openCount: make(map[*patterns.Pattern]int),
 	}
 }
@@ -344,8 +332,8 @@ func (f *AppFold) overview(app string) analysis.Overview {
 // perceptibility threshold used for the Long population and the
 // overview (report passes a resolved, non-zero value; 0 means every
 // episode is perceptible).
-func Analyze(suite *trace.Suite, threshold trace.Dur, opts Options) *Result {
-	r, err := AnalyzeContextErr(context.Background(), suite, threshold, opts)
+func Analyze(suite *trace.Suite, threshold trace.Dur) *Result {
+	r, err := AnalyzeContextErr(context.Background(), suite, threshold)
 	if err != nil {
 		// The error-free signature predates panic containment; its
 		// callers have no error channel, so a contained panic surfaces
@@ -361,11 +349,11 @@ func Analyze(suite *trace.Suite, threshold trace.Dur, opts Options) *Result {
 // overview children; a panic is recovered, counted, and returned as an
 // error attributed to its session; and context cancellation stops the
 // fold within 64 episodes.
-func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.Dur, opts Options) (*Result, error) {
+func AnalyzeContextErr(ctx context.Context, suite *trace.Suite, threshold trace.Dur) (*Result, error) {
 	ctx, endEngine := obs.PhaseSpan(ctx, "engine")
 	defer endEngine()
 	_, endClassify := obs.Span(ctx, "classify")
-	f := NewAppFold(threshold, opts)
+	f := NewAppFold(threshold)
 	for i, s := range suite.Sessions {
 		if err := foldSession(ctx, f, s); err != nil {
 			endClassify()

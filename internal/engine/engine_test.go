@@ -43,12 +43,12 @@ const threshold = trace.DefaultPerceptibleThreshold
 func TestEngineMatchesLegacyAnalyses(t *testing.T) {
 	suite := testSuite()
 	sessions := suite.Sessions
-	r := Analyze(suite, threshold, Options{})
+	r := Analyze(suite, threshold)
 
-	if want := oracleTriggers(sessions, threshold, false, analysis.TriggerOptions{}); r.TriggerAll != want {
+	if want := oracleTriggers(sessions, threshold, false); r.TriggerAll != want {
 		t.Errorf("TriggerAll = %+v, want %+v", r.TriggerAll, want)
 	}
-	if want := oracleTriggers(sessions, threshold, true, analysis.TriggerOptions{}); r.TriggerLong != want {
+	if want := oracleTriggers(sessions, threshold, true); r.TriggerLong != want {
 		t.Errorf("TriggerLong = %+v, want %+v", r.TriggerLong, want)
 	}
 	if want := oracleLocation(sessions, threshold, false); r.LocationAll != want {
@@ -77,7 +77,7 @@ func TestEngineMatchesLegacyAnalyses(t *testing.T) {
 // so the comparison is exact, not within a tolerance.
 func TestEngineOverviewMatchesLegacy(t *testing.T) {
 	suite := testSuite()
-	got := Analyze(suite, threshold, Options{}).Overview
+	got := Analyze(suite, threshold).Overview
 	want := oracleOverview(suite, threshold)
 	if got != want {
 		t.Errorf("Overview = %+v, want %+v", got, want)
@@ -88,15 +88,13 @@ func TestEngineOverviewMatchesLegacy(t *testing.T) {
 }
 
 // TestTriggerOfMatchesOracle drives the incremental trigger rule over
-// every simulated episode, with and without the repaint-manager
-// reclassification, against the oracle's find-first classification.
+// every simulated episode against the oracle's find-first
+// classification.
 func TestTriggerOfMatchesOracle(t *testing.T) {
-	for _, opts := range []analysis.TriggerOptions{{}, {NoAsyncReclassify: true}} {
-		for _, s := range testSuite().Sessions {
-			for _, e := range s.Episodes {
-				if got, want := TriggerOf(e, opts), oracleTriggerOf(e, opts); got != want {
-					t.Fatalf("%+v: episode %d: TriggerOf = %v, oracle %v", opts, e.Index, got, want)
-				}
+	for _, s := range testSuite().Sessions {
+		for _, e := range s.Episodes {
+			if got, want := TriggerOf(e), oracleTriggerOf(e); got != want {
+				t.Fatalf("episode %d: TriggerOf = %v, oracle %v", e.Index, got, want)
 			}
 		}
 	}
@@ -108,8 +106,8 @@ func TestTriggerOfMatchesOracle(t *testing.T) {
 // with the same tallies.
 func TestEnginePooledMatchesClassify(t *testing.T) {
 	suite := testSuite()
-	got := Analyze(suite, threshold, Options{}).Pooled
-	want := Classify(suite.Sessions, patterns.Options{Threshold: threshold})
+	got := Analyze(suite, threshold).Pooled
+	want := Classify(suite.Sessions)
 	for _, q := range want.Patterns {
 		if len(q.Episodes) != q.Count() {
 			t.Fatalf("pattern %q keeps %d of %d episodes", q.Canon, len(q.Episodes), q.Count())
@@ -127,13 +125,13 @@ func TestEnginePooledMatchesClassify(t *testing.T) {
 func TestFingerprintMatchesOracle(t *testing.T) {
 	suite := testSuite()
 	byCanon := make(map[string]*patterns.Pattern)
-	for _, p := range Analyze(suite, threshold, Options{}).Pooled.Patterns {
+	for _, p := range Analyze(suite, threshold).Pooled.Patterns {
 		byCanon[p.Canon] = p
 	}
 	for _, s := range suite.Sessions {
 		for _, e := range s.Episodes {
 			canon, descs, depth := oracleShape(e.Root)
-			if got := Fingerprint(e, patterns.Options{}); got != canon {
+			if got := Fingerprint(e); got != canon {
 				t.Fatalf("episode %d: Fingerprint = %q, oracle %q", e.Index, got, canon)
 			}
 			p, ok := byCanon[canon]
@@ -162,11 +160,11 @@ func TestEngineFoldSplitInvariance(t *testing.T) {
 	sessions := []*trace.Session{base.Sessions[0], base.Sessions[1], extra}
 	// A copy of the session holding Figure 2's episode, under a higher
 	// ID, ties with it on size.
-	deepest := Analyze(&trace.Suite{App: base.App, Sessions: sessions}, threshold, Options{}).Deepest
+	deepest := Analyze(&trace.Suite{App: base.App, Sessions: sessions}, threshold).Deepest
 	twin := *sessions[deepest.ID]
 	twin.ID = 3
 	suite := &trace.Suite{App: base.App, Sessions: []*trace.Session{extra, &twin, base.Sessions[1], base.Sessions[0]}}
-	want := Analyze(suite, threshold, Options{})
+	want := Analyze(suite, threshold)
 	if want.Deepest.ID != deepest.ID {
 		t.Fatalf("Figure 2's episode comes from session %d, want the lower ID %d of the tie", want.Deepest.ID, deepest.ID)
 	}
@@ -175,7 +173,7 @@ func TestEngineFoldSplitInvariance(t *testing.T) {
 		fold := func() []*AppFold {
 			var folds []*AppFold
 			for _, s := range suite.Sessions {
-				f := NewAppFold(threshold, Options{})
+				f := NewAppFold(threshold)
 				for i := range s.Episodes {
 					if reverse {
 						i = len(s.Episodes) - 1 - i
@@ -228,7 +226,7 @@ func TestEngineFoldGobRoundTrip(t *testing.T) {
 	fold := func() []*AppFold {
 		var folds []*AppFold
 		for _, s := range suite.Sessions {
-			f := NewAppFold(threshold, Options{})
+			f := NewAppFold(threshold)
 			for _, e := range s.Episodes {
 				f.Episode(s, e)
 			}
@@ -292,7 +290,7 @@ func TestEngineDeepestIsFigure2(t *testing.T) {
 			}
 		}
 	}
-	d := Analyze(suite, threshold, Options{}).Deepest
+	d := Analyze(suite, threshold).Deepest
 	e := d.Episodes[0]
 	if d.ID != bestS.ID || e.Start() != bestE.Start() {
 		t.Fatalf("deepest = session %d at %v; want %d at %v", d.ID, e.Start(), bestS.ID, bestE.Start())
@@ -308,8 +306,8 @@ func TestEngineDeepestIsFigure2(t *testing.T) {
 // TestEngineRepeatable: same inputs, same result, run to run.
 func TestEngineRepeatable(t *testing.T) {
 	suite := testSuite()
-	a := Analyze(suite, threshold, Options{})
-	b := Analyze(suite, threshold, Options{})
+	a := Analyze(suite, threshold)
+	b := Analyze(suite, threshold)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("repeated Analyze runs differ")
 	}
@@ -319,7 +317,7 @@ func TestEngineRepeatable(t *testing.T) {
 // perceptible, so the two populations coincide.
 func TestEngineZeroThreshold(t *testing.T) {
 	suite := testSuite()
-	r := Analyze(suite, 0, Options{})
+	r := Analyze(suite, 0)
 	if r.TriggerAll != r.TriggerLong || r.TicksAll != r.TicksLong {
 		t.Error("threshold 0 should make the populations identical")
 	}
@@ -330,7 +328,7 @@ func TestEngineZeroThreshold(t *testing.T) {
 
 // TestEngineEmptySuite must not panic and must return zero values.
 func TestEngineEmptySuite(t *testing.T) {
-	r := Analyze(&trace.Suite{App: "empty"}, threshold, Options{})
+	r := Analyze(&trace.Suite{App: "empty"}, threshold)
 	if r.Pooled == nil || len(r.Pooled.Patterns) != 0 || r.Deepest != nil {
 		t.Errorf("empty suite pooled set: %+v", r.Pooled)
 	}
@@ -346,7 +344,7 @@ func TestEngineEmptySuite(t *testing.T) {
 // (finite, partitions summing to 1 where defined).
 func TestEngineSharesSane(t *testing.T) {
 	suite := testSuite()
-	r := Analyze(suite, threshold, Options{})
+	r := Analyze(suite, threshold)
 	for _, loc := range []analysis.LocationShares{r.LocationAll, r.LocationLong} {
 		if loc.JavaSamples > 0 && math.Abs(loc.App+loc.Library-1) > 1e-9 {
 			t.Errorf("App+Library = %v, want 1", loc.App+loc.Library)

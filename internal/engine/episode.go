@@ -30,13 +30,13 @@ type EpisodeInfo struct {
 // (canonical fingerprint, trigger class, exclusive GC/native time in
 // a single walk, plus the tick fold). Not safe for concurrent use.
 type EpisodeAnalyzer struct {
-	w *walker
+	w walker
 }
 
-// NewEpisodeAnalyzer builds an analyzer with the same defaults the
-// engine pipeline uses.
-func NewEpisodeAnalyzer(opts Options) *EpisodeAnalyzer {
-	return &EpisodeAnalyzer{w: newWalker(opts)}
+// NewEpisodeAnalyzer builds an analyzer running the engine pipeline's
+// walk.
+func NewEpisodeAnalyzer() *EpisodeAnalyzer {
+	return new(EpisodeAnalyzer)
 }
 
 // Analyze traverses one episode of session s exactly once and folds

@@ -14,9 +14,9 @@ import (
 // influences.
 func TestEngineInstrumentedDeterminism(t *testing.T) {
 	suite := testSuite()
-	plain := Analyze(suite, threshold, Options{})
+	plain := Analyze(suite, threshold)
 	ctx := obs.WithTrace(context.Background(), obs.NewTrace())
-	if r, err := AnalyzeContextErr(ctx, suite, threshold, Options{}); err != nil || !reflect.DeepEqual(plain, r) {
+	if r, err := AnalyzeContextErr(ctx, suite, threshold); err != nil || !reflect.DeepEqual(plain, r) {
 		t.Fatalf("traced result differs from untraced (err %v)", err)
 	}
 }
@@ -28,7 +28,7 @@ func TestEngineSpans(t *testing.T) {
 	suite := testSuite()
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := AnalyzeContextErr(ctx, suite, threshold, Options{}); err != nil {
+	if _, err := AnalyzeContextErr(ctx, suite, threshold); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestEngineSpans(t *testing.T) {
 func TestEngineMetrics(t *testing.T) {
 	suite := testSuite()
 	epBefore := obs.NewCounter("engine_episodes_total", "").Value()
-	Analyze(suite, threshold, Options{})
+	Analyze(suite, threshold)
 	total := 0
 	for _, s := range suite.Sessions {
 		total += len(s.Episodes)

@@ -14,7 +14,7 @@ import (
 
 // oracleTriggerOf finds the first listener, paint, or async interval
 // in preorder; an async interval containing a paint is output.
-func oracleTriggerOf(e *trace.Episode, opts analysis.TriggerOptions) analysis.Trigger {
+func oracleTriggerOf(e *trace.Episode) analysis.Trigger {
 	deciding := e.Root.Find(func(n *trace.Interval) bool {
 		switch n.Kind {
 		case trace.KindListener, trace.KindPaint, trace.KindAsync:
@@ -31,7 +31,7 @@ func oracleTriggerOf(e *trace.Episode, opts analysis.TriggerOptions) analysis.Tr
 	case trace.KindPaint:
 		return analysis.TriggerOutput
 	default: // async
-		if !opts.NoAsyncReclassify && deciding.HasKind(trace.KindPaint) {
+		if deciding.HasKind(trace.KindPaint) {
 			return analysis.TriggerOutput
 		}
 		return analysis.TriggerAsync
@@ -50,10 +50,10 @@ func oracleEpisodes(sessions []*trace.Session, threshold trace.Dur, onlyPercepti
 	}
 }
 
-func oracleTriggers(sessions []*trace.Session, threshold trace.Dur, onlyPerceptible bool, opts analysis.TriggerOptions) analysis.TriggerShares {
+func oracleTriggers(sessions []*trace.Session, threshold trace.Dur, onlyPerceptible bool) analysis.TriggerShares {
 	var ts analysis.TriggerShares
 	oracleEpisodes(sessions, threshold, onlyPerceptible, func(_ *trace.Session, e *trace.Episode) {
-		ts.Counts[oracleTriggerOf(e, opts)]++
+		ts.Counts[oracleTriggerOf(e)]++
 		ts.Total++
 	})
 	return ts

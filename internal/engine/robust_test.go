@@ -19,7 +19,7 @@ func brokenSuite() *trace.Suite {
 }
 
 func TestEnginePanicContained(t *testing.T) {
-	_, err := engine.AnalyzeContextErr(context.Background(), brokenSuite(), 0, engine.Options{})
+	_, err := engine.AnalyzeContextErr(context.Background(), brokenSuite(), 0)
 	if err == nil {
 		t.Fatal("panic in walker not surfaced as error")
 	}
@@ -34,14 +34,14 @@ func TestEngineLegacyAPIPanics(t *testing.T) {
 			t.Error("error-free Analyze swallowed the failure")
 		}
 	}()
-	engine.Analyze(brokenSuite(), 0, engine.Options{})
+	engine.Analyze(brokenSuite(), 0)
 }
 
 func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	suite := &trace.Suite{App: "x", Sessions: []*trace.Session{{App: "x", End: 1000}}}
-	_, err := engine.AnalyzeContextErr(ctx, suite, 0, engine.Options{})
+	_, err := engine.AnalyzeContextErr(ctx, suite, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

@@ -18,11 +18,9 @@ import (
 // intervals' enter and exit events in preorder: the first listener,
 // paint, or async interval decides the class, and a paint anywhere
 // below a deciding async interval reclassifies the episode as output
-// (the Swing repaint-manager case), unless the options disable that.
-// The batch walker drives it from its recursion, the streaming
-// analyzer from call and return records.
+// (the Swing repaint-manager case). The batch walker drives it from
+// its recursion, the streaming analyzer from call and return records.
 type TriggerRule struct {
-	opts    analysis.TriggerOptions
 	trigger analysis.Trigger
 	decided bool
 	depth   int // open intervals
@@ -32,8 +30,8 @@ type TriggerRule struct {
 }
 
 // NewTriggerRule returns a rule ready for an episode's first interval.
-func NewTriggerRule(opts analysis.TriggerOptions) TriggerRule {
-	return TriggerRule{opts: opts, trigger: analysis.TriggerUnspecified}
+func NewTriggerRule() TriggerRule {
+	return TriggerRule{trigger: analysis.TriggerUnspecified}
 }
 
 // Enter records the opening of an interval of kind k.
@@ -54,10 +52,7 @@ func (r *TriggerRule) Enter(k trace.Kind) {
 	case trace.KindPaint:
 		r.decided, r.trigger = true, analysis.TriggerOutput
 	case trace.KindAsync:
-		r.decided, r.trigger = true, analysis.TriggerAsync
-		if !r.opts.NoAsyncReclassify {
-			r.scan = r.depth
-		}
+		r.decided, r.trigger, r.scan = true, analysis.TriggerAsync, r.depth
 	}
 }
 
@@ -78,8 +73,8 @@ func (r *TriggerRule) final() bool { return r.decided && r.scan == 0 }
 
 // TriggerOf determines an episode's trigger by driving the rule over
 // its interval tree.
-func TriggerOf(e *trace.Episode, opts analysis.TriggerOptions) analysis.Trigger {
-	r := NewTriggerRule(opts)
+func TriggerOf(e *trace.Episode) analysis.Trigger {
+	r := NewTriggerRule()
 	r.walk(e.Root)
 	return r.trigger
 }

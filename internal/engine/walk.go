@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/trace"
 )
@@ -11,9 +10,6 @@ import (
 // allocated once per fold instead of once per episode. A walker is not
 // safe for concurrent use.
 type walker struct {
-	popt patterns.Options
-	topt analysis.TriggerOptions
-
 	// canonical-form emission (the builder keys patterns by it)
 	canon patterns.Canon
 
@@ -27,16 +23,12 @@ type walker struct {
 	nodes, level, height int
 }
 
-func newWalker(opts Options) *walker {
-	return &walker{popt: opts.Patterns, topt: opts.Trigger}
-}
-
 // analyze traverses the episode's interval tree exactly once,
 // simultaneously computing the structural fingerprint (canonical
-// bytes, descendants, depth — GC nodes excluded unless the options
-// include them), the trigger class (TriggerRule driven in
-// preorder), the exclusive GC and native time, and the whole tree's
-// size; then it folds the episode's sampling ticks. The returned Print
+// bytes, descendants, depth — GC nodes excluded), the trigger class
+// (TriggerRule driven in preorder), the exclusive GC and native time,
+// and the whole tree's size; then it folds the episode's sampling
+// ticks. The returned Print
 // is valid until the next analyze call.
 func (w *walker) analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
 	pr, structured := w.fingerprint(e)
@@ -56,7 +48,7 @@ func (w *walker) analyze(s *trace.Session, e *trace.Episode) EpisodeInfo {
 // retains a node below the dispatch interval.
 func (w *walker) fingerprint(e *trace.Episode) (pr patterns.Print, structured bool) {
 	w.canon.Reset()
-	w.trigger = NewTriggerRule(w.topt)
+	w.trigger = NewTriggerRule()
 	w.gc, w.native, w.hasGC = 0, 0, false
 	w.nodes, w.level, w.height = 0, 0, 0
 	descs, depth := w.visit(e.Root, true)
@@ -67,15 +59,14 @@ func (w *walker) fingerprint(e *trace.Episode) (pr patterns.Print, structured bo
 // kind-time accountings need every node, including excluded GC
 // subtrees); canon gates which nodes also emit canonical bytes and
 // count toward the structural metrics. It is the one statement of the
-// retained-node rule: a GC child and its subtree are retained only
-// under Options.IncludeGC.
+// retained-node rule: a GC child and its subtree are never retained.
 func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 	w.trigger.Enter(iv.Kind)
 	w.nodes++
 	w.level++
 	w.height = max(w.height, w.level)
 	if canon {
-		w.canon.Node(iv, w.popt.KindOnly)
+		w.canon.Node(iv)
 	}
 
 	self := iv.Dur()
@@ -83,7 +74,7 @@ func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 	maxChild := 0
 	for _, c := range iv.Children {
 		self -= c.Dur()
-		if canon && !(c.Kind == trace.KindGC && !w.popt.IncludeGC) {
+		if canon && c.Kind != trace.KindGC {
 			if !wrote {
 				w.canon.Byte('(')
 				wrote = true
@@ -115,13 +106,14 @@ func (w *walker) visit(iv *trace.Interval, canon bool) (descs, depth int) {
 	return descs, maxChild + 1
 }
 
-// Classify groups the episodes of the given sessions into patterns,
-// keeping each pattern's member episodes in encounter order. Each
-// episode is fingerprinted in one walk of its tree (canonical string
-// materialized, and hashed, only once per new pattern).
-func Classify(sessions []*trace.Session, opt patterns.Options) *patterns.Set {
-	w := newWalker(Options{Patterns: opt})
-	b := patterns.NewBuilder(opt)
+// Classify groups the episodes of the given sessions into patterns at
+// the paper's 100 ms threshold, keeping each pattern's member episodes
+// in encounter order. Each episode is fingerprinted in one walk of its
+// tree (canonical string materialized, and hashed, only once per new
+// pattern).
+func Classify(sessions []*trace.Session) *patterns.Set {
+	var w walker
+	b := patterns.NewBuilder(trace.DefaultPerceptibleThreshold)
 	for _, s := range sessions {
 		for _, e := range s.Episodes {
 			pr, ok := w.fingerprint(e)
@@ -137,10 +129,11 @@ func Classify(sessions []*trace.Session, opt patterns.Options) *patterns.Set {
 }
 
 // Fingerprint returns the canonical structural form of an episode's
-// tree under the given options. Two episodes belong to the same
-// pattern iff their fingerprints are equal. It materializes a fresh
-// string and does not require structure.
-func Fingerprint(e *trace.Episode, opt patterns.Options) string {
-	pr, _ := newWalker(Options{Patterns: opt}).fingerprint(e)
+// tree. Two episodes belong to the same pattern iff their fingerprints
+// are equal. It materializes a fresh string and does not require
+// structure.
+func Fingerprint(e *trace.Episode) string {
+	var w walker
+	pr, _ := w.fingerprint(e)
 	return string(pr.Canon)
 }

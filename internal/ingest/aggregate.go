@@ -89,7 +89,7 @@ func (a *Aggregate) add(e *trace.Episode, info *engine.EpisodeInfo, threshold tr
 	a.LagHist[lagBucket(d)]++
 	a.LagMax = max(a.LagMax, d)
 	if a.Patterns == nil {
-		a.Patterns = patterns.NewBuilder(patterns.Options{Threshold: threshold})
+		a.Patterns = patterns.NewBuilder(threshold)
 	}
 	switch {
 	case treeless:
@@ -114,7 +114,7 @@ func (a *Aggregate) Merge(o *Aggregate) {
 	a.LagMax = max(a.LagMax, o.LagMax)
 	if o.Patterns != nil {
 		if a.Patterns == nil {
-			a.Patterns = patterns.NewBuilder(o.Patterns.Options())
+			a.Patterns = patterns.NewBuilder(o.Patterns.Threshold())
 		}
 		a.Patterns.Merge(o.Patterns)
 	}

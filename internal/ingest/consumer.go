@@ -3,7 +3,6 @@ package ingest
 import (
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
-	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
 )
@@ -63,7 +62,7 @@ func NewConsumer(app string, h lila.Header, cfg ConsumerConfig) *Consumer {
 		threshold = trace.DefaultPerceptibleThreshold
 	}
 	c := &Consumer{
-		ea:        newEpisodeAnalyzer(threshold),
+		ea:        engine.NewEpisodeAnalyzer(),
 		app:       app,
 		windowDur: cfg.WindowDur,
 		threshold: threshold,
@@ -71,12 +70,6 @@ func NewConsumer(app string, h lila.Header, cfg ConsumerConfig) *Consumer {
 	}
 	c.b = treebuild.NewBuilder(h, treebuild.Options{Lenient: true, Episode: c.episode})
 	return c
-}
-
-// newEpisodeAnalyzer is the engine analysis both the consumer and the
-// batch reference fold: the pattern fingerprint at threshold.
-func newEpisodeAnalyzer(threshold trace.Dur) *engine.EpisodeAnalyzer {
-	return engine.NewEpisodeAnalyzer(engine.Options{Patterns: patterns.Options{Threshold: threshold}})
 }
 
 // episode is the builder's release-mode hook.
@@ -190,7 +183,7 @@ func FoldSessions(t *Tables, app string, sessions []*trace.Session, windowDur, t
 	if threshold == 0 {
 		threshold = trace.DefaultPerceptibleThreshold
 	}
-	ea := newEpisodeAnalyzer(threshold)
+	ea := engine.NewEpisodeAnalyzer()
 	for _, s := range sessions {
 		for _, e := range s.Episodes {
 			info := ea.Analyze(s, e)

@@ -530,7 +530,7 @@ func TestGoldenStatsWindowsMatchBatch(t *testing.T) {
 
 	ref := batchReference(t, deliveries, goldenWindow)
 	want := make(map[WindowKey]*servedWindow)
-	ea := newEpisodeAnalyzer(trace.DefaultPerceptibleThreshold)
+	ea := engine.NewEpisodeAnalyzer()
 	for i, s := range buildSessions(t, deliveries) {
 		for _, e := range s.Episodes {
 			k := WindowKey{App: deliveries[i].app, Window: int64(e.Start()) / int64(goldenWindow)}
@@ -538,7 +538,7 @@ func TestGoldenStatsWindowsMatchBatch(t *testing.T) {
 				want[k] = &servedWindow{App: k.App, Window: k.Window,
 					StartSec:     (time.Duration(k.Window) * time.Duration(goldenWindow)).Seconds(),
 					PatternCount: len(ref.Windows[k].Patterns.Patterns()),
-					TopPatterns:  topPatterns(ref.Windows[k].Patterns.Patterns(), trace.DefaultPerceptibleThreshold)}
+					TopPatterns:  topPatterns(ref.Windows[k].Patterns.Patterns())}
 			}
 			info := ea.Analyze(s, e)
 			want[k].add(e, &info, trace.DefaultPerceptibleThreshold)

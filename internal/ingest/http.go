@@ -422,7 +422,7 @@ func (s *Server) Stats() *StatsResponse {
 			LagTotal:     all.EpisodeTime,
 			LagMax:       agg.LagMax,
 			PatternCount: len(ps),
-			TopPatterns:  topPatterns(ps, s.cfg.threshold()),
+			TopPatterns:  topPatterns(ps),
 		})
 	}
 	resp.Apps = tables.Apps
@@ -433,14 +433,14 @@ func (s *Server) Stats() *StatsResponse {
 }
 
 // topPatterns digests the patterns with the largest total lag.
-func topPatterns(ps []*patterns.Pattern, threshold trace.Dur) []patternDigest {
+func topPatterns(ps []*patterns.Pattern) []patternDigest {
 	if len(ps) == 0 {
 		return nil
 	}
 	out := make([]patternDigest, len(ps))
 	for i, p := range ps {
 		out[i] = patternDigest{Canon: p.Canon, Hash: p.Hash, Count: p.Count(),
-			Perceptible: p.PerceptibleCount(threshold), LagTotal: p.TotalLag(), LagMax: p.MaxLag()}
+			Perceptible: p.PerceptibleCount(), LagTotal: p.TotalLag(), LagMax: p.MaxLag()}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].LagTotal != out[j].LagTotal {

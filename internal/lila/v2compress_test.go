@@ -278,7 +278,7 @@ func TestV2InflateFailures(t *testing.T) {
 					}
 				}
 			}
-		}, "inflating block payload: "},
+		}, "inflating block payload: corrupt deflate stream: "},
 	}
 	want := append(append([]*Record{}, all[:target*blockRecords]...), all[(target+1)*blockRecords:]...)
 	blockErr := fmt.Sprintf("v2 block %d: ", target)

@@ -44,29 +44,6 @@ var (
 		"episodes excluded from classification (no retained structure)")
 )
 
-// Options control the classification.
-type Options struct {
-	// IncludeGC also fingerprints GC intervals. The paper excludes
-	// them; including them is an ablation that splits classes which
-	// differ only by incidental collections.
-	IncludeGC bool
-	// KindOnly drops symbolic information (class and method names)
-	// from fingerprints, comparing trees by interval kind alone. An
-	// ablation: it collapses distinct behaviours into one pattern.
-	KindOnly bool
-	// Threshold is the perceptibility threshold used by the
-	// occurrence classification; 0 means
-	// trace.DefaultPerceptibleThreshold.
-	Threshold trace.Dur
-}
-
-func (o Options) threshold() trace.Dur {
-	if o.Threshold == 0 {
-		return trace.DefaultPerceptibleThreshold
-	}
-	return o.Threshold
-}
-
 // EpisodeRef ties an episode to the session it came from, so analyses
 // spanning multiple sessions (the study integrates four per
 // application) can locate samples and context.
@@ -135,18 +112,17 @@ type Pattern struct {
 	// engine's Classify keeps them; a Builder fed by the engine's fold
 	// keeps the tallies below and no episode.
 	Episodes []EpisodeRef
-	// Descendants and Depth describe the fingerprinted structure
-	// (excluding whatever Options excluded): the number of
-	// descendants of the dispatch interval and the height of the
-	// tree. Table III reports their averages over patterns.
+	// Descendants and Depth describe the fingerprinted structure (GC
+	// intervals excluded): the number of descendants of the dispatch
+	// interval and the height of the tree. Table III reports their
+	// averages over patterns.
 	Descendants int
 	Depth       int
 
-	// The member tallies: episodes, those perceptible at threshold,
-	// those holding a GC interval, and their lag. All are integers, so
-	// merging tallies in any order gives the same pattern.
+	// The member tallies: episodes, those perceptible at the set's
+	// threshold, those holding a GC interval, and their lag. All are
+	// integers, so merging tallies in any order gives the same pattern.
 	count, perceptible, gc int
-	threshold              trace.Dur
 	minLag, maxLag, total  trace.Dur
 }
 
@@ -167,27 +143,15 @@ func (p *Pattern) AvgLag() trace.Dur {
 }
 
 // PerceptibleCount returns how many member episodes meet the
-// threshold. The pattern tallies them at its builder's threshold; any
-// other threshold counts the member episodes, which only the engine's
-// Classify keeps.
-func (p *Pattern) PerceptibleCount(threshold trace.Dur) int {
-	if threshold == p.threshold {
-		return p.perceptible
-	}
-	n := 0
-	for _, ref := range p.Episodes {
-		if ref.Episode.Perceptible(threshold) {
-			n++
-		}
-	}
-	return n
-}
+// threshold of the set the pattern belongs to (Set.Threshold).
+func (p *Pattern) PerceptibleCount() int { return p.perceptible }
 
-// Occurrence classifies the pattern per Section IV-B: never (no
-// perceptible episode), always (all perceptible, including perceptible
-// singletons), once (exactly one of several), sometimes (the rest).
-func (p *Pattern) Occurrence(threshold trace.Dur) Occurrence {
-	k, n := p.PerceptibleCount(threshold), p.Count()
+// Occurrence classifies the pattern per Section IV-B at its set's
+// threshold: never (no perceptible episode), always (all perceptible,
+// including perceptible singletons), once (exactly one of several),
+// sometimes (the rest).
+func (p *Pattern) Occurrence() Occurrence {
+	k, n := p.perceptible, p.count
 	switch {
 	case k == 0:
 		return OccNever
@@ -237,8 +201,9 @@ type Set struct {
 	// Unstructured counts the episodes excluded from classification
 	// because their dispatch interval has no non-GC children.
 	Unstructured int
-	// Options echoes the classification options used.
-	Options Options
+	// Threshold is the perceptibility threshold the set was built at,
+	// the one behind every PerceptibleCount and Occurrence.
+	Threshold trace.Dur
 }
 
 // Canon is the one writer of the canonical form: it accumulates the
@@ -251,11 +216,11 @@ type Canon struct {
 // Reset starts a new canonical form.
 func (c *Canon) Reset() { c.buf = c.buf[:0] }
 
-// Node emits iv's label: its kind, then [class.method] unless kindOnly
-// or both names are empty.
-func (c *Canon) Node(iv *trace.Interval, kindOnly bool) {
+// Node emits iv's label: its kind, then [class.method] unless both
+// names are empty.
+func (c *Canon) Node(iv *trace.Interval) {
 	c.buf = append(c.buf, iv.Kind.String()...)
-	if !kindOnly && (iv.Class != "" || iv.Method != "") {
+	if iv.Class != "" || iv.Method != "" {
 		c.buf = append(c.buf, '[')
 		c.buf = append(c.buf, iv.Class...)
 		c.buf = append(c.buf, '.')
@@ -303,14 +268,18 @@ func fnv64a(s string) uint64 {
 // materialized, and hashed, only when its pattern is new), and
 // builders merge in any order and shape to the same finished Set.
 type Builder struct {
-	opt          Options
+	threshold    trace.Dur
 	byCanon      map[string]*Pattern
 	unstructured int
 }
 
-// NewBuilder returns an empty Builder for the given options.
-func NewBuilder(opt Options) *Builder {
-	return &Builder{opt: opt, byCanon: make(map[string]*Pattern)}
+// NewBuilder returns an empty Builder that tallies perceptible episodes
+// at threshold; 0 means trace.DefaultPerceptibleThreshold.
+func NewBuilder(threshold trace.Dur) *Builder {
+	if threshold == 0 {
+		threshold = trace.DefaultPerceptibleThreshold
+	}
+	return &Builder{threshold: threshold, byCanon: make(map[string]*Pattern)}
 }
 
 // Add folds one structured episode of duration dur into the builder
@@ -326,14 +295,13 @@ func (b *Builder) Add(pr Print, dur trace.Dur) *Pattern {
 			Hash:        fnv64a(canon),
 			Descendants: pr.Descendants,
 			Depth:       pr.Depth,
-			threshold:   b.opt.threshold(),
 			minLag:      dur,
 			maxLag:      dur,
 		}
 		b.byCanon[canon] = p
 	}
 	p.count++
-	if dur >= p.threshold {
+	if dur >= b.threshold {
 		p.perceptible++
 	}
 	if pr.GC {
@@ -352,7 +320,9 @@ func (b *Builder) AddUnstructured() { b.unstructured++ }
 // into the receiver, copying each pattern it inserts, so o stays
 // intact. Every tally is an integer sum, min, or max, so merges commute
 // and associate. Member episodes are not merged: only the engine's
-// Classify keeps them, in one builder.
+// Classify keeps them, in one builder. o's perceptible counts are
+// taken as they are, so o must tally at b's threshold; callers check
+// that, as StudyConfig.CheckFold does for folds.
 func (b *Builder) Merge(o *Builder) {
 	for _, q := range o.byCanon {
 		p := b.byCanon[q.Canon]
@@ -388,10 +358,12 @@ func (b *Builder) Patterns() []*Pattern {
 // AddUnstructured.
 func (b *Builder) Unstructured() int { return b.unstructured }
 
-// Options returns the options the builder was made with.
-func (b *Builder) Options() Options { return b.opt }
+// Threshold returns the threshold the builder tallies at.
+func (b *Builder) Threshold() trace.Dur { return b.threshold }
 
-// patternWire is a builder-fed pattern's tallies on the wire.
+// patternWire is a builder-fed pattern's tallies on the wire. Its
+// Threshold repeats the builder's, so a reader that takes a pattern's
+// threshold from it decodes the same tallies.
 type patternWire struct {
 	Canon                  string
 	Hash                   uint64
@@ -401,19 +373,25 @@ type patternWire struct {
 	MinLag, MaxLag, Total  trace.Dur
 }
 
+// builderWire is a builder on the wire. gob matches fields by name,
+// so Options keeps the name and the Threshold field that checkpoint
+// stores, shard states and ingest journals already hold; the other
+// fields those payloads' options had were always false, so never sent.
 type builderWire struct {
-	Options      Options
+	Options      optionsWire
 	Patterns     []patternWire
 	Unstructured int
 }
+
+type optionsWire struct{ Threshold trace.Dur }
 
 // GobEncode encodes the patterns in Finish's order with every tally,
 // so that the decoded builder merges and finishes exactly as b would.
 func (b *Builder) GobEncode() ([]byte, error) {
 	ps := b.Patterns()
-	w := builderWire{Options: b.opt, Patterns: make([]patternWire, len(ps)), Unstructured: b.unstructured}
+	w := builderWire{Options: optionsWire{b.threshold}, Patterns: make([]patternWire, len(ps)), Unstructured: b.unstructured}
 	for i, p := range ps {
-		w.Patterns[i] = patternWire{p.Canon, p.Hash, p.Descendants, p.Depth, p.count, p.perceptible, p.gc, p.threshold, p.minLag, p.maxLag, p.total}
+		w.Patterns[i] = patternWire{p.Canon, p.Hash, p.Descendants, p.Depth, p.count, p.perceptible, p.gc, b.threshold, p.minLag, p.maxLag, p.total}
 	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(w)
@@ -426,11 +404,11 @@ func (b *Builder) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}
-	*b = *NewBuilder(w.Options)
+	*b = *NewBuilder(w.Options.Threshold)
 	b.unstructured = w.Unstructured
 	for _, q := range w.Patterns {
 		b.byCanon[q.Canon] = &Pattern{Canon: q.Canon, Hash: q.Hash, Descendants: q.Descendants, Depth: q.Depth,
-			count: q.Count, perceptible: q.Perceptible, gc: q.GC, threshold: q.Threshold,
+			count: q.Count, perceptible: q.Perceptible, gc: q.GC,
 			minLag: q.MinLag, maxLag: q.MaxLag, total: q.Total}
 	}
 	return nil
@@ -442,7 +420,7 @@ func (b *Builder) GobDecode(data []byte) error {
 // folded in. The builder must not be used afterwards.
 func (b *Builder) Finish() *Set {
 	set := &Set{
-		Options:      b.opt,
+		Threshold:    b.threshold,
 		Patterns:     b.Patterns(),
 		Unstructured: b.unstructured,
 	}
@@ -481,9 +459,8 @@ func (s *Set) SingletonFrac() float64 {
 // threshold (the per-application bars of Figure 4).
 func (s *Set) OccurrenceCounts() map[Occurrence]int {
 	counts := make(map[Occurrence]int, numOccurrences)
-	th := s.Options.threshold()
 	for _, p := range s.Patterns {
-		counts[p.Occurrence(th)]++
+		counts[p.Occurrence()]++
 	}
 	return counts
 }
@@ -527,10 +504,9 @@ func (s *Set) MeanDepth() float64 {
 // Perceptible returns the patterns that have at least one perceptible
 // episode — the browser's "elide never-perceptible patterns" filter.
 func (s *Set) Perceptible() []*Pattern {
-	th := s.Options.threshold()
 	var out []*Pattern
 	for _, p := range s.Patterns {
-		if p.PerceptibleCount(th) > 0 {
+		if p.perceptible > 0 {
 			out = append(out, p)
 		}
 	}

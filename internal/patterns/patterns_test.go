@@ -50,15 +50,10 @@ func TestFingerprintShapes(t *testing.T) {
 			trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(10), trace.Ms(20))),
 		trace.NewInterval(trace.KindPaint, "x.Q", "paint", ms(70), trace.Ms(20)))
 
-	got := engine.Fingerprint(e, patterns.Options{})
+	got := engine.Fingerprint(e)
 	want := "dispatch(listener[app.B.on](paint[x.P.paint]),paint[x.Q.paint])"
 	if got != want {
 		t.Errorf("Fingerprint = %q, want %q", got, want)
-	}
-
-	kindOnly := engine.Fingerprint(e, patterns.Options{KindOnly: true})
-	if kindOnly != "dispatch(listener(paint),paint)" {
-		t.Errorf("kind-only fingerprint = %q", kindOnly)
 	}
 }
 
@@ -67,7 +62,7 @@ func TestFingerprintExcludesTiming(t *testing.T) {
 		trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(5)))
 	slow := ep(ms(1000), trace.Ms(900),
 		trace.NewInterval(trace.KindListener, "a.B", "on", ms(1000), trace.Ms(900)))
-	if engine.Fingerprint(fast, patterns.Options{}) != engine.Fingerprint(slow, patterns.Options{}) {
+	if engine.Fingerprint(fast) != engine.Fingerprint(slow) {
 		t.Error("episodes differing only in timing must share a fingerprint")
 	}
 }
@@ -79,14 +74,11 @@ func TestFingerprintExcludesGCByDefault(t *testing.T) {
 	withoutGC := ep(ms(1000), trace.Ms(100),
 		trace.NewInterval(trace.KindListener, "a.B", "on", ms(1000), trace.Ms(50)))
 
-	if engine.Fingerprint(withGC, patterns.Options{}) != engine.Fingerprint(withoutGC, patterns.Options{}) {
-		t.Error("GC intervals must not affect default fingerprints")
+	if engine.Fingerprint(withGC) != engine.Fingerprint(withoutGC) {
+		t.Error("GC intervals must not affect fingerprints")
 	}
-	if engine.Fingerprint(withGC, patterns.Options{IncludeGC: true}) == engine.Fingerprint(withoutGC, patterns.Options{IncludeGC: true}) {
-		t.Error("IncludeGC ablation must distinguish the trees")
-	}
-	if !strings.Contains(engine.Fingerprint(withGC, patterns.Options{IncludeGC: true}), "gc") {
-		t.Error("IncludeGC fingerprint should mention gc")
+	if strings.Contains(engine.Fingerprint(withGC), "gc") {
+		t.Error("a fingerprint must not mention gc")
 	}
 }
 
@@ -104,7 +96,7 @@ func TestClassifyGroupsAndSorts(t *testing.T) {
 		ep(ms(300), trace.Ms(40), paint(ms(300), trace.Ms(5))),
 		ep(ms(400), trace.Ms(50)), // unstructured
 	)
-	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{s})
 	if len(set.Patterns) != 2 {
 		t.Fatalf("patterns = %d, want 2", len(set.Patterns))
 	}
@@ -135,15 +127,10 @@ func TestGCOnlyEpisodeIsUnstructured(t *testing.T) {
 	s := sessionWith(
 		ep(ms(0), trace.Ms(500), trace.NewGC(ms(10), trace.Ms(400), true)),
 	)
-	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{s})
 	if len(set.Patterns) != 0 || set.Unstructured != 1 {
 		t.Errorf("GC-only episode should be unstructured: %d patterns, %d unstructured",
 			len(set.Patterns), set.Unstructured)
-	}
-	// Under the IncludeGC ablation it becomes classifiable.
-	set = engine.Classify([]*trace.Session{s}, patterns.Options{IncludeGC: true})
-	if len(set.Patterns) != 1 || set.Unstructured != 0 {
-		t.Errorf("IncludeGC should classify the GC-only episode")
 	}
 }
 
@@ -155,9 +142,8 @@ func TestOccurrenceClassification(t *testing.T) {
 			eps = append(eps, ep(start, trace.Ms(d), trace.NewInterval(trace.KindListener, "a.B", "on", start, trace.Ms(d/2))))
 			start = start.Add(trace.Ms(d) + trace.Second)
 		}
-		return engine.Classify([]*trace.Session{sessionWith(eps...)}, patterns.Options{}).Patterns[0]
+		return engine.Classify([]*trace.Session{sessionWith(eps...)}).Patterns[0]
 	}
-	th := trace.DefaultPerceptibleThreshold
 	cases := []struct {
 		name string
 		p    *patterns.Pattern
@@ -173,7 +159,7 @@ func TestOccurrenceClassification(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.p.Occurrence(th); got != tc.want {
+			if got := tc.p.Occurrence(); got != tc.want {
 				t.Errorf("Occurrence = %v, want %v", got, tc.want)
 			}
 		})
@@ -193,7 +179,7 @@ func TestOccurrenceCounts(t *testing.T) {
 		ep(ms(3000), trace.Ms(400), listener(ms(3000), trace.Ms(100), "c.C")),
 		ep(ms(4000), trace.Ms(10), listener(ms(4000), trace.Ms(5), "c.C")),
 	)
-	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{s})
 	counts := set.OccurrenceCounts()
 	if counts[patterns.OccAlways] != 1 || counts[patterns.OccNever] != 1 || counts[patterns.OccOnce] != 1 || counts[patterns.OccSometimes] != 0 {
 		t.Errorf("counts = %v", counts)
@@ -219,7 +205,7 @@ func TestCDFEndpointsAndMonotonicity(t *testing.T) {
 	add("a.A", 8)
 	add("b.B", 1)
 	add("c.C", 1)
-	set := engine.Classify([]*trace.Session{sessionWith(eps...)}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{sessionWith(eps...)})
 	curve := set.CDF()
 	if curve[0].X != 0 || curve[0].Y != 0 {
 		t.Errorf("curve starts at %+v", curve[0])
@@ -241,7 +227,7 @@ func TestMeanStructureMetrics(t *testing.T) {
 				trace.NewInterval(trace.KindPaint, "c.C", "paint", ms(2), trace.Ms(20)))))
 	flat := ep(ms(1000), trace.Ms(50),
 		trace.NewInterval(trace.KindListener, "l.L", "on", ms(1000), trace.Ms(40)))
-	set := engine.Classify([]*trace.Session{sessionWith(deep, flat)}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{sessionWith(deep, flat)})
 	if got := set.MeanDescendants(); got != 2 { // (3+1)/2
 		t.Errorf("MeanDescendants = %v, want 2", got)
 	}
@@ -251,7 +237,7 @@ func TestMeanStructureMetrics(t *testing.T) {
 }
 
 func TestEmptySet(t *testing.T) {
-	set := engine.Classify(nil, patterns.Options{})
+	set := engine.Classify(nil)
 	if set.SingletonFrac() != 0 || set.MeanDepth() != 0 || set.MeanDescendants() != 0 || set.Covered() != 0 {
 		t.Error("empty set metrics should be zero")
 	}
@@ -262,9 +248,9 @@ func TestEmptySet(t *testing.T) {
 
 func TestPatternIDStable(t *testing.T) {
 	e := ep(0, trace.Ms(10), trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(5)))
-	s1 := engine.Classify([]*trace.Session{sessionWith(e)}, patterns.Options{})
+	s1 := engine.Classify([]*trace.Session{sessionWith(e)})
 	e2 := ep(0, trace.Ms(10), trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(5)))
-	s2 := engine.Classify([]*trace.Session{sessionWith(e2)}, patterns.Options{})
+	s2 := engine.Classify([]*trace.Session{sessionWith(e2)})
 	if s1.Patterns[0].ID() != s2.Patterns[0].ID() {
 		t.Error("identical structures must have identical IDs")
 	}
@@ -295,7 +281,7 @@ func TestMultiSessionClassification(t *testing.T) {
 			trace.NewInterval(trace.KindListener, "a.B", "on", 0, trace.Ms(5))))
 	}
 	a, b := mk(), mk()
-	set := engine.Classify([]*trace.Session{a, b}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{a, b})
 	if len(set.Patterns) != 1 || set.Patterns[0].Count() != 2 {
 		t.Fatalf("cross-session grouping failed: %d patterns", len(set.Patterns))
 	}
@@ -308,10 +294,12 @@ func TestMultiSessionClassification(t *testing.T) {
 	}
 }
 
-// TestPerceptibleCountMonotoneInThreshold: raising the threshold never
-// increases a pattern's perceptible count, and the occurrence class
-// can only move "down" the severity order (always → sometimes/once →
-// never), never gain perceptible members.
+// TestPerceptibleCountMonotoneInThreshold: classifying at a higher
+// threshold never increases a pattern's perceptible count, and the
+// occurrence class can only move "down" the severity order (always →
+// sometimes/once → never), never gain perceptible members. Each
+// threshold gets its own pattern set, as each set answers only at the
+// threshold it was built at.
 func TestPerceptibleCountMonotoneInThreshold(t *testing.T) {
 	listener := func(start trace.Time, dur trace.Dur) *trace.Interval {
 		return trace.NewInterval(trace.KindListener, "a.B", "on", start, dur)
@@ -322,18 +310,31 @@ func TestPerceptibleCountMonotoneInThreshold(t *testing.T) {
 		eps = append(eps, ep(start, trace.Ms(d), listener(start, trace.Ms(d/2))))
 		start = start.Add(trace.Ms(d) + trace.Second)
 	}
-	set := engine.Classify([]*trace.Session{sessionWith(eps...)}, patterns.Options{})
-	p := set.Patterns[0]
-	prev := p.Count() + 1
+	suite := &trace.Suite{App: "t", Sessions: []*trace.Session{sessionWith(eps...)}}
+	prev := len(eps) + 1
 	for _, thMs := range []float64{50, 100, 150, 200, 300, 1000} {
 		th := trace.Ms(thMs)
-		k := p.PerceptibleCount(th)
+		set := engine.Analyze(suite, th).Pooled
+		if set.Threshold != th || len(set.Patterns) != 1 {
+			t.Fatalf("set at %v: threshold %v, %d patterns", th, set.Threshold, len(set.Patterns))
+		}
+		p := set.Patterns[0]
+		k := p.PerceptibleCount()
+		want := 0
+		for _, e := range eps {
+			if e.Perceptible(th) {
+				want++
+			}
+		}
+		if k != want {
+			t.Fatalf("perceptible count %d at %v, want %d", k, th, want)
+		}
 		if k > prev {
 			t.Fatalf("perceptible count increased from %d to %d at %v", prev, k, th)
 		}
 		prev = k
 		// patterns.Occurrence consistency with the count.
-		switch p.Occurrence(th) {
+		switch p.Occurrence() {
 		case patterns.OccAlways:
 			if k != p.Count() {
 				t.Fatalf("always with %d of %d perceptible", k, p.Count())
@@ -377,13 +378,13 @@ func TestFingerprintDeterminesPattern(t *testing.T) {
 		eps = append(eps, &trace.Episode{Index: i, Thread: 1, Root: root})
 		start = start.Add(dur + trace.Second)
 	}
-	set := engine.Classify([]*trace.Session{sessionWith(eps...)}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{sessionWith(eps...)})
 
 	covered := 0
 	for _, p := range set.Patterns {
 		covered += p.Count()
 		for _, ref := range p.Episodes {
-			if got := engine.Fingerprint(ref.Episode, patterns.Options{}); got != p.Canon {
+			if got := engine.Fingerprint(ref.Episode); got != p.Canon {
 				t.Fatalf("episode fingerprint %q in pattern %q", got, p.Canon)
 			}
 		}
@@ -416,7 +417,7 @@ func TestPatternGCCoOccurrence(t *testing.T) {
 		ep(ms(1000), trace.Ms(80), listener(ms(1000), trace.Ms(50))),
 		withGC(ms(2000)),
 	)
-	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{s})
 	if len(set.Patterns) != 1 {
 		t.Fatalf("GC exclusion should merge the episodes: %d patterns", len(set.Patterns))
 	}
@@ -439,7 +440,6 @@ func TestPatternGCCoOccurrence(t *testing.T) {
 func TestPatternHashPinned(t *testing.T) {
 	cases := []struct {
 		eps   []*trace.Episode
-		opt   patterns.Options
 		canon string
 		hash  uint64
 		id    string
@@ -461,18 +461,18 @@ func TestPatternHashPinned(t *testing.T) {
 			id:    "p25fc566a1c0e",
 		},
 		{
+			// Intervals without symbols fingerprint by kind alone.
 			eps: []*trace.Episode{ep(0, trace.Ms(100),
-				trace.NewInterval(trace.KindListener, "app.B", "on", 0, trace.Ms(60),
-					trace.NewInterval(trace.KindPaint, "x.P", "paint", ms(10), trace.Ms(20))),
-				trace.NewInterval(trace.KindPaint, "x.Q", "paint", ms(70), trace.Ms(20)))},
-			opt:   patterns.Options{KindOnly: true},
+				trace.NewInterval(trace.KindListener, "", "", 0, trace.Ms(60),
+					trace.NewInterval(trace.KindPaint, "", "", ms(10), trace.Ms(20))),
+				trace.NewInterval(trace.KindPaint, "", "", ms(70), trace.Ms(20)))},
 			canon: "dispatch(listener(paint),paint)",
 			hash:  187986442237767471,
 			id:    "pdcac582bef2f",
 		},
 	}
 	for _, tc := range cases {
-		set := engine.Classify([]*trace.Session{sessionWith(tc.eps...)}, tc.opt)
+		set := engine.Classify([]*trace.Session{sessionWith(tc.eps...)})
 		if len(set.Patterns) != 1 {
 			t.Fatalf("want 1 pattern, got %d", len(set.Patterns))
 		}
@@ -495,7 +495,6 @@ func TestPatternHashPinned(t *testing.T) {
 // deeply equal to each other and to Classify's set less its member
 // episodes.
 func TestBuilderMergeOrderFree(t *testing.T) {
-	opt := patterns.Options{Threshold: trace.DefaultPerceptibleThreshold}
 	var sessions []*trace.Session
 	for id := 0; id < 2; id++ {
 		s, err := sim.Run(sim.Config{Profile: apps.JEdit(), SessionID: id, Seed: 11, SessionSeconds: 40})
@@ -515,10 +514,10 @@ func TestBuilderMergeOrderFree(t *testing.T) {
 		pieces = append(pieces, piece{s, s.Episodes[:half], false}, piece{s, s.Episodes[half:], s.ID == 0})
 	}
 	build := func() []*patterns.Builder {
-		ea := engine.NewEpisodeAnalyzer(engine.Options{Patterns: opt})
+		ea := engine.NewEpisodeAnalyzer()
 		bs := make([]*patterns.Builder, len(pieces))
 		for i, pc := range pieces {
-			bs[i] = patterns.NewBuilder(opt)
+			bs[i] = patterns.NewBuilder(trace.DefaultPerceptibleThreshold)
 			for j := range pc.eps {
 				if pc.reverse {
 					j = len(pc.eps) - 1 - j
@@ -534,7 +533,7 @@ func TestBuilderMergeOrderFree(t *testing.T) {
 		return bs
 	}
 
-	want := engine.Classify(sessions, opt)
+	want := engine.Classify(sessions)
 	for _, p := range want.Patterns {
 		p.Episodes = nil
 	}
@@ -577,14 +576,14 @@ func TestBuilderMergeOrderFree(t *testing.T) {
 // builder as it was.
 func TestBuilderDistinctCanons(t *testing.T) {
 	build := func(canons ...string) *patterns.Builder {
-		b := patterns.NewBuilder(patterns.Options{})
+		b := patterns.NewBuilder(0)
 		for i, c := range canons {
 			b.Add(patterns.Print{Canon: []byte(c)}, trace.Ms(float64(10*(i+1))))
 		}
 		return b
 	}
 	ab, ba := build("a", "b", "a"), build("b", "a", "a")
-	merged := patterns.NewBuilder(patterns.Options{})
+	merged := patterns.NewBuilder(0)
 	merged.Merge(ab)
 	merged.Merge(ba)
 	if got := ab.Patterns(); len(got) != 2 || got[0].Canon != "a" || got[0].Count() != 2 || got[1].Count() != 1 {

@@ -359,7 +359,7 @@ func loadV2(f *os.File, o LoadOptions, blockJobs int, bo treebuild.Options) (*tr
 	}
 	defer v.Close()
 	mTraceBytes.Add(v.Size())
-	return treebuild.BuildV2(v, o.Salvage, blockJobs, bo)
+	return treebuild.BuildV2(v, blockJobs, bo)
 }
 
 // AnalyzeSuitesContext runs the full per-application characterization
@@ -385,7 +385,7 @@ func AnalyzeSuitesContext(ctx context.Context, suites []*trace.Suite, threshold 
 // episodes into a new folds[i] at threshold.
 func FoldHook(folds []*engine.AppFold, threshold trace.Dur) func(i int) func(*trace.Session, *trace.Episode) {
 	return func(i int) func(*trace.Session, *trace.Episode) {
-		f := engine.NewAppFold(threshold, engine.Options{})
+		f := engine.NewAppFold(threshold)
 		folds[i] = f
 		return f.Episode
 	}

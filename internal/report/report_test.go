@@ -245,7 +245,7 @@ func TestFigure1SketchReproducesThePaper(t *testing.T) {
 // release-mode GanttProject session folds into an engine.AppFold, and
 // the finished fold's Deepest holds the episode.
 func TestFigure2DeepNesting(t *testing.T) {
-	fold := engine.NewAppFold(0, engine.Options{})
+	fold := engine.NewAppFold(0)
 	cfg := sim.Config{Profile: apps.GanttProject(), Seed: 7, SessionSeconds: 60}
 	held, err := sim.RunOptions(cfg, treebuild.Options{Episode: fold.Episode})
 	if err != nil {

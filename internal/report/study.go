@@ -428,7 +428,7 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 	n := cfg.sessions()
 	folds := make([]*engine.AppFold, min(cfg.workers(), n))
 	for w := range folds {
-		folds[w] = engine.NewAppFold(cfg.threshold(), engine.Options{})
+		folds[w] = engine.NewAppFold(cfg.threshold())
 	}
 	errs := make([]error, n)
 	runPool(len(folds), n, func(w, i int) {
@@ -465,7 +465,7 @@ func simulate(ctx context.Context, cfg StudyConfig, p *sim.Profile, pr *progress
 }
 
 func analyzeSuite(ctx context.Context, suite *trace.Suite, threshold trace.Dur) (*AppResult, error) {
-	r, err := engine.AnalyzeContextErr(ctx, suite, threshold, engine.Options{})
+	r, err := engine.AnalyzeContextErr(ctx, suite, threshold)
 	if err != nil {
 		return nil, err
 	}

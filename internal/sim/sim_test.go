@@ -9,7 +9,6 @@ import (
 	"lagalyzer/internal/analysis"
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
-	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/stats"
 	"lagalyzer/internal/trace"
 )
@@ -246,7 +245,7 @@ func TestEpisodeStructures(t *testing.T) {
 
 func TestPatternsEmergeFromSimulation(t *testing.T) {
 	s := runTest(t, Config{Profile: testProfile(), Seed: 13})
-	set := engine.Classify([]*trace.Session{s}, patterns.Options{})
+	set := engine.Classify([]*trace.Session{s})
 	if len(set.Patterns) < 2 {
 		t.Fatalf("only %d patterns", len(set.Patterns))
 	}
@@ -366,13 +365,13 @@ func TestExplicitGCEpisodes(t *testing.T) {
 	}}
 	s := runTest(t, Config{Profile: p, Seed: 29})
 	unspecifiedWithGC := 0
-	ea := engine.NewEpisodeAnalyzer(engine.Options{})
+	ea := engine.NewEpisodeAnalyzer()
 	for _, e := range s.Episodes {
 		hasGC := e.Root.HasKind(trace.KindGC)
 		if !ea.Analyze(s, e).Structured && hasGC {
 			unspecifiedWithGC++
 		}
-		if tr := engine.TriggerOf(e, analysis.TriggerOptions{}); tr != analysis.TriggerUnspecified {
+		if tr := engine.TriggerOf(e); tr != analysis.TriggerUnspecified {
 			t.Fatalf("explicit-GC episode classified as %v, want unspecified", tr)
 		}
 	}
@@ -443,7 +442,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 
 // analyzeSession runs the analysis engine over one session.
 func analyzeSession(s *trace.Session) *engine.Result {
-	return engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold, engine.Options{})
+	return engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold)
 }
 
 func TestLibFracControlsLocationSplit(t *testing.T) {

@@ -29,7 +29,6 @@ import (
 	"lagalyzer/internal/engine"
 	"lagalyzer/internal/lila"
 	"lagalyzer/internal/obs"
-	"lagalyzer/internal/patterns"
 	"lagalyzer/internal/stats"
 	"lagalyzer/internal/trace"
 	"lagalyzer/internal/treebuild"
@@ -106,13 +105,13 @@ type Analyzer struct {
 }
 
 // NewAnalyzer builds a streaming analyzer. threshold 0 means the
-// paper's 100 ms; it also sets the pattern fingerprint's threshold.
+// paper's 100 ms.
 func NewAnalyzer(threshold trace.Dur) *Analyzer {
 	if threshold == 0 {
 		threshold = trace.DefaultPerceptibleThreshold
 	}
 	return &Analyzer{
-		ea:        engine.NewEpisodeAnalyzer(engine.Options{Patterns: patterns.Options{Threshold: threshold}}),
+		ea:        engine.NewEpisodeAnalyzer(),
 		threshold: threshold,
 	}
 }

@@ -38,7 +38,7 @@ func TestStreamingMatchesFullAnalysis(t *testing.T) {
 				t.Fatalf("treebuild: %v", err)
 			}
 			th := trace.DefaultPerceptibleThreshold
-			full := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{session}}, th, engine.Options{})
+			full := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{session}}, th)
 
 			if st.Episodes != len(session.Episodes) {
 				t.Errorf("episodes: stream %d, full %d", st.Episodes, len(session.Episodes))
@@ -155,7 +155,7 @@ func TestStreamPopulationMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			full := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{session}},
-				trace.DefaultPerceptibleThreshold, engine.Options{})
+				trace.DefaultPerceptibleThreshold)
 
 			conc, ticks := st.All.Concurrency()
 			if conc != full.ConcurrencyAll || ticks != full.TicksAll {

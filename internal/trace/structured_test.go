@@ -14,7 +14,7 @@ import (
 func TestStructured(t *testing.T) {
 	ms := func(v float64) trace.Time { return trace.Time(trace.Ms(v)) }
 	structured := func(e *trace.Episode) bool {
-		return engine.NewEpisodeAnalyzer(engine.Options{}).Analyze(&trace.Session{}, e).Structured
+		return engine.NewEpisodeAnalyzer().Analyze(&trace.Session{}, e).Structured
 	}
 	childless := &trace.Episode{Root: trace.NewInterval(trace.KindDispatch, "", "", 0, trace.Ms(200))}
 	if structured(childless) {

@@ -87,7 +87,7 @@ func streamedBuild(t *testing.T, data []byte, salvage bool, jobs int) built {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, diag, rep, err := treebuild.BuildV2(v, salvage, jobs, treebuild.Options{Lenient: salvage})
+	s, diag, rep, err := treebuild.BuildV2(v, jobs, treebuild.Options{Lenient: salvage})
 	return pack(t, s, diag, rep, err)
 }
 
@@ -188,7 +188,7 @@ func TestBuildV2MemoryGuardStopsDecode(t *testing.T) {
 	o := treebuild.Options{Limits: lila.Limits{MaxSessionBytes: 1 << 20}}
 	for _, jobs := range []int{1, 8} {
 		before := inflated()
-		_, _, _, err := treebuild.BuildV2(v, false, jobs, o)
+		_, _, _, err := treebuild.BuildV2(v, jobs, o)
 		if !errors.Is(err, treebuild.ErrSessionTooLarge) {
 			t.Fatalf("jobs=%d: err %v, want ErrSessionTooLarge", jobs, err)
 		}

@@ -80,7 +80,7 @@ func TestMultipleEventDispatchThreads(t *testing.T) {
 		}
 	}
 
-	r := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold, engine.Options{})
+	r := engine.Analyze(&trace.Suite{Sessions: []*trace.Session{s}}, trace.DefaultPerceptibleThreshold)
 
 	// Triggers: one input (A) and one output (B).
 	trig := r.TriggerAll

@@ -35,7 +35,7 @@ type summary struct {
 func fullSummary(t *testing.T, s *trace.Session) summary {
 	t.Helper()
 	th := trace.DefaultPerceptibleThreshold
-	r, err := engine.AnalyzeContextErr(context.Background(), &trace.Suite{Sessions: []*trace.Session{s}}, th, engine.Options{})
+	r, err := engine.AnalyzeContextErr(context.Background(), &trace.Suite{Sessions: []*trace.Session{s}}, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ type releaser struct {
 }
 
 func newReleaser(t *testing.T) *releaser {
-	return &releaser{t: t, ea: engine.NewEpisodeAnalyzer(engine.Options{})}
+	return &releaser{t: t, ea: engine.NewEpisodeAnalyzer()}
 }
 
 func (r *releaser) hook(s *trace.Session, e *trace.Episode) {
@@ -168,7 +168,7 @@ func checkRelease(t *testing.T, label string, h lila.Header, recs []*lila.Record
 		}
 		for _, jobs := range []int{1, 2, 8} {
 			compare(fmt.Sprintf("v2/flate=%v/jobs=%d", flate, jobs), func(o treebuild.Options) (*trace.Session, *treebuild.Diagnostics, error) {
-				s, diag, _, err := treebuild.BuildV2(v, false, jobs, o)
+				s, diag, _, err := treebuild.BuildV2(v, jobs, o)
 				return s, diag, err
 			})
 		}

@@ -176,17 +176,18 @@ func BuildFeed(h lila.Header, until trace.Time, o Options, produce func(feed fun
 }
 
 // BuildV2 rebuilds a session from a v2 file block by block, feeding
-// each record while v.Each(salvage, jobs) holds its block, so
-// no whole-session record slice ever exists. The salvage report comes
+// each record while v.Each(o.Lenient, jobs) holds its block, so no
+// whole-session record slice ever exists: o.Lenient both salvages
+// damaged blocks and rebuilds leniently. The salvage report comes
 // back even on error. The first failure in stream order wins: a build
 // error, the memory guard included, stops the decode of later blocks.
-func BuildV2(v *lila.V2File, salvage bool, jobs int, o Options) (*trace.Session, *Diagnostics, *lila.SalvageReport, error) {
+func BuildV2(v *lila.V2File, jobs int, o Options) (*trace.Session, *Diagnostics, *lila.SalvageReport, error) {
 	b := NewBuilder(v.Header(), o)
 	// A scanned index (damaged footer) has no time bounds: no hint.
 	if blocks := v.Blocks(); len(blocks) > 0 && blocks[len(blocks)-1].MaxTime != math.MaxInt64 {
 		b.sizeTicks(blocks[len(blocks)-1].MaxTime, v.NumRecords())
 	}
-	report, err := v.Each(salvage, jobs, b.Feed)
+	report, err := v.Each(o.Lenient, jobs, b.Feed)
 	if err != nil {
 		return nil, nil, report, err
 	}

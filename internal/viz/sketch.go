@@ -8,17 +8,8 @@ import (
 
 // SketchOptions tune episode-sketch rendering.
 type SketchOptions struct {
-	// Width is the drawing width in pixels; 0 means 960.
-	Width float64
 	// Title overrides the default "<app> episode #<n>" title.
 	Title string
-}
-
-func (o SketchOptions) width() float64 {
-	if o.Width > 0 {
-		return o.Width
-	}
-	return 960
 }
 
 // Sketch renders an episode sketch (Section II-B, Figures 1 and 2):
@@ -30,9 +21,10 @@ func (o SketchOptions) width() float64 {
 // trace and thread state (as the paper's tooltip does).
 //
 // The session provides the samples; it may be nil, in which case only
-// the interval tree is drawn.
+// the interval tree is drawn. The drawing is 960 pixels wide.
 func Sketch(s *trace.Session, e *trace.Episode, opt SketchOptions) string {
 	const (
+		width    = 960.0
 		rowH     = 26.0
 		topPad   = 26.0 // title
 		sampleH  = 22.0 // sample track
@@ -41,7 +33,6 @@ func Sketch(s *trace.Session, e *trace.Episode, opt SketchOptions) string {
 		rightPad = 14.0
 	)
 	depth := e.Root.Depth()
-	width := opt.width()
 	height := topPad + sampleH + float64(depth)*rowH + axisH
 
 	doc := newSVG(width, height)

@@ -10,38 +10,17 @@ import (
 	"lagalyzer/internal/trace"
 )
 
-// TimelineOptions tune session-timeline rendering.
-type TimelineOptions struct {
-	// Width is the drawing width in pixels; 0 means 1200.
-	Width float64
-	// Threshold is the perceptibility threshold drawn as a reference
-	// line; 0 means 100 ms.
-	Threshold trace.Dur
-}
-
-func (o TimelineOptions) width() float64 {
-	if o.Width > 0 {
-		return o.Width
-	}
-	return 1200
-}
-
-func (o TimelineOptions) threshold() trace.Dur {
-	if o.Threshold > 0 {
-		return o.Threshold
-	}
-	return trace.DefaultPerceptibleThreshold
-}
-
 // Timeline renders a whole-session trace timeline in the spirit of
 // LiLa Viewer (which the paper's episode sketches extend): every
 // traced episode appears as a bar at its position on the session's
 // time axis, with height proportional to log-duration and color by
 // trigger class; the perceptibility threshold is a reference line,
 // and stop-the-world collections are marked along the bottom. Hovering
-// a bar names the episode, its duration, and its trigger.
-func Timeline(s *trace.Session, opt TimelineOptions) string {
+// a bar names the episode, its duration, and its trigger. The drawing
+// is 1200 pixels wide.
+func Timeline(s *trace.Session) string {
 	const (
+		width    = 1200.0
 		topPad   = 44.0
 		plotH    = 200.0
 		gcLaneH  = 14.0
@@ -49,7 +28,6 @@ func Timeline(s *trace.Session, opt TimelineOptions) string {
 		leftPad  = 52.0
 		rightPad = 16.0
 	)
-	width := opt.width()
 	height := topPad + plotH + gcLaneH + axisH
 	doc := newSVG(width, height)
 
@@ -86,7 +64,7 @@ func Timeline(s *trace.Session, opt TimelineOptions) string {
 	for _, ms := range []float64{10, 100, 1000} {
 		y := yFor(trace.Ms(ms))
 		color := "#ddd"
-		if trace.Ms(ms) == opt.threshold() {
+		if trace.Ms(ms) == trace.DefaultPerceptibleThreshold {
 			color = "#c62828"
 		}
 		doc.line(leftPad, y, width-rightPad, y, color, 0.8)
@@ -100,7 +78,7 @@ func Timeline(s *trace.Session, opt TimelineOptions) string {
 		if x1-x0 < 0.7 {
 			x1 = x0 + 0.7
 		}
-		tr := engine.TriggerOf(e, analysis.TriggerOptions{})
+		tr := engine.TriggerOf(e)
 		y := yFor(e.Dur())
 		tip := fmt.Sprintf("episode #%d at %v: %v, %s", e.Index, e.Start(), e.Dur(), tr)
 		doc.rect(x0, y, x1-x0, baseline-y, triggerColor(tr), "", tip)

@@ -37,7 +37,7 @@ func timelineSession() *trace.Session {
 
 func TestTimelineSVG(t *testing.T) {
 	s := timelineSession()
-	svg := Timeline(s, TimelineOptions{})
+	svg := Timeline(s)
 	for _, want := range []string{
 		"<svg", "TL session 1", "3 episodes",
 		"episode #0", "episode #1", "episode #2",
@@ -56,10 +56,10 @@ func TestTimelineSVG(t *testing.T) {
 	}
 }
 
-func TestTimelineCustomWidth(t *testing.T) {
-	svg := Timeline(timelineSession(), TimelineOptions{Width: 600})
-	if !strings.Contains(svg, `width="600"`) {
-		t.Error("custom width ignored")
+func TestTimelineWidth(t *testing.T) {
+	svg := Timeline(timelineSession())
+	if !strings.Contains(svg, `width="1200"`) {
+		t.Error("timeline is not 1200 pixels wide")
 	}
 }
 

@@ -29,7 +29,7 @@
 //
 //	profile, _ := lagalyzer.ProfileByName("Jmol")
 //	session, _ := lagalyzer.Simulate(lagalyzer.SimConfig{Profile: profile, Seed: 1})
-//	set := lagalyzer.Classify([]*lagalyzer.Session{session}, lagalyzer.PatternOptions{})
+//	set := lagalyzer.Classify([]*lagalyzer.Session{session})
 //	for _, p := range set.Patterns[:3] {
 //		fmt.Println(p.Count(), p.AvgLag(), p.Canon)
 //	}
@@ -158,11 +158,6 @@ func ProfileByName(name string) (*Profile, error) { return apps.ByName(name) }
 
 // --- Pattern classification (Section II-C to II-E) ---
 
-// PatternOptions control classification; the zero value is the
-// paper's configuration (GC and timing excluded, symbols included,
-// 100 ms threshold).
-type PatternOptions = patterns.Options
-
 // PatternSet is the result of classifying sessions into patterns.
 type PatternSet = patterns.Set
 
@@ -180,13 +175,13 @@ const (
 	OccAlways    = patterns.OccAlways
 )
 
-// Classify groups the sessions' episodes into structural patterns.
-func Classify(sessions []*Session, opt PatternOptions) *PatternSet {
-	return engine.Classify(sessions, opt)
-}
+// Classify groups the sessions' episodes into structural patterns by
+// the paper's rule (interval kinds and class/method names; GC
+// intervals and timing excluded), with perceptibility at 100 ms.
+func Classify(sessions []*Session) *PatternSet { return engine.Classify(sessions) }
 
 // Fingerprint returns an episode's canonical structural form.
-func Fingerprint(e *Episode, opt PatternOptions) string { return engine.Fingerprint(e, opt) }
+func Fingerprint(e *Episode) string { return engine.Fingerprint(e) }
 
 // --- Characterization analyses (Section IV) ---
 
@@ -203,7 +198,7 @@ const (
 
 // TriggerOf determines an episode's trigger with the paper's rules
 // (including the repaint-manager async→output reclassification).
-func TriggerOf(e *Episode) Trigger { return engine.TriggerOf(e, analysis.TriggerOptions{}) }
+func TriggerOf(e *Episode) Trigger { return engine.TriggerOf(e) }
 
 // TriggerShares, LocationShares, and CauseShares are per-population
 // results of the corresponding analyses.
@@ -217,7 +212,7 @@ type (
 // analyze runs the engine over the sessions as one suite; the
 // per-figure functions below are views over its result.
 func analyze(sessions []*Session, threshold Dur) *engine.Result {
-	return engine.Analyze(&Suite{Sessions: sessions}, threshold, engine.Options{})
+	return engine.Analyze(&Suite{Sessions: sessions}, threshold)
 }
 
 // Triggers tallies episode triggers (Figure 5); onlyPerceptible
@@ -260,7 +255,7 @@ func Causes(sessions []*Session, threshold Dur, onlyPerceptible bool) CauseShare
 
 // OverviewOf computes an application's Table III row.
 func OverviewOf(suite *Suite, threshold Dur) Overview {
-	return engine.Analyze(suite, threshold, engine.Options{}).Overview
+	return engine.Analyze(suite, threshold).Overview
 }
 
 // --- Visualization and browsing ---
@@ -277,10 +272,9 @@ func SketchText(s *Session, e *Episode) string { return viz.SketchText(s, e) }
 // Browser is the pattern-browser model (Section II-E).
 type Browser = browser.Browser
 
-// NewBrowser builds a pattern browser over a classified set.
-func NewBrowser(set *PatternSet, threshold Dur) *Browser {
-	return browser.New(set, threshold)
-}
+// NewBrowser builds a pattern browser over a classified set; it filters
+// and shows occurrence at the set's threshold.
+func NewBrowser(set *PatternSet) *Browser { return browser.New(set) }
 
 // --- The full study (Section IV) ---
 

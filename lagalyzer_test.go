@@ -36,7 +36,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Classification and analyses.
-	set := Classify([]*Session{reloaded}, PatternOptions{})
+	set := Classify([]*Session{reloaded})
 	if len(set.Patterns) == 0 {
 		t.Fatal("no patterns")
 	}
@@ -67,7 +67,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if txt := SketchText(reloaded, e); !strings.Contains(txt, "dispatch") {
 		t.Error("sketch text malformed")
 	}
-	b := NewBrowser(set, 0)
+	b := NewBrowser(set)
 	if b.Len() != len(set.Patterns) {
 		t.Errorf("browser sees %d patterns, want %d", b.Len(), len(set.Patterns))
 	}
@@ -106,7 +106,7 @@ func TestFacadeTriggerOf(t *testing.T) {
 	if got := TriggerOf(e); got != TriggerOutput {
 		t.Errorf("TriggerOf = %v, want output (repaint-manager reclassification)", got)
 	}
-	if Fingerprint(e, PatternOptions{}) == "" {
+	if Fingerprint(e) == "" {
 		t.Error("empty fingerprint")
 	}
 }
@@ -168,5 +168,43 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 	if perturbed.InEpisodeFrac() <= session.InEpisodeFrac() {
 		t.Error("perturbation slowdown had no effect")
+	}
+}
+
+// TestStudyPooledSetMatchesClassify: a study's pooled set and Classify
+// of the same session are both built at the paper's 100 ms, so they
+// compare, and agree on every pattern's tallies, perceptible count and
+// occurrence.
+func TestStudyPooledSetMatchesClassify(t *testing.T) {
+	profile, err := ProfileByName("Jmol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunStudy(StudyConfig{Apps: []*Profile{profile}, SessionsPerApp: 1, Seed: 3, SessionSeconds: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := Simulate(SimConfig{Profile: profile, Seed: 3, SessionSeconds: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, classified := res.Apps[0].Pooled, Classify([]*Session{session})
+	d, err := ComparePatterns(pooled, classified, DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pooled.Patterns) == 0 || len(d.Entries) != len(pooled.Patterns) || d.Counts[DiffUnchanged] != len(d.Entries) ||
+		d.OldPerceptible != d.NewPerceptible || d.OldPerceptible == 0 {
+		t.Fatalf("%d pooled patterns, %d entries (%v), perceptible %d vs %d",
+			len(pooled.Patterns), len(d.Entries), d.Counts, d.OldPerceptible, d.NewPerceptible)
+	}
+	for _, e := range d.Entries {
+		o, n := e.Old, e.New
+		if o.Count() != n.Count() || o.TotalLag() != n.TotalLag() ||
+			o.PerceptibleCount() != n.PerceptibleCount() || o.Occurrence() != n.Occurrence() {
+			t.Errorf("pattern %s: pooled %d/%v/%d %v, classified %d/%v/%d %v", o.ID(),
+				o.Count(), o.TotalLag(), o.PerceptibleCount(), o.Occurrence(),
+				n.Count(), n.TotalLag(), n.PerceptibleCount(), n.Occurrence())
+		}
 	}
 }
